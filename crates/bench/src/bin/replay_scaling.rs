@@ -396,12 +396,16 @@ fn main() {
     // "batching must win on one core" bar enforced by CI's perf gate).
     let ratio = per_event_s / batched_s;
     let fused_ratio = batched_s / fused_s;
+    // What the out-of-core route keeps of the in-RAM fused rate: decode,
+    // checksum and paging are the only difference between the two.
+    let mmap_ratio = fused_s / mmap_fused_s;
     let baseline = format!(
         "{{\n  \"bench\": \"replay_scaling\",\n  \"events\": {events},\n  \
          \"per_event_mev_s\": {:.4},\n  \"batched_mev_s\": {:.4},\n  \
          \"fused_mev_s\": {:.4},\n  \"mmap_fused_mev_s\": {:.4},\n  \
          \"batched_over_per_event\": {ratio:.4},\n  \
-         \"fused_over_batched\": {fused_ratio:.4},\n  \"batch\": {best_batch},\n  \
+         \"fused_over_batched\": {fused_ratio:.4},\n  \
+         \"mmap_over_fused\": {mmap_ratio:.4},\n  \"batch\": {best_batch},\n  \
          \"fused_batch\": {best_fused_batch},\n  \"deps\": {base_deps}\n}}\n",
         tput(per_event_s),
         tput(batched_s),
@@ -431,7 +435,8 @@ fn main() {
          \"per_event_mev_s\": {:.4}, \"batched_mev_s\": {:.4}, \
          \"fused_mev_s\": {:.4}, \"mmap_fused_mev_s\": {:.4}, \
          \"batched_over_per_event\": {ratio:.4}, \
-         \"fused_over_batched\": {fused_ratio:.4}}}\n",
+         \"fused_over_batched\": {fused_ratio:.4}, \
+         \"mmap_over_fused\": {mmap_ratio:.4}}}\n",
         tput(per_event_s),
         tput(batched_s),
         tput(fused_s),

@@ -376,15 +376,16 @@ impl Checkpoint {
         let loop_capacity = d.u64()? as usize;
         let frames = d.u64()?;
         let events = d.u64()?;
-        let mut workers = Vec::with_capacity(jobs);
+        let mut workers = Vec::with_capacity(d.count(jobs as u64, 16 + threads * threads * 8)?);
         for _ in 0..jobs {
             let accesses = d.u64()?;
             let dependencies = d.u64()?;
             let global = d.matrix(threads)?;
-            let n_loops = d.u32()? as usize;
-            if n_loops > loop_capacity.max(1 << 20) {
+            let n_loops = d.u32()? as u64;
+            if n_loops > (loop_capacity as u64).max(1 << 20) {
                 return Err(bad_data(format!("implausible loop count {n_loops}")));
             }
+            let n_loops = d.count(n_loops, 4 + threads * threads * 8)?;
             let mut loops = Vec::with_capacity(n_loops);
             for _ in 0..n_loops {
                 let id = LoopId(d.u32()?);
@@ -394,12 +395,13 @@ impl Checkpoint {
                 DetectorKind::Asymmetric => {
                     let sig = sig.as_ref().unwrap();
                     let words_per = d.u32()? as usize;
-                    let n_filters = d.u64()? as usize;
-                    if n_filters > sig.n_slots || words_per > 1 << 20 {
+                    let n_filters = d.u64()?;
+                    if n_filters > sig.n_slots as u64 || words_per > 1 << 20 {
                         return Err(bad_data(format!(
                             "implausible filter dump: {n_filters} filters × {words_per} words"
                         )));
                     }
+                    let n_filters = d.count(n_filters, 8 + words_per * 8)?;
                     let mut filters = Vec::with_capacity(n_filters);
                     for _ in 0..n_filters {
                         let slot = d.u64()?;
@@ -412,10 +414,11 @@ impl Checkpoint {
                         }
                         filters.push((slot, words));
                     }
-                    let n_wslots = d.u64()? as usize;
-                    if n_wslots > sig.n_slots {
+                    let n_wslots = d.u64()?;
+                    if n_wslots > sig.n_slots as u64 {
                         return Err(bad_data(format!("implausible write-slot count {n_wslots}")));
                     }
+                    let n_wslots = d.count(n_wslots, 8 + 4)?;
                     let mut write_slots = Vec::with_capacity(n_wslots);
                     for _ in 0..n_wslots {
                         let slot = d.u64()?;
@@ -430,16 +433,18 @@ impl Checkpoint {
                     }
                 }
                 DetectorKind::Perfect => {
-                    let n_readers = d.u64()? as usize;
-                    let mut readers = Vec::with_capacity(n_readers.min(1 << 20));
+                    let n_readers = d.u64()?;
+                    let n_readers = d.count(n_readers, 8 + 16)?;
+                    let mut readers = Vec::with_capacity(n_readers);
                     for _ in 0..n_readers {
                         let addr = d.u64()?;
                         let lo = d.u64()? as u128;
                         let hi = d.u64()? as u128;
                         readers.push((addr, lo | (hi << 64)));
                     }
-                    let n_writers = d.u64()? as usize;
-                    let mut writers = Vec::with_capacity(n_writers.min(1 << 20));
+                    let n_writers = d.u64()?;
+                    let n_writers = d.count(n_writers, 8 + 4)?;
+                    let mut writers = Vec::with_capacity(n_writers);
                     for _ in 0..n_writers {
                         writers.push((d.u64()?, d.u32()?));
                     }
@@ -600,9 +605,23 @@ impl Dec<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// An element count read from the body, accepted only if that many
+    /// elements of at least `item_bytes` each can still follow — so a
+    /// crafted count is an error here, not an allocation request.
+    fn count(&self, n: u64, item_bytes: usize) -> io::Result<usize> {
+        let left = (self.b.len() - self.pos) as u64;
+        match n.checked_mul(item_bytes as u64) {
+            Some(need) if need <= left => Ok(n as usize),
+            _ => Err(bad_data(format!(
+                "checkpoint body claims {n} × {item_bytes}-byte items with {left} bytes left"
+            ))),
+        }
+    }
+
     fn matrix(&mut self, t: usize) -> io::Result<DenseMatrix> {
-        let mut data = Vec::with_capacity(t * t);
-        for _ in 0..t * t {
+        let cells = self.count((t * t) as u64, 8)?;
+        let mut data = Vec::with_capacity(cells);
+        for _ in 0..cells {
             data.push(self.u64()?);
         }
         Ok(DenseMatrix::from_rows(t, data))

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod block_source;
+pub mod crc;
 pub mod ctx;
 pub mod event;
 pub mod loops;
@@ -42,6 +43,7 @@ pub mod trace_io;
 pub mod wire;
 
 pub use block_source::{AsAccess, BlockSource, EventBlock, FileBlockSource, TraceBlocks};
+pub use crc::crc32;
 pub use ctx::TraceCtx;
 pub use event::{synth_event, AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
 pub use loops::{enter_func, enter_loop, FuncGuard, LoopGuard, LoopTable};
@@ -60,7 +62,7 @@ pub use sink::{
 };
 pub use sites::{site_location, SiteCounter, SiteTraffic};
 pub use spool::{
-    crc32, salvage_stream, salvage_trace, write_trace_spool, SalvageReport, SpoolError, SpoolSink,
+    salvage_stream, salvage_trace, write_trace_spool, SalvageReport, SpoolError, SpoolSink,
     SpoolStats, SpoolWriter, DEFAULT_FRAME_EVENTS,
 };
 pub use spool_v3::{

@@ -35,6 +35,7 @@ use std::thread::JoinHandle;
 use lc_faults::{FaultInjector, FaultyWriter};
 use parking_lot::Mutex;
 
+use crate::crc::crc32;
 use crate::event::{AccessEvent, StampedEvent};
 use crate::replay::Trace;
 use crate::sink::AccessSink;
@@ -54,38 +55,6 @@ pub(crate) const MAX_FRAME_PAYLOAD: u32 = (1 << 24) * RECORD_BYTES as u32;
 /// per frame — large enough to amortize the 12-byte header and the flush,
 /// small enough that a crash loses under a fifth of a megabyte).
 pub const DEFAULT_FRAME_EVENTS: usize = 4096;
-
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 of a byte slice (IEEE 802.3, reflected) — the framing checksum
-/// shared by the v2/v3 spools, the side-car index, and the analysis
-/// checkpoint files.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// What one spool writer produced.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -627,13 +596,6 @@ mod tests {
 
     fn sample(n: u64) -> Trace {
         Trace::new((0..n).map(ev).collect())
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -39,11 +39,10 @@ use std::sync::Arc;
 
 use lc_faults::{FaultInjector, FaultSite, FaultyWriter};
 
+use crate::crc::crc32;
 use crate::event::StampedEvent;
 use crate::replay::Trace;
-use crate::spool::{
-    crc32, SalvageReport, SpoolStats, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
-};
+use crate::spool::{SalvageReport, SpoolStats, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use crate::trace_io::{decode_event, encode_event, MAGIC, RECORD_BYTES, VERSION_V3};
 
 /// Alignment unit for the v3 header and every segment.
@@ -123,8 +122,10 @@ impl V3Index {
         out
     }
 
-    /// Parse an encoded index, verifying magic, version, geometry, and the
-    /// trailing CRC.
+    /// Parse an encoded index, verifying magic, version, geometry, the
+    /// trailing CRC, and that the entries tile the spool: pages and event
+    /// offsets are running sums, `payload_len == event_count * 41`, and
+    /// the counts add up to `total_events`.
     pub fn decode(bytes: &[u8]) -> io::Result<Self> {
         if bytes.len() < INDEX_HEADER_BYTES + 4 {
             return Err(bad_data(format!("index too short ({} bytes)", bytes.len())));
@@ -149,22 +150,52 @@ impl V3Index {
             return Err(bad_data(format!("unsupported index page size {page_size}")));
         }
         let threads = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let entry_count = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let entry_count = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         let total_events = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        if body.len() != INDEX_HEADER_BYTES + entry_count * INDEX_ENTRY_BYTES {
+        let entry_bytes = (body.len() - INDEX_HEADER_BYTES) as u64;
+        if entry_count.checked_mul(INDEX_ENTRY_BYTES as u64) != Some(entry_bytes) {
             return Err(bad_data(format!(
                 "index entry count {entry_count} does not match its {} body bytes",
                 body.len()
             )));
         }
-        let mut entries = Vec::with_capacity(entry_count);
-        for chunk in body[INDEX_HEADER_BYTES..].chunks_exact(INDEX_ENTRY_BYTES) {
-            entries.push(SegmentEntry {
+        // A CRC only proves the bytes are the ones that were written, not
+        // that they describe a spool: every entry must be the one
+        // `rebuild` would derive from the segment before it, because
+        // seek/stream index with these numbers unchecked.
+        let mut entries = Vec::with_capacity(entry_count as usize);
+        let mut next_page = 1u64;
+        let mut next_event = 0u64;
+        for (i, chunk) in body[INDEX_HEADER_BYTES..]
+            .chunks_exact(INDEX_ENTRY_BYTES)
+            .enumerate()
+        {
+            let e = SegmentEntry {
                 page_no: u64::from_le_bytes(chunk[0..8].try_into().unwrap()),
                 event_start: u64::from_le_bytes(chunk[8..16].try_into().unwrap()),
                 event_count: u32::from_le_bytes(chunk[16..20].try_into().unwrap()),
                 payload_len: u32::from_le_bytes(chunk[20..24].try_into().unwrap()),
-            });
+            };
+            if e.payload_len == 0
+                || e.payload_len > MAX_FRAME_PAYLOAD
+                || e.payload_len as u64 != e.event_count as u64 * RECORD_BYTES as u64
+                || e.event_start != next_event
+                || e.page_no != next_page
+            {
+                return Err(bad_data(format!(
+                    "index entry {i} is inconsistent with its predecessors: {e:?}"
+                )));
+            }
+            next_event += e.event_count as u64;
+            // Segments start page-aligned, so whole pages suffice.
+            let seg_bytes = FRAME_HEADER_BYTES as u64 + e.payload_len as u64;
+            next_page += page_round_up(seg_bytes) / PAGE_BYTES as u64;
+            entries.push(e);
+        }
+        if next_event != total_events {
+            return Err(bad_data(format!(
+                "index claims {total_events} events but its entries hold {next_event}"
+            )));
         }
         Ok(Self {
             entries,
@@ -1038,6 +1069,44 @@ mod tests {
         // open() repaired the side-car on disk.
         assert_eq!(&V3Index::load(&path).unwrap(), m.index());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn crc_valid_but_inconsistent_index_is_rebuilt_not_trusted() {
+        type Craft = fn(&mut V3Index);
+        let crafts: [(&str, Craft); 6] = [
+            // segment_for_event walked `i -= 1` below zero.
+            ("event_start", |ix| ix.entries[0].event_start = 5),
+            // stream_from sliced `&scratch[skip..]` past the decoded events.
+            ("event_count", |ix| ix.entries[0].event_count = 7),
+            ("payload_len", |ix| ix.entries[1].payload_len -= 1),
+            ("empty segment", |ix| {
+                ix.entries[2].payload_len = 0;
+                ix.entries[2].event_count = 0;
+            }),
+            ("page_no", |ix| ix.entries[1].page_no = u64::MAX / 2),
+            ("total_events", |ix| ix.total_events += 1),
+        ];
+        let t = sample(300);
+        for (what, craft) in crafts {
+            let path = tmp(&format!("crafted_{}", what.replace(' ', "_")));
+            write_trace_spool_v3(&t, &path, 100).unwrap();
+            let mut ix = V3Index::load(&path).unwrap();
+            craft(&mut ix);
+            // `encode` seals the crafted body with a correct CRC.
+            std::fs::write(index_path(&path), ix.encode()).unwrap();
+            let m = MmapTrace::open(&path).unwrap();
+            let mut streamed = Vec::new();
+            m.stream_from(0, |evs| streamed.extend_from_slice(evs))
+                .unwrap();
+            assert_eq!(&streamed[..], t.events(), "{what}");
+            let mut tail = Vec::new();
+            m.stream_from(3, |evs| tail.extend_from_slice(evs)).unwrap();
+            assert_eq!(&tail[..], &t.events()[3..], "{what}");
+            assert!(m.index_rebuilt(), "{what}");
+            assert!(V3Index::decode(&ix.encode()).is_err(), "{what}");
+            std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 
 use std::io::{self, Read};
 
+use crate::crc::crc32;
 use crate::event::StampedEvent;
-use crate::spool::{crc32, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
+use crate::spool::{FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use crate::trace_io::{decode_event, MAGIC, RECORD_BYTES, VERSION_SPOOL};
 
 /// Hello preamble marker: "LCHI".

@@ -332,15 +332,15 @@ fn parse_options(args: &[String]) -> Options {
                 .clone()
         };
         match a.as_str() {
-            "--threads" => o.threads = val().parse().expect("--threads N"),
-            "--slots" => o.slots = val().parse().expect("--slots K"),
-            "--window" => o.window = val().parse().expect("--window W"),
-            "--seed" => o.seed = val().parse().expect("--seed S"),
-            "--loop-capacity" => o.loop_capacity = val().parse().expect("--loop-capacity K"),
+            "--threads" => o.threads = parse_value(a, &val()),
+            "--slots" => o.slots = parse_value(a, &val()),
+            "--window" => o.window = parse_value(a, &val()),
+            "--seed" => o.seed = parse_value(a, &val()),
+            "--loop-capacity" => o.loop_capacity = parse_value(a, &val()),
             "--metrics" => o.metrics = Some(val()),
             "--spool" => o.spool = true,
             "--salvage" => o.salvage = true,
-            "--jobs" => o.jobs = val().parse().expect("--jobs N"),
+            "--jobs" => o.jobs = parse_value(a, &val()),
             "--batch" => {
                 let raw = val();
                 let v: usize = raw.parse().unwrap_or_else(|_| {
@@ -390,24 +390,20 @@ fn parse_options(args: &[String]) -> Options {
             "--http" => o.http = Some(val()),
             "--connect" => o.connect = Some(val()),
             "--tenant" => o.tenant = val(),
-            "--frame-events" => o.frame_events = val().parse().expect("--frame-events N"),
-            "--queue-frames" => o.queue_frames = val().parse().expect("--queue-frames N"),
-            "--max-conns" => o.max_conns = val().parse().expect("--max-conns N"),
-            "--max-tenants" => o.max_tenants = val().parse().expect("--max-tenants N"),
+            "--frame-events" => o.frame_events = parse_value(a, &val()),
+            "--queue-frames" => o.queue_frames = parse_value(a, &val()),
+            "--max-conns" => o.max_conns = parse_value(a, &val()),
+            "--max-tenants" => o.max_tenants = parse_value(a, &val()),
             "--report-out" => o.report_out = Some(val()),
             "--checkpoint" => o.checkpoint = Some(val()),
-            "--every" => o.every = val().parse().expect("--every N"),
+            "--every" => o.every = parse_value(a, &val()),
             "--resume" => o.resume = Some(val()),
             "--mmap" => o.mmap = true,
             "--v3" => o.v3 = true,
-            "--events" => o.events = val().parse().expect("--events N"),
+            "--events" => o.events = parse_value(a, &val()),
             "--durable-dir" => o.durable_dir = Some(val()),
-            "--tenant-idle-secs" => {
-                o.tenant_idle_secs = val().parse().expect("--tenant-idle-secs N")
-            }
-            "--tenant-max-bytes" => {
-                o.tenant_max_bytes = val().parse().expect("--tenant-max-bytes N")
-            }
+            "--tenant-idle-secs" => o.tenant_idle_secs = parse_value(a, &val()),
+            "--tenant-max-bytes" => o.tenant_max_bytes = parse_value(a, &val()),
             "--coherence" => o.coherence = true,
             "--line-size" => o.line_size = parse_geometry(a, &val()),
             "--cache-kib" => o.cache_kib = parse_geometry(a, &val()),
@@ -415,20 +411,18 @@ fn parse_options(args: &[String]) -> Options {
             "--coherence-out" => o.coherence_out = Some(val()),
             "--fault-plan" => o.fault_plan = Some(val()),
             #[cfg(feature = "sched")]
-            "--explore" => o.sim.explore = Some(val().parse().expect("--explore N")),
+            "--explore" => o.sim.explore = Some(parse_value(a, &val())),
             #[cfg(feature = "sched")]
             "--max-preemptions" => {
                 let v = val();
                 o.sim.preemptions = Some(if v == "none" {
                     None
                 } else {
-                    Some(v.parse().expect("--max-preemptions N|none"))
+                    Some(parse_value(a, &v))
                 });
             }
             #[cfg(feature = "sched")]
-            "--max-schedules" => {
-                o.sim.max_schedules = Some(val().parse().expect("--max-schedules N"))
-            }
+            "--max-schedules" => o.sim.max_schedules = Some(parse_value(a, &val())),
             #[cfg(feature = "sched")]
             "--mutant" => o.sim.mutants.push(val()),
             #[cfg(feature = "sched")]
@@ -458,6 +452,15 @@ fn parse_options(args: &[String]) -> Options {
         std::process::exit(2);
     }
     o
+}
+
+/// Parse the value of a plain numeric flag; anything unparseable is a
+/// usage error naming the flag, never a panic.
+fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("error: invalid value `{raw}` for {flag}");
+        std::process::exit(2);
+    })
 }
 
 /// Parse an integer value for one of the coherence geometry flags.

@@ -181,3 +181,36 @@ fn geometry_cross_constraint_is_rejected() {
         "error must explain the cross constraint, got: {err}"
     );
 }
+
+#[test]
+fn non_numeric_value_for_any_numeric_flag_is_a_usage_error_not_a_panic() {
+    let mut flags = vec![
+        "--threads",
+        "--slots",
+        "--window",
+        "--seed",
+        "--loop-capacity",
+        "--jobs",
+        "--frame-events",
+        "--queue-frames",
+        "--max-conns",
+        "--max-tenants",
+        "--every",
+        "--events",
+        "--tenant-idle-secs",
+        "--tenant-max-bytes",
+    ];
+    if cfg!(feature = "sched") {
+        flags.extend(["--explore", "--max-preemptions", "--max-schedules"]);
+    }
+    for flag in flags {
+        let out = loopcomm(&["analyze", "whatever.lctrace", flag, "abc"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} abc: {err}");
+        assert!(!err.contains("panicked"), "{flag} abc panicked: {err}");
+        assert!(
+            err.contains(&format!("invalid value `abc` for {flag}")),
+            "{flag}: error must name the flag and echo the value, got: {err}"
+        );
+    }
+}

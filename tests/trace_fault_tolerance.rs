@@ -2,9 +2,21 @@
 //! hostile bytes, and v2 salvage must recover *exactly* the frames that
 //! were durable before an injected truncation or bit flip — no more (no
 //! fabricated events) and no less (no valid frame abandoned).
+//!
+//! The CRC-guarded parsers (`LCIX` index, `LCCP` checkpoint) are also
+//! fuzzed *past* the CRC: a mutated body is re-sealed with a correct
+//! checksum, so the parser's own validation — not the checksum — is what
+//! stands between the bytes and a panic. And one test pins the stored
+//! bytes themselves, so a new checksum kernel cannot change what is
+//! written.
 
+use lc_profiler::{AccumConfig, Checkpoint, DetectorKind, IncrementalAnalyzer, ProfilerConfig};
+use lc_sigmem::SignatureConfig;
 use lc_trace::event::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
-use lc_trace::{read_trace, salvage_trace, write_trace, write_trace_spool, Trace};
+use lc_trace::{
+    crc32, index_path, read_trace, salvage_trace, write_trace, write_trace_spool,
+    write_trace_spool_v3, MmapTrace, Trace, V3Index,
+};
 use proptest::prelude::*;
 
 /// v1 prelude: magic + version + count. v2 prelude: magic + version.
@@ -57,7 +69,68 @@ impl ScratchFile {
 impl Drop for ScratchFile {
     fn drop(&mut self) {
         std::fs::remove_file(&self.0).ok();
+        std::fs::remove_file(index_path(&self.0)).ok();
     }
+}
+
+/// An encoded `LCCP` checkpoint of `events` events analysed by `jobs`
+/// workers.
+fn checkpoint_bytes(kind: DetectorKind, events: u64, jobs: usize) -> Vec<u8> {
+    let mut a = IncrementalAnalyzer::new(
+        kind,
+        SignatureConfig::paper_default(1 << 8, 4),
+        ProfilerConfig {
+            threads: 4,
+            track_nested: true,
+            phase_window: None,
+        },
+        AccumConfig::default(),
+        jobs,
+    );
+    for frame in sample(events).events().chunks(64) {
+        a.on_frame(frame);
+    }
+    Checkpoint::capture(&a).encode()
+}
+
+/// Values that turn a length or offset field into an overflow, an
+/// out-of-range index or an absurd allocation.
+const HOSTILE: [u64; 10] = [
+    0,
+    1,
+    2,
+    41,
+    0xFF,
+    0xFFFF,
+    1 << 31,
+    u32::MAX as u64,
+    1 << 63,
+    u64::MAX,
+];
+
+/// Overwrite `width` ∈ {1, 4, 8} bytes somewhere in `region` with either a
+/// hostile constant or a small perturbation of what was there — the two
+/// ways a plausible-looking field goes wrong.
+fn mutate(region: &mut [u8], (at, how, value): (u64, u8, u64)) {
+    let width = [1usize, 4, 8][how as usize % 3].min(region.len());
+    let at = (at % (region.len() - width + 1) as u64) as usize;
+    let field = &mut region[at..at + width];
+    let mut old = [0u8; 8];
+    old[..width].copy_from_slice(field);
+    let new = if how & 4 == 0 {
+        HOSTILE[(value % HOSTILE.len() as u64) as usize]
+    } else {
+        u64::from_le_bytes(old)
+            .wrapping_add(value % 5)
+            .wrapping_sub(2)
+    };
+    field.copy_from_slice(&new.to_le_bytes()[..width]);
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 proptest! {
@@ -84,6 +157,65 @@ proptest! {
         bytes.extend_from_slice(&version.to_le_bytes());
         bytes.extend_from_slice(&body);
         let _ = read_trace(&bytes[..]);
+    }
+
+    #[test]
+    fn resealed_index_mutations_never_panic_and_never_mislead(
+        per_frame in 1u64..9,
+        frames in 1u64..7,
+        mutations in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 1..4usize)
+    ) {
+        let t = sample(per_frame * frames);
+        let file = ScratchFile::new("lcix", mutations[0].0 ^ mutations[0].2);
+        write_trace_spool_v3(&t, file.path(), per_frame as usize).expect("spool");
+        let mut idx = std::fs::read(index_path(file.path())).expect("read index");
+        let sealed = idx.len() - 4;
+        for m in &mutations {
+            mutate(&mut idx[4..sealed], *m);
+        }
+        let crc = crc32(&idx[4..sealed]);
+        idx[sealed..].copy_from_slice(&crc.to_le_bytes());
+
+        // An index that decodes is one the writer could have produced:
+        // it re-encodes to the same bytes and seeks land in range.
+        if let Ok(ix) = V3Index::decode(&idx) {
+            prop_assert_eq!(ix.encode(), idx);
+            for off in 0..ix.total_events {
+                let e = ix.entries[ix.segment_for_event(off).expect("in range")];
+                prop_assert!(e.event_start <= off && off < e.event_start + e.event_count as u64);
+            }
+        }
+        // Beside an intact spool the index is advisory: trusted or
+        // rebuilt, the stream is the whole trace.
+        std::fs::write(index_path(file.path()), &idx).expect("write index");
+        let m = MmapTrace::open(file.path()).expect("open");
+        let mut streamed = Vec::new();
+        m.stream_from(0, |evs| streamed.extend_from_slice(evs)).expect("stream");
+        prop_assert_eq!(&streamed[..], t.events());
+    }
+
+    #[test]
+    fn resealed_checkpoint_mutations_never_panic(
+        perfect in any::<bool>(),
+        events in 0u64..300,
+        jobs in 1usize..4,
+        mutations in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 1..4usize)
+    ) {
+        let kind = if perfect { DetectorKind::Perfect } else { DetectorKind::Asymmetric };
+        let mut bytes = checkpoint_bytes(kind, events, jobs);
+        for m in &mutations {
+            mutate(&mut bytes[12..], *m);
+        }
+        let crc = crc32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+
+        // Err is fine. Ok must be self-consistent: one state per worker,
+        // and a fixed point of encode → decode.
+        if let Ok(cp) = Checkpoint::decode(&bytes) {
+            prop_assert_eq!(cp.workers.len(), cp.jobs);
+            let again = Checkpoint::decode(&cp.encode()).expect("re-decode");
+            prop_assert_eq!(again.encode(), cp.encode());
+        }
     }
 
     #[test]
@@ -263,4 +395,49 @@ fn v2_and_v1_round_trip_identically() {
     for (x, y) in a.events().iter().zip(b.events()) {
         assert_eq!(x, y);
     }
+}
+
+#[test]
+fn stored_bytes_are_pinned_across_checksum_kernels() {
+    // (length, FNV-1a) of every CRC-bearing artifact for one fixed trace,
+    // taken at the last commit that used the bytewise kernel. FNV, not
+    // CRC, so the fingerprint does not depend on the code under test.
+    // v2 frames of 3 events (123 B) stay below the folding kernel's
+    // threshold; v3 segments, the index and the checkpoint are above it.
+    let t = sample(1000);
+
+    let mut v2 = Vec::new();
+    write_trace_spool(&t, &mut v2, 3).expect("v2");
+    assert_eq!(
+        (v2.len(), fnv1a(&v2)),
+        (45016, 16444852293083262855),
+        "v2 spool"
+    );
+
+    let file = ScratchFile::new("pinned", 0);
+    write_trace_spool_v3(&t, file.path(), 64).expect("v3");
+    let v3 = std::fs::read(file.path()).expect("read v3");
+    assert_eq!(
+        (v3.len(), fnv1a(&v3)),
+        (69632, 15219962699686313142),
+        "v3 spool"
+    );
+    let idx = std::fs::read(index_path(file.path())).expect("read idx");
+    assert_eq!(
+        (idx.len(), fnv1a(&idx)),
+        (420, 3588128233042951546),
+        "LCIX index"
+    );
+
+    let cp = checkpoint_bytes(DetectorKind::Asymmetric, 1000, 2);
+    assert_eq!(
+        (cp.len(), fnv1a(&cp)),
+        (3831, 4467429022146482765),
+        "LCCP checkpoint"
+    );
+    // And what is stored still verifies.
+    assert_eq!(read_trace(&v2[..]).expect("read v2").events(), t.events());
+    assert_eq!(read_trace(&v3[..]).expect("read v3").events(), t.events());
+    V3Index::decode(&idx).expect("index verifies");
+    Checkpoint::decode(&cp).expect("checkpoint verifies");
 }
