@@ -11,6 +11,9 @@
 //! * the **mmap-fused** path: decoded v3 spool segments borrowed from an
 //!   mmap view straight into the fused engine — the full
 //!   decode-to-detector pipeline with no intermediate `Vec`;
+//! * the **coherence** backend (`CoherenceBackend::on_block`, the
+//!   `--coherence` cost) on the same trace — reported against the fused
+//!   rate so the MESI hot path cannot silently slide back onto maps;
 //! * the **slot-sharded** parallel path (`analyze_trace_asymmetric`) with
 //!   coalescing on and off, fused and materialized.
 //!
@@ -25,6 +28,7 @@
 use std::time::Instant;
 
 use lc_bench::{ascii_table, results_dir, save_csv, save_metrics};
+use lc_cachesim::{CoherenceBackend, CoherenceConfig};
 use lc_profiler::raw::AsymmetricDetector;
 use lc_profiler::{
     analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, FusedConfig, FusedScratch,
@@ -239,6 +243,26 @@ fn main() {
         mmap_deps.to_string(),
     ]);
 
+    // The MESI backend over the same in-RAM trace at the fused path's best
+    // batch; invalidations stand in for the dependence count as the
+    // repeat-run cross-check.
+    let (coherence_s, _) = best_of_3(|| {
+        let mut b = CoherenceBackend::new(CoherenceConfig::default(), THREADS);
+        let t0 = Instant::now();
+        for block in trace.access_events().chunks(best_fused_batch) {
+            b.on_block(block);
+        }
+        (t0.elapsed().as_secs_f64(), b.totals().invalidations)
+    });
+    rows.push(vec![
+        "coherence".into(),
+        "1".into(),
+        best_fused_batch.to_string(),
+        "off".into(),
+        format!("{:.2}", tput(coherence_s)),
+        "-".into(),
+    ]);
+
     let mut reg = MetricsRegistry::new();
     reg.gauge(
         "loopcomm_bench_replay_events",
@@ -269,6 +293,11 @@ fn main() {
         "loopcomm_bench_replay_mmap_fused_mev_s",
         "Mmap-decoded fused replay throughput, Mevents/s",
         tput(mmap_fused_s),
+    );
+    reg.gauge(
+        "loopcomm_bench_replay_coherence_mev_s",
+        "MESI coherence backend throughput on the bench trace, Mevents/s",
+        tput(coherence_s),
     );
 
     for &jobs in &jobs_sweep {
@@ -399,18 +428,23 @@ fn main() {
     // What the out-of-core route keeps of the in-RAM fused rate: decode,
     // checksum and paging are the only difference between the two.
     let mmap_ratio = fused_s / mmap_fused_s;
+    // What `--coherence` costs relative to Algorithm 1 on the same events.
+    let coherence_ratio = fused_s / coherence_s;
     let baseline = format!(
         "{{\n  \"bench\": \"replay_scaling\",\n  \"events\": {events},\n  \
          \"per_event_mev_s\": {:.4},\n  \"batched_mev_s\": {:.4},\n  \
          \"fused_mev_s\": {:.4},\n  \"mmap_fused_mev_s\": {:.4},\n  \
+         \"coherence_mev_s\": {:.4},\n  \
          \"batched_over_per_event\": {ratio:.4},\n  \
          \"fused_over_batched\": {fused_ratio:.4},\n  \
-         \"mmap_over_fused\": {mmap_ratio:.4},\n  \"batch\": {best_batch},\n  \
+         \"mmap_over_fused\": {mmap_ratio:.4},\n  \
+         \"coherence_over_fused\": {coherence_ratio:.4},\n  \"batch\": {best_batch},\n  \
          \"fused_batch\": {best_fused_batch},\n  \"deps\": {base_deps}\n}}\n",
         tput(per_event_s),
         tput(batched_s),
         tput(fused_s),
         tput(mmap_fused_s),
+        tput(coherence_s),
     );
     let path = results_dir().join("BENCH_replay.json");
     if let Some(dir) = path.parent() {
@@ -434,13 +468,16 @@ fn main() {
         "{{\"unix\": {unix}, \"commit\": \"{commit}\", \"events\": {events}, \
          \"per_event_mev_s\": {:.4}, \"batched_mev_s\": {:.4}, \
          \"fused_mev_s\": {:.4}, \"mmap_fused_mev_s\": {:.4}, \
+         \"coherence_mev_s\": {:.4}, \
          \"batched_over_per_event\": {ratio:.4}, \
          \"fused_over_batched\": {fused_ratio:.4}, \
-         \"mmap_over_fused\": {mmap_ratio:.4}}}\n",
+         \"mmap_over_fused\": {mmap_ratio:.4}, \
+         \"coherence_over_fused\": {coherence_ratio:.4}}}\n",
         tput(per_event_s),
         tput(batched_s),
         tput(fused_s),
         tput(mmap_fused_s),
+        tput(coherence_s),
     );
     let hist = results_dir().join("BENCH_history.jsonl");
     use std::io::Write as _;
@@ -460,5 +497,9 @@ fn main() {
     println!(
         "fused/batched speed ratio: {fused_ratio:.3}x at batch={best_fused_batch} \
          (CI's perf gate fails below 1.0)"
+    );
+    println!(
+        "coherence/fused speed ratio: {coherence_ratio:.3}x \
+         (CI's perf gate fails on a >10% drop vs the committed baseline)"
     );
 }

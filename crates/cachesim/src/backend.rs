@@ -38,8 +38,12 @@
 //! the merged report is a commutative sum over disjoint state — byte
 //! identical across `--jobs {1,2,4}` and any block split.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use lc_profiler::DenseMatrix;
 use lc_trace::{AccessEvent, AccessKind, AccessSink, AsAccess, BlockSource, EventBlock, LoopId};
@@ -58,6 +62,14 @@ pub const WORD_BYTES: u64 = 8;
 
 /// Cap on sample addresses kept per offending false-sharing line.
 const FS_ADDR_SAMPLES: usize = 4;
+
+/// Most cache lines one access may span. An instrumented access is a load,
+/// a store or a short block copy; `size` arrives verbatim from the wire or
+/// a spool, so anything longer is a corrupt or hostile record and is cut
+/// to this many lines (and counted in
+/// [`CoherenceReport::clamped_accesses`]) instead of walking — and
+/// allocating directory state for — up to 2^28 lines.
+pub const MAX_ACCESS_LINES: u64 = 1024;
 
 /// User-facing cache geometry for the coherence backend — the knobs behind
 /// `--line-size`, `--cache-kib`, and `--assoc`. Validated by
@@ -313,6 +325,9 @@ pub struct CoherenceReport {
     pub config: CoherenceConfig,
     /// Instrumented accesses observed.
     pub accesses: u64,
+    /// Accesses cut short because they wrapped the address space or
+    /// spanned more than [`MAX_ACCESS_LINES`] lines.
+    pub clamped_accesses: u64,
     /// Line-accesses that hit a valid private copy.
     pub hits: u64,
     /// Line fills (read or write-allocate misses).
@@ -373,6 +388,7 @@ impl CoherenceReport {
         assert_eq!(self.threads, other.threads);
         assert_eq!(self.config, other.config);
         self.accesses += other.accesses;
+        self.clamped_accesses += other.clamped_accesses;
         self.hits += other.hits;
         self.fills += other.fills;
         self.mem_fills += other.mem_fills;
@@ -389,70 +405,244 @@ impl CoherenceReport {
     }
 }
 
-/// Full-map directory entry for one line. `word_writer` and `touched`
-/// never reset on eviction — they mirror the RAW detector's signature
-/// memory, which also survives capacity pressure.
-struct LineDir {
-    /// Bitmask of threads holding a valid copy (any MESI state).
-    sharers: u64,
-    /// Thread holding the line Modified, if any.
-    owner: Option<u32>,
-    /// Last writer of each 8-byte word (`NO_WRITER` when unwritten).
-    word_writer: Box<[u32]>,
-    /// Per word: bitmask of threads that accessed it since its last write.
-    touched: Box<[u64]>,
+/// Multiply-shift hasher (and its own `BuildHasher`) for the `u64` keys of
+/// the hot-path maps: one multiply instead of SipHash's rounds. The odd
+/// multiplier is drawn per map from [`RandomState`], so keys arriving over
+/// the wire cannot be crafted to collide, and since hash order never
+/// reaches a report — [`CoherenceBackend::report`] sorts — it is invisible.
+#[derive(Clone, Copy)]
+struct MulHash {
+    k: u64,
+    h: u64,
 }
 
-impl LineDir {
-    fn new(words: usize) -> Self {
+impl Default for MulHash {
+    fn default() -> Self {
+        let k = RandomState::new().hash_one(0u64) | 1;
+        Self { k, h: 0 }
+    }
+}
+
+impl BuildHasher for MulHash {
+    type Hasher = Self;
+    fn build_hasher(&self) -> Self {
+        *self
+    }
+}
+
+impl Hasher for MulHash {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.h = (self.h.rotate_left(5) ^ x).wrapping_mul(self.k);
+    }
+    /// The product's well-mixed bits are the high ones; the table indexes
+    /// with the low ones.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.h.rotate_left(26)
+    }
+}
+
+/// Idealized full-map directory, struct-of-arrays over a dense per-line
+/// index assigned on first touch. `word_writer` and `touched` never reset
+/// on eviction — they mirror the RAW detector's signature memory, which
+/// also survives capacity pressure.
+#[derive(Default)]
+struct Directory {
+    /// Line number → dense index; probed once per line-access.
+    index: HashMap<u64, u32, MulHash>,
+    /// Dense index → line number (for report-time ordering).
+    lines: Vec<u64>,
+    /// Bitmask of threads holding a valid copy (any MESI state).
+    sharers: Vec<u64>,
+    /// Thread holding the line Modified (`NO_WRITER` when none).
+    owner: Vec<u32>,
+    /// `[index × words + w]`: last writer of each 8-byte word
+    /// (`NO_WRITER` when unwritten).
+    word_writer: Vec<u32>,
+    /// `[index × words + w]`: threads that accessed the word since its
+    /// last write.
+    touched: Vec<u64>,
+}
+
+impl Directory {
+    fn index_of(&mut self, line: u64, words: usize) -> usize {
+        if let Some(&d) = self.index.get(&line) {
+            return d as usize;
+        }
+        let d = u32::try_from(self.lines.len()).expect("fewer than 2^32 distinct lines");
+        self.index.insert(line, d);
+        self.lines.push(line);
+        self.sharers.push(0);
+        self.owner.push(NO_WRITER);
+        self.word_writer
+            .resize(self.word_writer.len() + words, NO_WRITER);
+        self.touched.resize(self.touched.len() + words, 0);
+        d as usize
+    }
+}
+
+/// Side state of one cache slot, in an array parallel to the slots of all
+/// caches: the resident line's directory index plus its *pending set* —
+/// remote-written words the fill pulled in without the triggering access
+/// asking for them, flushed to `false_bytes` when the copy dies untouched.
+/// A pending set exists only while its copy is resident, so every event
+/// that ends it (invalidation, eviction, the words being used) already
+/// holds the slot.
+#[derive(Clone, Copy, Default)]
+struct SlotMeta {
+    dir: u32,
+    /// Interned loop of the fill that pulled the words.
+    fill_loop: u32,
+    /// Pending words; 0 = no pending set.
+    mask: u64,
+    trigger_addr: u64,
+}
+
+impl SlotMeta {
+    fn pending_bytes(&self) -> u64 {
+        self.mask.count_ones() as u64 * WORD_BYTES
+    }
+}
+
+/// Hot-path twin of [`FsLine`]: the address sample is an inline array
+/// holding the first four distinct addresses in arrival order.
+#[derive(Clone, Copy, Default)]
+struct FsAcc {
+    events: u64,
+    false_bytes: u64,
+    true_bytes: u64,
+    threads: u64,
+    addrs: [u64; FS_ADDR_SAMPLES],
+    n_addrs: u8,
+}
+
+impl From<&FsAcc> for FsLine {
+    fn from(f: &FsAcc) -> Self {
         Self {
-            sharers: 0,
-            owner: None,
-            word_writer: vec![NO_WRITER; words].into_boxed_slice(),
-            touched: vec![0u64; words].into_boxed_slice(),
+            events: f.events,
+            false_bytes: f.false_bytes,
+            true_bytes: f.true_bytes,
+            threads: f.threads,
+            addrs: f.addrs[..f.n_addrs as usize].iter().copied().collect(),
         }
     }
 }
 
-/// Remote-written words a fill pulled in without the triggering access
-/// asking for them; flushed to `false_bytes` when the copy dies untouched.
-#[derive(Clone, Copy)]
-struct Pending {
-    mask: u64,
-    loop_id: LoopId,
-    trigger_addr: u64,
+impl FsAcc {
+    fn note_addr(&mut self, addr: u64) {
+        let n = self.n_addrs as usize;
+        if n < FS_ADDR_SAMPLES && !self.addrs[..n].contains(&addr) {
+            self.addrs[n] = addr;
+            self.n_addrs += 1;
+        }
+    }
+}
+
+/// What `report()` charges live pending sets on a copy of: per-loop
+/// matrices (the global ones are their sum, taken at report time) and
+/// per-line false-sharing stats.
+#[derive(Default)]
+struct Accum {
+    /// Indexed by interned loop; `LoopCoh::lines` stays empty here.
+    loops: Vec<LoopCoh>,
+    /// Keyed by `scope << 32 | line index`; scope 0 is the whole program,
+    /// scope `i + 1` is interned loop `i`.
+    fs: HashMap<u64, FsAcc, MulHash>,
+}
+
+impl Accum {
+    /// The false-sharing stats of line `d` program-wide and in loop `lx`.
+    fn fs_lines(&mut self, lx: usize, d: usize, mut f: impl FnMut(&mut FsAcc)) {
+        for key in fs_keys(lx, d) {
+            f(self.fs.entry(key).or_default());
+        }
+    }
+
+    /// `holder`'s copy of line `d` died (or is being snapshotted) with the
+    /// pending words of `m` untouched.
+    fn charge_false_bytes(&mut self, d: usize, holder: usize, m: SlotMeta, writers: u64) {
+        let bytes = m.pending_bytes();
+        self.loops[m.fill_loop as usize].false_bytes += bytes;
+        self.fs_lines(m.fill_loop as usize, d, |fsl| {
+            fsl.events += 1;
+            fsl.false_bytes += bytes;
+            fsl.threads |= (1 << holder) | writers;
+            fsl.note_addr(m.trigger_addr);
+        });
+    }
+}
+
+/// Keys of line `d`'s stats in [`Accum::fs`]: program-wide, then loop `lx`.
+fn fs_keys(lx: usize, d: usize) -> [u64; 2] {
+    [d as u64, (lx as u64 + 1) << 32 | d as u64]
 }
 
 /// One line-granular slice of an access: the context every protocol step
-/// needs (requesting thread, line, loop, trigger address, covered words).
+/// needs (requesting thread, line and its directory index, interned loop,
+/// trigger address, covered words).
 #[derive(Clone, Copy)]
 struct Req {
     c: usize,
     line: u64,
-    lid: LoopId,
+    d: usize,
+    lx: usize,
     addr: u64,
     w0: usize,
     w1: usize,
 }
 
+/// The counters a metrics scrape needs, from [`CoherenceBackend::totals`]
+/// — each equals the same-named quantity of a full [`CoherenceReport`]
+/// taken at the same moment.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoherenceTotals {
+    /// Instrumented accesses observed.
+    pub accesses: u64,
+    /// Copies invalidated by remote writes.
+    pub invalidations: u64,
+    /// Fills served cache-to-cache.
+    pub c2c_fills: u64,
+    /// Dirty lines written back.
+    pub writebacks: u64,
+    /// First-touch attributed bytes.
+    pub true_bytes: u64,
+    /// Pulled-but-untouched bytes, live pending sets included.
+    pub false_bytes: u64,
+    /// [`CoherenceReport::false_sharing_events`].
+    pub false_sharing_events: u64,
+}
+
 /// Per-core MESI simulation over the instrumentation event stream. Not
 /// thread-safe by itself — wrap in [`SharedCoherence`] for sink use, or
 /// let [`analyze_trace_coherence`] shard it deterministically.
+///
+/// One line-access touches only index-addressed state: a single probe of
+/// the requester's cache set, one hashed lookup of the line's directory
+/// index, and arrays indexed by slot, directory index or interned loop
+/// (DESIGN.md §16.1). Allocation happens only when a line, a loop or a
+/// flagged line is seen for the first time.
 pub struct CoherenceBackend {
     cfg: CoherenceConfig,
     threads: usize,
+    words: usize,
     caches: Vec<Cache>,
-    dir: HashMap<u64, LineDir>,
-    pending: Vec<BTreeMap<u64, Pending>>,
-    accesses: u64,
+    /// `[tid × slots + slot]`, parallel to the caches' slots.
+    meta: Vec<SlotMeta>,
+    dir: Directory,
+    loop_index: HashMap<u64, u32, MulHash>,
+    /// Interned loop → loop UID.
+    loop_ids: Vec<u32>,
+    acc: Accum,
+    /// Running totals; [`Self::totals`] adds the live pending sets.
+    run: CoherenceTotals,
+    clamped: u64,
     hits: u64,
     fills: u64,
     mem_fills: u64,
-    c2c_fills: u64,
-    invalidations: u64,
-    writebacks: u64,
-    global: LoopCoh,
-    loops: BTreeMap<u32, LoopCoh>,
 }
 
 impl CoherenceBackend {
@@ -466,18 +656,18 @@ impl CoherenceBackend {
         Self {
             cfg,
             threads,
+            words: cfg.words_per_line(),
             caches: (0..threads).map(|_| Cache::new(ccfg)).collect(),
-            dir: HashMap::new(),
-            pending: vec![BTreeMap::new(); threads],
-            accesses: 0,
+            meta: vec![SlotMeta::default(); threads * ccfg.sets * ccfg.ways],
+            dir: Directory::default(),
+            loop_index: HashMap::default(),
+            loop_ids: Vec::new(),
+            acc: Accum::default(),
+            run: CoherenceTotals::default(),
+            clamped: 0,
             hits: 0,
             fills: 0,
             mem_fills: 0,
-            c2c_fills: 0,
-            invalidations: 0,
-            writebacks: 0,
-            global: LoopCoh::new(threads),
-            loops: BTreeMap::new(),
         }
     }
 
@@ -498,15 +688,33 @@ impl CoherenceBackend {
         if tid >= self.threads {
             return;
         }
-        self.accesses += 1;
+        self.run.accesses += 1;
         let lb = self.cfg.line_bytes;
-        let size = (ev.size.max(1)) as u64;
+        // `addr` and `size` come verbatim from the wire or a spool: the end
+        // address saturates and the span is capped, so a hostile record
+        // costs at most `MAX_ACCESS_LINES` line-accesses.
+        let span = ev.size.max(1) as u64 - 1;
+        let end = ev.addr.saturating_add(span);
         let first = ev.addr / lb;
-        let last = (ev.addr + size - 1) / lb;
+        let last = (end / lb).min(first + (MAX_ACCESS_LINES - 1));
+        if end - ev.addr != span || last != end / lb {
+            self.clamped += 1;
+        }
+        let lx = self.loop_ix(ev.loop_id);
         for line in first..=last {
-            let lo = ev.addr.max(line * lb) - line * lb;
-            let hi = (ev.addr + size).min((line + 1) * lb) - line * lb;
-            self.line_access(ev, line, lo, hi);
+            let base = line * lb;
+            let lo = ev.addr.max(base) - base;
+            let hi = end.min(base + (lb - 1)) - base;
+            let rq = Req {
+                c: tid,
+                line,
+                d: self.dir.index_of(line, self.words),
+                lx,
+                addr: ev.addr,
+                w0: (lo / WORD_BYTES) as usize,
+                w1: (hi / WORD_BYTES) as usize,
+            };
+            self.line_access(ev.kind, rq);
         }
     }
 
@@ -533,55 +741,115 @@ impl CoherenceBackend {
         src.stream_blocks(0, &mut |b| self.on_event_block(&b))
     }
 
+    /// Live pending sets of `tid` as `(line, slot metadata)`, in slot order.
+    fn live_pending(&self, tid: usize) -> impl Iterator<Item = (u64, SlotMeta)> + '_ {
+        let slots = self.caches[tid].slots();
+        (0..slots).filter_map(move |slot| {
+            let m = self.meta[tid * slots + slot];
+            let (line, _) = self.caches[tid].at(slot)?;
+            (m.mask != 0).then_some((line, m))
+        })
+    }
+
+    /// The scrape counters in O(threads × cache slots): running totals
+    /// plus the live pending sets a [`Self::report`] would charge.
+    pub fn totals(&self) -> CoherenceTotals {
+        let mut t = self.run;
+        for tid in 0..self.threads {
+            for (_, m) in self.live_pending(tid) {
+                t.false_bytes += m.pending_bytes();
+                t.false_sharing_events += 1;
+            }
+        }
+        t
+    }
+
     /// Flush still-resident pending sets and produce the report. The
     /// backend stays usable (serve snapshots call this repeatedly); the
     /// flush happens on a copy of the accumulators, so pulled-but-unused
     /// bytes of *live* copies are charged in every snapshot but never
     /// double-charged in the backend itself.
+    ///
+    /// This is also where order is produced: live pending sets are charged
+    /// in ascending `(tid, line)` order (the four-address sample depends on
+    /// it), and the hashed per-line stats are sorted into the report's
+    /// `BTreeMap`s.
     pub fn report(&self) -> CoherenceReport {
-        let mut global = self.global.clone();
-        let mut loops = self.loops.clone();
-        for (tid, per_line) in self.pending.iter().enumerate() {
-            for (&line, p) in per_line {
-                if p.mask == 0 {
-                    continue;
+        // The copy the live pending sets are charged on: the loop matrices
+        // whole, the per-line stats only where a live set lands.
+        let mut acc = Accum {
+            loops: self.acc.loops.clone(),
+            fs: HashMap::default(),
+        };
+        for tid in 0..self.threads {
+            let mut live: Vec<_> = self.live_pending(tid).collect();
+            live.sort_unstable_by_key(|&(line, _)| line);
+            for (_, m) in live {
+                let d = m.dir as usize;
+                for key in fs_keys(m.fill_loop as usize, d) {
+                    if let Some(f) = self.acc.fs.get(&key) {
+                        acc.fs.entry(key).or_insert(*f);
+                    }
                 }
-                let writers = self.pending_writer_mask(line, p.mask);
-                let bytes = p.mask.count_ones() as u64 * WORD_BYTES;
-                for lc in [
-                    &mut global,
-                    loops_entry(&mut loops, p.loop_id, self.threads),
-                ] {
-                    lc.false_bytes += bytes;
-                    let fsl = lc.lines.entry(line).or_default();
-                    fsl.events += 1;
-                    fsl.false_bytes += bytes;
-                    fsl.threads |= (1 << tid) | writers;
-                    fsl.note_addr(p.trigger_addr);
-                }
+                acc.charge_false_bytes(d, tid, m, self.writer_mask(d, m.mask));
             }
         }
+        let mut global = LoopCoh::new(self.threads);
+        for lc in &acc.loops {
+            global.accumulate(lc);
+        }
+        let untouched = (self.acc.fs.iter()).filter(|(key, _)| !acc.fs.contains_key(key));
+        let mut fs: Vec<(u64, u64, &FsAcc)> = untouched
+            .chain(&acc.fs)
+            .map(|(&key, f)| (key >> 32, self.dir.lines[key as u32 as usize], f))
+            .collect();
+        fs.sort_unstable_by_key(|&(scope, line, _)| (scope, line));
+        for per_scope in fs.chunk_by(|a, b| a.0 == b.0) {
+            let lc = match per_scope[0].0 as usize {
+                0 => &mut global,
+                scope => &mut acc.loops[scope - 1],
+            };
+            lc.lines = (per_scope.iter())
+                .map(|&(_, line, f)| (line, f.into()))
+                .collect();
+        }
+        // A loop interned by an access that caused no traffic has no entry.
+        let loops = (self.loop_ids.iter().copied().zip(acc.loops))
+            .filter(|(_, lc)| !lc.is_zero())
+            .collect();
         CoherenceReport {
             threads: self.threads,
             config: self.cfg,
-            accesses: self.accesses,
+            accesses: self.run.accesses,
+            clamped_accesses: self.clamped,
             hits: self.hits,
             fills: self.fills,
             mem_fills: self.mem_fills,
-            c2c_fills: self.c2c_fills,
-            invalidations: self.invalidations,
-            writebacks: self.writebacks,
+            c2c_fills: self.run.c2c_fills,
+            invalidations: self.run.invalidations,
+            writebacks: self.run.writebacks,
             global,
             loops,
         }
     }
 
-    fn pending_writer_mask(&self, line: u64, mask: u64) -> u64 {
-        let Some(dir) = self.dir.get(&line) else {
-            return 0;
-        };
+    /// Interned index of a loop, assigned on first sight.
+    fn loop_ix(&mut self, lid: LoopId) -> usize {
+        if let Some(&lx) = self.loop_index.get(&(lid.0 as u64)) {
+            return lx as usize;
+        }
+        let lx = self.loop_ids.len();
+        self.loop_index.insert(lid.0 as u64, lx as u32);
+        self.loop_ids.push(lid.0);
+        self.acc.loops.push(LoopCoh::new(self.threads));
+        lx
+    }
+
+    /// Writers of the `mask` words of directory line `d`.
+    fn writer_mask(&self, d: usize, mask: u64) -> u64 {
+        let row = &self.dir.word_writer[d * self.words..][..self.words];
         let mut writers = 0u64;
-        for (w, &wr) in dir.word_writer.iter().enumerate() {
+        for (w, &wr) in row.iter().enumerate() {
             if mask >> w & 1 == 1 && wr != NO_WRITER {
                 writers |= 1 << wr;
             }
@@ -589,337 +857,268 @@ impl CoherenceBackend {
         writers
     }
 
-    fn line_access(&mut self, ev: &AccessEvent, line: u64, lo: u64, hi: u64) {
-        let c = ev.tid as usize;
-        let wpl = self.cfg.words_per_line();
-        let rq = Req {
-            c,
-            line,
-            lid: ev.loop_id,
-            addr: ev.addr,
-            w0: (lo / WORD_BYTES) as usize,
-            w1: (((hi - 1) / WORD_BYTES) as usize).min(wpl - 1),
-        };
-        // Own the directory entry for the duration: eviction bookkeeping
-        // may need `&mut` access to a *different* line's entry.
-        let mut dir = self.dir.remove(&line).unwrap_or_else(|| LineDir::new(wpl));
-        let held = self.caches[c].state(line);
-        match ev.kind {
+    fn meta_mut(&mut self, tid: usize, slot: usize) -> &mut SlotMeta {
+        let slots = self.caches[tid].slots();
+        &mut self.meta[tid * slots + slot]
+    }
+
+    fn line_access(&mut self, kind: AccessKind, rq: Req) {
+        let Req { c, line, d, .. } = rq;
+        let held = self.caches[c].find(line);
+        if let Some(slot) = held {
+            self.hits += 1;
+            self.caches[c].touch(slot);
+        }
+        match kind {
             AccessKind::Read => {
-                if let Some(state) = held {
-                    self.hits += 1;
-                    self.caches[c].insert(line, state); // LRU refresh
-                } else {
-                    self.read_fill(rq, &mut dir);
-                }
-                self.attribute(rq, &mut dir);
+                let slot = held.unwrap_or_else(|| self.read_fill(rq));
+                self.attribute(rq, slot);
             }
             AccessKind::Write => {
-                match held {
-                    Some(Mesi::Modified) => {
-                        self.hits += 1;
-                        self.caches[c].insert(line, Mesi::Modified);
-                    }
-                    Some(Mesi::Exclusive) => {
-                        // Silent E→M upgrade: no bus transaction.
-                        self.hits += 1;
-                        self.caches[c].insert(line, Mesi::Modified);
-                        dir.owner = Some(c as u32);
-                    }
-                    Some(Mesi::Shared) => {
-                        self.hits += 1;
-                        self.bus(c, rq.lid, BusOp::Upgr);
-                        self.invalidate_others(rq, &mut dir);
-                        self.caches[c].insert(line, Mesi::Modified);
-                        dir.sharers = 1 << c;
-                        dir.owner = Some(c as u32);
+                let slot = match held {
+                    Some(slot) => {
+                        // Exclusive upgrades silently; Shared needs the bus.
+                        if self.caches[c].at(slot) == Some((line, Mesi::Shared)) {
+                            self.bus(c, rq.lx, BusOp::Upgr);
+                            self.invalidate_others(rq);
+                        }
+                        self.caches[c].set_state_at(slot, Mesi::Modified);
+                        slot
                     }
                     None => {
-                        self.bus(c, rq.lid, BusOp::RdX);
-                        self.fills += 1;
-                        let others = dir.sharers & !(1u64 << c);
-                        if others != 0 {
-                            self.c2c_fills += 1;
-                        } else {
-                            self.mem_fills += 1;
-                        }
-                        self.invalidate_others(rq, &mut dir);
-                        if let Some((vline, vstate)) = self.caches[c].insert(line, Mesi::Modified) {
-                            self.evict(c, vline, vstate, rq.lid);
-                        }
-                        dir.sharers = 1 << c;
-                        dir.owner = Some(c as u32);
-                        self.set_pending(rq, &dir);
+                        self.bus(c, rq.lx, BusOp::RdX);
+                        self.count_fill(self.dir.sharers[d] & !(1u64 << c));
+                        self.invalidate_others(rq);
+                        self.fill(rq, Mesi::Modified)
                     }
-                }
+                };
+                self.dir.sharers[d] = 1 << c;
+                self.dir.owner[d] = c as u32;
                 // First-touch attribution must see the *previous* word
                 // writers; the write's own updates come after.
-                self.attribute(rq, &mut dir);
-                for w in rq.w0..=rq.w1 {
-                    dir.word_writer[w] = c as u32;
-                    dir.touched[w] = 1 << c;
+                self.attribute(rq, slot);
+                for w in d * self.words + rq.w0..=d * self.words + rq.w1 {
+                    self.dir.word_writer[w] = c as u32;
+                    self.dir.touched[w] = 1 << c;
                 }
             }
         }
-        self.dir.insert(line, dir);
     }
 
-    fn read_fill(&mut self, rq: Req, dir: &mut LineDir) {
-        let Req { c, line, lid, .. } = rq;
-        self.bus(c, lid, BusOp::Rd);
+    fn count_fill(&mut self, others: u64) {
         self.fills += 1;
-        let others = dir.sharers & !(1u64 << c);
-        if let Some(o) = dir.owner {
-            let o = o as usize;
-            if o != c {
-                // M holder flushes and downgrades to Shared.
-                self.caches[o].set_state(line, Some(Mesi::Shared));
-                self.bus(o, lid, BusOp::Wb);
-                self.writebacks += 1;
-                dir.owner = None;
-            }
+        if others != 0 {
+            self.run.c2c_fills += 1;
         } else {
-            // An Exclusive holder snoops the BusRd and downgrades.
+            self.mem_fills += 1;
+        }
+    }
+
+    fn read_fill(&mut self, rq: Req) -> usize {
+        let Req { c, line, d, lx, .. } = rq;
+        self.bus(c, lx, BusOp::Rd);
+        let others = self.dir.sharers[d] & !(1u64 << c);
+        let owner = self.dir.owner[d] as usize;
+        if owner != NO_WRITER as usize {
+            // M holder flushes and downgrades to Shared.
+            self.caches[owner].set_state(line, Some(Mesi::Shared));
+            self.bus(owner, lx, BusOp::Wb);
+            self.run.writebacks += 1;
+            self.dir.owner[d] = NO_WRITER;
+        } else {
+            // No dirty owner, so holders are Exclusive or Shared: an
+            // Exclusive one snoops the BusRd and downgrades.
             let mut rest = others;
             while rest != 0 {
                 let h = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                if self.caches[h].state(line) == Some(Mesi::Exclusive) {
-                    self.caches[h].set_state(line, Some(Mesi::Shared));
-                }
+                self.caches[h].set_state(line, Some(Mesi::Shared));
             }
         }
-        if others != 0 {
-            self.c2c_fills += 1;
-        } else {
-            self.mem_fills += 1;
-        }
+        self.count_fill(others);
         let state = if others == 0 {
             Mesi::Exclusive
         } else {
             Mesi::Shared
         };
-        if let Some((vline, vstate)) = self.caches[c].insert(line, state) {
-            self.evict(c, vline, vstate, lid);
-        }
-        dir.sharers |= 1 << c;
-        self.set_pending(rq, dir);
+        self.dir.sharers[d] |= 1 << c;
+        self.fill(rq, state)
     }
 
-    /// Record the remote-written words this fill pulled in beyond what the
-    /// triggering access covers and the consumer has already used.
-    fn set_pending(&mut self, rq: Req, dir: &LineDir) {
+    /// Place the line in the requester's cache (evicting if the set is
+    /// full) and record its pending set: the remote-written words this fill
+    /// pulled in beyond what the triggering access covers and the consumer
+    /// has already used.
+    fn fill(&mut self, rq: Req, state: Mesi) -> usize {
+        let (slot, victim) = self.caches[rq.c].fill(rq.line, state);
+        if let Some((_, vstate)) = victim {
+            self.evict(rq.c, slot, vstate, rq.lx);
+        }
+        let row = rq.d * self.words;
         let mut mask = 0u64;
-        for (w, &writer) in dir.word_writer.iter().enumerate() {
+        for w in 0..self.words {
+            let writer = self.dir.word_writer[row + w];
             if writer != NO_WRITER
                 && writer as usize != rq.c
                 && !(rq.w0..=rq.w1).contains(&w)
-                && dir.touched[w] >> rq.c & 1 == 0
+                && self.dir.touched[row + w] >> rq.c & 1 == 0
             {
                 mask |= 1 << w;
             }
         }
-        if mask != 0 {
-            self.pending[rq.c].insert(
-                rq.line,
-                Pending {
-                    mask,
-                    loop_id: rq.lid,
-                    trigger_addr: rq.addr,
-                },
-            );
-        }
+        *self.meta_mut(rq.c, slot) = SlotMeta {
+            dir: rq.d as u32,
+            fill_loop: rq.lx as u32,
+            mask,
+            trigger_addr: rq.addr,
+        };
+        slot
     }
 
-    fn invalidate_others(&mut self, rq: Req, dir: &mut LineDir) {
-        let Req { c, line, lid, .. } = rq;
-        let mut victims = dir.sharers & !(1u64 << c);
+    fn invalidate_others(&mut self, rq: Req) {
+        let Req { c, line, d, lx, .. } = rq;
+        let row = d * self.words;
+        let mut victims = self.dir.sharers[d] & !(1u64 << c);
         while victims != 0 {
             let h = victims.trailing_zeros() as usize;
             victims &= victims - 1;
-            self.invalidations += 1;
+            self.run.invalidations += 1;
             // False sharing: the written words intersect nothing the
             // victim ever touched — it held the line for other data.
-            let true_sharing = (rq.w0..=rq.w1).any(|w| dir.touched[w] >> h & 1 == 1);
-            let prev = self.caches[h].set_state(line, None);
-            if prev == Some(Mesi::Modified) {
+            let true_sharing = (rq.w0..=rq.w1).any(|w| self.dir.touched[row + w] >> h & 1 == 1);
+            let slot = self.caches[h]
+                .find(line)
+                .expect("a directory sharer holds the line");
+            if self.caches[h].invalidate_at(slot) == Some(Mesi::Modified) {
                 // BusRdX/BusUpgr to a dirty line: the owner supplies the
                 // data and retires its copy.
-                self.bus(h, lid, BusOp::Wb);
-                self.writebacks += 1;
+                self.bus(h, lx, BusOp::Wb);
+                self.run.writebacks += 1;
             }
-            let flushed = self.flush_pending(h, line, dir);
-            for lc in [
-                &mut self.global,
-                loops_entry(&mut self.loops, lid, self.threads),
-            ] {
-                lc.invalidations.bump(c, h, 1);
-                if !true_sharing {
-                    lc.fs_invalidations += 1;
-                    let fsl = lc.lines.entry(line).or_default();
+            let m = std::mem::take(self.meta_mut(h, slot));
+            self.acc.loops[lx].invalidations.bump(c, h, 1);
+            if !true_sharing {
+                self.acc.loops[lx].fs_invalidations += 1;
+                // Counted as an invalidation and again on its line, the way
+                // `CoherenceReport::false_sharing_events` sums them.
+                self.run.false_sharing_events += 2;
+                self.acc.fs_lines(lx, d, |fsl| {
                     fsl.events += 1;
                     fsl.threads |= (1 << c) | (1 << h);
                     fsl.note_addr(rq.addr);
-                }
+                });
             }
-            if let Some((bytes, ploop, paddr, writers)) = flushed {
-                self.charge_false_bytes(line, h, bytes, ploop, paddr, writers);
-            }
-        }
-        dir.owner = None;
-        dir.sharers &= 1 << c;
-    }
-
-    /// Remove and return `h`'s pending set on `line`, if any:
-    /// `(bytes, fill loop, trigger addr, writer mask)`.
-    fn flush_pending(
-        &mut self,
-        h: usize,
-        line: u64,
-        dir: &LineDir,
-    ) -> Option<(u64, LoopId, u64, u64)> {
-        let p = self.pending[h].remove(&line)?;
-        if p.mask == 0 {
-            return None;
-        }
-        let mut writers = 0u64;
-        for (w, &wr) in dir.word_writer.iter().enumerate() {
-            if p.mask >> w & 1 == 1 && wr != NO_WRITER {
-                writers |= 1 << wr;
-            }
-        }
-        Some((
-            p.mask.count_ones() as u64 * WORD_BYTES,
-            p.loop_id,
-            p.trigger_addr,
-            writers,
-        ))
-    }
-
-    fn charge_false_bytes(
-        &mut self,
-        line: u64,
-        holder: usize,
-        bytes: u64,
-        fill_loop: LoopId,
-        trigger_addr: u64,
-        writers: u64,
-    ) {
-        for lc in [
-            &mut self.global,
-            loops_entry(&mut self.loops, fill_loop, self.threads),
-        ] {
-            lc.false_bytes += bytes;
-            let fsl = lc.lines.entry(line).or_default();
-            fsl.events += 1;
-            fsl.false_bytes += bytes;
-            fsl.threads |= (1 << holder) | writers;
-            fsl.note_addr(trigger_addr);
+            self.flush_pending(d, h, m);
         }
     }
 
-    /// First-touch producer attribution over the accessed words.
-    fn attribute(&mut self, rq: Req, dir: &mut LineDir) {
-        let Req {
-            c,
-            line,
-            lid,
-            w0,
-            w1,
-            ..
-        } = rq;
-        let mut clear = 0u64;
-        for w in w0..=w1 {
-            let writer = dir.word_writer[w];
-            if writer != NO_WRITER && writer as usize != c && dir.touched[w] >> c & 1 == 0 {
-                for lc in [
-                    &mut self.global,
-                    loops_entry(&mut self.loops, lid, self.threads),
-                ] {
-                    lc.transfers.bump(writer as usize, c, WORD_BYTES);
-                    lc.lines.entry(line).or_default().true_bytes += WORD_BYTES;
-                }
-            }
-            dir.touched[w] |= 1 << c;
-            clear |= 1 << w;
-        }
-        if let Some(p) = self.pending[c].get_mut(&line) {
-            p.mask &= !clear;
-            if p.mask == 0 {
-                self.pending[c].remove(&line);
-            }
+    /// `holder`'s copy of line `d` died; whatever of the pending set `m`
+    /// is still untouched was pulled for nothing.
+    fn flush_pending(&mut self, d: usize, holder: usize, m: SlotMeta) {
+        if m.mask != 0 {
+            self.run.false_bytes += m.pending_bytes();
+            self.run.false_sharing_events += 1;
+            let writers = self.writer_mask(d, m.mask);
+            self.acc.charge_false_bytes(d, holder, m, writers);
         }
     }
 
-    fn evict(&mut self, c: usize, vline: u64, vstate: Mesi, lid: LoopId) {
-        // The victim is in the same cache set as the inserted line but is a
-        // different line, so its directory entry is still in the map even
-        // while the current line's entry is owned by the caller.
-        if let Some(d) = self.dir.get_mut(&vline) {
-            d.sharers &= !(1u64 << c);
-            if d.owner == Some(c as u32) {
-                d.owner = None;
+    /// First-touch producer attribution over the accessed words; whatever
+    /// the access uses leaves the copy's pending set.
+    fn attribute(&mut self, rq: Req, slot: usize) {
+        let Req { c, d, lx, .. } = rq;
+        let (mut bytes, mut used) = (0u64, 0u64);
+        for w in rq.w0..=rq.w1 {
+            let i = d * self.words + w;
+            let writer = self.dir.word_writer[i];
+            if writer != NO_WRITER && writer as usize != c && self.dir.touched[i] >> c & 1 == 0 {
+                self.acc.loops[lx]
+                    .transfers
+                    .bump(writer as usize, c, WORD_BYTES);
+                bytes += WORD_BYTES;
             }
+            self.dir.touched[i] |= 1 << c;
+            used |= 1 << w;
+        }
+        self.meta_mut(c, slot).mask &= !used;
+        if bytes != 0 {
+            self.run.true_bytes += bytes;
+            self.acc.fs_lines(lx, d, |fsl| fsl.true_bytes += bytes);
+        }
+    }
+
+    /// `c`'s copy in `slot` was displaced by a fill; the slot's metadata
+    /// still describes the victim.
+    fn evict(&mut self, c: usize, slot: usize, vstate: Mesi, lx: usize) {
+        let m = *self.meta_mut(c, slot);
+        let vd = m.dir as usize;
+        self.dir.sharers[vd] &= !(1u64 << c);
+        if self.dir.owner[vd] == c as u32 {
+            self.dir.owner[vd] = NO_WRITER;
         }
         if vstate == Mesi::Modified {
-            self.bus(c, lid, BusOp::Wb);
-            self.writebacks += 1;
+            self.bus(c, lx, BusOp::Wb);
+            self.run.writebacks += 1;
         }
-        let Some(p) = self.pending[c].remove(&vline) else {
-            return;
-        };
-        if p.mask == 0 {
-            return;
-        }
-        let writers = self.pending_writer_mask(vline, p.mask);
-        self.charge_false_bytes(
-            vline,
-            c,
-            p.mask.count_ones() as u64 * WORD_BYTES,
-            p.loop_id,
-            p.trigger_addr,
-            writers,
-        );
+        self.flush_pending(vd, c, m);
     }
 
-    fn bus(&mut self, tid: usize, lid: LoopId, op: BusOp) {
-        self.global.bus.bump(tid, op);
-        loops_entry(&mut self.loops, lid, self.threads)
-            .bus
-            .bump(tid, op);
+    fn bus(&mut self, tid: usize, lx: usize, op: BusOp) {
+        self.acc.loops[lx].bus.bump(tid, op);
     }
-}
-
-fn loops_entry(loops: &mut BTreeMap<u32, LoopCoh>, lid: LoopId, threads: usize) -> &mut LoopCoh {
-    loops.entry(lid.0).or_insert_with(|| LoopCoh::new(threads))
 }
 
 /// [`CoherenceBackend`] behind a mutex, so it can ride any
 /// [`AccessSink`] position (fork sinks, live instrumentation, serve
 /// tenants). Coherence simulation is inherently order-dependent; callers
 /// that need determinism must feed a recorded order.
-pub struct SharedCoherence(Mutex<CoherenceBackend>);
+pub struct SharedCoherence {
+    backend: Mutex<CoherenceBackend>,
+    snapshots: AtomicU64,
+}
 
 impl SharedCoherence {
     /// Wrap a backend.
     pub fn new(backend: CoherenceBackend) -> Self {
-        Self(Mutex::new(backend))
+        Self {
+            backend: Mutex::new(backend),
+            snapshots: AtomicU64::new(0),
+        }
     }
 
-    /// Snapshot the report.
+    fn lock(&self) -> MutexGuard<'_, CoherenceBackend> {
+        self.backend
+            .lock()
+            .expect("no holder of the coherence lock panicked")
+    }
+
+    /// Snapshot the full report — clones every per-loop line map under the
+    /// lock the feeding thread needs; periodic scrapes use
+    /// [`Self::totals`] instead.
     pub fn report(&self) -> CoherenceReport {
-        self.0.lock().expect("coherence lock").report()
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        self.lock().report()
+    }
+
+    /// Full [`Self::report`] snapshots taken so far.
+    pub fn snapshots(&self) -> u64 {
+        self.snapshots.load(Ordering::Relaxed)
+    }
+
+    /// The scrape counters ([`CoherenceBackend::totals`]).
+    pub fn totals(&self) -> CoherenceTotals {
+        self.lock().totals()
     }
 
     /// Feed a block of any [`AsAccess`] events under one lock acquisition.
     pub fn on_frame<E: AsAccess>(&self, evs: &[E]) {
-        self.0.lock().expect("coherence lock").on_block(evs);
+        self.lock().on_block(evs);
     }
 }
 
 impl AccessSink for SharedCoherence {
     fn on_access(&self, ev: &AccessEvent) {
-        self.0.lock().expect("coherence lock").on_access(ev);
+        self.lock().on_access(ev);
     }
 
     fn on_batch(&self, evs: &[AccessEvent]) {
@@ -984,6 +1183,9 @@ pub fn canonical_coherence_report(r: &CoherenceReport) -> String {
         r.config.line_bytes, r.config.cache_kib, r.config.assoc
     ));
     out.push_str(&format!("accesses {}\n", r.accesses));
+    if r.clamped_accesses != 0 {
+        out.push_str(&format!("clamped-accesses {}\n", r.clamped_accesses));
+    }
     out.push_str(&format!(
         "fills {} mem {} c2c {} hits {}\n",
         r.fills, r.mem_fills, r.c2c_fills, r.hits
@@ -1023,17 +1225,18 @@ fn push_loop(out: &mut String, lc: &LoopCoh) {
         lc.false_bytes,
         lc.true_bytes()
     ));
+    // One line per tracked cache line — the bulk of a large report, so
+    // written in place (`fmt::Write` on a `String` cannot fail).
     for (line, fs) in &lc.lines {
-        let addrs: Vec<String> = fs.addrs.iter().map(|a| format!("{a:#x}")).collect();
-        out.push_str(&format!(
-            "line {:#x} events {} false {} true {} threads {:#x} addrs {}\n",
-            line,
-            fs.events,
-            fs.false_bytes,
-            fs.true_bytes,
-            fs.threads,
-            addrs.join(",")
-        ));
+        let _ = write!(
+            out,
+            "line {:#x} events {} false {} true {} threads {:#x} addrs ",
+            line, fs.events, fs.false_bytes, fs.true_bytes, fs.threads
+        );
+        for (i, a) in fs.addrs.iter().enumerate() {
+            let _ = write!(out, "{}{a:#x}", if i == 0 { "" } else { "," });
+        }
+        out.push('\n');
     }
 }
 

@@ -55,18 +55,26 @@ pub enum Mesi {
 }
 
 #[derive(Clone, Copy, Debug)]
-struct Way {
+struct Slot {
     line: u64,
-    state: Mesi,
     /// Higher = more recently used.
     lru: u64,
+    /// `None` marks an empty slot.
+    state: Option<Mesi>,
 }
 
-/// One core's private cache.
+/// One core's private cache: one flat `sets × ways` slot array, set-major.
+///
+/// The slot-level API (`find` / `touch` / `fill` / `*_at`) probes a set
+/// once and hands back a **slot index** that stays valid while the line is
+/// resident, so callers can keep per-copy side state in arrays parallel to
+/// the slots (the coherence backend's pending sets). The line-level
+/// methods (`contains`, `state`, `insert`, `set_state`) are conveniences
+/// over it.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    slots: Vec<Slot>,
     clock: u64,
 }
 
@@ -75,83 +83,124 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two() && cfg.line_bytes.is_power_of_two());
         assert!(cfg.ways >= 1);
+        let empty = Slot {
+            line: 0,
+            lru: 0,
+            state: None,
+        };
         Self {
             cfg,
-            sets: vec![Vec::new(); cfg.sets],
+            slots: vec![empty; cfg.sets * cfg.ways],
             clock: 0,
         }
     }
 
+    /// Number of slots (`sets × ways`) — the length of any parallel array.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Slot holding `line`, if resident. (Does not touch LRU.)
+    #[inline]
+    pub fn find(&self, line: u64) -> Option<usize> {
+        let base = self.cfg.set_of(line) * self.cfg.ways;
+        self.slots[base..base + self.cfg.ways]
+            .iter()
+            .position(|s| s.line == line && s.state.is_some())
+            .map(|way| base + way)
+    }
+
+    /// Mark `slot` most recently used.
+    #[inline]
+    pub fn touch(&mut self, slot: usize) {
+        self.clock += 1;
+        self.slots[slot].lru = self.clock;
+    }
+
+    /// Place a non-resident `line` (most recently used) into an empty slot
+    /// of its set, else over the least recently used one. Returns the slot
+    /// and the displaced line with its state, if any.
+    pub fn fill(&mut self, line: u64, state: Mesi) -> (usize, Option<(u64, Mesi)>) {
+        debug_assert!(self.find(line).is_none(), "fill of a resident line");
+        let base = self.cfg.set_of(line) * self.cfg.ways;
+        let set = &self.slots[base..base + self.cfg.ways];
+        let way = set
+            .iter()
+            .position(|s| s.state.is_none())
+            .unwrap_or_else(|| {
+                let oldest = set.iter().enumerate().min_by_key(|(_, s)| s.lru);
+                oldest.expect("ways >= 1").0
+            });
+        self.clock += 1;
+        let slot = &mut self.slots[base + way];
+        let victim = slot.state.map(|st| (slot.line, st));
+        *slot = Slot {
+            line,
+            lru: self.clock,
+            state: Some(state),
+        };
+        (base + way, victim)
+    }
+
+    /// Line and state held in `slot`, if occupied.
+    #[inline]
+    pub fn at(&self, slot: usize) -> Option<(u64, Mesi)> {
+        let s = &self.slots[slot];
+        s.state.map(|st| (s.line, st))
+    }
+
+    /// Change the state of an occupied `slot` (upgrade / downgrade).
+    #[inline]
+    pub fn set_state_at(&mut self, slot: usize, state: Mesi) {
+        debug_assert!(self.slots[slot].state.is_some(), "state of an empty slot");
+        self.slots[slot].state = Some(state);
+    }
+
+    /// Empty `slot`; returns the state its line had.
+    pub fn invalidate_at(&mut self, slot: usize) -> Option<Mesi> {
+        self.slots[slot].state.take()
+    }
+
     /// Is `line` present? (Does not touch LRU.)
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.cfg.set_of(line)]
-            .iter()
-            .any(|w| w.line == line)
+        self.find(line).is_some()
     }
 
     /// Current MESI state of `line`, if present.
     pub fn state(&self, line: u64) -> Option<Mesi> {
-        self.sets[self.cfg.set_of(line)]
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| w.state)
+        self.find(line).and_then(|slot| self.slots[slot].state)
     }
 
     /// Touch `line` (LRU bump) and set its state. Returns the evicted line
     /// (with its state) if an insertion displaced one.
     pub fn insert(&mut self, line: u64, state: Mesi) -> Option<(u64, Mesi)> {
-        self.clock += 1;
-        let clock = self.clock;
-        let cfg = self.cfg;
-        let set = &mut self.sets[cfg.set_of(line)];
-        if let Some(w) = set.iter_mut().find(|w| w.line == line) {
-            w.state = state;
-            w.lru = clock;
-            return None;
+        match self.find(line) {
+            Some(slot) => {
+                self.touch(slot);
+                self.set_state_at(slot, state);
+                None
+            }
+            None => self.fill(line, state).1,
         }
-        let mut evicted = None;
-        if set.len() >= cfg.ways {
-            let (idx, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .expect("non-empty set");
-            let victim = set.swap_remove(idx);
-            evicted = Some((victim.line, victim.state));
-        }
-        set.push(Way {
-            line,
-            state,
-            lru: clock,
-        });
-        evicted
     }
 
     /// Downgrade or remove a line (coherence action). Returns the previous
     /// state if it was present.
     pub fn set_state(&mut self, line: u64, state: Option<Mesi>) -> Option<Mesi> {
-        let set_idx = self.cfg.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|w| w.line == line)?;
-        let prev = set[pos].state;
-        match state {
-            Some(st) => set[pos].state = st,
-            None => {
-                set.swap_remove(pos);
-            }
-        }
-        Some(prev)
+        let slot = self.find(line)?;
+        std::mem::replace(&mut self.slots[slot].state, state)
     }
 
     /// Lines currently resident.
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.slots.iter().filter(|s| s.state.is_some()).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cache() -> Cache {
         Cache::new(CacheConfig {
@@ -203,5 +252,104 @@ mod tests {
         assert_eq!(c.set_state(3, None), Some(Mesi::Shared));
         assert!(!c.contains(3));
         assert_eq!(c.set_state(3, None), None);
+    }
+
+    /// The pre-flattening model, kept as the oracle: per-set `Vec` of ways,
+    /// `swap_remove` on invalidation, `min_by_key` LRU victim.
+    struct RefCache {
+        sets: Vec<Vec<(u64, Mesi, u64)>>,
+        ways: usize,
+        clock: u64,
+    }
+
+    impl RefCache {
+        fn state(&self, line: u64) -> Option<Mesi> {
+            let set = &self.sets[line as usize % self.sets.len()];
+            set.iter().find(|w| w.0 == line).map(|w| w.1)
+        }
+
+        fn insert(&mut self, line: u64, state: Mesi) -> Option<(u64, Mesi)> {
+            self.clock += 1;
+            let n = self.sets.len();
+            let set = &mut self.sets[line as usize % n];
+            if let Some(w) = set.iter_mut().find(|w| w.0 == line) {
+                (w.1, w.2) = (state, self.clock);
+                return None;
+            }
+            let mut evicted = None;
+            if set.len() >= self.ways {
+                let (idx, _) = set.iter().enumerate().min_by_key(|(_, w)| w.2).unwrap();
+                let victim = set.swap_remove(idx);
+                evicted = Some((victim.0, victim.1));
+            }
+            set.push((line, state, self.clock));
+            evicted
+        }
+
+        fn set_state(&mut self, line: u64, state: Option<Mesi>) -> Option<Mesi> {
+            let n = self.sets.len();
+            let set = &mut self.sets[line as usize % n];
+            let pos = set.iter().position(|w| w.0 == line)?;
+            let prev = set[pos].1;
+            match state {
+                Some(st) => set[pos].1 = st,
+                None => {
+                    set.swap_remove(pos);
+                }
+            }
+            Some(prev)
+        }
+    }
+
+    proptest! {
+        /// Random insert / invalidate / downgrade scripts produce identical
+        /// hit, victim and state sequences on the flat cache (driven through
+        /// the slot API) and the reference model, from direct-mapped to
+        /// 64-way sets.
+        #[test]
+        fn flat_cache_matches_the_reference_model(
+            ways_ix in 0usize..4,
+            script in prop::collection::vec((0u8..5, 0u64..4096, 0usize..3), 1..800),
+        ) {
+            const SETS: usize = 2;
+            let ways = [1, 2, 4, 64][ways_ix];
+            let mut flat = Cache::new(CacheConfig { sets: SETS, ways, line_bytes: 64 });
+            let mut oracle = RefCache { sets: vec![Vec::new(); SETS], ways, clock: 0 };
+            let lines = (SETS * ways * 3 / 2).max(6) as u64;
+            for (op, raw, st) in script {
+                let line = raw % lines;
+                let state = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared][st];
+                match op {
+                    // Insert (weight 3 of 5, so sets fill and evict).
+                    0..=2 => {
+                        let victim = match flat.find(line) {
+                            Some(slot) => {
+                                flat.touch(slot);
+                                flat.set_state_at(slot, state);
+                                None
+                            }
+                            None => {
+                                let (slot, victim) = flat.fill(line, state);
+                                prop_assert_eq!(flat.at(slot), Some((line, state)));
+                                victim
+                            }
+                        };
+                        prop_assert_eq!(victim, oracle.insert(line, state));
+                    }
+                    3 => {
+                        let prev = flat.find(line).and_then(|slot| flat.invalidate_at(slot));
+                        prop_assert_eq!(prev, oracle.set_state(line, None));
+                    }
+                    _ => prop_assert_eq!(
+                        flat.set_state(line, Some(Mesi::Shared)),
+                        oracle.set_state(line, Some(Mesi::Shared))
+                    ),
+                }
+                for l in 0..lines {
+                    prop_assert_eq!(flat.state(l), oracle.state(l), "line {}", l);
+                }
+                prop_assert_eq!(flat.resident(), oracle.sets.iter().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 }

@@ -187,11 +187,10 @@ impl CoherenceSim {
     fn read(&mut self, core: u32, addr: u64) {
         self.stats.accesses += 1;
         let line = self.cfg.line_of(addr);
-        if self.caches[core as usize].contains(line) {
+        let cache = &mut self.caches[core as usize];
+        if let Some(slot) = cache.find(line) {
             self.stats.hits += 1;
-            // LRU refresh, keep state.
-            let st = self.caches[core as usize].state(line).unwrap();
-            self.caches[core as usize].insert(line, st);
+            cache.touch(slot); // LRU refresh, keep state.
             return;
         }
         // Miss: find a provider.
@@ -234,17 +233,17 @@ impl CoherenceSim {
     fn write(&mut self, core: u32, addr: u64) {
         self.stats.accesses += 1;
         let line = self.cfg.line_of(addr);
-        let had_line = self.caches[core as usize].contains(line);
-        let was_writable = matches!(
-            self.caches[core as usize].state(line),
-            Some(Mesi::Modified | Mesi::Exclusive)
-        );
-        if had_line && was_writable {
-            self.stats.hits += 1;
-            self.caches[core as usize].insert(line, Mesi::Modified);
-            let entry = self.directory.entry(line).or_default();
-            entry.owner = Some(core);
-            return;
+        let cache = &mut self.caches[core as usize];
+        let held = cache.find(line);
+        let had_line = held.is_some();
+        if let Some(slot) = held {
+            if matches!(cache.at(slot), Some((_, Mesi::Modified | Mesi::Exclusive))) {
+                self.stats.hits += 1;
+                cache.touch(slot);
+                cache.set_state_at(slot, Mesi::Modified);
+                self.directory.entry(line).or_default().owner = Some(core);
+                return;
+            }
         }
         // Upgrade or fill: invalidate every other copy.
         let entry = *self.directory.entry(line).or_default();

@@ -27,8 +27,8 @@ pub mod coherence;
 
 pub use backend::{
     analyze_trace_coherence, canonical_coherence_report, BusCounts, CoherenceBackend,
-    CoherenceConfig, CoherenceReport, FsLine, LoopCoh, SharedCoherence, BUS_OPS,
-    MAX_COHERENCE_THREADS, WORD_BYTES,
+    CoherenceConfig, CoherenceReport, CoherenceTotals, FsLine, LoopCoh, SharedCoherence, BUS_OPS,
+    MAX_ACCESS_LINES, MAX_COHERENCE_THREADS, WORD_BYTES,
 };
 pub use cache::{Cache, CacheConfig, Mesi};
 pub use coherence::{simulate, CoherenceSim, SimStats};

@@ -1025,6 +1025,14 @@ fn print_coherence(rep: &lc_cachesim::CoherenceReport, jobs: usize, o: &Options)
         rep.invalidations,
         rep.writebacks
     );
+    if rep.clamped_accesses != 0 {
+        println!(
+            "warning: {} access(es) wrapped the address space or spanned more than {} lines \
+             and were cut short",
+            rep.clamped_accesses,
+            lc_cachesim::MAX_ACCESS_LINES
+        );
+    }
     let (inval_rate, fs_ratio, locality) = rep.features();
     println!(
         "invalidations/access {inval_rate:.4}  false-sharing ratio {fs_ratio:.3}  \

@@ -299,18 +299,19 @@ fn prometheus(shared: &Shared) -> String {
                 "First-touch attributed transfer bytes (true sharing)",
             ),
         ];
+        // One consistent set of counters per tenant for all four series.
+        let totals: Vec<_> = (shared.tenants().into_iter())
+            .filter_map(|t| Some((t.coherence_totals()?, t)))
+            .collect();
         for (i, (name, help)) in coh.iter().enumerate() {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} counter");
-            for t in shared.tenants() {
-                let Some(rep) = t.coherence_report() else {
-                    continue;
-                };
+            for (tot, t) in &totals {
                 let v = match i {
-                    0 => rep.invalidations,
-                    1 => rep.c2c_fills,
-                    2 => rep.global.false_bytes,
-                    _ => rep.global.true_bytes(),
+                    0 => tot.invalidations,
+                    1 => tot.c2c_fills,
+                    2 => tot.false_bytes,
+                    _ => tot.true_bytes,
                 };
                 let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {v}", t.name);
             }
@@ -345,18 +346,18 @@ fn tenants_json(shared: &Shared) -> String {
 fn tenant_stats_json(t: &Tenant) -> String {
     // The coherence object exists only when the backend is on, so its
     // absence is distinguishable from an idle backend.
-    let coherence = match t.coherence_report() {
-        Some(rep) => format!(
+    let coherence = match t.coherence_totals() {
+        Some(tot) => format!(
             ",\"coherence\":{{\"accesses\":{},\"invalidations\":{},\"c2c_fills\":{},\
              \"writebacks\":{},\"false_bytes\":{},\"true_bytes\":{},\
              \"false_sharing_events\":{}}}",
-            rep.accesses,
-            rep.invalidations,
-            rep.c2c_fills,
-            rep.writebacks,
-            rep.global.false_bytes,
-            rep.global.true_bytes(),
-            rep.false_sharing_events()
+            tot.accesses,
+            tot.invalidations,
+            tot.c2c_fills,
+            tot.writebacks,
+            tot.false_bytes,
+            tot.true_bytes,
+            tot.false_sharing_events
         ),
         None => String::new(),
     };

@@ -423,9 +423,17 @@ impl Tenant {
         canonical_report(&analyzer.report(), analyzer.events())
     }
 
-    /// Snapshot the coherence report, when the backend is enabled.
-    pub fn coherence_report(&self) -> Option<lc_cachesim::CoherenceReport> {
-        self.coherence.as_ref().map(|c| c.report())
+    /// The coherence scrape counters, when the backend is enabled —
+    /// O(threads × cache slots) under the lock the drain thread feeds
+    /// through, unlike a full report.
+    pub fn coherence_totals(&self) -> Option<lc_cachesim::CoherenceTotals> {
+        self.coherence.as_ref().map(|c| c.totals())
+    }
+
+    /// Full coherence-report snapshots taken so far (0 with the backend
+    /// off): `/tenants/<t>/coherence` moves it, metrics scrapes must not.
+    pub fn coherence_snapshots(&self) -> u64 {
+        self.coherence.as_ref().map_or(0, |c| c.snapshots())
     }
 
     /// The canonical plain-text coherence report — byte-identical to

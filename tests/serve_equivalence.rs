@@ -241,3 +241,70 @@ fn tiny_frames_do_not_change_the_report() {
     assert_eq!(live, offline_canonical(&trace, DetectorKind::Asymmetric, 1));
     server.shutdown();
 }
+
+/// `/metrics` and `/tenants/<t>/stats` are scraped periodically, under the
+/// coherence mutex the drain thread feeds through: they must read the
+/// O(threads × slots) totals, never take a full report — and the totals
+/// must be the full report's numbers. Also the serve half of the coherence
+/// byte-identity contract: `/tenants/<t>/coherence` equals offline analysis.
+#[test]
+fn coherence_scrapes_read_totals_and_match_the_full_report() {
+    let coherence = lc_cachesim::CoherenceConfig::default();
+    let mut server = Server::start(ServeConfig {
+        listen: vec!["127.0.0.1:0".into()],
+        http: Some("127.0.0.1:0".into()),
+        sig: SignatureConfig::paper_default(SLOTS, THREADS),
+        prof: ProfilerConfig::nested(THREADS),
+        coherence: Some(coherence),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let http = server.http_addr().expect("http enabled").to_string();
+    let trace = record_workload("fs_straddle", 4, 13);
+    stream_trace(&trace, &server.ingest_addrs()[0], "fs", 256, None).expect("stream");
+    wait_tenant_quiet(&server, "fs");
+    let tenant = server.shared().tenant("fs").expect("tenant exists");
+
+    let offline = lc_cachesim::analyze_trace_coherence(&trace, coherence, THREADS, 1);
+    assert!(offline.global.false_bytes > 0 && offline.false_sharing_events() > 0);
+    for _ in 0..3 {
+        let (status, metrics) = http_get(&http, "/metrics");
+        assert_eq!(status, 200);
+        for (series, want) in [
+            ("invalidations", offline.invalidations),
+            ("c2c_fills", offline.c2c_fills),
+            ("false_bytes", offline.global.false_bytes),
+            ("true_bytes", offline.global.true_bytes()),
+        ] {
+            let line =
+                format!("loopcomm_tenant_coherence_{series}_total{{tenant=\"fs\"}} {want}\n");
+            assert!(metrics.contains(&line), "missing `{line}` in:\n{metrics}");
+        }
+        let (status, stats) = http_get(&http, "/tenants/fs/stats");
+        assert_eq!(status, 200);
+        let want = format!(
+            "\"coherence\":{{\"accesses\":{},\"invalidations\":{},\"c2c_fills\":{},\
+             \"writebacks\":{},\"false_bytes\":{},\"true_bytes\":{},\
+             \"false_sharing_events\":{}}}",
+            offline.accesses,
+            offline.invalidations,
+            offline.c2c_fills,
+            offline.writebacks,
+            offline.global.false_bytes,
+            offline.global.true_bytes(),
+            offline.false_sharing_events()
+        );
+        assert!(stats.contains(&want), "missing `{want}` in:\n{stats}");
+    }
+    assert_eq!(
+        tenant.coherence_snapshots(),
+        0,
+        "a scrape took a full report"
+    );
+
+    let (status, live) = http_get(&http, "/tenants/fs/coherence");
+    assert_eq!(status, 200);
+    assert_eq!(live, lc_cachesim::canonical_coherence_report(&offline));
+    assert_eq!(tenant.coherence_snapshots(), 1);
+    server.shutdown();
+}

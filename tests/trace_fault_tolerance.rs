@@ -9,7 +9,14 @@
 //! stands between the bytes and a panic. And one test pins the stored
 //! bytes themselves, so a new checksum kernel cannot change what is
 //! written.
+//!
+//! Records that *pass* every check still carry attacker-chosen `addr` and
+//! `size`; the last section feeds such records to the coherence backend,
+//! the one consumer that walks an access's byte range.
 
+use lc_cachesim::{
+    canonical_coherence_report, CoherenceBackend, CoherenceConfig, MAX_ACCESS_LINES,
+};
 use lc_profiler::{AccumConfig, Checkpoint, DetectorKind, IncrementalAnalyzer, ProfilerConfig};
 use lc_sigmem::SignatureConfig;
 use lc_trace::event::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
@@ -440,4 +447,73 @@ fn stored_bytes_are_pinned_across_checksum_kernels() {
     assert_eq!(read_trace(&v3[..]).expect("read v3").events(), t.events());
     V3Index::decode(&idx).expect("index verifies");
     Checkpoint::decode(&cp).expect("checkpoint verifies");
+}
+
+/// `records` as a reader hands them over after a write/read round trip.
+fn through_a_spool(records: &[(u64, u32)]) -> Trace {
+    let evs = (records.iter().enumerate())
+        .map(|(i, &(addr, size))| {
+            let mut e = ev(i as u64);
+            (e.event.addr, e.event.size) = (addr, size);
+            e
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    write_trace_spool(&Trace::new(evs), &mut bytes, 16).expect("spool");
+    read_trace(&bytes[..]).expect("a well-formed spool")
+}
+
+#[test]
+fn coherence_backend_clamps_wrapping_and_oversized_accesses() {
+    // One 41-byte record each: an end address past 2^64, and a 4 GiB
+    // "access" that would walk 67 M lines and a directory entry for each.
+    for (addr, size, lines) in [
+        (u64::MAX - 3, 8, 1),
+        (u64::MAX, u32::MAX, 1),
+        (0x1000, u32::MAX, MAX_ACCESS_LINES),
+        (0x1000, 64 * MAX_ACCESS_LINES as u32 + 1, MAX_ACCESS_LINES),
+    ] {
+        let trace = through_a_spool(&[(addr, size)]);
+        let mut b = CoherenceBackend::new(CoherenceConfig::default(), 4);
+        b.on_block(trace.access_events());
+        let rep = b.report();
+        assert_eq!(
+            (rep.accesses, rep.clamped_accesses),
+            (1, 1),
+            "{addr:#x}+{size}"
+        );
+        assert_eq!(rep.fills, lines, "{addr:#x}+{size}");
+        assert!(canonical_coherence_report(&rep).contains("\nclamped-accesses 1\n"));
+    }
+    // The longest access that is not cut, and silence about it.
+    let trace = through_a_spool(&[(0x1000, 64 * MAX_ACCESS_LINES as u32)]);
+    let mut b = CoherenceBackend::new(CoherenceConfig::default(), 4);
+    b.on_block(trace.access_events());
+    let rep = b.report();
+    assert_eq!((rep.clamped_accesses, rep.fills), (0, MAX_ACCESS_LINES));
+    assert!(!canonical_coherence_report(&rep).contains("clamped"));
+}
+
+proptest! {
+    #[test]
+    fn coherence_backend_never_panics_on_hostile_records(
+        records in prop::collection::vec((0usize..10, 0u64..200, 0usize..10, 0u32..70), 1..40),
+        geometry in 0usize..3,
+    ) {
+        // Hostile constants and their near neighbours, in both fields.
+        let records: Vec<(u64, u32)> = records
+            .iter()
+            .map(|&(a, da, s, ds)| {
+                (HOSTILE[a].wrapping_add(da).wrapping_sub(100), (HOSTILE[s] as u32).wrapping_add(ds).wrapping_sub(35))
+            })
+            .collect();
+        let cfg = CoherenceConfig { line_bytes: [16, 64, 512][geometry], ..CoherenceConfig::default() };
+        let trace = through_a_spool(&records);
+        let mut b = CoherenceBackend::new(cfg, 4);
+        b.on_block(trace.access_events());
+        let rep = b.report();
+        prop_assert_eq!(rep.accesses, records.len() as u64);
+        prop_assert!(rep.fills + rep.hits <= records.len() as u64 * MAX_ACCESS_LINES);
+        prop_assert_eq!(b.totals().false_bytes, rep.global.false_bytes);
+    }
 }
