@@ -1097,6 +1097,17 @@ mod tests {
         assert!(reg.memory_bytes() > empty);
     }
 
+    /// The literal `8` in `memory_bytes` is the slot the default build
+    /// allocates. Compiled out of tier-1 (`cargo test` at the workspace
+    /// root builds with the `sched` shims by construction); CI's lean
+    /// `cargo test --release -p lc-profiler …` step runs it.
+    #[cfg(not(feature = "sched"))]
+    #[test]
+    fn registry_memory_counts_the_allocated_slot_array() {
+        let reg = LoopRegistry::new(4, 8);
+        assert_eq!(reg.memory_bytes(), std::mem::size_of_val(&*reg.slots));
+    }
+
     #[test]
     fn injected_epoch_panic_is_caught_and_losses_are_counted() {
         use lc_faults::{FaultAction, FaultPlan, FaultRule};

@@ -3,9 +3,16 @@
 //! Mirrors the std/parking_lot API surface the sigmem and profiler crates
 //! use (`AtomicU32/U64/Usize/Bool`, `AtomicPtr`, `Ordering`, `Mutex`).
 //! Outside a simulation every operation delegates straight to the real
-//! primitive with the caller's ordering — one relaxed static load of
-//! overhead — so the `sched` feature is safe to leave enabled for normal
-//! builds and tests. Inside a simulation every operation is a scheduler
+//! primitive with the caller's ordering, so behavior is unchanged — but
+//! not cost. Every cell embeds a mutex-guarded `CellMeta` (vector clocks
+//! and the holder), so `AtomicU32`, `AtomicU64` and `AtomicPtr` are each
+//! 88 bytes (a sigmem arena `Line` is 704 bytes instead of 64), and each
+//! access first checks whether a simulation is active. Against std
+//! atomics the shipped binary measured 1.4–3× lower throughput and up
+//! to 10× the peak RSS; a thin variant with zero-sized metadata (state
+//! in a side table, production layout) was still 35–80 % slower. The
+//! `sched` feature is therefore a test-only build, not a default
+//! (DESIGN.md §11.1). Inside a simulation every operation is a scheduler
 //! decision point: it yields the baton, performs the access under
 //! sequentially-consistent value semantics, tracks vector clocks for the
 //! acquire/release edges the *requested* ordering implies, and flags

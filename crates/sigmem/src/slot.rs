@@ -530,6 +530,29 @@ mod tests {
         assert_eq!(std::mem::size_of::<Line>(), 64, "one line per cache line");
     }
 
+    /// The literals in `memory_bytes` are the layout the default build
+    /// allocates: one pointer per segment plus 64 bytes per allocated
+    /// line. (Line-sized filters, so no segment rounds up to a line.)
+    /// Like the `size_of::<Line>()` assertion above this is compiled out
+    /// of tier-1, which builds with the `sched` shims by construction;
+    /// CI's lean `cargo test --release -p lc-sigmem …` step runs it.
+    #[cfg(not(feature = "sched"))]
+    #[test]
+    fn arena_memory_bytes_is_the_allocated_layout() {
+        let a = FilterArena::new(2 * ARENA_SEGMENT_FILTERS + 2, WORDS_PER_LINE);
+        a.filter_or_alloc(0);
+        a.filter_or_alloc(2 * ARENA_SEGMENT_FILTERS + 1); // the short tail
+        let lines: usize = (0..a.segments.len())
+            .filter(|&seg| !a.segments[seg].load(Ordering::Acquire).is_null())
+            .map(|seg| a.seg_lines(a.seg_filters(seg)))
+            .sum();
+        assert_eq!(lines, ARENA_SEGMENT_FILTERS + 2);
+        assert_eq!(
+            a.memory_bytes(),
+            a.segments.len() * std::mem::size_of::<AtomicPtr<Line>>() + lines * 64
+        );
+    }
+
     #[test]
     fn concurrent_alloc_race_publishes_one_segment() {
         use std::sync::Arc;

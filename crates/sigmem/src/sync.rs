@@ -1,11 +1,17 @@
 //! Sync-primitive facade for the concurrency core.
 //!
-//! With the `sched` feature the signature memory's atomics come from
-//! [`lc_sched::sync`], whose operations are scheduler decision points
-//! inside a deterministic simulation and plain std atomics otherwise.
-//! Without the feature this module IS `std::sync::atomic` — zero cost,
-//! zero behavior change. Mirrors how `shims/` stands in for crossbeam
-//! and parking_lot: swap the provider, keep the call sites.
+//! Without the `sched` feature — the default, shipped and benchmarked
+//! build — this module IS `std::sync::atomic`: a write-signature slot is
+//! Eq. 2's 4 bytes and an arena `Line` is one 64-byte cache line. With
+//! the feature (a test-only build: `cargo test` at the workspace root and
+//! `--features sched` for `loopcomm simtest`) the atomics come from
+//! `lc_sched::sync`, whose operations are scheduler decision points
+//! inside a deterministic simulation. Those cells are 88 bytes each, a
+//! `Line` 704 — measured at 1.4–3× lower throughput and up to 10× the
+//! RSS of this module's std atomics (DESIGN.md §11.1) — so the model
+//! checker verifies this crate's source, not its production layout.
+//! Mirrors how `shims/` stands in for crossbeam and parking_lot: swap the
+//! provider, keep the call sites.
 
 #[cfg(feature = "sched")]
 pub use lc_sched::sync::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};

@@ -158,6 +158,18 @@ mod tests {
         assert_eq!(sig.memory_bytes(), 40_000);
     }
 
+    /// The literal `4` of Eq. 2 is the slot the default build allocates,
+    /// so the figure the CLI prints is the bytes it holds. Tier-1
+    /// (`cargo test` at the workspace root) compiles this crate with the
+    /// `sched` shims by construction and never sees this test; CI's lean
+    /// `cargo test --release -p lc-sigmem …` step runs it.
+    #[cfg(not(feature = "sched"))]
+    #[test]
+    fn memory_bytes_is_the_allocated_slot_array() {
+        let sig = WriteSignature::new(10_000);
+        assert_eq!(sig.memory_bytes(), std::mem::size_of_val(&*sig.slots));
+    }
+
     #[test]
     fn hashed_entry_points_match_plain_ones() {
         use crate::murmur::fmix64;

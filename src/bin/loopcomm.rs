@@ -182,7 +182,7 @@ fn usage() -> ! {
          \x20 simtest  <scenario>    deterministic model checking of the\n\
          \x20                        concurrency core (`all` runs every\n\
          \x20                        scenario, `list` enumerates them);\n\
-         \x20                        needs the default `sched` feature\n\
+         \x20                        build with `--features sched`\n\
          \n\
          options:\n\
          \x20 --threads N      worker threads (default 8)\n\
@@ -1737,8 +1737,9 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
         #[cfg(not(feature = "sched"))]
         "simtest" => {
             eprintln!(
-                "`loopcomm simtest` requires the `sched` feature (on by default; \
-                 this binary was built with --no-default-features)"
+                "`loopcomm simtest` requires the `sched` feature, which the default \
+                 build leaves out (its instrumented atomics cost up to 3x throughput); \
+                 build with `--features sched`"
             );
             std::process::exit(2);
         }

@@ -10,8 +10,10 @@
 //! relaxed-ordering publish, a dropped contended delta) are each caught,
 //! and the failing schedule replays from its decision trace.
 //!
-//! Run with the default features (`cargo test --test sched_model_check`);
-//! the whole file vanishes under `--no-default-features`.
+//! Runs under plain `cargo test` (`--test sched_model_check` to select
+//! it): `sched` is not a default feature, but the root package's self
+//! dev-dependency enables it for every test target. Without the feature
+//! the whole file vanishes.
 
 #![cfg(feature = "sched")]
 

@@ -140,6 +140,57 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// A `frames`-frame v2 spool of `per_frame` events per frame, cut to its
+/// first `cut` bytes: salvage recovers exactly the whole frames before the
+/// cut, and strict `read_trace` accepts the cut only where it falls on a
+/// frame boundary — v2 has no trailer, so such a prefix is a well-formed
+/// shorter spool.
+fn v2_truncation_case(
+    tag: &str,
+    per_frame: u64,
+    frames: u64,
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    let total = per_frame * frames;
+    let t = sample(total);
+    let mut buf = Vec::new();
+    write_trace_spool(&t, &mut buf, per_frame as usize).expect("spool");
+    let frame_bytes = FRAME_HEADER + per_frame as usize * RECORD;
+    prop_assert_eq!(buf.len(), V2_HEADER + frames as usize * frame_bytes);
+
+    let file = ScratchFile::new(tag, cut as u64);
+    std::fs::write(file.path(), &buf[..cut]).expect("write");
+
+    let whole_frames = (cut - V2_HEADER) / frame_bytes;
+    let (salvaged, report) = salvage_trace(file.path()).expect("salvage");
+    prop_assert_eq!(report.frames as usize, whole_frames);
+    prop_assert_eq!(salvaged.len() as u64, whole_frames as u64 * per_frame);
+    prop_assert_eq!(
+        report.bytes_dropped as usize,
+        cut - V2_HEADER - whole_frames * frame_bytes
+    );
+    // The recovered prefix is byte-exact, not merely the right length.
+    for (a, b) in t.events().iter().zip(salvaged.events()) {
+        prop_assert_eq!(a, b);
+    }
+    // A cut exactly on a frame boundary leaves no torn bytes — the
+    // shorter file is indistinguishable from a clean earlier shutdown, so
+    // salvage reports it intact and strict read accepts it; a mid-frame
+    // cut is neither.
+    let on_boundary = (cut - V2_HEADER) % frame_bytes == 0;
+    prop_assert_eq!(report.intact(), on_boundary);
+    let strict = read_trace(&buf[..cut]);
+    if on_boundary {
+        prop_assert_eq!(
+            strict.map(|t| t.len() as u64).map_err(|e| e.to_string()),
+            Ok(whole_frames as u64 * per_frame)
+        );
+    } else {
+        prop_assert!(strict.is_err());
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn read_trace_never_panics_on_arbitrary_bytes(
@@ -231,38 +282,10 @@ proptest! {
         frames in 1u64..7,
         cut_seed in any::<u64>()
     ) {
-        let total = per_frame * frames;
-        let t = sample(total);
-        let mut buf = Vec::new();
-        write_trace_spool(&t, &mut buf, per_frame as usize).expect("spool");
-        let frame_bytes = FRAME_HEADER + per_frame as usize * RECORD;
-        prop_assert_eq!(buf.len(), V2_HEADER + frames as usize * frame_bytes);
-
         // Cut anywhere at or after the prelude.
-        let cut = V2_HEADER + (cut_seed % (buf.len() - V2_HEADER + 1) as u64) as usize;
-        let file = ScratchFile::new("trunc", cut_seed);
-        std::fs::write(file.path(), &buf[..cut]).expect("write");
-
-        let whole_frames = (cut - V2_HEADER) / frame_bytes;
-        let (salvaged, report) = salvage_trace(file.path()).expect("salvage");
-        prop_assert_eq!(report.frames as usize, whole_frames);
-        prop_assert_eq!(salvaged.len() as u64, whole_frames as u64 * per_frame);
-        prop_assert_eq!(
-            report.bytes_dropped as usize,
-            cut - V2_HEADER - whole_frames * frame_bytes
-        );
-        // The recovered prefix is byte-exact, not merely the right length.
-        for (a, b) in t.events().iter().zip(salvaged.events()) {
-            prop_assert_eq!(a, b);
-        }
-        // Strict reads agree with salvage about intact files and reject
-        // torn ones.
-        if cut == buf.len() {
-            prop_assert!(report.intact());
-            prop_assert!(read_trace(&buf[..cut]).is_ok());
-        } else {
-            prop_assert!(read_trace(&buf[..cut]).is_err());
-        }
+        let body = frames as usize * (FRAME_HEADER + per_frame as usize * RECORD);
+        let cut = V2_HEADER + (cut_seed % (body + 1) as u64) as usize;
+        v2_truncation_case("trunc", per_frame, frames, cut)?;
     }
 
     #[test]
@@ -351,39 +374,14 @@ fn salvage_of_header_only_spool_recovers_zero_events() {
 #[test]
 fn final_frame_cut_at_every_byte_offset_recovers_the_whole_frame_prefix() {
     // Exhaustive truncation: a two-frame spool (2 events per frame) cut at
-    // *every* byte offset from the prelude to one byte short of the full
-    // file. At each cut, salvage must recover exactly the whole frames
-    // that precede the cut — byte-exact events, correct drop accounting,
-    // and never a panic. This pins the frame-boundary arithmetic the
-    // randomized truncation test can only sample.
-    const PER_FRAME: usize = 2;
-    let t = sample(2 * PER_FRAME as u64);
-    let mut buf = Vec::new();
-    write_trace_spool(&t, &mut buf, PER_FRAME).expect("spool");
-    let frame_bytes = FRAME_HEADER + PER_FRAME * RECORD;
-    assert_eq!(buf.len(), V2_HEADER + 2 * frame_bytes);
-
-    for cut in V2_HEADER..buf.len() {
-        let file = ScratchFile::new("exhaustive_cut", cut as u64);
-        std::fs::write(file.path(), &buf[..cut]).expect("write");
-        let (salvaged, report) = salvage_trace(file.path())
-            .unwrap_or_else(|e| panic!("salvage must not fail at cut {cut}: {e}"));
-        let whole_frames = (cut - V2_HEADER) / frame_bytes;
-        assert_eq!(report.frames as usize, whole_frames, "at cut {cut}");
-        assert_eq!(salvaged.len(), whole_frames * PER_FRAME, "at cut {cut}");
-        assert_eq!(
-            report.bytes_dropped as usize,
-            cut - V2_HEADER - whole_frames * frame_bytes,
-            "at cut {cut}"
-        );
-        // A cut exactly on a frame boundary leaves no torn bytes — the
-        // shorter file is indistinguishable from a clean earlier shutdown
-        // and rightly reports intact; any mid-frame cut must not.
-        let on_boundary = (cut - V2_HEADER) % frame_bytes == 0;
-        assert_eq!(report.intact(), on_boundary, "at cut {cut}");
-        for (a, b) in t.events().iter().zip(salvaged.events()) {
-            assert_eq!(a, b, "at cut {cut}");
-        }
+    // *every* byte offset from the bare prelude to the whole file. This
+    // pins the frame-boundary arithmetic the randomized truncation test
+    // can only sample — in particular the three cuts that fall exactly on
+    // a frame boundary, which it reaches about once in 800 cases.
+    let frame_bytes = FRAME_HEADER + 2 * RECORD;
+    for cut in V2_HEADER..=V2_HEADER + 2 * frame_bytes {
+        v2_truncation_case("exhaustive_cut", 2, 2, cut)
+            .unwrap_or_else(|e| panic!("at cut {cut}: {e:?}"));
     }
 }
 
