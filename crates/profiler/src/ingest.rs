@@ -1,9 +1,11 @@
-//! Incremental per-tenant analysis for `loopcomm serve`.
+//! Incremental analysis: the engine behind `loopcomm analyze` (every
+//! input format, one block at a time) and each `loopcomm serve` tenant.
 //!
-//! The offline parallel path ([`crate::parallel`]) partitions a complete
-//! trace by address class and merges per-worker reports at the end. A
-//! streaming server cannot wait for the end: frames arrive one at a time
-//! and the tenant's matrices must be inspectable at any moment. The
+//! The library's materialised path ([`crate::parallel`]) partitions a
+//! complete trace by address class and merges per-worker reports at the
+//! end. A streaming server cannot wait for the end — frames arrive one at
+//! a time and the tenant's matrices must be inspectable at any moment —
+//! and an offline run should not hold the trace to analyse it. The
 //! [`IncrementalAnalyzer`] keeps the *same* partitioning (signature slot
 //! for the asymmetric detector, hashed exact address for the perfect
 //! baseline) and the same private-profilers-merge-by-summation scheme,
@@ -15,14 +17,14 @@
 //! have seen in an offline run (same order, only different batch
 //! boundaries — batching is proven boundary-invariant by
 //! `tests/batched_hot_path.rs`), the merged report is byte-identical to
-//! `loopcomm analyze` over the same events
-//! (`tests/serve_equivalence.rs`). Memory stays bounded per tenant: the
-//! footprint is `jobs` signature pairs plus the per-loop matrix registry
-//! — the paper's Eq. 2 bound times the worker count, independent of how
-//! many events have streamed through.
+//! the materialised path over the same events
+//! (`tests/serve_equivalence.rs`, `tests/analyze_route.rs`). Memory stays
+//! bounded per analyzer: the footprint is `jobs` signature pairs plus the
+//! per-loop matrix registry — the paper's Eq. 2 bound times the worker
+//! count, independent of how many events have streamed through.
 
-use lc_sigmem::{murmur::fmix64, SignatureConfig, SlotRouter};
-use lc_trace::{AccessEvent, AccessSink, StampedEvent};
+use lc_sigmem::{murmur::fmix64, SignatureConfig, SignatureHealth, SlotRouter};
+use lc_trace::{AccessEvent, AccessSink, AsAccess};
 
 use crate::fused::{FusedConfig, FusedScratch};
 use crate::parallel::merge_reports;
@@ -173,8 +175,10 @@ impl IncrementalAnalyzer {
 
     /// Analyze one decoded frame. Events are routed to workers by the
     /// same address-class function the offline parallel path uses, in
-    /// frame order, and delivered through the tiled batch path.
-    pub fn on_frame(&mut self, frame: &[StampedEvent]) {
+    /// frame order, and delivered through the tiled batch path. Generic
+    /// over [`AsAccess`] so stamped serve/spool frames and bare SoA trace
+    /// blocks both feed the detector without a re-stamping copy.
+    pub fn on_frame<T: AsAccess>(&mut self, frame: &[T]) {
         if let Some(cfg) = self.fused {
             if self.fused_scratch.is_empty() {
                 self.fused_scratch = (0..self.jobs).map(|_| FusedScratch::new(cfg)).collect();
@@ -202,13 +206,15 @@ impl IncrementalAnalyzer {
         match &self.workers {
             Workers::Asymmetric { router, .. } => {
                 for e in frame {
-                    self.scratch[router.worker(e.event.addr, self.jobs)].push(e.event);
+                    let e = e.access();
+                    self.scratch[router.worker(e.addr, self.jobs)].push(*e);
                 }
             }
             Workers::Perfect { .. } => {
                 for e in frame {
-                    let w = (fmix64(e.event.addr) % self.jobs as u64) as usize;
-                    self.scratch[w].push(e.event);
+                    let e = e.access();
+                    let w = (fmix64(e.addr) % self.jobs as u64) as usize;
+                    self.scratch[w].push(*e);
                 }
             }
         }
@@ -282,6 +288,24 @@ impl IncrementalAnalyzer {
         }
     }
 
+    /// Signature health of the whole analysis (asymmetric detector only).
+    /// Workers own disjoint slot classes of the one `n_slots` geometry, so
+    /// occupied slots and allocated filters sum across workers; the
+    /// occupancy-derived estimates are then taken over that sum. Costs one
+    /// scan of each worker's slot array — call at report time, not per
+    /// frame.
+    pub fn signature_health(&self) -> Option<SignatureHealth> {
+        let Workers::Asymmetric { profilers, .. } = &self.workers else {
+            return None;
+        };
+        let mut parts = profilers.iter().map(|p| p.signature_health());
+        let mut h = parts.next().expect("jobs >= 1");
+        for w in parts {
+            h.absorb_disjoint(&w);
+        }
+        Some(h)
+    }
+
     /// Snapshot the merged report — non-destructive, callable between
     /// frames; identical to what the offline parallel path would merge.
     pub fn report(&self) -> ProfileReport {
@@ -304,7 +328,7 @@ impl IncrementalAnalyzer {
 mod tests {
     use super::*;
     use crate::parallel::{analyze_trace_asymmetric, analyze_trace_perfect, ParReplayConfig};
-    use lc_trace::{AccessKind, FuncId, LoopId, Trace};
+    use lc_trace::{AccessKind, FuncId, LoopId, StampedEvent, Trace};
 
     fn trace(n: u64) -> Trace {
         let mut evs = Vec::new();
@@ -417,6 +441,36 @@ mod tests {
         // streamed volume.
         assert_eq!(inc.memory_bytes(), early);
         assert_eq!(inc.events(), 500 * 11);
+    }
+
+    #[test]
+    fn signature_health_is_independent_of_jobs() {
+        let t = trace(3000);
+        let sig = SignatureConfig::paper_default(1 << 10, 4);
+        let prof = ProfilerConfig::nested(4);
+        let health = |jobs| {
+            let mut inc = IncrementalAnalyzer::asymmetric(sig, prof, AccumConfig::default(), jobs);
+            // Bare SoA blocks: the route `loopcomm analyze` feeds v1/v2 input on.
+            for block in t.access_events().chunks(100) {
+                inc.on_frame(block);
+            }
+            inc.signature_health().expect("asymmetric analyzer")
+        };
+        let one = health(1);
+        // 16 written addresses (every 4th of 64), less any slot collisions.
+        assert_eq!(one.slots, 1 << 10);
+        assert!((1..=16).contains(&one.write_occupied), "{one:?}");
+        for jobs in [2usize, 4] {
+            let h = health(jobs);
+            assert_eq!(h.slots, one.slots, "jobs {jobs}");
+            assert_eq!(h.write_occupied, one.write_occupied, "jobs {jobs}");
+            // Filters are allocated a segment at a time per worker arena,
+            // so `read_filters` is a footprint, not a jobs-invariant.
+            assert!(h.read_filters >= one.read_filters, "jobs {jobs}");
+            assert_eq!(h.est_written_addresses, one.est_written_addresses);
+        }
+        let perfect = IncrementalAnalyzer::perfect(prof, AccumConfig::default(), 2);
+        assert!(perfect.signature_health().is_none());
     }
 
     #[test]

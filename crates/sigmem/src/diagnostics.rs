@@ -89,6 +89,26 @@ impl SignatureHealth {
         }
     }
 
+    /// Fold in the health of a signature pair of the same geometry that
+    /// owns a *disjoint* slot class (slot-sharded workers): occupied slots
+    /// and allocated filters add up, the occupancy estimates are retaken
+    /// over the sum, and the Bloom sample is pooled.
+    pub fn absorb_disjoint(&mut self, other: &Self) {
+        assert_eq!(self.slots, other.slots, "same signature geometry");
+        self.write_occupied += other.write_occupied;
+        self.read_filters += other.read_filters;
+        self.est_written_addresses = estimate_distinct_items(self.write_occupied, self.slots);
+        self.write_aliasing = aliasing_probability(self.write_occupied, self.slots);
+        let (a, b) = (&mut self.read_bloom, other.read_bloom);
+        let (na, nb) = (a.filters_sampled as f64, b.filters_sampled as f64);
+        if nb > 0.0 {
+            a.mean_fill = (a.mean_fill * na + b.mean_fill * nb) / (na + nb);
+            a.est_fp_rate = (a.est_fp_rate * na + b.est_fp_rate * nb) / (na + nb);
+            a.max_fill = a.max_fill.max(b.max_fill);
+            a.filters_sampled += b.filters_sampled;
+        }
+    }
+
     /// Rule of thumb: aliasing above this means the matrix is materially
     /// distorted (the §V-A3 sweep shows L1 error ≈ aliasing level).
     pub const ALIASING_WARN: f64 = 0.10;

@@ -384,7 +384,9 @@ impl SpoolV3Writer {
         }
         self.payload.clear();
         for e in events {
-            self.index.threads = self.index.threads.max(e.event.tid + 1);
+            // Saturating: a wild `tid == u32::MAX` must not wrap the hint
+            // to 0 (release) or panic the writer (debug).
+            self.index.threads = self.index.threads.max(e.event.tid.saturating_add(1));
             encode_event(e, &mut self.payload);
         }
         let crc = crc32(&self.payload);
@@ -1117,6 +1119,18 @@ mod tests {
         let m = MmapTrace::open(&path).unwrap();
         assert!(m.index_rebuilt());
         assert_eq!(m.events(), 300);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn threads_hint_saturates_on_a_wild_tid() {
+        let path = tmp("wild_tid");
+        let mut wild = ev(0);
+        wild.event.tid = u32::MAX;
+        let mut w = SpoolV3Writer::create(&path).unwrap();
+        w.append_frame(&[ev(1), wild]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(V3Index::load(&path).unwrap().threads, u32::MAX);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

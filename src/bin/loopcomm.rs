@@ -12,8 +12,9 @@
 //! loopcomm record   <workload> <file.lctrace> [--threads N] [--size ...] [--spool|--v3]
 //! loopcomm record   <workload> --connect HOST:PORT [--tenant NAME]
 //! loopcomm synth    <file> [--events N] [--threads N] [--seed S] [--v3]
-//! loopcomm analyze  <file.lctrace> [--slots 2^k] [--jobs N] [--batch N] [--no-coalesce] [--perfect]
-//!                   [--checkpoint DIR [--every N]] [--resume DIR] [--mmap]
+//! loopcomm analyze  <file> [--slots 2^k] [--jobs N] [--batch N] [--perfect] [--salvage]
+//!                   [--checkpoint DIR [--every N]] [--resume DIR]
+//!                   [--report-out P] [--metrics P]
 //!                   [--coherence [--line-size N] [--cache-kib N] [--assoc N] [--coherence-out P]]
 //! loopcomm serve    [--listen ADDR]... [--http ADDR] [--jobs N] [--perfect] [--coherence]
 //!                   [--durable-dir DIR] [--tenant-idle-secs S] [--tenant-max-bytes B]
@@ -25,6 +26,13 @@
 //!                   [--max-preemptions N|none] [--max-schedules N]
 //!                   [--mutant NAME] [--trace-out PATH]
 //! ```
+//!
+//! `analyze` has one route whatever the flags: the file is opened as a
+//! `FileBlockSource` (a v3 spool is mapped and streamed with bounded RSS;
+//! v1/v2 files and `--salvage` output are loaded once and streamed as
+//! zero-copy blocks) and every block goes through one
+//! `IncrementalAnalyzer` and, under `--coherence`, one `CoherenceBackend`.
+//! `--mmap` and `--no-coalesce` are accepted and change nothing.
 
 use std::sync::Arc;
 
@@ -53,8 +61,8 @@ struct Options {
     jobs: usize,
     batch: usize,
     no_coalesce: bool,
-    /// `analyze`: run the fused zero-materialization replay engine
-    /// (default). `--no-fused` restores the materialized batched path.
+    /// `analyze`: run the fused replay engine (default). `--no-fused`
+    /// delivers blocks through the routed `on_batch` path instead.
     fused: bool,
     /// `analyze`: enable the idempotent-access skip filter inside the
     /// fused engine (default). `--no-skip-filter` keeps the fused
@@ -86,16 +94,13 @@ struct Options {
     /// `analyze`: also write the canonical plain-text report here (the
     /// byte-identical counterpart of the server's `/tenants/<t>/report`).
     report_out: Option<String>,
-    /// `analyze`: checkpoint directory — the streaming analyzer writes a
+    /// `analyze`: checkpoint directory — the analyzer writes a
     /// crash-resumable snapshot there every `--every` events.
     checkpoint: Option<String>,
     /// `analyze --checkpoint`: events between checkpoints.
     every: u64,
     /// `analyze`: resume from the checkpoint in this directory.
     resume: Option<String>,
-    /// `analyze`: replay through an mmap-backed v3 view (bounded RSS,
-    /// out-of-core spools).
-    mmap: bool,
     /// `record`/`synth`: write the page-aligned, indexed v3 spool format.
     v3: bool,
     /// `synth`: events to generate.
@@ -191,21 +196,24 @@ fn usage() -> ! {
          \x20 --window W       phase window in dependencies (default 2000)\n\
          \x20 --seed S         workload RNG seed (default 42)\n\
          \x20 --loop-capacity K  loop-matrix registry capacity (default 1024)\n\
-         \x20 --metrics PATH   (profile) write run telemetry; `.json` gets\n\
-         \x20                  JSON, anything else Prometheus text\n\
+         \x20 --metrics PATH   (profile, analyze) write run telemetry;\n\
+         \x20                  `.json` gets JSON, anything else Prometheus text\n\
          \x20 --spool          (record) write the crash-tolerant framed v2\n\
          \x20                  format: every flushed frame survives a crash\n\
          \x20 --salvage        (analyze) recover the longest valid prefix of\n\
          \x20                  a truncated or corrupted trace instead of failing\n\
-         \x20 --jobs N         (analyze) worker threads for slot-sharded\n\
-         \x20                  parallel replay (default 1; results identical)\n\
-         \x20 --batch N        (analyze) events per replay block, valid range\n\
-         \x20                  1..=16777216 (default 1024; throughput knob,\n\
-         \x20                  results identical)\n\
-         \x20 --no-coalesce    (analyze) disable the run-coalescing pre-pass\n\
-         \x20 --no-fused       (analyze) materialized batched replay instead\n\
-         \x20                  of the fused zero-copy engine (results\n\
-         \x20                  identical; the fused engine is the default)\n\
+         \x20 --jobs N         (analyze) slot-sharded analyzer workers\n\
+         \x20                  (default 1; results identical; --coherence\n\
+         \x20                  always runs one backend)\n\
+         \x20 --batch N        (analyze) block size in events for RAM-loaded\n\
+         \x20                  v1/v2 input, valid range 1..=16777216 (default\n\
+         \x20                  1024; v3 blocks are spool segments; results\n\
+         \x20                  identical)\n\
+         \x20 --no-coalesce    (analyze) accepted, no effect: analyze no\n\
+         \x20                  longer coalesces\n\
+         \x20 --no-fused       (analyze) routed on_batch delivery instead of\n\
+         \x20                  the fused engine (results identical; the\n\
+         \x20                  fused engine is the default)\n\
          \x20 --no-skip-filter (analyze) fused engine without the\n\
          \x20                  idempotent-access skip filter\n\
          \x20 --perfect        (analyze, serve) exact perfect-signature\n\
@@ -227,17 +235,17 @@ fn usage() -> ! {
          \x20 --report-out P   (analyze) also write the canonical plain-text\n\
          \x20                  report — byte-identical to the server's\n\
          \x20                  /tenants/<t>/report on the same events\n\
-         \x20 --checkpoint DIR (analyze) stream the analysis and write a\n\
-         \x20                  crash-resumable snapshot (signatures, matrices,\n\
-         \x20                  replay cursor) to DIR every --every events\n\
+         \x20 --checkpoint DIR (analyze) write a crash-resumable snapshot\n\
+         \x20                  (signatures, matrices, replay cursor) to DIR\n\
+         \x20                  every --every events\n\
          \x20 --every N        (analyze --checkpoint) events between\n\
          \x20                  checkpoints (default 1000000)\n\
          \x20 --resume DIR     (analyze) resume from DIR's checkpoint; the\n\
          \x20                  final report is byte-identical to an\n\
          \x20                  uninterrupted run\n\
-         \x20 --mmap           (analyze) replay a v3 spool through an mmap\n\
-         \x20                  view: bounded RSS even for spools far larger\n\
-         \x20                  than RAM\n\
+         \x20 --mmap           (analyze) accepted, no effect: every analyze\n\
+         \x20                  streams, and a v3 spool is always mapped\n\
+         \x20                  (bounded RSS even for spools larger than RAM)\n\
          \x20 --v3             (record, synth) page-aligned indexed spool\n\
          \x20                  format v3 (O(1) seek, mmap replay, salvage)\n\
          \x20 --events N       (synth) events to generate (default 1000000)\n\
@@ -306,7 +314,6 @@ fn parse_options(args: &[String]) -> Options {
         checkpoint: None,
         every: 1_000_000,
         resume: None,
-        mmap: false,
         v3: false,
         events: 1_000_000,
         durable_dir: None,
@@ -398,7 +405,9 @@ fn parse_options(args: &[String]) -> Options {
             "--checkpoint" => o.checkpoint = Some(val()),
             "--every" => o.every = parse_value(a, &val()),
             "--resume" => o.resume = Some(val()),
-            "--mmap" => o.mmap = true,
+            // Accepted, no effect: every `analyze` streams and a v3 spool
+            // is always mapped.
+            "--mmap" => {}
             "--v3" => o.v3 = true,
             "--events" => o.events = parse_value(a, &val()),
             "--durable-dir" => o.durable_dir = Some(val()),
@@ -739,34 +748,52 @@ fn write_checkpoint(
     }
 }
 
-/// Max tid + 1 over a v3 spool. The side-car index records it as a
-/// replay hint; the full streaming pass below is the fallback for
-/// indexes that predate the hint or were rebuilt from headers alone.
-/// The hint matters for crash recovery: a fresh (un-resumed) run must
-/// reach its first checkpoint quickly, not spend seconds pre-scanning
-/// a multi-gigabyte spool it will then replay anyway.
-fn mmap_threads(m: &lc_trace::MmapTrace) -> usize {
-    let hint = m.index().threads;
-    if hint > 0 {
-        return hint as usize;
-    }
-    let mut max_tid = 0u32;
-    let mut any = false;
-    m.stream_from(0, |frame| {
-        for e in frame {
-            any = true;
-            max_tid = max_tid.max(e.event.tid);
+/// Largest `max tid + 1` that `analyze` accepts. Every matrix is a dense
+/// `threads x threads` array of `u64` (8 MiB at this bound), and thread
+/// ids come straight from the input file, so a wild id must be refused
+/// before anything is sized from it.
+const MAX_ANALYZE_THREADS: u64 = 1024;
+
+/// The matrix dimension for `analyze`: **max tid + 1**, never the count
+/// of distinct ids (tids {0, 5} index a 6x6 matrix). A v3 spool's
+/// side-car index records it as a replay hint; the full streaming pass is
+/// the fallback for indexes that predate the hint or were rebuilt from
+/// headers alone. The hint matters for crash recovery: a fresh
+/// (un-resumed) run must reach its first checkpoint quickly, not spend
+/// seconds pre-scanning a multi-gigabyte spool it will then replay anyway.
+/// RAM-loaded input costs one pass over the tid field.
+fn analyze_threads(source: &lc_trace::FileBlockSource) -> usize {
+    let threads = match source {
+        lc_trace::FileBlockSource::Mmap(m) if m.index().threads > 0 => m.index().threads as u64,
+        lc_trace::FileBlockSource::Mmap(m) => {
+            let mut threads = 1u64;
+            m.stream_from(0, |frame| {
+                for e in frame {
+                    threads = threads.max(e.event.tid as u64 + 1);
+                }
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("error: cannot scan spool for thread count: {e}");
+                std::process::exit(1);
+            });
+            threads
         }
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: cannot scan spool for thread count: {e}");
+        lc_trace::FileBlockSource::Ram(t) => t
+            .access_events()
+            .iter()
+            .map(|e| e.tid as u64 + 1)
+            .max()
+            .unwrap_or(1),
+    };
+    if threads > MAX_ANALYZE_THREADS {
+        eprintln!(
+            "error: trace uses thread id {}; `analyze` supports thread ids below \
+             {MAX_ANALYZE_THREADS} (matrices are dense in max tid + 1)",
+            threads - 1
+        );
         std::process::exit(1);
-    });
-    if any {
-        max_tid as usize + 1
-    } else {
-        1
     }
+    threads as usize
 }
 
 /// Resume must run with the configuration the checkpoint echoes —
@@ -803,53 +830,62 @@ fn check_resume_config(cp: &lc_profiler::Checkpoint, o: &Options, jobs: usize) {
     }
 }
 
-/// `loopcomm analyze --checkpoint/--resume/--mmap` — the streaming
-/// analysis path. Frames are fed through the same [`IncrementalAnalyzer`]
-/// the server uses, whose merged report is byte-identical to the offline
-/// parallel path on the same events; `--mmap` sources them from an
-/// mmap-backed v3 view (bounded RSS for out-of-core spools), and
-/// `--checkpoint`/`--resume` make the run crash-resumable.
-fn analyze_streaming(name: &str, o: &Options) {
-    let spool = std::path::Path::new(name);
+/// One block through the analyzer and, under `--coherence`, the MESI
+/// backend. Generic so bare SoA blocks and stamped spool segments share
+/// one loop without either being copied into the other.
+fn feed<T: lc_trace::AsAccess>(
+    evs: &[T],
+    analyzer: &mut lc_profiler::IncrementalAnalyzer,
+    coh: &mut Option<lc_cachesim::CoherenceBackend>,
+) {
+    analyzer.on_frame(evs);
+    if let Some(c) = coh {
+        c.on_block(evs);
+    }
+}
+
+/// `loopcomm analyze <file>` — the one analysis route. Blocks borrowed
+/// from a [`lc_trace::FileBlockSource`] feed the same
+/// [`lc_profiler::IncrementalAnalyzer`] the server uses, so profiler
+/// memory follows Eq. 2 (signatures + matrices) whatever the trace
+/// length; `--checkpoint`/`--resume` make the run crash-resumable.
+fn analyze(name: &str, o: &Options) {
+    use lc_trace::{BlockSource, EventBlock, FileBlockSource};
+
     let faults = fault_injector(o);
     let jobs = o.jobs.max(1);
     let accum = lc_profiler::AccumConfig {
         loop_capacity: o.loop_capacity,
         ..lc_profiler::AccumConfig::default()
     };
-
-    enum Source {
-        Mmap(lc_trace::MmapTrace),
-        Mem(lc_trace::Trace),
+    if o.no_coalesce {
+        eprintln!("note: --no-coalesce has no effect: `analyze` no longer coalesces");
     }
-    let source = if o.mmap {
-        let mm = lc_trace::MmapTrace::open(spool).unwrap_or_else(|e| {
-            eprintln!("cannot mmap `{name}`: {e}");
-            eprintln!("hint: --mmap needs the v3 spool format (`record --v3` / `synth --v3`)");
+
+    let mut source = if o.salvage {
+        FileBlockSource::Ram(load_or_salvage(name, o))
+    } else {
+        FileBlockSource::open(std::path::Path::new(name)).unwrap_or_else(|e| {
+            eprintln!("cannot read `{name}`: {e}");
+            eprintln!("hint: `--salvage` recovers what is intact");
             std::process::exit(1);
-        });
-        println!(
-            "mmap: {} event(s) in {} segment(s), index {}",
-            mm.events(),
-            mm.segments(),
-            if mm.index_rebuilt() {
+        })
+    };
+    let total = source.events();
+    let threads = analyze_threads(&source);
+    let format = match &source {
+        FileBlockSource::Mmap(m) => format!(
+            "v3 spool, mapped: {} segment(s), index {}",
+            m.segments(),
+            if m.index_rebuilt() {
                 "rebuilt from segment headers"
             } else {
                 "loaded"
             }
-        );
-        Source::Mmap(mm)
-    } else {
-        Source::Mem(load_or_salvage(name, o))
+        ),
+        FileBlockSource::Ram(_) => "loaded into RAM".to_string(),
     };
-    let total = match &source {
-        Source::Mmap(m) => m.events(),
-        Source::Mem(t) => t.len() as u64,
-    };
-    let threads = match &source {
-        Source::Mmap(m) => mmap_threads(m),
-        Source::Mem(t) => t.stats().threads.max(1),
-    };
+    println!("trace: {total} event(s), {threads} thread(s), {format}");
 
     // Resume, if a usable checkpoint exists. A missing or corrupt
     // checkpoint degrades to a from-scratch run (with a warning), never a
@@ -925,40 +961,26 @@ fn analyze_streaming(name: &str, o: &Options) {
             total - start
         );
     }
-    match &source {
-        Source::Mmap(m) => {
-            m.stream_from(start, |frame| {
-                analyzer.on_frame(frame);
-                if let Some(c) = &mut coh {
-                    c.on_block(frame);
-                }
-                if let Some(dir) = cp_dir {
-                    if analyzer.events() - last_cp >= every {
-                        write_checkpoint(&analyzer, dir, faults.as_ref());
-                        last_cp = analyzer.events();
-                    }
-                }
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("error: mmap replay failed: {e}");
-                std::process::exit(1);
-            });
+    let mut on_block = |block: EventBlock<'_>| {
+        match block {
+            EventBlock::Plain(evs) => feed(evs, &mut analyzer, &mut coh),
+            EventBlock::Stamped(evs) => feed(evs, &mut analyzer, &mut coh),
         }
-        Source::Mem(t) => {
-            for frame in t.events()[start as usize..].chunks(o.batch) {
-                analyzer.on_frame(frame);
-                if let Some(c) = &mut coh {
-                    c.on_block(frame);
-                }
-                if let Some(dir) = cp_dir {
-                    if analyzer.events() - last_cp >= every {
-                        write_checkpoint(&analyzer, dir, faults.as_ref());
-                        last_cp = analyzer.events();
-                    }
-                }
+        if let Some(dir) = cp_dir {
+            if analyzer.events() - last_cp >= every {
+                write_checkpoint(&analyzer, dir, faults.as_ref());
+                last_cp = analyzer.events();
             }
         }
+    };
+    match &mut source {
+        FileBlockSource::Ram(t) => t.block_source(o.batch).stream_blocks(start, &mut on_block),
+        FileBlockSource::Mmap(m) => m.stream_blocks(start, &mut on_block),
     }
+    .unwrap_or_else(|e| {
+        eprintln!("error: replay failed: {e}");
+        std::process::exit(1);
+    });
     // Always leave a final checkpoint: a completed run is itself
     // resumable, and resume-after-complete replays nothing.
     if let Some(dir) = cp_dir {
@@ -972,7 +994,7 @@ fn analyze_streaming(name: &str, o: &Options) {
     }
     let r = analyzer.report();
     println!(
-        "streamed analysis: {} event(s) in {} frame(s), {} job(s)",
+        "analyzed: {} event(s) in {} block(s), {} job(s)",
         analyzer.events(),
         analyzer.frames(),
         jobs
@@ -982,8 +1004,58 @@ fn analyze_streaming(name: &str, o: &Options) {
         r.dependencies,
         lc_profiler::report::fmt_bytes(r.memory_bytes as u64)
     );
+    // §IV-D2: signature size trades memory for accuracy — say which side
+    // of that trade this run landed on.
+    if let Some(h) = analyzer.signature_health() {
+        println!(
+            "signature health: {}/{} write slot(s) occupied ({:.1}% aliasing), \
+             ~{:.0} written address(es)",
+            h.write_occupied,
+            h.slots,
+            h.write_aliasing * 100.0,
+            h.est_written_addresses
+        );
+        if h.needs_more_slots() {
+            eprintln!(
+                "hint: rerun with --slots {} for <10% slot aliasing",
+                h.suggested_slots(0.10)
+            );
+        }
+    }
     println!("\ncommunication matrix:\n{}", r.global.heatmap());
+    if let Some(path) = &o.metrics {
+        let mut reg = lc_profiler::MetricsRegistry::new();
+        reg.counter(
+            "loopcomm_accesses_total",
+            "Events the detectors processed",
+            r.accesses,
+        );
+        reg.counter(
+            "loopcomm_dependences_total",
+            "RAW dependences recorded",
+            r.dependencies,
+        );
+        reg.gauge(
+            "loopcomm_replay_jobs",
+            "Slot-sharded analyzer workers",
+            jobs as f64,
+        );
+        reg.counter(
+            "loopcomm_replay_events_total",
+            "Events delivered to the analyzer (restored prefix included)",
+            analyzer.events(),
+        );
+        reg.counter(
+            "loopcomm_replay_frames_total",
+            "Blocks delivered to the analyzer (restored prefix included)",
+            analyzer.frames(),
+        );
+        write_metrics(path, &reg);
+    }
     if let Some(path) = &o.report_out {
+        // Canonical plain-text form: byte-identical to what a
+        // `loopcomm serve` tenant reports for the same events, whatever
+        // the input format, --jobs, --batch or checkpoint/resume history.
         let body = lc_profiler::canonical_report(&r, analyzer.events());
         std::fs::write(path, body).unwrap_or_else(|e| {
             eprintln!("cannot write report to `{path}`: {e}");
@@ -992,7 +1064,7 @@ fn analyze_streaming(name: &str, o: &Options) {
         println!("wrote canonical report: {path}");
     }
     if let Some(c) = &coh {
-        print_coherence(&c.report(), 1, o);
+        print_coherence(&c.report(), o);
     }
 }
 
@@ -1010,10 +1082,11 @@ fn coherence_threads(threads: usize) -> usize {
 }
 
 /// Print a [`lc_cachesim::CoherenceReport`] and honour `--coherence-out`.
-fn print_coherence(rep: &lc_cachesim::CoherenceReport, jobs: usize, o: &Options) {
+fn print_coherence(rep: &lc_cachesim::CoherenceReport, o: &Options) {
     println!(
-        "\ncoherence [{} B lines, {} KiB/core, {}-way MESI] x {} job(s):",
-        rep.config.line_bytes, rep.config.cache_kib, rep.config.assoc, jobs
+        "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], one backend (--jobs shards the \
+         RAW analyzer only):",
+        rep.config.line_bytes, rep.config.cache_kib, rep.config.assoc
     );
     println!(
         "accesses {}  hits {}  fills {} (mem {}, c2c {})  invalidations {}  writebacks {}",
@@ -1082,16 +1155,6 @@ fn print_coherence(rep: &lc_cachesim::CoherenceReport, jobs: usize, o: &Options)
         });
         println!("wrote coherence report: {path}");
     }
-}
-
-/// `loopcomm analyze --coherence` — the second backend over the same
-/// trace: set-sharded across `--jobs` workers with a deterministic merge,
-/// so the canonical report is byte-identical for any job count.
-fn run_coherence(trace: &lc_trace::Trace, threads: usize, o: &Options) {
-    let threads = coherence_threads(threads);
-    let jobs = o.jobs.max(1);
-    let rep = lc_cachesim::analyze_trace_coherence(trace, coherence_config(o), threads, jobs);
-    print_coherence(&rep, jobs, o);
 }
 
 use lc_trace::synth_event;
@@ -1543,108 +1606,8 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 }
             }
         }
-        "analyze" => {
-            // Checkpointed, resumed, or out-of-core runs go through the
-            // streaming analyzer (byte-identical report, bounded RSS).
-            if o.checkpoint.is_some() || o.resume.is_some() || o.mmap {
-                analyze_streaming(name, o);
-                return;
-            }
-            // `name` is the trace path here.
-            let trace = load_or_salvage(name, o);
-            let stats = trace.stats();
-            let threads = stats.threads.max(1);
-            println!(
-                "trace: {} events, {} distinct addresses, {} threads",
-                trace.len(),
-                stats.distinct_addrs,
-                stats.threads
-            );
-            println!(
-                "trace: {} reads, {} writes, {} bytes touched",
-                stats.reads, stats.writes, stats.bytes
-            );
-            let prof_cfg = lc_profiler::ProfilerConfig {
-                threads,
-                track_nested: true,
-                phase_window: None,
-            };
-            let accum = lc_profiler::AccumConfig {
-                loop_capacity: o.loop_capacity,
-                ..lc_profiler::AccumConfig::default()
-            };
-            let par = lc_profiler::ParReplayConfig {
-                jobs: o.jobs.max(1),
-                coalesce: !o.no_coalesce,
-                batch_events: o.batch,
-                fused: o.fused,
-                skip_filter: o.skip_filter,
-            };
-            let analysis = if o.perfect {
-                lc_profiler::analyze_trace_perfect(&trace, prof_cfg, accum, &par)
-            } else {
-                lc_profiler::analyze_trace_asymmetric(
-                    &trace,
-                    SignatureConfig::paper_default(o.slots, threads),
-                    prof_cfg,
-                    accum,
-                    &par,
-                )
-            };
-            if let Some(e) = analysis.overflow {
-                registry_full_error(e, o.loop_capacity);
-            }
-            if analysis.degraded {
-                eprintln!("warning: degraded run (caught flush panic or watchdog timeout)");
-            }
-            let rep = &analysis.replay;
-            println!(
-                "replay[{}]: {} job(s), {} batch(es), {} event(s) analyzed \
-                 ({} folded away in {} coalesced run(s))",
-                if o.fused { "fused" } else { "batched" },
-                rep.jobs,
-                rep.batches,
-                rep.replayed_events,
-                rep.coalesce.events_folded,
-                rep.coalesce.runs_folded
-            );
-            let r = &analysis.report;
-            println!(
-                "RAW dependencies: {}  profiler memory: {}",
-                r.dependencies,
-                lc_profiler::report::fmt_bytes(r.memory_bytes as u64)
-            );
-            println!("\ncommunication matrix:\n{}", r.global.heatmap());
-            if let Some(path) = &o.metrics {
-                let mut reg = lc_profiler::MetricsRegistry::new();
-                reg.counter(
-                    "loopcomm_accesses_total",
-                    "Events the detectors processed",
-                    r.accesses,
-                );
-                reg.counter(
-                    "loopcomm_dependences_total",
-                    "RAW dependences recorded",
-                    r.dependencies,
-                );
-                analysis.export_into(&mut reg);
-                write_metrics(path, &reg);
-            }
-            if let Some(path) = &o.report_out {
-                // Canonical plain-text form: byte-identical to what a
-                // `loopcomm serve` tenant reports for the same events,
-                // regardless of --jobs/--batch/--no-coalesce.
-                let body = lc_profiler::canonical_report(r, trace.len() as u64);
-                std::fs::write(path, body).unwrap_or_else(|e| {
-                    eprintln!("cannot write report to `{path}`: {e}");
-                    std::process::exit(1);
-                });
-                println!("wrote canonical report: {path}");
-            }
-            if o.coherence {
-                run_coherence(&trace, threads, o);
-            }
-        }
+        // `name` is the trace path here.
+        "analyze" => analyze(name, o),
         "simulate" => {
             let topo = MachineTopology::dual_socket_xeon();
             if o.threads > topo.cores() {

@@ -214,3 +214,88 @@ fn non_numeric_value_for_any_numeric_flag_is_a_usage_error_not_a_panic() {
         );
     }
 }
+
+/// A v1 trace built byte-by-byte (`LCTR`, version 1, count, 41-byte
+/// records): thread `writer` stores one word, thread `reader` loads it.
+fn v1_two_thread_trace(writer: u32, reader: u32) -> Vec<u8> {
+    let mut f = Vec::new();
+    f.extend_from_slice(b"LCTR");
+    f.extend_from_slice(&1u32.to_le_bytes());
+    f.extend_from_slice(&4u64.to_le_bytes());
+    for (seq, (tid, kind)) in [(writer, 1u8), (reader, 0), (writer, 1), (reader, 0)]
+        .into_iter()
+        .enumerate()
+    {
+        f.extend_from_slice(&(seq as u64).to_le_bytes());
+        f.extend_from_slice(&tid.to_le_bytes());
+        f.extend_from_slice(&0x1000u64.to_le_bytes()); // addr
+        f.extend_from_slice(&8u32.to_le_bytes()); // size
+        f.push(kind);
+        f.extend_from_slice(&1u32.to_le_bytes()); // loop
+        f.extend_from_slice(&0u32.to_le_bytes()); // parent loop
+        f.extend_from_slice(&0u32.to_le_bytes()); // func
+        f.extend_from_slice(&0u32.to_le_bytes()); // site
+    }
+    assert_eq!(f.len(), 16 + 4 * 41);
+    f
+}
+
+fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lc_cli_args_{}_{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn sparse_thread_ids_size_matrices_by_max_tid_not_by_count() {
+    // tids {0, 5} are two *distinct* ids but index a 6x6 matrix; sizing
+    // from the count used to panic in `CommMatrix::add`.
+    let dir = scratch_dir("sparse_tids");
+    let trace = dir.join("sparse.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 5)).unwrap();
+    let trace = trace.to_str().unwrap();
+
+    let plain = dir.join("plain.txt");
+    let out = loopcomm(&["analyze", trace, "--report-out", plain.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}\n{}", stderr_of(&out));
+    assert!(stdout.contains("6 thread(s)"), "{stdout}");
+    assert!(stdout.contains("consumers 0..5"), "{stdout}");
+    assert!(stdout.contains("RAW dependencies: 2"), "{stdout}");
+
+    let cp = dir.join("cp");
+    let checkpointed = dir.join("cp.txt");
+    let out = loopcomm(&[
+        "analyze",
+        trace,
+        "--checkpoint",
+        cp.to_str().unwrap(),
+        "--report-out",
+        checkpointed.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&checkpointed).unwrap(),
+        "--checkpoint must not change the report"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wild_thread_id_is_refused_before_anything_is_allocated() {
+    // max tid + 1 = 3 000 001 would be a 72 TB dense matrix.
+    let dir = scratch_dir("wild_tid");
+    let trace = dir.join("wild.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 3_000_000)).unwrap();
+    let out = loopcomm(&["analyze", trace.to_str().unwrap()]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("thread id 3000000") && err.contains("below 1024"),
+        "message must name the offending tid and the bound, got: {err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
