@@ -7,7 +7,7 @@
 //!   baseline the batched path must not regress;
 //! * the **batched** sequential path (`Trace::replay`, `on_batch` blocks);
 //! * the **fused** zero-materialization path (`on_block_fused` straight
-//!   over the in-RAM SoA trace) with the skip filter on and off;
+//!   over the in-RAM SoA trace);
 //! * the **mmap-fused** path: decoded v3 spool segments borrowed from an
 //!   mmap view straight into the fused engine — the full
 //!   decode-to-detector pipeline with no intermediate `Vec`;
@@ -31,8 +31,8 @@ use lc_bench::{ascii_table, results_dir, save_csv, save_metrics};
 use lc_cachesim::{CoherenceBackend, CoherenceConfig};
 use lc_profiler::raw::AsymmetricDetector;
 use lc_profiler::{
-    analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, FusedConfig, FusedScratch,
-    MetricsRegistry, ParReplayConfig, ProfilerConfig,
+    analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, FusedScratch, MetricsRegistry,
+    ParReplayConfig, ProfilerConfig,
 };
 use lc_sigmem::SignatureConfig;
 use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId, LoopId, StampedEvent, Trace};
@@ -175,36 +175,30 @@ fn main() {
     let (batched_s, best_batch) = best_batched.expect("BENCH_BATCH sweep must be non-empty");
 
     // Fused zero-materialization path over the in-RAM SoA trace: borrowed
-    // `AccessEvent` chunks straight into `on_block_fused`, skip filter on
-    // and off.
+    // `AccessEvent` chunks straight into `on_block_fused`.
     let mut best_fused: Option<(f64, usize)> = None;
-    for &skip_filter in &[true, false] {
-        for &batch in &batch_sweep {
-            let (fused_s, fused_deps) = best_of_3(|| {
-                let p = make_profiler();
-                let mut scratch = FusedScratch::new(FusedConfig {
-                    skip_filter,
-                    ..FusedConfig::default()
-                });
-                let t0 = Instant::now();
-                for block in trace.access_events().chunks(batch) {
-                    p.on_block_fused(block, &mut scratch);
-                }
-                p.flush();
-                (t0.elapsed().as_secs_f64(), p.dependencies())
-            });
-            assert_eq!(base_deps, fused_deps, "fused replay changed detection");
-            rows.push(vec![
-                if skip_filter { "fused" } else { "fused-noskip" }.into(),
-                "1".into(),
-                batch.to_string(),
-                "off".into(),
-                format!("{:.2}", tput(fused_s)),
-                fused_deps.to_string(),
-            ]);
-            if skip_filter && best_fused.is_none_or(|(s, _)| fused_s < s) {
-                best_fused = Some((fused_s, batch));
+    for &batch in &batch_sweep {
+        let (fused_s, fused_deps) = best_of_3(|| {
+            let p = make_profiler();
+            let mut scratch = FusedScratch::with_defaults();
+            let t0 = Instant::now();
+            for block in trace.access_events().chunks(batch) {
+                p.on_block_fused(block, &mut scratch);
             }
+            p.flush();
+            (t0.elapsed().as_secs_f64(), p.dependencies())
+        });
+        assert_eq!(base_deps, fused_deps, "fused replay changed detection");
+        rows.push(vec![
+            "fused".into(),
+            "1".into(),
+            batch.to_string(),
+            "off".into(),
+            format!("{:.2}", tput(fused_s)),
+            fused_deps.to_string(),
+        ]);
+        if best_fused.is_none_or(|(s, _)| fused_s < s) {
+            best_fused = Some((fused_s, batch));
         }
     }
     let (fused_s, best_fused_batch) = best_fused.expect("BENCH_BATCH sweep must be non-empty");
@@ -344,11 +338,11 @@ fn main() {
     // Temporal-locality sweep: the `loopcomm synth --addr-reuse` /
     // `--working-set` knobs drive the shared `lc_trace::synth_event`
     // generator, so this sweep measures exactly the traces the CLI can
-    // fabricate. As reuse grows, reads revisit a 64-entry hot set and the
-    // fused engine's memo + skip caches should pull away from the
-    // materialized batched path; rows land in the CSV with the reuse
-    // probability folded into the mode column (working set stays at the
-    // generator default, 65 536 addresses).
+    // fabricate. As reuse grows, reads revisit a 64-entry hot set, so the
+    // rows compare the fused engine with the materialized batched path
+    // from cache-missy to L1-resident input; they land in the CSV with
+    // the reuse probability folded into the mode column (working set
+    // stays at the generator default, 65 536 addresses).
     let reuse_sweep: Vec<f64> = std::env::var("BENCH_REUSE")
         .ok()
         .map(|v| v.split(',').filter_map(|t| t.parse().ok()).collect())
@@ -373,36 +367,28 @@ fn main() {
             format!("{:.2}", tput(b_s)),
             b_deps.to_string(),
         ]);
-        for skip_filter in [true, false] {
-            let (f_s, f_deps) = best_of_3(|| {
-                let p = make_profiler();
-                let mut scratch = FusedScratch::new(FusedConfig {
-                    skip_filter,
-                    ..FusedConfig::default()
-                });
-                let t0 = Instant::now();
-                for block in t.access_events().chunks(best_fused_batch) {
-                    p.on_block_fused(block, &mut scratch);
-                }
-                p.flush();
-                (t0.elapsed().as_secs_f64(), p.dependencies())
-            });
-            assert_eq!(
-                b_deps, f_deps,
-                "fused replay changed detection at reuse={reuse}"
-            );
-            rows.push(vec![
-                format!(
-                    "{}@reuse={reuse}",
-                    if skip_filter { "fused" } else { "fused-noskip" }
-                ),
-                "1".into(),
-                best_fused_batch.to_string(),
-                "off".into(),
-                format!("{:.2}", tput(f_s)),
-                f_deps.to_string(),
-            ]);
-        }
+        let (f_s, f_deps) = best_of_3(|| {
+            let p = make_profiler();
+            let mut scratch = FusedScratch::with_defaults();
+            let t0 = Instant::now();
+            for block in t.access_events().chunks(best_fused_batch) {
+                p.on_block_fused(block, &mut scratch);
+            }
+            p.flush();
+            (t0.elapsed().as_secs_f64(), p.dependencies())
+        });
+        assert_eq!(
+            b_deps, f_deps,
+            "fused replay changed detection at reuse={reuse}"
+        );
+        rows.push(vec![
+            format!("fused@reuse={reuse}"),
+            "1".into(),
+            best_fused_batch.to_string(),
+            "off".into(),
+            format!("{:.2}", tput(f_s)),
+            f_deps.to_string(),
+        ]);
         eprintln!("  swept addr-reuse={reuse}");
     }
 

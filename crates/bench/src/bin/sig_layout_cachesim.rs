@@ -25,18 +25,6 @@
 //! only by layout — the variable under test. Results land in
 //! `results/sig_layout_cachesim.csv`.
 //!
-//! A second section sizes the **fused engine's scratch tables**
-//! (DESIGN.md §15): the direct-mapped `addr → fmix64` memo cache, the
-//! idempotent-read skip filter, and its generation-stamp buckets. The
-//! same recorded stream drives a functional model of each candidate
-//! geometry, counting memo hits (does the table actually capture the
-//! workload's reuse?) and the scratch's own cache-line traffic (does the
-//! table still fit the L1 the hot loop lives in?). Results land in
-//! `results/fused_scratch_cachesim.csv`; the shipped default
-//! (`FusedConfig::default()`: 2^14 memo, 2^12 skip, 2^12 stamps) should
-//! sit at the knee — within a few points of the biggest table's hit rate
-//! at a fraction of the footprint.
-//!
 //! Environment knobs: `BENCH_WORKLOAD` (default `radix`), `BENCH_SLOTS`
 //! (default 4096), `BENCH_SEED` (default 7).
 
@@ -235,155 +223,5 @@ fn main() {
     println!(
         "The shipped layout (arena-blocked) should dominate: fewest lines \
          per insert and the lowest predicted miss rate."
-    );
-
-    fused_scratch_section(&trace, n_slots);
-}
-
-/// One fused-scratch geometry candidate (`FusedConfig` mirror).
-struct Geometry {
-    name: &'static str,
-    memo_entries: usize,
-    skip_entries: usize,
-    stamp_entries: usize,
-}
-
-const GEOMETRIES: [Geometry; 4] = [
-    Geometry {
-        name: "tiny",
-        memo_entries: 1 << 10,
-        skip_entries: 1 << 8,
-        stamp_entries: 1 << 8,
-    },
-    Geometry {
-        name: "small",
-        memo_entries: 1 << 12,
-        skip_entries: 1 << 10,
-        stamp_entries: 1 << 10,
-    },
-    Geometry {
-        name: "default",
-        memo_entries: 1 << 14,
-        skip_entries: 1 << 12,
-        stamp_entries: 1 << 12,
-    },
-    Geometry {
-        name: "huge",
-        memo_entries: 1 << 18,
-        skip_entries: 1 << 16,
-        stamp_entries: 1 << 16,
-    },
-];
-
-/// Validate the fused engine's scratch-table geometry (DESIGN.md §15)
-/// against the cache model: a functional replay of the memo cache, skip
-/// filter, and generation stamps over the recorded stream, with every
-/// table probe fed through [`lc_cachesim::Cache`]. The index math
-/// mirrors `FusedScratch` exactly — direct-mapped memo on `addr >> 3`,
-/// tid-folded skip index on the mixed hash, stamp buckets on the
-/// signature slot — so the line stream is the one the real hot loop
-/// emits.
-fn fused_scratch_section(trace: &Trace, n_slots: usize) {
-    // `FusedScratch`'s private index constants, restated for the model.
-    const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    const MIX_TID: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    // Disjoint line regions for the three tables.
-    const SKIP_REGION: u64 = 1 << 20;
-    const STAMP_REGION: u64 = 2 << 20;
-
-    let mut rows = Vec::new();
-    for g in &GEOMETRIES {
-        let mut cache = Cache::new(CacheConfig::small_l1());
-        // Functional tables: memo tags, skip (tid, addr, stamp), stamps.
-        let mut memo = vec![u64::MAX; g.memo_entries];
-        let mut skip = vec![(u32::MAX, u64::MAX, u64::MAX); g.skip_entries];
-        let mut stamps = vec![0u64; g.stamp_entries];
-        let (mut memo_hits, mut elided, mut touches, mut misses) = (0u64, 0u64, 0u64, 0u64);
-        let mut touch = |cache: &mut Cache, line: u64| {
-            touches += 1;
-            if !cache.contains(line) {
-                misses += 1;
-            }
-            cache.insert(line, Mesi::Exclusive);
-        };
-        for ev in trace.access_events() {
-            // Memo probe: 16-byte entries, direct-mapped on the address.
-            let mi = ((ev.addr >> 3) as usize) & (g.memo_entries - 1);
-            touch(&mut cache, (mi as u64 * 16) / 64);
-            if memo[mi] == ev.addr {
-                memo_hits += 1;
-            } else {
-                memo[mi] = ev.addr;
-            }
-            let h = fmix64(ev.addr);
-            let class = slot_of_hash(h, n_slots) as u64;
-            let si = ((class.wrapping_mul(MIX)) >> 32) as usize & (g.stamp_entries - 1);
-            match ev.kind {
-                AccessKind::Read => {
-                    // Stamp load, then the 32-byte skip entry.
-                    touch(&mut cache, STAMP_REGION + (si as u64 * 8) / 64);
-                    let ki = ((h.wrapping_add((ev.tid as u64).wrapping_mul(MIX_TID))) >> 32)
-                        as usize
-                        & (g.skip_entries - 1);
-                    touch(&mut cache, SKIP_REGION + (ki as u64 * 32) / 64);
-                    let (tid, addr, stamp) = skip[ki];
-                    if tid == ev.tid && addr == ev.addr && stamp == stamps[si] {
-                        elided += 1;
-                    } else {
-                        skip[ki] = (ev.tid, ev.addr, stamps[si]);
-                    }
-                }
-                AccessKind::Write => {
-                    // Invalidate-on-write: bump the class generation.
-                    touch(&mut cache, STAMP_REGION + (si as u64 * 8) / 64);
-                    stamps[si] += 1;
-                }
-            }
-        }
-        let n = trace.len() as f64;
-        let scratch_bytes = g.memo_entries * 16 + g.skip_entries * 32 + g.stamp_entries * 8;
-        rows.push(vec![
-            g.name.into(),
-            format!("{}", scratch_bytes / 1024),
-            format!("{:.1}", 100.0 * memo_hits as f64 / n),
-            format!("{:.1}", 100.0 * elided as f64 / n),
-            format!("{:.3}", touches as f64 / n),
-            format!("{:.3}", misses as f64 / n),
-            format!("{:.1}", 100.0 * misses as f64 / touches as f64),
-        ]);
-    }
-
-    println!(
-        "\nFused-scratch geometry (same stream through the scratch tables):\n{}",
-        ascii_table(
-            &[
-                "geometry",
-                "KiB",
-                "memo-hit%",
-                "elide%",
-                "lines/event",
-                "misses/event",
-                "miss%",
-            ],
-            &rows,
-        )
-    );
-    save_csv(
-        "fused_scratch_cachesim.csv",
-        &[
-            "geometry",
-            "scratch_kib",
-            "memo_hit_pct",
-            "elide_pct",
-            "lines_per_event",
-            "misses_per_event",
-            "miss_pct",
-        ],
-        &rows,
-    );
-    println!(
-        "The default geometry should sit at the knee: within a few points \
-         of `huge`'s memo-hit and elide rates while the whole scratch \
-         still fits alongside the signatures in cache."
     );
 }

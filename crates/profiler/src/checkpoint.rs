@@ -248,8 +248,8 @@ impl Checkpoint {
             sig: self.sig,
             prof,
             accum,
-            fused: Some(crate::fused::FusedConfig::default()),
-            fused_scratch: Vec::new(),
+            fused: true,
+            fused_scratch: crate::ingest::fused_scratches(self.jobs),
         })
     }
 

@@ -1,5 +1,5 @@
 //! The fused replay engine: borrowed event blocks straight into
-//! Algorithm 1, with per-consumer caches in front of the signatures.
+//! Algorithm 1, and nothing else.
 //!
 //! [`CommProfiler::on_block_fused`] is the zero-materialization sibling of
 //! the batched [`lc_trace::AccessSink::on_batch`] path. It consumes any
@@ -7,122 +7,54 @@
 //! [`lc_trace::AccessEvent`] slices out of the in-RAM SoA trace, or
 //! [`lc_trace::StampedEvent`] segments decoded from a v3 spool), so the
 //! decode → `Vec` → re-stamp → batch copy chain of the pre-fused pipeline
-//! disappears entirely. On top of the tile/prefetch machinery it shares
-//! with `on_batch`, the fused path adds three single-consumer
-//! optimizations, all held in a caller-owned [`FusedScratch`]:
+//! disappears entirely. Per tile it gathers the addresses, hashes them
+//! four at a time ([`lc_sigmem::hash_block`]) and runs the paper's O(1)
+//! per-access step — one write-signature probe, one read-signature probe
+//! — with the slot lines prefetched [`PREFETCH_AHEAD`] events ahead.
 //!
-//! * **Hash memoization** — a direct-mapped `addr → fmix64(addr)` cache.
-//!   The mapping is a pure function, so entries never need invalidation;
-//!   a hit replaces the multiply/xor chain with one load and compare.
-//! * **Idempotent-access skip filter** — a direct-mapped cache of
-//!   "thread `tid` inserted *address* `a` into the read signature" facts.
-//!   A repeat read whose entry is still valid is a detector no-op by
-//!   Algorithm 1: the read-signature membership test would suppress the
-//!   dependence regardless of the recorded writer, and re-inserting the
-//!   reader changes nothing. The cached fact is **address-exact** — the
-//!   membership probe keys on the address, so two addresses sharing a
-//!   signature slot must never satisfy each other's entries — while
-//!   *invalidation* happens at the coarser granularity at which
-//!   `clear_addr` forgets readers (`ReaderSet::elision_class_hashed`
-//!   names it). The *only* event that can falsify a cached fact is a
-//!   write whose read-signature clear covers the address's class, so
-//!   every write bumps a per-class generation stamp and entries validate
-//!   by stamp equality. Implementations that cannot name their clear
-//!   granularity return `None` and elision is disabled — conservative by
-//!   default.
-//! * **Batched dependence recording** — detected dependences aggregate by
-//!   `(loop, src, dst)` in the scratch and land in the shard layer with
-//!   one lock acquisition per block ([`crate::shards::ShardSet::record_deps`])
-//!   instead of one per dependence.
+//! The one thing it adds over `on_batch` is **block-batched dependence
+//! recording**: detected dependences aggregate by `(loop, src, dst)` in
+//! the caller-owned [`FusedScratch`] and land in the accumulation layer
+//! once per block ([`crate::shards::ShardSet::record_deps`]: one lock, one
+//! counter add) instead of once per dependence; the block's access count
+//! is one add as well. Both are report-invisible — counters and matrices
+//! merge by commutative addition, and which shard holds a count is
+//! unobservable. The `fused_replay_equivalence` differential suite pins
+//! fused output byte-identical to the materialized path across sources,
+//! batch sizes and detectors.
 //!
-//! All three are report-invisible: elided reads are still counted as
-//! accesses, suppressed-dependence reads produce no dependence on either
-//! path, and delta aggregation commutes. The `fused_replay_equivalence`
-//! differential suite pins fused output byte-identical to the
-//! materialized path across sources, batch sizes and detectors.
-//!
-//! **Concurrency contract:** a `FusedScratch` belongs to exactly one
-//! consumer, and that consumer must observe *every* write to the address
-//! classes whose reads it elides. Single-threaded replay satisfies this
-//! trivially; the parallel path satisfies it by routing events to workers
-//! by address class, so a class's reads and writes always meet the same
-//! scratch (see `parallel.rs`). Feeding one class's reads and writes to
-//! different scratches would elide past an unseen invalidation — the
-//! `skipfilter` lc-sched scenario models exactly that failure via the
-//! `skipfilter-stale-elide` mutant, which skips the stamp validation.
+//! A hash memo and an idempotent-read skip filter used to sit in front of
+//! the detector; both lost to the loop they were meant to beat and were
+//! removed (DESIGN.md §15.2 has the measurements).
 
-use lc_sigmem::murmur::fmix64;
 use lc_sigmem::{ReaderSet, WriterMap};
-use lc_trace::{AccessKind, AsAccess, LoopId};
+use lc_trace::{AsAccess, LoopId};
 
 use crate::profiler::{CommProfiler, Counters, PREFETCH_AHEAD, TILE};
-use crate::shards::pack_key;
+use crate::shards::{pack_key, unpack_key};
 use crate::sync::Ordering;
 
-/// Fibonacci multiplier for spreading elision classes over the
-/// direct-mapped tables (classes are dense small integers for the
-/// signature implementation — low bits alone would alias in strides).
+/// Fibonacci multiplier spreading packed dependence keys over the hint
+/// table (keys are dense small integers — low bits alone would alias).
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Second multiplier folding the thread id into skip-entry indices.
-const MIX_TID: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-/// Geometry of the per-consumer fused caches. The defaults keep the
-/// whole scratch (memo + skip + stamps ≈ 1.3 MiB) inside a typical L2;
-/// `sig_layout_cachesim` sweeps the trade-off.
-#[derive(Clone, Copy, Debug)]
-pub struct FusedConfig {
-    /// Direct-mapped `addr → fmix64` memo entries (power of two).
-    pub memo_entries: usize,
-    /// Direct-mapped skip-filter entries (power of two).
-    pub skip_entries: usize,
-    /// Per-class generation-stamp buckets (power of two). Two classes
-    /// sharing a bucket over-invalidate — a throughput cost, never a
-    /// correctness one.
-    pub stamp_entries: usize,
-    /// Master switch for the skip filter (the memo cache has no
-    /// correctness dimension and stays on).
-    pub skip_filter: bool,
-}
-
-impl Default for FusedConfig {
-    fn default() -> Self {
-        Self {
-            memo_entries: 1 << 14,
-            skip_entries: 1 << 12,
-            stamp_entries: 1 << 12,
-            skip_filter: true,
-        }
-    }
-}
 
 /// Observability counters for one scratch's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStats {
-    /// Reads/writes whose hash came out of the memo cache.
+    /// Always 0: the hash memo is gone. The three zero fields keep their
+    /// names only because `lcbench` reads them; they go with its rows.
     pub memo_hits: u64,
-    /// Hashes computed and installed.
+    /// Always 0 (see [`Self::memo_hits`]).
     pub memo_misses: u64,
-    /// Reads elided entirely (no signature traffic).
+    /// Always 0: the skip filter is gone (see [`Self::memo_hits`]).
     pub elided_reads: u64,
-    /// Generation-stamp bumps (writes to elidable classes).
-    pub stamp_bumps: u64,
-    /// `record_deps` batches handed to the shard layer.
+    /// `record_deps` batches handed to the accumulation layer.
     pub dep_batches: u64,
 }
 
-/// Caller-owned working state for the fused hot loop: the memo cache,
-/// the skip filter with its generation stamps, and the per-block
-/// dependence aggregation buffer. One instance per consumer — never
-/// shared across threads (see the module docs for why).
+/// Caller-owned working state for the fused hot loop: the per-block
+/// dependence aggregation buffer. One instance per consumer.
 pub struct FusedScratch {
-    memo: Box<[MemoEntry]>,
-    memo_mask: usize,
-    skip: Box<[SkipEntry]>,
-    skip_mask: usize,
-    stamps: Box<[u64]>,
-    stamps_mask: usize,
-    skip_filter: bool,
     /// `(packed key, bytes)` aggregated for the block in flight.
     deps: Vec<(u64, u64)>,
     /// Direct-mapped dedup hints into `deps` (`u16::MAX` = empty).
@@ -136,26 +68,6 @@ pub struct FusedScratch {
     pub stats: FusedStats,
 }
 
-/// One memo-cache line entry: `(addr, fmix64(addr))` packed so a probe
-/// touches a single cache line.
-#[derive(Clone, Copy)]
-struct MemoEntry {
-    addr: u64,
-    hash: u64,
-}
-
-/// One skip-filter entry, packed for single-line probes: the cached fact
-/// is "thread `tid` inserted `addr` into the read signature while class
-/// generation `stamp` was current". Padded to 32 bytes so an entry never
-/// straddles a cache line.
-#[derive(Clone, Copy)]
-#[repr(align(32))]
-struct SkipEntry {
-    addr: u64,
-    stamp: u64,
-    tid: u32,
-}
-
 /// Aggregation keys held before an early in-block flush. Sized to hold
 /// the full live key set of a dependence-dense block (threads² × a few
 /// loops) so early drains stay rare.
@@ -163,81 +75,20 @@ const DEP_SLOTS: usize = 512;
 
 /// Direct-mapped `key → deps index` hints backing the O(1) dedup in
 /// [`FusedScratch::push_dep`]. A hint evicted by a colliding key only
-/// costs a duplicate `(key, bytes)` entry — the shard layer's own dedup
-/// folds it — never a lost delta.
+/// costs a duplicate `(key, bytes)` entry — the drain adds every entry
+/// and matrix addition commutes — never a lost delta.
 const DEP_HINTS: usize = 1024;
 
 impl FusedScratch {
-    /// Build a scratch with the given cache geometry.
-    pub fn new(cfg: FusedConfig) -> Self {
-        assert!(cfg.memo_entries.is_power_of_two());
-        assert!(cfg.skip_entries.is_power_of_two());
-        assert!(cfg.stamp_entries.is_power_of_two());
-        // `!0` can never equal a real 8-byte-aligned address class index,
-        // and no real event carries tid `u32::MAX`, so the fresh tables
-        // hit on nothing.
+    /// An empty scratch.
+    pub fn with_defaults() -> Self {
         Self {
-            memo: vec![
-                MemoEntry {
-                    addr: u64::MAX,
-                    hash: 0
-                };
-                cfg.memo_entries
-            ]
-            .into_boxed_slice(),
-            memo_mask: cfg.memo_entries - 1,
-            skip: vec![
-                SkipEntry {
-                    addr: u64::MAX,
-                    stamp: u64::MAX,
-                    tid: u32::MAX,
-                };
-                cfg.skip_entries
-            ]
-            .into_boxed_slice(),
-            skip_mask: cfg.skip_entries - 1,
-            stamps: vec![0; cfg.stamp_entries].into_boxed_slice(),
-            stamps_mask: cfg.stamp_entries - 1,
-            skip_filter: cfg.skip_filter,
             deps: Vec::with_capacity(DEP_SLOTS),
             dep_hint: vec![u16::MAX; DEP_HINTS].into_boxed_slice(),
             pending_deps: 0,
             phase_deps: Vec::new(),
             stats: FusedStats::default(),
         }
-    }
-
-    /// Default-geometry scratch.
-    pub fn with_defaults() -> Self {
-        Self::new(FusedConfig::default())
-    }
-
-    /// Invalidate every skip-filter entry — the epoch boundary hook
-    /// (checkpoint restore, detector reset). The memo cache survives:
-    /// `addr → fmix64(addr)` is a pure function.
-    pub fn bump_epoch(&mut self) {
-        for e in self.skip.iter_mut() {
-            e.stamp = u64::MAX;
-        }
-    }
-
-    /// Heap footprint of the scratch tables.
-    pub fn memory_bytes(&self) -> usize {
-        self.memo.len() * std::mem::size_of::<MemoEntry>()
-            + self.skip.len() * std::mem::size_of::<SkipEntry>()
-            + self.stamps.len() * 8
-    }
-
-    #[inline(always)]
-    fn stamp_idx(&self, class: u64) -> usize {
-        ((class.wrapping_mul(MIX)) >> 32) as usize & self.stamps_mask
-    }
-
-    #[inline(always)]
-    fn skip_idx(&self, h: u64, tid: u32) -> usize {
-        // `h` is already fmix64-mixed; fold the tid in so the same
-        // address read by two threads lands in distinct entries.
-        ((h.wrapping_add((tid as u64).wrapping_mul(MIX_TID))) >> 32) as usize & self.skip_mask
     }
 
     /// Aggregate one dependence for the block in flight: O(1) dedup via
@@ -262,93 +113,68 @@ impl FusedScratch {
 impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// Fused batched delivery: identical semantics to
     /// [`lc_trace::AccessSink::on_batch`] — strict per-event Algorithm 1
-    /// in stream order — with the memo/skip/dep-batching layers of the
-    /// module docs in front. Generic over [`AsAccess`] so SoA trace
-    /// slices and decoded spool segments both feed it without copying.
+    /// in stream order — with dependences recorded once per block.
+    /// Generic over [`AsAccess`] so SoA trace slices and decoded spool
+    /// segments both feed it without copying.
     ///
     /// With telemetry enabled the call degrades to the instrumented
-    /// per-event path (the fused caches would make the probe counters
-    /// lie), preserving the zero-cost-when-off contract.
+    /// per-event path, preserving the zero-cost-when-off contract.
     pub fn on_block_fused<T: AsAccess>(&self, evs: &[T], scratch: &mut FusedScratch) {
         if evs.is_empty() {
             return;
         }
+        // The block's counts and deltas all land on its first event's
+        // shard: which shard holds them is unobservable in any read path
+        // (counters and matrices merge across shards), mirroring the
+        // `seed_counts` contract.
+        let tid = evs[0].access().tid;
         if let Some(t) = &self.telemetry {
-            t.bump(evs[0].access().tid, crate::telemetry::Stat::SinkBatch);
+            t.bump(tid, crate::telemetry::Stat::SinkBatch);
             for rec in evs {
                 self.on_access_instrumented(rec.access(), t);
             }
             return;
         }
-        let mut hashes = [0u64; TILE];
         match &self.counters {
-            Counters::Sharded(s) => {
-                for tile in evs.chunks(TILE) {
-                    let n = tile.len();
-                    self.fill_hashes(tile, &mut hashes[..n], scratch);
-                    let mut i = 0;
-                    while i < n {
-                        let tid = tile[i].access().tid;
-                        let mut j = i + 1;
-                        while j < n && tile[j].access().tid == tid {
-                            j += 1;
-                        }
-                        s.count_accesses(tid, (j - i) as u64);
-                        for k in i..j {
-                            if let Some(&h) = hashes[..n].get(k + PREFETCH_AHEAD) {
-                                self.detector.prefetch(h);
-                            }
-                            let ev = tile[k].access();
-                            if let Some((key, src, dst, bytes)) =
-                                self.fused_step(ev, hashes[k], scratch)
-                            {
-                                scratch.push_dep(key, bytes);
-                                if self.phases.is_some() {
-                                    scratch.phase_deps.push((src, dst, bytes));
-                                }
-                                if scratch.deps.len() >= DEP_SLOTS {
-                                    self.drain_scratch_deps(tid, scratch);
-                                }
-                            }
-                        }
-                        i = j;
-                    }
-                }
-                if scratch.pending_deps > 0 {
-                    self.drain_scratch_deps(evs[0].access().tid, scratch);
-                }
-            }
-            Counters::Shared { accesses, deps } => {
+            Counters::Sharded(s) => s.count_accesses(tid, evs.len() as u64),
+            Counters::Shared { accesses, .. } => {
                 accesses.fetch_add(evs.len() as u64, Ordering::Relaxed);
-                let mut found = 0u64;
-                for tile in evs.chunks(TILE) {
-                    let n = tile.len();
-                    self.fill_hashes(tile, &mut hashes[..n], scratch);
-                    for (k, rec) in tile.iter().enumerate() {
-                        if let Some(&h) = hashes[..n].get(k + PREFETCH_AHEAD) {
-                            self.detector.prefetch(h);
-                        }
-                        let ev = rec.access();
-                        if let Some((_, src, dst, bytes)) = self.fused_step(ev, hashes[k], scratch)
-                        {
-                            found += 1;
-                            self.global_ref().add(src, dst, bytes);
-                            if self.config.track_nested {
-                                if let Some((m, _, _)) = self.loops.get_or_insert_lossy(ev.loop_id)
-                                {
-                                    m.add(src, dst, bytes);
-                                }
-                            }
-                            if self.phases.is_some() {
-                                scratch.phase_deps.push((src, dst, bytes));
-                            }
-                        }
+            }
+        }
+        let mut addrs = [0u64; TILE];
+        let mut hashes = [0u64; TILE];
+        for tile in evs.chunks(TILE) {
+            let n = tile.len();
+            for (a, rec) in addrs[..n].iter_mut().zip(tile) {
+                *a = rec.access().addr;
+            }
+            lc_sigmem::hash_block(&addrs[..n], &mut hashes[..n]);
+            for (k, rec) in tile.iter().enumerate() {
+                if let Some(&h) = hashes[..n].get(k + PREFETCH_AHEAD) {
+                    self.detector.prefetch(h);
+                }
+                let ev = rec.access();
+                if let Some(d) = self
+                    .detector
+                    .on_access_hashed(ev.tid, ev.addr, hashes[k], ev.size, ev.kind)
+                {
+                    let loop_id = if self.config.track_nested {
+                        ev.loop_id
+                    } else {
+                        LoopId::NONE
+                    };
+                    scratch.push_dep(pack_key(loop_id, d.src, d.dst), d.bytes);
+                    if self.phases.is_some() {
+                        scratch.phase_deps.push((d.src, d.dst, d.bytes));
+                    }
+                    if scratch.deps.len() >= DEP_SLOTS {
+                        self.drain_scratch_deps(tid, scratch);
                     }
                 }
-                if found > 0 {
-                    deps.fetch_add(found, Ordering::Relaxed);
-                }
             }
+        }
+        if scratch.pending_deps > 0 {
+            self.drain_scratch_deps(tid, scratch);
         }
         if let Some(p) = &self.phases {
             if !scratch.phase_deps.is_empty() {
@@ -361,138 +187,31 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
         }
     }
 
-    /// Memo-assisted hash gather for one tile.
-    #[inline]
-    fn fill_hashes<T: AsAccess>(&self, tile: &[T], hashes: &mut [u64], scratch: &mut FusedScratch) {
-        for (hh, rec) in hashes.iter_mut().zip(tile) {
-            let a = rec.access().addr;
-            let idx = ((a >> 3) as usize) & scratch.memo_mask;
-            let m = &mut scratch.memo[idx];
-            if m.addr == a {
-                *hh = m.hash;
-                scratch.stats.memo_hits += 1;
-            } else {
-                let h = fmix64(a);
-                m.addr = a;
-                m.hash = h;
-                *hh = h;
-                scratch.stats.memo_misses += 1;
-            }
-        }
-    }
-
-    /// One event through the skip filter and (unless elided) the
-    /// detector. Returns the detected dependence as
-    /// `(packed key, src, dst, bytes)`.
-    #[inline(always)]
-    fn fused_step(
-        &self,
-        ev: &lc_trace::AccessEvent,
-        h: u64,
-        scratch: &mut FusedScratch,
-    ) -> Option<(u64, u32, u32, u64)> {
-        match ev.kind {
-            AccessKind::Read => {
-                if scratch.skip_filter {
-                    if let Some(c) = self.detector.read_sig().elision_class_hashed(ev.addr, h) {
-                        let gen = scratch.stamps[scratch.stamp_idx(c)];
-                        let e = scratch.skip_idx(h, ev.tid);
-                        // The entry must match the exact address: the
-                        // membership probe is address-keyed, so a
-                        // same-class neighbour's fact proves nothing
-                        // about this read.
-                        if scratch.skip[e].tid == ev.tid && scratch.skip[e].addr == ev.addr {
-                            // Mutant seam: `skipfilter-stale-elide` trusts
-                            // the entry without the generation check, so a
-                            // write between install and reuse goes
-                            // unnoticed — the `skipfilter` lc-sched
-                            // scenario's differential oracle catches the
-                            // suppressed dependence.
-                            #[allow(unused_mut)]
-                            let mut valid = scratch.skip[e].stamp == gen;
-                            #[cfg(feature = "sched")]
-                            if lc_sched::mutant_active("skipfilter-stale-elide") {
-                                valid = true;
-                            }
-                            if valid {
-                                // Thread is still in the read-sig class:
-                                // the membership probe would suppress any
-                                // dependence and the re-insert is a no-op.
-                                scratch.stats.elided_reads += 1;
-                                return None;
-                            }
-                        }
-                        let dep = self
-                            .detector
-                            .on_access_hashed(ev.tid, ev.addr, h, ev.size, ev.kind);
-                        // The insert above put `(addr, tid)` into the
-                        // signature; that fact stays true until class
-                        // `c`'s generation moves.
-                        scratch.skip[e] = SkipEntry {
-                            addr: ev.addr,
-                            stamp: gen,
-                            tid: ev.tid,
-                        };
-                        return dep.map(|d| {
-                            (
-                                pack_key(self.nested_loop(ev.loop_id), d.src, d.dst),
-                                d.src,
-                                d.dst,
-                                d.bytes,
-                            )
-                        });
-                    }
-                }
-                self.detector
-                    .on_access_hashed(ev.tid, ev.addr, h, ev.size, ev.kind)
-                    .map(|d| {
-                        (
-                            pack_key(self.nested_loop(ev.loop_id), d.src, d.dst),
-                            d.src,
-                            d.dst,
-                            d.bytes,
-                        )
-                    })
-            }
-            AccessKind::Write => {
-                self.detector
-                    .on_access_hashed(ev.tid, ev.addr, h, ev.size, ev.kind);
-                if scratch.skip_filter {
-                    if let Some(c) = self.detector.read_sig().elision_class_hashed(ev.addr, h) {
-                        let si = scratch.stamp_idx(c);
-                        scratch.stamps[si] = scratch.stamps[si].wrapping_add(1);
-                        scratch.stats.stamp_bumps += 1;
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    #[inline]
-    fn nested_loop(&self, loop_id: LoopId) -> LoopId {
-        if self.config.track_nested {
-            loop_id
-        } else {
-            LoopId::NONE
-        }
-    }
-
-    /// Hand the aggregated block dependences to `tid`'s shard in one
-    /// lock acquisition. Which shard receives them is unobservable in any
-    /// read path (counters and matrices merge across shards), mirroring
-    /// the `seed_counts` contract.
-    #[inline]
+    /// Hand the aggregated block dependences to the accumulation layer:
+    /// `tid`'s shard in one lock acquisition, or straight into the
+    /// matrices on the legacy shared-atomic path.
     fn drain_scratch_deps(&self, tid: u32, scratch: &mut FusedScratch) {
-        if let Counters::Sharded(s) = &self.counters {
-            s.record_deps(
+        match &self.counters {
+            Counters::Sharded(s) => s.record_deps(
                 tid,
                 scratch.pending_deps,
                 &scratch.deps,
                 self.flush_target(),
-            );
-            scratch.stats.dep_batches += 1;
+            ),
+            Counters::Shared { deps, .. } => {
+                deps.fetch_add(scratch.pending_deps, Ordering::Relaxed);
+                for &(key, bytes) in &scratch.deps {
+                    let (loop_id, src, dst) = unpack_key(key);
+                    self.global_ref().add(src, dst, bytes);
+                    if self.config.track_nested {
+                        if let Some((m, _, _)) = self.loops.get_or_insert_lossy(loop_id) {
+                            m.add(src, dst, bytes);
+                        }
+                    }
+                }
+            }
         }
+        scratch.stats.dep_batches += 1;
         scratch.deps.clear();
         scratch.pending_deps = 0;
     }
@@ -501,144 +220,126 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{AsymmetricProfiler, ProfilerConfig};
+    use crate::profiler::ProfilerConfig;
+    use crate::shards::AccumConfig;
+    use crate::AsymmetricProfiler;
     use lc_sigmem::SignatureConfig;
-    use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId, LoopId};
+    use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId};
 
-    fn ev(tid: u32, addr: u64, kind: AccessKind) -> AccessEvent {
+    fn ev(tid: u32, addr: u64, kind: AccessKind, loop_id: u32) -> AccessEvent {
         AccessEvent {
             tid,
             addr,
             size: 8,
             kind,
-            loop_id: LoopId(1),
+            loop_id: LoopId(loop_id),
             parent_loop: LoopId::NONE,
             func: FuncId::NONE,
             site: 0,
         }
     }
 
-    fn profiler() -> AsymmetricProfiler {
-        AsymmetricProfiler::asymmetric(
-            SignatureConfig::paper_default(64, 4),
-            ProfilerConfig::nested(4),
+    fn profiler(threads: usize, accum: AccumConfig) -> AsymmetricProfiler {
+        AsymmetricProfiler::from_detector_with(
+            crate::AsymmetricDetector::asymmetric(SignatureConfig::paper_default(1 << 12, threads)),
+            ProfilerConfig::nested(threads),
+            accum,
         )
     }
 
-    fn tiny_scratch(skip_filter: bool) -> FusedScratch {
-        FusedScratch::new(FusedConfig {
-            memo_entries: 1 << 4,
-            skip_entries: 1 << 4,
-            stamp_entries: 1 << 4,
-            skip_filter,
-        })
-    }
-
-    /// Idempotent re-reads are elided, and the elision is unobservable:
-    /// the fused run's totals equal a per-event materialized run's.
+    /// Every ordered thread pair communicates in every loop: 16 × 15 × 4
+    /// = 960 live `(loop, src, dst)` keys in one block, so the scratch
+    /// drains early at `DEP_SLOTS` mid-block. The result must still equal
+    /// the per-event `on_access` oracle, on both accumulation paths.
     #[test]
-    fn elision_is_unobservable_and_counted() {
-        let stream = [
-            ev(0, 0x40, AccessKind::Read),
-            ev(0, 0x40, AccessKind::Read), // elidable: same thread, no write between
-            ev(1, 0x40, AccessKind::Write),
-            ev(0, 0x40, AccessKind::Read), // NOT elidable: carries the RAW dep 1 -> 0
-            ev(0, 0x40, AccessKind::Read), // elidable again
-        ];
-        let fused = profiler();
-        let mut scratch = tiny_scratch(true);
-        fused.on_block_fused(&stream, &mut scratch);
-        fused.flush();
-
-        let mat = profiler();
-        for e in &stream {
-            mat.on_access(e);
+    fn block_with_more_live_keys_than_dep_slots_matches_per_event_oracle() {
+        const THREADS: u32 = 16;
+        const LOOPS: u32 = 4;
+        let mut block = Vec::new();
+        for lp in 1..=LOOPS {
+            for w in 0..THREADS {
+                let addr = 0x1000 + ((lp * THREADS + w) as u64) * 8;
+                block.push(ev(w, addr, AccessKind::Write, lp));
+                for r in (0..THREADS).filter(|&r| r != w) {
+                    block.push(ev(r, addr, AccessKind::Read, lp));
+                }
+            }
         }
-        mat.flush();
+        let live_keys = (LOOPS * THREADS * (THREADS - 1)) as usize;
+        assert!(live_keys > DEP_SLOTS);
 
-        assert_eq!(fused.dependencies(), mat.dependencies());
-        assert_eq!(fused.dependencies(), 1, "exactly the post-write RAW");
-        assert_eq!(fused.global_matrix(), mat.global_matrix());
-        assert_eq!(scratch.stats.elided_reads, 2, "both idempotent re-reads");
-        assert!(scratch.stats.stamp_bumps >= 1, "the write bumped a stamp");
+        for accum in [AccumConfig::default(), AccumConfig::shared()] {
+            let fused = profiler(THREADS as usize, accum);
+            let mut scratch = FusedScratch::with_defaults();
+            fused.on_block_fused(&block, &mut scratch);
+            fused.flush();
+            assert!(scratch.stats.dep_batches >= 2, "the block drained early");
+
+            let oracle = profiler(THREADS as usize, accum);
+            for e in &block {
+                oracle.on_access(e);
+            }
+            oracle.flush();
+
+            assert_eq!(oracle.dependencies(), live_keys as u64);
+            assert_eq!(fused.dependencies(), oracle.dependencies());
+            assert_eq!(fused.global_matrix(), oracle.global_matrix());
+            let (f, o) = (fused.report(), oracle.report());
+            assert_eq!(f.per_loop.len(), LOOPS as usize);
+            assert_eq!(f.per_loop, o.per_loop);
+            assert_eq!(f.accesses, o.accesses);
+        }
     }
 
-    /// With the filter off, nothing is elided and results still match.
+    /// The one per-block access count lands on `first tid & mask`: a
+    /// block whose first event's tid is beyond the shard count is still
+    /// counted in full.
     #[test]
-    fn skip_filter_off_elides_nothing() {
-        let stream = [
-            ev(0, 0x40, AccessKind::Read),
-            ev(0, 0x40, AccessKind::Read),
-            ev(1, 0x40, AccessKind::Write),
-            ev(0, 0x40, AccessKind::Read),
+    fn block_access_count_survives_a_first_tid_beyond_the_shard_count() {
+        // 4 threads → 4 shards; tid 13 masks onto shard 1.
+        let p = profiler(4, AccumConfig::default());
+        let block = [
+            ev(13, 0x40, AccessKind::Write, 1),
+            ev(2, 0x40, AccessKind::Read, 1),
+            ev(0, 0x48, AccessKind::Read, 1),
         ];
-        let p = profiler();
-        let mut scratch = tiny_scratch(false);
-        p.on_block_fused(&stream, &mut scratch);
+        let mut scratch = FusedScratch::with_defaults();
+        p.on_block_fused(&block, &mut scratch);
+        p.on_block_fused(&block[1..], &mut scratch);
         p.flush();
-        assert_eq!(scratch.stats.elided_reads, 0);
-        assert_eq!(p.dependencies(), 1);
+        assert_eq!(p.accesses(), 5);
     }
 
-    /// The memo cache is a pure-function cache: hits + misses cover every
-    /// event, and a revisited address hits.
+    /// The retired mechanisms' counters read 0 by construction;
+    /// `dep_batches` still counts hand-overs (none for a dependence-free
+    /// block).
     #[test]
-    fn memo_counters_cover_the_stream() {
-        let stream = [
-            ev(0, 0x40, AccessKind::Read),
-            ev(0, 0x48, AccessKind::Read),
-            ev(0, 0x40, AccessKind::Read),
-            ev(0, 0x48, AccessKind::Write),
-        ];
-        let p = profiler();
-        let mut scratch = tiny_scratch(true);
-        p.on_block_fused(&stream, &mut scratch);
-        let s = scratch.stats;
-        assert_eq!(s.memo_hits + s.memo_misses, stream.len() as u64);
-        assert_eq!(s.memo_misses, 2, "two distinct addresses");
-    }
-
-    /// `bump_epoch` invalidates every cached skip fact (entries survive
-    /// in the table but their stamps can no longer validate), so the
-    /// first re-read after an epoch boundary goes through the detector.
-    #[test]
-    fn bump_epoch_invalidates_skip_entries() {
-        let p = profiler();
-        let mut scratch = tiny_scratch(true);
+    fn retired_counters_stay_zero_and_dep_batches_counts_handovers() {
+        let p = profiler(4, AccumConfig::default());
+        let mut scratch = FusedScratch::with_defaults();
         p.on_block_fused(
-            &[ev(0, 0x40, AccessKind::Read), ev(0, 0x40, AccessKind::Read)],
+            &[
+                ev(0, 0x40, AccessKind::Read, 1),
+                ev(0, 0x40, AccessKind::Read, 1),
+            ],
             &mut scratch,
         );
-        assert_eq!(scratch.stats.elided_reads, 1);
-        scratch.bump_epoch();
-        p.on_block_fused(&[ev(0, 0x40, AccessKind::Read)], &mut scratch);
-        assert_eq!(
-            scratch.stats.elided_reads, 1,
-            "the first post-epoch read must not be elided"
+        assert_eq!(scratch.stats, FusedStats::default());
+        p.on_block_fused(
+            &[
+                ev(1, 0x40, AccessKind::Write, 1),
+                ev(0, 0x40, AccessKind::Read, 1),
+            ],
+            &mut scratch,
         );
-        p.on_block_fused(&[ev(0, 0x40, AccessKind::Read)], &mut scratch);
+        p.flush();
+        assert_eq!(p.dependencies(), 1);
         assert_eq!(
-            scratch.stats.elided_reads, 2,
-            "the fact is re-established and elides again"
+            scratch.stats,
+            FusedStats {
+                dep_batches: 1,
+                ..FusedStats::default()
+            }
         );
-    }
-
-    /// `memory_bytes` tracks the configured geometry exactly.
-    #[test]
-    fn memory_bytes_matches_geometry() {
-        let scratch = FusedScratch::new(FusedConfig {
-            memo_entries: 1 << 6,
-            skip_entries: 1 << 5,
-            stamp_entries: 1 << 4,
-            skip_filter: true,
-        });
-        assert_eq!(
-            scratch.memory_bytes(),
-            (1 << 6) * std::mem::size_of::<MemoEntry>()
-                + (1 << 5) * std::mem::size_of::<SkipEntry>()
-                + (1 << 4) * 8
-        );
-        let default = FusedScratch::with_defaults();
-        assert!(default.memory_bytes() >= (1 << 14) * 16);
     }
 }

@@ -26,7 +26,7 @@
 use lc_sigmem::{murmur::fmix64, SignatureConfig, SignatureHealth, SlotRouter};
 use lc_trace::{AccessEvent, AccessSink, AsAccess};
 
-use crate::fused::{FusedConfig, FusedScratch};
+use crate::fused::FusedScratch;
 use crate::parallel::merge_reports;
 use crate::profiler::{AsymmetricProfiler, PerfectProfiler, ProfileReport, ProfilerConfig};
 use crate::raw::{AsymmetricDetector, PerfectDetector};
@@ -67,11 +67,11 @@ pub struct IncrementalAnalyzer {
     pub(crate) sig: Option<SignatureConfig>,
     pub(crate) prof: ProfilerConfig,
     pub(crate) accum: AccumConfig,
-    /// Fused-engine geometry; `None` falls back to the `on_batch` path.
-    pub(crate) fused: Option<FusedConfig>,
-    /// One fused scratch per worker, built lazily on the first fused
-    /// frame (so unfused tenants pay nothing) and epoch-bumped on
-    /// checkpoint restore by construction (fresh tables hold no facts).
+    /// Deliver through the fused engine; `false` falls back to the
+    /// `on_batch` path.
+    pub(crate) fused: bool,
+    /// One fused scratch per worker (empty between frames, so a
+    /// checkpoint carries none of it).
     pub(crate) fused_scratch: Vec<FusedScratch>,
 }
 
@@ -109,8 +109,8 @@ impl IncrementalAnalyzer {
             sig: Some(sig),
             prof,
             accum,
-            fused: Some(FusedConfig::default()),
-            fused_scratch: Vec::new(),
+            fused: true,
+            fused_scratch: fused_scratches(jobs),
         }
     }
 
@@ -137,8 +137,8 @@ impl IncrementalAnalyzer {
             sig: None,
             prof,
             accum,
-            fused: Some(FusedConfig::default()),
-            fused_scratch: Vec::new(),
+            fused: true,
+            fused_scratch: fused_scratches(jobs),
         }
     }
 
@@ -156,13 +156,10 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// Override the fused-engine configuration (`None` disables the
-    /// fused path and restores the pre-fused routed `on_batch`
-    /// delivery). Discards any existing scratches, which is always sound:
-    /// fresh tables cache no facts.
-    pub fn set_fused(&mut self, fused: Option<FusedConfig>) {
+    /// Turn the fused engine off (`false` restores the routed `on_batch`
+    /// delivery, the differential oracle) or back on.
+    pub fn set_fused(&mut self, fused: bool) {
         self.fused = fused;
-        self.fused_scratch.clear();
     }
 
     /// Which detector this analyzer runs.
@@ -179,26 +176,21 @@ impl IncrementalAnalyzer {
     /// over [`AsAccess`] so stamped serve/spool frames and bare SoA trace
     /// blocks both feed the detector without a re-stamping copy.
     pub fn on_frame<T: AsAccess>(&mut self, frame: &[T]) {
-        if let Some(cfg) = self.fused {
-            if self.fused_scratch.is_empty() {
-                self.fused_scratch = (0..self.jobs).map(|_| FusedScratch::new(cfg)).collect();
-            }
-            if self.jobs == 1 {
-                // The single-worker fast path is the fused pipeline in its
-                // purest form: the decoded frame feeds the detector in
-                // place — no routing, no copy, no re-stamping.
-                match &self.workers {
-                    Workers::Asymmetric { profilers, .. } => {
-                        profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
-                    }
-                    Workers::Perfect { profilers } => {
-                        profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
-                    }
+        if self.fused && self.jobs == 1 {
+            // The single-worker fast path is the fused pipeline in its
+            // purest form: the decoded frame feeds the detector in
+            // place — no routing, no copy, no re-stamping.
+            match &self.workers {
+                Workers::Asymmetric { profilers, .. } => {
+                    profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
                 }
-                self.frames += 1;
-                self.events += frame.len() as u64;
-                return;
+                Workers::Perfect { profilers } => {
+                    profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
+                }
             }
+            self.frames += 1;
+            self.events += frame.len() as u64;
+            return;
         }
         for s in &mut self.scratch {
             s.clear();
@@ -219,13 +211,12 @@ impl IncrementalAnalyzer {
             }
         }
         // Multi-worker delivery: routed sub-batches, fused per worker when
-        // enabled. Routing is by address class, so each worker's scratch
-        // observes every write that can invalidate its cached facts.
+        // enabled.
         match &self.workers {
             Workers::Asymmetric { profilers, .. } => {
                 for (w, (p, batch)) in profilers.iter().zip(&self.scratch).enumerate() {
                     if !batch.is_empty() {
-                        if self.fused.is_some() {
+                        if self.fused {
                             p.on_block_fused(batch, &mut self.fused_scratch[w]);
                         } else {
                             p.on_batch(batch);
@@ -236,7 +227,7 @@ impl IncrementalAnalyzer {
             Workers::Perfect { profilers } => {
                 for (w, (p, batch)) in profilers.iter().zip(&self.scratch).enumerate() {
                     if !batch.is_empty() {
-                        if self.fused.is_some() {
+                        if self.fused {
                             p.on_block_fused(batch, &mut self.fused_scratch[w]);
                         } else {
                             p.on_batch(batch);
@@ -322,6 +313,11 @@ impl IncrementalAnalyzer {
         }
         merged.expect("jobs >= 1")
     }
+}
+
+/// One fused scratch per worker.
+pub(crate) fn fused_scratches(jobs: usize) -> Vec<FusedScratch> {
+    (0..jobs).map(|_| FusedScratch::with_defaults()).collect()
 }
 
 #[cfg(test)]

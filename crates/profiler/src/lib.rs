@@ -13,8 +13,7 @@
 //!   through: per-thread counters, epoch-flushed dependence delta buffers,
 //!   and the lock-free per-loop matrix registry.
 //! * [`fused`] — the zero-materialization replay engine: borrowed event
-//!   blocks straight into the detector with hash memoization, an
-//!   idempotent-access skip filter, and block-batched dependence
+//!   blocks straight into the detector with block-batched dependence
 //!   recording.
 //! * [`parallel`] — partition-aware offline analysis: slot-sharded
 //!   parallel trace replay with exact merged results.
@@ -68,7 +67,7 @@ pub mod viz;
 pub use checkpoint::{checkpoint_path, write_atomic_blob, Checkpoint, DetectorState, WorkerState};
 pub use deps::{DepConfig, DepKind, FullDetector};
 pub use energy::{estimate_dvfs_savings, EnergyEstimate, PowerModel};
-pub use fused::{FusedConfig, FusedScratch, FusedStats};
+pub use fused::{FusedScratch, FusedStats};
 pub use ingest::{DetectorKind, IncrementalAnalyzer};
 pub use mapping::{greedy_mapping, MachineTopology, ThreadMapping};
 pub use matrix::{CommMatrix, DenseMatrix};

@@ -22,7 +22,7 @@ use lc_trace::{
     coalesce_events, AccessSink, ParReplayOptions, ParReplayStats, Trace, REPLAY_BATCH_EVENTS,
 };
 
-use crate::fused::{FusedConfig, FusedScratch};
+use crate::fused::FusedScratch;
 use crate::profiler::{CommProfiler, ProfileReport, ProfilerConfig};
 use crate::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
 use crate::shards::{AccumConfig, RegistryFull};
@@ -43,9 +43,6 @@ pub struct ParReplayConfig {
     /// suite's claim); the default since the fused path is strictly
     /// faster.
     pub fused: bool,
-    /// Enable the idempotent-access skip filter inside the fused engine
-    /// (ignored when `fused` is off).
-    pub skip_filter: bool,
 }
 
 impl Default for ParReplayConfig {
@@ -55,7 +52,6 @@ impl Default for ParReplayConfig {
             coalesce: true,
             batch_events: REPLAY_BATCH_EVENTS,
             fused: true,
-            skip_filter: true,
         }
     }
 }
@@ -70,15 +66,6 @@ impl ParReplayConfig {
             coalesce: false,
             batch_events: REPLAY_BATCH_EVENTS,
             fused: false,
-            skip_filter: false,
-        }
-    }
-
-    /// The [`FusedConfig`] this run's fused consumers use.
-    pub fn fused_config(&self) -> FusedConfig {
-        FusedConfig {
-            skip_filter: self.skip_filter,
-            ..FusedConfig::default()
         }
     }
 }
@@ -242,12 +229,6 @@ where
 /// transform by nature) and multi-worker partitioning build the same
 /// per-worker streams the non-fused path builds, so replay statistics and
 /// reports match it field for field; only the consumption changes.
-///
-/// Skip-filter soundness across workers: `worker_of` routes by address
-/// class — the same granularity [`lc_sigmem::ReaderSet::elision_class_hashed`]
-/// names — so every write that can invalidate a cached membership fact
-/// reaches the scratch that caches it (the fused module's concurrency
-/// contract).
 fn fused_replay<R, W>(
     trace: &Trace,
     profilers: &[CommProfiler<R, W>],
@@ -262,7 +243,6 @@ where
 {
     let jobs = profilers.len();
     let batch = par.batch_events.max(1);
-    let fused_cfg = par.fused_config();
     let mut stats = ParReplayStats {
         jobs,
         ..ParReplayStats::default()
@@ -270,7 +250,7 @@ where
 
     if jobs == 1 && !par.coalesce {
         let evs = trace.access_events();
-        let mut scratch = FusedScratch::new(fused_cfg);
+        let mut scratch = FusedScratch::with_defaults();
         for chunk in evs.chunks(batch) {
             profilers[0].on_block_fused(chunk, &mut scratch);
         }
@@ -291,7 +271,7 @@ where
         stats.batches += p.len().div_ceil(batch) as u64;
     }
     if jobs == 1 {
-        let mut scratch = FusedScratch::new(fused_cfg);
+        let mut scratch = FusedScratch::with_defaults();
         for chunk in parts[0].chunks(batch) {
             profilers[0].on_block_fused(chunk, &mut scratch);
         }
@@ -301,7 +281,7 @@ where
     std::thread::scope(|s| {
         for (part, p) in parts.iter().zip(profilers) {
             s.spawn(move || {
-                let mut scratch = FusedScratch::new(fused_cfg);
+                let mut scratch = FusedScratch::with_defaults();
                 for chunk in part.chunks(batch) {
                     p.on_block_fused(chunk, &mut scratch);
                 }

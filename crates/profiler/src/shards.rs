@@ -101,7 +101,7 @@ pub(crate) fn pack_key(loop_id: LoopId, src: u32, dst: u32) -> u64 {
 }
 
 #[inline]
-fn unpack_key(key: u64) -> (LoopId, u32, u32) {
+pub(crate) fn unpack_key(key: u64) -> (LoopId, u32, u32) {
     (
         LoopId((key >> 32) as u32),
         ((key >> 16) & 0xffff) as u32,
@@ -124,6 +124,11 @@ impl DeltaBuffer {
     #[inline]
     fn push(&mut self, key: u64, bytes: u64) {
         self.pending += 1;
+        self.fold(key, bytes);
+    }
+
+    #[inline]
+    fn fold(&mut self, key: u64, bytes: u64) {
         for e in &mut self.entries {
             if e.0 == key {
                 e.1 += bytes;
@@ -133,21 +138,28 @@ impl DeltaBuffer {
         self.entries.push((key, bytes));
     }
 
-    /// Aggregate a batch of already-aggregated deltas covering `n_deps`
-    /// dependences. `pending` advances by the *dependence* count, not the
-    /// entry count, so the epoch trigger fires at the same cadence as
-    /// `n_deps` individual [`Self::push`] calls would.
+    /// Take a batch of pre-aggregated deltas covering `n_deps`
+    /// dependences. A batch that fills the buffer — the caller flushes it
+    /// on return — is appended without any search, O(|deltas|): a key
+    /// already buffered just appears twice, which [`ShardSet::drain`] adds
+    /// twice (matrix addition commutes). A batch that stays buffered folds
+    /// into the fewer than `delta_slots` live entries as [`Self::push`]
+    /// would, so the buffer never grows with streamed volume. `pending`
+    /// advances by the *dependence* count, not the entry count, so the
+    /// epoch trigger fires at the same cadence as `n_deps` individual
+    /// `push` calls would.
     #[inline]
-    fn push_n(&mut self, n_deps: u64, deltas: &[(u64, u64)]) {
+    fn extend(&mut self, n_deps: u64, deltas: &[(u64, u64)], cfg: &AccumConfig) {
         self.pending += n_deps;
-        'next: for &(key, bytes) in deltas {
-            for e in &mut self.entries {
-                if e.0 == key {
-                    e.1 += bytes;
-                    continue 'next;
-                }
+        if self.entries.len() + deltas.len() >= cfg.delta_slots {
+            // Exact, not amortized: the footprint `memory_bytes` reports
+            // settles at the largest batch instead of doubling past it.
+            self.entries.reserve_exact(deltas.len());
+            self.entries.extend_from_slice(deltas);
+        } else {
+            for &(key, bytes) in deltas {
+                self.fold(key, bytes);
             }
-            self.entries.push((key, bytes));
         }
     }
 
@@ -382,14 +394,16 @@ impl ShardSet {
 
     /// Count and buffer a whole batch of dependences on `tid`'s shard in
     /// **one** lock acquisition — the fused replay path aggregates each
-    /// block's dependences by `(loop, src, dst)` key (see
-    /// [`pack_key`]) and lands them here, so the per-dependence
-    /// lock/unlock of [`Self::record_dep`] is paid once per block
-    /// instead. `n_deps` is the true dependence count the `deltas`
-    /// aggregate (it drives the counter and the epoch trigger); the
-    /// fully-flushed result is byte-identical to `n_deps` individual
-    /// `record_dep` calls because delta aggregation and matrix addition
-    /// both commute.
+    /// block's dependences by `(loop, src, dst)` key (see [`pack_key`])
+    /// and lands them here. `deltas` is taken as pre-aggregated: a batch
+    /// that triggers the flush is appended, not searched, so the call is
+    /// O(|deltas|) and a repeated key is merely added twice (see
+    /// [`DeltaBuffer::extend`]). `n_deps` is the true dependence count
+    /// the `deltas` aggregate (it drives the counter and the epoch
+    /// trigger). Lock, epoch trigger, [`Self::guarded_drain`] and loss
+    /// accounting are [`Self::record_dep`]'s; the fully-flushed result is
+    /// byte-identical to `n_deps` individual `record_dep` calls because
+    /// delta aggregation and matrix addition both commute.
     #[inline]
     pub fn record_deps(
         &self,
@@ -410,14 +424,14 @@ impl ShardSet {
             let Some(mut buf) = shard.buf.try_lock() else {
                 return;
             };
-            buf.push_n(n_deps, deltas);
+            buf.extend(n_deps, deltas, &self.cfg);
             if buf.needs_flush(&self.cfg) {
                 self.guarded_drain(&mut buf, target, tid);
             }
             return;
         }
         let mut buf = shard.buf.lock();
-        buf.push_n(n_deps, deltas);
+        buf.extend(n_deps, deltas, &self.cfg);
         if buf.needs_flush(&self.cfg) {
             if let Some(t) = target.telemetry {
                 let reason = if buf.pending >= self.cfg.flush_epoch {
@@ -1151,6 +1165,105 @@ mod tests {
         }
         assert_eq!(global.get(0, 1), 32);
         assert_eq!(set.health().flush_panics(), 1);
+    }
+
+    /// `ram_uniform`'s live key set: 8 loops × 56 ordered thread pairs.
+    fn preaggregated_batch(bytes_of: impl Fn(u32, u32, u32) -> u64) -> Vec<(u64, u64)> {
+        let mut batch = Vec::new();
+        for l in 1..=8u32 {
+            for s in 0..8u32 {
+                for d in (0..8u32).filter(|&d| d != s) {
+                    batch.push((pack_key(LoopId(l), s, d), bytes_of(l, s, d)));
+                }
+            }
+        }
+        batch
+    }
+
+    /// `record_deps` appends a flushing batch instead of searching, so
+    /// nothing may depend on the shard buffer holding one entry per key:
+    /// a 448-key batch on top of overlapping buffered entries must land
+    /// exact per-cell sums.
+    #[test]
+    fn record_deps_lands_exact_sums_for_large_and_overlapping_batches() {
+        let set = ShardSet::new(8, AccumConfig::default());
+        let global = CommMatrix::new(8);
+        let loops = LoopRegistry::new(8, 16);
+        let tgt = FlushTarget {
+            track_nested: true,
+            global: &global,
+            loops: &loops,
+            telemetry: None,
+        };
+        let first = preaggregated_batch(|l, s, d| (l * 100 + s * 10 + d) as u64);
+        assert_eq!(first.len(), 448);
+        // Twenty of loop 1's keys (overlap) and a tiny batch repeating one
+        // of them go first: below the flush thresholds, so they sit in the
+        // buffer when the big batch is appended on top and every one of
+        // their keys is buffered twice.
+        let second: Vec<_> = preaggregated_batch(|_, _, _| 7)
+            .into_iter()
+            .take(20)
+            .collect();
+        let third = [(second[0].0, 5)];
+        set.record_deps(3, 20, &second, tgt);
+        set.record_deps(3, 1, &third, tgt);
+        assert_eq!(global.snapshot().total(), 0, "still buffered");
+        set.record_deps(3, 3 * 448, &first, tgt);
+        set.flush(tgt);
+
+        assert_eq!(set.deps(), 3 * 448 + 20 + 1);
+        let mut want_global = [[0u64; 8]; 8];
+        for (i, &(key, _)) in first.iter().enumerate() {
+            let (l, s, d) = unpack_key(key);
+            let want = (l.0 * 100 + s * 10 + d) as u64
+                + if i < 20 { 7 } else { 0 }
+                + if i == 0 { 5 } else { 0 };
+            assert_eq!(loops.get(l).unwrap().get(s, d), want, "loop {l:?} {s}->{d}");
+            want_global[s as usize][d as usize] += want;
+        }
+        for s in 0..8u32 {
+            for d in 0..8u32 {
+                assert_eq!(global.get(s, d), want_global[s as usize][d as usize]);
+            }
+        }
+        assert_eq!(loops.len(), 8);
+        assert!(!set.health().degraded());
+    }
+
+    /// A batch goes through the same `guarded_drain` as single
+    /// dependences: an injected epoch-barrier panic is caught, and every
+    /// entry that did not drain is counted as lost.
+    #[test]
+    fn record_deps_counts_an_undrained_batch_as_lost() {
+        use lc_faults::{FaultAction, FaultPlan, FaultRule};
+        let mut set = ShardSet::new(8, AccumConfig::default());
+        set.set_faults(Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            rules: vec![FaultRule::once(
+                FaultSite::EpochBarrier,
+                FaultAction::Panic,
+                0,
+            )],
+        })));
+        let global = CommMatrix::new(8);
+        let loops = LoopRegistry::new(8, 16);
+        let tgt = FlushTarget {
+            track_nested: true,
+            global: &global,
+            loops: &loops,
+            telemetry: None,
+        };
+        let batch = preaggregated_batch(|_, _, _| 8);
+        set.record_deps(0, 448, &batch, tgt);
+        assert_eq!(set.health().flush_panics(), 1);
+        assert_eq!(set.health().lost_deltas(), 448);
+        assert_eq!(global.snapshot().total(), 0);
+        assert_eq!(set.deps(), 448, "counted even though the deltas were lost");
+        // The shard stays usable: the next batch drains cleanly.
+        set.record_deps(0, 448, &batch, tgt);
+        assert_eq!(global.snapshot().total(), 448 * 8);
+        assert_eq!(set.health().lost_deltas(), 448);
     }
 
     #[test]

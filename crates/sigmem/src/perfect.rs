@@ -105,13 +105,6 @@ impl ReaderSet for PerfectReaderSet {
     fn memory_bytes(&self) -> usize {
         self.tracked_addresses() * BYTES_PER_ENTRY
     }
-
-    /// Exact per-address storage: `clear_addr` forgets exactly one
-    /// address, so the address is its own class.
-    #[inline]
-    fn elision_class_hashed(&self, addr: u64, _h: u64) -> Option<u64> {
-        Some(addr)
-    }
 }
 
 /// Exact last-writer map: `addr -> tid`.

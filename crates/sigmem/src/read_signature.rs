@@ -306,14 +306,6 @@ impl ReaderSet for ReadSignature {
         self.arena.prefetch(slot_of_hash(h, self.arena.n_filters()));
     }
 
-    /// One Bloom filter per first-level slot, and `clear_addr_hashed`
-    /// clears that whole filter — the slot index *is* the clear
-    /// granularity.
-    #[inline]
-    fn elision_class_hashed(&self, _addr: u64, h: u64) -> Option<u64> {
-        Some(slot_of_hash(h, self.arena.n_filters()) as u64)
-    }
-
     fn memory_bytes(&self) -> usize {
         self.arena.memory_bytes()
     }

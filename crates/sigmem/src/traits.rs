@@ -70,25 +70,6 @@ pub trait ReaderSet: Send + Sync {
     fn prefetch(&self, h: u64) {
         let _ = h;
     }
-
-    /// The *elision class* of `addr` — the exact granularity at which
-    /// [`Self::clear_addr`] forgets readers. Two addresses share a class
-    /// iff clearing one clears the other, and [`Self::insert`] is
-    /// idempotent within a class (re-inserting an already-present
-    /// `(class, tid)` pair changes nothing observable).
-    ///
-    /// The fused replay path caches "thread `tid` is a member of class
-    /// `c`" and elides the whole membership-probe/insert round trip for
-    /// repeat reads until a write to class `c` invalidates the entry, so a
-    /// wrong (too fine) class here would let stale elisions suppress real
-    /// dependences. Implementations that cannot name their clear
-    /// granularity return `None` (the default), which disables elision
-    /// entirely — always sound, never wrong.
-    #[inline]
-    fn elision_class_hashed(&self, addr: u64, h: u64) -> Option<u64> {
-        let _ = (addr, h);
-        None
-    }
 }
 
 /// The write side: a per-address record of the last writing thread.

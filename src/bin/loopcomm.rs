@@ -64,10 +64,6 @@ struct Options {
     /// `analyze`: run the fused replay engine (default). `--no-fused`
     /// delivers blocks through the routed `on_batch` path instead.
     fused: bool,
-    /// `analyze`: enable the idempotent-access skip filter inside the
-    /// fused engine (default). `--no-skip-filter` keeps the fused
-    /// pipeline but probes the detector on every read.
-    skip_filter: bool,
     /// `synth`: probability in [0,1] that an event reuses an address
     /// from a small hot set instead of the uniform working set.
     addr_reuse: f64,
@@ -214,8 +210,6 @@ fn usage() -> ! {
          \x20 --no-fused       (analyze) routed on_batch delivery instead of\n\
          \x20                  the fused engine (results identical; the\n\
          \x20                  fused engine is the default)\n\
-         \x20 --no-skip-filter (analyze) fused engine without the\n\
-         \x20                  idempotent-access skip filter\n\
          \x20 --perfect        (analyze, serve) exact perfect-signature\n\
          \x20                  baseline detector instead of the asymmetric\n\
          \x20                  signatures\n\
@@ -298,7 +292,6 @@ fn parse_options(args: &[String]) -> Options {
         batch: lc_trace::REPLAY_BATCH_EVENTS,
         no_coalesce: false,
         fused: true,
-        skip_filter: true,
         addr_reuse: 0.0,
         working_set: 65_536,
         perfect: false,
@@ -367,7 +360,13 @@ fn parse_options(args: &[String]) -> Options {
             "--no-coalesce" => o.no_coalesce = true,
             "--fused" => o.fused = true,
             "--no-fused" => o.fused = false,
-            "--no-skip-filter" => o.skip_filter = false,
+            "--no-skip-filter" => {
+                eprintln!(
+                    "error: --no-skip-filter was removed in PR 24: the fused engine no \
+                     longer has a skip filter"
+                );
+                std::process::exit(2);
+            }
             "--addr-reuse" => {
                 let raw = val();
                 let v: f64 = raw.parse().unwrap_or_else(|_| {
@@ -936,14 +935,7 @@ fn analyze(name: &str, o: &Options) {
         )
     });
 
-    if !o.fused {
-        analyzer.set_fused(None);
-    } else if !o.skip_filter {
-        analyzer.set_fused(Some(lc_profiler::FusedConfig {
-            skip_filter: false,
-            ..lc_profiler::FusedConfig::default()
-        }));
-    }
+    analyzer.set_fused(o.fused);
 
     let cp_dir = o.checkpoint.as_deref().map(std::path::Path::new);
     let every = o.every.max(1);

@@ -17,12 +17,11 @@
 use std::sync::Arc;
 
 use lc_profiler::shards::{AccumConfig, FlushTarget, LoopRegistry, ShardSet};
-use lc_profiler::{AsymmetricProfiler, CommMatrix, FusedConfig, FusedScratch, ProfilerConfig};
+use lc_profiler::CommMatrix;
 use lc_sigmem::{
     BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, ReadSignature, ReaderSet,
-    SignatureConfig, WriteSignature, WriterMap,
+    WriteSignature, WriterMap,
 };
-use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId, LoopId};
 
 /// Op-log record kinds (`data[0]` of [`lc_sched::annotate`]).
 mod op {
@@ -111,16 +110,6 @@ pub fn scenarios() -> &'static [Scenario] {
             default_preemption_bound: Some(2),
             catchable_mutants: &["ingest-drop-contended-frame"],
             run: ingest_scenario,
-        },
-        Scenario {
-            name: "skipfilter",
-            about: "fused consumer's idempotent-read skip filter with a \
-                    write to the same address racing the re-read; oracle: \
-                    differential vs the materialized per-event path over \
-                    the serialized op order",
-            default_preemption_bound: Some(3),
-            catchable_mutants: &["skipfilter-stale-elide"],
-            run: skipfilter_scenario,
         },
         Scenario {
             name: "checkpoint",
@@ -440,102 +429,6 @@ fn ingest_scenario() {
     assert_eq!(q.pushed(), accepted.len() as u64, "push counter honest");
     assert_eq!(q.popped(), popped.len() as u64, "pop counter honest");
     assert!(q.is_empty(), "nothing left behind");
-}
-
-/// The fused skip-filter invalidation seam (DESIGN.md §15): a reader
-/// thread pushes two idempotent reads of one address through a fused
-/// consumer while a writer thread pushes a write of the same address.
-/// The consumer is a single [`AsymmetricProfiler`] + [`FusedScratch`]
-/// serialized by a scheduler-visible mutex, so exploration enumerates
-/// every arrival order — exactly the serve-path situation where the
-/// ingest queue decides the stream order the skip filter must survive.
-///
-/// The dangerous order is `read, write, read`: the first read installs a
-/// skip entry ("thread 0 is in the read-sig class for `ADDR`"), the
-/// write clears the class and bumps its generation stamp, and the second
-/// read must *not* trust the stale entry — it carries the RAW dependence
-/// `1 → 0`. The `skipfilter-stale-elide` mutant skips the generation
-/// check, eliding that read and suppressing the dependence.
-///
-/// Oracle: differential. Annotations are made under the consumer lock,
-/// so the op log *is* the serialized arrival order; replaying it through
-/// the materialized per-event path must give identical dependence totals
-/// and an identical global matrix — the fused engine's byte-identity
-/// contract, checked per interleaving.
-fn skipfilter_scenario() {
-    const ADDR: u64 = 0x40;
-    fn ev(tid: u32, kind: AccessKind) -> AccessEvent {
-        AccessEvent {
-            tid,
-            addr: ADDR,
-            size: 8,
-            kind,
-            loop_id: LoopId::NONE,
-            parent_loop: LoopId::NONE,
-            func: FuncId::NONE,
-            site: 0,
-        }
-    }
-
-    let sig = SignatureConfig::paper_default(2, 2);
-    let cfg = ProfilerConfig {
-        threads: 2,
-        track_nested: false,
-        phase_window: None,
-    };
-    let fused = Arc::new(AsymmetricProfiler::asymmetric(sig, cfg));
-    // Tiny tables keep per-schedule allocation cheap; geometry never
-    // affects semantics (DESIGN.md §15), which is rather the point.
-    let scratch = Arc::new(lc_sched::sync::Mutex::new(FusedScratch::new(FusedConfig {
-        memo_entries: 1 << 4,
-        skip_entries: 1 << 4,
-        stamp_entries: 1 << 4,
-        skip_filter: true,
-    })));
-
-    let mut handles = Vec::new();
-    {
-        let (fused, scratch) = (Arc::clone(&fused), Arc::clone(&scratch));
-        handles.push(lc_sched::spawn(move || {
-            for _ in 0..2 {
-                let mut s = scratch.lock();
-                fused.on_block_fused(&[ev(0, AccessKind::Read)], &mut s);
-                lc_sched::annotate([op::READ_INSERT, ADDR, 0, 0]);
-            }
-        }));
-    }
-    {
-        let (fused, scratch) = (Arc::clone(&fused), Arc::clone(&scratch));
-        handles.push(lc_sched::spawn(move || {
-            let mut s = scratch.lock();
-            fused.on_block_fused(&[ev(1, AccessKind::Write)], &mut s);
-            lc_sched::annotate([op::WRITE_RECORD, ADDR, 1, 0]);
-        }));
-    }
-    for h in handles {
-        h.join();
-    }
-
-    let oracle = AsymmetricProfiler::asymmetric(sig, cfg);
-    for (_, data) in lc_sched::op_log() {
-        match data[0] {
-            op::READ_INSERT => oracle.on_access(&ev(data[2] as u32, AccessKind::Read)),
-            op::WRITE_RECORD => oracle.on_access(&ev(data[2] as u32, AccessKind::Write)),
-            _ => {}
-        }
-    }
-    assert_eq!(
-        fused.dependencies(),
-        oracle.dependencies(),
-        "skip filter must never change the dependence count: a stale \
-         elide after an intervening write suppresses a RAW dependence"
-    );
-    assert_eq!(
-        fused.global_matrix(),
-        oracle.global_matrix(),
-        "fused consumer's matrix must be byte-identical to the \
-         materialized per-event replay of the same arrival order"
-    );
 }
 
 /// The checkpoint publication seam: a writer replaces an existing

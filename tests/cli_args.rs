@@ -215,6 +215,37 @@ fn non_numeric_value_for_any_numeric_flag_is_a_usage_error_not_a_panic() {
     }
 }
 
+#[test]
+fn removed_no_skip_flag_exits_2_with_a_hint_and_analyses_nothing() {
+    // A real, analysable input: the refusal must come from the flag, at
+    // parse time, before the file is opened.
+    let dir = scratch_dir("removed_flag");
+    let trace = dir.join("t.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 1)).unwrap();
+    let report = dir.join("report.txt");
+    let out = loopcomm(&[
+        "analyze",
+        trace.to_str().unwrap(),
+        "--no-skip-filter",
+        "--report-out",
+        report.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a removed flag is a usage error"
+    );
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("--no-skip-filter") && err.contains("removed in PR 24"),
+        "hint must name the flag and say where it went, got: {err}"
+    );
+    assert_eq!(err.lines().count(), 1, "one-line hint, got: {err}");
+    assert!(out.stdout.is_empty(), "nothing analysed");
+    assert!(!report.exists(), "no report written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A v1 trace built byte-by-byte (`LCTR`, version 1, count, 41-byte
 /// records): thread `writer` stores one word, thread `reader` loads it.
 fn v1_two_thread_trace(writer: u32, reader: u32) -> Vec<u8> {

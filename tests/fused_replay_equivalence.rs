@@ -2,19 +2,17 @@
 //! **byte-identical** to the materialized batched path.
 //!
 //! The fused path (DESIGN.md §15) streams decoded event tiles straight
-//! into the detectors with hash memoization, an idempotent-access skip
-//! filter, and block-batched dependence recording. None of those caches
-//! may be observable: for every trace, batch size, worker count,
-//! detector, and event source (in-RAM SoA or v3 spool via mmap), the
-//! canonical report produced with `fused: true` must equal the report
-//! produced with `fused: false` byte for byte — with the skip filter on
-//! *and* off, and with phase windows whose boundaries straddle tile
-//! boundaries.
+//! into the detectors with block-batched dependence recording. The
+//! batching may not be observable: for every trace, batch size, worker
+//! count, detector, and event source (in-RAM SoA or v3 spool via mmap),
+//! the canonical report produced with `fused: true` must equal the report
+//! produced with `fused: false` byte for byte, including with phase
+//! windows whose boundaries straddle tile boundaries.
 
 use std::sync::Arc;
 
 use lc_profiler::{
-    analyze_trace_asymmetric, analyze_trace_perfect, canonical_report, AccumConfig, FusedConfig,
+    analyze_trace_asymmetric, analyze_trace_perfect, canonical_report, AccumConfig,
     IncrementalAnalyzer, ParAnalysis, ParReplayConfig, ProfilerConfig,
 };
 use lc_sigmem::SignatureConfig;
@@ -58,13 +56,12 @@ fn assert_identical(mat: &ParAnalysis, fused: &ParAnalysis, events: u64, what: &
     );
 }
 
-fn cfg(jobs: usize, batch: usize, fused: bool, skip_filter: bool) -> ParReplayConfig {
+fn cfg(jobs: usize, batch: usize, fused: bool) -> ParReplayConfig {
     ParReplayConfig {
         jobs,
         coalesce: false,
         batch_events: batch,
         fused,
-        skip_filter,
     }
 }
 
@@ -79,19 +76,17 @@ fn sweep_asymmetric(trace: &Trace, threads: usize, slots: usize) {
                 sig,
                 prof,
                 AccumConfig::default(),
-                &cfg(jobs, batch, false, false),
+                &cfg(jobs, batch, false),
             );
-            for skip in [false, true] {
-                let fused = analyze_trace_asymmetric(
-                    trace,
-                    sig,
-                    prof,
-                    AccumConfig::default(),
-                    &cfg(jobs, batch, true, skip),
-                );
-                let what = format!("asymmetric jobs={jobs} batch={batch} skip={skip}");
-                assert_identical(&mat, &fused, events, &what);
-            }
+            let fused = analyze_trace_asymmetric(
+                trace,
+                sig,
+                prof,
+                AccumConfig::default(),
+                &cfg(jobs, batch, true),
+            );
+            let what = format!("asymmetric jobs={jobs} batch={batch}");
+            assert_identical(&mat, &fused, events, &what);
         }
     }
 }
@@ -105,18 +100,12 @@ fn sweep_perfect(trace: &Trace, threads: usize) {
                 trace,
                 prof,
                 AccumConfig::default(),
-                &cfg(jobs, batch, false, false),
+                &cfg(jobs, batch, false),
             );
-            for skip in [false, true] {
-                let fused = analyze_trace_perfect(
-                    trace,
-                    prof,
-                    AccumConfig::default(),
-                    &cfg(jobs, batch, true, skip),
-                );
-                let what = format!("perfect jobs={jobs} batch={batch} skip={skip}");
-                assert_identical(&mat, &fused, events, &what);
-            }
+            let fused =
+                analyze_trace_perfect(trace, prof, AccumConfig::default(), &cfg(jobs, batch, true));
+            let what = format!("perfect jobs={jobs} batch={batch}");
+            assert_identical(&mat, &fused, events, &what);
         }
     }
 }
@@ -140,9 +129,9 @@ fn fused_matches_materialized_on_fft() {
 
 #[test]
 fn fused_matches_under_tiny_signature_aliasing() {
-    // An undersized signature maximizes slot sharing, which stresses the
-    // skip filter's invalidation path: every write clears a whole filter,
-    // so its class generation must bump even when many addresses alias.
+    // An undersized signature maximizes slot sharing: every write clears
+    // a whole filter that many addresses alias into, so suppressed and
+    // re-armed dependences are dense in the stream.
     let threads = 4;
     let trace = record_workload("radix", threads, 13);
     sweep_asymmetric(&trace, threads, 1 << 6);
@@ -167,23 +156,20 @@ fn phase_windows_straddling_tile_boundaries_agree() {
             sig,
             prof,
             AccumConfig::default(),
-            &cfg(1, batch, false, false),
+            &cfg(1, batch, false),
         );
         assert!(
             mat.report.phase_windows.is_some(),
             "phase tracking must be active for this test to mean anything"
         );
-        for skip in [false, true] {
-            let fused = analyze_trace_asymmetric(
-                &trace,
-                sig,
-                prof,
-                AccumConfig::default(),
-                &cfg(1, batch, true, skip),
-            );
-            let what = format!("phases batch={batch} skip={skip}");
-            assert_identical(&mat, &fused, events, &what);
-        }
+        let fused = analyze_trace_asymmetric(
+            &trace,
+            sig,
+            prof,
+            AccumConfig::default(),
+            &cfg(1, batch, true),
+        );
+        assert_identical(&mat, &fused, events, &format!("phases batch={batch}"));
     }
 }
 
@@ -220,7 +206,7 @@ fn mmap_spool_source_agrees_with_in_ram() {
     let sig = SignatureConfig::paper_default(1 << 10, threads);
     let prof = ProfilerConfig::nested(threads);
 
-    let run = |fused: Option<FusedConfig>, jobs: usize| -> String {
+    let run = |fused: bool, jobs: usize| -> String {
         let mut an = IncrementalAnalyzer::asymmetric(sig, prof, AccumConfig::default(), jobs);
         an.set_fused(fused);
         mmap.stream_from(0, |frame| an.on_frame(frame))
@@ -234,31 +220,20 @@ fn mmap_spool_source_agrees_with_in_ram() {
         sig,
         prof,
         AccumConfig::default(),
-        &cfg(1, 512, false, false),
+        &cfg(1, 512, false),
     );
     let anchor = canonical_report(&anchor.report, trace.len() as u64);
 
     for jobs in [1usize, 2, 4] {
         assert_eq!(
             anchor,
-            run(None, jobs),
+            run(false, jobs),
             "unfused mmap stream diverges at jobs={jobs}"
         );
         assert_eq!(
             anchor,
-            run(Some(FusedConfig::default()), jobs),
+            run(true, jobs),
             "fused mmap stream diverges at jobs={jobs}"
-        );
-        assert_eq!(
-            anchor,
-            run(
-                Some(FusedConfig {
-                    skip_filter: false,
-                    ..FusedConfig::default()
-                }),
-                jobs
-            ),
-            "fused(noskip) mmap stream diverges at jobs={jobs}"
         );
     }
 
@@ -270,9 +245,7 @@ fn mmap_spool_source_agrees_with_in_ram() {
 const THREADS: u32 = 6;
 
 /// Tiny address pool ⇒ dense writer/reader interleavings, heavy slot
-/// aliasing, and high idempotent-read rates — the regime where a skip
-/// filter keyed on anything coarser than the exact address would elide
-/// a read it must not.
+/// aliasing, and high idempotent-read rates.
 fn arb_event() -> impl Strategy<Value = (u32, u64, bool, u32)> {
     (0..THREADS, 0u64..24, any::<bool>(), 0..4u32)
 }
@@ -304,8 +277,8 @@ fn script_to_trace(script: &[(u32, u64, bool, u32)]) -> Trace {
 }
 
 proptest! {
-    // Each case sweeps batch {1, 7, 64} × jobs {1, 2} × skip filter
-    // on/off × both detectors; case count follows PROPTEST_CASES.
+    // Each case sweeps batch {1, 7, 64} × jobs {1, 2} × both detectors;
+    // case count follows PROPTEST_CASES.
     #[test]
     fn random_traces_agree_fused_vs_materialized(
         script in prop::collection::vec(arb_event(), 1..300),
@@ -318,23 +291,21 @@ proptest! {
         for jobs in [1usize, 2] {
             for batch in [1usize, 7, 64] {
                 let mat_a = analyze_trace_asymmetric(
-                    &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, false, false));
+                    &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, false));
                 let mat_p = analyze_trace_perfect(
-                    &trace, prof, AccumConfig::default(), &cfg(jobs, batch, false, false));
-                for skip in [false, true] {
-                    let fus_a = analyze_trace_asymmetric(
-                        &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, true, skip));
-                    prop_assert_eq!(
-                        canonical_report(&mat_a.report, events),
-                        canonical_report(&fus_a.report, events),
-                        "asymmetric jobs={} batch={} skip={}", jobs, batch, skip);
-                    let fus_p = analyze_trace_perfect(
-                        &trace, prof, AccumConfig::default(), &cfg(jobs, batch, true, skip));
-                    prop_assert_eq!(
-                        canonical_report(&mat_p.report, events),
-                        canonical_report(&fus_p.report, events),
-                        "perfect jobs={} batch={} skip={}", jobs, batch, skip);
-                }
+                    &trace, prof, AccumConfig::default(), &cfg(jobs, batch, false));
+                let fus_a = analyze_trace_asymmetric(
+                    &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, true));
+                prop_assert_eq!(
+                    canonical_report(&mat_a.report, events),
+                    canonical_report(&fus_a.report, events),
+                    "asymmetric jobs={} batch={}", jobs, batch);
+                let fus_p = analyze_trace_perfect(
+                    &trace, prof, AccumConfig::default(), &cfg(jobs, batch, true));
+                prop_assert_eq!(
+                    canonical_report(&mat_p.report, events),
+                    canonical_report(&fus_p.report, events),
+                    "perfect jobs={} batch={}", jobs, batch);
             }
         }
     }

@@ -96,11 +96,6 @@ fn checkpoint_publication_racing_reader_is_exhaustively_atomic() {
 }
 
 #[test]
-fn skip_filter_invalidation_race_is_exhaustively_clean() {
-    assert_clean_and_multi_schedule("skipfilter");
-}
-
-#[test]
 fn exploration_counts_are_deterministic() {
     let a = explore("bloom", clean_cfg("bloom"));
     let b = explore("bloom", clean_cfg("bloom"));
@@ -204,11 +199,6 @@ fn relaxed_publish_mutant_in_read_signature_is_caught_as_init_race() {
 #[test]
 fn dropped_contended_delta_mutant_is_caught_via_flush_oracle() {
     assert_mutant_caught("flush", "shards-drop-contended-delta");
-}
-
-#[test]
-fn stale_elide_mutant_in_skip_filter_is_caught_via_differential_oracle() {
-    assert_mutant_caught("skipfilter", "skipfilter-stale-elide");
 }
 
 #[test]

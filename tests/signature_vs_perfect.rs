@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lc_profiler::{AsymmetricProfiler, PerfectProfiler, ProfilerConfig};
 use lc_sigmem::SignatureConfig;
-use lc_trace::{RecordingSink, Trace};
+use lc_trace::{RecordingSink, StampedEvent, Trace};
 use loopcomm::prelude::*;
 
 fn record(name: &str, threads: usize) -> Trace {
@@ -14,6 +14,20 @@ fn record(name: &str, threads: usize) -> Trace {
     let ctx = TraceCtx::new(rec.clone(), threads);
     w.run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 7));
     rec.finish()
+}
+
+/// [`record`], normalized to thread-serial order exactly as
+/// `tests/golden_reports.rs::thread_serial_trace` does: stable sort by
+/// `(tid, seq)` and re-stamp. Each thread's own stream depends only on
+/// the seed, so the input — and every dependence count taken on it — is
+/// the same on every run, however the OS interleaved the recording.
+fn record_thread_serial(name: &str, threads: usize) -> Trace {
+    let mut evs: Vec<StampedEvent> = record(name, threads).events().to_vec();
+    evs.sort_by_key(|e| (e.event.tid, e.seq));
+    for (i, e) in evs.iter_mut().enumerate() {
+        e.seq = i as u64;
+    }
+    Trace::new(evs)
 }
 
 fn flat(threads: usize) -> ProfilerConfig {
@@ -47,7 +61,7 @@ fn ample_slots_reproduce_the_exact_matrix() {
 
 #[test]
 fn false_positive_rate_decreases_with_slots() {
-    let trace = record("radix", 4);
+    let trace = record_thread_serial("radix", 4);
     let perfect = PerfectProfiler::perfect(flat(4));
     trace.replay(&perfect);
     let exact_deps = perfect.dependencies();
