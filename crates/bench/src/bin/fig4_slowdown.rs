@@ -22,9 +22,10 @@ fn main() {
     let threads = env_threads();
     let size = env_size();
     let reps = 3;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "Figure 4: instrumentation slowdown ({} threads, {}, best of {reps})\n",
+        "Figure 4: instrumentation slowdown ({} threads on {host_cores} core(s), {}, best of {reps})\n",
         threads,
         size.name()
     );
@@ -70,9 +71,19 @@ fn main() {
         fmt_slowdown(factors.iter().cloned().fold(0.0, f64::max)),
     );
 
+    for row in &mut rows {
+        row.extend([threads.to_string(), host_cores.to_string()]);
+    }
     save_csv(
         "fig4_slowdown.csv",
-        &["app", "native_s", "instrumented_s", "slowdown"],
+        &[
+            "app",
+            "native_s",
+            "instrumented_s",
+            "slowdown",
+            "threads",
+            "host_cores",
+        ],
         &rows,
     );
 }

@@ -1,9 +1,11 @@
 //! The communication-pattern profiler: Algorithm 1 wired to the matrices.
 //!
 //! [`CommProfiler`] is an [`AccessSink`]: application threads run the
-//! analysis inline in `on_access`, exactly like the paper's design ("we use
-//! the same threads in the program... without any need to any extra
-//! threads", §IV-D3). Each detected RAW dependence is accumulated into
+//! analysis inline, exactly like the paper's design ("we use the same
+//! threads in the program... without any need to any extra threads",
+//! §IV-D3). Live threads hand it their accesses a capture tile at a time
+//! (`lc_trace::tile`) through the same tiled `on_batch` loop replay uses.
+//! Each detected RAW dependence is accumulated into
 //!
 //! * the **global** communication matrix,
 //! * the matrix of the access's **innermost loop** (the multi-layer /
@@ -244,7 +246,9 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// matrices. All read paths call this first; it is also the
     /// [`AccessSink::flush`] hook, so trace replay and sink pipelines end
     /// with a fully-merged profiler. Idempotent and safe under concurrent
-    /// `on_access` traffic.
+    /// `on_access` traffic. First delivers the calling thread's live
+    /// capture tile ([`lc_trace::flush_thread`]), so a registered thread
+    /// reading a profiler it feeds sees its own accesses.
     ///
     /// Runs under the flush watchdog: a panic on this path (injectable at
     /// [`FaultSite::SinkFlush`]) is caught and latched as degraded rather
@@ -252,6 +256,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// shard whose lock is stuck is skipped after
     /// [`AccumConfig::flush_timeout_ms`].
     pub fn flush_pending(&self) {
+        lc_trace::flush_thread();
         if let Counters::Sharded(s) = &self.counters {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(f) = &self.faults {
@@ -485,8 +490,9 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 
 /// Events per batched-delivery tile: addresses are gathered and hashed
 /// in blocks of this size before detection. Sized so the two scratch
-/// arrays (4 KiB) stay comfortably in L1 next to the tile's events.
-pub(crate) const TILE: usize = 256;
+/// arrays (4 KiB) stay comfortably in L1 next to the tile's events, and
+/// equal to a live capture tile, so each one is hashed in a single block.
+pub(crate) const TILE: usize = lc_trace::tile::TILE_EVENTS;
 
 /// How many events ahead of the detection cursor signature slot lines
 /// are prefetched. Far enough to cover an L2 hit, near enough that the
@@ -724,6 +730,14 @@ impl<R: ReaderSet, W: WriterMap> AccessSink for CommProfiler<R, W> {
 
     fn flush(&self) {
         self.flush_pending();
+    }
+
+    /// Algorithm 1 needs each thread's accesses in program order and the
+    /// synchronised ones in synchronisation order; live capture tiles keep
+    /// both (DESIGN.md, "Live capture tiles"), so live threads feed
+    /// [`Self::on_batch`] a tile at a time.
+    fn accepts_tiles(&self) -> bool {
+        true
     }
 }
 

@@ -13,6 +13,9 @@ use crate::sink::AccessSink;
 /// One `TraceCtx` corresponds to one execution of one profiled program.
 pub struct TraceCtx {
     sink: Arc<dyn AccessSink>,
+    /// `sink.accepts_tiles()`, read once: accesses go through the
+    /// per-thread tiles of [`crate::tile`] instead of `on_access`.
+    pub(crate) tiled: bool,
     loops: LoopTable,
     addr_space: AddressSpace,
     threads: usize,
@@ -24,6 +27,7 @@ impl TraceCtx {
     pub fn new(sink: Arc<dyn AccessSink>, threads: usize) -> Arc<Self> {
         assert!(threads >= 1);
         Arc::new(Self {
+            tiled: sink.accepts_tiles(),
             sink,
             loops: LoopTable::new(),
             addr_space: AddressSpace::new(),

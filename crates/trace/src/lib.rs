@@ -13,6 +13,9 @@
 //! * [`runtime`] — registered thread spawning and an instrumented
 //!   sense-reversing barrier.
 //! * [`sink`] — event consumers: no-op, counting, recording, fan-out.
+//! * [`tile`] — per-thread capture tiles: delayed, block-at-a-time
+//!   delivery for sinks that accept it, drained at every instrumented
+//!   synchronisation point.
 //! * [`replay`] — temporally ordered traces for deterministic offline
 //!   analysis.
 //! * [`selective`] — the §IV-A analyzed/not-analyzed region split as a
@@ -38,6 +41,7 @@ pub mod sink;
 pub mod sites;
 pub mod spool;
 pub mod spool_v3;
+pub mod tile;
 pub mod trace_compress;
 pub mod trace_io;
 pub mod wire;
@@ -68,6 +72,7 @@ pub use spool::{
 pub use spool_v3::{
     index_path, write_trace_spool_v3, MmapTrace, SegmentEntry, SpoolV3Writer, V3Index, PAGE_BYTES,
 };
+pub use tile::flush_thread;
 pub use trace_compress::{load_trace_compressed, save_trace_compressed};
 pub use trace_io::{load_trace, open_block_source, read_trace, save_trace, write_trace};
 pub use wire::{

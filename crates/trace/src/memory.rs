@@ -211,7 +211,11 @@ impl<T: Word> TracedBuffer<T> {
             // instruction's address in an LLVM pass.
             site: site as *const _ as u64,
         };
-        self.ctx.sink().on_access(&ev);
+        if self.ctx.tiled {
+            crate::tile::push(&self.ctx, ev);
+        } else {
+            self.ctx.sink().on_access(&ev);
+        }
     }
 
     /// Instrumented load of element `i`.
@@ -246,12 +250,16 @@ impl<T: Word> TracedBuffer<T> {
 
     /// Atomic instrumented fetch-add on an integer-bits cell; used for
     /// shared counters (task queues). Emits read + write events.
+    ///
+    /// The RMW orders this thread against the next one to take a ticket,
+    /// so the thread's tile is delivered before the atomic runs.
     #[inline]
     #[track_caller]
     pub fn fetch_add(&self, i: usize, delta: u64) -> u64 {
         let site = std::panic::Location::caller();
         self.emit_at(i, AccessKind::Read, site);
         self.emit_at(i, AccessKind::Write, site);
+        crate::tile::flush_thread();
         self.cells[i].fetch_add(delta, Ordering::Relaxed)
     }
 

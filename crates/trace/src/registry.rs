@@ -28,7 +28,15 @@ impl ThreadGuard {
 }
 
 impl Drop for ThreadGuard {
+    /// Delivers the thread's capture tile. A thread unwinding from a panic
+    /// discards it instead: the run is failing, and a sink panic here
+    /// would abort.
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            crate::tile::discard_thread();
+        } else {
+            crate::tile::flush_thread();
+        }
         CURRENT_TID.with(|c| c.set(self.prev));
     }
 }

@@ -19,12 +19,14 @@ use crate::registry::ThreadGuard;
 
 /// Spawn `threads` scoped threads, register them with dense ids 0..t and
 /// run `f(tid)` on each. Returns when all have finished. Panics in workers
-/// propagate.
+/// propagate. The caller's capture tile is delivered first, and each
+/// worker's is delivered when its registration guard drops.
 pub fn run_threads<F>(threads: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
     assert!(threads >= 1);
+    crate::tile::flush_thread();
     std::thread::scope(|s| {
         for tid in 0..threads {
             let f = &f;
@@ -77,6 +79,9 @@ impl InstrumentedBarrier {
         let _region = enter_loop(self.loop_id);
         // Traced arrival write: the last writer is the last arriver.
         self.slot.store(0, 1);
+        // Everything this thread did before arriving reaches the sink
+        // before any peer can be released.
+        crate::tile::flush_thread();
 
         let my_sense = !self.sense.load(Ordering::Relaxed);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -95,7 +100,11 @@ impl InstrumentedBarrier {
         }
 
         // Traced release read: RAW edge last-arriver -> this thread.
+        // Delivered at once, as per-access delivery would: left in the tile
+        // it would wait for this thread's next arrival, behind the
+        // next-round arrival writes of faster peers.
         let _ = self.slot.load(0);
+        crate::tile::flush_thread();
     }
 }
 

@@ -40,6 +40,19 @@ pub trait AccessSink: Send + Sync {
     /// wrapper sinks forwarding a flush downstream. Must be idempotent and
     /// safe under concurrent `on_access` traffic.
     fn flush(&self) {}
+
+    /// Whether live capture may deliver this sink's accesses late, one
+    /// thread's tile at a time through [`AccessSink::on_batch`], instead of
+    /// one `on_access` call per traced load or store (see [`crate::tile`]).
+    /// Each thread's accesses still arrive in program order, and nothing
+    /// an instrumented synchronisation orders is reordered; accesses of
+    /// different threads in between may interleave differently. Read once
+    /// by [`crate::TraceCtx::new`]. The default is `false`: sinks that
+    /// depend on fine interleaving (a cache-coherence model) or that are
+    /// read synchronously keep per-access delivery.
+    fn accepts_tiles(&self) -> bool {
+        false
+    }
 }
 
 /// Discards every event. Used to measure native (uninstrumented-analysis)

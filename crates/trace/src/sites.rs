@@ -7,6 +7,7 @@
 //! [`SiteCounter`] sink ranking sites by traffic — the "which source line
 //! is hot" view a profiler user starts from.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,10 +20,17 @@ use crate::sink::AccessSink;
 /// Global site-id → location registry.
 static REGISTRY: RwLock<Option<HashMap<u64, &'static Location<'static>>>> = RwLock::new(None);
 
+/// Slots in the per-thread direct-mapped cache in front of `SEEN`.
+const SITE_CACHE_SLOTS: usize = 64;
+
 thread_local! {
-    /// Per-thread cache of ids already registered (keeps the hot path to
-    /// one thread-local lookup per new-site access, zero locks otherwise).
-    static SEEN: std::cell::RefCell<HashSet<u64>> = std::cell::RefCell::new(HashSet::new());
+    /// Per-thread set of ids already registered (keeps the registry lock
+    /// off every access after a site's first on this thread).
+    static SEEN: RefCell<HashSet<u64>> = RefCell::new(HashSet::new());
+    /// Direct-mapped cache of ids already in `SEEN`: a hit skips the
+    /// SipHash insert, so a traced access in a hot loop pays one compare.
+    static SEEN_CACHE: [Cell<u64>; SITE_CACHE_SLOTS] =
+        const { [const { Cell::new(0) }; SITE_CACHE_SLOTS] };
 }
 
 /// Record a site location under its id. Cheap when already registered by
@@ -30,11 +38,22 @@ thread_local! {
 #[inline]
 pub fn register_site(loc: &'static Location<'static>) {
     let id = loc as *const _ as u64;
+    // Fibonacci hashing: the top log2(SITE_CACHE_SLOTS) bits of id·φ.
+    let slot = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SITE_CACHE_SLOTS.ilog2())) as usize;
+    if SEEN_CACHE.with(|c| c[slot].get()) != id {
+        register_site_slow(id, loc, slot);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn register_site_slow(id: u64, loc: &'static Location<'static>, slot: usize) {
     let fresh = SEEN.with(|s| s.borrow_mut().insert(id));
     if fresh {
         let mut reg = REGISTRY.write();
         reg.get_or_insert_with(HashMap::new).insert(id, loc);
     }
+    SEEN_CACHE.with(|c| c[slot].set(id));
 }
 
 /// Resolve a site id to `file:line:col`, if it was registered in this
@@ -170,6 +189,22 @@ mod tests {
         });
         let hot = c.hottest(1);
         assert!(hot[0].0.starts_with("<site"));
+    }
+
+    #[test]
+    fn repeat_registrations_through_the_cache_resolve() {
+        let locs = [Location::caller(), Location::caller(), Location::caller()];
+        for _ in 0..3 {
+            for loc in locs {
+                register_site(loc);
+            }
+        }
+        for loc in locs {
+            assert_eq!(
+                site_location(loc as *const _ as u64),
+                Some(format!("{}:{}:{}", loc.file(), loc.line(), loc.column()))
+            );
+        }
     }
 
     #[test]

@@ -1284,8 +1284,38 @@ fn serve_cmd(o: &Options) -> ! {
     server.run_forever()
 }
 
+/// Give `SIGPIPE` back its default action, so `loopcomm … | head` ends
+/// quietly when the reader goes away instead of panicking in `println!`
+/// (the Rust runtime ignores the signal, turning it into an `EPIPE`
+/// error). Commands that write to a socket keep it ignored: a peer that
+/// hangs up must surface as an error there, not kill the process.
+#[cfg(unix)]
+fn restore_default_sigpipe(args: &[String]) {
+    use std::ffi::c_int;
+    const SIGPIPE: c_int = 13;
+    const SIG_DFL: usize = 0;
+    extern "C" {
+        fn signal(signum: c_int, handler: usize) -> usize;
+    }
+    let writes_socket = matches!(args.first().map(String::as_str), Some("serve" | "stream"))
+        || args.iter().any(|a| a == "--connect");
+    if !writes_socket {
+        // SAFETY: `signal` with a valid signal number and `SIG_DFL` only
+        // changes the process's disposition; it runs before any thread is
+        // spawned, and no Rust code relies on SIGPIPE being ignored except
+        // socket writes, which keep it ignored above.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_default_sigpipe(_args: &[String]) {}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    restore_default_sigpipe(&args);
     let Some(cmd) = args.first() else { usage() };
 
     if cmd == "list" {

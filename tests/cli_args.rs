@@ -330,3 +330,22 @@ fn wild_thread_id_is_refused_before_anything_is_allocated() {
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn closed_stdout_pipe_ends_quietly_not_with_a_panic() {
+    // `loopcomm profile … | head -3`: the reader leaves before the report
+    // is printed. The process must end without a panic message or the
+    // panic exit code 101 (it is killed by SIGPIPE, as `cat` would be).
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_loopcomm"))
+        .args(["profile", "radix", "--size", "simdev", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn loopcomm");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for loopcomm");
+    let err = stderr_of(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+}
