@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(collect(&mut mm, 301), &t.access_events()[301..]);
         // A v1 file of the same trace opens as the RAM variant and agrees.
         let v1 = dir.join("t.lctrace");
-        crate::trace_io::save_trace(&t, &v1).unwrap();
+        crate::trace_io::write_trace(&t, std::fs::File::create(&v1).unwrap()).unwrap();
         let mut ram = FileBlockSource::open(&v1).unwrap();
         assert!(matches!(ram, FileBlockSource::Ram(_)));
         assert_eq!(collect(&mut ram, 0), t.access_events());

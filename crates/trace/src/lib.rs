@@ -42,7 +42,6 @@ pub mod sites;
 pub mod spool;
 pub mod spool_v3;
 pub mod tile;
-pub mod trace_compress;
 pub mod trace_io;
 pub mod wire;
 
@@ -73,8 +72,7 @@ pub use spool_v3::{
     index_path, write_trace_spool_v3, MmapTrace, SegmentEntry, SpoolV3Writer, V3Index, PAGE_BYTES,
 };
 pub use tile::flush_thread;
-pub use trace_compress::{load_trace_compressed, save_trace_compressed};
-pub use trace_io::{load_trace, open_block_source, read_trace, save_trace, write_trace};
+pub use trace_io::{load_trace, open_block_source, read_trace, write_trace};
 pub use wire::{
     decode_hello, encode_hello, read_hello, valid_tenant, FrameDecoder, WireError, WireSummary,
 };

@@ -19,11 +19,13 @@
 //! valid prefix of a truncated or bit-flipped file (of either version)
 //! instead of erroring.
 //!
-//! [`SpoolSink`] is the recording sink for this format: application
-//! threads stamp and batch events, a dedicated writer thread turns each
-//! batch into one durable frame, and [`SpoolSink::finish`] surfaces any
-//! writer failure — including a panicked writer thread — as a typed
-//! [`SpoolError`] instead of a nested panic.
+//! [`SpoolSink`] is the recording sink: application threads stamp and
+//! batch events, a dedicated writer thread turns each batch into one
+//! durable frame — a v3 segment in a file ([`crate::spool_v3`]), or a v2
+//! frame on any other byte sink, which is what the wire carries — and
+//! [`SpoolSink::finish`] surfaces any writer failure — including a
+//! panicked writer thread — as a typed [`SpoolError`] instead of a nested
+//! panic.
 
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
@@ -32,13 +34,14 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use lc_faults::{FaultInjector, FaultyWriter};
+use lc_faults::FaultInjector;
 use parking_lot::Mutex;
 
 use crate::crc::crc32;
 use crate::event::{AccessEvent, StampedEvent};
 use crate::replay::Trace;
 use crate::sink::AccessSink;
+use crate::spool_v3::SpoolV3Writer;
 use crate::trace_io::{
     decode_event, encode_event, read_header, salvage_v1_body, MAGIC, RECORD_BYTES, VERSION,
     VERSION_SPOOL, VERSION_V3,
@@ -55,6 +58,11 @@ pub(crate) const MAX_FRAME_PAYLOAD: u32 = (1 << 24) * RECORD_BYTES as u32;
 /// per frame — large enough to amortize the 12-byte header and the flush,
 /// small enough that a crash loses under a fifth of a megabyte).
 pub const DEFAULT_FRAME_EVENTS: usize = 4096;
+/// Full frames a [`SpoolSink`] queues for its writer thread before
+/// recording threads block. Bounds the recorder's memory when the disk
+/// or the server is slower than capture, and keeps a server's
+/// backpressure reaching the recorded program.
+const BACKLOG_FRAMES: usize = 4;
 
 /// What one spool writer produced.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -354,17 +362,19 @@ pub fn salvage_stream<R: Read>(r: &mut R) -> io::Result<(Trace, SalvageReport)> 
     }
 }
 
-/// A recording [`AccessSink`] that spools format-v2 frames to disk as the
-/// run progresses. Application threads stamp events into a shared batch;
-/// each full batch crosses an `mpsc` channel to a dedicated writer thread
-/// that appends it as one durable frame. A run that crashes mid-way
-/// therefore leaves every completed frame salvageable on disk — the
-/// crash-tolerance contract v1's trailing-count format cannot offer.
+/// A recording [`AccessSink`] that spools frames as the run progresses:
+/// v3 segments into a file, or v2 frames into any other byte sink.
+/// Application threads stamp events into a shared batch; each full batch
+/// crosses a bounded channel ([`BACKLOG_FRAMES`] deep) to a dedicated
+/// writer thread that appends it as one durable frame. Memory therefore
+/// stays bounded however long the run, and a run that crashes mid-way
+/// leaves every completed frame salvageable on disk — the crash-tolerance
+/// contract v1's trailing-count format cannot offer.
 pub struct SpoolSink {
     seq: AtomicU64,
     batch_events: usize,
     batch: Mutex<Vec<StampedEvent>>,
-    tx: Mutex<Option<mpsc::Sender<Vec<StampedEvent>>>>,
+    tx: Mutex<Option<mpsc::SyncSender<Vec<StampedEvent>>>>,
     writer: Mutex<Option<JoinHandle<Result<SpoolStats, SpoolError>>>>,
     writer_dead: AtomicBool,
 }
@@ -411,44 +421,78 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A frame writer [`SpoolSink`]'s writer thread drives.
+trait FrameWrite {
+    fn append_frame(&mut self, events: &[StampedEvent]) -> io::Result<()>;
+    fn finish(self) -> io::Result<SpoolStats>;
+}
+
+impl<W: Write> FrameWrite for SpoolWriter<W> {
+    fn append_frame(&mut self, events: &[StampedEvent]) -> io::Result<()> {
+        SpoolWriter::append_frame(self, events)
+    }
+    fn finish(self) -> io::Result<SpoolStats> {
+        SpoolWriter::finish(self)
+    }
+}
+
+impl FrameWrite for SpoolV3Writer {
+    fn append_frame(&mut self, events: &[StampedEvent]) -> io::Result<()> {
+        SpoolV3Writer::append_frame(self, events)
+    }
+    fn finish(self) -> io::Result<SpoolStats> {
+        SpoolV3Writer::finish(self)
+    }
+}
+
 impl SpoolSink {
-    /// Open `path` and start spooling with [`DEFAULT_FRAME_EVENTS`]-event
-    /// frames.
+    /// Start a v3 spool at `path` (plus its `.idx` side-car) with
+    /// [`DEFAULT_FRAME_EVENTS`]-event segments.
     pub fn create(path: &Path) -> io::Result<Self> {
         Self::create_with(path, DEFAULT_FRAME_EVENTS, None)
     }
 
-    /// Open `path` with an explicit frame size and an optional fault
-    /// injector wrapped around the file writes ([`lc_faults::FaultSite::TraceWrite`]).
+    /// [`Self::create`] with an explicit segment size and an optional
+    /// fault injector on the data writes
+    /// ([`lc_faults::FaultSite::TraceWrite`]) and the index write
+    /// ([`lc_faults::FaultSite::IndexWrite`]). The file is created on the
+    /// writer thread, so an unwritable path surfaces from
+    /// [`Self::finish`] like any other write failure.
     pub fn create_with(
         path: &Path,
         frame_events: usize,
         faults: Option<Arc<FaultInjector>>,
     ) -> io::Result<Self> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let file = std::fs::File::create(path)?;
-        let raw: Box<dyn Write + Send> = match faults {
-            Some(inj) => Box::new(FaultyWriter::new(file, inj)),
-            None => Box::new(file),
-        };
-        Self::from_writer(raw, frame_events)
+        let path = path.to_path_buf();
+        Self::spawn(
+            move || SpoolV3Writer::create_with(&path, faults),
+            frame_events,
+        )
     }
 
-    /// Spool frames into any byte sink — the seam [`crate::net::NetSink`]
-    /// uses to stream frames over a socket instead of into a file.
+    /// Spool v2 frames into any byte sink — the seam
+    /// [`crate::net::NetSink`] uses to stream frames over a socket.
     pub fn from_writer(raw: Box<dyn Write + Send>, frame_events: usize) -> io::Result<Self> {
+        Self::spawn(move || SpoolWriter::new(raw, frame_events), frame_events)
+    }
+
+    /// Start the writer thread: it opens its frame writer with `open`,
+    /// appends every batch it receives as one frame, and finishes the
+    /// writer when the channel closes.
+    fn spawn<F: FrameWrite>(
+        open: impl FnOnce() -> io::Result<F> + Send + 'static,
+        frame_events: usize,
+    ) -> io::Result<Self> {
         assert!(frame_events >= 1, "frame_events must be at least 1");
-        let (tx, rx) = mpsc::channel::<Vec<StampedEvent>>();
+        let (tx, rx) = mpsc::sync_channel::<Vec<StampedEvent>>(BACKLOG_FRAMES);
         let writer = std::thread::Builder::new()
             .name("lc-spool-writer".into())
             .spawn(move || -> Result<SpoolStats, SpoolError> {
-                let mut sw = SpoolWriter::new(raw, frame_events)?;
+                let mut w = open()?;
                 for batch in rx.iter() {
-                    sw.append_frame(&batch)?;
+                    w.append_frame(&batch)?;
                 }
-                Ok(sw.finish()?)
+                Ok(w.finish()?)
             })?;
         Ok(Self {
             seq: AtomicU64::new(0),
@@ -460,8 +504,10 @@ impl SpoolSink {
         })
     }
 
-    /// Send `batch` to the writer thread; latches `writer_dead` when the
-    /// channel is closed (writer errored out and dropped the receiver).
+    /// Send `batch` to the writer thread, blocking while the backlog is
+    /// full; latches `writer_dead` when the channel is closed (writer
+    /// errored out and dropped the receiver, which also wakes a blocked
+    /// send).
     fn send(&self, batch: Vec<StampedEvent>) {
         if batch.is_empty() {
             return;
@@ -516,54 +562,28 @@ impl SpoolSink {
 
 impl AccessSink for SpoolSink {
     fn on_access(&self, ev: &AccessEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let full = {
-            let mut batch = self.batch.lock();
-            batch.push(StampedEvent { seq, event: *ev });
-            if batch.len() >= self.batch_events {
-                Some(std::mem::replace(
-                    &mut *batch,
-                    Vec::with_capacity(self.batch_events),
-                ))
-            } else {
-                None
-            }
-        };
-        if let Some(batch) = full {
-            self.send(batch);
-        }
+        self.on_batch(std::slice::from_ref(ev));
     }
 
-    /// Stamp the whole block with one atomic add and take the buffer lock
-    /// once, shipping any filled frames to the writer thread.
+    /// Stamp the block and ship every frame it fills without releasing
+    /// the buffer lock. Stamps are therefore taken in lock order and
+    /// frames leave in stamp order, so the spool is sorted by `seq` and a
+    /// mapped replay sees the same order as a loaded (sorted) one.
     fn on_batch(&self, evs: &[AccessEvent]) {
-        if evs.is_empty() {
-            return;
-        }
-        let mut seq = self.seq.fetch_add(evs.len() as u64, Ordering::Relaxed);
-        let mut full = Vec::new();
-        {
-            let mut batch = self.batch.lock();
-            batch.reserve(evs.len().min(self.batch_events));
-            for ev in evs {
-                batch.push(StampedEvent { seq, event: *ev });
-                seq += 1;
-                if batch.len() >= self.batch_events {
-                    full.push(std::mem::replace(
-                        &mut *batch,
-                        Vec::with_capacity(self.batch_events),
-                    ));
-                }
+        let mut batch = self.batch.lock();
+        let first = self.seq.fetch_add(evs.len() as u64, Ordering::Relaxed);
+        for (seq, ev) in (first..).zip(evs) {
+            batch.push(StampedEvent { seq, event: *ev });
+            if batch.len() >= self.batch_events {
+                let full = Vec::with_capacity(self.batch_events);
+                self.send(std::mem::replace(&mut *batch, full));
             }
-        }
-        for frame in full {
-            self.send(frame);
         }
     }
 
     fn flush(&self) {
-        let batch = std::mem::take(&mut *self.batch.lock());
-        self.send(batch);
+        let mut batch = self.batch.lock();
+        self.send(std::mem::take(&mut *batch));
     }
 }
 
@@ -738,8 +758,14 @@ mod tests {
         });
         let stats = sink.finish().unwrap();
         assert_eq!(stats.events, 2000);
-        let back = crate::trace_io::load_trace(&path).unwrap();
-        assert_eq!(back.len(), 2000);
+        // File order is stamp order, so a mapped replay (which cannot
+        // sort) sees what a loaded one does.
+        let mut seqs = Vec::new();
+        crate::spool_v3::MmapTrace::open(&path)
+            .unwrap()
+            .stream_from(0, |evs| seqs.extend(evs.iter().map(|e| e.seq)))
+            .unwrap();
+        assert_eq!(seqs, (0..2000).collect::<Vec<_>>());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -748,14 +774,14 @@ mod tests {
         let dir = std::env::temp_dir().join("lc_spool_fault");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.lctrace");
-        // Frames are written with 4 write_all calls (marker, len, crc,
-        // payload) plus the header's 2; kill the writer a few frames in.
+        // The v3 header page is one write and each segment five (marker,
+        // len, crc, payload, padding): the fault lands in segment 2.
         let inj = Arc::new(FaultInjector::new(FaultPlan {
             seed: 0,
             rules: vec![FaultRule::once(
                 FaultSite::TraceWrite,
                 FaultAction::IoError,
-                2, // header writes pass; first frame writes (buffered) vary
+                7,
             )],
         }));
         let sink = SpoolSink::create_with(&path, 8, Some(inj)).unwrap();
@@ -768,10 +794,112 @@ mod tests {
             "{err}"
         );
         assert!(sink.writer_dead());
-        // Whatever frames made it out are salvageable.
+        // The segment that made it out is salvageable, and nothing else.
         let (salvaged, report) = salvage_trace(&path).unwrap();
-        assert_eq!(salvaged.len() as u64, report.events);
-        assert_eq!(report.events % 8, 0, "only whole frames survive");
+        assert_eq!(report.version, 3);
+        assert_eq!(report.frames, 1);
+        assert_eq!(salvaged.len(), 8, "only whole segments survive");
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// One-frame batches [`fill_past_the_backlog`] hands to the sink.
+    const FILL_FRAMES: u64 = BACKLOG_FRAMES as u64 + 4;
+    const GATE_FRAME: u64 = 4;
+
+    /// A byte sink slower than capture: every write after the first (the
+    /// spool header) waits until the gate's sender is dropped.
+    struct GatedWriter<W> {
+        inner: W,
+        gate: mpsc::Receiver<()>,
+        writes: usize,
+    }
+
+    impl<W: Write> Write for GatedWriter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes > 1 {
+                let _ = self.gate.recv(); // returns once the gate opens
+            }
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// Spool [`FILL_FRAMES`] batches into `inner` from a producer thread
+    /// while the gate is shut, check the producer blocks once one frame is
+    /// stuck in the writer and `BACKLOG_FRAMES` wait in the channel, then
+    /// open the gate and return the sink when the producer is done.
+    fn fill_past_the_backlog(inner: impl Write + Send + 'static) -> Arc<SpoolSink> {
+        let (open, gate) = mpsc::channel();
+        let raw = GatedWriter {
+            inner,
+            gate,
+            writes: 0,
+        };
+        let sink = Arc::new(SpoolSink::from_writer(Box::new(raw), GATE_FRAME as usize).unwrap());
+        let handed = Arc::new(AtomicU64::new(0));
+        let producer = {
+            let (sink, handed) = (Arc::clone(&sink), Arc::clone(&handed));
+            std::thread::spawn(move || {
+                for f in 0..FILL_FRAMES {
+                    let batch: Vec<AccessEvent> = (f * GATE_FRAME..(f + 1) * GATE_FRAME)
+                        .map(|i| ev(i).event)
+                        .collect();
+                    sink.on_batch(&batch);
+                    handed.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let blocked_at = BACKLOG_FRAMES as u64 + 1;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while handed.load(Ordering::SeqCst) < blocked_at && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(
+            handed.load(Ordering::SeqCst),
+            blocked_at,
+            "producer must block"
+        );
+        drop(open);
+        producer.join().unwrap();
+        sink
+    }
+
+    #[test]
+    fn a_slow_writer_blocks_the_recorder_after_the_backlog_and_loses_nothing() {
+        let dir = std::env::temp_dir().join("lc_spool_backlog");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.lctrace");
+        let sink = fill_past_the_backlog(std::fs::File::create(&path).unwrap());
+        assert_eq!(sink.finish().unwrap().frames, FILL_FRAMES);
+        let back = crate::trace_io::load_trace(&path).unwrap();
+        let got: Vec<AccessEvent> = back.events().iter().map(|e| e.event).collect();
+        let want: Vec<AccessEvent> = (0..FILL_FRAMES * GATE_FRAME).map(|i| ev(i).event).collect();
+        assert_eq!(got, want, "every event arrives");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn an_io_error_behind_a_full_backlog_is_an_error_not_a_hang() {
+        // The header passes; the first frame's write fails once released.
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            rules: vec![FaultRule::once(
+                FaultSite::TraceWrite,
+                FaultAction::IoError,
+                1,
+            )],
+        }));
+        let sink = fill_past_the_backlog(lc_faults::FaultyWriter::new(io::sink(), inj));
+        assert!(sink.writer_dead());
+        let err = sink.finish().unwrap_err();
+        assert!(
+            matches!(&err, SpoolError::Io(e) if e.to_string().contains("injected")),
+            "{err}"
+        );
     }
 }

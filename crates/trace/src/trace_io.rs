@@ -1,17 +1,22 @@
-//! Trace persistence — save/load recorded traces as compact binary files.
+//! Trace persistence — load recorded traces from compact binary files.
 //!
 //! Offline workflows (record once, sweep many analyzer configurations —
-//! the FPR study's shape) benefit from traces on disk. Two formats share
-//! the `LCTR` magic:
+//! the FPR study's shape) benefit from traces on disk. Three versions
+//! share the `LCTR` magic, and [`read_trace`]/[`load_trace`] accept all
+//! of them:
 //!
 //! * **v1** — a `count` header followed by `count` fixed-width 41-byte
 //!   little-endian records. Compact and simple, but the trailing-count
-//!   design means a truncated file is unreadable past the error.
+//!   design means a truncated file is unreadable past the error. Nothing
+//!   records it any more; [`write_trace`] survives as the fixture writer
+//!   for the back-compat reader and salvage tests.
 //! * **v2** — the framed, per-frame-CRC32 append-only spool of
-//!   [`crate::spool`], written incrementally so a crashed or wedged run
-//!   leaves a salvageable prefix instead of garbage. [`read_trace`] and
-//!   [`load_trace`] accept both; [`crate::spool::salvage_trace`] recovers
-//!   the longest valid prefix of a damaged file of either version.
+//!   [`crate::spool`]; its frames are also the wire format.
+//! * **v3** — the page-aligned, indexed spool of [`crate::spool_v3`],
+//!   the one format every file recorder writes.
+//!
+//! [`crate::spool::salvage_trace`] recovers the longest valid prefix of a
+//! damaged file of any version.
 //!
 //! One event is 41 bytes, so even the simlarge traces stay in the tens of
 //! megabytes (the paper notes simulation-based tools produce "more than
@@ -95,7 +100,9 @@ pub(crate) fn decode_event(rec: &[u8; RECORD_BYTES]) -> io::Result<StampedEvent>
     })
 }
 
-/// Serialize a trace to a writer (format v1).
+/// Serialize a trace to a writer in format v1. Only tests use it: it
+/// builds v1 fixtures for the back-compat reader and salvage paths.
+/// Recorders write v3 ([`crate::spool::SpoolSink`]).
 pub fn write_trace<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     w.write_all(&MAGIC)?;
@@ -216,15 +223,7 @@ pub(crate) fn salvage_v1_body<R: Read>(r: &mut R) -> io::Result<(Trace, u64)> {
     Ok((Trace::new(events), dropped))
 }
 
-/// Save a trace to a file path (format v1).
-pub fn save_trace(trace: &Trace, path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    write_trace(trace, std::fs::File::create(path)?)
-}
-
-/// Load a trace from a file path (v1 or v2). The v1 count header is
+/// Load a trace from a file path (any version). The v1 count header is
 /// validated against the file size before any allocation trusts it.
 pub fn load_trace(path: &Path) -> io::Result<Trace> {
     let f = std::fs::File::open(path)?;
@@ -294,18 +293,6 @@ mod tests {
             want.site &= 0xffff_ffff;
             assert_eq!(want, b.event);
         }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("lc_trace_io_test");
-        let path = dir.join("t.lctrace");
-        let t = sample_trace();
-        save_trace(&t, &path).unwrap();
-        let back = load_trace(&path).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.stats().writes, t.stats().writes);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

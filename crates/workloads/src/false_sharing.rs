@@ -118,9 +118,13 @@ impl Workload for FsStraddle {
         "line-straddling producer/consumer ring (mixed true/false sharing)"
     }
 
+    fn min_threads(&self) -> usize {
+        2
+    }
+
     fn run(&self, ctx: &Arc<TraceCtx>, cfg: &RunConfig) -> WorkloadResult {
         let t = cfg.threads;
-        assert!(t >= 2, "the ring needs at least 2 threads");
+        assert!(t >= self.min_threads(), "the ring needs at least 2 threads");
         let rounds = cfg.size.pick(8, 64, 512);
         let buf: TracedBuffer<u64> = ctx.alloc::<u64>(t * LINE_WORDS + LINE_WORDS);
 

@@ -125,6 +125,11 @@ pub trait Workload: Send + Sync {
 
     /// Execute under `ctx`'s instrumentation. Panics on validation failure.
     fn run(&self, ctx: &Arc<TraceCtx>, cfg: &RunConfig) -> WorkloadResult;
+
+    /// Fewest worker threads [`Workload::run`] accepts.
+    fn min_threads(&self) -> usize {
+        1
+    }
 }
 
 /// All registered workloads: the fourteen SPLASH-style kernels in the

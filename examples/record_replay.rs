@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use lc_profiler::{PerfectProfiler, ProfilerConfig};
-use lc_trace::{load_trace, save_trace, RecordingSink};
+use lc_trace::{load_trace, SpoolSink};
 use loopcomm::prelude::*;
 
 fn main() {
@@ -30,24 +30,22 @@ fn main() {
         phase_window: None,
     };
 
-    // 1. Record.
+    // 1. Record, streaming a v3 spool to disk as the run goes.
     let workload = by_name(&name).expect("unknown workload");
-    let rec = Arc::new(RecordingSink::new());
-    let ctx = TraceCtx::new(rec.clone(), threads);
+    let path = std::env::temp_dir().join(format!("loopcomm_{name}.lcv3"));
+    let spool = Arc::new(SpoolSink::create(&path).expect("start spool"));
+    let ctx = TraceCtx::new(spool.clone(), threads);
     workload.run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 42));
-    let trace = rec.finish();
-    let path = std::env::temp_dir().join(format!("loopcomm_{name}.lctrace"));
-    save_trace(&trace, &path).expect("save trace");
-    let stats = trace.stats();
+    spool.finish().expect("finish spool");
+
+    // 2. Load (proving the file is self-contained) and get ground truth.
+    let trace = load_trace(&path).expect("load trace");
     println!(
         "recorded {} events / {} distinct addresses to {}",
         trace.len(),
-        stats.distinct_addrs,
+        trace.stats().distinct_addrs,
         path.display()
     );
-
-    // 2. Reload (proving the file is self-contained) and get ground truth.
-    let trace = load_trace(&path).expect("load trace");
     let perfect = PerfectProfiler::perfect(flat);
     trace.replay(&perfect);
     let exact = perfect.global_matrix();
@@ -73,4 +71,5 @@ fn main() {
         );
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(lc_trace::index_path(&path)).ok();
 }

@@ -9,9 +9,9 @@
 //! loopcomm map      <workload> [--threads N] [--size ...]
 //! loopcomm phases   <workload> [--threads N] [--size ...] [--window W]
 //! loopcomm report   <workload> <out.html> [--threads N] [--size ...]
-//! loopcomm record   <workload> <file.lctrace> [--threads N] [--size ...] [--spool|--v3]
+//! loopcomm record   <workload> <file> [--threads N] [--size ...] [--frame-events N]
 //! loopcomm record   <workload> --connect HOST:PORT [--tenant NAME]
-//! loopcomm synth    <file> [--events N] [--threads N] [--seed S] [--v3]
+//! loopcomm synth    <file> [--events N] [--threads N] [--seed S]
 //! loopcomm analyze  <file> [--slots 2^k] [--jobs N] [--batch N] [--perfect] [--salvage]
 //!                   [--checkpoint DIR [--every N]] [--resume DIR]
 //!                   [--report-out P] [--metrics P]
@@ -32,7 +32,13 @@
 //! v1/v2 files and `--salvage` output are loaded once and streamed as
 //! zero-copy blocks) and every block goes through one
 //! `IncrementalAnalyzer` and, under `--coherence`, one `CoherenceBackend`.
-//! `--mmap` and `--no-coalesce` are accepted and change nothing.
+//! `--mmap` is accepted and changes nothing.
+//!
+//! Every file a command writes is a v3 spool plus its `.idx` side-car,
+//! streamed as it is produced: `record` through `SpoolSink`'s writer
+//! thread, `synth` segment by segment. No command holds a whole trace in
+//! memory to write it. `analyze`, `stream` and `--salvage` still read
+//! v1 and v2 files.
 
 use std::sync::Arc;
 
@@ -56,11 +62,9 @@ struct Options {
     seed: u64,
     loop_capacity: usize,
     metrics: Option<String>,
-    spool: bool,
     salvage: bool,
     jobs: usize,
     batch: usize,
-    no_coalesce: bool,
     /// `analyze`: run the fused replay engine (default). `--no-fused`
     /// delivers blocks through the routed `on_batch` path instead.
     fused: bool,
@@ -79,7 +83,7 @@ struct Options {
     connect: Option<String>,
     /// `record --connect`/`stream`: tenant name sent in the hello.
     tenant: String,
-    /// `record --connect`/`stream`: events per wire frame.
+    /// `record`/`stream`/`synth`: events per spool segment or wire frame.
     frame_events: usize,
     /// `serve`: per-tenant queue capacity in frames.
     queue_frames: usize,
@@ -97,8 +101,6 @@ struct Options {
     every: u64,
     /// `analyze`: resume from the checkpoint in this directory.
     resume: Option<String>,
-    /// `record`/`synth`: write the page-aligned, indexed v3 spool format.
-    v3: bool,
     /// `synth`: events to generate.
     events: u64,
     /// `serve`: root directory for durable tenant state (spill spools +
@@ -164,12 +166,11 @@ fn usage() -> ! {
          \x20 map      <workload>    communication-aware thread mapping\n\
          \x20 phases   <workload>    dynamic phase detection (§V-A4)\n\
          \x20 report   <workload> <out.html>  write a full HTML report\n\
-         \x20 record   <workload> <file>  record an access trace to disk\n\
-         \x20                        (or `--connect HOST:PORT` to stream it\n\
-         \x20                        live to a `loopcomm serve` instance)\n\
-         \x20 synth    <file>        generate a deterministic synthetic trace\n\
-         \x20                        spool (streamed to disk; `--v3` for the\n\
-         \x20                        indexed page-aligned format)\n\
+         \x20 record   <workload> <file>  stream an access trace to disk as a\n\
+         \x20                        v3 spool (or `--connect HOST:PORT` to\n\
+         \x20                        stream it live to a `loopcomm serve`)\n\
+         \x20 synth    <file>        stream a deterministic synthetic v3\n\
+         \x20                        spool to disk\n\
          \x20 analyze  <file>        offline analysis of a recorded trace\n\
          \x20 serve                  streaming multi-tenant ingest service:\n\
          \x20                        accepts spool streams over TCP/Unix\n\
@@ -186,7 +187,7 @@ fn usage() -> ! {
          \x20                        build with `--features sched`\n\
          \n\
          options:\n\
-         \x20 --threads N      worker threads (default 8)\n\
+         \x20 --threads N      worker threads, 1..=1024 (default 8)\n\
          \x20 --size S         simdev | simsmall | simlarge (default simsmall)\n\
          \x20 --slots K        signature slots (default 1048576)\n\
          \x20 --window W       phase window in dependencies (default 2000)\n\
@@ -194,8 +195,6 @@ fn usage() -> ! {
          \x20 --loop-capacity K  loop-matrix registry capacity (default 1024)\n\
          \x20 --metrics PATH   (profile, analyze) write run telemetry;\n\
          \x20                  `.json` gets JSON, anything else Prometheus text\n\
-         \x20 --spool          (record) write the crash-tolerant framed v2\n\
-         \x20                  format: every flushed frame survives a crash\n\
          \x20 --salvage        (analyze) recover the longest valid prefix of\n\
          \x20                  a truncated or corrupted trace instead of failing\n\
          \x20 --jobs N         (analyze) slot-sharded analyzer workers\n\
@@ -205,8 +204,6 @@ fn usage() -> ! {
          \x20                  v1/v2 input, valid range 1..=16777216 (default\n\
          \x20                  1024; v3 blocks are spool segments; results\n\
          \x20                  identical)\n\
-         \x20 --no-coalesce    (analyze) accepted, no effect: analyze no\n\
-         \x20                  longer coalesces\n\
          \x20 --no-fused       (analyze) routed on_batch delivery instead of\n\
          \x20                  the fused engine (results identical; the\n\
          \x20                  fused engine is the default)\n\
@@ -240,8 +237,6 @@ fn usage() -> ! {
          \x20 --mmap           (analyze) accepted, no effect: every analyze\n\
          \x20                  streams, and a v3 spool is always mapped\n\
          \x20                  (bounded RSS even for spools larger than RAM)\n\
-         \x20 --v3             (record, synth) page-aligned indexed spool\n\
-         \x20                  format v3 (O(1) seek, mmap replay, salvage)\n\
          \x20 --events N       (synth) events to generate (default 1000000)\n\
          \x20 --addr-reuse P   (synth) probability an event reuses a hot\n\
          \x20                  address (64-entry hot set; default 0.0)\n\
@@ -265,7 +260,8 @@ fn usage() -> ! {
          \x20                  of writing a file\n\
          \x20 --tenant NAME    (record, stream) tenant to stream as\n\
          \x20                  (default `default`)\n\
-         \x20 --frame-events N (record, stream) events per wire frame\n\
+         \x20 --frame-events N (record, stream, synth) events per spool\n\
+         \x20                  segment or wire frame (default 4096)\n\
          \x20 --explore N      (simtest) N seeded random schedules instead of\n\
          \x20                  bounded-exhaustive DFS (seeded by --seed)\n\
          \x20 --max-preemptions N|none  (simtest) preemption bound override\n\
@@ -286,11 +282,9 @@ fn parse_options(args: &[String]) -> Options {
         seed: 42,
         loop_capacity: 1024,
         metrics: None,
-        spool: false,
         salvage: false,
         jobs: 1,
         batch: lc_trace::REPLAY_BATCH_EVENTS,
-        no_coalesce: false,
         fused: true,
         addr_reuse: 0.0,
         working_set: 65_536,
@@ -307,7 +301,6 @@ fn parse_options(args: &[String]) -> Options {
         checkpoint: None,
         every: 1_000_000,
         resume: None,
-        v3: false,
         events: 1_000_000,
         durable_dir: None,
         tenant_idle_secs: 0,
@@ -332,13 +325,19 @@ fn parse_options(args: &[String]) -> Options {
                 .clone()
         };
         match a.as_str() {
-            "--threads" => o.threads = parse_value(a, &val()),
+            "--threads" => {
+                o.threads = parse_value(a, &val());
+                if !(1..=MAX_ANALYZE_THREADS as usize).contains(&o.threads) {
+                    eprintln!("error: --threads must be in 1..={MAX_ANALYZE_THREADS}");
+                    std::process::exit(2);
+                }
+            }
             "--slots" => o.slots = parse_value(a, &val()),
             "--window" => o.window = parse_value(a, &val()),
             "--seed" => o.seed = parse_value(a, &val()),
             "--loop-capacity" => o.loop_capacity = parse_value(a, &val()),
             "--metrics" => o.metrics = Some(val()),
-            "--spool" => o.spool = true,
+            "--spool" | "--v3" => removed_flag(a, "`record` and `synth` always stream a v3 spool"),
             "--salvage" => o.salvage = true,
             "--jobs" => o.jobs = parse_value(a, &val()),
             "--batch" => {
@@ -357,8 +356,8 @@ fn parse_options(args: &[String]) -> Options {
                 }
                 o.batch = v;
             }
-            "--no-coalesce" => o.no_coalesce = true,
-            "--fused" => o.fused = true,
+            "--no-coalesce" => removed_flag(a, "`analyze` never coalesces"),
+            "--fused" => removed_flag(a, "the fused engine is the default"),
             "--no-fused" => o.fused = false,
             "--no-skip-filter" => {
                 eprintln!(
@@ -405,9 +404,8 @@ fn parse_options(args: &[String]) -> Options {
             "--every" => o.every = parse_value(a, &val()),
             "--resume" => o.resume = Some(val()),
             // Accepted, no effect: every `analyze` streams and a v3 spool
-            // is always mapped.
+            // is always mapped. It stays because `lcbench` passes it.
             "--mmap" => {}
-            "--v3" => o.v3 = true,
             "--events" => o.events = parse_value(a, &val()),
             "--durable-dir" => o.durable_dir = Some(val()),
             "--tenant-idle-secs" => o.tenant_idle_secs = parse_value(a, &val()),
@@ -460,6 +458,13 @@ fn parse_options(args: &[String]) -> Options {
         std::process::exit(2);
     }
     o
+}
+
+/// A flag whose path was deleted: a usage error with a one-line hint,
+/// raised before any input is opened or output written.
+fn removed_flag(flag: &str, hint: &str) -> ! {
+    eprintln!("error: {flag} was removed: {hint}");
+    std::process::exit(2);
 }
 
 /// Parse the value of a plain numeric flag; anything unparseable is a
@@ -521,15 +526,30 @@ fn warn_if_degraded(p: &AsymmetricProfiler) {
     }
 }
 
+/// Look up workload `name` and check it can run on `--threads`, so a
+/// thread count the kernel cannot use is a usage error, not a panic.
+fn workload(name: &str, o: &Options) -> Box<dyn Workload> {
+    let w = by_name(name).unwrap_or_else(|| {
+        eprintln!("unknown workload `{name}` — try `loopcomm list`");
+        std::process::exit(2);
+    });
+    if o.threads < w.min_threads() {
+        eprintln!(
+            "error: `{name}` needs --threads {} or more (got {})",
+            w.min_threads(),
+            o.threads
+        );
+        std::process::exit(2);
+    }
+    w
+}
+
 fn profile(
     name: &str,
     o: &Options,
     phase_window: Option<u64>,
 ) -> (Arc<AsymmetricProfiler>, Arc<TraceCtx>) {
-    let workload = by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown workload `{name}` — try `loopcomm list`");
-        std::process::exit(2);
-    });
+    let workload = workload(name, o);
     let mut profiler = AsymmetricProfiler::from_detector_full(
         lc_profiler::AsymmetricDetector::asymmetric(SignatureConfig::paper_default(
             o.slots, o.threads,
@@ -747,10 +767,12 @@ fn write_checkpoint(
     }
 }
 
-/// Largest `max tid + 1` that `analyze` accepts. Every matrix is a dense
-/// `threads x threads` array of `u64` (8 MiB at this bound), and thread
-/// ids come straight from the input file, so a wild id must be refused
-/// before anything is sized from it.
+/// Largest `max tid + 1` that `analyze` accepts, and so the largest
+/// `--threads` any command takes (a run with more would record a trace
+/// `analyze` refuses). Every matrix is a dense `threads x threads` array
+/// of `u64` (8 MiB at this bound), and thread ids come straight from the
+/// input file, so a wild id must be refused before anything is sized
+/// from it.
 const MAX_ANALYZE_THREADS: u64 = 1024;
 
 /// The matrix dimension for `analyze`: **max tid + 1**, never the count
@@ -857,9 +879,6 @@ fn analyze(name: &str, o: &Options) {
         loop_capacity: o.loop_capacity,
         ..lc_profiler::AccumConfig::default()
     };
-    if o.no_coalesce {
-        eprintln!("note: --no-coalesce has no effect: `analyze` no longer coalesces");
-    }
 
     let mut source = if o.salvage {
         FileBlockSource::Ram(load_or_salvage(name, o))
@@ -1151,67 +1170,37 @@ fn print_coherence(rep: &lc_cachesim::CoherenceReport, o: &Options) {
 
 use lc_trace::synth_event;
 
-/// `loopcomm synth <file>` — stream a deterministic synthetic spool to
-/// disk without ever materializing it in memory, so CI can fabricate
+/// `loopcomm synth <file>` — stream a deterministic synthetic v3 spool
+/// to disk without ever materializing it in memory, so CI can fabricate
 /// spools far larger than RAM for the out-of-core replay checks.
 fn synth_cmd(name: &str, o: &Options) {
-    let path = std::path::Path::new(name);
-    let threads = o.threads.max(1) as u32;
+    let threads = o.threads as u32;
     let frame = o.frame_events.max(1);
     let mut buf: Vec<lc_trace::StampedEvent> = Vec::with_capacity(frame);
     let mut i = 0u64;
-    let stats = if o.v3 {
-        let mut w =
-            lc_trace::SpoolV3Writer::create_with(path, fault_injector(o)).unwrap_or_else(|e| {
-                eprintln!("cannot create `{name}`: {e}");
-                std::process::exit(1);
-            });
-        while i < o.events {
-            buf.clear();
-            while buf.len() < frame && i < o.events {
-                buf.push(synth_event(i, o.seed, threads, o.working_set, o.addr_reuse));
-                i += 1;
-            }
-            w.append_frame(&buf).unwrap_or_else(|e| {
-                eprintln!("error: spool write failed: {e}");
-                std::process::exit(1);
-            });
-        }
-        w.finish().unwrap_or_else(|e| {
-            eprintln!("error: spool finish failed: {e}");
-            std::process::exit(1);
-        })
-    } else {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+    let mut w = lc_trace::SpoolV3Writer::create_with(std::path::Path::new(name), fault_injector(o))
+        .unwrap_or_else(|e| {
             eprintln!("cannot create `{name}`: {e}");
             std::process::exit(1);
         });
-        let mut w = lc_trace::SpoolWriter::new(file, frame).unwrap_or_else(|e| {
-            eprintln!("cannot start spool `{name}`: {e}");
+    while i < o.events {
+        buf.clear();
+        while buf.len() < frame && i < o.events {
+            buf.push(synth_event(i, o.seed, threads, o.working_set, o.addr_reuse));
+            i += 1;
+        }
+        w.append_frame(&buf).unwrap_or_else(|e| {
+            eprintln!("error: spool write failed: {e}");
             std::process::exit(1);
         });
-        while i < o.events {
-            buf.clear();
-            while buf.len() < frame && i < o.events {
-                buf.push(synth_event(i, o.seed, threads, o.working_set, o.addr_reuse));
-                i += 1;
-            }
-            w.append_frame(&buf).unwrap_or_else(|e| {
-                eprintln!("error: spool write failed: {e}");
-                std::process::exit(1);
-            });
-        }
-        w.finish().unwrap_or_else(|e| {
-            eprintln!("error: spool finish failed: {e}");
-            std::process::exit(1);
-        })
-    };
+    }
+    let stats = w.finish().unwrap_or_else(|e| {
+        eprintln!("error: spool finish failed: {e}");
+        std::process::exit(1);
+    });
     println!(
-        "synthesized {} event(s) in {} frame(s) ({} bytes, format v{}) -> {name}",
-        stats.events,
-        stats.frames,
-        stats.bytes,
-        if o.v3 { 3 } else { 2 }
+        "synthesized {} event(s) in {} frame(s) ({} bytes, format v3) -> {name}",
+        stats.events, stats.frames, stats.bytes
     );
 }
 
@@ -1413,10 +1402,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 // Extended 13-feature classification: the RAW matrix alone
                 // cannot tell a false-sharing variant from its padded twin,
                 // so record the trace once and feed both backends.
-                let workload = by_name(name).unwrap_or_else(|| {
-                    eprintln!("unknown workload `{name}` — try `loopcomm list`");
-                    std::process::exit(2);
-                });
+                let workload = workload(name, o);
                 let threads = coherence_threads(o.threads);
                 let rec = Arc::new(lc_trace::RecordingSink::new());
                 let prof = Arc::new(lc_profiler::PerfectProfiler::perfect(
@@ -1489,14 +1475,11 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             println!("wrote {path}");
         }
         "record" => {
-            let workload = by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload `{name}`");
-                std::process::exit(2);
-            });
+            let workload = workload(name, o);
             if let Some(addr) = &o.connect {
-                // Live streaming: same recording path as `--spool`, but
-                // the writer thread ships frames to a `loopcomm serve`
-                // endpoint instead of a file.
+                // Live streaming: the same recording sink as a file, but
+                // the writer thread ships v2 frames to a `loopcomm serve`
+                // endpoint.
                 let sink = Arc::new(
                     lc_trace::NetSink::connect(
                         addr,
@@ -1529,71 +1512,37 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 return;
             }
             let Some(path) = args.get(2) else { usage() };
-            if o.spool {
-                // Crash-tolerant v2: frames hit disk as the run progresses,
-                // so a crash (or an injected I/O fault) loses at most the
-                // unframed tail — everything else stays salvageable.
-                let sink = Arc::new(
-                    lc_trace::SpoolSink::create_with(
-                        std::path::Path::new(path),
-                        lc_trace::DEFAULT_FRAME_EVENTS,
-                        fault_injector(o),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot create spool `{path}`: {e}");
-                        std::process::exit(1);
-                    }),
-                );
-                let ctx = TraceCtx::new(sink.clone(), o.threads);
-                workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
-                match sink.finish() {
-                    Ok(stats) => println!(
-                        "spooled {} events in {} frames ({} bytes, format v2) -> {path}",
-                        stats.events, stats.frames, stats.bytes
-                    ),
-                    Err(e) => {
-                        eprintln!("error: trace spool failed: {e}");
-                        eprintln!(
-                            "hint: completed frames survive — \
-                             `loopcomm analyze {path} --salvage`"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                return;
-            }
-            let rec = Arc::new(lc_trace::RecordingSink::new());
-            let ctx = TraceCtx::new(rec.clone(), o.threads);
-            workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
-            let trace = rec.finish();
-            if o.v3 {
-                // Indexed page-aligned format: mmap-replayable with O(1)
-                // seek (`analyze --mmap`), crash-resumable like --spool.
-                let stats = lc_trace::write_trace_spool_v3(
-                    &trace,
+            // Segments hit disk as the run progresses, through a bounded
+            // backlog: memory stays flat however long the run, and a crash
+            // (or an injected I/O fault) loses at most the unwritten tail —
+            // every whole segment stays salvageable.
+            let sink = Arc::new(
+                lc_trace::SpoolSink::create_with(
                     std::path::Path::new(path),
                     o.frame_events.max(1),
+                    fault_injector(o),
                 )
                 .unwrap_or_else(|e| {
-                    eprintln!("cannot write v3 spool `{path}`: {e}");
+                    eprintln!("cannot start spool `{path}`: {e}");
                     std::process::exit(1);
-                });
-                println!(
+                }),
+            );
+            let ctx = TraceCtx::new(sink.clone(), o.threads);
+            workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
+            match sink.finish() {
+                Ok(stats) => println!(
                     "spooled {} events in {} frames ({} bytes, format v3) -> {path}",
                     stats.events, stats.frames, stats.bytes
-                );
-                return;
+                ),
+                Err(e) => {
+                    eprintln!("error: trace spool failed: {e}");
+                    eprintln!(
+                        "hint: completed segments survive — \
+                         `loopcomm analyze {path} --salvage`"
+                    );
+                    std::process::exit(1);
+                }
             }
-            lc_trace::save_trace(&trace, std::path::Path::new(path)).expect("write trace");
-            let stats = trace.stats();
-            println!(
-                "recorded {} events ({} reads, {} writes, {} addresses, {} threads) -> {path}",
-                trace.len(),
-                stats.reads,
-                stats.writes,
-                stats.distinct_addrs,
-                stats.threads
-            );
         }
         "synth" => {
             // `name` is the output path here.
@@ -1636,10 +1585,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 eprintln!("machine model has only {} cores", topo.cores());
                 std::process::exit(2);
             }
-            let workload = by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload `{name}`");
-                std::process::exit(2);
-            });
+            let workload = workload(name, o);
             let rec = Arc::new(lc_trace::RecordingSink::new());
             let prof = Arc::new(lc_profiler::PerfectProfiler::perfect(
                 lc_profiler::ProfilerConfig {
@@ -1678,10 +1624,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             }
         }
         "deps" => {
-            let workload = by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload `{name}`");
-                std::process::exit(2);
-            });
+            let workload = workload(name, o);
             let det = Arc::new(lc_profiler::FullDetector::new(
                 o.threads,
                 lc_profiler::DepConfig::all(),
@@ -1698,10 +1641,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             }
         }
         "hotsites" => {
-            let workload = by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload `{name}`");
-                std::process::exit(2);
-            });
+            let workload = workload(name, o);
             let counter = Arc::new(lc_trace::SiteCounter::new());
             let ctx = TraceCtx::new(counter.clone(), o.threads);
             workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));

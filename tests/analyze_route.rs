@@ -7,7 +7,8 @@
 //! `--report-out` byte-identical to the library oracle
 //! (`analyze_trace_*` with `ParReplayConfig::default()`, which `lcbench`
 //! also pins), and `--coherence-out` must equal one in-process
-//! `CoherenceBackend` for every format and `--jobs`.
+//! `CoherenceBackend` for every format and `--jobs`. The spool `record`
+//! streams must analyse like a per-event replay of the same run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -39,23 +40,23 @@ fn loopcomm(args: &[&str]) -> Output {
         .expect("spawn loopcomm")
 }
 
-fn record_radix() -> Trace {
+fn record_radix(threads: usize) -> Trace {
     let rec = Arc::new(RecordingSink::new());
-    let ctx = TraceCtx::new(rec.clone(), THREADS);
+    let ctx = TraceCtx::new(rec.clone(), threads);
     by_name("radix")
         .expect("workload exists")
-        .run(&ctx, &RunConfig::new(THREADS, InputSize::SimDev, 42));
+        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 42));
     rec.finish()
 }
 
-/// The same events as a v1 file, a v2 spool (what `record --spool`
-/// writes) and a v3 spool.
+/// The same events as a v1 file and a v2 spool (both still imported, no
+/// longer written by any command) and a v3 spool.
 fn write_formats(trace: &Trace, dir: &Path) -> [(&'static str, String); 3] {
     let path = |name: &str| dir.join(name).to_str().expect("UTF-8 temp dir").to_string();
     let (v1, v2, v3) = (path("t.lctrace"), path("t.lct2"), path("t.lcv3"));
-    lc_trace::save_trace(trace, Path::new(&v1)).expect("write v1");
-    let f = std::fs::File::create(&v2).expect("create v2");
-    lc_trace::write_trace_spool(trace, f, 1000).expect("write v2");
+    let create = |p: &str| std::fs::File::create(p).expect("create fixture");
+    lc_trace::write_trace(trace, create(&v1)).expect("write v1");
+    lc_trace::write_trace_spool(trace, create(&v2), 1000).expect("write v2");
     lc_trace::write_trace_spool_v3(trace, Path::new(&v3), 1000).expect("write v3");
     [("v1", v1), ("v2", v2), ("v3", v3)]
 }
@@ -83,7 +84,7 @@ fn concat<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
 #[test]
 fn report_is_byte_identical_across_formats_jobs_detectors_and_flags() {
     let dir = scratch_dir("report");
-    let trace = record_radix();
+    let trace = record_radix(THREADS);
     let events = trace.len() as u64;
     let formats = write_formats(&trace, &dir);
 
@@ -147,7 +148,7 @@ fn report_is_byte_identical_across_formats_jobs_detectors_and_flags() {
 #[test]
 fn coherence_report_is_one_backend_whatever_the_format_and_jobs() {
     let dir = scratch_dir("coherence");
-    let trace = record_radix();
+    let trace = record_radix(THREADS);
     let formats = write_formats(&trace, &dir);
 
     let mut backend = CoherenceBackend::new(CoherenceConfig::default(), THREADS);
@@ -166,16 +167,81 @@ fn coherence_report_is_one_backend_whatever_the_format_and_jobs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `record` streams a v3 spool through `SpoolSink`. One thread makes the
+/// run deterministic, so the recorded file must analyse to exactly what a
+/// per-event replay of the same run, recorded in memory, reports.
+#[test]
+fn recorded_spool_analyses_like_a_per_event_replay_of_the_same_run() {
+    let dir = scratch_dir("record");
+    let spool = record_cli(&dir, "1");
+    let trace = record_radix(1);
+    let oracle = AsymmetricProfiler::asymmetric(
+        SignatureConfig::paper_default(SLOTS, 1),
+        ProfilerConfig::nested(1),
+    );
+    trace.replay(&oracle);
+    oracle.flush_pending();
+    let want = canonical_report(&oracle.report(), trace.len() as u64);
+
+    let out = dir.join("r.txt");
+    let got = analyze_to(&spool, &[], "--report-out", &out, "recorded v3");
+    assert_eq!(got, want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A multi-thread recording differs run to run, but one file must
+/// analyse the same mapped (file order) as loaded by `--salvage` (sorted
+/// by stamp): the recorder writes its spool in stamp order.
+#[test]
+fn a_multi_thread_recording_maps_in_stamp_order() {
+    let dir = scratch_dir("record_mt");
+    let spool = record_cli(&dir, "4");
+    let out = dir.join("r.txt");
+    let mapped = analyze_to(&spool, &[], "--report-out", &out, "mapped");
+    let loaded = analyze_to(&spool, &["--salvage"], "--report-out", &out, "loaded");
+    assert_eq!(mapped, loaded);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `loopcomm record radix <dir>/radix.lcv3 --threads <threads>` at
+/// `simdev`, checked to have written a v3 spool and its index.
+fn record_cli(dir: &Path, threads: &str) -> String {
+    let spool = dir.join("radix.lcv3");
+    let spool_arg = spool.to_str().unwrap();
+    let rec = loopcomm(&[
+        "record",
+        "radix",
+        spool_arg,
+        "--threads",
+        threads,
+        "--size",
+        "simdev",
+        "--seed",
+        "42",
+    ]);
+    let stdout = String::from_utf8_lossy(&rec.stdout);
+    assert!(
+        rec.status.success(),
+        "record failed: {}",
+        String::from_utf8_lossy(&rec.stderr)
+    );
+    assert!(stdout.contains("format v3"), "{stdout}");
+    assert!(lc_trace::index_path(&spool).exists(), "v3 side-car index");
+    spool_arg.to_string()
+}
+
 #[test]
 fn retired_flags_are_accepted_and_metrics_come_from_the_analyzer() {
     let dir = scratch_dir("flags");
-    let trace = record_radix();
+    let trace = record_radix(THREADS);
     let [(_, v1), _, _] = write_formats(&trace, &dir);
 
     // `--mmap` on a v1 file used to exit 1 ("needs the v3 spool format").
+    // It is still accepted because `lcbench` passes it; the other retired
+    // analyze flags exit 2 (tests/cli_args.rs).
     let out = dir.join("m.prom");
-    let flags = ["--mmap", "--no-coalesce", "--jobs", "2"];
-    let metrics = analyze_to(&v1, &flags, "--metrics", &out, "v1 --mmap --no-coalesce");
+    let flags = ["--mmap", "--jobs", "2"];
+    let metrics = analyze_to(&v1, &flags, "--metrics", &out, "v1 --mmap");
 
     let mut values = std::collections::BTreeMap::new();
     for line in metrics.lines().filter(|l| !l.starts_with('#')) {

@@ -246,6 +246,66 @@ fn removed_no_skip_flag_exits_2_with_a_hint_and_analyses_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn retired_write_and_analyze_flags_exit_2_with_a_one_line_hint() {
+    let dir = scratch_dir("retired_flags");
+    let trace = dir.join("t.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 1)).unwrap();
+    let (trace, out) = (trace.to_str().unwrap(), dir.join("out.lcv3"));
+    let out = out.to_str().unwrap();
+    let cases: [(&str, &[&str]); 4] = [
+        (
+            "--spool",
+            &["record", "radix", out, "--size", "simdev", "--spool"],
+        ),
+        ("--v3", &["synth", out, "--events", "10", "--v3"]),
+        ("--no-coalesce", &["analyze", trace, "--no-coalesce"]),
+        ("--fused", &["analyze", trace, "--fused"]),
+    ];
+    for (flag, args) in cases {
+        let o = loopcomm(args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{flag}: {err}");
+        assert!(
+            err.contains(flag) && err.contains("removed"),
+            "{flag}: hint must name the flag, got: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{flag}: one-line hint, got: {err}");
+        assert!(o.stdout.is_empty(), "{flag}: nothing ran");
+        assert!(
+            !std::path::Path::new(out).exists(),
+            "{flag}: nothing written"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn thread_counts_out_of_range_are_usage_errors_not_panics() {
+    let cases: [&[&str]; 4] = [
+        // The producer/consumer ring needs a neighbour to hand off to.
+        &[
+            "profile",
+            "fs_straddle",
+            "--threads",
+            "1",
+            "--size",
+            "simdev",
+        ],
+        &["profile", "radix", "--threads", "0", "--size", "simdev"],
+        &["deps", "fft", "--threads", "0", "--size", "simdev"],
+        // More threads than `analyze` accepts thread ids for.
+        &["analyze", "whatever.lctrace", "--threads", "1025"],
+    ];
+    for args in cases {
+        let o = loopcomm(args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--threads"), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: one line, got: {err}");
+    }
+}
+
 /// A v1 trace built byte-by-byte (`LCTR`, version 1, count, 41-byte
 /// records): thread `writer` stores one word, thread `reader` loads it.
 fn v1_two_thread_trace(writer: u32, reader: u32) -> Vec<u8> {

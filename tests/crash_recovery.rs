@@ -68,15 +68,12 @@ fn run_with_timeout(mut cmd: Command, what: &str) -> Output {
     }
 }
 
-fn synth_spool(dir: &Path, v3: bool) -> PathBuf {
-    let spool = dir.join(if v3 { "s.lcv3" } else { "s.lct" });
+fn synth_spool(dir: &Path) -> PathBuf {
+    let spool = dir.join("s.lcv3");
     let mut cmd = loopcomm();
     cmd.arg("synth")
         .arg(&spool)
         .args(["--events", &EVENTS.to_string(), "--threads", "4"]);
-    if v3 {
-        cmd.arg("--v3");
-    }
     let out = run_with_timeout(cmd, "synth");
     assert!(out.status.success(), "synth failed: {out:?}");
     spool
@@ -102,7 +99,7 @@ fn read(path: &Path) -> Vec<u8> {
 #[test]
 fn checkpoint_seam_fault_matrix_is_byte_identical_on_resume() {
     let dir = scratch_dir("cp_seam");
-    let spool = synth_spool(&dir, true);
+    let spool = synth_spool(&dir);
     let base = dir.join("base.txt");
     let out = analyze(&spool, &base, &["--mmap"]);
     assert!(out.status.success(), "baseline failed: {out:?}");
@@ -200,7 +197,7 @@ fn checkpoint_seam_fault_matrix_is_byte_identical_on_resume() {
 #[test]
 fn index_seam_fault_matrix_rebuilds_exactly() {
     let dir = scratch_dir("idx_seam");
-    let spool = synth_spool(&dir, true);
+    let spool = synth_spool(&dir);
     let base = dir.join("base.txt");
     let out = analyze(&spool, &base, &["--mmap"]);
     assert!(out.status.success(), "baseline failed: {out:?}");
@@ -220,7 +217,7 @@ fn index_seam_fault_matrix_rebuilds_exactly() {
         let mut cmd = loopcomm();
         cmd.arg("synth")
             .arg(&faulted)
-            .args(["--events", &EVENTS.to_string(), "--threads", "4", "--v3"])
+            .args(["--events", &EVENTS.to_string(), "--threads", "4"])
             .args(["--fault-plan", plan.to_str().unwrap()]);
         // Data pages land before the index; whether the index write then
         // panics, errors, or silently corrupts, the data must survive.
@@ -247,9 +244,17 @@ fn index_seam_fault_matrix_rebuilds_exactly() {
 #[test]
 fn salvage_respects_jobs_routing() {
     let dir = scratch_dir("salvage_jobs");
-    let spool = synth_spool(&dir, false);
+    // A v2 spool of `synth`'s default stream: nothing writes v2 files any
+    // more, but `--salvage` still imports them.
+    let trace = lc_trace::Trace::new(
+        (0..EVENTS)
+            .map(|i| lc_trace::synth_event(i, 42, 4, 65_536, 0.0))
+            .collect(),
+    );
+    let mut bytes = Vec::new();
+    lc_trace::write_trace_spool(&trace, &mut bytes, lc_trace::DEFAULT_FRAME_EVENTS)
+        .expect("write v2");
     // Tear the tail mid-frame so `--salvage` recovers a strict prefix.
-    let bytes = read(&spool);
     let torn = dir.join("torn.lct");
     std::fs::write(&torn, &bytes[..bytes.len() - 777]).expect("write torn spool");
 

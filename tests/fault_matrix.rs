@@ -141,7 +141,7 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// `(frames, events)` from `salvage: format v2, N frame(s), M event(s) ...`.
+/// `(frames, events)` from `salvage: format v3, N frame(s), M event(s) ...`.
 fn parse_salvage_line(stdout: &str) -> (u64, u64) {
     let line = stdout
         .lines()
@@ -344,16 +344,17 @@ fn registry_insert_panic_is_caught_and_counted() {
 }
 
 /// Spool I/O faults: the recorder reports the failure with a non-zero exit
-/// and the salvage path recovers every frame that reached the disk.
+/// and the salvage path recovers every segment that reached the disk.
 #[test]
 fn spool_io_fault_fails_loudly_and_prefix_salvages() {
     for (tag, action) in [("io_error", "io_error"), ("short_write", "short_write:9")] {
         let dir = scratch_dir(&format!("spool_{tag}"));
-        // after=9 lets the v2 header and the first few frames reach the
-        // disk before the writer wedges, so there is a prefix to salvage.
+        // The v3 header page is one write and each segment five (marker,
+        // length, CRC, payload, padding), so after=14 lets the header and
+        // two whole segments reach the disk and tears the third's payload.
         let plan_path = write_plan(
             &dir,
-            &format!("seed 1\nfault trace_write {action} after=9\n"),
+            &format!("seed 1\nfault trace_write {action} after=14\n"),
         );
         let trace_path = dir.join("run.lctrace");
         let rec = run_with_timeout(
@@ -369,13 +370,12 @@ fn spool_io_fault_fails_loudly_and_prefix_salvages() {
                     "simdev",
                     "--seed",
                     "9",
-                    "--spool",
                     "--fault-plan",
                     plan_path.to_str().unwrap(),
                 ]);
                 c
             },
-            &format!("record --spool under {tag}"),
+            &format!("record under {tag}"),
         );
         assert_eq!(rec.status.code(), Some(1), "I/O faults are hard failures");
         let err = stderr_of(&rec);
@@ -392,11 +392,11 @@ fn spool_io_fault_fails_loudly_and_prefix_salvages() {
         );
         assert_eq!(an.status.code(), Some(0), "{tag}: salvage analyze failed");
         let stdout = String::from_utf8_lossy(&an.stdout).into_owned();
-        assert!(stdout.contains("salvage: format v2"), "{tag}: {stdout}");
-        // Only complete frames survive, and some did: the salvage line
-        // reports N full frames of exactly DEFAULT_FRAME_EVENTS each.
+        assert!(stdout.contains("salvage: format v3"), "{tag}: {stdout}");
+        // Only whole segments survive, and exactly the two written before
+        // the fault: DEFAULT_FRAME_EVENTS events each.
         let (frames, events) = parse_salvage_line(&stdout);
-        assert!(frames >= 1, "{tag}: no frames salvaged: {stdout}");
+        assert_eq!(frames, 2, "{tag}: {stdout}");
         assert_eq!(
             events,
             frames * lc_trace::DEFAULT_FRAME_EVENTS as u64,

@@ -1,11 +1,17 @@
 //! Full offline pipeline: record → save → load → analyze must equal
 //! in-memory analysis of the same recording.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use lc_profiler::{PerfectProfiler, ProfilerConfig};
-use lc_trace::{load_trace, save_trace, RecordingSink};
+use lc_trace::{load_trace, write_trace_spool_v3, RecordingSink, Trace, DEFAULT_FRAME_EVENTS};
 use loopcomm::prelude::*;
+
+/// Save `trace` in the format every recorder writes (a v3 spool).
+fn save(trace: &Trace, path: &Path) {
+    write_trace_spool_v3(trace, path, DEFAULT_FRAME_EVENTS).unwrap();
+}
 
 fn flat(threads: usize) -> ProfilerConfig {
     ProfilerConfig {
@@ -27,7 +33,7 @@ fn file_roundtrip_preserves_analysis_results() {
 
     let dir = std::env::temp_dir().join("lc_pipeline_test");
     let path = dir.join("ocean.lctrace");
-    save_trace(&trace, &path).unwrap();
+    save(&trace, &path);
     let reloaded = load_trace(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
@@ -40,36 +46,6 @@ fn file_roundtrip_preserves_analysis_results() {
     reloaded.replay(&from_file);
     assert_eq!(direct.global_matrix(), from_file.global_matrix());
     assert_eq!(direct.dependencies(), from_file.dependencies());
-}
-
-#[test]
-fn compressed_format_shrinks_real_traces_an_order_of_magnitude() {
-    let threads = 4;
-    let rec = Arc::new(RecordingSink::new());
-    let ctx = TraceCtx::new(rec.clone(), threads);
-    by_name("radix")
-        .unwrap()
-        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 5));
-    let trace = rec.finish();
-
-    let mut raw = Vec::new();
-    lc_trace::write_trace(&trace, &mut raw).unwrap();
-    let mut compact = Vec::new();
-    lc_trace::trace_compress::write_trace_compressed(&trace, &mut compact).unwrap();
-    assert!(
-        compact.len() * 8 < raw.len(),
-        "compressed {} vs raw {} ({}x)",
-        compact.len(),
-        raw.len(),
-        raw.len() / compact.len().max(1)
-    );
-    // And it replays identically.
-    let back = lc_trace::trace_compress::read_trace_compressed(&compact[..]).unwrap();
-    let a = PerfectProfiler::perfect(flat(threads));
-    trace.replay(&a);
-    let b = PerfectProfiler::perfect(flat(threads));
-    back.replay(&b);
-    assert_eq!(a.global_matrix(), b.global_matrix());
 }
 
 #[test]
@@ -87,7 +63,7 @@ fn per_site_streams_survive_the_file_format() {
 
     let dir = std::env::temp_dir().join("lc_pipeline_sites");
     let path = dir.join("t.lctrace");
-    save_trace(&trace, &path).unwrap();
+    save(&trace, &path);
     let reloaded = load_trace(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
