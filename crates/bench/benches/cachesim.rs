@@ -1,39 +1,15 @@
-//! Throughput of the MESI coherence simulator — how fast the §III
-//! validation loop replays recorded traces.
+//! Throughput of the MESI coherence backend (per-loop matrices,
+//! false-sharing byte split) — the `--coherence` cost the CLI pays on top
+//! of the RAW profile, and what `simulate` and `mapping_eval` replay.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use lc_cachesim::{simulate, CacheConfig, CoherenceBackend, CoherenceConfig};
-use lc_profiler::{MachineTopology, ThreadMapping};
+use lc_cachesim::{CoherenceBackend, CoherenceConfig};
 use lc_trace::{RecordingSink, TraceCtx};
 use lc_workloads::{by_name, InputSize, RunConfig};
 
-fn bench_cachesim(c: &mut Criterion) {
-    let threads = 8;
-    let topo = MachineTopology::dual_socket_xeon();
-    let cfg = CacheConfig::small_l1();
-
-    let mut g = c.benchmark_group("cachesim_events_per_sec");
-    g.sample_size(10);
-    for name in ["ocean_cp", "radix", "water_nsq"] {
-        let rec = Arc::new(RecordingSink::new());
-        let ctx = TraceCtx::new(rec.clone(), threads);
-        by_name(name)
-            .unwrap()
-            .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 1));
-        let trace = rec.finish();
-        g.throughput(Throughput::Elements(trace.len() as u64));
-        let mapping = ThreadMapping::identity(threads);
-        g.bench_function(name, |b| b.iter(|| simulate(&trace, &mapping, &topo, cfg)));
-    }
-    g.finish();
-}
-
-/// Throughput of the coherence *analysis backend* (per-loop matrices,
-/// false-sharing byte split) — the `--coherence` cost the CLI pays on top
-/// of the RAW profile, measured on the same recorded traces.
 fn bench_coherence_backend(c: &mut Criterion) {
     let threads = 8;
     let mut g = c.benchmark_group("coherence_backend_events_per_sec");
@@ -57,5 +33,5 @@ fn bench_coherence_backend(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cachesim, bench_coherence_backend);
+criterion_group!(benches, bench_coherence_backend);
 criterion_main!(benches);

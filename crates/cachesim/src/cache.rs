@@ -32,13 +32,9 @@ impl CacheConfig {
         addr / self.line_bytes
     }
 
-    /// The set index a line maps to. Public because the coherence
-    /// backend's deterministic `--jobs` partition routes by set: lines in
-    /// one set couple through LRU replacement, lines in different sets
-    /// never do, so a by-set split preserves sequential semantics exactly
-    /// (DESIGN.md §16).
+    /// The set index a line maps to.
     #[inline]
-    pub fn set_of(&self, line: u64) -> usize {
+    fn set_of(&self, line: u64) -> usize {
         (line as usize) & (self.sets - 1)
     }
 }

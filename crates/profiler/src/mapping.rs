@@ -132,6 +132,22 @@ impl ThreadMapping {
         }
         c
     }
+
+    /// Communication volume this placement sends across sockets.
+    pub fn remote(&self, m: &DenseMatrix, topo: &MachineTopology) -> u64 {
+        let t = m.threads();
+        assert!(self.assignment.len() >= t);
+        let socket = |i: usize| topo.socket_of(self.assignment[i]);
+        let mut r = 0;
+        for i in 0..t {
+            for j in 0..t {
+                if socket(i) != socket(j) {
+                    r += m.get(i, j);
+                }
+            }
+        }
+        r
+    }
 }
 
 /// Greedy communication-aware mapping: grow each socket's member set by
@@ -268,6 +284,21 @@ mod tests {
         assert_eq!(t.distance(3, 3), 0);
         assert_eq!(t.distance(0, 7), 1);
         assert_eq!(t.distance(0, 8), 4);
+    }
+
+    #[test]
+    fn remote_counts_only_cross_socket_volume() {
+        let t = topo();
+        let mut m = DenseMatrix::zero(16);
+        m.set(0, 1, 10);
+        m.set(1, 9, 7);
+        m.set(9, 0, 3);
+        // Identity: 1→9 and 9→0 cross sockets, 0→1 does not.
+        assert_eq!(ThreadMapping::identity(16).remote(&m, &t), 10);
+        // Threads 0, 1 and 9 on one socket: nothing crosses.
+        let mut local = ThreadMapping::identity(16);
+        local.assignment.swap(9, 2);
+        assert_eq!(local.remote(&m, &t), 0);
     }
 
     #[test]

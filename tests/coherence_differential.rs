@@ -5,16 +5,14 @@
 //! traces the coherence backend's first-touch word attribution guarantees
 //! a per-loop, per-cell ordering: every RAW dependence the perfect
 //! profiler reports is matched by at least one attributed transfer in the
-//! same matrix cell. The tests also pin the determinism contract end to
+//! same matrix cell. The tests also pin block-split invariance end to
 //! end — the canonical coherence report must be byte-identical across
-//! `--jobs {1, 2, 4}` and across fused (block-streamed) vs materialized
-//! (whole-trace) consumption at several block sizes.
+//! fused (block-streamed) vs materialized (whole-trace) consumption at
+//! several block sizes.
 
 use std::sync::Arc;
 
-use lc_cachesim::{
-    analyze_trace_coherence, canonical_coherence_report, CoherenceBackend, CoherenceConfig,
-};
+use lc_cachesim::{canonical_coherence_report, CoherenceBackend, CoherenceConfig};
 use lc_profiler::{PerfectProfiler, ProfilerConfig};
 use lc_trace::{LoopId, RecordingSink, Trace, TraceCtx};
 use lc_workloads::{by_name, InputSize, RunConfig};
@@ -52,7 +50,9 @@ fn raw_dependences_are_bounded_by_transfers_per_loop() {
     for name in KERNELS {
         let trace = record(name);
         let p = raw_profile(&trace);
-        let rep = analyze_trace_coherence(&trace, CoherenceConfig::default(), THREADS, 1);
+        let mut b = CoherenceBackend::new(CoherenceConfig::default(), THREADS);
+        b.on_block(trace.access_events());
+        let rep = b.report();
         // Global first: the coarse sanity check with a readable failure.
         let g = p.global_matrix();
         for w in 0..THREADS {
@@ -97,31 +97,6 @@ fn raw_dependences_are_bounded_by_transfers_per_loop() {
                 "{name} loop {lid}: RAW bytes {} exceed true-sharing bytes {}",
                 raw.total(),
                 coh.true_bytes()
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_analysis_is_byte_identical_across_jobs() {
-    for name in KERNELS {
-        let trace = record(name);
-        let base = canonical_coherence_report(&analyze_trace_coherence(
-            &trace,
-            CoherenceConfig::default(),
-            THREADS,
-            1,
-        ));
-        for jobs in [2, 4] {
-            let sharded = canonical_coherence_report(&analyze_trace_coherence(
-                &trace,
-                CoherenceConfig::default(),
-                THREADS,
-                jobs,
-            ));
-            assert!(
-                base == sharded,
-                "{name}: canonical report diverged between jobs=1 and jobs={jobs}"
             );
         }
     }

@@ -11,15 +11,11 @@
 //! Dragon, with its Sm/Sc owned-shared states) can slot in later by
 //! supplying its own predicates over its own enum.
 //!
-//! Two further properties pin the determinism contract the CLI relies on:
+//! A further property pins the determinism contract the CLI relies on:
 //! block-split invariance (any chunking of the stream yields a
-//! byte-identical canonical report) and jobs-merge identity (the sharded
-//! analysis at 2 and 4 workers equals the single-stream run byte for
-//! byte).
+//! byte-identical canonical report).
 
-use lc_cachesim::{
-    analyze_trace_coherence, canonical_coherence_report, CoherenceBackend, CoherenceConfig, Mesi,
-};
+use lc_cachesim::{canonical_coherence_report, CoherenceBackend, CoherenceConfig, Mesi};
 use lc_profiler::{PerfectProfiler, ProfilerConfig};
 use lc_trace::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent, Trace};
 use proptest::prelude::*;
@@ -179,19 +175,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_jobs_merge_is_byte_identical(
-        script in prop::collection::vec(arb_event(), 1..300),
-    ) {
-        let trace = script_to_trace(&script);
-        let base = canonical_coherence_report(&analyze_trace_coherence(&trace, CFG, THREADS, 1));
-        for jobs in [2, 4] {
-            let sharded =
-                canonical_coherence_report(&analyze_trace_coherence(&trace, CFG, THREADS, jobs));
-            prop_assert_eq!(&base, &sharded, "jobs={} diverged", jobs);
-        }
-    }
-
-    #[test]
     fn raw_never_exceeds_transfers_per_loop_cell(
         script in prop::collection::vec(arb_event(), 1..300),
     ) {
@@ -205,7 +188,9 @@ proptest! {
             phase_window: None,
         });
         trace.replay(&p);
-        let rep = analyze_trace_coherence(&trace, CFG, THREADS, 1);
+        let mut b = CoherenceBackend::new(CFG, THREADS);
+        b.on_block(trace.access_events());
+        let rep = b.report();
         for lid in 1..=3u32 {
             let raw = p.loop_matrix_snapshot(LoopId(lid));
             let Some(coh) = rep.loops.get(&lid) else {

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use lc_cachesim::{analyze_trace_coherence, canonical_coherence_report, CoherenceConfig};
+use lc_cachesim::{canonical_coherence_report, CoherenceBackend, CoherenceConfig};
 use lc_profiler::report::{ascii_table, fmt_bytes, fmt_slowdown, write_csv};
 use lc_profiler::{HistId, MergedHist, MetricsRegistry, Stat, Telemetry, TelemetryConfig};
 use lc_trace::{AccessKind, RecordingSink, StampedEvent, Trace, TraceCtx};
@@ -175,8 +175,7 @@ fn thread_serial_trace(name: &str) -> Trace {
 #[test]
 fn coherence_report_snapshots() {
     // Three recorded SPLASH-style kernels plus the engineered
-    // false-sharing trio; jobs=2 so the goldens also pin the sharded
-    // merge path (byte-identical to jobs=1 by the determinism contract).
+    // false-sharing trio, each through one backend.
     for name in [
         "radix",
         "fft",
@@ -186,10 +185,11 @@ fn coherence_report_snapshots() {
         "fs_straddle",
     ] {
         let trace = thread_serial_trace(name);
-        let rep = analyze_trace_coherence(&trace, CoherenceConfig::default(), 4, 2);
+        let mut b = CoherenceBackend::new(CoherenceConfig::default(), 4);
+        b.on_block(trace.access_events());
         assert_golden(
             &format!("coherence_{name}.txt"),
-            &canonical_coherence_report(&rep),
+            &canonical_coherence_report(&b.report()),
         );
     }
 }

@@ -265,7 +265,9 @@ fn coherence_scrapes_read_totals_and_match_the_full_report() {
     wait_tenant_quiet(&server, "fs");
     let tenant = server.shared().tenant("fs").expect("tenant exists");
 
-    let offline = lc_cachesim::analyze_trace_coherence(&trace, coherence, THREADS, 1);
+    let mut backend = lc_cachesim::CoherenceBackend::new(coherence, THREADS);
+    backend.on_block(trace.access_events());
+    let offline = backend.report();
     assert!(offline.global.false_bytes > 0 && offline.false_sharing_events() > 0);
     for _ in 0..3 {
         let (status, metrics) = http_get(&http, "/metrics");
