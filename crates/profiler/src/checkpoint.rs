@@ -248,7 +248,6 @@ impl Checkpoint {
             sig: self.sig,
             prof,
             accum,
-            fused: true,
             fused_scratch: crate::ingest::fused_scratches(self.jobs),
         })
     }

@@ -1,38 +1,51 @@
-//! The fused replay engine: borrowed event blocks straight into
-//! Algorithm 1, and nothing else.
+//! The fused tile loop: borrowed event blocks straight into Algorithm 1,
+//! and nothing else.
 //!
-//! [`CommProfiler::on_block_fused`] is the zero-materialization sibling of
-//! the batched [`lc_trace::AccessSink::on_batch`] path. It consumes any
+//! [`CommProfiler::on_block_fused`] is the profiler's one batched body:
+//! `analyze`, `serve` and the fused replay engine call it directly, and
+//! [`lc_trace::AccessSink::on_batch`] (live capture tiles, `Trace::replay`,
+//! `par_replay`) calls it on a thread-local scratch. It consumes any
 //! event representation through [`lc_trace::AsAccess`] (bare
 //! [`lc_trace::AccessEvent`] slices out of the in-RAM SoA trace, or
-//! [`lc_trace::StampedEvent`] segments decoded from a v3 spool), so the
-//! decode → `Vec` → re-stamp → batch copy chain of the pre-fused pipeline
-//! disappears entirely. Per tile it gathers the addresses, hashes them
-//! four at a time ([`lc_sigmem::hash_block`]) and runs the paper's O(1)
-//! per-access step — one write-signature probe, one read-signature probe
-//! — with the slot lines prefetched [`PREFETCH_AHEAD`] events ahead.
+//! [`lc_trace::StampedEvent`] segments decoded from a v3 spool), so no
+//! decode → `Vec` → re-stamp → batch copy chain sits in front of it. Per
+//! tile it gathers the addresses, hashes them four at a time
+//! ([`lc_sigmem::hash_block`]) and runs the paper's O(1) per-access step
+//! — one write-signature probe, one read-signature probe — with the slot
+//! lines prefetched [`PREFETCH_AHEAD`] events ahead.
 //!
-//! The one thing it adds over `on_batch` is **block-batched dependence
-//! recording**: detected dependences aggregate by `(loop, src, dst)` in
-//! the caller-owned [`FusedScratch`] and land in the accumulation layer
-//! once per block ([`crate::shards::ShardSet::record_deps`]: one lock, one
+//! Dependences are **recorded once per block**: they aggregate by
+//! `(loop, src, dst)` in a [`FusedScratch`] and land in the accumulation
+//! layer through [`crate::shards::ShardSet::record_deps`] (one lock, one
 //! counter add) instead of once per dependence; the block's access count
 //! is one add as well. Both are report-invisible — counters and matrices
 //! merge by commutative addition, and which shard holds a count is
-//! unobservable. The `fused_replay_equivalence` differential suite pins
-//! fused output byte-identical to the materialized path across sources,
-//! batch sizes and detectors.
+//! unobservable. The `fused_replay_equivalence` and `batched_hot_path`
+//! differential suites pin the output byte-identical to per-event
+//! `on_access` delivery across sources, batch sizes and detectors.
 //!
 //! A hash memo and an idempotent-read skip filter used to sit in front of
 //! the detector; both lost to the loop they were meant to beat and were
 //! removed (DESIGN.md §15.2 has the measurements).
 
+use std::cell::RefCell;
+
 use lc_sigmem::{ReaderSet, WriterMap};
 use lc_trace::{AsAccess, LoopId};
 
-use crate::profiler::{CommProfiler, Counters, PREFETCH_AHEAD, TILE};
-use crate::shards::{pack_key, unpack_key};
-use crate::sync::Ordering;
+use crate::profiler::CommProfiler;
+use crate::shards::pack_key;
+
+/// Events gathered and hashed per block before detection. Sized so the
+/// two scratch arrays (4 KiB) stay comfortably in L1 next to the tile's
+/// events, and equal to a live capture tile, so each one is hashed in a
+/// single block.
+const TILE: usize = lc_trace::tile::TILE_EVENTS;
+
+/// How many events ahead of the detection cursor signature slot lines
+/// are prefetched. Far enough to cover an L2 hit, near enough that the
+/// lines survive in L1 until the probe lands.
+const PREFETCH_AHEAD: usize = 8;
 
 /// Fibonacci multiplier spreading packed dependence keys over the hint
 /// table (keys are dense small integers — low bits alone would alias).
@@ -52,8 +65,8 @@ pub struct FusedStats {
     pub dep_batches: u64,
 }
 
-/// Caller-owned working state for the fused hot loop: the per-block
-/// dependence aggregation buffer. One instance per consumer.
+/// Working state for the fused hot loop: the per-block dependence
+/// aggregation buffer. One instance per consumer; empty between blocks.
 pub struct FusedScratch {
     /// `(packed key, bytes)` aggregated for the block in flight.
     deps: Vec<(u64, u64)>,
@@ -110,12 +123,30 @@ impl FusedScratch {
     }
 }
 
+thread_local! {
+    /// `on_batch`'s scratch: one per thread, so a short live tile costs no
+    /// allocation.
+    static SCRATCH: RefCell<FusedScratch> = RefCell::new(FusedScratch::with_defaults());
+}
+
+/// Run `f` on the calling thread's scratch. A fresh one stands in when
+/// that scratch is unavailable — already borrowed further up the stack,
+/// or torn down because a thread-exit destructor is delivering a tile.
+pub(crate) fn with_thread_scratch(f: impl Fn(&mut FusedScratch)) {
+    let ran = SCRATCH
+        .try_with(|cell| cell.try_borrow_mut().map(|mut s| f(&mut s)).is_ok())
+        .unwrap_or(false);
+    if !ran {
+        f(&mut FusedScratch::with_defaults());
+    }
+}
+
 impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
-    /// Fused batched delivery: identical semantics to
-    /// [`lc_trace::AccessSink::on_batch`] — strict per-event Algorithm 1
-    /// in stream order — with dependences recorded once per block.
-    /// Generic over [`AsAccess`] so SoA trace slices and decoded spool
-    /// segments both feed it without copying.
+    /// Batched delivery: strict per-event Algorithm 1 in stream order —
+    /// identical results to per-event [`lc_trace::AccessSink::on_access`]
+    /// — with dependences recorded once per block. Generic over
+    /// [`AsAccess`] so SoA trace slices and decoded spool segments both
+    /// feed it without copying.
     ///
     /// With telemetry enabled the call degrades to the instrumented
     /// per-event path, preserving the zero-cost-when-off contract.
@@ -135,12 +166,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             }
             return;
         }
-        match &self.counters {
-            Counters::Sharded(s) => s.count_accesses(tid, evs.len() as u64),
-            Counters::Shared { accesses, .. } => {
-                accesses.fetch_add(evs.len() as u64, Ordering::Relaxed);
-            }
-        }
+        self.counters.count_accesses(tid, evs.len() as u64);
         let mut addrs = [0u64; TILE];
         let mut hashes = [0u64; TILE];
         for tile in evs.chunks(TILE) {
@@ -187,30 +213,15 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
         }
     }
 
-    /// Hand the aggregated block dependences to the accumulation layer:
-    /// `tid`'s shard in one lock acquisition, or straight into the
-    /// matrices on the legacy shared-atomic path.
+    /// Hand the aggregated block dependences to `tid`'s shard in one lock
+    /// acquisition.
     fn drain_scratch_deps(&self, tid: u32, scratch: &mut FusedScratch) {
-        match &self.counters {
-            Counters::Sharded(s) => s.record_deps(
-                tid,
-                scratch.pending_deps,
-                &scratch.deps,
-                self.flush_target(),
-            ),
-            Counters::Shared { deps, .. } => {
-                deps.fetch_add(scratch.pending_deps, Ordering::Relaxed);
-                for &(key, bytes) in &scratch.deps {
-                    let (loop_id, src, dst) = unpack_key(key);
-                    self.global_ref().add(src, dst, bytes);
-                    if self.config.track_nested {
-                        if let Some((m, _, _)) = self.loops.get_or_insert_lossy(loop_id) {
-                            m.add(src, dst, bytes);
-                        }
-                    }
-                }
-            }
-        }
+        self.counters.record_deps(
+            tid,
+            scratch.pending_deps,
+            &scratch.deps,
+            self.flush_target(),
+        );
         scratch.stats.dep_batches += 1;
         scratch.deps.clear();
         scratch.pending_deps = 0;
@@ -221,7 +232,6 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 mod tests {
     use super::*;
     use crate::profiler::ProfilerConfig;
-    use crate::shards::AccumConfig;
     use crate::AsymmetricProfiler;
     use lc_sigmem::SignatureConfig;
     use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId};
@@ -239,18 +249,18 @@ mod tests {
         }
     }
 
-    fn profiler(threads: usize, accum: AccumConfig) -> AsymmetricProfiler {
-        AsymmetricProfiler::from_detector_with(
-            crate::AsymmetricDetector::asymmetric(SignatureConfig::paper_default(1 << 12, threads)),
+    fn profiler(threads: usize) -> AsymmetricProfiler {
+        AsymmetricProfiler::asymmetric(
+            SignatureConfig::paper_default(1 << 12, threads),
             ProfilerConfig::nested(threads),
-            accum,
         )
     }
 
     /// Every ordered thread pair communicates in every loop: 16 × 15 × 4
     /// = 960 live `(loop, src, dst)` keys in one block, so the scratch
     /// drains early at `DEP_SLOTS` mid-block. The result must still equal
-    /// the per-event `on_access` oracle, on both accumulation paths.
+    /// the per-event `on_access` oracle, fed directly and through
+    /// `on_batch`.
     #[test]
     fn block_with_more_live_keys_than_dep_slots_matches_per_event_oracle() {
         const THREADS: u32 = 16;
@@ -268,26 +278,29 @@ mod tests {
         let live_keys = (LOOPS * THREADS * (THREADS - 1)) as usize;
         assert!(live_keys > DEP_SLOTS);
 
-        for accum in [AccumConfig::default(), AccumConfig::shared()] {
-            let fused = profiler(THREADS as usize, accum);
-            let mut scratch = FusedScratch::with_defaults();
-            fused.on_block_fused(&block, &mut scratch);
-            fused.flush();
-            assert!(scratch.stats.dep_batches >= 2, "the block drained early");
+        let oracle = profiler(THREADS as usize);
+        for e in &block {
+            oracle.on_access(e);
+        }
+        oracle.flush();
+        assert_eq!(oracle.dependencies(), live_keys as u64);
+        let o = oracle.report();
 
-            let oracle = profiler(THREADS as usize, accum);
-            for e in &block {
-                oracle.on_access(e);
-            }
-            oracle.flush();
+        let fused = profiler(THREADS as usize);
+        let mut scratch = FusedScratch::with_defaults();
+        fused.on_block_fused(&block, &mut scratch);
+        assert!(scratch.stats.dep_batches >= 2, "the block drained early");
+        let batched = profiler(THREADS as usize);
+        batched.on_batch(&block);
 
-            assert_eq!(oracle.dependencies(), live_keys as u64);
-            assert_eq!(fused.dependencies(), oracle.dependencies());
-            assert_eq!(fused.global_matrix(), oracle.global_matrix());
-            let (f, o) = (fused.report(), oracle.report());
-            assert_eq!(f.per_loop.len(), LOOPS as usize);
-            assert_eq!(f.per_loop, o.per_loop);
-            assert_eq!(f.accesses, o.accesses);
+        for (p, what) in [(&fused, "on_block_fused"), (&batched, "on_batch")] {
+            p.flush();
+            assert_eq!(p.dependencies(), oracle.dependencies(), "{what}");
+            assert_eq!(p.global_matrix(), oracle.global_matrix(), "{what}");
+            let r = p.report();
+            assert_eq!(r.per_loop.len(), LOOPS as usize, "{what}");
+            assert_eq!(r.per_loop, o.per_loop, "{what}");
+            assert_eq!(r.accesses, o.accesses, "{what}");
         }
     }
 
@@ -297,7 +310,7 @@ mod tests {
     #[test]
     fn block_access_count_survives_a_first_tid_beyond_the_shard_count() {
         // 4 threads → 4 shards; tid 13 masks onto shard 1.
-        let p = profiler(4, AccumConfig::default());
+        let p = profiler(4);
         let block = [
             ev(13, 0x40, AccessKind::Write, 1),
             ev(2, 0x40, AccessKind::Read, 1),
@@ -315,7 +328,7 @@ mod tests {
     /// block).
     #[test]
     fn retired_counters_stay_zero_and_dep_batches_counts_handovers() {
-        let p = profiler(4, AccumConfig::default());
+        let p = profiler(4);
         let mut scratch = FusedScratch::with_defaults();
         p.on_block_fused(
             &[

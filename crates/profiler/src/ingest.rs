@@ -10,13 +10,14 @@
 //! for the asymmetric detector, hashed exact address for the perfect
 //! baseline) and the same private-profilers-merge-by-summation scheme,
 //! but applies it frame by frame: each decoded frame is split into
-//! per-worker sub-batches, fed through the batched
-//! [`lc_trace::AccessSink::on_batch`] tiled hot path, and forgotten.
+//! per-worker sub-batches, fed through the fused tile loop
+//! ([`crate::CommProfiler::on_block_fused`]), and forgotten.
 //!
 //! Because every worker sees exactly the subsequence of events it would
 //! have seen in an offline run (same order, only different batch
 //! boundaries — batching is proven boundary-invariant by
-//! `tests/batched_hot_path.rs`), the merged report is byte-identical to
+//! `tests/batched_hot_path.rs` and `tests/fused_replay_equivalence.rs`),
+//! the merged report is byte-identical to
 //! the materialised path over the same events
 //! (`tests/serve_equivalence.rs`, `tests/analyze_route.rs`). Memory stays
 //! bounded per analyzer: the footprint is `jobs` signature pairs plus the
@@ -24,7 +25,7 @@
 //! count, independent of how many events have streamed through.
 
 use lc_sigmem::{murmur::fmix64, SignatureConfig, SignatureHealth, SlotRouter};
-use lc_trace::{AccessEvent, AccessSink, AsAccess};
+use lc_trace::{AccessEvent, AsAccess};
 
 use crate::fused::FusedScratch;
 use crate::parallel::merge_reports;
@@ -67,9 +68,6 @@ pub struct IncrementalAnalyzer {
     pub(crate) sig: Option<SignatureConfig>,
     pub(crate) prof: ProfilerConfig,
     pub(crate) accum: AccumConfig,
-    /// Deliver through the fused engine; `false` falls back to the
-    /// `on_batch` path.
-    pub(crate) fused: bool,
     /// One fused scratch per worker (empty between frames, so a
     /// checkpoint carries none of it).
     pub(crate) fused_scratch: Vec<FusedScratch>,
@@ -109,7 +107,6 @@ impl IncrementalAnalyzer {
             sig: Some(sig),
             prof,
             accum,
-            fused: true,
             fused_scratch: fused_scratches(jobs),
         }
     }
@@ -137,7 +134,6 @@ impl IncrementalAnalyzer {
             sig: None,
             prof,
             accum,
-            fused: true,
             fused_scratch: fused_scratches(jobs),
         }
     }
@@ -156,12 +152,6 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// Turn the fused engine off (`false` restores the routed `on_batch`
-    /// delivery, the differential oracle) or back on.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
     /// Which detector this analyzer runs.
     pub fn kind(&self) -> DetectorKind {
         match self.workers {
@@ -172,14 +162,13 @@ impl IncrementalAnalyzer {
 
     /// Analyze one decoded frame. Events are routed to workers by the
     /// same address-class function the offline parallel path uses, in
-    /// frame order, and delivered through the tiled batch path. Generic
+    /// frame order, and delivered through the fused tile loop. Generic
     /// over [`AsAccess`] so stamped serve/spool frames and bare SoA trace
     /// blocks both feed the detector without a re-stamping copy.
     pub fn on_frame<T: AsAccess>(&mut self, frame: &[T]) {
-        if self.fused && self.jobs == 1 {
-            // The single-worker fast path is the fused pipeline in its
-            // purest form: the decoded frame feeds the detector in
-            // place — no routing, no copy, no re-stamping.
+        if self.jobs == 1 {
+            // One worker: the decoded frame feeds the detector in place —
+            // no routing, no copy, no re-stamping.
             match &self.workers {
                 Workers::Asymmetric { profilers, .. } => {
                     profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
@@ -188,10 +177,15 @@ impl IncrementalAnalyzer {
                     profilers[0].on_block_fused(frame, &mut self.fused_scratch[0]);
                 }
             }
-            self.frames += 1;
-            self.events += frame.len() as u64;
-            return;
+        } else {
+            self.route_and_deliver(frame);
         }
+        self.frames += 1;
+        self.events += frame.len() as u64;
+    }
+
+    /// Split `frame` into per-worker sub-batches and deliver each.
+    fn route_and_deliver<T: AsAccess>(&mut self, frame: &[T]) {
         for s in &mut self.scratch {
             s.clear();
         }
@@ -210,34 +204,19 @@ impl IncrementalAnalyzer {
                 }
             }
         }
-        // Multi-worker delivery: routed sub-batches, fused per worker when
-        // enabled.
+        let batches = self.scratch.iter().zip(&mut self.fused_scratch);
         match &self.workers {
             Workers::Asymmetric { profilers, .. } => {
-                for (w, (p, batch)) in profilers.iter().zip(&self.scratch).enumerate() {
-                    if !batch.is_empty() {
-                        if self.fused {
-                            p.on_block_fused(batch, &mut self.fused_scratch[w]);
-                        } else {
-                            p.on_batch(batch);
-                        }
-                    }
+                for (p, (batch, fs)) in profilers.iter().zip(batches) {
+                    p.on_block_fused(batch, fs);
                 }
             }
             Workers::Perfect { profilers } => {
-                for (w, (p, batch)) in profilers.iter().zip(&self.scratch).enumerate() {
-                    if !batch.is_empty() {
-                        if self.fused {
-                            p.on_block_fused(batch, &mut self.fused_scratch[w]);
-                        } else {
-                            p.on_batch(batch);
-                        }
-                    }
+                for (p, (batch, fs)) in profilers.iter().zip(batches) {
+                    p.on_block_fused(batch, fs);
                 }
             }
         }
-        self.frames += 1;
-        self.events += frame.len() as u64;
     }
 
     /// Frames analyzed so far.

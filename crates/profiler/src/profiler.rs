@@ -4,7 +4,8 @@
 //! analysis inline, exactly like the paper's design ("we use the same
 //! threads in the program... without any need to any extra threads",
 //! §IV-D3). Live threads hand it their accesses a capture tile at a time
-//! (`lc_trace::tile`) through the same tiled `on_batch` loop replay uses.
+//! (`lc_trace::tile`) through `on_batch`, which runs the one tiled loop of
+//! [`crate::fused`] that replay, `analyze` and `serve` run too.
 //! Each detected RAW dependence is accumulated into
 //!
 //! * the **global** communication matrix,
@@ -12,18 +13,16 @@
 //!   nested structure of §IV-B and Figures 6–7), and
 //! * optionally a **phase window** (§V-A4).
 //!
-//! Accumulation runs through the sharded layer of [`crate::shards`] by
-//! default: per-thread padded counters, per-thread dependence delta buffers
-//! flushed at epoch boundaries, and a lock-free fixed-capacity registry of
-//! per-loop matrices. The legacy shared-atomic path is selectable via
-//! [`AccumConfig::shared`] and is the baseline the `sharded_equivalence`
-//! differential test compares against — the two paths produce byte-identical
-//! reports for the same access stream. Reads ([`CommProfiler::report`],
-//! [`CommProfiler::global_matrix`], ...) flush pending deltas first, so a
-//! live snapshot is never missing buffered communication.
+//! Accumulation runs through the sharded layer of [`crate::shards`]:
+//! per-thread padded counters, per-thread dependence delta buffers flushed
+//! at epoch boundaries, and a lock-free fixed-capacity registry of per-loop
+//! matrices. The `sharded_equivalence` differential test holds its reports
+//! byte-identical to a plain fold of the detector's dependences into one
+//! matrix. Reads ([`CommProfiler::report`], [`CommProfiler::global_matrix`],
+//! ...) flush pending deltas first, so a live snapshot is never missing
+//! buffered communication.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use lc_faults::{FaultInjector, FaultSite};
 use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
@@ -34,7 +33,7 @@ use crate::matrix::{CommMatrix, DenseMatrix};
 use crate::phases::{detect_phases, Phase, PhaseAccumulator};
 use crate::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
 use crate::shards::{AccumConfig, FlushTarget, LoopRegistry, RegistryFull, ShardSet};
-use crate::telemetry::{HistId, MetricsRegistry, Stat, Telemetry, TelemetryConfig};
+use crate::telemetry::{HistId, MetricsRegistry, Telemetry, TelemetryConfig};
 
 /// Tunables for one profiling run.
 #[derive(Clone, Copy, Debug)]
@@ -60,31 +59,20 @@ impl ProfilerConfig {
     }
 }
 
-/// Counter accumulation: sharded per-thread or legacy shared atomics.
-pub(crate) enum Counters {
-    Sharded(Box<ShardSet>),
-    Shared {
-        accesses: AtomicU64,
-        deps: AtomicU64,
-    },
-}
-
 /// The profiler, generic over the signature implementation.
 pub struct CommProfiler<R: ReaderSet, W: WriterMap> {
     pub(crate) detector: RawDetector<R, W>,
     pub(crate) config: ProfilerConfig,
-    accum: AccumConfig,
     global: CommMatrix,
     pub(crate) loops: LoopRegistry,
-    pub(crate) counters: Counters,
+    pub(crate) counters: ShardSet,
     pub(crate) phases: Option<Mutex<PhaseAccumulator>>,
     pub(crate) telemetry: Option<Telemetry>,
     faults: Option<std::sync::Arc<FaultInjector>>,
 }
 
 /// A point-in-time copy of the flush watchdog's degradation accounting —
-/// what [`CommProfiler::flush_health`] returns (all zeros for the legacy
-/// shared-atomic accumulation path, which has no flush stage to degrade).
+/// what [`CommProfiler::flush_health`] returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushHealthSnapshot {
     /// True once any flush path hit a caught panic or watchdog timeout.
@@ -175,7 +163,7 @@ impl PerfectProfiler {
 }
 
 impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
-    /// Build from an explicit detector with default (sharded) accumulation.
+    /// Build from an explicit detector with default accumulation tunables.
     pub fn from_detector(detector: RawDetector<R, W>, config: ProfilerConfig) -> Self {
         Self::from_detector_with(detector, config, AccumConfig::default())
     }
@@ -203,21 +191,12 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
         let phases = config
             .phase_window
             .map(|w| Mutex::new(PhaseAccumulator::new(config.threads, w)));
-        let counters = if accum.sharded {
-            Counters::Sharded(Box::new(ShardSet::new(config.threads, accum)))
-        } else {
-            Counters::Shared {
-                accesses: AtomicU64::new(0),
-                deps: AtomicU64::new(0),
-            }
-        };
         Self {
             detector,
             config,
-            accum,
             global: CommMatrix::new(config.threads),
             loops: LoopRegistry::new(config.threads, accum.loop_capacity),
-            counters,
+            counters: ShardSet::new(config.threads, accum),
             phases,
             telemetry: telemetry.map(|t| Telemetry::new(config.threads, t)),
             faults: None,
@@ -230,16 +209,9 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// intent; a disarmed or absent injector leaves the pipeline
     /// byte-identical (the `fault_matrix` differential test's claim).
     pub fn with_faults(mut self, faults: std::sync::Arc<FaultInjector>) -> Self {
-        if let Counters::Sharded(s) = &mut self.counters {
-            s.set_faults(std::sync::Arc::clone(&faults));
-        }
+        self.counters.set_faults(std::sync::Arc::clone(&faults));
         self.faults = Some(faults);
         self
-    }
-
-    /// The accumulation-layer configuration in effect.
-    pub fn accum_config(&self) -> AccumConfig {
-        self.accum
     }
 
     /// Drain every shard's buffered dependence deltas into the shared
@@ -257,37 +229,30 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// [`AccumConfig::flush_timeout_ms`].
     pub fn flush_pending(&self) {
         lc_trace::flush_thread();
-        if let Counters::Sharded(s) = &self.counters {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(f) = &self.faults {
-                    f.trip(FaultSite::SinkFlush);
-                }
-                s.flush(self.flush_target());
-            }));
-            if result.is_err() {
-                // The flush never started (the trip panicked before any
-                // drain) or the shard layer already accounted its own
-                // losses — either way no deltas are lost here, they stay
-                // buffered for the next flush.
-                s.health().note_panic(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(f) = &self.faults {
+                f.trip(FaultSite::SinkFlush);
             }
+            self.counters.flush(self.flush_target());
+        }));
+        if result.is_err() {
+            // The flush never started (the trip panicked before any
+            // drain) or the shard layer already accounted its own
+            // losses — either way no deltas are lost here, they stay
+            // buffered for the next flush.
+            self.counters.health().note_panic(0);
         }
     }
 
     /// Snapshot of the flush watchdog's degradation accounting. All-zero
-    /// for a healthy run (and always for the legacy shared path).
+    /// for a healthy run.
     pub fn flush_health(&self) -> FlushHealthSnapshot {
-        match &self.counters {
-            Counters::Sharded(s) => {
-                let h = s.health();
-                FlushHealthSnapshot {
-                    degraded: h.degraded(),
-                    lost_deltas: h.lost_deltas(),
-                    flush_panics: h.flush_panics(),
-                    watchdog_timeouts: h.watchdog_timeouts(),
-                }
-            }
-            Counters::Shared { .. } => FlushHealthSnapshot::default(),
+        let h = self.counters.health();
+        FlushHealthSnapshot {
+            degraded: h.degraded(),
+            lost_deltas: h.lost_deltas(),
+            flush_panics: h.flush_panics(),
+            watchdog_timeouts: h.watchdog_timeouts(),
         }
     }
 
@@ -386,18 +351,12 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 
     /// Number of instrumented accesses observed.
     pub fn accesses(&self) -> u64 {
-        match &self.counters {
-            Counters::Sharded(s) => s.accesses(),
-            Counters::Shared { accesses, .. } => accesses.load(Ordering::Relaxed),
-        }
+        self.counters.accesses()
     }
 
     /// Number of RAW dependencies recorded.
     pub fn dependencies(&self) -> u64 {
-        match &self.counters {
-            Counters::Sharded(s) => s.deps(),
-            Counters::Shared { deps, .. } => deps.load(Ordering::Relaxed),
-        }
+        self.counters.deps()
     }
 
     /// Live snapshot of the global communication matrix.
@@ -418,16 +377,14 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// Current profiler heap footprint: signatures + matrices + the sharded
     /// accumulation layer. The signatures dominate and are input-size
     /// independent — the Figure 5 property (the sharding layer adds a small
-    /// bounded term, quantified in DESIGN.md).
+    /// bounded term, quantified in DESIGN.md). Never hangs: a shard whose
+    /// buffer lock is wedged past [`AccumConfig::flush_timeout_ms`] counts
+    /// 0 buffer bytes.
     pub fn memory_bytes(&self) -> usize {
-        let shards = match &self.counters {
-            Counters::Sharded(s) => s.memory_bytes(),
-            Counters::Shared { .. } => 0,
-        };
         self.detector.memory_bytes()
             + self.global.memory_bytes()
             + self.loops.memory_bytes()
-            + shards
+            + self.counters.memory_bytes()
     }
 
     /// The underlying detector (diagnostics).
@@ -471,16 +428,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             self.phases.is_none(),
             "phase tracking is not checkpointable"
         );
-        match &self.counters {
-            Counters::Sharded(s) => s.seed_counts(accesses, dependencies),
-            Counters::Shared {
-                accesses: a,
-                deps: d,
-            } => {
-                a.fetch_add(accesses, Ordering::Relaxed);
-                d.fetch_add(dependencies, Ordering::Relaxed);
-            }
-        }
+        self.counters.seed_counts(accesses, dependencies);
         self.global.add_dense(global);
         for (id, m) in loops {
             self.loops.get_or_insert(*id).add_dense(m);
@@ -488,30 +436,11 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     }
 }
 
-/// Events per batched-delivery tile: addresses are gathered and hashed
-/// in blocks of this size before detection. Sized so the two scratch
-/// arrays (4 KiB) stay comfortably in L1 next to the tile's events, and
-/// equal to a live capture tile, so each one is hashed in a single block.
-pub(crate) const TILE: usize = lc_trace::tile::TILE_EVENTS;
-
-/// How many events ahead of the detection cursor signature slot lines
-/// are prefetched. Far enough to cover an L2 hit, near enough that the
-/// lines survive in L1 until the probe lands.
-pub(crate) const PREFETCH_AHEAD: usize = 8;
-
-/// Shared `global` matrix accessor for the sibling fused module (the
-/// field itself stays private to keep the flush discipline in one file).
-impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
-    pub(crate) fn global_ref(&self) -> &CommMatrix {
-        &self.global
-    }
-}
-
 impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// Metrics-on access path: probe the detector, classify the outcome,
     /// and time the detect/accumulate stages for one access in
     /// [`TelemetryConfig::sample_every`]. Accumulation is identical to the
-    /// plain path — the `telemetry_differential` test proves the outputs
+    /// plain path — the `telemetry_observability` test proves the outputs
     /// are byte-for-byte the same.
     pub(crate) fn on_access_instrumented(&self, ev: &AccessEvent, t: &Telemetry) {
         let t0 = t.should_sample(ev.tid).then(std::time::Instant::now);
@@ -520,45 +449,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             .on_access_probed(ev.tid, ev.addr, ev.size, ev.kind);
         let detect_done = t0.map(|s| (s.elapsed(), std::time::Instant::now()));
         t.record_access(ev.tid, ev.kind, probe, dep.is_some());
-        match &self.counters {
-            Counters::Sharded(s) => {
-                s.count_access(ev.tid);
-                if let Some(dep) = dep {
-                    s.record_dep(
-                        ev.tid,
-                        ev.loop_id,
-                        dep.src,
-                        dep.dst,
-                        dep.bytes,
-                        self.flush_target(),
-                    );
-                    if let Some(p) = &self.phases {
-                        p.lock().add(dep.src, dep.dst, dep.bytes);
-                    }
-                }
-            }
-            Counters::Shared { accesses, deps } => {
-                accesses.fetch_add(1, Ordering::Relaxed);
-                if let Some(dep) = dep {
-                    deps.fetch_add(1, Ordering::Relaxed);
-                    self.global.add(dep.src, dep.dst, dep.bytes);
-                    if self.config.track_nested {
-                        if let Some((m, probe, inserted)) =
-                            self.loops.get_or_insert_lossy(ev.loop_id)
-                        {
-                            t.observe(ev.tid, HistId::RegistryProbeLen, probe as u64);
-                            if inserted {
-                                t.bump(ev.tid, Stat::RegistryInsert);
-                            }
-                            m.add(dep.src, dep.dst, dep.bytes);
-                        }
-                    }
-                    if let Some(p) = &self.phases {
-                        p.lock().add(dep.src, dep.dst, dep.bytes);
-                    }
-                }
-            }
-        }
+        self.accumulate(ev, dep);
         if let Some((detect, accum_start)) = detect_done {
             t.observe(ev.tid, HistId::DetectNs, detect.as_nanos() as u64);
             t.observe(
@@ -566,6 +457,26 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
                 HistId::AccumNs,
                 accum_start.elapsed().as_nanos() as u64,
             );
+        }
+    }
+
+    /// Count one access and record its dependence, if any — the per-event
+    /// accumulation step both per-event paths share.
+    #[inline]
+    fn accumulate(&self, ev: &AccessEvent, dep: Option<crate::raw::Dependence>) {
+        self.counters.count_access(ev.tid);
+        if let Some(dep) = dep {
+            self.counters.record_dep(
+                ev.tid,
+                ev.loop_id,
+                dep.src,
+                dep.dst,
+                dep.bytes,
+                self.flush_target(),
+            );
+            if let Some(p) = &self.phases {
+                p.lock().add(dep.src, dep.dst, dep.bytes);
+            }
         }
     }
 }
@@ -579,153 +490,17 @@ impl<R: ReaderSet, W: WriterMap> AccessSink for CommProfiler<R, W> {
             self.on_access_instrumented(ev, t);
             return;
         }
-        match &self.counters {
-            Counters::Sharded(s) => {
-                s.count_access(ev.tid);
-                if let Some(dep) = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind) {
-                    s.record_dep(
-                        ev.tid,
-                        ev.loop_id,
-                        dep.src,
-                        dep.dst,
-                        dep.bytes,
-                        self.flush_target(),
-                    );
-                    if let Some(p) = &self.phases {
-                        p.lock().add(dep.src, dep.dst, dep.bytes);
-                    }
-                }
-            }
-            Counters::Shared { accesses, deps } => {
-                accesses.fetch_add(1, Ordering::Relaxed);
-                if let Some(dep) = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind) {
-                    deps.fetch_add(1, Ordering::Relaxed);
-                    self.global.add(dep.src, dep.dst, dep.bytes);
-                    if self.config.track_nested {
-                        // Degrades (and latches the error) on overflow; see
-                        // `LoopRegistry::get_or_insert_lossy`.
-                        if let Some((m, _, _)) = self.loops.get_or_insert_lossy(ev.loop_id) {
-                            m.add(dep.src, dep.dst, dep.bytes);
-                        }
-                    }
-                    if let Some(p) = &self.phases {
-                        p.lock().add(dep.src, dep.dst, dep.bytes);
-                    }
-                }
-            }
-        }
+        let dep = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind);
+        self.accumulate(ev, dep);
     }
 
-    /// Native batched delivery — the hot loop the replay throughput target
-    /// lives in (DESIGN.md §12). Detection is still strictly per event in
-    /// stream order (Algorithm 1 is stateful), but per-event overheads are
-    /// amortized at tile granularity:
-    ///
-    /// * addresses are gathered from the SoA block and hashed `fmix64`-four-
-    ///   at-a-time via [`lc_sigmem::hash_block`], and each event's hash is
-    ///   reused by *all* of its signature consultations
-    ///   ([`RawDetector::on_access_hashed`]);
-    /// * signature slot lines are software-prefetched
-    ///   [`PREFETCH_AHEAD`] events ahead, so the dependent loads of
-    ///   Algorithm 1 land on warm lines;
-    /// * counter traffic stays batched: one shard add per same-thread run on
-    ///   the sharded path, one shared `fetch_add` per block on the legacy
-    ///   path.
-    ///
-    /// The resulting report is byte-identical to per-event delivery — the
-    /// `batched_hot_path` and `sharded_equivalence` differential suites pin
-    /// exactly that.
+    /// Batched delivery — live capture tiles, `Trace::replay` and
+    /// `par_replay` blocks. It is the fused tile loop of
+    /// [`CommProfiler::on_block_fused`] (DESIGN.md §12, §15) on this
+    /// thread's scratch, so the result is byte-identical to per-event
+    /// delivery — the `batched_hot_path` suite pins exactly that.
     fn on_batch(&self, evs: &[AccessEvent]) {
-        if evs.is_empty() {
-            return;
-        }
-        if let Some(t) = &self.telemetry {
-            t.bump(evs[0].tid, Stat::SinkBatch);
-            for ev in evs {
-                self.on_access_instrumented(ev, t);
-            }
-            return;
-        }
-        let mut addrs = [0u64; TILE];
-        let mut hashes = [0u64; TILE];
-        match &self.counters {
-            Counters::Sharded(s) => {
-                for tile in evs.chunks(TILE) {
-                    let n = tile.len();
-                    for (a, ev) in addrs[..n].iter_mut().zip(tile) {
-                        *a = ev.addr;
-                    }
-                    lc_sigmem::hash_block(&addrs[..n], &mut hashes[..n]);
-                    let mut i = 0;
-                    while i < n {
-                        let tid = tile[i].tid;
-                        let mut j = i + 1;
-                        while j < n && tile[j].tid == tid {
-                            j += 1;
-                        }
-                        s.count_accesses(tid, (j - i) as u64);
-                        for k in i..j {
-                            if let Some(&h) = hashes[..n].get(k + PREFETCH_AHEAD) {
-                                self.detector.prefetch(h);
-                            }
-                            let ev = &tile[k];
-                            if let Some(dep) = self
-                                .detector
-                                .on_access_hashed(ev.tid, ev.addr, hashes[k], ev.size, ev.kind)
-                            {
-                                s.record_dep(
-                                    ev.tid,
-                                    ev.loop_id,
-                                    dep.src,
-                                    dep.dst,
-                                    dep.bytes,
-                                    self.flush_target(),
-                                );
-                                if let Some(p) = &self.phases {
-                                    p.lock().add(dep.src, dep.dst, dep.bytes);
-                                }
-                            }
-                        }
-                        i = j;
-                    }
-                }
-            }
-            Counters::Shared { accesses, deps } => {
-                accesses.fetch_add(evs.len() as u64, Ordering::Relaxed);
-                let mut found = 0u64;
-                for tile in evs.chunks(TILE) {
-                    let n = tile.len();
-                    for (a, ev) in addrs[..n].iter_mut().zip(tile) {
-                        *a = ev.addr;
-                    }
-                    lc_sigmem::hash_block(&addrs[..n], &mut hashes[..n]);
-                    for (k, ev) in tile.iter().enumerate() {
-                        if let Some(&h) = hashes[..n].get(k + PREFETCH_AHEAD) {
-                            self.detector.prefetch(h);
-                        }
-                        if let Some(dep) = self
-                            .detector
-                            .on_access_hashed(ev.tid, ev.addr, hashes[k], ev.size, ev.kind)
-                        {
-                            found += 1;
-                            self.global.add(dep.src, dep.dst, dep.bytes);
-                            if self.config.track_nested {
-                                if let Some((m, _, _)) = self.loops.get_or_insert_lossy(ev.loop_id)
-                                {
-                                    m.add(dep.src, dep.dst, dep.bytes);
-                                }
-                            }
-                            if let Some(p) = &self.phases {
-                                p.lock().add(dep.src, dep.dst, dep.bytes);
-                            }
-                        }
-                    }
-                }
-                if found > 0 {
-                    deps.fetch_add(found, Ordering::Relaxed);
-                }
-            }
-        }
+        crate::fused::with_thread_scratch(|scratch| self.on_block_fused(evs, scratch));
     }
 
     fn flush(&self) {
@@ -818,36 +593,27 @@ mod tests {
     fn registry_overflow_degrades_without_panicking() {
         // One-loop capacity, three distinct loops carrying dependences: the
         // run completes, the global matrix stays exact, and the latched
-        // overflow (plus a dropped-delta count) is readable afterwards —
-        // both accumulation modes.
-        for accum in [
+        // overflow (plus a dropped-delta count) is readable afterwards.
+        let p = PerfectProfiler::from_detector_with(
+            PerfectDetector::perfect(),
+            ProfilerConfig::nested(4),
             AccumConfig {
                 loop_capacity: 1,
                 flush_epoch: 1, // flush every dependence: overflow mid-run
                 ..AccumConfig::default()
             },
-            AccumConfig {
-                loop_capacity: 1,
-                ..AccumConfig::shared()
-            },
-        ] {
-            let p = PerfectProfiler::from_detector_with(
-                PerfectDetector::perfect(),
-                ProfilerConfig::nested(4),
-                accum,
-            );
-            for l in 1..=3u32 {
-                p.on_access(&ev(0, 0x10 * l as u64, AccessKind::Write, LoopId(l)));
-                p.on_access(&ev(1, 0x10 * l as u64, AccessKind::Read, LoopId(l)));
-            }
-            let r = p.report();
-            assert_eq!(r.dependencies, 3);
-            assert_eq!(r.global.get(0, 1), 24, "global must stay exact");
-            let e = p.registry_overflow().expect("overflow latched");
-            assert!(e.to_string().contains("loop-matrix registry full"));
-            assert!(p.loops.dropped_deltas() > 0);
-            assert!(r.per_loop.len() <= 1, "capacity bound exceeded");
+        );
+        for l in 1..=3u32 {
+            p.on_access(&ev(0, 0x10 * l as u64, AccessKind::Write, LoopId(l)));
+            p.on_access(&ev(1, 0x10 * l as u64, AccessKind::Read, LoopId(l)));
         }
+        let r = p.report();
+        assert_eq!(r.dependencies, 3);
+        assert_eq!(r.global.get(0, 1), 24, "global must stay exact");
+        let e = p.registry_overflow().expect("overflow latched");
+        assert!(e.to_string().contains("loop-matrix registry full"));
+        assert!(p.loops.dropped_deltas() > 0);
+        assert!(r.per_loop.len() <= 1, "capacity bound exceeded");
     }
 
     #[test]
@@ -960,27 +726,11 @@ mod tests {
         // One dependence sits below the flush epoch; every read path must
         // still observe it.
         let p = PerfectProfiler::perfect(ProfilerConfig::nested(2));
-        assert!(p.accum_config().sharded);
         p.on_access(&ev(0, 0x10, AccessKind::Write, LoopId(3)));
         p.on_access(&ev(1, 0x10, AccessKind::Read, LoopId(3)));
         assert_eq!(p.global_matrix().get(0, 1), 8);
         assert_eq!(p.loop_matrix_snapshot(LoopId(3)).get(0, 1), 8);
         assert_eq!(p.dependencies(), 1);
-    }
-
-    #[test]
-    fn shared_accum_path_still_works() {
-        let p = PerfectProfiler::from_detector_with(
-            PerfectDetector::perfect(),
-            ProfilerConfig::nested(4),
-            AccumConfig::shared(),
-        );
-        p.on_access(&ev(0, 0x10, AccessKind::Write, LoopId(1)));
-        p.on_access(&ev(1, 0x10, AccessKind::Read, LoopId(1)));
-        let r = p.report();
-        assert_eq!(r.dependencies, 1);
-        assert_eq!(r.global.get(0, 1), 8);
-        assert_eq!(r.per_loop[&LoopId(1)].get(0, 1), 8);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Sharded accumulation for the inline profiler hot path.
 //!
 //! Algorithm 1 runs *inline in the application threads* (§IV-D3), so every
-//! cycle `on_access` spends is multiplied across all profiled threads. The
-//! unsharded accumulator bumps one shared `accesses` atomic per access and
-//! contends on shared [`CommMatrix`] cells per dependence — cache-line
-//! ping-pong that grows with thread count. This module removes the shared
-//! state from the per-access path:
+//! cycle `on_access` spends is multiplied across all profiled threads. One
+//! shared `accesses` atomic per access and shared [`CommMatrix`] cell adds
+//! per dependence would ping-pong cache lines at a rate that grows with
+//! thread count. This module keeps the shared state off the per-access
+//! path:
 //!
 //! * [`Shard`] — per-thread, cache-line-padded `accesses`/`deps` counters.
 //!   Each application thread only ever touches its own shard's lines;
@@ -17,8 +17,8 @@
 //!   [`AccumConfig::flush_epoch`] dependences, or when the buffer fills),
 //!   so a tight producer/consumer loop touches the shared matrix once per
 //!   epoch instead of once per dependence. Matrix cell addition commutes,
-//!   so the fully-flushed result is byte-identical to unsharded
-//!   accumulation of the same dependence stream (enforced by the
+//!   so the fully-flushed result is byte-identical to adding each
+//!   dependence straight into one matrix (enforced by the
 //!   `sharded_equivalence` differential test).
 //! * [`LoopRegistry`] — a lock-free, fixed-capacity, open-addressed table
 //!   of per-loop matrices replacing the `RwLock<HashMap<LoopId, _>>` read
@@ -26,11 +26,11 @@
 //!   with a release-CAS, the same pattern `ReadSignature::filter_or_insert`
 //!   uses; lookups are wait-free loads.
 //!
-//! The memory cost over the unsharded path is bounded and small: one
-//! padded shard (two counters + a `delta_slots`-entry buffer) per profiled
-//! thread and `capacity` pointer-sized registry slots — a few KiB at the
-//! paper's scale, keeping the §V-A2 "matrices are negligible next to
-//! signature memory" property (quantified in DESIGN.md).
+//! The memory cost of the layer is bounded and small: one padded shard
+//! (two counters + a `delta_slots`-entry buffer) per profiled thread and
+//! `capacity` pointer-sized registry slots — a few KiB at the paper's
+//! scale, keeping the §V-A2 "matrices are negligible next to signature
+//! memory" property (quantified in DESIGN.md).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,10 +48,6 @@ use crate::telemetry::{HistId, Stat, Telemetry};
 /// [`crate::ProfilerConfig`] so existing construction sites keep working.
 #[derive(Clone, Copy, Debug)]
 pub struct AccumConfig {
-    /// Use the sharded path (per-thread counters + delta buffers). `false`
-    /// selects the legacy shared-atomic path, kept as the differential
-    /// baseline.
-    pub sharded: bool,
     /// Flush a shard's delta buffer after this many buffered dependences.
     pub flush_epoch: u64,
     /// Distinct `(loop, src, dst)` keys a shard aggregates between
@@ -71,22 +67,10 @@ pub struct AccumConfig {
 impl Default for AccumConfig {
     fn default() -> Self {
         Self {
-            sharded: true,
             flush_epoch: 64,
             delta_slots: 32,
             loop_capacity: 1024,
             flush_timeout_ms: 2000,
-        }
-    }
-}
-
-impl AccumConfig {
-    /// The legacy unsharded path (shared counters, per-dependence matrix
-    /// adds). Kept for differential testing and as the overhead baseline.
-    pub fn shared() -> Self {
-        Self {
-            sharded: false,
-            ..Self::default()
         }
     }
 }
@@ -101,7 +85,7 @@ pub(crate) fn pack_key(loop_id: LoopId, src: u32, dst: u32) -> u64 {
 }
 
 #[inline]
-pub(crate) fn unpack_key(key: u64) -> (LoopId, u32, u32) {
+fn unpack_key(key: u64) -> (LoopId, u32, u32) {
     (
         LoopId((key >> 32) as u32),
         ((key >> 16) & 0xffff) as u32,
@@ -581,13 +565,17 @@ impl ShardSet {
             .sum()
     }
 
-    /// Heap footprint of the shard layer.
+    /// Heap footprint of the shard layer. Bounded like [`Self::flush`]: a
+    /// shard whose buffer lock cannot be won within
+    /// [`AccumConfig::flush_timeout_ms`] counts 0 buffer bytes, so a
+    /// footprint read never waits on a stalled thread.
     pub fn memory_bytes(&self) -> usize {
         self.shards.len() * std::mem::size_of::<Shard>()
             + self
                 .shards
                 .iter()
-                .map(|s| s.buf.lock().memory_bytes())
+                .filter_map(|s| self.lock_with_watchdog(&s.buf))
+                .map(|buf| buf.memory_bytes())
                 .sum::<usize>()
     }
 }
@@ -685,20 +673,6 @@ impl LoopRegistry {
     #[inline]
     pub fn try_get_or_insert(&self, id: LoopId) -> Result<&CommMatrix, RegistryFull> {
         self.find_or_publish(id).map(|(m, _, _)| m)
-    }
-
-    /// [`Self::get_or_insert`] plus the open-addressing probe length this
-    /// lookup walked (0 = direct hit) and whether the loop was newly
-    /// published — the telemetry layer's registry channel.
-    ///
-    /// # Panics
-    /// Like [`Self::get_or_insert`], when the registry is full.
-    #[inline]
-    pub fn get_or_insert_probed(&self, id: LoopId) -> (&CommMatrix, u32, bool) {
-        match self.find_or_publish(id) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The flush-path lookup: on overflow it latches the error (readable
@@ -1054,16 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn probed_lookup_reports_probe_length_and_insertion() {
-        let reg = LoopRegistry::new(2, 64);
-        let (_, p0, inserted0) = reg.get_or_insert_probed(LoopId(9));
-        assert!(inserted0);
-        let (_, p1, inserted1) = reg.get_or_insert_probed(LoopId(9));
-        assert!(!inserted1);
-        assert_eq!(p0, p1); // same id walks the same probe path
-    }
-
-    #[test]
     fn flush_reasons_and_occupancy_reach_telemetry() {
         use crate::telemetry::{HistId, Stat, Telemetry, TelemetryConfig};
         let cfg = AccumConfig {
@@ -1311,5 +1275,61 @@ mod tests {
         // Once the holder releases, the delayed deltas drain.
         set.flush(tgt);
         assert_eq!(global.get(1, 0), 4);
+    }
+
+    /// The reads that follow a flush — the footprint `memory_bytes` and a
+    /// whole `report()` — skip a wedged shard too instead of hanging.
+    #[test]
+    fn footprint_reads_skip_a_stuck_shard_within_the_timeout() {
+        use crate::{PerfectDetector, PerfectProfiler, ProfilerConfig};
+        use lc_trace::{AccessEvent, AccessKind, AccessSink, FuncId};
+        let p = Arc::new(PerfectProfiler::from_detector_with(
+            PerfectDetector::perfect(),
+            ProfilerConfig::nested(2),
+            AccumConfig {
+                flush_timeout_ms: 50,
+                ..AccumConfig::default()
+            },
+        ));
+        for (tid, kind) in [(0, AccessKind::Write), (1, AccessKind::Read)] {
+            p.on_access(&AccessEvent {
+                tid,
+                addr: 0x40,
+                size: 8,
+                kind,
+                loop_id: LoopId(1),
+                parent_loop: LoopId::NONE,
+                func: FuncId::NONE,
+                site: 0,
+            });
+        }
+        let unwedged = p.counters.memory_bytes();
+        let held = Arc::clone(&p);
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _guard = held.counters.shards[1].buf.lock();
+            locked_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        locked_rx.recv().unwrap();
+        let reader = Arc::clone(&p);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let reading = std::thread::spawn(move || {
+            let shards = reader.counters.memory_bytes();
+            let report = reader.report();
+            done_tx.send((shards, report)).unwrap();
+        });
+        let (shards, report) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("blocked on a wedged shard lock");
+        reading.join().unwrap();
+        assert!(shards <= unwedged, "a skipped shard counts 0 buffer bytes");
+        assert_eq!(report.accesses, 2);
+        assert!(p.degraded(), "the flush skipped the wedged shard");
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        assert_eq!(p.counters.memory_bytes(), unwedged);
+        assert_eq!(p.report().dependencies, 1);
     }
 }

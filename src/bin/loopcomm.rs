@@ -65,9 +65,6 @@ struct Options {
     salvage: bool,
     jobs: usize,
     batch: usize,
-    /// `analyze`: run the fused replay engine (default). `--no-fused`
-    /// delivers blocks through the routed `on_batch` path instead.
-    fused: bool,
     /// `synth`: probability in [0,1] that an event reuses an address
     /// from a small hot set instead of the uniform working set.
     addr_reuse: f64,
@@ -205,9 +202,6 @@ fn usage() -> ! {
          \x20                  v1/v2 input, valid range 1..=16777216 (default\n\
          \x20                  1024; v3 blocks are spool segments; results\n\
          \x20                  identical)\n\
-         \x20 --no-fused       (analyze) routed on_batch delivery instead of\n\
-         \x20                  the fused engine (results identical; the\n\
-         \x20                  fused engine is the default)\n\
          \x20 --perfect        (analyze, serve) exact perfect-signature\n\
          \x20                  baseline detector instead of the asymmetric\n\
          \x20                  signatures\n\
@@ -286,7 +280,6 @@ fn parse_options(args: &[String]) -> Options {
         salvage: false,
         jobs: 1,
         batch: lc_trace::REPLAY_BATCH_EVENTS,
-        fused: true,
         addr_reuse: 0.0,
         working_set: 65_536,
         perfect: false,
@@ -358,8 +351,7 @@ fn parse_options(args: &[String]) -> Options {
                 o.batch = v;
             }
             "--no-coalesce" => removed_flag(a, "`analyze` never coalesces"),
-            "--fused" => removed_flag(a, "the fused engine is the default"),
-            "--no-fused" => o.fused = false,
+            "--fused" | "--no-fused" => removed_flag(a, "`analyze` always runs the fused engine"),
             "--no-skip-filter" => {
                 eprintln!(
                     "error: --no-skip-filter was removed in PR 24: the fused engine no \
@@ -954,8 +946,6 @@ fn analyze(name: &str, o: &Options) {
             jobs,
         )
     });
-
-    analyzer.set_fused(o.fused);
 
     let cp_dir = o.checkpoint.as_deref().map(std::path::Path::new);
     let every = o.every.max(1);

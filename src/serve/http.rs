@@ -1,6 +1,8 @@
 //! Minimal HTTP/1.0 observation surface for `loopcomm serve`.
 //!
-//! Read-only, dependency-free, one thread, connection-per-request:
+//! Read-only, dependency-free, one thread, connection-per-request; only a
+//! `?wait=1` request, which may poll for up to 30 s, is answered from a
+//! short-lived thread of its own:
 //!
 //! | path | body |
 //! |---|---|
@@ -21,6 +23,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lc_profiler::ThreadLoad;
@@ -31,6 +34,9 @@ use super::{Shared, POLL_INTERVAL};
 /// How long `?wait=1` will poll for tenant quiescence before reporting
 /// whatever is analyzed so far.
 const WAIT_QUIET_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Most `?wait=1` requests waiting at once; more are answered 503.
+const MAX_WAITERS: usize = 8;
 
 /// Longest request line accepted, newline included.
 const MAX_REQUEST_LINE: u64 = 8 * 1024;
@@ -43,23 +49,28 @@ const MAX_HEADER_BYTES: u64 = 16 * 1024;
 /// `/healthz` and `/metrics` from everyone else.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Serve requests until shutdown (listener is non-blocking).
+/// Serve requests until shutdown (listener is non-blocking), then join
+/// the `?wait=1` threads, whose waits end with the server.
 pub(crate) fn http_loop(shared: Arc<Shared>, listener: TcpListener) {
+    let mut waiters = Vec::new();
     loop {
         if shared.shutting_down() {
             break;
         }
         match listener.accept() {
             Ok((sock, _)) => {
-                // Requests are tiny and handlers cheap; serve inline so
-                // shutdown has no request threads to chase.
-                let _ = serve_one(&shared, sock);
+                // Requests are tiny and handlers cheap; serve inline, all
+                // but a `?wait=1`, which `serve_one` hands to a thread.
+                let _ = serve_one(&shared, sock, &mut waiters);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
+    }
+    for h in waiters {
+        let _ = h.join();
     }
 }
 
@@ -111,19 +122,57 @@ fn read_request_line(sock: &TcpStream) -> io::Result<Option<String>> {
     }
 }
 
-fn serve_one(shared: &Shared, sock: TcpStream) -> io::Result<()> {
+fn serve_one(
+    shared: &Arc<Shared>,
+    sock: TcpStream,
+    waiters: &mut Vec<JoinHandle<()>>,
+) -> io::Result<()> {
     let Some(request_line) = read_request_line(&sock)? else {
         return respond(sock, 400, "text/plain", "request head too large\n");
     };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
-        (405, "text/plain", "method not allowed\n".to_string())
-    } else {
-        route(shared, target)
-    };
-    respond(sock, status, content_type, &body)
+    if method != "GET" {
+        return respond(sock, 405, "text/plain", "method not allowed\n");
+    }
+    if !wants_wait(target) {
+        let (status, content_type, body) = route(shared, target);
+        return respond(sock, status, content_type, &body);
+    }
+    // A waiting request must not hold `/healthz` and `/metrics` from
+    // everyone else: it gets a thread of its own.
+    waiters.retain(|h| !h.is_finished());
+    if waiters.len() >= MAX_WAITERS {
+        return respond(sock, 503, "text/plain", "too many waiting requests\n");
+    }
+    let (shared, target) = (Arc::clone(shared), target.to_string());
+    let waiter = std::thread::Builder::new()
+        .name("lc-http-wait".into())
+        .spawn(move || {
+            let (status, content_type, body) = route(&shared, &target);
+            let _ = respond(sock, status, content_type, &body);
+        });
+    // A failed spawn drops the socket: the client sees the connection close.
+    waiters.extend(waiter.ok());
+    Ok(())
+}
+
+/// True for a request carrying `wait=1` in its query.
+fn wants_wait(target: &str) -> bool {
+    target
+        .split_once('?')
+        .is_some_and(|(_, query)| query.split('&').any(|kv| kv == "wait=1"))
+}
+
+/// Poll until `tenant` is quiet, [`WAIT_QUIET_DEADLINE`] passes, or the
+/// server shuts down.
+fn wait_quiet(shared: &Shared, tenant: &Tenant) {
+    let start = Instant::now();
+    while !shared.shutting_down()
+        && start.elapsed() < WAIT_QUIET_DEADLINE
+        && !tenant.wait_quiet(POLL_INTERVAL)
+    {}
 }
 
 fn respond(mut sock: TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
@@ -132,6 +181,7 @@ fn respond(mut sock: TcpStream, status: u16, content_type: &str, body: &str) -> 
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -145,10 +195,7 @@ fn respond(mut sock: TcpStream, status: u16, content_type: &str, body: &str) -> 
 }
 
 fn route(shared: &Shared, target: &str) -> (u16, &'static str, String) {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+    let path = target.split_once('?').map_or(target, |(p, _)| p);
     match path {
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
         "/metrics" => (200, "text/plain", prometheus(shared)),
@@ -169,8 +216,8 @@ fn route(shared: &Shared, target: &str) -> (u16, &'static str, String) {
             };
             match what {
                 "report" => {
-                    if query.split('&').any(|kv| kv == "wait=1") {
-                        tenant.wait_quiet(WAIT_QUIET_DEADLINE);
+                    if wants_wait(target) {
+                        wait_quiet(shared, &tenant);
                     }
                     (200, "text/plain", tenant.canonical())
                 }
@@ -185,8 +232,8 @@ fn route(shared: &Shared, target: &str) -> (u16, &'static str, String) {
                 }
                 "stats" => (200, "application/json", tenant_stats_json(&tenant)),
                 "coherence" => {
-                    if query.split('&').any(|kv| kv == "wait=1") {
-                        tenant.wait_quiet(WAIT_QUIET_DEADLINE);
+                    if wants_wait(target) {
+                        wait_quiet(shared, &tenant);
                     }
                     match tenant.coherence_canonical() {
                         Some(body) => (200, "text/plain", body),

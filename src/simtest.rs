@@ -285,7 +285,6 @@ fn read_sig_scenario() {
 /// contract — and the health latch must be clean.
 fn flush_scenario() {
     let cfg = AccumConfig {
-        sharded: true,
         flush_epoch: 2,
         delta_slots: 4,
         loop_capacity: 4,

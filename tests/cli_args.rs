@@ -253,7 +253,7 @@ fn retired_write_and_analyze_flags_exit_2_with_a_one_line_hint() {
     std::fs::write(&trace, v1_two_thread_trace(0, 1)).unwrap();
     let (trace, out) = (trace.to_str().unwrap(), dir.join("out.lcv3"));
     let out = out.to_str().unwrap();
-    let cases: [(&str, &[&str]); 4] = [
+    let cases: [(&str, &[&str]); 5] = [
         (
             "--spool",
             &["record", "radix", out, "--size", "simdev", "--spool"],
@@ -261,6 +261,7 @@ fn retired_write_and_analyze_flags_exit_2_with_a_one_line_hint() {
         ("--v3", &["synth", out, "--events", "10", "--v3"]),
         ("--no-coalesce", &["analyze", trace, "--no-coalesce"]),
         ("--fused", &["analyze", trace, "--fused"]),
+        ("--no-fused", &["analyze", trace, "--no-fused"]),
     ];
     for (flag, args) in cases {
         let o = loopcomm(args);

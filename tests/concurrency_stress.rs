@@ -167,7 +167,6 @@ fn sharded_accumulation_is_lossless_under_concurrency() {
         track_nested: true,
         phase_window: None,
     }));
-    assert!(p.accum_config().sharded);
     let ctx = TraceCtx::new(p.clone(), threads);
     let f = ctx.func("stress");
     let loop_ids: Vec<_> = (0..loops)

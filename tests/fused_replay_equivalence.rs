@@ -1,24 +1,26 @@
-//! Differential suite: the fused zero-materialization replay engine is
-//! **byte-identical** to the materialized batched path.
+//! Differential suite: the fused tile loop is **byte-identical** to
+//! per-event delivery.
 //!
-//! The fused path (DESIGN.md §15) streams decoded event tiles straight
-//! into the detectors with block-batched dependence recording. The
-//! batching may not be observable: for every trace, batch size, worker
-//! count, detector, and event source (in-RAM SoA or v3 spool via mmap),
-//! the canonical report produced with `fused: true` must equal the report
-//! produced with `fused: false` byte for byte, including with phase
-//! windows whose boundaries straddle tile boundaries.
+//! The fused loop (DESIGN.md §15) streams event tiles straight into the
+//! detectors with block-batched dependence recording; `on_batch` and the
+//! fused replay engine both run it. The batching may not be observable:
+//! for every trace, batch size, worker count, detector, replay route
+//! (`ParReplayConfig::fused` on and off) and event source (in-RAM SoA or
+//! v3 spool via mmap), the canonical report must equal one profiler fed
+//! every event through per-event `on_access`, byte for byte, including
+//! with phase windows whose boundaries straddle tile boundaries.
 
 use std::sync::Arc;
 
 use lc_profiler::{
     analyze_trace_asymmetric, analyze_trace_perfect, canonical_report, AccumConfig,
-    IncrementalAnalyzer, ParAnalysis, ParReplayConfig, ProfilerConfig,
+    AsymmetricProfiler, IncrementalAnalyzer, ParAnalysis, ParReplayConfig, PerfectProfiler,
+    ProfilerConfig,
 };
 use lc_sigmem::SignatureConfig;
 use lc_trace::{
-    AccessEvent, AccessKind, FuncId, LoopId, MmapTrace, RecordingSink, SpoolV3Writer, StampedEvent,
-    Trace, TraceCtx,
+    AccessEvent, AccessKind, AccessSink, FuncId, LoopId, MmapTrace, RecordingSink, SpoolV3Writer,
+    StampedEvent, Trace, TraceCtx,
 };
 use loopcomm::prelude::*;
 use proptest::prelude::*;
@@ -38,20 +40,41 @@ fn record_workload(name: &str, threads: usize, seed: u64) -> Trace {
     rec.finish()
 }
 
+/// The anchor: one profiler fed every event through per-event
+/// `on_access`, in stream order.
+fn per_event<S: AccessSink>(trace: &Trace, profiler: S) -> S {
+    for e in trace.events() {
+        profiler.on_access(&e.event);
+    }
+    profiler
+}
+
+fn per_event_asymmetric(
+    trace: &Trace,
+    sig: SignatureConfig,
+    prof: ProfilerConfig,
+) -> ProfileReport {
+    per_event(trace, AsymmetricProfiler::asymmetric(sig, prof)).report()
+}
+
+fn per_event_perfect(trace: &Trace, prof: ProfilerConfig) -> ProfileReport {
+    per_event(trace, PerfectProfiler::perfect(prof)).report()
+}
+
 /// Reports must match to the byte, including access counts (neither
 /// side coalesces here) and phase windows when present.
-fn assert_identical(mat: &ParAnalysis, fused: &ParAnalysis, events: u64, what: &str) {
+fn assert_identical(anchor: &ProfileReport, got: &ParAnalysis, events: u64, what: &str) {
     assert_eq!(
-        canonical_report(&mat.report, events),
-        canonical_report(&fused.report, events),
+        canonical_report(anchor, events),
+        canonical_report(&got.report, events),
         "{what}: canonical reports diverge"
     );
     assert_eq!(
-        mat.report.accesses, fused.report.accesses,
+        anchor.accesses, got.report.accesses,
         "{what}: access counts diverge"
     );
     assert_eq!(
-        mat.report.phase_windows, fused.report.phase_windows,
+        anchor.phase_windows, got.report.phase_windows,
         "{what}: phase windows diverge"
     );
 }
@@ -69,24 +92,20 @@ fn sweep_asymmetric(trace: &Trace, threads: usize, slots: usize) {
     let sig = SignatureConfig::paper_default(slots, threads);
     let prof = ProfilerConfig::nested(threads);
     let events = trace.len() as u64;
+    let anchor = per_event_asymmetric(trace, sig, prof);
     for jobs in JOBS {
         for batch in BATCHES {
-            let mat = analyze_trace_asymmetric(
-                trace,
-                sig,
-                prof,
-                AccumConfig::default(),
-                &cfg(jobs, batch, false),
-            );
-            let fused = analyze_trace_asymmetric(
-                trace,
-                sig,
-                prof,
-                AccumConfig::default(),
-                &cfg(jobs, batch, true),
-            );
-            let what = format!("asymmetric jobs={jobs} batch={batch}");
-            assert_identical(&mat, &fused, events, &what);
+            for fused in [false, true] {
+                let got = analyze_trace_asymmetric(
+                    trace,
+                    sig,
+                    prof,
+                    AccumConfig::default(),
+                    &cfg(jobs, batch, fused),
+                );
+                let what = format!("asymmetric jobs={jobs} batch={batch} fused={fused}");
+                assert_identical(&anchor, &got, events, &what);
+            }
         }
     }
 }
@@ -94,18 +113,19 @@ fn sweep_asymmetric(trace: &Trace, threads: usize, slots: usize) {
 fn sweep_perfect(trace: &Trace, threads: usize) {
     let prof = ProfilerConfig::nested(threads);
     let events = trace.len() as u64;
+    let anchor = per_event_perfect(trace, prof);
     for jobs in JOBS {
         for batch in BATCHES {
-            let mat = analyze_trace_perfect(
-                trace,
-                prof,
-                AccumConfig::default(),
-                &cfg(jobs, batch, false),
-            );
-            let fused =
-                analyze_trace_perfect(trace, prof, AccumConfig::default(), &cfg(jobs, batch, true));
-            let what = format!("perfect jobs={jobs} batch={batch}");
-            assert_identical(&mat, &fused, events, &what);
+            for fused in [false, true] {
+                let got = analyze_trace_perfect(
+                    trace,
+                    prof,
+                    AccumConfig::default(),
+                    &cfg(jobs, batch, fused),
+                );
+                let what = format!("perfect jobs={jobs} batch={batch} fused={fused}");
+                assert_identical(&anchor, &got, events, &what);
+            }
         }
     }
 }
@@ -140,8 +160,8 @@ fn fused_matches_under_tiny_signature_aliasing() {
 #[test]
 fn phase_windows_straddling_tile_boundaries_agree() {
     // phase_window = 37 events against tiles of {7, 256}: window
-    // boundaries land mid-tile, so the fused engine's deferred in-order
-    // phase drain must reproduce the materialized accumulator exactly.
+    // boundaries land mid-tile, so the fused loop's deferred in-order
+    // phase drain must reproduce the per-event accumulator exactly.
     let threads = 4;
     let trace = record_workload("fft", threads, 5);
     let sig = SignatureConfig::paper_default(1 << 10, threads);
@@ -150,35 +170,32 @@ fn phase_windows_straddling_tile_boundaries_agree() {
         ..ProfilerConfig::nested(threads)
     };
     let events = trace.len() as u64;
+    let anchor = per_event_asymmetric(&trace, sig, prof);
+    assert!(
+        anchor.phase_windows.is_some(),
+        "phase tracking must be active for this test to mean anything"
+    );
     for batch in [7usize, 256] {
-        let mat = analyze_trace_asymmetric(
-            &trace,
-            sig,
-            prof,
-            AccumConfig::default(),
-            &cfg(1, batch, false),
-        );
-        assert!(
-            mat.report.phase_windows.is_some(),
-            "phase tracking must be active for this test to mean anything"
-        );
-        let fused = analyze_trace_asymmetric(
-            &trace,
-            sig,
-            prof,
-            AccumConfig::default(),
-            &cfg(1, batch, true),
-        );
-        assert_identical(&mat, &fused, events, &format!("phases batch={batch}"));
+        for fused in [false, true] {
+            let got = analyze_trace_asymmetric(
+                &trace,
+                sig,
+                prof,
+                AccumConfig::default(),
+                &cfg(1, batch, fused),
+            );
+            let what = format!("phases batch={batch} fused={fused}");
+            assert_identical(&anchor, &got, events, &what);
+        }
     }
 }
 
 // ---- v3 spool / mmap source ----------------------------------------------
 
 /// Round-trip a trace through an indexed v3 spool and stream the mmap'd
-/// frames into incremental analyzers — the serve-path shape. The fused
-/// consumer sees borrowed `&[StampedEvent]` tiles decoded straight from
-/// spool pages; its canonical report must match the unfused consumer's.
+/// frames into incremental analyzers — the serve-path shape. The analyzer
+/// sees borrowed `&[StampedEvent]` tiles decoded straight from spool
+/// pages; its canonical report must match per-event delivery's.
 #[test]
 fn mmap_spool_source_agrees_with_in_ram() {
     let threads = 4;
@@ -206,35 +223,18 @@ fn mmap_spool_source_agrees_with_in_ram() {
     let sig = SignatureConfig::paper_default(1 << 10, threads);
     let prof = ProfilerConfig::nested(threads);
 
-    let run = |fused: bool, jobs: usize| -> String {
+    let run = |jobs: usize| -> String {
         let mut an = IncrementalAnalyzer::asymmetric(sig, prof, AccumConfig::default(), jobs);
-        an.set_fused(fused);
         mmap.stream_from(0, |frame| an.on_frame(frame))
             .expect("stream spool");
         canonical_report(&an.report(), an.events())
     };
 
-    // The in-RAM materialized analysis anchors everything.
-    let anchor = analyze_trace_asymmetric(
-        &trace,
-        sig,
-        prof,
-        AccumConfig::default(),
-        &cfg(1, 512, false),
-    );
-    let anchor = canonical_report(&anchor.report, trace.len() as u64);
+    // In-RAM per-event delivery anchors everything.
+    let anchor = canonical_report(&per_event_asymmetric(&trace, sig, prof), trace.len() as u64);
 
     for jobs in [1usize, 2, 4] {
-        assert_eq!(
-            anchor,
-            run(false, jobs),
-            "unfused mmap stream diverges at jobs={jobs}"
-        );
-        assert_eq!(
-            anchor,
-            run(true, jobs),
-            "fused mmap stream diverges at jobs={jobs}"
-        );
+        assert_eq!(anchor, run(jobs), "mmap stream diverges at jobs={jobs}");
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -277,7 +277,8 @@ fn script_to_trace(script: &[(u32, u64, bool, u32)]) -> Trace {
 }
 
 proptest! {
-    // Each case sweeps batch {1, 7, 64} × jobs {1, 2} × both detectors;
+    // Each case sweeps batch {1, 7, 64} × jobs {1, 2} × both replay
+    // routes × both detectors;
     // case count follows PROPTEST_CASES.
     #[test]
     fn random_traces_agree_fused_vs_materialized(
@@ -288,24 +289,24 @@ proptest! {
         let events = trace.len() as u64;
         let prof = ProfilerConfig::nested(threads);
         let sig = SignatureConfig::paper_default(1 << 8, threads);
+        let anchor_a = canonical_report(&per_event_asymmetric(&trace, sig, prof), events);
+        let anchor_p = canonical_report(&per_event_perfect(&trace, prof), events);
         for jobs in [1usize, 2] {
             for batch in [1usize, 7, 64] {
-                let mat_a = analyze_trace_asymmetric(
-                    &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, false));
-                let mat_p = analyze_trace_perfect(
-                    &trace, prof, AccumConfig::default(), &cfg(jobs, batch, false));
-                let fus_a = analyze_trace_asymmetric(
-                    &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, true));
-                prop_assert_eq!(
-                    canonical_report(&mat_a.report, events),
-                    canonical_report(&fus_a.report, events),
-                    "asymmetric jobs={} batch={}", jobs, batch);
-                let fus_p = analyze_trace_perfect(
-                    &trace, prof, AccumConfig::default(), &cfg(jobs, batch, true));
-                prop_assert_eq!(
-                    canonical_report(&mat_p.report, events),
-                    canonical_report(&fus_p.report, events),
-                    "perfect jobs={} batch={}", jobs, batch);
+                for fused in [false, true] {
+                    let got_a = analyze_trace_asymmetric(
+                        &trace, sig, prof, AccumConfig::default(), &cfg(jobs, batch, fused));
+                    prop_assert_eq!(
+                        &anchor_a,
+                        &canonical_report(&got_a.report, events),
+                        "asymmetric jobs={} batch={} fused={}", jobs, batch, fused);
+                    let got_p = analyze_trace_perfect(
+                        &trace, prof, AccumConfig::default(), &cfg(jobs, batch, fused));
+                    prop_assert_eq!(
+                        &anchor_p,
+                        &canonical_report(&got_p.report, events),
+                        "perfect jobs={} batch={} fused={}", jobs, batch, fused);
+                }
             }
         }
     }

@@ -2,12 +2,14 @@
 //! request read is bounded: an 8 KiB request line, 16 KiB of headers, and
 //! one 5 s deadline for the whole head. A client that floods bytes
 //! without a newline, or drips them, is cut off within the deadline, and
-//! `/healthz` answers right after.
+//! `/healthz` answers right after. A `?wait=1` report, which polls until
+//! its tenant is quiet, waits on a thread of its own and holds no one up.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use lc_trace::wire::encode_hello;
 use loopcomm::serve::{ServeConfig, Server};
 
 /// The server's whole-request deadline.
@@ -140,5 +142,36 @@ fn headers_past_their_budget_get_400() {
         String::from_utf8_lossy(&got)
     );
     assert_healthy(&http);
+    server.shutdown();
+}
+
+#[test]
+fn a_waiting_report_does_not_hold_up_healthz() {
+    let (mut server, http) = start();
+    // An ingest connection that says hello and then nothing keeps its
+    // tenant from ever going quiet.
+    let mut ingest = TcpStream::connect(&server.ingest_addrs()[0]).expect("connect ingest");
+    ingest.write_all(&encode_hello("idle")).unwrap();
+    let start = Instant::now();
+    while server.shared().tenant("idle").is_none_or(|t| t.quiet()) {
+        assert!(start.elapsed() < DEADLINE, "tenant never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut waiting = TcpStream::connect(&http).expect("connect http");
+    waiting
+        .write_all(b"GET /tenants/idle/report?wait=1 HTTP/1.0\r\n\r\n")
+        .unwrap();
+    // The listener accepts in connection order, so the server takes the
+    // waiting request, whole, before the `/healthz` that follows it.
+    assert_healthy(&http);
+    // Closing the ingest connection quiets the tenant: the wait ends.
+    drop(ingest);
+    waiting.set_read_timeout(Some(2 * DEADLINE)).unwrap();
+    let got = read_until_closed(&mut waiting);
+    assert!(
+        got.starts_with(b"HTTP/1.0 200"),
+        "{}",
+        String::from_utf8_lossy(&got)
+    );
     server.shutdown();
 }

@@ -1,19 +1,24 @@
 //! Differential test: the sharded accumulation path must be *lossless*.
 //!
-//! The sharded profiler buffers dependence deltas per thread and flushes
-//! them in epochs; matrix-cell addition commutes, so after a flush the
-//! result must be **byte-identical** to the legacy shared-atomic path fed
-//! the same access stream. These tests record one trace (including
-//! genuinely concurrent recordings), replay it into both configurations,
-//! and require identical `DenseMatrix` snapshots, identical per-loop maps,
-//! and identical access/dependence counts.
+//! The profiler buffers dependence deltas per thread and flushes them in
+//! epochs; matrix-cell addition commutes, so after a flush the result must
+//! be **byte-identical** to an independent reference fed the same access
+//! stream: the bare detector's dependences folded straight into one
+//! global matrix, a per-loop map, the counts and a phase accumulator —
+//! no shard, delta buffer or loop registry involved. These tests record
+//! one trace (including genuinely concurrent recordings), replay it into
+//! both, and require identical `DenseMatrix` snapshots, identical per-loop
+//! maps, identical access/dependence counts and identical phase windows.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use lc_profiler::raw::{AsymmetricDetector, PerfectDetector};
-use lc_profiler::{AccumConfig, AsymmetricProfiler, PerfectProfiler, ProfilerConfig};
-use lc_sigmem::SignatureConfig;
-use lc_trace::{run_threads, RecordingSink, Trace, TraceCtx, TracedBuffer};
+use lc_profiler::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
+use lc_profiler::{
+    AccumConfig, AsymmetricProfiler, DenseMatrix, PerfectProfiler, PhaseAccumulator, ProfilerConfig,
+};
+use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
+use lc_trace::{run_threads, RecordingSink, StampedEvent, Trace, TraceCtx, TracedBuffer};
 use loopcomm::prelude::*;
 
 /// Record a deterministic-by-stamp trace from a concurrent exchange
@@ -54,6 +59,65 @@ fn config(threads: usize, phase_window: Option<u64>) -> ProfilerConfig {
     }
 }
 
+/// The reference fold over `events`, in stream order.
+struct Reference<R: ReaderSet, W: WriterMap> {
+    detector: RawDetector<R, W>,
+    threads: usize,
+    global: DenseMatrix,
+    per_loop: HashMap<lc_trace::LoopId, DenseMatrix>,
+    accesses: u64,
+    dependencies: u64,
+    phases: Option<PhaseAccumulator>,
+}
+
+impl<R: ReaderSet, W: WriterMap> Reference<R, W> {
+    fn new(detector: RawDetector<R, W>, prof: ProfilerConfig) -> Self {
+        Self {
+            detector,
+            threads: prof.threads,
+            global: DenseMatrix::zero(prof.threads),
+            per_loop: HashMap::new(),
+            accesses: 0,
+            dependencies: 0,
+            phases: prof
+                .phase_window
+                .map(|w| PhaseAccumulator::new(prof.threads, w)),
+        }
+    }
+
+    fn feed(&mut self, events: &[StampedEvent]) {
+        for e in events {
+            let ev = &e.event;
+            self.accesses += 1;
+            let Some(d) = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind) else {
+                continue;
+            };
+            let (src, dst) = (d.src as usize, d.dst as usize);
+            self.dependencies += 1;
+            self.global.bump(src, dst, d.bytes);
+            self.per_loop
+                .entry(ev.loop_id)
+                .or_insert_with(|| DenseMatrix::zero(self.threads))
+                .bump(src, dst, d.bytes);
+            if let Some(p) = &mut self.phases {
+                p.add(d.src, d.dst, d.bytes);
+            }
+        }
+    }
+
+    fn report(&self) -> ProfileReport {
+        ProfileReport {
+            threads: self.threads,
+            global: self.global.clone(),
+            per_loop: self.per_loop.clone(),
+            accesses: self.accesses,
+            dependencies: self.dependencies,
+            memory_bytes: 0,
+            phase_windows: self.phases.clone().map(PhaseAccumulator::finish),
+        }
+    }
+}
+
 fn assert_reports_identical(a: &ProfileReport, b: &ProfileReport) {
     assert_eq!(a.accesses, b.accesses, "access counts diverge");
     assert_eq!(a.dependencies, b.dependencies, "dependence counts diverge");
@@ -67,60 +131,43 @@ fn assert_reports_identical(a: &ProfileReport, b: &ProfileReport) {
         assert_eq!(
             Some(m),
             b.per_loop.get(id),
-            "loop {id:?} matrix diverges between sharded and shared paths"
+            "loop {id:?} matrix diverges between profiler and reference"
         );
     }
     assert_eq!(a.phase_windows, b.phase_windows, "phase windows diverge");
 }
 
 #[test]
-fn sharded_report_is_byte_identical_to_shared_perfect() {
+fn sharded_report_is_byte_identical_to_reference_perfect() {
     let threads = 6;
     let trace = record_exchange(threads, 24, 8, 5);
+    let profiler = PerfectProfiler::perfect(config(threads, None));
+    trace.replay(&profiler);
+    let mut reference = Reference::new(PerfectDetector::perfect(), config(threads, None));
+    reference.feed(trace.events());
 
-    let sharded = PerfectProfiler::from_detector_with(
-        PerfectDetector::perfect(),
-        config(threads, None),
-        AccumConfig::default(),
-    );
-    let shared = PerfectProfiler::from_detector_with(
-        PerfectDetector::perfect(),
-        config(threads, None),
-        AccumConfig::shared(),
-    );
-    trace.replay(&sharded);
-    trace.replay(&shared);
-
-    assert!(sharded.accum_config().sharded);
-    assert!(!shared.accum_config().sharded);
-    let (a, b) = (sharded.report(), shared.report());
+    let (a, b) = (profiler.report(), reference.report());
     assert!(a.dependencies > 0, "workload produced no dependences");
     assert_reports_identical(&a, &b);
 }
 
 #[test]
-fn sharded_report_is_byte_identical_to_shared_asymmetric() {
+fn sharded_report_is_byte_identical_to_reference_asymmetric() {
     // Same property through the paper's approximate signatures: on an
     // identical replayed stream the detector is deterministic, so any
     // divergence would come from the accumulation layer.
     let threads = 4;
     let trace = record_exchange(threads, 16, 16, 3);
     let sig = SignatureConfig::paper_default(1 << 12, threads);
-
-    let sharded = AsymmetricProfiler::from_detector_with(
+    let profiler = AsymmetricProfiler::asymmetric(sig, config(threads, Some(32)));
+    trace.replay(&profiler);
+    let mut reference = Reference::new(
         AsymmetricDetector::asymmetric(sig),
         config(threads, Some(32)),
-        AccumConfig::default(),
     );
-    let shared = AsymmetricProfiler::from_detector_with(
-        AsymmetricDetector::asymmetric(sig),
-        config(threads, Some(32)),
-        AccumConfig::shared(),
-    );
-    trace.replay(&sharded);
-    trace.replay(&shared);
+    reference.feed(trace.events());
 
-    let (a, b) = (sharded.report(), shared.report());
+    let (a, b) = (profiler.report(), reference.report());
     assert!(a.dependencies > 0);
     assert!(a.phase_windows.is_some());
     assert_reports_identical(&a, &b);
@@ -131,13 +178,9 @@ fn equivalence_holds_across_flush_epoch_settings() {
     // Epoch boundaries change *when* deltas land, never *what* lands.
     let threads = 4;
     let trace = record_exchange(threads, 12, 8, 4);
-    let baseline = PerfectProfiler::from_detector_with(
-        PerfectDetector::perfect(),
-        config(threads, None),
-        AccumConfig::shared(),
-    );
-    trace.replay(&baseline);
-    let expected = baseline.report();
+    let mut reference = Reference::new(PerfectDetector::perfect(), config(threads, None));
+    reference.feed(trace.events());
+    let expected = reference.report();
 
     for flush_epoch in [1, 2, 7, 64, 100_000] {
         for delta_slots in [1, 3, 64] {
@@ -163,23 +206,20 @@ fn equivalence_holds_across_flush_epoch_settings() {
 
 #[test]
 fn mid_run_snapshots_never_miss_buffered_deltas() {
-    // Interleave replays with live reads: every read flushes first, so the
-    // running totals must match a shared-path profiler at every cut point.
+    // Interleave per-event delivery with live reads: every read flushes
+    // first, so the running totals must match the reference at every cut
+    // point.
     let threads = 4;
     let trace = record_exchange(threads, 8, 4, 2);
-    let sharded = PerfectProfiler::perfect(config(threads, None));
-    let shared = PerfectProfiler::from_detector_with(
-        PerfectDetector::perfect(),
-        config(threads, None),
-        AccumConfig::shared(),
-    );
+    let profiler = PerfectProfiler::perfect(config(threads, None));
+    let mut reference = Reference::new(PerfectDetector::perfect(), config(threads, None));
     for e in trace.events() {
-        sharded.on_access(&e.event);
-        shared.on_access(&e.event);
+        profiler.on_access(&e.event);
+        reference.feed(std::slice::from_ref(e));
         if e.seq % 97 == 0 {
-            assert_eq!(sharded.global_matrix(), shared.global_matrix());
-            assert_eq!(sharded.dependencies(), shared.dependencies());
+            assert_eq!(profiler.global_matrix(), reference.global);
+            assert_eq!(profiler.dependencies(), reference.dependencies);
         }
     }
-    assert_reports_identical(&sharded.report(), &shared.report());
+    assert_reports_identical(&profiler.report(), &reference.report());
 }

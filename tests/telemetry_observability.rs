@@ -102,29 +102,26 @@ fn telemetry_on_output_is_byte_identical_to_off_perfect() {
 
 #[test]
 fn telemetry_on_output_is_byte_identical_to_off_asymmetric() {
-    // Through the approximate signatures, with phase tracking, in both
-    // accumulation modes — every hot-path variant the branch guards.
+    // Through the approximate signatures, with phase tracking.
     let threads = 4;
     let trace = record_exchange(threads, 16, 16, 3);
     let sig = SignatureConfig::paper_default(1 << 12, threads);
-    for accum in [AccumConfig::default(), AccumConfig::shared()] {
-        let off = AsymmetricProfiler::from_detector_with(
-            AsymmetricDetector::asymmetric(sig),
-            config(threads, Some(32)),
-            accum,
-        );
-        let on = AsymmetricProfiler::from_detector_full(
-            AsymmetricDetector::asymmetric(sig),
-            config(threads, Some(32)),
-            accum,
-            Some(TelemetryConfig::default()),
-        );
-        trace.replay(&off);
-        trace.replay(&on);
-        let (a, b) = (off.report(), on.report());
-        assert!(a.dependencies > 0);
-        assert_reports_identical(&a, &b);
-    }
+    let off = AsymmetricProfiler::from_detector_with(
+        AsymmetricDetector::asymmetric(sig),
+        config(threads, Some(32)),
+        AccumConfig::default(),
+    );
+    let on = AsymmetricProfiler::from_detector_full(
+        AsymmetricDetector::asymmetric(sig),
+        config(threads, Some(32)),
+        AccumConfig::default(),
+        Some(TelemetryConfig::default()),
+    );
+    trace.replay(&off);
+    trace.replay(&on);
+    let (a, b) = (off.report(), on.report());
+    assert!(a.dependencies > 0);
+    assert_reports_identical(&a, &b);
 }
 
 #[test]
