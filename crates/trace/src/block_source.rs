@@ -132,20 +132,19 @@ impl BlockSource for MmapTrace {
     }
 
     fn stream_blocks(&mut self, from: u64, f: &mut dyn FnMut(EventBlock<'_>)) -> io::Result<u64> {
-        // One decoded segment of reused scratch per block; `stream_from`
-        // keeps RSS bounded by discarding consumed pages behind itself.
+        // One decoded segment of reused scratch per block.
         self.stream_from(from, |evs| f(EventBlock::Stamped(evs)))
     }
 }
 
-/// A file-backed [`BlockSource`], picked by trace format: v3 spools get
-/// the out-of-core `mmap` view; v1/v2 files (no page-aligned segments to
-/// map) are loaded once and streamed zero-copy from RAM.
+/// A file-backed [`BlockSource`], picked by trace format: v3 spools are
+/// read out of core a segment at a time; v1/v2 files (no index to seek
+/// by) are loaded once and streamed zero-copy from RAM.
 pub enum FileBlockSource {
     /// v1/v2 file, loaded into an in-RAM trace.
     Ram(Trace),
-    /// v3 spool, mapped.
-    Mmap(MmapTrace),
+    /// v3 spool, read one segment at a time.
+    Spool(MmapTrace),
 }
 
 impl FileBlockSource {
@@ -158,7 +157,7 @@ impl FileBlockSource {
     pub fn events(&self) -> u64 {
         match self {
             FileBlockSource::Ram(t) => t.len() as u64,
-            FileBlockSource::Mmap(m) => m.events(),
+            FileBlockSource::Spool(m) => m.events(),
         }
     }
 }
@@ -173,7 +172,7 @@ impl BlockSource for FileBlockSource {
             FileBlockSource::Ram(t) => {
                 TraceBlocks::new(t, REPLAY_BATCH_EVENTS).stream_blocks(from, f)
             }
-            FileBlockSource::Mmap(m) => m.stream_blocks(from, f),
+            FileBlockSource::Spool(m) => m.stream_blocks(from, f),
         }
     }
 }
@@ -227,16 +226,16 @@ mod tests {
     }
 
     #[test]
-    fn mmap_and_ram_sources_agree_event_for_event() {
+    fn spool_and_ram_sources_agree_event_for_event() {
         let dir = std::env::temp_dir().join("lc_block_source_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.lcv3");
         let t = Trace::new((0..700).map(ev).collect());
         write_trace_spool_v3(&t, &path, 96).unwrap();
-        let mut mm = FileBlockSource::open(&path).unwrap();
-        assert!(matches!(mm, FileBlockSource::Mmap(_)));
-        assert_eq!(collect(&mut mm, 0), t.access_events());
-        assert_eq!(collect(&mut mm, 301), &t.access_events()[301..]);
+        let mut v3 = FileBlockSource::open(&path).unwrap();
+        assert!(matches!(v3, FileBlockSource::Spool(_)));
+        assert_eq!(collect(&mut v3, 0), t.access_events());
+        assert_eq!(collect(&mut v3, 301), &t.access_events()[301..]);
         // A v1 file of the same trace opens as the RAM variant and agrees.
         let v1 = dir.join("t.lctrace");
         crate::trace_io::write_trace(&t, std::fs::File::create(&v1).unwrap()).unwrap();

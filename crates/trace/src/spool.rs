@@ -568,7 +568,7 @@ impl AccessSink for SpoolSink {
     /// Stamp the block and ship every frame it fills without releasing
     /// the buffer lock. Stamps are therefore taken in lock order and
     /// frames leave in stamp order, so the spool is sorted by `seq` and a
-    /// mapped replay sees the same order as a loaded (sorted) one.
+    /// streamed replay sees the same order as a loaded (sorted) one.
     fn on_batch(&self, evs: &[AccessEvent]) {
         let mut batch = self.batch.lock();
         let first = self.seq.fetch_add(evs.len() as u64, Ordering::Relaxed);
@@ -758,7 +758,7 @@ mod tests {
         });
         let stats = sink.finish().unwrap();
         assert_eq!(stats.events, 2000);
-        // File order is stamp order, so a mapped replay (which cannot
+        // File order is stamp order, so a streamed replay (which cannot
         // sort) sees what a loaded one does.
         let mut seqs = Vec::new();
         crate::spool_v3::MmapTrace::open(&path)

@@ -2,11 +2,11 @@
 //!
 //! v2 made the failure domain one frame; v3 makes the *reader* out-of-core.
 //! Every segment starts on a 4 KiB page boundary and a side-car index maps
-//! event offsets (and therefore fixed-size phase windows) to pages, so an
-//! `mmap`-backed view ([`MmapTrace`]) can seek to any event in O(1) index
-//! probes and replay a trace far larger than RAM while the kernel pages
-//! segments in and out behind it — RSS stays bounded by one segment of
-//! scratch plus whatever the page cache keeps warm.
+//! event offsets (and therefore fixed-size phase windows) to pages, so the
+//! segment reader ([`MmapTrace`]) can seek to any event in O(1) index
+//! probes and replay a trace far larger than RAM with positioned reads, one
+//! segment at a time: resident memory is one segment buffer plus its
+//! decoded events, and the page cache belongs to the kernel.
 //!
 //! ```text
 //! <path>            "LCTR" | version=3 | zero padding to 4096
@@ -62,6 +62,47 @@ fn bad_data(msg: String) -> io::Error {
 /// Round `n` up to the next page boundary.
 fn page_round_up(n: u64) -> u64 {
     n.div_ceil(PAGE_BYTES as u64) * PAGE_BYTES as u64
+}
+
+/// Fill `buf` from `file` at byte offset `off` without moving any shared
+/// cursor; a file that ends first is `UnexpectedEof`.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, off)
+}
+
+#[cfg(not(unix))]
+fn read_at(file: &File, mut buf: &mut [u8], mut off: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, off) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                off += n as u64;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Check that `file` opens with a whole v3 header page; returns its length.
+fn check_v3_header(file: &File) -> io::Result<u64> {
+    let len = file.metadata()?.len();
+    let mut head = [0u8; 8];
+    if len < PAGE_BYTES as u64 || read_at(file, &mut head, 0).is_err() || head[0..4] != MAGIC {
+        return Err(bad_data("not a loopcomm v3 spool (bad magic)".into()));
+    }
+    let version = u32::from_le_bytes(head[4..8].try_into().unwrap());
+    if version != VERSION_V3 {
+        return Err(bad_data(format!(
+            "not a v3 spool (file is version {version})"
+        )));
+    }
+    Ok(len)
 }
 
 /// Where a spool's side-car index lives: `<path>.idx` appended to the
@@ -278,23 +319,17 @@ impl V3Index {
         Self::decode(&std::fs::read(index_path(spool))?)
     }
 
-    /// Rebuild the index exactly by scanning segment headers in `bytes`
-    /// (a v3 file image, header page included). Damage past the last
-    /// whole segment is ignored — the same longest-valid-prefix contract
-    /// as salvage. Only headers are touched; payload CRCs are left to the
-    /// readers that actually decode.
-    pub fn rebuild(bytes: &[u8]) -> io::Result<Self> {
-        if bytes.len() < 8 || bytes[0..4] != MAGIC {
-            return Err(bad_data("not a loopcomm trace (bad magic)".into()));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION_V3 {
-            return Err(bad_data(format!("not a v3 spool (version {version})")));
-        }
+    /// Rebuild the index exactly by reading each segment header of the v3
+    /// spool `file` in place. Damage past the last whole segment is
+    /// ignored — the same longest-valid-prefix contract as salvage. Only
+    /// headers are read; payload CRCs are left to the readers that
+    /// actually decode.
+    pub fn rebuild(file: &File) -> io::Result<Self> {
+        let len = check_v3_header(file)?;
         let mut index = V3Index::default();
         let mut pos = PAGE_BYTES as u64;
-        while (pos as usize) + FRAME_HEADER_BYTES <= bytes.len() {
-            let h = &bytes[pos as usize..pos as usize + FRAME_HEADER_BYTES];
+        let mut h = [0u8; FRAME_HEADER_BYTES];
+        while pos + FRAME_HEADER_BYTES as u64 <= len && read_at(file, &mut h, pos).is_ok() {
             if h[0..4] != FRAME_MAGIC {
                 break;
             }
@@ -306,7 +341,7 @@ impl V3Index {
                 break;
             }
             let seg_end = pos + (FRAME_HEADER_BYTES as u64) + payload_len as u64;
-            if seg_end as usize > bytes.len() {
+            if seg_end > len {
                 break; // torn final segment
             }
             let event_count = (payload_len as usize / RECORD_BYTES) as u32;
@@ -592,223 +627,42 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// A read-only memory mapping of a whole file (raw `mmap(2)` on unix; a
-/// heap copy elsewhere, where the bounded-RSS claim does not apply).
-struct Mapping {
-    #[cfg(unix)]
-    ptr: *mut u8,
-    #[cfg(unix)]
-    len: usize,
-    #[cfg(not(unix))]
-    bytes: Vec<u8>,
-}
-
-// The mapping is read-only and never mutated after creation.
-unsafe impl Send for Mapping {}
-unsafe impl Sync for Mapping {}
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::{c_int, c_void};
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-    pub const MADV_RANDOM: c_int = 1;
-    pub const MADV_SEQUENTIAL: c_int = 2;
-    pub const MADV_DONTNEED: c_int = 4;
-    pub const MADV_NOHUGEPAGE: c_int = 15;
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-}
-
-impl Mapping {
-    #[cfg(unix)]
-    fn map(file: &File) -> io::Result<Self> {
-        use std::os::unix::io::AsRawFd;
-        let len = file.metadata()?.len() as usize;
-        if len == 0 {
-            return Ok(Self {
-                ptr: std::ptr::null_mut(),
-                len: 0,
-            });
-        }
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        // Before any page is touched: on kernels that back file/shmem
-        // mappings with transparent huge pages, every fault would
-        // materialize a 2 MiB page — a sparse header scan then maps the
-        // whole spool and the bounded-RSS contract is gone before
-        // streaming starts. Advisory, like every madvise here.
-        unsafe {
-            sys::madvise(ptr, len, sys::MADV_NOHUGEPAGE);
-        }
-        Ok(Self {
-            ptr: ptr as *mut u8,
-            len,
-        })
-    }
-
-    #[cfg(not(unix))]
-    fn map(file: &File) -> io::Result<Self> {
-        let mut bytes = Vec::new();
-        let mut f = file;
-        f.read_to_end(&mut bytes)?;
-        Ok(Self { bytes })
-    }
-
-    /// Tell the kernel the first `consumed` bytes will not be read again,
-    /// so sequential streaming does not accumulate the whole file in RSS.
-    /// Advisory: a failed `madvise` only costs memory, never correctness.
-    #[cfg(unix)]
-    fn discard_prefix(&self, consumed: usize) {
-        let aligned = consumed & !(PAGE_BYTES - 1);
-        if aligned > 0 && !self.ptr.is_null() {
-            unsafe {
-                sys::madvise(
-                    self.ptr as *mut std::ffi::c_void,
-                    aligned.min(self.len),
-                    sys::MADV_DONTNEED,
-                );
-            }
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn discard_prefix(&self, _consumed: usize) {}
-
-    /// Hint that the mapping will be touched at scattered pages:
-    /// `MADV_RANDOM` turns off fault-around/readahead, which would
-    /// otherwise fault ~16 neighbor pages per touched header page —
-    /// hundreds of MB of RSS on a big spool before streaming even starts.
-    /// Advisory: failure costs memory, never correctness.
-    #[cfg(unix)]
-    fn advise_random(&self) {
-        if !self.ptr.is_null() {
-            unsafe {
-                sys::madvise(
-                    self.ptr as *mut std::ffi::c_void,
-                    self.len,
-                    sys::MADV_RANDOM,
-                );
-            }
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn advise_random(&self) {}
-
-    /// Hint that the mapping will be streamed front to back:
-    /// `MADV_SEQUENTIAL` turns aggressive readahead back on for the
-    /// decode passes. Advisory: failure costs throughput, never
-    /// correctness.
-    #[cfg(unix)]
-    fn advise_sequential(&self) {
-        if !self.ptr.is_null() {
-            unsafe {
-                sys::madvise(
-                    self.ptr as *mut std::ffi::c_void,
-                    self.len,
-                    sys::MADV_SEQUENTIAL,
-                );
-            }
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn advise_sequential(&self) {}
-
-    fn bytes(&self) -> &[u8] {
-        #[cfg(unix)]
-        {
-            if self.len == 0 {
-                &[]
-            } else {
-                unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            &self.bytes
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        if !self.ptr.is_null() {
-            unsafe {
-                sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);
-            }
-        }
-    }
-}
-
-/// An `mmap`-backed view of a v3 spool: O(1) seek by event offset through
-/// the side-car index, segment-at-a-time decoding into caller scratch so
-/// resident memory stays bounded by one segment regardless of spool size.
+/// A v3 spool read with positioned reads: O(1) seek by event offset
+/// through the side-car index, then one segment at a time — header and
+/// payload in one read into a reused buffer, CRC-checked and decoded into
+/// reused scratch — so resident memory is one segment whatever the spool
+/// size, and the page cache stays the kernel's. A file that shrinks under
+/// the reader is an error at the first segment past its end.
+///
+/// The type once mapped the file. It keeps its name only because the
+/// benchmark under `benchmark/` names it.
 pub struct MmapTrace {
-    map: Mapping,
+    file: File,
+    /// File length at open; no segment the index places past it is read.
+    len: u64,
     index: V3Index,
     rebuilt: bool,
 }
 
 impl MmapTrace {
-    /// Map `path` and load (or rebuild) its index. A missing, torn, or
+    /// Open `path` and load (or rebuild) its index. A missing, torn, or
     /// corrupt side-car index is rebuilt exactly from the segment headers
     /// and re-written best-effort, so recovery is a one-time cost.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
-        let map = Mapping::map(&file)?;
-        let bytes = map.bytes();
-        if bytes.len() < PAGE_BYTES || bytes[0..4] != MAGIC {
-            return Err(bad_data("not a loopcomm v3 spool (bad magic)".into()));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION_V3 {
-            return Err(bad_data(format!(
-                "mmap view needs a v3 spool (file is version {version})"
-            )));
-        }
+        let len = check_v3_header(&file)?;
         let (index, rebuilt) = match V3Index::load(path) {
-            Ok(ix) if Self::index_plausible(&ix, &file, &map) => (ix, false),
+            Ok(ix) if Self::index_plausible(&ix, &file, len) => (ix, false),
             _ => {
-                // The rebuild scans every header through the mapping;
-                // suppress readahead while it hops pages, then hand the
-                // touched pages straight back.
-                map.advise_random();
-                let ix = V3Index::rebuild(bytes)?;
+                let ix = V3Index::rebuild(&file)?;
                 // Best-effort repair; the in-memory index is already good.
                 let _ = ix.write_atomic(path, None);
-                map.discard_prefix(map.bytes().len());
                 (ix, true)
             }
         };
-        // Streaming readahead for the decode passes, which keep their own
-        // prefix discarded.
-        map.advise_sequential();
         Ok(Self {
-            map,
+            file,
+            len,
             index,
             rebuilt,
         })
@@ -816,46 +670,16 @@ impl MmapTrace {
 
     /// Cheap staleness check: every entry must point at an in-bounds page
     /// whose header matches the entry. Catches an index from a different
-    /// or older file without scanning payloads.
-    ///
-    /// Reads headers with `pread(2)` rather than through the mapping:
-    /// faulting one scattered page per segment triggers the kernel's
-    /// fault-around (which ignores `MADV_RANDOM` on modern kernels) and
-    /// can charge hundreds of megabytes of neighbor pages to RSS before
-    /// streaming even starts.
-    fn index_plausible(ix: &V3Index, file: &File, map: &Mapping) -> bool {
-        let len = map.bytes().len();
+    /// or older file without reading payloads.
+    fn index_plausible(ix: &V3Index, file: &File, len: u64) -> bool {
         let mut header = [0u8; FRAME_HEADER_BYTES];
         ix.entries.iter().all(|e| {
-            let off = e.page_no as usize * PAGE_BYTES;
-            off + FRAME_HEADER_BYTES <= len
-                && Self::read_frame_header(file, map, off, &mut header)
+            let off = e.page_no * PAGE_BYTES as u64;
+            off + FRAME_HEADER_BYTES as u64 <= len
+                && read_at(file, &mut header, off).is_ok()
                 && header[0..4] == FRAME_MAGIC
                 && u32::from_le_bytes(header[4..8].try_into().unwrap()) == e.payload_len
         })
-    }
-
-    #[cfg(unix)]
-    fn read_frame_header(
-        file: &File,
-        _map: &Mapping,
-        off: usize,
-        buf: &mut [u8; FRAME_HEADER_BYTES],
-    ) -> bool {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, off as u64).is_ok()
-    }
-
-    #[cfg(not(unix))]
-    fn read_frame_header(
-        _file: &File,
-        map: &Mapping,
-        off: usize,
-        buf: &mut [u8; FRAME_HEADER_BYTES],
-    ) -> bool {
-        // The portable fallback mapping is a heap copy; no fault concerns.
-        buf.copy_from_slice(&map.bytes()[off..off + FRAME_HEADER_BYTES]);
-        true
     }
 
     /// True when the side-car index was missing/damaged and got rebuilt.
@@ -878,27 +702,34 @@ impl MmapTrace {
         self.index.entries.len()
     }
 
-    /// CRC-verify and decode segment `i` into `out` (cleared first).
-    /// Touches only that segment's pages.
-    pub fn decode_segment(&self, i: usize, out: &mut Vec<StampedEvent>) -> io::Result<()> {
+    /// Read segment `i` into `buf`, CRC-verify it and decode it into `out`
+    /// (cleared first).
+    fn decode_segment(
+        &self,
+        i: usize,
+        buf: &mut Vec<u8>,
+        out: &mut Vec<StampedEvent>,
+    ) -> io::Result<()> {
         out.clear();
-        let e = self
-            .index
-            .entries
-            .get(i)
-            .ok_or_else(|| bad_data(format!("segment {i} out of range")))?;
-        let bytes = self.map.bytes();
-        let off = e.page_no as usize * PAGE_BYTES;
-        let end = off + FRAME_HEADER_BYTES + e.payload_len as usize;
-        if end > bytes.len() {
-            return Err(bad_data(format!("segment {i} extends past end of file")));
+        let e = self.index.entries[i];
+        let off = e.page_no * PAGE_BYTES as u64;
+        let seg_len = FRAME_HEADER_BYTES + e.payload_len as usize;
+        let past_end = || bad_data(format!("segment {i} extends past end of file"));
+        // Checked before the buffer grows, so an index that names a huge
+        // segment cannot make the reader allocate it.
+        if off + seg_len as u64 > self.len {
+            return Err(past_end());
         }
-        let header = &bytes[off..off + FRAME_HEADER_BYTES];
+        buf.resize(seg_len, 0);
+        read_at(&self.file, buf, off).map_err(|err| match err.kind() {
+            io::ErrorKind::UnexpectedEof => past_end(),
+            _ => err,
+        })?;
+        let (header, payload) = buf.split_at(FRAME_HEADER_BYTES);
         if header[0..4] != FRAME_MAGIC {
             return Err(bad_data(format!("segment {i}: bad marker")));
         }
         let want_crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let payload = &bytes[off + FRAME_HEADER_BYTES..end];
         let crc = crc32(payload);
         if crc != want_crc {
             return Err(bad_data(format!(
@@ -921,36 +752,19 @@ impl MmapTrace {
     }
 
     /// Stream events from global offset `from` to the end, one decoded
-    /// segment at a time (bounded RSS). Returns the events delivered.
+    /// segment at a time. Returns the events delivered.
     pub fn stream_from<F: FnMut(&[StampedEvent])>(&self, from: u64, mut f: F) -> io::Result<u64> {
-        if from >= self.index.total_events {
+        let Some((first, skip)) = self.seek(from) else {
             return Ok(0);
-        }
-        let (first, skip) = self.seek(from).expect("offset checked in range");
+        };
+        let mut buf = Vec::new();
         let mut scratch = Vec::new();
         let mut delivered = 0u64;
-        // Hand consumed pages back to the kernel in batches of this many
-        // bytes, so VmHWM stays near one batch regardless of spool size.
-        const RELEASE_BYTES: usize = 64 << 20;
-        let mut released = 0usize;
         for i in first..self.index.entries.len() {
-            self.decode_segment(i, &mut scratch)?;
-            let events = if i == first {
-                &scratch[skip..]
-            } else {
-                &scratch[..]
-            };
-            if !events.is_empty() {
-                delivered += events.len() as u64;
-                f(events);
-            }
-            let e = &self.index.entries[i];
-            let consumed =
-                e.page_no as usize * PAGE_BYTES + FRAME_HEADER_BYTES + e.payload_len as usize;
-            if consumed - released >= RELEASE_BYTES {
-                self.map.discard_prefix(consumed);
-                released = consumed;
-            }
+            self.decode_segment(i, &mut buf, &mut scratch)?;
+            let events = &scratch[if i == first { skip } else { 0 }..];
+            delivered += events.len() as u64;
+            f(events);
         }
         Ok(delivered)
     }
@@ -1029,8 +843,8 @@ mod tests {
     }
 
     #[test]
-    fn mmap_view_streams_and_seeks() {
-        let path = tmp("mmap");
+    fn reader_streams_and_seeks() {
+        let path = tmp("stream");
         let t = sample(2500);
         write_trace_spool_v3(&t, &path, 64).unwrap();
         let m = MmapTrace::open(&path).unwrap();

@@ -232,17 +232,17 @@ pub fn load_trace(path: &Path) -> io::Result<Trace> {
 }
 
 /// Open `path` as a streaming [`FileBlockSource`](crate::block_source::FileBlockSource),
-/// picked by format version: a v3 spool gets the out-of-core `mmap` view
-/// (bounded RSS, O(1) seek); v1/v2 files have no page-aligned segments to
-/// map and are loaded once, then streamed zero-copy from RAM. Either way
-/// the fused consumer sees the same borrowed-block contract.
+/// picked by format version: a v3 spool is read out of core, one segment
+/// per positioned read (bounded RSS, O(1) seek); v1/v2 files have no index
+/// to seek by and are loaded once, then streamed zero-copy from RAM. Either
+/// way the fused consumer sees the same borrowed-block contract.
 pub fn open_block_source(path: &Path) -> io::Result<crate::block_source::FileBlockSource> {
     use crate::block_source::FileBlockSource;
     let mut f = std::fs::File::open(path)?;
     let version = read_header(&mut f)?;
     drop(f);
     match version {
-        VERSION_V3 => Ok(FileBlockSource::Mmap(crate::spool_v3::MmapTrace::open(
+        VERSION_V3 => Ok(FileBlockSource::Spool(crate::spool_v3::MmapTrace::open(
             path,
         )?)),
         _ => Ok(FileBlockSource::Ram(load_trace(path)?)),

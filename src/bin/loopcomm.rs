@@ -28,10 +28,11 @@
 //! ```
 //!
 //! `analyze` has one route whatever the flags: the file is opened as a
-//! `FileBlockSource` (a v3 spool is mapped and streamed with bounded RSS;
-//! v1/v2 files and `--salvage` output are loaded once and streamed as
-//! zero-copy blocks) and every block goes through one
-//! `IncrementalAnalyzer` and, under `--coherence`, one `CoherenceBackend`.
+//! `FileBlockSource` (a v3 spool is read one segment at a time with
+//! positioned reads, so RSS stays bounded; v1/v2 files and `--salvage`
+//! output are loaded once and streamed as zero-copy blocks) and every
+//! block goes through one `IncrementalAnalyzer` and, under
+//! `--coherence`, one `CoherenceBackend`.
 //! `--mmap` is accepted and changes nothing.
 //!
 //! Every file a command writes is a v3 spool plus its `.idx` side-car,
@@ -230,8 +231,9 @@ fn usage() -> ! {
          \x20                  final report is byte-identical to an\n\
          \x20                  uninterrupted run\n\
          \x20 --mmap           (analyze) accepted, no effect: every analyze\n\
-         \x20                  streams, and a v3 spool is always mapped\n\
-         \x20                  (bounded RSS even for spools larger than RAM)\n\
+         \x20                  streams, and a v3 spool is always read one\n\
+         \x20                  segment at a time (bounded RSS even for\n\
+         \x20                  spools larger than RAM)\n\
          \x20 --events N       (synth) events to generate (default 1000000)\n\
          \x20 --addr-reuse P   (synth) probability an event reuses a hot\n\
          \x20                  address (64-entry hot set; default 0.0)\n\
@@ -396,8 +398,8 @@ fn parse_options(args: &[String]) -> Options {
             "--checkpoint" => o.checkpoint = Some(val()),
             "--every" => o.every = parse_value(a, &val()),
             "--resume" => o.resume = Some(val()),
-            // Accepted, no effect: every `analyze` streams and a v3 spool
-            // is always mapped. It stays because `lcbench` passes it.
+            // Accepted, no effect: every `analyze` streams a v3 spool one
+            // segment at a time. It stays because `lcbench` passes it.
             "--mmap" => {}
             "--events" => o.events = parse_value(a, &val()),
             "--durable-dir" => o.durable_dir = Some(val()),
@@ -778,8 +780,8 @@ const MAX_ANALYZE_THREADS: u64 = 1024;
 /// RAM-loaded input costs one pass over the tid field.
 fn analyze_threads(source: &lc_trace::FileBlockSource) -> usize {
     let threads = match source {
-        lc_trace::FileBlockSource::Mmap(m) if m.index().threads > 0 => m.index().threads as u64,
-        lc_trace::FileBlockSource::Mmap(m) => {
+        lc_trace::FileBlockSource::Spool(m) if m.index().threads > 0 => m.index().threads as u64,
+        lc_trace::FileBlockSource::Spool(m) => {
             let mut threads = 1u64;
             m.stream_from(0, |frame| {
                 for e in frame {
@@ -885,8 +887,8 @@ fn analyze(name: &str, o: &Options) {
     let total = source.events();
     let threads = analyze_threads(&source);
     let format = match &source {
-        FileBlockSource::Mmap(m) => format!(
-            "v3 spool, mapped: {} segment(s), index {}",
+        FileBlockSource::Spool(m) => format!(
+            "v3 spool: {} segment(s), index {}",
             m.segments(),
             if m.index_rebuilt() {
                 "rebuilt from segment headers"
@@ -977,7 +979,7 @@ fn analyze(name: &str, o: &Options) {
     };
     match &mut source {
         FileBlockSource::Ram(t) => t.block_source(o.batch).stream_blocks(start, &mut on_block),
-        FileBlockSource::Mmap(m) => m.stream_blocks(start, &mut on_block),
+        FileBlockSource::Spool(m) => m.stream_blocks(start, &mut on_block),
     }
     .unwrap_or_else(|e| {
         eprintln!("error: replay failed: {e}");

@@ -6,7 +6,7 @@
 //! fused replay engine both run it. The batching may not be observable:
 //! for every trace, batch size, worker count, detector, replay route
 //! (`ParReplayConfig::fused` on and off) and event source (in-RAM SoA or
-//! v3 spool via mmap), the canonical report must equal one profiler fed
+//! v3 spool read a segment at a time), the canonical report must equal one profiler fed
 //! every event through per-event `on_access`, byte for byte, including
 //! with phase windows whose boundaries straddle tile boundaries.
 
@@ -190,12 +190,12 @@ fn phase_windows_straddling_tile_boundaries_agree() {
     }
 }
 
-// ---- v3 spool / mmap source ----------------------------------------------
+// ---- v3 spool source -------------------------------------------------------
 
-/// Round-trip a trace through an indexed v3 spool and stream the mmap'd
-/// frames into incremental analyzers — the serve-path shape. The analyzer
-/// sees borrowed `&[StampedEvent]` tiles decoded straight from spool
-/// pages; its canonical report must match per-event delivery's.
+/// Round-trip a trace through an indexed v3 spool and stream its segments
+/// into incremental analyzers — the serve-path shape. The analyzer sees
+/// borrowed `&[StampedEvent]` tiles decoded from each segment as it is
+/// read; its canonical report must match per-event delivery's.
 #[test]
 fn mmap_spool_source_agrees_with_in_ram() {
     let threads = 4;
@@ -219,13 +219,14 @@ fn mmap_spool_source_agrees_with_in_ram() {
     }
     w.finish().expect("finish spool");
 
-    let mmap = MmapTrace::open(&path).expect("open mmap trace");
+    let spool = MmapTrace::open(&path).expect("open spool");
     let sig = SignatureConfig::paper_default(1 << 10, threads);
     let prof = ProfilerConfig::nested(threads);
 
     let run = |jobs: usize| -> String {
         let mut an = IncrementalAnalyzer::asymmetric(sig, prof, AccumConfig::default(), jobs);
-        mmap.stream_from(0, |frame| an.on_frame(frame))
+        spool
+            .stream_from(0, |frame| an.on_frame(frame))
             .expect("stream spool");
         canonical_report(&an.report(), an.events())
     };
@@ -234,7 +235,7 @@ fn mmap_spool_source_agrees_with_in_ram() {
     let anchor = canonical_report(&per_event_asymmetric(&trace, sig, prof), trace.len() as u64);
 
     for jobs in [1usize, 2, 4] {
-        assert_eq!(anchor, run(jobs), "mmap stream diverges at jobs={jobs}");
+        assert_eq!(anchor, run(jobs), "spool stream diverges at jobs={jobs}");
     }
 
     let _ = std::fs::remove_dir_all(&dir);

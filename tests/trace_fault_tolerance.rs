@@ -10,6 +10,9 @@
 //! bytes themselves, so a new checksum kernel cannot change what is
 //! written.
 //!
+//! A v3 spool cut short — before `analyze` opens it, or under a reader
+//! that already has — is an error, never a signal or a panic.
+//!
 //! Records that *pass* every check still carry attacker-chosen `addr` and
 //! `size`; the last section feeds such records to the coherence backend,
 //! the one consumer that walks an access's byte range.
@@ -21,7 +24,7 @@ use lc_profiler::{AccumConfig, Checkpoint, DetectorKind, IncrementalAnalyzer, Pr
 use lc_sigmem::SignatureConfig;
 use lc_trace::event::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
 use lc_trace::{
-    crc32, index_path, read_trace, salvage_trace, write_trace, write_trace_spool,
+    crc32, index_path, read_trace, salvage_trace, synth_event, write_trace, write_trace_spool,
     write_trace_spool_v3, MmapTrace, Trace, V3Index,
 };
 use proptest::prelude::*;
@@ -383,6 +386,67 @@ fn final_frame_cut_at_every_byte_offset_recovers_the_whole_frame_prefix() {
         v2_truncation_case("exhaustive_cut", 2, 2, cut)
             .unwrap_or_else(|e| panic!("at cut {cut}: {e:?}"));
     }
+}
+
+/// A multi-segment v3 spool of `synth_event`s, 4096 events per segment.
+fn synth_spool(file: &ScratchFile) -> Trace {
+    let t = Trace::new(
+        (0..40_000)
+            .map(|i| synth_event(i, 42, 4, 65_536, 0.0))
+            .collect(),
+    );
+    write_trace_spool_v3(&t, file.path(), 4096).expect("spool");
+    t
+}
+
+fn cut_to(path: &std::path::Path, len: u64) {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(len))
+        .expect("truncate spool");
+}
+
+#[test]
+fn spool_shrunk_under_an_open_reader_is_an_error_not_a_crash() {
+    // A reader that mapped the file took SIGBUS on the first page past
+    // the new end; positioned reads see a short file and say so.
+    let file = ScratchFile::new("shrunk", 0);
+    let t = synth_spool(&file);
+    let m = MmapTrace::open(file.path()).expect("open");
+    assert_eq!(m.segments(), 10);
+    let len = std::fs::metadata(file.path()).expect("stat").len();
+    cut_to(file.path(), len / 3);
+    let mut streamed = Vec::new();
+    let res = m.stream_from(0, |evs| streamed.extend_from_slice(evs));
+    let err = res.expect_err("a shrunk spool must not stream to the end");
+    assert!(err.to_string().contains("past end of file"), "{err}");
+    // What was delivered before the cut is the exact prefix.
+    assert!(streamed.len() < t.len());
+    assert_eq!(&streamed[..], &t.events()[..streamed.len()]);
+}
+
+#[test]
+fn analyze_of_a_spool_cut_inside_an_indexed_segment_exits_1() {
+    // The side-car index still lists the last segment, whose header is in
+    // the file but whose payload now runs past its end.
+    let file = ScratchFile::new("cut_indexed", 0);
+    synth_spool(&file);
+    let last = *V3Index::load(file.path())
+        .expect("index")
+        .entries
+        .last()
+        .expect("segments");
+    cut_to(file.path(), last.page_no * 4096 + FRAME_HEADER as u64 + 100);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_loopcomm"))
+        .arg("analyze")
+        .arg(file.path())
+        .output()
+        .expect("run loopcomm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("past end of file"), "{stderr}");
 }
 
 #[test]
