@@ -1,8 +1,8 @@
 //! # lc-faults — deterministic fault injection
 //!
-//! The profiler runs inline with the target program, so any profiler
-//! failure (a worker panicking mid-flush, a truncated trace spool, a
-//! wedged disk) corrupts or destroys the whole run. This crate makes those
+//! The profiler runs inline with the target program, so any pipeline
+//! failure (a truncated trace spool, a wedged disk, a dropped connection)
+//! corrupts or destroys the whole run. This crate makes those
 //! failures *schedulable*: every fragile seam in the pipeline hosts a named
 //! [`FaultSite`], and a [`FaultPlan`] — written by hand or parsed from a
 //! plan file — scripts which site fails, how ([`FaultAction`]), and when
@@ -15,7 +15,7 @@
 //! participate hold an `Option<Arc<FaultInjector>>` and consult it at
 //! their sites. A `None` injector (the production default) costs nothing;
 //! an installed injector costs one atomic increment per site hit — and
-//! sites sit on flush/epoch/I/O boundaries, never on the per-access path.
+//! sites sit on I/O and frame boundaries, never on the per-access path.
 //!
 //! ## Plan file format
 //!
@@ -23,16 +23,15 @@
 //! any number of `fault` lines:
 //!
 //! ```text
-//! # worker panic on the third epoch flush
+//! # drain panic on the third decoded frame
 //! seed 42
-//! fault epoch_barrier panic after=2
+//! fault tenant_flush panic after=2
 //! fault trace_write short_write:13 after=1
-//! fault sink_flush stall:50 count=inf
-//! fault registry_insert panic prob=0.01
+//! fault net_write stall:50 count=inf
+//! fault checkpoint_write io_error prob=0.01
 //! ```
 //!
-//! Sites: `sink_flush`, `epoch_barrier`, `trace_write`, `registry_insert`,
-//! the network seams `net_accept`, `net_frame_read`, `net_write`,
+//! Sites: `trace_write`, the network seams `net_accept`, `net_frame_read`, `net_write`,
 //! `tenant_flush` (the `loopcomm serve` ingest path), and the durability
 //! seams `checkpoint_write`, `index_write` (crash-resumable analysis).
 //! Actions: `panic`, `stall:<ms>`, `io_error`, `short_write:<bytes>`,
@@ -52,16 +51,8 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// `AccessSink::flush` / `CommProfiler::flush_pending` — the explicit
-    /// drain every read path runs first.
-    SinkFlush = 0,
-    /// The shards epoch boundary: a delta buffer about to drain into the
-    /// shared matrices on an application thread.
-    EpochBarrier,
     /// A trace I/O write (v1 writer or the v2 spool).
-    TraceWrite,
-    /// A loop-matrix registry lookup/publish on the flush path.
-    RegistryInsert,
+    TraceWrite = 0,
     /// A new ingest connection being accepted by `loopcomm serve`.
     NetAccept,
     /// A socket read on the server's frame-reassembly path.
@@ -80,14 +71,11 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Number of sites.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 7;
 
     /// Every site, in declaration order.
     pub const ALL: [FaultSite; Self::COUNT] = [
-        FaultSite::SinkFlush,
-        FaultSite::EpochBarrier,
         FaultSite::TraceWrite,
-        FaultSite::RegistryInsert,
         FaultSite::NetAccept,
         FaultSite::NetFrameRead,
         FaultSite::NetWrite,
@@ -99,10 +87,7 @@ impl FaultSite {
     /// The plan-file spelling.
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::SinkFlush => "sink_flush",
-            FaultSite::EpochBarrier => "epoch_barrier",
             FaultSite::TraceWrite => "trace_write",
-            FaultSite::RegistryInsert => "registry_insert",
             FaultSite::NetAccept => "net_accept",
             FaultSite::NetFrameRead => "net_frame_read",
             FaultSite::NetWrite => "net_write",
@@ -127,7 +112,7 @@ impl std::fmt::Display for FaultSite {
 /// What happens when a fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic on the hitting thread (a worker dying mid-flush).
+    /// Panic on the hitting thread (a worker dying mid-step).
     Panic,
     /// Sleep this long on the hitting thread (a slow / stuck worker).
     Stall {
@@ -622,18 +607,18 @@ mod tests {
         let plan = FaultPlan::parse(
             "# a comment\n\
              seed 7\n\
-             fault epoch_barrier panic after=2\n\
+             fault trace_write panic after=2\n\
              fault trace_write short_write:13 count=inf  # trailing comment\n\
-             fault sink_flush stall:50 count=3 prob=0.5\n\
+             fault net_write stall:50 count=3 prob=0.5\n\
              \n\
-             fault registry_insert io_error\n",
+             fault checkpoint_write io_error\n",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.rules.len(), 4);
         assert_eq!(
             plan.rules[0],
-            FaultRule::once(FaultSite::EpochBarrier, FaultAction::Panic, 2)
+            FaultRule::once(FaultSite::TraceWrite, FaultAction::Panic, 2)
         );
         assert_eq!(plan.rules[1].action, FaultAction::ShortWrite { bytes: 13 });
         assert_eq!(plan.rules[1].count, u64::MAX);
@@ -645,11 +630,11 @@ mod tests {
     fn plan_rejects_garbage_with_line_numbers() {
         for (text, want_line) in [
             ("fault nowhere panic", 1),
-            ("seed 1\nfault sink_flush explode", 2),
-            ("fault sink_flush panic after=x", 1),
+            ("seed 1\nfault trace_write explode", 2),
+            ("fault trace_write panic after=x", 1),
             ("seed\n", 1),
-            ("faults sink_flush panic", 1),
-            ("fault sink_flush panic prob=2.0", 1),
+            ("faults trace_write panic", 1),
+            ("fault trace_write panic prob=2.0", 1),
         ] {
             let err = FaultPlan::parse(text).unwrap_err();
             assert_eq!(err.line, want_line, "{text:?} -> {err}");
@@ -661,10 +646,10 @@ mod tests {
     fn empty_plan_never_fires() {
         let inj = FaultInjector::disarmed();
         for _ in 0..100 {
-            assert_eq!(inj.check(FaultSite::EpochBarrier), None);
-            inj.trip(FaultSite::SinkFlush);
+            assert_eq!(inj.check(FaultSite::TraceWrite), None);
+            inj.trip(FaultSite::NetWrite);
         }
-        assert_eq!(inj.hits(FaultSite::EpochBarrier), 100);
+        assert_eq!(inj.hits(FaultSite::TraceWrite), 100);
         assert_eq!(inj.injected_total(), 0);
     }
 
@@ -690,7 +675,7 @@ mod tests {
         );
         assert_eq!(inj.injected(FaultSite::TraceWrite), 2);
         // Other sites unaffected.
-        assert_eq!(inj.check(FaultSite::SinkFlush), None);
+        assert_eq!(inj.check(FaultSite::NetWrite), None);
     }
 
     #[test]
@@ -698,7 +683,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 99,
             rules: vec![FaultRule {
-                site: FaultSite::RegistryInsert,
+                site: FaultSite::TenantFlush,
                 action: FaultAction::Panic,
                 after: 0,
                 count: u64::MAX,
@@ -708,7 +693,7 @@ mod tests {
         let run = || -> Vec<bool> {
             let inj = FaultInjector::new(plan.clone());
             (0..200)
-                .map(|_| inj.check(FaultSite::RegistryInsert).is_some())
+                .map(|_| inj.check(FaultSite::TenantFlush).is_some())
                 .collect()
         };
         let a = run();
@@ -721,7 +706,7 @@ mod tests {
         other.seed = 100;
         let inj = FaultInjector::new(other);
         let c: Vec<bool> = (0..200)
-            .map(|_| inj.check(FaultSite::RegistryInsert).is_some())
+            .map(|_| inj.check(FaultSite::TenantFlush).is_some())
             .collect();
         assert_ne!(a, c, "seed must matter");
     }
@@ -731,19 +716,19 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan {
             seed: 0,
             rules: vec![FaultRule::once(
-                FaultSite::EpochBarrier,
+                FaultSite::TraceWrite,
                 FaultAction::Panic,
                 0,
             )],
         });
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.trip(FaultSite::EpochBarrier)
+            inj.trip(FaultSite::TraceWrite)
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("injected fault"), "{msg}");
         // Budget spent: the next trip is clean.
-        inj.trip(FaultSite::EpochBarrier);
+        inj.trip(FaultSite::TraceWrite);
     }
 
     #[test]

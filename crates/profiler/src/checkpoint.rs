@@ -127,8 +127,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Capture the analyzer's full state. Must be called between frames
-    /// (no concurrent `on_frame`); flushes each worker's pending deltas so
-    /// the matrices are exact.
+    /// (no concurrent `on_frame`), so every worker's matrices are exact.
     pub fn capture(analyzer: &IncrementalAnalyzer) -> Self {
         let workers = match &analyzer.workers {
             Workers::Asymmetric { profilers, .. } => profilers
@@ -171,12 +170,13 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuild a live analyzer from this snapshot. `accum` supplies the
-    /// runtime tuning (flush epochs, delta slots); the semantically
-    /// significant `loop_capacity` is taken from the checkpoint so resumed
-    /// attribution can never overflow differently than the original run.
-    pub fn restore(&self, mut accum: AccumConfig) -> io::Result<IncrementalAnalyzer> {
-        accum.loop_capacity = self.loop_capacity;
+    /// Rebuild a live analyzer from this snapshot. `loop_capacity` is
+    /// taken from the checkpoint so resumed attribution can never overflow
+    /// differently than the original run.
+    pub fn restore(&self) -> io::Result<IncrementalAnalyzer> {
+        let accum = AccumConfig {
+            loop_capacity: self.loop_capacity,
+        };
         let prof = ProfilerConfig {
             threads: self.threads,
             track_nested: self.track_nested,
@@ -490,7 +490,7 @@ impl Checkpoint {
     }
 }
 
-/// Turn one worker's flushed report into serialization form, sorting the
+/// Turn one worker's report into serialization form, sorting the
 /// loop map into the deterministic id-ascending order the byte format
 /// requires.
 fn worker_state(r: crate::profiler::ProfileReport, detector: DetectorState) -> WorkerState {
@@ -689,7 +689,7 @@ mod tests {
         drop(a);
         let decoded = Checkpoint::decode(&cp.encode()).unwrap();
         assert_eq!(decoded, cp);
-        let mut b = decoded.restore(AccumConfig::default()).unwrap();
+        let mut b = decoded.restore().unwrap();
         assert_eq!(b.events(), split as u64);
         for chunk in evs[split..].chunks(frame) {
             b.on_frame(chunk);
@@ -760,7 +760,7 @@ mod tests {
         a.on_frame(&events(100));
         let mut cp = Checkpoint::capture(&a);
         cp.jobs = 3;
-        assert!(cp.restore(AccumConfig::default()).is_err());
+        assert!(cp.restore().is_err());
     }
 
     #[test]

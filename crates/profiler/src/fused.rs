@@ -15,14 +15,15 @@
 //! lines prefetched [`PREFETCH_AHEAD`] events ahead.
 //!
 //! Dependences are **recorded once per block**: they aggregate by
-//! `(loop, src, dst)` in a [`FusedScratch`] and land in the accumulation
-//! layer through [`crate::shards::ShardSet::record_deps`] (one lock, one
-//! counter add) instead of once per dependence; the block's access count
-//! is one add as well. Both are report-invisible — counters and matrices
-//! merge by commutative addition, and which shard holds a count is
-//! unobservable. The `fused_replay_equivalence` and `batched_hot_path`
-//! differential suites pin the output byte-identical to per-event
-//! `on_access` delivery across sources, batch sizes and detectors.
+//! `(loop, src, dst)` in a [`FusedScratch`], and each distinct key is then
+//! added straight into its matrix cells — one relaxed add per key per
+//! block instead of one per dependence, and one dependence-counter add;
+//! the block's access count is one add as well. Both are report-invisible
+//! — counters and matrices merge by commutative addition, and which shard
+//! holds a count is unobservable. The `fused_replay_equivalence` and
+//! `batched_hot_path` differential suites pin the output byte-identical
+//! to per-event `on_access` delivery across sources, batch sizes and
+//! detectors.
 //!
 //! A hash memo and an idempotent-read skip filter used to sit in front of
 //! the detector; both lost to the loop they were meant to beat and were
@@ -61,7 +62,7 @@ pub struct FusedStats {
     pub memo_misses: u64,
     /// Always 0: the skip filter is gone (see [`Self::memo_hits`]).
     pub elided_reads: u64,
-    /// `record_deps` batches handed to the accumulation layer.
+    /// Aggregated dependence batches added into the matrices.
     pub dep_batches: u64,
 }
 
@@ -81,7 +82,7 @@ pub struct FusedScratch {
     pub stats: FusedStats,
 }
 
-/// Aggregation keys held before an early in-block flush. Sized to hold
+/// Aggregation keys held before an early in-block drain. Sized to hold
 /// the full live key set of a dependence-dense block (threads² × a few
 /// loops) so early drains stay rare.
 const DEP_SLOTS: usize = 512;
@@ -213,15 +214,10 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
         }
     }
 
-    /// Hand the aggregated block dependences to `tid`'s shard in one lock
-    /// acquisition.
+    /// Add the block's aggregated dependences straight into the matrices,
+    /// one relaxed add per distinct key, and count them on `tid`'s shard.
     fn drain_scratch_deps(&self, tid: u32, scratch: &mut FusedScratch) {
-        self.counters.record_deps(
-            tid,
-            scratch.pending_deps,
-            &scratch.deps,
-            self.flush_target(),
-        );
+        self.add_deps(tid, scratch.pending_deps, &scratch.deps);
         scratch.stats.dep_batches += 1;
         scratch.deps.clear();
         scratch.pending_deps = 0;
@@ -304,16 +300,17 @@ mod tests {
         }
     }
 
-    /// The one per-block access count lands on `first tid & mask`: a
-    /// block whose first event's tid is beyond the shard count is still
-    /// counted in full.
+    /// The one per-block access and dependence counts land on `first tid
+    /// & mask`: a block whose first event's tid is beyond the shard count
+    /// is still counted in full. (Tid 13 only reads an address nobody
+    /// wrote, so no dependence falls outside the 4 × 4 matrices.)
     #[test]
     fn block_access_count_survives_a_first_tid_beyond_the_shard_count() {
         // 4 threads → 4 shards; tid 13 masks onto shard 1.
         let p = profiler(4);
         let block = [
-            ev(13, 0x40, AccessKind::Write, 1),
-            ev(2, 0x40, AccessKind::Read, 1),
+            ev(13, 0x40, AccessKind::Read, 1),
+            ev(2, 0x48, AccessKind::Write, 1),
             ev(0, 0x48, AccessKind::Read, 1),
         ];
         let mut scratch = FusedScratch::with_defaults();
@@ -321,6 +318,8 @@ mod tests {
         p.on_block_fused(&block[1..], &mut scratch);
         p.flush();
         assert_eq!(p.accesses(), 5);
+        assert_eq!(p.dependencies(), 2);
+        assert_eq!(p.global_matrix().get(2, 0), 16);
     }
 
     /// The retired mechanisms' counters read 0 by construction;

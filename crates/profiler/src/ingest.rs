@@ -160,6 +160,11 @@ impl IncrementalAnalyzer {
         }
     }
 
+    /// Matrix dimension: every event's thread id must be below it.
+    pub fn threads(&self) -> usize {
+        self.prof.threads
+    }
+
     /// Analyze one decoded frame. Events are routed to workers by the
     /// same address-class function the offline parallel path uses, in
     /// frame order, and delivered through the fused tile loop. Generic
@@ -236,14 +241,6 @@ impl IncrementalAnalyzer {
                 profilers.iter().find_map(|p| p.registry_overflow())
             }
             Workers::Perfect { profilers } => profilers.iter().find_map(|p| p.registry_overflow()),
-        }
-    }
-
-    /// True if any worker's flush path degraded.
-    pub fn degraded(&self) -> bool {
-        match &self.workers {
-            Workers::Asymmetric { profilers, .. } => profilers.iter().any(|p| p.degraded()),
-            Workers::Perfect { profilers } => profilers.iter().any(|p| p.degraded()),
         }
     }
 

@@ -9,9 +9,8 @@
 //! * [`profiler`] — [`CommProfiler`], the [`lc_trace::AccessSink`] that
 //!   application threads drive inline.
 //! * [`matrix`] — concurrent communication matrices and snapshot math.
-//! * [`shards`] — the sharded accumulation layer the hot path runs
-//!   through: per-thread counters, epoch-flushed dependence delta buffers,
-//!   and the lock-free per-loop matrix registry.
+//! * [`shards`] — the accumulation state the hot path adds into:
+//!   per-thread counters and the lock-free per-loop matrix registry.
 //! * [`fused`] — the zero-materialization replay engine: borrowed event
 //!   blocks straight into the detector with block-batched dependence
 //!   recording.
@@ -41,7 +40,6 @@
 
 pub mod checkpoint;
 pub mod classify;
-pub mod clock;
 pub mod deps;
 pub mod energy;
 pub mod fused;
@@ -76,14 +74,13 @@ pub use nested::{verify_sum_invariant, NestedNode, NestedReport};
 pub use parallel::{analyze_trace_asymmetric, analyze_trace_perfect, ParAnalysis, ParReplayConfig};
 pub use phases::{detect_phases, Phase, PhaseAccumulator};
 pub use profiler::{
-    AsymmetricProfiler, CommProfiler, FlushHealthSnapshot, PerfectProfiler, ProfileReport,
-    ProfilerConfig,
+    AsymmetricProfiler, CommProfiler, PerfectProfiler, ProfileReport, ProfilerConfig,
 };
 pub use raw::{AccessProbe, AsymmetricDetector, Dependence, PerfectDetector, RawDetector};
 pub use report::canonical_report;
 pub use report_html::html_report;
 pub use sampling::{BurstSampler, StrideSampler};
-pub use shards::{AccumConfig, FlushHealth, FlushTarget, LoopRegistry, RegistryFull, ShardSet};
+pub use shards::{AccumConfig, LoopRegistry, RegistryFull, ShardSet};
 pub use telemetry::{
     HistId, MergedHist, Metric, MetricValue, MetricsRegistry, Pow2Hist, Stat, Telemetry,
     TelemetryConfig,

@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// every cell to a cache line would multiply the per-loop matrix footprint
 /// by 16 for a structure the paper calls "negligible in comparison with the
 /// size of signature memory" (§V-A2). Cross-thread contention on shared
-/// cells is instead handled a layer up: the profiler's sharded path
-/// ([`crate::shards`]) aggregates dependences in per-thread delta buffers
-/// and only touches these atomics once per flush epoch, so `add` is off the
-/// per-dependence hot path in the default configuration. Cell addition is
-/// commutative, which is what makes that batching lossless.
+/// cells is bounded a layer up instead: the fused engine ([`crate::fused`])
+/// folds a block's dependences by `(loop, src, dst)` key and calls `add`
+/// once per distinct key per block, not once per dependence. Cell addition
+/// is commutative, which is what makes that folding lossless.
 #[derive(Debug)]
 pub struct CommMatrix {
     t: usize,

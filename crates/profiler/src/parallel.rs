@@ -84,8 +84,6 @@ pub struct ParAnalysis {
     pub trace_events: u64,
     /// First registry-capacity overflow latched by any worker.
     pub overflow: Option<RegistryFull>,
-    /// True if any worker's flush path degraded.
-    pub degraded: bool,
     /// Replay mechanics: jobs, batches delivered, coalescing summary.
     pub replay: ParReplayStats,
 }
@@ -199,13 +197,11 @@ where
     };
 
     let mut overflow = None;
-    let mut degraded = false;
     let mut merged: Option<ProfileReport> = None;
     for p in &profilers {
         if overflow.is_none() {
             overflow = p.registry_overflow();
         }
-        degraded |= p.degraded();
         let r = p.report();
         merged = Some(match merged {
             None => r,
@@ -216,7 +212,6 @@ where
         report: merged.expect("jobs >= 1"),
         trace_events: trace.len() as u64,
         overflow,
-        degraded,
         replay,
     }
 }

@@ -13,18 +13,15 @@
 //!   nested structure of §IV-B and Figures 6–7), and
 //! * optionally a **phase window** (§V-A4).
 //!
-//! Accumulation runs through the sharded layer of [`crate::shards`]:
-//! per-thread padded counters, per-thread dependence delta buffers flushed
-//! at epoch boundaries, and a lock-free fixed-capacity registry of per-loop
-//! matrices. The `sharded_equivalence` differential test holds its reports
-//! byte-identical to a plain fold of the detector's dependences into one
-//! matrix. Reads ([`CommProfiler::report`], [`CommProfiler::global_matrix`],
-//! ...) flush pending deltas first, so a live snapshot is never missing
-//! buffered communication.
+//! Accumulation uses the state of [`crate::shards`]: per-thread padded
+//! counters and a lock-free fixed-capacity registry of per-loop matrices.
+//! Each dependence, or each `(loop, src, dst)` key a fused block folded,
+//! is added straight into its matrix cells (`CommProfiler::add_deps`). The
+//! `sharded_equivalence` differential test holds the reports byte-identical
+//! to a plain fold of the detector's dependences into one matrix.
 
 use std::collections::HashMap;
 
-use lc_faults::{FaultInjector, FaultSite};
 use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
 use lc_trace::{AccessEvent, AccessSink, LoopId};
 use parking_lot::Mutex;
@@ -32,8 +29,8 @@ use parking_lot::Mutex;
 use crate::matrix::{CommMatrix, DenseMatrix};
 use crate::phases::{detect_phases, Phase, PhaseAccumulator};
 use crate::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
-use crate::shards::{AccumConfig, FlushTarget, LoopRegistry, RegistryFull, ShardSet};
-use crate::telemetry::{HistId, MetricsRegistry, Telemetry, TelemetryConfig};
+use crate::shards::{pack_key, unpack_key, AccumConfig, LoopRegistry, RegistryFull, ShardSet};
+use crate::telemetry::{HistId, MetricsRegistry, Stat, Telemetry, TelemetryConfig};
 
 /// Tunables for one profiling run.
 #[derive(Clone, Copy, Debug)]
@@ -68,21 +65,6 @@ pub struct CommProfiler<R: ReaderSet, W: WriterMap> {
     pub(crate) counters: ShardSet,
     pub(crate) phases: Option<Mutex<PhaseAccumulator>>,
     pub(crate) telemetry: Option<Telemetry>,
-    faults: Option<std::sync::Arc<FaultInjector>>,
-}
-
-/// A point-in-time copy of the flush watchdog's degradation accounting —
-/// what [`CommProfiler::flush_health`] returns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlushHealthSnapshot {
-    /// True once any flush path hit a caught panic or watchdog timeout.
-    pub degraded: bool,
-    /// Aggregated delta entries destroyed by caught panics.
-    pub lost_deltas: u64,
-    /// Panics caught on flush paths.
-    pub flush_panics: u64,
-    /// Shards skipped by the explicit-flush watchdog.
-    pub watchdog_timeouts: u64,
 }
 
 /// The paper's profiler: approximate bounded-memory signatures.
@@ -196,80 +178,49 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             config,
             global: CommMatrix::new(config.threads),
             loops: LoopRegistry::new(config.threads, accum.loop_capacity),
-            counters: ShardSet::new(config.threads, accum),
+            counters: ShardSet::new(config.threads),
             phases,
             telemetry: telemetry.map(|t| Telemetry::new(config.threads, t)),
-            faults: None,
         }
     }
 
-    /// Arm a fault injector on this profiler's flush seams
-    /// ([`FaultSite::SinkFlush`] here, [`FaultSite::EpochBarrier`] and
-    /// [`FaultSite::RegistryInsert`] in the shard layer). Test-only by
-    /// intent; a disarmed or absent injector leaves the pipeline
-    /// byte-identical (the `fault_matrix` differential test's claim).
-    pub fn with_faults(mut self, faults: std::sync::Arc<FaultInjector>) -> Self {
-        self.counters.set_faults(std::sync::Arc::clone(&faults));
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Drain every shard's buffered dependence deltas into the shared
-    /// matrices. All read paths call this first; it is also the
-    /// [`AccessSink::flush`] hook, so trace replay and sink pipelines end
-    /// with a fully-merged profiler. Idempotent and safe under concurrent
-    /// `on_access` traffic. First delivers the calling thread's live
-    /// capture tile ([`lc_trace::flush_thread`]), so a registered thread
-    /// reading a profiler it feeds sees its own accesses.
-    ///
-    /// Runs under the flush watchdog: a panic on this path (injectable at
-    /// [`FaultSite::SinkFlush`]) is caught and latched as degraded rather
-    /// than unwinding into whatever read path asked for the flush, and a
-    /// shard whose lock is stuck is skipped after
-    /// [`AccumConfig::flush_timeout_ms`].
+    /// Deliver the calling thread's live capture tile
+    /// ([`lc_trace::flush_thread`]), so a registered thread reading a
+    /// profiler it feeds sees its own accesses. It is also the
+    /// [`AccessSink::flush`] hook. Everything already delivered is in the
+    /// matrices: dependences are added to their cells as they are
+    /// recorded, with nothing buffered in between.
     pub fn flush_pending(&self) {
         lc_trace::flush_thread();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(f) = &self.faults {
-                f.trip(FaultSite::SinkFlush);
+    }
+
+    /// Count `n_deps` dependences on `tid`'s shard and add each aggregated
+    /// `(packed key, bytes)` delta straight into its cells: the global
+    /// matrix and, with nested tracking, the key's loop matrix. One relaxed
+    /// add per key per matrix. The result equals adding the dependences one
+    /// by one, because matrix cell addition commutes.
+    #[inline]
+    pub(crate) fn add_deps(&self, tid: u32, n_deps: u64, deltas: &[(u64, u64)]) {
+        self.counters.count_deps(tid, n_deps);
+        for &(key, bytes) in deltas {
+            let (loop_id, src, dst) = unpack_key(key);
+            self.global.add(src, dst, bytes);
+            if !self.config.track_nested {
+                continue;
             }
-            self.counters.flush(self.flush_target());
-        }));
-        if result.is_err() {
-            // The flush never started (the trip panicked before any
-            // drain) or the shard layer already accounted its own
-            // losses — either way no deltas are lost here, they stay
-            // buffered for the next flush.
-            self.counters.health().note_panic(0);
-        }
-    }
-
-    /// Snapshot of the flush watchdog's degradation accounting. All-zero
-    /// for a healthy run.
-    pub fn flush_health(&self) -> FlushHealthSnapshot {
-        let h = self.counters.health();
-        FlushHealthSnapshot {
-            degraded: h.degraded(),
-            lost_deltas: h.lost_deltas(),
-            flush_panics: h.flush_panics(),
-            watchdog_timeouts: h.watchdog_timeouts(),
-        }
-    }
-
-    /// True once any flush path degraded (caught panic or watchdog
-    /// timeout). The run's matrices remain exact for everything that
-    /// drained; [`FlushHealthSnapshot::lost_deltas`] bounds what did not.
-    pub fn degraded(&self) -> bool {
-        self.flush_health().degraded
-    }
-
-    /// The destination buffered deltas drain into.
-    pub(crate) fn flush_target(&self) -> FlushTarget<'_> {
-        FlushTarget {
-            track_nested: self.config.track_nested,
-            global: &self.global,
-            loops: &self.loops,
-            telemetry: self.telemetry.as_ref(),
+            // Lossy on overflow: accumulation runs on application threads,
+            // so a capacity panic here would strand sibling threads at
+            // their next barrier (the error is latched and surfaced after
+            // the run instead).
+            if let Some((m, probe, inserted)) = self.loops.get_or_insert_lossy(loop_id) {
+                if let Some(t) = &self.telemetry {
+                    t.observe(tid, HistId::RegistryProbeLen, probe as u64);
+                    if inserted {
+                        t.bump(tid, Stat::RegistryInsert);
+                    }
+                }
+                m.add(src, dst, bytes);
+            }
         }
     }
 
@@ -280,7 +231,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 
     /// Scrape a metrics registry: run totals, memory, loop registry size
     /// and — when telemetry is on — the full counter/histogram set.
-    /// Flushes pending deltas first, like every read path.
+    /// Delivers the caller's live tile first, like every read path.
     pub fn metrics(&self) -> MetricsRegistry {
         self.flush_pending();
         let mut reg = MetricsRegistry::new();
@@ -313,27 +264,6 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             "loopcomm_loops_dropped_deltas_total",
             "Deltas left unattributed per-loop after a registry overflow",
             self.loops.dropped_deltas(),
-        );
-        let health = self.flush_health();
-        reg.counter(
-            "loopcomm_flush_lost_deltas_total",
-            "Aggregated delta entries destroyed by caught flush panics",
-            health.lost_deltas,
-        );
-        reg.counter(
-            "loopcomm_flush_panics_total",
-            "Panics caught on flush paths",
-            health.flush_panics,
-        );
-        reg.counter(
-            "loopcomm_watchdog_timeouts_total",
-            "Shards skipped by the explicit-flush watchdog",
-            health.watchdog_timeouts,
-        );
-        reg.gauge(
-            "loopcomm_degraded",
-            "1 once any flush path degraded (caught panic or watchdog timeout)",
-            if health.degraded { 1.0 } else { 0.0 },
         );
         if let Some(t) = &self.telemetry {
             t.export_into(&mut reg);
@@ -374,12 +304,10 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
             .unwrap_or_else(|| DenseMatrix::zero(self.config.threads))
     }
 
-    /// Current profiler heap footprint: signatures + matrices + the sharded
-    /// accumulation layer. The signatures dominate and are input-size
-    /// independent — the Figure 5 property (the sharding layer adds a small
-    /// bounded term, quantified in DESIGN.md). Never hangs: a shard whose
-    /// buffer lock is wedged past [`AccumConfig::flush_timeout_ms`] counts
-    /// 0 buffer bytes.
+    /// Current profiler heap footprint: signatures + matrices + the
+    /// per-thread counters. The signatures dominate and are input-size
+    /// independent — the Figure 5 property (the counters add a small
+    /// bounded term, quantified in DESIGN.md).
     pub fn memory_bytes(&self) -> usize {
         self.detector.memory_bytes()
             + self.global.memory_bytes()
@@ -466,13 +394,10 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     fn accumulate(&self, ev: &AccessEvent, dep: Option<crate::raw::Dependence>) {
         self.counters.count_access(ev.tid);
         if let Some(dep) = dep {
-            self.counters.record_dep(
+            self.add_deps(
                 ev.tid,
-                ev.loop_id,
-                dep.src,
-                dep.dst,
-                dep.bytes,
-                self.flush_target(),
+                1,
+                &[(pack_key(ev.loop_id, dep.src, dep.dst), dep.bytes)],
             );
             if let Some(p) = &self.phases {
                 p.lock().add(dep.src, dep.dst, dep.bytes);
@@ -597,11 +522,7 @@ mod tests {
         let p = PerfectProfiler::from_detector_with(
             PerfectDetector::perfect(),
             ProfilerConfig::nested(4),
-            AccumConfig {
-                loop_capacity: 1,
-                flush_epoch: 1, // flush every dependence: overflow mid-run
-                ..AccumConfig::default()
-            },
+            AccumConfig { loop_capacity: 1 },
         );
         for l in 1..=3u32 {
             p.on_access(&ev(0, 0x10 * l as u64, AccessKind::Write, LoopId(l)));
@@ -722,9 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn live_reads_see_buffered_deltas() {
-        // One dependence sits below the flush epoch; every read path must
-        // still observe it.
+    fn live_reads_see_every_recorded_dependence() {
         let p = PerfectProfiler::perfect(ProfilerConfig::nested(2));
         p.on_access(&ev(0, 0x10, AccessKind::Write, LoopId(3)));
         p.on_access(&ev(1, 0x10, AccessKind::Read, LoopId(3)));

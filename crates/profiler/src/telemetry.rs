@@ -1,8 +1,8 @@
 //! Self-observability for the profiler hot path.
 //!
 //! The paper's claims are quantitative — FPR degrades with slot occupancy
-//! (§V-A3), SigMem stays flat by Eq. 2 (§V-A2), sharded accumulation only
-//! pays off when flush batching batches (DESIGN.md §7) — yet until now the
+//! (§V-A3), SigMem stays flat by Eq. 2 (§V-A2), the loop registry stays
+//! within its provisioned capacity (DESIGN.md §7) — yet until now the
 //! profiler could not *watch* any of them at runtime. This module adds a
 //! metrics layer that is strictly zero-cost when disabled (the default):
 //!
@@ -53,25 +53,15 @@ pub enum Stat {
     ReadSigClear,
     /// RAW dependences detected.
     DepDetected,
-    /// Delta-buffer flushes triggered by reaching the flush epoch.
-    FlushEpoch,
-    /// Delta-buffer flushes forced by a full buffer (all slots distinct).
-    FlushFull,
-    /// Explicit flushes (reads, reports, `AccessSink::flush`).
-    FlushExplicit,
     /// New loop matrices published into the registry.
     RegistryInsert,
-    /// Delta-buffer drains aborted by a caught panic (degraded mode).
-    FlushPanic,
-    /// Shards the explicit-flush watchdog skipped after a lock timeout.
-    WatchdogTimeout,
     /// Batched sink deliveries ([`lc_trace::AccessSink::on_batch`] calls).
     SinkBatch,
 }
 
 impl Stat {
     /// Number of counters.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 9;
 
     /// Every counter, in declaration (= exposition) order.
     pub const ALL: [Stat; Self::COUNT] = [
@@ -82,12 +72,7 @@ impl Stat {
         Stat::WriteSigInsert,
         Stat::ReadSigClear,
         Stat::DepDetected,
-        Stat::FlushEpoch,
-        Stat::FlushFull,
-        Stat::FlushExplicit,
         Stat::RegistryInsert,
-        Stat::FlushPanic,
-        Stat::WatchdogTimeout,
         Stat::SinkBatch,
     ];
 
@@ -119,29 +104,9 @@ impl Stat {
                 "Read-signature clears triggered by writes",
             ),
             Stat::DepDetected => ("loopcomm_deps_detected_total", "RAW dependences detected"),
-            Stat::FlushEpoch => (
-                "loopcomm_flush_epoch_total",
-                "Delta-buffer flushes triggered at an epoch boundary",
-            ),
-            Stat::FlushFull => (
-                "loopcomm_flush_full_total",
-                "Delta-buffer flushes forced by a full buffer",
-            ),
-            Stat::FlushExplicit => (
-                "loopcomm_flush_explicit_total",
-                "Explicit delta-buffer flushes (reads and reports)",
-            ),
             Stat::RegistryInsert => (
                 "loopcomm_registry_insert_total",
                 "Loop matrices published into the registry",
-            ),
-            Stat::FlushPanic => (
-                "loopcomm_flush_panic_total",
-                "Delta-buffer drains aborted by a caught panic",
-            ),
-            Stat::WatchdogTimeout => (
-                "loopcomm_watchdog_timeout_total",
-                "Shards skipped by the explicit-flush watchdog",
             ),
             Stat::SinkBatch => (
                 "loopcomm_sink_batch_total",
@@ -157,25 +122,20 @@ impl Stat {
 pub enum HistId {
     /// Open-addressing probe length per loop-registry lookup (slots walked).
     RegistryProbeLen = 0,
-    /// Distinct delta-buffer entries drained per flush.
-    FlushOccupancy,
     /// Sampled Algorithm 1 detection latency per access, nanoseconds.
     DetectNs,
-    /// Sampled accumulation (counter + buffer) latency per access, ns.
+    /// Sampled accumulation (counter + matrix cell adds) latency per
+    /// access, ns.
     AccumNs,
 }
 
 impl HistId {
     /// Number of histogram channels.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every channel, in declaration (= exposition) order.
-    pub const ALL: [HistId; Self::COUNT] = [
-        HistId::RegistryProbeLen,
-        HistId::FlushOccupancy,
-        HistId::DetectNs,
-        HistId::AccumNs,
-    ];
+    pub const ALL: [HistId; Self::COUNT] =
+        [HistId::RegistryProbeLen, HistId::DetectNs, HistId::AccumNs];
 
     /// Exposition name and help text.
     pub fn meta(self) -> (&'static str, &'static str) {
@@ -183,10 +143,6 @@ impl HistId {
             HistId::RegistryProbeLen => (
                 "loopcomm_registry_probe_len",
                 "Loop-registry open-addressing probe length",
-            ),
-            HistId::FlushOccupancy => (
-                "loopcomm_flush_occupancy",
-                "Distinct delta-buffer entries drained per flush",
             ),
             HistId::DetectNs => (
                 "loopcomm_detect_ns",
@@ -671,11 +627,11 @@ mod tests {
     #[test]
     fn hist_observe_and_merge() {
         let t = Telemetry::new(4, TelemetryConfig::default());
-        t.observe(0, HistId::FlushOccupancy, 0);
-        t.observe(1, HistId::FlushOccupancy, 1);
-        t.observe(2, HistId::FlushOccupancy, 5);
-        t.observe(3, HistId::FlushOccupancy, 5);
-        let h = t.hist(HistId::FlushOccupancy);
+        t.observe(0, HistId::RegistryProbeLen, 0);
+        t.observe(1, HistId::RegistryProbeLen, 1);
+        t.observe(2, HistId::RegistryProbeLen, 5);
+        t.observe(3, HistId::RegistryProbeLen, 5);
+        let h = t.hist(HistId::RegistryProbeLen);
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 11);
         assert_eq!(h.buckets[0], 1);
@@ -700,7 +656,7 @@ mod tests {
             }
         });
         assert_eq!(t.counter(Stat::DepDetected), 800);
-        assert_eq!(t.counter(Stat::FlushEpoch), 0);
+        assert_eq!(t.counter(Stat::SinkBatch), 0);
     }
 
     #[test]

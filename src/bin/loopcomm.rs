@@ -121,10 +121,11 @@ struct Options {
     /// `analyze --coherence`: also write the canonical plain-text
     /// coherence report here (byte-identical across `--jobs`).
     coherence_out: Option<String>,
-    /// Hidden test hook: a fault-plan file armed on the profiler's flush
-    /// seams and the spool writer (see `lc_faults`). Deliberately absent
-    /// from the usage text — it exists for the fault-matrix tests and for
-    /// reproducing failures, not for routine profiling.
+    /// Hidden test hook: a fault-plan file armed on the trace writers,
+    /// the network seams and the checkpoint writer (see `lc_faults`).
+    /// Deliberately absent from the usage text — it exists for the
+    /// fault-matrix tests and for reproducing failures, not for routine
+    /// profiling.
     fault_plan: Option<String>,
     #[cfg(feature = "sched")]
     sim: SimtestOptions,
@@ -506,21 +507,6 @@ fn fault_injector(o: &Options) -> Option<Arc<lc_faults::FaultInjector>> {
     })
 }
 
-/// Surface a degraded run on stderr. The run still exits 0: the global
-/// matrix is exact for every drained delta and the loss is bounded and
-/// counted — the watchdog's whole point is that one faulty worker does not
-/// cost the run (DESIGN.md §9).
-fn warn_if_degraded(p: &AsymmetricProfiler) {
-    let h = p.flush_health();
-    if h.degraded {
-        eprintln!(
-            "warning: degraded run: {} caught flush panic(s), {} watchdog timeout(s), \
-             {} lost delta entr(ies); global matrix exact for all drained deltas",
-            h.flush_panics, h.watchdog_timeouts, h.lost_deltas
-        );
-    }
-}
-
 /// Look up workload `name` and check it can run on `--threads`, so a
 /// thread count the kernel cannot use is a usage error, not a panic.
 fn workload(name: &str, o: &Options) -> Box<dyn Workload> {
@@ -545,7 +531,7 @@ fn profile(
     phase_window: Option<u64>,
 ) -> (Arc<AsymmetricProfiler>, Arc<TraceCtx>) {
     let workload = workload(name, o);
-    let mut profiler = AsymmetricProfiler::from_detector_full(
+    let profiler = Arc::new(AsymmetricProfiler::from_detector_full(
         lc_profiler::AsymmetricDetector::asymmetric(SignatureConfig::paper_default(
             o.slots, o.threads,
         )),
@@ -556,28 +542,18 @@ fn profile(
         },
         lc_profiler::AccumConfig {
             loop_capacity: o.loop_capacity,
-            ..lc_profiler::AccumConfig::default()
         },
         // Telemetry only when the run will export it: the default path
         // stays zero-cost.
         o.metrics
             .as_ref()
             .map(|_| lc_profiler::TelemetryConfig::default()),
-    );
-    if let Some(f) = fault_injector(o) {
-        profiler = profiler.with_faults(f);
-    }
-    let profiler = Arc::new(profiler);
+    ));
     let ctx = TraceCtx::new(profiler.clone(), o.threads);
     workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
     if let Some(e) = profiler.registry_overflow() {
         registry_full_error(e, o.loop_capacity);
     }
-    // Drain every shard before assessing health, so a fault scripted on
-    // the final flush itself still latches before the warning is (not)
-    // printed.
-    profiler.flush_pending();
-    warn_if_degraded(&profiler);
     (profiler, ctx)
 }
 
@@ -872,7 +848,6 @@ fn analyze(name: &str, o: &Options) {
     let jobs = o.jobs.max(1);
     let accum = lc_profiler::AccumConfig {
         loop_capacity: o.loop_capacity,
-        ..lc_profiler::AccumConfig::default()
     };
 
     let mut source = if o.salvage {
@@ -909,7 +884,7 @@ fn analyze(name: &str, o: &Options) {
         match lc_profiler::Checkpoint::load(&cp_file) {
             Ok(cp) => {
                 check_resume_config(&cp, o, jobs);
-                match cp.restore(accum) {
+                match cp.restore() {
                     Ok(a) => {
                         println!(
                             "resume: checkpoint at event {} / {total} ({} frame(s) analyzed)",
@@ -992,9 +967,6 @@ fn analyze(name: &str, o: &Options) {
     }
     if let Some(e) = analyzer.overflow() {
         registry_full_error(e, o.loop_capacity);
-    }
-    if analyzer.degraded() {
-        eprintln!("warning: degraded run (caught flush panic or watchdog timeout)");
     }
     let r = analyzer.report();
     println!(
@@ -1249,7 +1221,6 @@ fn serve_cmd(o: &Options) -> ! {
         },
         accum: lc_profiler::AccumConfig {
             loop_capacity: o.loop_capacity,
-            ..lc_profiler::AccumConfig::default()
         },
         jobs: o.jobs.max(1),
         queue_frames: o.queue_frames.max(1),

@@ -238,7 +238,7 @@ impl Shared {
             let dir = durable::tenant_dir(root, name);
             let mut stats = durable::PersistedStats::default();
             match durable::load_state(&dir) {
-                Ok(Some((persisted, cp))) => match cp.restore(self.cfg.accum) {
+                Ok(Some((persisted, cp))) => match cp.restore() {
                     Ok(a) => {
                         analyzer = a;
                         stats = persisted;

@@ -309,7 +309,9 @@ impl Tenant {
                     let mut rf = 0u64;
                     let mut re = 0u64;
                     let res = m.stream_from(0, |frame| {
-                        self.analyze_frame(frame);
+                        if !self.analyze_frame(frame) {
+                            self.count_lost(frame.len() as u64);
+                        }
                         rf += 1;
                         re += frame.len() as u64;
                     });
@@ -340,12 +342,27 @@ impl Tenant {
 
     /// One frame into every backend: the profiler's analyzer and, when
     /// enabled, the coherence backend — both see the exact same events in
-    /// the exact same order.
-    fn analyze_frame(&self, frame: &[StampedEvent]) {
-        self.analyzer.lock().on_frame(frame);
+    /// the exact same order. A frame with a thread id outside the tenant's
+    /// matrices (a client that recorded more threads than the server's
+    /// `--threads`) reaches neither and returns false, so the caller
+    /// counts it lost instead of half-analyzing it.
+    fn analyze_frame(&self, frame: &[StampedEvent]) -> bool {
+        let mut analyzer = self.analyzer.lock();
+        let threads = analyzer.threads();
+        if frame.iter().any(|e| e.event.tid as usize >= threads) {
+            return false;
+        }
+        analyzer.on_frame(frame);
+        drop(analyzer);
         if let Some(c) = &self.coherence {
             c.on_frame(frame);
         }
+        true
+    }
+
+    fn count_lost(&self, events: u64) {
+        self.stats.frames_lost.fetch_add(1, Ordering::Relaxed);
+        self.stats.events_lost.fetch_add(events, Ordering::Relaxed);
     }
 
     fn drain_loop(&self, faults: Option<Arc<FaultInjector>>) {
@@ -365,23 +382,18 @@ impl Tenant {
                         // producers stall behind it — the backpressure
                         // path, not a loss.
                         std::thread::sleep(Duration::from_millis(ms));
-                        self.analyze_frame(&frame);
-                        true
+                        self.analyze_frame(&frame)
                     }
                     // An I/O-flavored fault at the drain seam consumes
                     // the frame (analysis "write" failed).
                     Some(FaultAction::IoError)
                     | Some(FaultAction::ShortWrite { .. })
                     | Some(FaultAction::BitFlip { .. }) => false,
-                    None => {
-                        self.analyze_frame(&frame);
-                        true
-                    }
+                    None => self.analyze_frame(&frame),
                 }
             }));
             if !matches!(outcome, Ok(true)) {
-                self.stats.frames_lost.fetch_add(1, Ordering::Relaxed);
-                self.stats.events_lost.fetch_add(events, Ordering::Relaxed);
+                self.count_lost(events);
             }
             self.in_flight.store(false, Ordering::Release);
         }
@@ -529,6 +541,27 @@ mod tests {
         assert_eq!(t.stats.frames_received.load(Ordering::Relaxed), 10);
         assert_eq!(t.events_analyzed(), 80);
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 0);
+        t.shutdown();
+    }
+
+    /// A frame naming a thread outside the 4 × 4 matrices is counted
+    /// lost whole, and the frames around it are analyzed exactly.
+    #[test]
+    fn frame_with_a_thread_beyond_the_matrices_is_lost_whole() {
+        let t = Tenant::spawn("t".into(), analyzer(), 4, None, None, None, None);
+        let mut wild = frame(8, 8);
+        wild[3].event.tid = 4;
+        t.enqueue(frame(0, 8));
+        t.enqueue(wild);
+        t.enqueue(frame(16, 8));
+        assert!(t.wait_quiet(Duration::from_secs(10)));
+        assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 1);
+        assert_eq!(t.stats.events_lost.load(Ordering::Relaxed), 8);
+        assert_eq!(t.events_analyzed(), 16);
+        let mut want = analyzer();
+        want.on_frame(&frame(0, 8));
+        want.on_frame(&frame(16, 8));
+        assert_eq!(t.report().global, want.report().global);
         t.shutdown();
     }
 

@@ -1,13 +1,14 @@
 //! Model-checking scenarios for the concurrency core.
 //!
-//! Each scenario is a closed concurrent program over the signature memory
-//! or the shard flush path, built to run under the [`lc_sched`]
-//! deterministic scheduler: worker threads are [`lc_sched::spawn`]ed, every
-//! logical operation is annotated into the runtime's serialized op log, and
-//! after joining, the scenario *validates the explored interleaving against
-//! the perfect oracle* ([`PerfectReaderSet`]/[`PerfectWriterMap`], driven
-//! from the log) — no false negatives in reader sets, valid last writers,
-//! lossless shard-delta flushing. A violated oracle panics, which the
+//! Each scenario is a closed concurrent program over the signature memory,
+//! the loop-matrix registry, the serve queue or checkpoint publication,
+//! built to run under the [`lc_sched`] deterministic scheduler: worker
+//! threads are [`lc_sched::spawn`]ed, every logical operation is annotated
+//! into the runtime's serialized op log, and after joining, the scenario
+//! *validates the explored interleaving against the perfect oracle*
+//! ([`PerfectReaderSet`]/[`PerfectWriterMap`], driven from the log) — no
+//! false negatives in reader sets, valid last writers, loop matrices
+//! published once with exact sums. A violated oracle panics, which the
 //! explorer reports with the schedule's decision trace.
 //!
 //! The same scenarios back `tests/sched_model_check.rs` and the
@@ -16,8 +17,7 @@
 
 use std::sync::Arc;
 
-use lc_profiler::shards::{AccumConfig, FlushTarget, LoopRegistry, ShardSet};
-use lc_profiler::CommMatrix;
+use lc_profiler::LoopRegistry;
 use lc_sigmem::{
     BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, ReadSignature, ReaderSet,
     WriteSignature, WriterMap,
@@ -31,8 +31,9 @@ mod op {
     pub const READ_INSERT: u64 = 2;
     /// `[WRITE_RECORD, addr, tid, 0]`
     pub const WRITE_RECORD: u64 = 3;
-    /// `[DEP_RECORD, src, dst, bytes]`
-    pub const DEP_RECORD: u64 = 4;
+    /// `[LOOP_INSERT, loop_id, published, bytes]` — one registry insert
+    /// and the bytes added to its loop's cell.
+    pub const LOOP_INSERT: u64 = 4;
     /// `[Q_PUSH, frame_id, 0, 0]` — ingest queue accepted a frame.
     pub const Q_PUSH: u64 = 5;
     /// `[Q_FULL, frame_id, 0, 0]` — ingest queue refused a frame (full).
@@ -95,12 +96,13 @@ pub fn scenarios() -> &'static [Scenario] {
             run: read_sig_scenario,
         },
         Scenario {
-            name: "flush",
-            about: "2 threads x 2 record_dep racing a concurrent explicit \
-                    flush; oracle: lossless deltas in the global matrix",
+            name: "registry",
+            about: "2 threads x 2 inserts into a capacity-2 loop registry, \
+                    racing on the same and on different ids; oracle: each \
+                    id published once, exact per-loop sums",
             default_preemption_bound: Some(2),
-            catchable_mutants: &["shards-drop-contended-delta"],
-            run: flush_scenario,
+            catchable_mutants: &["registry-blind-publish"],
+            run: registry_scenario,
         },
         Scenario {
             name: "ingest",
@@ -278,82 +280,53 @@ fn read_sig_scenario() {
     );
 }
 
-/// 2 recorder threads × 2 `record_dep` each, racing the main thread's
-/// explicit `flush` (the reader-side path with the watchdog lock). After
-/// joining and a final flush, the global matrix must hold *exactly* the
-/// bytes the op log says were recorded — the lossless shard-delta
-/// contract — and the health latch must be clean.
-fn flush_scenario() {
-    let cfg = AccumConfig {
-        flush_epoch: 2,
-        delta_slots: 4,
-        loop_capacity: 4,
-        flush_timeout_ms: 2000,
-    };
-    let set = Arc::new(ShardSet::new(2, cfg));
-    let global = Arc::new(CommMatrix::new(4));
-    let loops = Arc::new(LoopRegistry::new(4, 4));
+/// 2 threads × 2 inserts into a capacity-2 [`LoopRegistry`]: thread 0
+/// touches loops 1 then 2, thread 1 loops 2 then 1, so the first inserts
+/// race on different ids (and on one slot when both hash there) and the
+/// second ones race on the same id. Each insert adds a distinct byte
+/// count to its loop's cell and logs whether it published the slot. The
+/// slot publish is a shim `AtomicPtr` CAS, so it is a decision point.
+/// Oracle: each id is published exactly once, `len()` equals the number
+/// of distinct ids, and each loop's cell equals its op-log sum — the
+/// `registry-blind-publish` mutant's overwritten publication breaks all
+/// three.
+fn registry_scenario() {
+    const IDS: [[u32; 2]; 2] = [[1, 2], [2, 1]];
+    let reg = Arc::new(LoopRegistry::new(2, 2));
     let mut handles = Vec::new();
     for t in 0..2u32 {
-        let (set, global, loops) = (Arc::clone(&set), Arc::clone(&global), Arc::clone(&loops));
+        let reg = Arc::clone(&reg);
         handles.push(lc_sched::spawn(move || {
-            for i in 0..2u64 {
-                let (src, dst, bytes) = (t + 1, t, 8 + i);
-                set.record_dep(
-                    t,
-                    lc_trace::LoopId::NONE,
-                    src,
-                    dst,
-                    bytes,
-                    FlushTarget {
-                        track_nested: false,
-                        global: &global,
-                        loops: &loops,
-                        telemetry: None,
-                    },
-                );
-                lc_sched::annotate([op::DEP_RECORD, src as u64, dst as u64, bytes]);
+            for (i, &id) in IDS[t as usize].iter().enumerate() {
+                let bytes = 8 + 2 * t as u64 + i as u64;
+                let (m, _, inserted) = reg
+                    .get_or_insert_lossy(lc_trace::LoopId(id))
+                    .expect("two ids fit a capacity-2 registry");
+                m.add(0, 1, bytes);
+                lc_sched::annotate([op::LOOP_INSERT, id as u64, inserted as u64, bytes]);
             }
         }));
     }
-    // Race the explicit flush against the recorders.
-    set.flush(FlushTarget {
-        track_nested: false,
-        global: &global,
-        loops: &loops,
-        telemetry: None,
-    });
     for h in handles {
         h.join();
     }
-    set.flush(FlushTarget {
-        track_nested: false,
-        global: &global,
-        loops: &loops,
-        telemetry: None,
-    });
-    // Oracle: per-(src,dst) byte sums from the serialized log.
-    let mut expected = std::collections::HashMap::new();
+    let mut published = std::collections::HashMap::new();
+    let mut sums = std::collections::HashMap::new();
     for (_, data) in lc_sched::op_log() {
-        if data[0] == op::DEP_RECORD {
-            *expected
-                .entry((data[1] as u32, data[2] as u32))
-                .or_insert(0u64) += data[3];
+        if data[0] == op::LOOP_INSERT {
+            *published.entry(data[1] as u32).or_insert(0u64) += data[2];
+            *sums.entry(data[1] as u32).or_insert(0u64) += data[3];
         }
     }
-    for src in 0..4u32 {
-        for dst in 0..4u32 {
-            let want = expected.get(&(src, dst)).copied().unwrap_or(0);
-            assert_eq!(
-                global.get(src, dst),
-                want,
-                "lossless flush: matrix[{src}][{dst}] must equal the op log sum"
-            );
-        }
+    for (&id, &n) in &published {
+        assert_eq!(n, 1, "loop {id} must be published exactly once, got {n}");
     }
-    assert_eq!(set.deps(), 4, "every record_dep counted");
-    assert_eq!(set.health().lost_deltas(), 0, "no deltas lost");
-    assert_eq!(set.health().flush_panics(), 0, "no flush panics");
+    assert_eq!(reg.len(), published.len(), "len() counts distinct ids");
+    assert!(reg.overflow().is_none(), "no insert overflowed");
+    for (&id, &want) in &sums {
+        let got = reg.get(lc_trace::LoopId(id)).map_or(0, |m| m.get(0, 1));
+        assert_eq!(got, want, "loop {id}'s cell must equal its op-log sum");
+    }
 }
 
 /// The serve ingest seam: a producer `try_push`es 3 frames into a

@@ -124,7 +124,7 @@ proptest! {
         stream(&mut first, &events[..cut], batch);
         let blob = Checkpoint::capture(&first).encode();
         let cp = Checkpoint::decode(&blob).expect("decode checkpoint");
-        let mut resumed = cp.restore(AccumConfig::default()).expect("restore");
+        let mut resumed = cp.restore().expect("restore");
         stream(&mut resumed, &events[cut..], batch);
         let resumed_report = canonical_report(&resumed.report(), resumed.events());
 

@@ -143,10 +143,8 @@ fn telemetry_export_snapshot() {
     t.bump(0, Stat::ReadWriterHit);
     t.bump(1, Stat::ReadWriterHit);
     t.bump(1, Stat::DepDetected);
-    t.bump(2, Stat::FlushEpoch);
     t.observe(0, HistId::RegistryProbeLen, 0);
     t.observe(1, HistId::RegistryProbeLen, 3);
-    t.observe(2, HistId::FlushOccupancy, 17);
     let mut reg = MetricsRegistry::new();
     t.export_into(&mut reg);
     assert_golden("telemetry_export.prom", &reg.to_prometheus());

@@ -1,14 +1,15 @@
 //! Bounded model checking of the concurrency core (ISSUE 5 tentpole).
 //!
 //! Drives the [`loopcomm::simtest`] scenarios — the concurrent Bloom
-//! filter, both signatures, and the shard flush path — through the
+//! filter, both signatures, and the loop-matrix registry — through the
 //! [`lc_sched`] deterministic scheduler: exhaustive DFS over schedule
 //! decision points (with a preemption bound where the space is large) and
 //! seeded random exploration, with every explored interleaving validated
 //! in-scenario against the perfect oracle. Also proves the harness has
-//! teeth: three deliberately seeded mutants (a lost-update bit set, a
-//! relaxed-ordering publish, a dropped contended delta) are each caught,
-//! and the failing schedule replays from its decision trace.
+//! teeth: five deliberately seeded mutants (a lost-update bit set, a
+//! relaxed-ordering publish, a blind registry publish, a dropped
+//! contended frame, a torn checkpoint write) are each caught, and the
+//! failing schedule replays from its decision trace.
 //!
 //! Runs under plain `cargo test` (`--test sched_model_check` to select
 //! it): `sched` is not a default feature, but the root package's self
@@ -81,8 +82,8 @@ fn read_signature_publication_race_is_clean_under_preemption_bound() {
 }
 
 #[test]
-fn shard_flush_racing_recorders_is_exhaustively_lossless() {
-    assert_clean_and_multi_schedule("flush");
+fn registry_publish_race_is_exhaustively_exact() {
+    assert_clean_and_multi_schedule("registry");
 }
 
 #[test]
@@ -197,8 +198,8 @@ fn relaxed_publish_mutant_in_read_signature_is_caught_as_init_race() {
 }
 
 #[test]
-fn dropped_contended_delta_mutant_is_caught_via_flush_oracle() {
-    assert_mutant_caught("flush", "shards-drop-contended-delta");
+fn blind_publish_mutant_is_caught_via_registry_oracle() {
+    assert_mutant_caught("registry", "registry-blind-publish");
 }
 
 #[test]

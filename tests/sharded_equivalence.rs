@@ -1,21 +1,24 @@
 //! Differential test: the sharded accumulation path must be *lossless*.
 //!
-//! The profiler buffers dependence deltas per thread and flushes them in
-//! epochs; matrix-cell addition commutes, so after a flush the result must
-//! be **byte-identical** to an independent reference fed the same access
-//! stream: the bare detector's dependences folded straight into one
-//! global matrix, a per-loop map, the counts and a phase accumulator —
-//! no shard, delta buffer or loop registry involved. These tests record
-//! one trace (including genuinely concurrent recordings), replay it into
-//! both, and require identical `DenseMatrix` snapshots, identical per-loop
-//! maps, identical access/dependence counts and identical phase windows.
+//! The profiler counts per thread, folds a fused block's dependences by
+//! `(loop, src, dst)` key, and adds each key straight into the shared
+//! matrices through the loop registry; matrix-cell addition commutes, so
+//! the result must be **byte-identical** to an independent reference fed
+//! the same access stream: the bare detector's dependences folded straight
+//! into one global matrix, a per-loop map, the counts and a phase
+//! accumulator — no shard, block fold or loop registry involved. These
+//! tests record one trace (including genuinely concurrent recordings),
+//! replay it into both, and require identical `DenseMatrix` snapshots,
+//! identical per-loop maps, identical access/dependence counts and
+//! identical phase windows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use lc_profiler::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
 use lc_profiler::{
-    AccumConfig, AsymmetricProfiler, DenseMatrix, PerfectProfiler, PhaseAccumulator, ProfilerConfig,
+    AsymmetricProfiler, CommProfiler, DenseMatrix, FusedScratch, PerfectProfiler, PhaseAccumulator,
+    ProfilerConfig,
 };
 use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
 use lc_trace::{run_threads, RecordingSink, StampedEvent, Trace, TraceCtx, TracedBuffer};
@@ -173,42 +176,67 @@ fn sharded_report_is_byte_identical_to_reference_asymmetric() {
     assert_reports_identical(&a, &b);
 }
 
-#[test]
-fn equivalence_holds_across_flush_epoch_settings() {
-    // Epoch boundaries change *when* deltas land, never *what* lands.
-    let threads = 4;
-    let trace = record_exchange(threads, 12, 8, 4);
-    let mut reference = Reference::new(PerfectDetector::perfect(), config(threads, None));
-    reference.feed(trace.events());
-    let expected = reference.report();
-
-    for flush_epoch in [1, 2, 7, 64, 100_000] {
-        for delta_slots in [1, 3, 64] {
-            let p = PerfectProfiler::from_detector_with(
-                PerfectDetector::perfect(),
-                config(threads, None),
-                AccumConfig {
-                    flush_epoch,
-                    delta_slots,
-                    ..AccumConfig::default()
-                },
-            );
-            trace.replay(&p);
-            let got = p.report();
-            assert_eq!(
-                got.global, expected.global,
-                "diverged at flush_epoch={flush_epoch} delta_slots={delta_slots}"
-            );
-            assert_reports_identical(&got, &expected);
+/// Per-event `on_access` and fused blocks of `block` events must both
+/// match the reference on `trace`.
+fn assert_block_sizes_agree<R: ReaderSet, W: WriterMap>(
+    trace: &Trace,
+    make: impl Fn() -> CommProfiler<R, W>,
+    expected: &ProfileReport,
+) {
+    let per_event = make();
+    for e in trace.events() {
+        per_event.on_access(&e.event);
+    }
+    assert_reports_identical(&per_event.report(), expected);
+    for block in [1, 7, 256, 4096] {
+        let fused = make();
+        let mut scratch = FusedScratch::with_defaults();
+        for chunk in trace.events().chunks(block) {
+            fused.on_block_fused(chunk, &mut scratch);
         }
+        let got = fused.report();
+        assert_eq!(
+            got.global, expected.global,
+            "diverged at block size {block}"
+        );
+        assert_reports_identical(&got, expected);
     }
 }
 
 #[test]
-fn mid_run_snapshots_never_miss_buffered_deltas() {
-    // Interleave per-event delivery with live reads: every read flushes
-    // first, so the running totals must match the reference at every cut
-    // point.
+fn per_event_and_fused_blocks_agree_across_block_sizes() {
+    // Block boundaries change how many keys one add covers, never what
+    // lands.
+    let threads = 4;
+    let trace = record_exchange(threads, 12, 8, 4);
+    let mut reference = Reference::new(PerfectDetector::perfect(), config(threads, None));
+    reference.feed(trace.events());
+    assert_block_sizes_agree(
+        &trace,
+        || PerfectProfiler::perfect(config(threads, None)),
+        &reference.report(),
+    );
+
+    let sig = SignatureConfig::paper_default(1 << 12, threads);
+    let mut reference = Reference::new(
+        AsymmetricDetector::asymmetric(sig),
+        config(threads, Some(32)),
+    );
+    reference.feed(trace.events());
+    let expected = reference.report();
+    assert!(expected.phase_windows.is_some());
+    assert_block_sizes_agree(
+        &trace,
+        || AsymmetricProfiler::asymmetric(sig, config(threads, Some(32))),
+        &expected,
+    );
+}
+
+#[test]
+fn mid_run_snapshots_match_the_reference() {
+    // Interleave per-event delivery with live reads: every dependence is
+    // in its cell as soon as it is recorded, so the running totals must
+    // match the reference at every cut point.
     let threads = 4;
     let trace = record_exchange(threads, 8, 4, 2);
     let profiler = PerfectProfiler::perfect(config(threads, None));
