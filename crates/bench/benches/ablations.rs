@@ -4,11 +4,12 @@
 //!   multiply-shift) — the paper picks Murmur for speed + collision quality;
 //! * Bloom-filter hash count `k` — the FPRate knob of §IV-D2;
 //! * lock-free vs mutex-guarded signature under contention — the paper's
-//!   "C++11 lock-free primitives" decision (§IV-D3);
-//! * two-level read signature vs a flat per-slot reader bitmask — the
-//!   "asymmetric" design point itself.
+//!   "C++11 lock-free primitives" decision (§IV-D3).
+//!
+//! The two-level read signature vs a flat per-slot reader bitmask ablation
+//! is gone: the flat mask won and is now the signature itself
+//! (`lc_sigmem::SlotSignature`, DESIGN.md §12).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,7 +18,7 @@ use std::hint::black_box;
 
 use lc_sigmem::bloom::BloomFilter;
 use lc_sigmem::murmur::fmix64;
-use lc_sigmem::{ReadSignature, ReaderSet};
+use lc_sigmem::{Signature, SlotSignature};
 
 // --- hash choice ----------------------------------------------------------
 
@@ -136,69 +137,17 @@ fn bench_lockfree_vs_mutex(c: &mut Criterion) {
     let threads = 4;
     let iters = 20_000;
 
-    g.bench_function("lockfree_read_signature", |b| {
-        let sig = Arc::new(ReadSignature::new(1 << 12, 32, 0.001));
-        b.iter(|| contended(threads, iters, |t, a| sig.insert(a, t)))
+    g.bench_function("lockfree_slot_signature", |b| {
+        let sig = Arc::new(SlotSignature::new(1 << 12, 32));
+        b.iter(|| {
+            contended(threads, iters, |t, a| {
+                sig.read(a, fmix64(a), t);
+            })
+        })
     });
     g.bench_function("mutex_signature", |b| {
         let sig = Arc::new(MutexSignature::new(1 << 12));
         b.iter(|| contended(threads, iters, |t, a| sig.insert(a, t)))
-    });
-    g.finish();
-}
-
-// --- two-level vs flat bitmask read signature --------------------------------
-
-/// Flat alternative: one 64-bit reader mask per slot (no Bloom filter, so
-/// thread count capped at 64 and FPRate not tunable — the design the
-/// two-level signature generalizes).
-struct FlatBitmaskSignature {
-    slots: Vec<AtomicU64>,
-}
-
-impl FlatBitmaskSignature {
-    fn new(n: usize) -> Self {
-        Self {
-            slots: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-    fn insert(&self, addr: u64, tid: u32) {
-        self.slots[(fmix64(addr) % self.slots.len() as u64) as usize]
-            .fetch_or(1 << (tid % 64), Ordering::Relaxed);
-    }
-    fn contains(&self, addr: u64, tid: u32) -> bool {
-        self.slots[(fmix64(addr) % self.slots.len() as u64) as usize].load(Ordering::Relaxed)
-            & (1 << (tid % 64))
-            != 0
-    }
-}
-
-fn bench_two_level_vs_flat(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_read_sig_structure");
-    let two = ReadSignature::new(1 << 14, 32, 0.001);
-    let flat = FlatBitmaskSignature::new(1 << 14);
-    for a in 0..4096u64 {
-        two.insert(a * 8, (a % 32) as u32);
-        flat.insert(a * 8, (a % 32) as u32);
-    }
-    let mut i = 0u64;
-    g.bench_function("two_level_insert", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(8);
-            two.insert(black_box(i % 32_768), 5)
-        })
-    });
-    g.bench_function("flat_bitmask_insert", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(8);
-            flat.insert(black_box(i % 32_768), 5)
-        })
-    });
-    g.bench_function("two_level_contains", |b| {
-        b.iter(|| two.contains(black_box(512), 5))
-    });
-    g.bench_function("flat_bitmask_contains", |b| {
-        b.iter(|| flat.contains(black_box(512), 5))
     });
     g.finish();
 }
@@ -239,7 +188,6 @@ criterion_group!(
     bench_hash_choice,
     bench_bloom_k,
     bench_lockfree_vs_mutex,
-    bench_two_level_vs_flat,
     bench_dense_vs_sparse
 );
 criterion_main!(benches);

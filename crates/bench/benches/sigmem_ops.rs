@@ -7,8 +7,7 @@ use std::hint::black_box;
 use lc_sigmem::bloom::BloomFilter;
 use lc_sigmem::murmur::{fmix64, hash_addr, murmur3_x64_128, murmur3_x86_32};
 use lc_sigmem::{
-    BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, ReadSignature, ReaderSet,
-    WriteSignature, WriterMap,
+    BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature,
 };
 
 fn bench_hashes(c: &mut Criterion) {
@@ -63,31 +62,25 @@ fn bench_bloom(c: &mut Criterion) {
 
 fn bench_signatures(c: &mut Criterion) {
     let mut g = c.benchmark_group("signature");
-    let rs = ReadSignature::new(1 << 16, 32, 0.001);
-    let ws = WriteSignature::new(1 << 16);
+    let sig = SlotSignature::new(1 << 16, 32);
     // Pre-touch a working set.
     for a in 0..1024u64 {
-        rs.insert(a * 8, (a % 32) as u32);
-        ws.record(a * 8, (a % 32) as u32);
+        sig.write(a * 8, fmix64(a * 8), (a % 32) as u32);
+        sig.read(a * 8, fmix64(a * 8), ((a + 1) % 32) as u32);
     }
     let mut i = 0u64;
-    g.bench_function("read_sig_insert", |b| {
+    g.bench_function("slot_sig_read", |b| {
         b.iter(|| {
             i = i.wrapping_add(8);
-            rs.insert(black_box(i % 8192), 3)
+            let a = black_box(i % 8192);
+            sig.read(a, fmix64(a), 3)
         })
     });
-    g.bench_function("read_sig_contains", |b| {
-        b.iter(|| rs.contains(black_box(512), 3))
+    g.bench_function("slot_sig_read_seen", |b| {
+        b.iter(|| sig.read(black_box(512), fmix64(512), 3))
     });
-    g.bench_function("read_sig_clear_addr", |b| {
-        b.iter(|| rs.clear_addr(black_box(512)))
-    });
-    g.bench_function("write_sig_record", |b| {
-        b.iter(|| ws.record(black_box(512), 5))
-    });
-    g.bench_function("write_sig_last_writer", |b| {
-        b.iter(|| ws.last_writer(black_box(512)))
+    g.bench_function("slot_sig_write", |b| {
+        b.iter(|| sig.write(black_box(512), fmix64(512), 5))
     });
 
     // The exact baseline, for the accuracy/speed/memory trade-off headline.

@@ -45,10 +45,9 @@ fn main() {
     let slot_counts = [1usize << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 18];
     let mut rows = Vec::new();
     let mut averages = vec![0.0f64; slot_counts.len()];
-    // Online estimates (write aliasing, Bloom FP) averaged across apps, to
-    // be compared against the replay-derived ground-truth error above.
+    // The online write-aliasing estimate averaged across apps, to be
+    // compared against the replay-derived ground-truth error above.
     let mut live_aliasing = vec![0.0f64; slot_counts.len()];
-    let mut live_bloom_fp = vec![0.0f64; slot_counts.len()];
 
     for (name, trace) in &traces {
         let perfect = PerfectProfiler::perfect(flat);
@@ -68,9 +67,7 @@ fn main() {
             // *count*; the matrix L1 distance is the honest error metric.
             let err_l1 = exact.l1_distance(&asym.global_matrix());
             averages[si] += err_l1 / traces.len() as f64;
-            let health = asym.signature_health();
-            live_aliasing[si] += health.write_aliasing / traces.len() as f64;
-            live_bloom_fp[si] += health.read_bloom.est_fp_rate / traces.len() as f64;
+            live_aliasing[si] += asym.signature_health().write_aliasing / traces.len() as f64;
             cells.push(format!("L1 {:.3} (deps {:+.1}%)", err_l1, err_deps * 100.0));
         }
         eprintln!("  swept {name}");
@@ -103,7 +100,7 @@ fn main() {
     save_csv("fpr_sweep.csv", &headers_ref, &rows);
 
     // Machine-readable sweep summary: ground-truth error next to the
-    // profiler's own live estimates (see EXPERIMENTS.md on interpreting
+    // profiler's own live estimate (see EXPERIMENTS.md on interpreting
     // the two side by side).
     let mut reg = MetricsRegistry::new();
     for (si, &slots) in slot_counts.iter().enumerate() {
@@ -116,11 +113,6 @@ fn main() {
             &format!("loopcomm_fpr_sweep_live_write_aliasing_slots_{slots}"),
             "Average online write-signature aliasing estimate",
             live_aliasing[si],
-        );
-        reg.gauge(
-            &format!("loopcomm_fpr_sweep_live_bloom_fp_slots_{slots}"),
-            "Average online per-slot Bloom false-positive estimate",
-            live_bloom_fp[si],
         );
     }
     save_metrics("fpr_sweep.metrics.json", &reg);

@@ -16,10 +16,15 @@
 //!   512-bit block;
 //! * `arena-unblocked`    — segment pointer array → contiguous arena
 //!   lines, unblocked probes;
-//! * `arena-blocked`      — the shipped layout: arena storage plus
-//!   block-local probes (`BloomGeometry::probe_bit`).
+//! * `arena-blocked`      — the layout before the slot signature: arena
+//!   storage plus block-local probes (`BloomGeometry::probe_bit`);
+//! * `slot-words`         — the shipped layout ([`lc_sigmem::SlotSignature`]):
+//!   the reader bits sit in the slot's `w` words beside the last writer,
+//!   no indirection. The four filter layouts above also touch a separate
+//!   4-byte write-signature slot per access, which this count leaves out;
+//!   `slot-words` needs no such line.
 //!
-//! All candidates share the real probe schedule
+//! All filter candidates share the real probe schedule
 //! ([`lc_sigmem::hash_pair`] + [`BloomGeometry::probe_bit`]) and the real
 //! slot router ([`lc_sigmem::slot_of_hash`]), so the line streams differ
 //! only by layout — the variable under test. Results land in
@@ -33,7 +38,7 @@ use std::sync::Arc;
 use lc_bench::{ascii_table, save_csv};
 use lc_cachesim::{Cache, CacheConfig, Mesi};
 use lc_sigmem::murmur::fmix64;
-use lc_sigmem::{hash_pair, slot_of_hash, BloomGeometry};
+use lc_sigmem::{hash_pair, slot_of_hash, slot_words, BloomGeometry};
 use lc_trace::{AccessKind, RecordingSink, Trace, TraceCtx};
 use lc_workloads::{by_name, InputSize, RunConfig};
 
@@ -62,32 +67,46 @@ struct Layout {
     name: &'static str,
     arena: bool,
     blocked: bool,
+    /// Reader bits in the slot's own words (`arena`/`blocked` unused).
+    slot: bool,
 }
 
-const LAYOUTS: [Layout; 4] = [
+const LAYOUTS: [Layout; 5] = [
     Layout {
         name: "ptrchase-unblocked",
         arena: false,
         blocked: false,
+        slot: false,
     },
     Layout {
         name: "ptrchase-blocked",
         arena: false,
         blocked: true,
+        slot: false,
     },
     Layout {
         name: "arena-unblocked",
         arena: true,
         blocked: false,
+        slot: false,
     },
     Layout {
         name: "arena-blocked",
         arena: true,
         blocked: true,
+        slot: false,
+    },
+    Layout {
+        name: "slot-words",
+        arena: false,
+        blocked: false,
+        slot: true,
     },
 ];
 
-/// Cache lines one read-signature insert touches under `layout`.
+/// Cache lines one read-signature insert touches under `layout`, for a
+/// signature of `sig_threads` readers.
+#[allow(clippy::too_many_arguments)]
 fn touched_lines(
     layout: &Layout,
     geom: &BloomGeometry,
@@ -95,11 +114,18 @@ fn touched_lines(
     place: &[u64],
     addr: u64,
     n_slots: usize,
+    sig_threads: usize,
     lines: &mut Vec<u64>,
 ) {
     lines.clear();
     let h = fmix64(addr);
     let slot = slot_of_hash(h, n_slots);
+    if layout.slot {
+        // One 64-byte-aligned table of `w`-word slots: a slot of up to
+        // eight words never straddles a line.
+        lines.push(slot as u64 * slot_words(sig_threads) as u64 * 8 / 64);
+        return;
+    }
     let (ha, hb) = hash_pair(addr);
     // Address-space map (line numbers, disjoint regions):
     //   [0 ..)                 slot/segment pointer array
@@ -177,7 +203,16 @@ fn main() {
             let (mut touches, mut misses) = (0u64, 0u64);
             let mut lines = Vec::with_capacity(1 + geom.k);
             for &addr in &reads {
-                touched_lines(layout, &geom, &unblocked, &place, addr, n_slots, &mut lines);
+                touched_lines(
+                    layout,
+                    &geom,
+                    &unblocked,
+                    &place,
+                    addr,
+                    n_slots,
+                    sig_threads,
+                    &mut lines,
+                );
                 for &line in &lines {
                     touches += 1;
                     if !cache.contains(line) {
@@ -221,7 +256,8 @@ fn main() {
         &rows,
     );
     println!(
-        "The shipped layout (arena-blocked) should dominate: fewest lines \
-         per insert and the lowest predicted miss rate."
+        "The shipped layout (slot-words) should dominate: one line per \
+         access, writer included, and the fewest predicted misses per \
+         access."
     );
 }

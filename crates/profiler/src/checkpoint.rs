@@ -7,10 +7,10 @@
 //! it and streaming the remaining events produces a report **byte-identical**
 //! to an uninterrupted run: worker routing is deterministic, every
 //! accumulated quantity is commutative, and the signature dumps are exact
-//! (sparse but lossless for both the asymmetric Bloom/slot state and the
-//! perfect baseline's maps).
+//! (sparse but lossless for both the slot signature and the perfect
+//! baseline's maps).
 //!
-//! ## File format (`checkpoint.lccp`, version 1)
+//! ## File format (`checkpoint.lccp`, version 2)
 //!
 //! ```text
 //! "LCCP" | version u32 | crc32 u32 | body
@@ -18,10 +18,13 @@
 //!
 //! All integers little-endian. The CRC covers the whole body; a mismatch
 //! (torn write, bit rot) is detected at load and the caller falls back to a
-//! from-scratch run — never a silently wrong resume. The body is a
-//! configuration echo (detector kind, jobs, thread count, signature
-//! geometry, loop capacity), the cursor (`frames`, `events`), then one
-//! [`WorkerState`] per worker.
+//! from-scratch run — never a silently wrong resume. A file of another
+//! version (version 1 held Bloom-filter state) is refused with
+//! [`io::ErrorKind::Unsupported`]: its state cannot be read into this
+//! build's signature. The body is a configuration echo (detector kind,
+//! jobs, thread count, signature geometry `(n_slots, threads)`, loop
+//! capacity), the cursor (`frames`, `events`), then one [`WorkerState`]
+//! per worker, whose slot-signature state is its occupied slots.
 //!
 //! ## Atomicity
 //!
@@ -40,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lc_faults::{FaultInjector, FaultSite, FaultyWriter};
-use lc_sigmem::{SignatureConfig, SlotRouter, WriterMap};
+use lc_sigmem::{slot_words, SignatureConfig, SlotRouter};
 use lc_trace::{crc32, LoopId};
 
 use crate::ingest::{DetectorKind, IncrementalAnalyzer, Workers};
@@ -52,7 +55,7 @@ use crate::shards::AccumConfig;
 /// Checkpoint file magic: "LCCP".
 const CP_MAGIC: [u8; 4] = *b"LCCP";
 /// Current checkpoint format version.
-const CP_VERSION: u32 = 1;
+const CP_VERSION: u32 = 2;
 /// Fixed prelude: magic, version, crc.
 const CP_HEADER_BYTES: usize = 4 + 4 + 4;
 
@@ -68,14 +71,11 @@ fn bad_data(msg: String) -> io::Error {
 /// One worker's exact detector state, sparsely serialized.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DetectorState {
-    /// Asymmetric signature memory: allocated, non-empty Bloom filters
-    /// (slot → filter words) and occupied write-signature slots
-    /// (slot → raw `tid+1` value).
+    /// Slot signature: every occupied slot's words (last writer and
+    /// reader bits), slot-ascending.
     Asymmetric {
-        /// Non-empty read-signature filters, slot-ascending.
-        filters: Vec<(u64, Vec<u64>)>,
-        /// Occupied write-signature slots, slot-ascending.
-        write_slots: Vec<(u64, u32)>,
+        /// `(slot, words)`, slot-ascending.
+        slots: Vec<(u64, Vec<u64>)>,
     },
     /// Perfect baseline: exact reader bitmasks and last-writer records.
     Perfect {
@@ -137,8 +137,7 @@ impl Checkpoint {
                     worker_state(
                         r,
                         DetectorState::Asymmetric {
-                            filters: p.detector().read_sig().snapshot_filters(),
-                            write_slots: p.detector().write_sig().snapshot_slots(),
+                            slots: p.detector().signature().snapshot_slots(),
                         },
                     )
                 })
@@ -150,8 +149,8 @@ impl Checkpoint {
                     worker_state(
                         r,
                         DetectorState::Perfect {
-                            readers: p.detector().read_sig().snapshot(),
-                            writers: p.detector().write_sig().snapshot(),
+                            readers: p.detector().signature().readers().snapshot(),
+                            writers: p.detector().signature().writers().snapshot(),
                         },
                     )
                 })
@@ -196,19 +195,12 @@ impl Checkpoint {
                 })?;
                 let mut profilers = Vec::with_capacity(self.jobs);
                 for w in &self.workers {
-                    let DetectorState::Asymmetric {
-                        filters,
-                        write_slots,
-                    } = &w.detector
-                    else {
+                    let DetectorState::Asymmetric { slots } = &w.detector else {
                         return Err(bad_data("mixed detector states in checkpoint".into()));
                     };
                     let det = AsymmetricDetector::asymmetric(sig);
-                    for (slot, words) in filters {
-                        det.read_sig().restore_filter(*slot as usize, words);
-                    }
-                    for (slot, raw) in write_slots {
-                        det.write_sig().restore_slot_raw(*slot as usize, *raw);
+                    for (slot, words) in slots {
+                        det.signature().restore_slot(*slot as usize, words);
                     }
                     let p = AsymmetricProfiler::from_detector_with(det, prof, accum);
                     p.restore_accumulators(w.accesses, w.dependencies, &w.global, &w.loops);
@@ -227,10 +219,10 @@ impl Checkpoint {
                     };
                     let det = PerfectDetector::perfect();
                     for (addr, mask) in readers {
-                        det.read_sig().restore_mask(*addr, *mask);
+                        det.signature().readers().restore_mask(*addr, *mask);
                     }
                     for (addr, tid) in writers {
-                        det.write_sig().record(*addr, *tid);
+                        det.signature().writers().record(*addr, *tid);
                     }
                     let p = PerfectProfiler::from_detector_with(det, prof, accum);
                     p.restore_accumulators(w.accesses, w.dependencies, &w.global, &w.loops);
@@ -267,7 +259,6 @@ impl Checkpoint {
                 b.push(1);
                 push_u64(&mut b, sig.n_slots as u64);
                 push_u32(&mut b, sig.threads as u32);
-                push_u64(&mut b, sig.fp_rate.to_bits());
             }
             None => b.push(0),
         }
@@ -284,23 +275,13 @@ impl Checkpoint {
                 push_matrix(&mut b, m);
             }
             match &w.detector {
-                DetectorState::Asymmetric {
-                    filters,
-                    write_slots,
-                } => {
-                    let words_per = filters.first().map_or(0, |(_, w)| w.len());
-                    push_u32(&mut b, words_per as u32);
-                    push_u64(&mut b, filters.len() as u64);
-                    for (slot, words) in filters {
+                DetectorState::Asymmetric { slots } => {
+                    push_u64(&mut b, slots.len() as u64);
+                    for (slot, words) in slots {
                         push_u64(&mut b, *slot);
                         for w in words {
                             push_u64(&mut b, *w);
                         }
-                    }
-                    push_u64(&mut b, write_slots.len() as u64);
-                    for (slot, raw) in write_slots {
-                        push_u64(&mut b, *slot);
-                        push_u32(&mut b, *raw);
                     }
                 }
                 DetectorState::Perfect { readers, writers } => {
@@ -333,9 +314,10 @@ impl Checkpoint {
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         if version != CP_VERSION {
-            return Err(bad_data(format!(
-                "unsupported checkpoint version {version} (expected {CP_VERSION})"
-            )));
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("unsupported checkpoint version {version} (expected {CP_VERSION})"),
+            ));
         }
         let want_crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let body = &bytes[CP_HEADER_BYTES..];
@@ -364,13 +346,22 @@ impl Checkpoint {
             _ => Some(SignatureConfig {
                 n_slots: d.u64()? as usize,
                 threads: d.u32()? as usize,
-                fp_rate: f64::from_bits(d.u64()?),
             }),
         };
         if kind == DetectorKind::Asymmetric && sig.is_none() {
             return Err(bad_data(
                 "asymmetric checkpoint lacks signature config".into(),
             ));
+        }
+        // The slot width follows from `threads`; bound it like the matrix
+        // dimension so a crafted count cannot size the restored table.
+        if let Some(sig) = &sig {
+            if sig.n_slots == 0 || sig.threads > 1 << 12 {
+                return Err(bad_data(format!(
+                    "implausible signature geometry: {} slots, {} threads",
+                    sig.n_slots, sig.threads
+                )));
+            }
         }
         let loop_capacity = d.u64()? as usize;
         let frames = d.u64()?;
@@ -393,43 +384,25 @@ impl Checkpoint {
             let detector = match kind {
                 DetectorKind::Asymmetric => {
                     let sig = sig.as_ref().unwrap();
-                    let words_per = d.u32()? as usize;
-                    let n_filters = d.u64()?;
-                    if n_filters > sig.n_slots as u64 || words_per > 1 << 20 {
-                        return Err(bad_data(format!(
-                            "implausible filter dump: {n_filters} filters × {words_per} words"
-                        )));
+                    let words_per = slot_words(sig.threads);
+                    let n_slots = d.u64()?;
+                    if n_slots > sig.n_slots as u64 {
+                        return Err(bad_data(format!("implausible slot count {n_slots}")));
                     }
-                    let n_filters = d.count(n_filters, 8 + words_per * 8)?;
-                    let mut filters = Vec::with_capacity(n_filters);
-                    for _ in 0..n_filters {
+                    let n_slots = d.count(n_slots, 8 + words_per * 8)?;
+                    let mut slots = Vec::with_capacity(n_slots);
+                    for _ in 0..n_slots {
                         let slot = d.u64()?;
                         if slot >= sig.n_slots as u64 {
-                            return Err(bad_data(format!("filter slot {slot} out of range")));
+                            return Err(bad_data(format!("signature slot {slot} out of range")));
                         }
                         let mut words = Vec::with_capacity(words_per);
                         for _ in 0..words_per {
                             words.push(d.u64()?);
                         }
-                        filters.push((slot, words));
+                        slots.push((slot, words));
                     }
-                    let n_wslots = d.u64()?;
-                    if n_wslots > sig.n_slots as u64 {
-                        return Err(bad_data(format!("implausible write-slot count {n_wslots}")));
-                    }
-                    let n_wslots = d.count(n_wslots, 8 + 4)?;
-                    let mut write_slots = Vec::with_capacity(n_wslots);
-                    for _ in 0..n_wslots {
-                        let slot = d.u64()?;
-                        if slot >= sig.n_slots as u64 {
-                            return Err(bad_data(format!("write slot {slot} out of range")));
-                        }
-                        write_slots.push((slot, d.u32()?));
-                    }
-                    DetectorState::Asymmetric {
-                        filters,
-                        write_slots,
-                    }
+                    DetectorState::Asymmetric { slots }
                 }
                 DetectorKind::Perfect => {
                     let n_readers = d.u64()?;
@@ -735,6 +708,35 @@ mod tests {
         // Truncation too.
         assert!(Checkpoint::decode(&bytes[..bytes.len() - 3]).is_err());
         assert!(Checkpoint::decode(&bytes[..8]).is_err());
+    }
+
+    #[test]
+    fn implausible_signature_geometry_is_rejected() {
+        let mut a = analyzer(DetectorKind::Asymmetric, 1);
+        a.on_frame(&events(100));
+        let mut cp = Checkpoint::capture(&a);
+        for (n_slots, threads) in [(1 << 9, 1 << 20), (0, 4)] {
+            cp.sig = Some(SignatureConfig { n_slots, threads });
+            let e = Checkpoint::decode(&cp.encode()).unwrap_err();
+            assert!(
+                e.to_string().contains("implausible signature geometry"),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn other_versions_are_unsupported_not_corrupt() {
+        let mut a = analyzer(DetectorKind::Asymmetric, 1);
+        a.on_frame(&events(100));
+        let mut bytes = Checkpoint::capture(&a).encode();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let e = Checkpoint::decode(&bytes).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::Unsupported);
+        assert_eq!(
+            e.to_string(),
+            "unsupported checkpoint version 1 (expected 2)"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! decode → `Vec` → re-stamp → batch copy chain sits in front of it. Per
 //! tile it gathers the addresses, hashes them four at a time
 //! ([`lc_sigmem::hash_block`]) and runs the paper's O(1) per-access step
-//! — one write-signature probe, one read-signature probe — with the slot
-//! lines prefetched [`PREFETCH_AHEAD`] events ahead.
+//! — one signature slot, one cache line — with the slot lines prefetched
+//! [`PREFETCH_AHEAD`] events ahead.
 //!
 //! Dependences are **recorded once per block**: they aggregate by
 //! `(loop, src, dst)` in a [`FusedScratch`], and each distinct key is then
@@ -31,7 +31,7 @@
 
 use std::cell::RefCell;
 
-use lc_sigmem::{ReaderSet, WriterMap};
+use lc_sigmem::Signature;
 use lc_trace::{AsAccess, LoopId};
 
 use crate::profiler::CommProfiler;
@@ -142,7 +142,7 @@ pub(crate) fn with_thread_scratch(f: impl Fn(&mut FusedScratch)) {
     }
 }
 
-impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
+impl<S: Signature> CommProfiler<S> {
     /// Batched delivery: strict per-event Algorithm 1 in stream order —
     /// identical results to per-event [`lc_trace::AccessSink::on_access`]
     /// — with dependences recorded once per block. Generic over

@@ -17,14 +17,14 @@
 //! dependence stream, so the parallel path refuses `phase_window` with more
 //! than one job rather than silently producing scrambled windows.
 
-use lc_sigmem::{murmur::fmix64, ReaderSet, SignatureConfig, SlotRouter, WriterMap};
+use lc_sigmem::{murmur::fmix64, Signature, SignatureConfig, SlotRouter};
 use lc_trace::{
     coalesce_events, AccessSink, ParReplayOptions, ParReplayStats, Trace, REPLAY_BATCH_EVENTS,
 };
 
 use crate::fused::FusedScratch;
 use crate::profiler::{CommProfiler, ProfileReport, ProfilerConfig};
-use crate::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
+use crate::raw::{AsymmetricDetector, PerfectDetector};
 use crate::shards::{AccumConfig, RegistryFull};
 use crate::telemetry::MetricsRegistry;
 
@@ -121,9 +121,8 @@ impl ParAnalysis {
 
 /// Analyze a trace with the paper's asymmetric signature detector,
 /// partitioned by signature slot (`fmix64(addr) % n_slots`, the exact
-/// index [`lc_sigmem::ReadSignature`] and [`lc_sigmem::WriteSignature`]
-/// use). Each worker owns a private signature pair; results merge by
-/// matrix summation.
+/// index [`lc_sigmem::SlotSignature`] uses). Each worker owns a private
+/// signature; results merge by matrix summation.
 pub fn analyze_trace_asymmetric(
     trace: &Trace,
     sig: SignatureConfig,
@@ -165,26 +164,21 @@ pub fn analyze_trace_perfect(
 }
 
 /// Generic core: build one private profiler per worker, replay, merge.
-fn analyze_with<R, W>(
+fn analyze_with<S: Signature>(
     trace: &Trace,
-    make: impl Fn() -> CommProfiler<R, W>,
+    make: impl Fn() -> CommProfiler<S>,
     worker_of: &(dyn Fn(u64) -> usize + Sync),
     class: &(dyn Fn(u64) -> u64 + Sync),
     prof: ProfilerConfig,
     par: &ParReplayConfig,
-) -> ParAnalysis
-where
-    R: ReaderSet,
-    W: WriterMap,
-    RawDetector<R, W>: Send + Sync,
-{
+) -> ParAnalysis {
     let jobs = par.jobs.max(1);
     assert!(
         jobs == 1 || prof.phase_window.is_none(),
         "phase windows are order-dependent across the whole dependence \
          stream; use jobs = 1 for phase tracking"
     );
-    let profilers: Vec<CommProfiler<R, W>> = (0..jobs).map(|_| make()).collect();
+    let profilers: Vec<CommProfiler<S>> = (0..jobs).map(|_| make()).collect();
     let replay = if par.fused {
         fused_replay(trace, &profilers, worker_of, class, par)
     } else {
@@ -224,18 +218,13 @@ where
 /// transform by nature) and multi-worker partitioning build the same
 /// per-worker streams the non-fused path builds, so replay statistics and
 /// reports match it field for field; only the consumption changes.
-fn fused_replay<R, W>(
+fn fused_replay<S: Signature>(
     trace: &Trace,
-    profilers: &[CommProfiler<R, W>],
+    profilers: &[CommProfiler<S>],
     worker_of: &(dyn Fn(u64) -> usize + Sync),
     class: &(dyn Fn(u64) -> u64 + Sync),
     par: &ParReplayConfig,
-) -> ParReplayStats
-where
-    R: ReaderSet,
-    W: WriterMap,
-    RawDetector<R, W>: Send + Sync,
-{
+) -> ParReplayStats {
     let jobs = profilers.len();
     let batch = par.batch_events.max(1);
     let mut stats = ParReplayStats {

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
+use lc_sigmem::{Signature, SignatureConfig};
 use lc_trace::{AccessEvent, AccessSink, LoopId};
 use parking_lot::Mutex;
 
@@ -57,8 +57,8 @@ impl ProfilerConfig {
 }
 
 /// The profiler, generic over the signature implementation.
-pub struct CommProfiler<R: ReaderSet, W: WriterMap> {
-    pub(crate) detector: RawDetector<R, W>,
+pub struct CommProfiler<S: Signature> {
+    pub(crate) detector: RawDetector<S>,
     pub(crate) config: ProfilerConfig,
     global: CommMatrix,
     pub(crate) loops: LoopRegistry,
@@ -67,11 +67,11 @@ pub struct CommProfiler<R: ReaderSet, W: WriterMap> {
     pub(crate) telemetry: Option<Telemetry>,
 }
 
-/// The paper's profiler: approximate bounded-memory signatures.
-pub type AsymmetricProfiler = CommProfiler<lc_sigmem::ReadSignature, lc_sigmem::WriteSignature>;
+/// The paper's profiler: the bounded-memory slot signature.
+pub type AsymmetricProfiler = CommProfiler<lc_sigmem::SlotSignature>;
 
 /// The exact baseline profiler (perfect signature, §V-A3).
-pub type PerfectProfiler = CommProfiler<lc_sigmem::PerfectReaderSet, lc_sigmem::PerfectWriterMap>;
+pub type PerfectProfiler = CommProfiler<lc_sigmem::PerfectSignature>;
 
 impl AsymmetricProfiler {
     /// Build the signature-memory profiler.
@@ -82,14 +82,13 @@ impl AsymmetricProfiler {
     /// Live signature-health diagnostics: occupancy, estimated footprint
     /// and aliasing risk (was `n_slots` adequate for this program?).
     pub fn signature_health(&self) -> lc_sigmem::SignatureHealth {
-        lc_sigmem::SignatureHealth::inspect(self.detector().read_sig(), self.detector().write_sig())
+        lc_sigmem::SignatureHealth::inspect(self.detector().signature())
     }
 
     /// [`CommProfiler::metrics`] plus live signature-health gauges: write
-    /// occupancy and aliasing, the estimated written footprint, and the
-    /// online Bloom saturation / false-positive estimate — the runtime
-    /// counterpart of the `fpr_sweep` ground-truth experiment (see
-    /// EXPERIMENTS.md for how to read the two against each other).
+    /// and read occupancy, aliasing and the estimated written footprint —
+    /// the runtime counterpart of the `fpr_sweep` ground-truth experiment
+    /// (see EXPERIMENTS.md for how to read the two against each other).
     pub fn metrics_with_health(&self) -> MetricsRegistry {
         let mut reg = self.metrics();
         let h = self.signature_health();
@@ -104,9 +103,9 @@ impl AsymmetricProfiler {
             h.write_occupied as f64,
         );
         reg.gauge(
-            "loopcomm_sig_read_filters",
-            "Allocated read-signature Bloom filters",
-            h.read_filters as f64,
+            "loopcomm_sig_read_occupied",
+            "Signature slots holding at least one reader",
+            h.read_occupied as f64,
         );
         reg.gauge(
             "loopcomm_sig_est_written_addresses",
@@ -117,21 +116,6 @@ impl AsymmetricProfiler {
             "loopcomm_sig_write_aliasing",
             "Probability a fresh address aliases an occupied writer slot",
             h.write_aliasing,
-        );
-        reg.gauge(
-            "loopcomm_sig_bloom_mean_fill",
-            "Mean read-filter Bloom saturation (sampled)",
-            h.read_bloom.mean_fill,
-        );
-        reg.gauge(
-            "loopcomm_sig_bloom_max_fill",
-            "Worst read-filter Bloom saturation (sampled)",
-            h.read_bloom.max_fill,
-        );
-        reg.gauge(
-            "loopcomm_sig_bloom_est_fp_rate",
-            "Estimated live Bloom false-positive rate (fill^k, sampled)",
-            h.read_bloom.est_fp_rate,
         );
         reg
     }
@@ -144,15 +128,15 @@ impl PerfectProfiler {
     }
 }
 
-impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
+impl<S: Signature> CommProfiler<S> {
     /// Build from an explicit detector with default accumulation tunables.
-    pub fn from_detector(detector: RawDetector<R, W>, config: ProfilerConfig) -> Self {
+    pub fn from_detector(detector: RawDetector<S>, config: ProfilerConfig) -> Self {
         Self::from_detector_with(detector, config, AccumConfig::default())
     }
 
     /// Build from an explicit detector and accumulation-layer tunables.
     pub fn from_detector_with(
-        detector: RawDetector<R, W>,
+        detector: RawDetector<S>,
         config: ProfilerConfig,
         accum: AccumConfig,
     ) -> Self {
@@ -164,7 +148,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     /// hot path identical to a build without this module — see DESIGN.md §8
     /// for the zero-cost-when-off argument.
     pub fn from_detector_full(
-        detector: RawDetector<R, W>,
+        detector: RawDetector<S>,
         config: ProfilerConfig,
         accum: AccumConfig,
         telemetry: Option<TelemetryConfig>,
@@ -316,7 +300,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     }
 
     /// The underlying detector (diagnostics).
-    pub fn detector(&self) -> &RawDetector<R, W> {
+    pub fn detector(&self) -> &RawDetector<S> {
         &self.detector
     }
 
@@ -340,11 +324,12 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
 
     /// Seed a freshly built profiler with accumulator state from a
     /// checkpoint: counters, the global matrix, and per-loop matrices.
-    /// Signature state is restored separately (directly into the detector
-    /// halves); phase tracking is not checkpointable and must be off.
-    /// Single-threaded by contract — restore happens before any replay
-    /// resumes, and every seeded quantity is commutative, so the result is
-    /// indistinguishable from having profiled the prefix live.
+    /// Signature state is restored separately (directly into the
+    /// detector's signature); phase tracking is not checkpointable and
+    /// must be off. Single-threaded by contract — restore happens before
+    /// any replay resumes, and every seeded quantity is commutative, so
+    /// the result is indistinguishable from having profiled the prefix
+    /// live.
     pub fn restore_accumulators(
         &self,
         accesses: u64,
@@ -364,7 +349,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     }
 }
 
-impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
+impl<S: Signature> CommProfiler<S> {
     /// Metrics-on access path: probe the detector, classify the outcome,
     /// and time the detect/accumulate stages for one access in
     /// [`TelemetryConfig::sample_every`]. Accumulation is identical to the
@@ -406,7 +391,7 @@ impl<R: ReaderSet, W: WriterMap> CommProfiler<R, W> {
     }
 }
 
-impl<R: ReaderSet, W: WriterMap> AccessSink for CommProfiler<R, W> {
+impl<S: Signature> AccessSink for CommProfiler<S> {
     #[inline]
     fn on_access(&self, ev: &AccessEvent) {
         // One well-predicted branch when telemetry is off (the default) —
@@ -659,9 +644,9 @@ mod tests {
             ProfilerConfig::nested(4),
         );
         let m = p.memory_bytes();
-        assert!(m >= (1 << 10) * 4); // at least the write signature
+        assert!(m >= (1 << 10) * 8); // at least the signature
         p.on_access(&ev(0, 0x10, AccessKind::Write, LoopId(1)));
         p.on_access(&ev(1, 0x10, AccessKind::Read, LoopId(1)));
-        assert!(p.memory_bytes() > m); // a loop matrix + a bloom appeared
+        assert!(p.memory_bytes() > m); // a loop matrix appeared
     }
 }

@@ -1,5 +1,4 @@
-//! Algorithm 1 — RAW thread-dependence detection over asymmetric
-//! signature memory.
+//! Algorithm 1 — RAW thread-dependence detection over signature memory.
 //!
 //! ```text
 //! for all memory access a in the program do
@@ -23,11 +22,17 @@
 //! first-read-only semantics hold (and is what the read signature exists
 //! for — it stores "the list of all threads which have accessed the
 //! correspondent memory location", §IV-D2).
+//!
+//! **Documented deviation:** the paper's read signature is a Bloom filter
+//! over reader thread ids; [`lc_sigmem::SlotSignature`] stores an exact
+//! reader mask beside the last writer instead. At the paper's FPRate 0.001
+//! the two answer identically for t ≤ 211 (no thread id's probe set is
+//! covered by the others'). From t = 212 on the filter can claim a reader
+//! that never read — suppressing a true dependence — where the mask
+//! cannot, so reports for t ≥ 212 may count more dependences than the
+//! paper's filter would.
 
-use lc_sigmem::{
-    PerfectReaderSet, PerfectWriterMap, ReadSignature, ReaderSet, SignatureConfig, WriteSignature,
-    WriterMap,
-};
+use lc_sigmem::{PerfectSignature, Signature, SignatureConfig, SlotSignature};
 use lc_trace::AccessKind;
 
 /// One detected inter-thread RAW dependence: `bytes` flowed from the thread
@@ -54,7 +59,7 @@ pub struct AccessProbe {
     pub suppressed: bool,
 }
 
-/// Algorithm 1 over any read/write signature pair.
+/// Algorithm 1 over any [`Signature`].
 ///
 /// ```
 /// use lc_profiler::{Dependence, PerfectDetector};
@@ -71,45 +76,34 @@ pub struct AccessProbe {
 /// assert_eq!(d.on_access(1, 0x10, 8, AccessKind::Read), None);
 /// ```
 #[derive(Debug)]
-pub struct RawDetector<R: ReaderSet, W: WriterMap> {
-    read_sig: R,
-    write_sig: W,
+pub struct RawDetector<S> {
+    sig: S,
 }
 
-/// The paper's detector: approximate, bounded-memory signatures.
-pub type AsymmetricDetector = RawDetector<ReadSignature, WriteSignature>;
+/// The paper's detector: bounded-memory slot signature.
+pub type AsymmetricDetector = RawDetector<SlotSignature>;
 
 /// The §V-A3 baseline: exact, footprint-proportional structures.
-pub type PerfectDetector = RawDetector<PerfectReaderSet, PerfectWriterMap>;
+pub type PerfectDetector = RawDetector<PerfectSignature>;
 
 impl AsymmetricDetector {
     /// Build from a signature configuration.
     pub fn asymmetric(cfg: SignatureConfig) -> Self {
-        let (read_sig, write_sig) = cfg.build();
-        Self {
-            read_sig,
-            write_sig,
-        }
+        Self::new(cfg.build())
     }
 }
 
 impl PerfectDetector {
     /// Build the collision-free baseline detector.
     pub fn perfect() -> Self {
-        Self {
-            read_sig: PerfectReaderSet::new(),
-            write_sig: PerfectWriterMap::new(),
-        }
+        Self::new(PerfectSignature::new())
     }
 }
 
-impl<R: ReaderSet, W: WriterMap> RawDetector<R, W> {
-    /// Build from explicit signature halves.
-    pub fn from_parts(read_sig: R, write_sig: W) -> Self {
-        Self {
-            read_sig,
-            write_sig,
-        }
+impl<S: Signature> RawDetector<S> {
+    /// Build over an explicit signature.
+    pub fn new(sig: S) -> Self {
+        Self { sig }
     }
 
     /// Process one access in program order; returns the RAW dependence the
@@ -127,9 +121,8 @@ impl<R: ReaderSet, W: WriterMap> RawDetector<R, W> {
 
     /// Algorithm 1's one body, with `h = fmix64(addr)` precomputed by the
     /// caller. The batched paths hash whole address blocks via
-    /// [`lc_sigmem::hash_block`] and feed each event's hash to all of its
-    /// signature consultations (last-writer probe, read-set membership,
-    /// insert/clear/record) — one `fmix64` per event.
+    /// [`lc_sigmem::hash_block`] and feed each event's hash to its one
+    /// signature step — one `fmix64` per event.
     #[inline]
     pub fn on_access_hashed(
         &self,
@@ -142,45 +135,27 @@ impl<R: ReaderSet, W: WriterMap> RawDetector<R, W> {
         debug_assert_eq!(h, lc_sigmem::murmur::fmix64(addr), "stale hash for addr");
         match kind {
             AccessKind::Read => {
-                // Membership test and first-read bookkeeping in one
-                // signature traversal (see module docs): `was_present` is
-                // the pre-insert state, exactly what the old
-                // `contains` + unconditional `insert` pair observed.
-                let writer = self.write_sig.last_writer_hashed(addr, h);
-                let was_present = self.read_sig.insert_contains_hashed(addr, h, tid);
-                match writer {
-                    Some(writer) if writer != tid && !was_present => Some(Dependence {
-                        src: writer,
-                        dst: tid,
-                        bytes: size as u64,
-                    }),
-                    _ => None,
-                }
+                let (writer, seen) = self.sig.read(addr, h, tid);
+                first_read_dependence(writer, seen, tid, size)
             }
             AccessKind::Write => {
-                // A new value invalidates the reader history: subsequent
-                // reads are fresh communications from this writer.
-                self.read_sig.clear_addr_hashed(addr, h);
-                self.write_sig.record_hashed(addr, h, tid);
+                self.sig.write(addr, h, tid);
                 None
             }
         }
     }
 
-    /// Hint both signature halves that the slots for hash `h` are about to
-    /// be consulted. Batched replay issues this a few events ahead so the
-    /// slot lines are in flight when [`Self::on_access_hashed`] lands.
+    /// Hint the signature that the slot for hash `h` is about to be
+    /// consulted. Batched replay issues this a few events ahead so the
+    /// slot's line is in flight when [`Self::on_access_hashed`] lands.
     #[inline]
     pub fn prefetch(&self, h: u64) {
-        ReaderSet::prefetch(&self.read_sig, h);
-        WriterMap::prefetch(&self.write_sig, h);
+        self.sig.prefetch(h);
     }
 
-    /// [`Self::on_access`] plus a probe describing what the signatures
-    /// observed, for the telemetry layer. Kept as a separate body so the
-    /// metrics-off hot path stays literally untouched (the zero-cost-when-off
-    /// argument in DESIGN.md §8); the `telemetry_differential` test pins the
-    /// two paths to identical dependence streams.
+    /// [`Self::on_access`] plus a probe describing what the signature
+    /// observed, for the telemetry layer. `tests/telemetry_observability.rs`
+    /// pins the two paths to byte-identical reports.
     #[inline]
     pub fn on_access_probed(
         &self,
@@ -189,50 +164,50 @@ impl<R: ReaderSet, W: WriterMap> RawDetector<R, W> {
         size: u32,
         kind: AccessKind,
     ) -> (Option<Dependence>, AccessProbe) {
+        let h = lc_sigmem::murmur::fmix64(addr);
         match kind {
             AccessKind::Read => {
-                let mut probe = AccessProbe::default();
-                let dep = match self.write_sig.last_writer(addr) {
-                    Some(writer) => {
-                        probe.writer_hit = true;
-                        if writer != tid && !self.read_sig.contains(addr, tid) {
-                            Some(Dependence {
-                                src: writer,
-                                dst: tid,
-                                bytes: size as u64,
-                            })
-                        } else {
-                            probe.suppressed = true;
-                            None
-                        }
-                    }
-                    None => None,
+                let (writer, seen) = self.sig.read(addr, h, tid);
+                let dep = first_read_dependence(writer, seen, tid, size);
+                let probe = AccessProbe {
+                    writer_hit: writer.is_some(),
+                    suppressed: writer.is_some() && dep.is_none(),
                 };
-                self.read_sig.insert(addr, tid);
                 (dep, probe)
             }
             AccessKind::Write => {
-                self.read_sig.clear_addr(addr);
-                self.write_sig.record(addr, tid);
+                self.sig.write(addr, h, tid);
                 (None, AccessProbe::default())
             }
         }
     }
 
-    /// Combined heap footprint of both signatures.
+    /// Heap footprint of the signature.
     pub fn memory_bytes(&self) -> usize {
-        self.read_sig.memory_bytes() + self.write_sig.memory_bytes()
+        self.sig.memory_bytes()
     }
 
-    /// The read half (diagnostics).
-    pub fn read_sig(&self) -> &R {
-        &self.read_sig
+    /// The signature (diagnostics, checkpoints).
+    pub fn signature(&self) -> &S {
+        &self.sig
     }
+}
 
-    /// The write half (diagnostics).
-    pub fn write_sig(&self) -> &W {
-        &self.write_sig
-    }
+/// The dependence a read by `tid` completes, given what the signature
+/// answered: communication iff another thread wrote last and `tid` has
+/// not read since (§V-A5 first-read-only semantics).
+#[inline]
+fn first_read_dependence(
+    writer: Option<u32>,
+    seen: bool,
+    tid: u32,
+    size: u32,
+) -> Option<Dependence> {
+    writer.filter(|&w| w != tid && !seen).map(|src| Dependence {
+        src,
+        dst: tid,
+        bytes: size as u64,
+    })
 }
 
 #[cfg(test)]
@@ -350,7 +325,6 @@ mod tests {
         let asym = AsymmetricDetector::asymmetric(SignatureConfig {
             n_slots: 1,
             threads: 4,
-            fp_rate: 0.5,
         });
         asym.on_access(0, 0x10, 8, Write);
         let dep = asym.on_access(1, 0x10, 8, Read);
@@ -438,8 +412,8 @@ mod tests {
         for a in 0..100u64 {
             asym.on_access(0, a * 8, 8, Read);
         }
-        assert!(asym.memory_bytes() >= before);
-        assert!(asym.read_sig().allocated_filters() > 0);
-        assert_eq!(asym.write_sig().n_slots(), 1 << 10);
+        assert_eq!(asym.memory_bytes(), before);
+        assert!(asym.signature().read_occupied() > 0);
+        assert_eq!(asym.signature().n_slots(), 1 << 10);
     }
 }

@@ -10,8 +10,7 @@
 //!   commutes).
 //! * [`LoopRegistry`] — a lock-free, fixed-capacity, open-addressed table
 //!   of per-loop matrices. Slots are `AtomicPtr` published with a
-//!   release-CAS, the same pattern `ReadSignature::filter_or_insert` uses;
-//!   lookups are wait-free loads.
+//!   release-CAS; lookups are wait-free loads.
 //!
 //! Dependences go straight into the shared [`CommMatrix`] cells, one
 //! relaxed add per `(loop, src, dst)` key ([`pack_key`]): the fused engine
@@ -203,9 +202,8 @@ impl std::error::Error for RegistryFull {}
 /// the per-dependence cost the old `RwLock<HashMap>` read lock used to pay
 /// in atomics and contention. Inserts allocate the slot's `LoopSlot` and
 /// publish it with a release-CAS; the loser of a publish race frees its
-/// allocation and uses the winner's (the `ReadSignature::filter_or_insert`
-/// pattern). Entries are never removed, so a published pointer stays valid
-/// until the registry drops.
+/// allocation and uses the winner's. Entries are never removed, so a
+/// published pointer stays valid until the registry drops.
 #[derive(Debug)]
 pub struct LoopRegistry {
     slots: Box<[AtomicPtr<LoopSlot>]>,

@@ -1,12 +1,12 @@
 //! Lock-free fixed-size bit vector built on `AtomicU64` words.
 //!
-//! The concurrent Bloom filters of the read signature need a bit set that
-//! many application threads mutate simultaneously without locks (the paper
-//! uses "C++11 lock-free primitives for implementing signature memory
-//! arrays", §IV-D3). Setting a bit is a `fetch_or`; reading is a plain load.
+//! The reader bits of the signature (and the concurrent Bloom filter) need
+//! a bit set that many application threads mutate simultaneously without
+//! locks (the paper uses "C++11 lock-free primitives for implementing
+//! signature memory arrays", §IV-D3). Setting a bit is a `fetch_or`;
+//! reading is a plain load.
 //!
-//! Memory-ordering note: all operations use `Relaxed`. The signature memory
-//! is an *approximate* set — a racy read that misses a concurrent insert is
+//! Memory-ordering note: all operations use `Relaxed`. A racy read that misses a concurrent insert is
 //! indistinguishable from the benign reordering the paper's design already
 //! tolerates, and no other memory is published through these bits. What is
 //! NOT optional is the atomicity of `fetch_or` itself: a load+store split
@@ -17,8 +17,8 @@ use crate::sync::{AtomicU64, Ordering};
 
 /// Atomically OR `mask` into `word`, returning whether any masked bit was
 /// already set. The single definition of "set a signature bit", shared by
-/// [`AtomicBitVec`] and the arena-backed filter storage of [`crate::slot`]
-/// so the `bitvec-lost-update` fault mutant covers both.
+/// [`AtomicBitVec`] and the reader bits of [`crate::SlotSignature`] so the
+/// `bitvec-lost-update` fault mutant covers both.
 #[inline]
 pub(crate) fn fetch_or_bit(word: &AtomicU64, mask: u64) -> bool {
     // Fault mutant for the model checker: replace the atomic RMW with a

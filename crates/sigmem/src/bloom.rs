@@ -1,7 +1,7 @@
 //! Sequential Bloom filter with paper-style automatic sizing.
 //!
-//! The second level of the read signature stores, per address class, the set
-//! of thread ids that have read that address. The paper sizes these filters
+//! The paper's read signature stores, per address class, the set of thread
+//! ids that have read that address in a Bloom filter. The paper sizes these filters
 //! automatically: "The bloom filter uses a bit vector of size m, where m
 //! depends on the number of threads available in the target program. Also a
 //! linear combination of hash functions has been devised to automatically
@@ -10,7 +10,8 @@
 //!
 //! This module provides the single-threaded reference implementation used by
 //! tests and offline analysis; [`crate::concurrent_bloom`] provides the
-//! lock-free variant used on the online profiling path.
+//! lock-free variant. The profiling path stores the same sets as exact
+//! reader masks ([`crate::SlotSignature`]).
 
 use crate::murmur::hash_addr;
 
@@ -65,8 +66,8 @@ const SEED_B: u64 = 0x1f83_d9ab_fb41_bd6b;
 /// cost of a Bloom operation. The pre-fix hot path recomputed both bases
 /// inside every probe (`2k` finalizer runs per insert instead of 2), the
 /// "hash re-entry" half of the PR 4 batching regression (DESIGN.md §12).
-/// Callers that probe the same item repeatedly (the read signature's items
-/// are thread ids) cache the pair once per item.
+/// Callers that probe the same item repeatedly (a reader-set filter's
+/// items are thread ids) cache the pair once per item.
 #[inline]
 pub fn hash_pair(item: u64) -> (u64, u64) {
     (hash_addr(item, SEED_A), hash_addr(item, SEED_B) | 1)

@@ -1,8 +1,11 @@
 //! Lock-free Bloom filter storing reader-thread sets.
 //!
-//! One instance of this filter hangs off each occupied first-level slot of
-//! the read signature (Fig. 3a of the paper). It records *which threads*
-//! have read the addresses mapping to that slot. Because the number of
+//! The paper hangs one instance of this filter off each occupied
+//! first-level slot of its read signature (Fig. 3a). It records *which
+//! threads* have read the addresses mapping to that slot. At FPRate 0.001
+//! it holds that set exactly for t ≤ 211, which is why
+//! [`crate::SlotSignature`] stores a plain reader mask instead; this
+//! filter remains the reference for that argument. Because the number of
 //! distinct elements ever inserted is bounded by the thread count `t`, the
 //! paper notes "it is guaranteed that the false positive rate does not go
 //! beyond the threshold limit" (§IV-D2) — the filter is sized for exactly
@@ -17,7 +20,7 @@ use crate::bloom::{derived_from, hash_pair, optimal_bits, optimal_hashes};
 /// large the filter grows (the cache-line-local Bloom layout; DESIGN.md §12).
 pub const BLOOM_BLOCK_BITS: usize = 512;
 
-/// Geometry shared by every second-level filter of one read signature.
+/// Geometry of a reader-set filter sized for `t` threads.
 ///
 /// Filters are **blocked**: `m_bits` is split into `m_bits / block_bits`
 /// contiguous blocks of `block_bits` bits each (`block_bits` is a power of
@@ -83,8 +86,8 @@ impl BloomGeometry {
 
     /// The bit index probe `i` of an item with base hashes `(ha, hb)`
     /// tests — the single definition of the probe schedule, shared by the
-    /// concurrent filter, the arena-backed read signature and the
-    /// sequential blocked reference so they can never disagree.
+    /// concurrent filter and the sequential blocked reference so they can
+    /// never disagree.
     #[inline]
     pub fn probe_bit(&self, ha: u64, hb: u64, i: usize) -> usize {
         // High bits pick the block (decorrelated from the in-block bits,

@@ -8,8 +8,7 @@
 //! can report whether its own configuration was adequate — without a
 //! perfect-signature reference run.
 
-use crate::read_signature::ReadSignature;
-use crate::write_signature::WriteSignature;
+use crate::slot_signature::SlotSignature;
 
 /// Expected fraction of occupied slots after hashing `items` distinct keys
 /// into `slots` slots uniformly: `1 − e^(−items/slots)`.
@@ -37,76 +36,44 @@ pub fn aliasing_probability(occupied: usize, slots: usize) -> f64 {
     occupied as f64 / slots as f64
 }
 
-/// Online summary of second-level Bloom saturation across a sample of a
-/// read signature's allocated filters — the live counterpart of the §V-A3
-/// sweep's offline FPR measurement.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BloomSaturation {
-    /// How many allocated filters were popcounted.
-    pub filters_sampled: usize,
-    /// Mean fraction of set bits across sampled filters.
-    pub mean_fill: f64,
-    /// Worst (largest) fill seen in the sample.
-    pub max_fill: f64,
-    /// Mean estimated false-positive probability (`fill^k` per filter).
-    pub est_fp_rate: f64,
-}
-
-/// How many filters [`SignatureHealth::inspect`] popcounts per scrape.
-/// Bounds scrape cost on huge signatures while keeping the sample
-/// statistically meaningful.
-pub const BLOOM_SAMPLE_CAP: usize = 256;
-
-/// A point-in-time health report for one signature pair.
+/// A point-in-time health report for one signature.
 #[derive(Clone, Copy, Debug)]
 pub struct SignatureHealth {
     /// First-level slots.
     pub slots: usize,
     /// Occupied write-signature slots.
     pub write_occupied: usize,
-    /// Allocated read-signature filters.
-    pub read_filters: usize,
+    /// Slots holding at least one reader.
+    pub read_occupied: usize,
     /// Estimated distinct written addresses (occupancy inversion).
     pub est_written_addresses: f64,
     /// Probability the next fresh address aliases an existing writer slot.
     pub write_aliasing: f64,
-    /// Online Bloom saturation sampled from the read signature.
-    pub read_bloom: BloomSaturation,
 }
 
 impl SignatureHealth {
-    /// Gather health from a live signature pair.
-    pub fn inspect(read: &ReadSignature, write: &WriteSignature) -> Self {
-        let slots = write.n_slots();
-        let write_occupied = write.occupied();
+    /// Gather health from a live signature.
+    pub fn inspect(sig: &SlotSignature) -> Self {
+        let slots = sig.n_slots();
+        let write_occupied = sig.write_occupied();
         Self {
             slots,
             write_occupied,
-            read_filters: read.allocated_filters(),
+            read_occupied: sig.read_occupied(),
             est_written_addresses: estimate_distinct_items(write_occupied, slots),
             write_aliasing: aliasing_probability(write_occupied, slots),
-            read_bloom: read.bloom_saturation(BLOOM_SAMPLE_CAP),
         }
     }
 
-    /// Fold in the health of a signature pair of the same geometry that
-    /// owns a *disjoint* slot class (slot-sharded workers): occupied slots
-    /// and allocated filters add up, the occupancy estimates are retaken
-    /// over the sum, and the Bloom sample is pooled.
+    /// Fold in the health of a signature of the same geometry that owns a
+    /// *disjoint* slot class (slot-sharded workers): occupied slots add
+    /// up, and the occupancy estimates are retaken over the sum.
     pub fn absorb_disjoint(&mut self, other: &Self) {
         assert_eq!(self.slots, other.slots, "same signature geometry");
         self.write_occupied += other.write_occupied;
-        self.read_filters += other.read_filters;
+        self.read_occupied += other.read_occupied;
         self.est_written_addresses = estimate_distinct_items(self.write_occupied, self.slots);
         self.write_aliasing = aliasing_probability(self.write_occupied, self.slots);
-        let (a, b) = (&mut self.read_bloom, other.read_bloom);
-        let (na, nb) = (a.filters_sampled as f64, b.filters_sampled as f64);
-        if nb > 0.0 {
-            a.mean_fill = (a.mean_fill * na + b.mean_fill * nb) / (na + nb);
-            a.est_fp_rate = (a.est_fp_rate * na + b.est_fp_rate * nb) / (na + nb);
-            a.max_fill = a.max_fill.max(b.max_fill);
-            a.filters_sampled += b.filters_sampled;
-        }
     }
 
     /// Rule of thumb: aliasing above this means the matrix is materially
@@ -134,7 +101,8 @@ impl SignatureHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{ReaderSet, WriterMap};
+    use crate::murmur::fmix64;
+    use crate::traits::Signature;
 
     #[test]
     fn occupancy_model_roundtrips() {
@@ -158,14 +126,14 @@ mod tests {
     #[test]
     fn health_inspection_tracks_real_usage() {
         let slots = 1 << 12;
-        let read = ReadSignature::new(slots, 8, 0.001);
-        let write = WriteSignature::new(slots);
+        let sig = SlotSignature::new(slots, 8);
         for a in 0..300u64 {
-            write.record(a * 64, 0);
-            read.insert(a * 64, 1);
+            sig.write(a * 64, fmix64(a * 64), 0);
+            sig.read(a * 64, fmix64(a * 64), 1);
         }
-        let h = SignatureHealth::inspect(&read, &write);
+        let h = SignatureHealth::inspect(&sig);
         assert!(h.write_occupied > 0 && h.write_occupied <= 300);
+        assert_eq!(h.read_occupied, h.write_occupied);
         // ~300 distinct addresses estimated within 15%.
         assert!(
             (h.est_written_addresses - 300.0).abs() < 45.0,
@@ -174,37 +142,18 @@ mod tests {
         );
         // 300/4096 ≈ 7% occupancy: comfortably under the warn threshold.
         assert!(!h.needs_more_slots(), "aliasing {}", h.write_aliasing);
-        // One reader per filter: every sampled filter is lightly filled.
-        assert!(h.read_bloom.filters_sampled > 0);
-        assert!(h.read_bloom.mean_fill > 0.0 && h.read_bloom.mean_fill < 0.5);
-        assert!(h.read_bloom.max_fill >= h.read_bloom.mean_fill);
-        assert!(h.read_bloom.est_fp_rate < 0.01);
-    }
-
-    #[test]
-    fn bloom_saturation_sample_cap_is_respected() {
-        let read = ReadSignature::new(1 << 12, 8, 0.001);
-        for a in 0..4000u64 {
-            read.insert(a * 64, (a % 8) as u32);
-        }
-        let sat = read.bloom_saturation(16);
-        assert_eq!(sat.filters_sampled, 16);
-        let empty = ReadSignature::new(64, 8, 0.001).bloom_saturation(16);
-        assert_eq!(empty.filters_sampled, 0);
-        assert_eq!(empty.mean_fill, 0.0);
-        assert_eq!(empty.est_fp_rate, 0.0);
     }
 
     #[test]
     fn undersized_signature_is_flagged_with_a_useful_suggestion() {
         let slots = 256;
-        let read = ReadSignature::new(slots, 8, 0.01);
-        let write = WriteSignature::new(slots);
+        let sig = SlotSignature::new(slots, 8);
         for a in 0..5_000u64 {
-            write.record(a * 8, 0);
+            sig.write(a * 8, fmix64(a * 8), 0);
         }
-        let h = SignatureHealth::inspect(&read, &write);
+        let h = SignatureHealth::inspect(&sig);
         assert!(h.needs_more_slots());
+        assert_eq!(h.read_occupied, 0);
         let suggested = h.suggested_slots(0.05);
         assert!(suggested > slots * 8, "suggested {suggested}");
         assert!(suggested.is_power_of_two());

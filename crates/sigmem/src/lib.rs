@@ -1,20 +1,23 @@
-//! # lc-sigmem — asymmetric software signature memory
+//! # lc-sigmem — software signature memory
 //!
 //! The data-structure substrate of the loop-level communication profiler
-//! (Mazaheri et al., ICPP 2015, §IV-D2): a pair of fixed-size, lock-free
-//! "signature memories" borrowed from transactional-memory systems that
-//! record memory-access history in **bounded** space:
+//! (Mazaheri et al., ICPP 2015, §IV-D2): a fixed-size, lock-free
+//! "signature memory" borrowed from transactional-memory systems that
+//! records memory-access history in **bounded** space:
 //!
-//! * [`ReadSignature`] — two-level: MurmurHash-indexed slot array whose
-//!   occupied slots point to Bloom filters holding reader-thread sets.
-//! * [`WriteSignature`] — one-level: slot array of last-writer thread ids.
-//! * [`PerfectReaderSet`] / [`PerfectWriterMap`] — the exact baseline used
-//!   to quantify the signatures' false-positive rate (§V-A3).
+//! * [`SlotSignature`] — a MurmurHash-indexed slot array; each slot holds
+//!   the last writer (the paper's write signature) and the exact reader
+//!   set its Bloom filter holds at FPRate 0.001 for t ≤ 211 (the read
+//!   signature) in `w` 64-bit words, one cache line per access.
+//! * [`PerfectSignature`] — the exact baseline used to quantify the
+//!   signature's false-positive rate (§V-A3).
 //! * [`mem_model`] — the closed-form footprint model (Eq. 2).
 //!
 //! Everything is implemented from scratch: [`murmur`] is a reference
 //! MurmurHash3 with canonical test vectors, [`bloom`]/[`concurrent_bloom`]
-//! are classic Bloom filters with Kirsch–Mitzenmacher derived hashes.
+//! are classic Bloom filters with Kirsch–Mitzenmacher derived hashes —
+//! the paper's reader-set representation, kept as the reference the slot
+//! layout is proven equivalent to.
 
 #![warn(missing_docs)]
 
@@ -25,72 +28,62 @@ pub mod diagnostics;
 pub mod mem_model;
 pub mod murmur;
 pub mod perfect;
-pub mod read_signature;
 pub mod slot;
+pub mod slot_signature;
 pub mod sync;
 pub mod traits;
-pub mod write_signature;
 
 pub use bloom::{hash_pair, BlockedBloomFilter};
 pub use concurrent_bloom::{BloomGeometry, ConcurrentBloom, BLOOM_BLOCK_BITS};
-pub use diagnostics::{BloomSaturation, SignatureHealth};
+pub use diagnostics::SignatureHealth;
 pub use murmur::{hash_block, HASH_BLOCK_LANES};
-pub use perfect::{PerfectReaderSet, PerfectWriterMap};
-pub use read_signature::ReadSignature;
-pub use slot::{slot_index, slot_of_hash, FilterArena, SlotRouter, ARENA_SEGMENT_FILTERS};
-pub use traits::{ReaderSet, WriterMap};
-pub use write_signature::WriteSignature;
+pub use perfect::{PerfectReaderSet, PerfectSignature, PerfectWriterMap};
+pub use slot::{slot_index, slot_of_hash, SlotRouter};
+pub use slot_signature::{slot_words, SlotSignature};
+pub use traits::Signature;
 
-/// Configuration for one asymmetric signature pair.
+/// Configuration of one signature.
 ///
 /// ```
-/// use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
+/// use lc_sigmem::{murmur::fmix64, Signature, SignatureConfig};
 ///
 /// let cfg = SignatureConfig::paper_default(1 << 12, 8);
-/// let (read_sig, write_sig) = cfg.build();
+/// let sig = cfg.build();
 ///
-/// write_sig.record(0x1000, 3);          // thread 3 wrote 0x1000
-/// assert_eq!(write_sig.last_writer(0x1000), Some(3));
+/// sig.write(0x1000, fmix64(0x1000), 3);              // thread 3 wrote 0x1000
+/// // Thread 5's first read sees writer 3; its second is no longer new.
+/// assert_eq!(sig.read(0x1000, fmix64(0x1000), 5), (Some(3), false));
+/// assert_eq!(sig.read(0x1000, fmix64(0x1000), 5), (Some(3), true));
 ///
-/// read_sig.insert(0x1000, 5);           // thread 5 read it
-/// assert!(read_sig.contains(0x1000, 5));
-/// assert!(!read_sig.contains(0x1000, 6));
-///
-/// // Eq. 2 predicts the bounded footprint for this configuration.
-/// assert!(cfg.predicted_bytes() > 0.0);
+/// // One 8-byte word per slot at t ≤ 32.
+/// assert_eq!(cfg.memory_bytes(), (1 << 12) * 8);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SignatureConfig {
-    /// First-level slot count for both signatures (the paper's `n`).
+    /// Slot count (the paper's `n`).
     pub n_slots: usize,
-    /// Number of application threads (sizes the per-slot Bloom filters).
+    /// Number of application threads (sizes each slot's reader set).
     pub threads: usize,
-    /// Acceptable Bloom false-positive rate (paper default 0.001).
-    pub fp_rate: f64,
 }
 
 impl SignatureConfig {
-    /// The paper's experimental configuration scaled by `n_slots`:
-    /// `FPRate = 0.001` (§V intro).
+    /// The paper's experimental configuration scaled by `n_slots`. Its
+    /// FPRate 0.001 needs no knob: for t ≤ 211 the Bloom filter it sizes
+    /// holds exactly the reader set a slot holds (see
+    /// [`slot_signature`]).
     pub fn paper_default(n_slots: usize, threads: usize) -> Self {
-        Self {
-            n_slots,
-            threads,
-            fp_rate: 0.001,
-        }
+        Self { n_slots, threads }
     }
 
-    /// Build the signature pair this configuration describes.
-    pub fn build(&self) -> (ReadSignature, WriteSignature) {
-        (
-            ReadSignature::new(self.n_slots, self.threads, self.fp_rate),
-            WriteSignature::new(self.n_slots),
-        )
+    /// Build the signature this configuration describes.
+    pub fn build(&self) -> SlotSignature {
+        SlotSignature::new(self.n_slots, self.threads)
     }
 
-    /// Eq. 2 prediction for this configuration, in bytes.
-    pub fn predicted_bytes(&self) -> f64 {
-        mem_model::paper_sig_mem_bytes(self.n_slots, self.threads, self.fp_rate)
+    /// The footprint of the signature [`Self::build`] returns, in bytes:
+    /// `n · 8 · w(t)` ([`mem_model::slot_signature_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        mem_model::slot_signature_bytes(self.n_slots, self.threads)
     }
 }
 
@@ -99,11 +92,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_builds_matching_pair() {
-        let cfg = SignatureConfig::paper_default(1 << 12, 8);
-        let (r, w) = cfg.build();
-        assert_eq!(r.n_slots(), 1 << 12);
-        assert_eq!(w.n_slots(), 1 << 12);
-        assert!(cfg.predicted_bytes() > 0.0);
+    fn config_builds_matching_signature() {
+        let cfg = SignatureConfig::paper_default(1 << 12, 40);
+        let sig = cfg.build();
+        assert_eq!(sig.n_slots(), 1 << 12);
+        assert_eq!(sig.words_per_slot(), 2);
+        assert_eq!(sig.memory_bytes(), cfg.memory_bytes());
     }
 }

@@ -13,11 +13,23 @@
 //! `FPRate = 0.001` this gives ≈ 615 MB — the paper rounds to "around
 //! 580 MB could be sufficient" (§V-A2).
 //!
-//! The model intentionally ignores the first-level pointer array and
-//! allocator overhead; [`actual_upper_bound_bytes`] adds those, and
-//! `ReadSignature::memory_bytes` reports the live footprint.
-
-use crate::concurrent_bloom::BloomGeometry;
+//! ## The slot layout against Eq. 2
+//!
+//! [`crate::SlotSignature`] stores the same two facts per slot — the last
+//! writer and the reader set — in `w(t)` 64-bit words
+//! ([`crate::slot_words`]: the smallest power of two with
+//! `64·w ≥ 32 + t`), so its footprint is exactly
+//!
+//! ```text
+//! SlotMem(n, t) = n · 8 · w(t)   bytes
+//! ```
+//!
+//! with no lazily allocated part ([`slot_signature_bytes`]). It needs no
+//! FPRate: at the paper's 0.001 the Bloom filter Eq. 2 sizes is exact for
+//! t ≤ 211, and so is the reader mask. For t ≥ 6 it is at or below Eq. 2
+//! at every FPRate ≤ 0.05 — 8 B against 61.5 B per slot at t = 32,
+//! FPRate 0.001, and the paper's 10⁷-slot configuration needs 76 MiB, not
+//! 580 MB.
 
 /// Eq. 2 verbatim: paper's predicted signature memory in bytes.
 pub fn paper_sig_mem_bytes(n_slots: usize, threads: usize, fp_rate: f64) -> f64 {
@@ -32,17 +44,10 @@ pub fn paper_bloom_bits(threads: usize, fp_rate: f64) -> f64 {
     -(threads as f64) * fp_rate.ln() / (ln2 * ln2)
 }
 
-/// Worst-case bytes the implementation can ever allocate for one signature
-/// pair: write slots + arena segment pointers + every filter materialized,
-/// using the real power-of-two/block-rounded geometry. The arena layout
-/// has no per-filter header: filters are bare word runs inside segment
-/// allocations, so the only overhead over Eq. 2 is one 8-byte pointer per
-/// [`crate::slot::ARENA_SEGMENT_FILTERS`] slots plus geometry rounding.
-pub fn actual_upper_bound_bytes(n_slots: usize, threads: usize, fp_rate: f64) -> usize {
-    let geom = BloomGeometry::for_threads(threads, fp_rate);
-    n_slots * 4                                    // write signature slots
-        + n_slots.div_ceil(crate::slot::ARENA_SEGMENT_FILTERS) * 8 // segment pointers
-        + n_slots * geom.bytes_per_filter()
+/// Bytes a [`crate::SlotSignature`] of `n_slots` slots for `threads`
+/// readers holds: `n · 8 · w(t)`, exactly, from construction on.
+pub fn slot_signature_bytes(n_slots: usize, threads: usize) -> usize {
+    n_slots * 8 * crate::slot_words(threads)
 }
 
 /// Predicted memory across a sweep of slot counts — used by the Eq. 2
@@ -91,16 +96,17 @@ mod tests {
     }
 
     #[test]
-    fn actual_bound_dominates_model() {
-        // The implementation bound includes pointer array + rounding, so it
-        // must exceed the paper's idealized figure.
-        let n = 100_000;
-        let model = paper_sig_mem_bytes(n, 32, 0.001);
-        let actual = actual_upper_bound_bytes(n, 32, 0.001) as f64;
-        assert!(actual > model);
-        // ...but within a small constant factor (no blow-up). Pointer array
-        // (8 B/slot) + word rounding + filter headers roughly double it.
-        assert!(actual < model * 2.5);
+    fn slot_layout_is_at_or_below_eq2_from_six_threads() {
+        for fp in [0.05, 0.01, 0.001] {
+            for t in 6..=1024 {
+                let slot = slot_signature_bytes(1, t) as f64;
+                assert!(slot <= paper_sig_mem_bytes(1, t, fp), "t = {t}, fp = {fp}");
+            }
+        }
+        assert!(slot_signature_bytes(1, 5) as f64 > paper_sig_mem_bytes(1, 5, 0.05));
+        // The paper's headline point: 8 B against 61.5 B per slot.
+        assert_eq!(slot_signature_bytes(1, 32), 8);
+        assert!((paper_sig_mem_bytes(1, 32, 0.001) - 61.5).abs() < 0.1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use crate::murmur::fmix64;
-use crate::traits::{ReaderSet, WriterMap};
+use crate::traits::Signature;
 
 /// Number of lock shards; power of two so selection is a mask.
 const SHARDS: usize = 64;
@@ -70,41 +70,48 @@ impl PerfectReaderSet {
     pub fn restore_mask(&self, addr: u64, mask: u128) {
         self.shards[shard(addr)].lock().insert(addr, mask);
     }
-}
 
-impl ReaderSet for PerfectReaderSet {
-    fn insert(&self, addr: u64, tid: u32) {
-        assert!(
-            tid < MAX_PERFECT_THREADS,
-            "perfect signature supports up to {MAX_PERFECT_THREADS} threads"
-        );
-        *self.shards[shard(addr)].lock().entry(addr).or_insert(0) |= 1u128 << tid;
+    /// Record that thread `tid` read `addr`.
+    pub fn insert(&self, addr: u64, tid: u32) {
+        self.insert_contains(addr, tid);
     }
 
-    fn contains(&self, addr: u64, tid: u32) -> bool {
-        assert!(tid < MAX_PERFECT_THREADS);
+    /// Has thread `tid` read `addr` since the address was last cleared?
+    pub fn contains(&self, addr: u64, tid: u32) -> bool {
         self.shards[shard(addr)]
             .lock()
             .get(&addr)
-            .is_some_and(|m| m & (1u128 << tid) != 0)
+            .is_some_and(|m| m & reader_bit(tid) != 0)
     }
 
-    fn clear_addr(&self, addr: u64) {
+    /// Forget every reader of `addr`.
+    pub fn clear_addr(&self, addr: u64) {
         self.shards[shard(addr)].lock().remove(&addr);
     }
 
-    fn insert_contains_hashed(&self, addr: u64, _h: u64, tid: u32) -> bool {
-        assert!(tid < MAX_PERFECT_THREADS);
+    /// Whether `tid` had read `addr`, recording that it has now.
+    pub fn insert_contains(&self, addr: u64, tid: u32) -> bool {
+        let bit = reader_bit(tid);
         let mut m = self.shards[shard(addr)].lock();
         let e = m.entry(addr).or_insert(0);
-        let present = *e & (1u128 << tid) != 0;
-        *e |= 1u128 << tid;
+        let present = *e & bit != 0;
+        *e |= bit;
         present
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Current heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
         self.tracked_addresses() * BYTES_PER_ENTRY
     }
+}
+
+/// `tid`'s bit in a reader mask.
+fn reader_bit(tid: u32) -> u128 {
+    assert!(
+        tid < MAX_PERFECT_THREADS,
+        "perfect signature supports up to {MAX_PERFECT_THREADS} threads"
+    );
+    1u128 << tid
 }
 
 /// Exact last-writer map: `addr -> tid`.
@@ -141,19 +148,63 @@ impl PerfectWriterMap {
         out.sort_unstable_by_key(|&(a, _)| a);
         out
     }
-}
 
-impl WriterMap for PerfectWriterMap {
-    fn record(&self, addr: u64, tid: u32) {
+    /// Record that thread `tid` is now the last writer of `addr`.
+    pub fn record(&self, addr: u64, tid: u32) {
         self.shards[shard(addr)].lock().insert(addr, tid);
     }
 
-    fn last_writer(&self, addr: u64) -> Option<u32> {
+    /// The last recorded writer of `addr`, or `None` if it was never
+    /// written.
+    pub fn last_writer(&self, addr: u64) -> Option<u32> {
         self.shards[shard(addr)].lock().get(&addr).copied()
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Current heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
         self.tracked_addresses() * BYTES_PER_ENTRY
+    }
+}
+
+/// The exact signature: Algorithm 1 over a [`PerfectReaderSet`] and a
+/// [`PerfectWriterMap`], the reference every bounded signature is
+/// measured against.
+#[derive(Default)]
+pub struct PerfectSignature {
+    readers: PerfectReaderSet,
+    writers: PerfectWriterMap,
+}
+
+impl PerfectSignature {
+    /// An empty exact signature.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The exact reader sets.
+    pub fn readers(&self) -> &PerfectReaderSet {
+        &self.readers
+    }
+
+    /// The exact last writers.
+    pub fn writers(&self) -> &PerfectWriterMap {
+        &self.writers
+    }
+}
+
+impl Signature for PerfectSignature {
+    fn read(&self, addr: u64, _h: u64, tid: u32) -> (Option<u32>, bool) {
+        let writer = self.writers.last_writer(addr);
+        (writer, self.readers.insert_contains(addr, tid))
+    }
+
+    fn write(&self, addr: u64, _h: u64, tid: u32) {
+        self.readers.clear_addr(addr);
+        self.writers.record(addr, tid);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.readers.memory_bytes() + self.writers.memory_bytes()
     }
 }
 

@@ -877,7 +877,8 @@ fn analyze(name: &str, o: &Options) {
 
     // Resume, if a usable checkpoint exists. A missing or corrupt
     // checkpoint degrades to a from-scratch run (with a warning), never a
-    // wrong one — the CRC rules out trusting torn state.
+    // wrong one — the CRC rules out trusting torn state. A checkpoint of
+    // another format version is an error (exit 1).
     let mut restored: Option<lc_profiler::IncrementalAnalyzer> = None;
     if let Some(dir) = &o.resume {
         let cp_file = lc_profiler::checkpoint_path(std::path::Path::new(dir));
@@ -900,6 +901,13 @@ fn analyze(name: &str, o: &Options) {
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 println!("resume: no checkpoint in `{dir}` yet; starting from scratch");
+            }
+            // A readable checkpoint of another format version: its state
+            // cannot be carried over, and silently starting over would
+            // hide that.
+            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+                eprintln!("error: {e} in `{dir}`");
+                std::process::exit(1);
             }
             Err(e) => {
                 eprintln!("warning: unusable checkpoint in `{dir}` ({e}); starting from scratch")

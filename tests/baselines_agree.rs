@@ -98,12 +98,11 @@ fn memory_growth_classes_are_ordered_as_figure5() {
         shadow_l > shadow_s * 8,
         "shadow barely grew: {shadow_s} -> {shadow_l}"
     );
-    // The signature fills its lazily-allocated filters toward a fixed
-    // ceiling: a 16x input increase may add remaining filters (< 2x) but can
-    // never pass the configured bound.
-    // + the accumulation layer riding on the detector (global matrix,
-    // per-loop registry, shard buffers) — a fixed ~16 KiB at 4 threads.
-    let ceiling = lc_sigmem::mem_model::actual_upper_bound_bytes(1 << 14, 4, 0.001) + 16 * 1024;
+    // The signature is allocated whole at its configured size, so a 16x
+    // input increase can never pass that bound + the accumulation layer
+    // riding on the detector (global matrix, per-loop registry, shard
+    // counters) — a fixed ~16 KiB at 4 threads.
+    let ceiling = lc_sigmem::mem_model::slot_signature_bytes(1 << 14, 4) + 16 * 1024;
     assert!(
         (sig_l as f64) < sig_s as f64 * 2.0 && sig_l <= ceiling,
         "signature grew with input: {sig_s} -> {sig_l} (ceiling {ceiling})"

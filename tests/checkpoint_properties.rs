@@ -1,7 +1,8 @@
 //! Property: checkpoint → serialize → restore → finish is **byte-identical**
 //! (canonical report) to an uninterrupted streaming run AND to the offline
 //! parallel replay, across both detectors × random checkpoint points ×
-//! coalesce on/off × v2/v3 spool round trips.
+//! coalesce on/off × v2/v3 spool round trips × a one-word (t = 8) and a
+//! two-word (t = 40) signature slot.
 //!
 //! This is the end-to-end statement of the crash-resumability contract:
 //! nothing about *where* the analysis was cut, *how* the state crossed the
@@ -10,22 +11,26 @@
 
 use lc_profiler::{
     analyze_trace_asymmetric, analyze_trace_perfect, canonical_report, AccumConfig, Checkpoint,
-    DetectorKind, IncrementalAnalyzer, ParReplayConfig, ProfilerConfig,
+    DetectorKind, DetectorState, IncrementalAnalyzer, ParReplayConfig, ProfilerConfig,
 };
 use lc_sigmem::SignatureConfig;
 use lc_trace::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent, Trace};
 use proptest::prelude::*;
 
-const THREADS: u32 = 4;
 const SLOTS: usize = 1 << 8;
+
+/// Thread counts whose signature slots are one word (t ≤ 32) and two.
+const NARROW: u32 = 8;
+const WIDE: u32 = 40;
 
 fn arb_event() -> impl Strategy<Value = (u32, u64, bool, u8)> {
     // Small address pool maximizes RAW interleaving; a few loop ids
-    // exercise the per-loop matrices through the snapshot.
-    (0..THREADS, 0u64..24, any::<bool>(), 0u8..4)
+    // exercise the per-loop matrices through the snapshot. Tids are
+    // folded onto the run's thread count.
+    (0..WIDE, 0u64..24, any::<bool>(), 0u8..4)
 }
 
-fn script_to_trace(script: &[(u32, u64, bool, u8)]) -> Trace {
+fn script_to_trace(script: &[(u32, u64, bool, u8)], threads: u32) -> Trace {
     Trace::new(
         script
             .iter()
@@ -33,7 +38,7 @@ fn script_to_trace(script: &[(u32, u64, bool, u8)]) -> Trace {
             .map(|(i, &(tid, slot, is_write, lp))| StampedEvent {
                 seq: i as u64,
                 event: AccessEvent {
-                    tid,
+                    tid: tid % threads,
                     addr: 0x1000 + slot * 8,
                     size: 8,
                     kind: if is_write {
@@ -74,12 +79,12 @@ fn spool_round_trip(trace: &Trace, v3: bool, tag: u64) -> Trace {
     }
 }
 
-fn analyzer(kind: DetectorKind, jobs: usize) -> IncrementalAnalyzer {
+fn analyzer(kind: DetectorKind, jobs: usize, threads: usize) -> IncrementalAnalyzer {
     IncrementalAnalyzer::new(
         kind,
-        SignatureConfig::paper_default(SLOTS, THREADS as usize),
+        SignatureConfig::paper_default(SLOTS, threads),
         ProfilerConfig {
-            threads: THREADS as usize,
+            threads,
             track_nested: true,
             phase_window: None,
         },
@@ -104,10 +109,13 @@ proptest! {
         perfect in any::<bool>(),
         coalesce in any::<bool>(),
         v3 in any::<bool>(),
+        wide in any::<bool>(),
     ) {
         let kind = if perfect { DetectorKind::Perfect } else { DetectorKind::Asymmetric };
-        let trace = script_to_trace(&script);
-        let tag = (script.len() as u64) << 32
+        let threads = if wide { WIDE } else { NARROW } as usize;
+        let trace = script_to_trace(&script, threads as u32);
+        let tag = (script.len() as u64) << 33
+            | (wide as u64) << 32
             | cut_pct << 16
             | (jobs as u64) << 8
             | (batch as u64) << 3
@@ -120,16 +128,24 @@ proptest! {
 
         // Interrupted: stream to the cut, cross the full serialization
         // boundary (encode → decode), restore, stream the rest.
-        let mut first = analyzer(kind, jobs);
+        let mut first = analyzer(kind, jobs, threads);
         stream(&mut first, &events[..cut], batch);
         let blob = Checkpoint::capture(&first).encode();
         let cp = Checkpoint::decode(&blob).expect("decode checkpoint");
+        // Asymmetric state crosses as whole slots: w(8) = 1, w(40) = 2.
+        for w in &cp.workers {
+            if let DetectorState::Asymmetric { slots } = &w.detector {
+                for (_, words) in slots {
+                    prop_assert_eq!(words.len(), if wide { 2 } else { 1 });
+                }
+            }
+        }
         let mut resumed = cp.restore().expect("restore");
         stream(&mut resumed, &events[cut..], batch);
         let resumed_report = canonical_report(&resumed.report(), resumed.events());
 
         // Uninterrupted streaming run.
-        let mut straight = analyzer(kind, jobs);
+        let mut straight = analyzer(kind, jobs, threads);
         stream(&mut straight, events, batch);
         prop_assert_eq!(
             &resumed_report,
@@ -137,12 +153,12 @@ proptest! {
         );
 
         // Offline parallel replay (the coalesce axis lives here).
-        let prof = ProfilerConfig { threads: THREADS as usize, track_nested: true, phase_window: None };
+        let prof = ProfilerConfig { threads, track_nested: true, phase_window: None };
         let par = ParReplayConfig { jobs, coalesce, batch_events: batch.max(1), ..ParReplayConfig::sequential() };
         let offline = match kind {
             DetectorKind::Asymmetric => analyze_trace_asymmetric(
                 &trace,
-                SignatureConfig::paper_default(SLOTS, THREADS as usize),
+                SignatureConfig::paper_default(SLOTS, threads),
                 prof,
                 AccumConfig::default(),
                 &par,

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use lc_profiler::{AsymmetricProfiler, PerfectProfiler, ProfilerConfig};
-use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
+use lc_sigmem::murmur::fmix64;
+use lc_sigmem::{Signature, SignatureConfig};
 use lc_trace::{enter_loop, run_threads, InstrumentedBarrier, TracedBuffer};
 use loopcomm::prelude::*;
 
@@ -128,7 +129,6 @@ fn asymmetric_profiler_survives_heavy_contention() {
         SignatureConfig {
             n_slots: 64,
             threads,
-            fp_rate: 0.1,
         },
         flat(threads),
     ));
@@ -266,26 +266,22 @@ fn concurrent_bloom_has_no_false_negatives_under_parallel_insert_query() {
 
 #[test]
 fn read_signature_has_no_false_negatives_under_parallel_insert_query() {
-    // 12 threads insert disjoint (addr, tid) streams through the two-level
-    // signature — racing on lazy slot allocation — while re-querying their
-    // own history. The exact oracle is every pair ever inserted: `contains`
+    // 12 threads read disjoint (addr, tid) streams through the slot
+    // signature — racing on shared reader words — while re-querying their
+    // own history. The exact oracle is every pair ever read: `has_reader`
     // may err positive (aliasing) but never negative.
     let threads = 12u32;
     let per_thread = 3_000u64;
-    let sig = Arc::new(lc_sigmem::ReadSignature::new(
-        1 << 10,
-        threads as usize,
-        0.001,
-    ));
+    let sig = Arc::new(lc_sigmem::SlotSignature::new(1 << 10, threads as usize));
     std::thread::scope(|s| {
         for tid in 0..threads {
             let sig = Arc::clone(&sig);
             s.spawn(move || {
                 for i in 0..per_thread {
-                    // Overlapping address ranges force slot-publish races.
+                    // Overlapping address ranges force reader-word races.
                     let addr = 0x4000 + (i * 8) % 0x2000 + (tid as u64 % 3);
-                    sig.insert(addr, tid);
-                    assert!(sig.contains(addr, tid), "lost own ({addr:#x},{tid})");
+                    sig.read(addr, fmix64(addr), tid);
+                    assert!(sig.has_reader(addr, tid), "lost own ({addr:#x},{tid})");
                 }
             });
         }
@@ -294,7 +290,7 @@ fn read_signature_has_no_false_negatives_under_parallel_insert_query() {
         for i in 0..per_thread {
             let addr = 0x4000 + (i * 8) % 0x2000 + (tid as u64 % 3);
             assert!(
-                sig.contains(addr, tid),
+                sig.has_reader(addr, tid),
                 "false negative for ({addr:#x}, {tid})"
             );
         }
@@ -303,23 +299,26 @@ fn read_signature_has_no_false_negatives_under_parallel_insert_query() {
 
 #[test]
 fn write_signature_keeps_last_writer_semantics_under_interleaving() {
-    // Phase 1: all threads race writes over a shared address range. Any
-    // concurrent or subsequent read must yield a tid that actually wrote
-    // (aliasing may substitute threads, never fabricate ids). Phase 2: one
+    // Phase 1: all threads race writes and reads over a shared address
+    // range. Any concurrent or subsequent read must yield a tid that
+    // actually wrote (aliasing may substitute threads, and a reader's bit
+    // lands in the writer's word, but no id is ever fabricated). Phase 2: one
     // thread overwrites every address after the storm has quiesced; it must
     // then be the unique visible writer everywhere — last write wins.
     let threads = 8u32;
     let addrs = 1_024u64;
-    let sig = Arc::new(lc_sigmem::WriteSignature::new(4_096));
+    let sig = Arc::new(lc_sigmem::SlotSignature::new(4_096, threads as usize));
     std::thread::scope(|s| {
         for tid in 0..threads {
             let sig = Arc::clone(&sig);
             s.spawn(move || {
                 for round in 0..20u64 {
                     for a in 0..addrs {
-                        sig.record(0x8000 + a * 8, tid);
+                        let addr = 0x8000 + a * 8;
+                        sig.write(addr, fmix64(addr), tid);
                         if (a + round) % 7 == 0 {
-                            let w = sig.last_writer(0x8000 + a * 8).expect("mid-storm read");
+                            let (w, _) = sig.read(addr, fmix64(addr), tid);
+                            let w = w.expect("mid-storm read");
                             assert!(w < threads, "fabricated writer id {w}");
                         }
                     }
@@ -329,7 +328,8 @@ fn write_signature_keeps_last_writer_semantics_under_interleaving() {
     });
     let marker = threads; // a tid no storm thread used
     for a in 0..addrs {
-        sig.record(0x8000 + a * 8, marker);
+        let addr = 0x8000 + a * 8;
+        sig.write(addr, fmix64(addr), marker);
     }
     for a in 0..addrs {
         assert_eq!(

@@ -191,6 +191,50 @@ fn checkpoint_seam_fault_matrix_is_byte_identical_on_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint of another format version (here a version-1 file, whose
+/// Bloom-filter state this build cannot read) is refused with exit 1,
+/// not silently replaced by a from-scratch run.
+#[test]
+fn resume_from_a_version_1_checkpoint_exits_1() {
+    let dir = scratch_dir("cp_v1");
+    let spool = synth_spool(&dir);
+    let cp = dir.join("cp");
+    let out = analyze(
+        &spool,
+        &dir.join("first.txt"),
+        &[
+            "--checkpoint",
+            cp.to_str().unwrap(),
+            "--every",
+            &EVERY.to_string(),
+        ],
+    );
+    assert!(out.status.success(), "checkpointed run failed: {out:?}");
+    let file = lc_profiler::checkpoint_path(&cp);
+    let mut bytes = read(&file);
+    assert_eq!(
+        &bytes[4..8],
+        &2u32.to_le_bytes(),
+        "current format is LCCP v2"
+    );
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&file, &bytes).expect("write v1 checkpoint");
+
+    let out = analyze(
+        &spool,
+        &dir.join("resumed.txt"),
+        &["--resume", cp.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unsupported checkpoint version 1 (expected 2)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Faults at the v3 side-car index seam: the index is advisory, so any
 /// torn/corrupt/missing index must be rebuilt exactly from the CRC-framed
 /// segments and yield the same report.

@@ -152,11 +152,7 @@ fn assert_files_identical(a: &Path, b: &Path) {
 /// The spool writer armed with an empty plan writes the same spool and
 /// index bytes as the unarmed one, and both analyze to the same report
 /// and metric exposition.
-fn assert_identical<R, W>(test: &str, make: impl Fn() -> CommProfiler<R, W>)
-where
-    R: lc_sigmem::ReaderSet,
-    W: lc_sigmem::WriterMap,
-{
+fn assert_identical<S: lc_sigmem::Signature>(test: &str, make: impl Fn() -> CommProfiler<S>) {
     let dir = scratch_dir(test);
     let plain = dir.join("plain.lcv3");
     let armed = dir.join("armed.lcv3");

@@ -3,7 +3,8 @@
 
 use lc_baselines::{exact_dependences, naive_pairwise};
 use lc_profiler::{DenseMatrix, PerfectProfiler, ProfilerConfig, ThreadLoad};
-use lc_sigmem::{ReadSignature, ReaderSet, SignatureConfig, WriteSignature, WriterMap};
+use lc_sigmem::murmur::fmix64;
+use lc_sigmem::{Signature, SignatureConfig, SlotSignature};
 use lc_trace::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent, Trace};
 use proptest::prelude::*;
 
@@ -63,32 +64,40 @@ proptest! {
     }
 
     #[test]
-    fn ample_signature_equals_ground_truth(script in prop::collection::vec(arb_event(), 1..300)) {
+    fn ample_signature_equals_ground_truth(
+        script in prop::collection::vec(arb_event(), 1..300),
+        wide in any::<bool>(),
+    ) {
         // 2^16 slots vs ≤24 addresses: collision probability is negligible,
         // so Algorithm 1 over signatures must match the exact semantics.
+        // `wide` lifts the tids to 34..40, so readers live in the second
+        // word of a two-word slot.
+        let shift = if wide { 34 } else { 0 };
+        let threads = (THREADS + shift) as usize;
         let asym = lc_profiler::AsymmetricProfiler::asymmetric(
-            SignatureConfig::paper_default(1 << 16, THREADS as usize),
-            ProfilerConfig { threads: THREADS as usize, track_nested: false, phase_window: None },
+            SignatureConfig::paper_default(1 << 16, threads),
+            ProfilerConfig { threads, track_nested: false, phase_window: None },
         );
+        let script: Vec<_> = script.iter().map(|&(t, a, w)| (t + shift, a, w)).collect();
         let trace = script_to_trace(&script);
         trace.replay(&asym);
         prop_assert_eq!(
             asym.global_matrix(),
-            exact_dependences(&trace).to_matrix(THREADS as usize)
+            exact_dependences(&trace).to_matrix(threads)
         );
     }
 
     #[test]
     fn read_signature_has_no_false_negatives(
-        inserts in prop::collection::vec((0u64..4096, 0u32..32), 1..200),
+        inserts in prop::collection::vec((0u64..4096, 0u32..64), 1..200),
         n_slots in 1usize..512,
     ) {
-        let sig = ReadSignature::new(n_slots, 32, 0.001);
+        let sig = SlotSignature::new(n_slots, 64);
         for &(addr, tid) in &inserts {
-            sig.insert(addr, tid);
+            sig.read(addr, fmix64(addr), tid);
         }
         for &(addr, tid) in &inserts {
-            prop_assert!(sig.contains(addr, tid), "lost ({addr},{tid}) with {n_slots} slots");
+            prop_assert!(sig.has_reader(addr, tid), "lost ({addr},{tid}) with {n_slots} slots");
         }
     }
 
@@ -96,9 +105,9 @@ proptest! {
     fn write_signature_returns_some_recorded_tid(
         records in prop::collection::vec((0u64..4096, 0u32..32), 1..200),
     ) {
-        let sig = WriteSignature::new(64);
+        let sig = SlotSignature::new(64, 32);
         for &(addr, tid) in &records {
-            sig.record(addr, tid);
+            sig.write(addr, fmix64(addr), tid);
         }
         // Any queried recorded address returns *a* recorded tid (aliasing
         // may substitute another thread's, never an unrecorded value).

@@ -20,7 +20,7 @@ use lc_profiler::{
     AsymmetricProfiler, CommProfiler, DenseMatrix, FusedScratch, PerfectProfiler, PhaseAccumulator,
     ProfilerConfig,
 };
-use lc_sigmem::{ReaderSet, SignatureConfig, WriterMap};
+use lc_sigmem::{Signature, SignatureConfig};
 use lc_trace::{run_threads, RecordingSink, StampedEvent, Trace, TraceCtx, TracedBuffer};
 use loopcomm::prelude::*;
 
@@ -63,8 +63,8 @@ fn config(threads: usize, phase_window: Option<u64>) -> ProfilerConfig {
 }
 
 /// The reference fold over `events`, in stream order.
-struct Reference<R: ReaderSet, W: WriterMap> {
-    detector: RawDetector<R, W>,
+struct Reference<S: Signature> {
+    detector: RawDetector<S>,
     threads: usize,
     global: DenseMatrix,
     per_loop: HashMap<lc_trace::LoopId, DenseMatrix>,
@@ -73,8 +73,8 @@ struct Reference<R: ReaderSet, W: WriterMap> {
     phases: Option<PhaseAccumulator>,
 }
 
-impl<R: ReaderSet, W: WriterMap> Reference<R, W> {
-    fn new(detector: RawDetector<R, W>, prof: ProfilerConfig) -> Self {
+impl<S: Signature> Reference<S> {
+    fn new(detector: RawDetector<S>, prof: ProfilerConfig) -> Self {
         Self {
             detector,
             threads: prof.threads,
@@ -178,9 +178,9 @@ fn sharded_report_is_byte_identical_to_reference_asymmetric() {
 
 /// Per-event `on_access` and fused blocks of `block` events must both
 /// match the reference on `trace`.
-fn assert_block_sizes_agree<R: ReaderSet, W: WriterMap>(
+fn assert_block_sizes_agree<S: Signature>(
     trace: &Trace,
-    make: impl Fn() -> CommProfiler<R, W>,
+    make: impl Fn() -> CommProfiler<S>,
     expected: &ProfileReport,
 ) {
     let per_event = make();

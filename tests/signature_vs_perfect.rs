@@ -91,9 +91,9 @@ fn false_positive_rate_decreases_with_slots() {
 
 #[test]
 fn signature_memory_is_input_size_independent() {
-    // Slot count below even the simdev footprint: the lazily allocated
-    // second-level filters saturate immediately, after which the paper's
-    // "memory footprint remains the same in every situation" holds exactly.
+    // The signature is allocated whole at construction, so the paper's
+    // "memory footprint remains the same in every situation" holds
+    // exactly; only the loop matrices may grow.
     let cfg = SignatureConfig::paper_default(1 << 12, 4);
     let mem_for = |size: InputSize| {
         let asym = Arc::new(AsymmetricProfiler::asymmetric(cfg, flat(4)));
@@ -105,15 +105,16 @@ fn signature_memory_is_input_size_independent() {
     };
     let dev = mem_for(InputSize::SimDev);
     let large = mem_for(InputSize::SimLarge);
-    // 16x more input, < 15% more memory (residual filter fill-in), versus
-    // the footprint-proportional comparators' ~16x.
+    // 16x more input, < 15% more memory, versus the footprint-proportional
+    // comparators' ~16x.
     assert!(
         (large as f64) < dev as f64 * 1.15,
         "signature memory grew with a 16x input: {dev} -> {large}"
     );
-    let ceiling =
-        lc_sigmem::mem_model::actual_upper_bound_bytes(cfg.n_slots, cfg.threads, cfg.fp_rate);
-    assert!(dev <= ceiling + (1 << 16), "above the configured bound");
+    assert!(
+        dev <= cfg.memory_bytes() + (1 << 16),
+        "above the configured bound"
+    );
 }
 
 #[test]
@@ -142,24 +143,61 @@ fn eq2_model_brackets_actual_signature_allocation() {
     by_name("fft")
         .unwrap()
         .run(&ctx, &RunConfig::new(8, InputSize::SimDev, 2));
-    let actual = asym.detector().memory_bytes() as f64;
-    let model = cfg.predicted_bytes();
-    let upper =
-        lc_sigmem::mem_model::actual_upper_bound_bytes(cfg.n_slots, cfg.threads, cfg.fp_rate)
-            as f64;
-    // Lazy allocation keeps actual at or below the all-filters bound.
-    assert!(actual <= upper, "actual {actual} above bound {upper}");
-    // At small t the fixed filter header dominates Eq. 2's idealized
-    // per-slot bytes; at the paper's t = 32 the bound tracks the model.
+    let actual = asym.detector().memory_bytes();
+    // The slot layout is allocated whole: n · 8 · w(t), whatever ran.
+    assert_eq!(actual, cfg.memory_bytes());
+    assert_eq!(actual, cfg.n_slots * 8);
+    // Eq. 2 at the paper's FPRate budgets more than the layout holds...
+    let model = lc_sigmem::mem_model::paper_sig_mem_bytes(cfg.n_slots, cfg.threads, 0.001);
     assert!(
-        upper < model * 6.0,
-        "bound drifted from Eq. 2: {upper} vs {model}"
+        (actual as f64) < model,
+        "layout above Eq. 2: {actual} vs {model}"
     );
-    let model32 = lc_sigmem::mem_model::paper_sig_mem_bytes(cfg.n_slots, 32, cfg.fp_rate);
-    let upper32 =
-        lc_sigmem::mem_model::actual_upper_bound_bytes(cfg.n_slots, 32, cfg.fp_rate) as f64;
+    // ...by 8 B against 61.5 B per slot at the paper's t = 32.
+    let model32 = lc_sigmem::mem_model::paper_sig_mem_bytes(cfg.n_slots, 32, 0.001);
+    let actual32 = lc_sigmem::mem_model::slot_signature_bytes(cfg.n_slots, 32) as f64;
     assert!(
-        upper32 < model32 * 2.5,
-        "t=32 bound vs model: {upper32} vs {model32}"
+        actual32 * 7.0 < model32,
+        "t=32 layout vs model: {actual32} vs {model32}"
     );
+}
+
+/// Why the slot signature may store an exact reader mask: at the paper's
+/// FPRate 0.001 the Bloom filter over t reader ids answers exactly for
+/// t ≤ 211 — no tid's probe set is covered by the union of the other
+/// tids' sets, so no reader set can claim an absent tid — and t = 212 is
+/// the first t where one is.
+#[test]
+fn bloom_reader_sets_are_exact_through_211_threads() {
+    use lc_sigmem::{hash_pair, BloomGeometry};
+    let covered_tid_exists = |t: usize| {
+        let g = BloomGeometry::for_threads(t, 0.001);
+        let probes: Vec<Vec<usize>> = (0..t as u64)
+            .map(|tid| {
+                let (ha, hb) = hash_pair(tid);
+                let mut bits: Vec<usize> = (0..g.k).map(|i| g.probe_bit(ha, hb, i)).collect();
+                bits.sort_unstable();
+                bits.dedup();
+                bits
+            })
+            .collect();
+        // How many tids probe each bit: a tid is covered by the others iff
+        // every one of its bits is probed by some other tid too.
+        let mut owners = vec![0u32; g.m_bits];
+        for bits in &probes {
+            for &b in bits {
+                owners[b] += 1;
+            }
+        }
+        probes
+            .iter()
+            .any(|bits| bits.iter().all(|&b| owners[b] >= 2))
+    };
+    for t in 1..=211 {
+        assert!(
+            !covered_tid_exists(t),
+            "t = {t}: a reader set can claim an absent tid"
+        );
+    }
+    assert!(covered_tid_exists(212), "t = 212: the boundary moved");
 }

@@ -15,7 +15,7 @@ use lc_profiler::{
     AccumConfig, AsymmetricProfiler, MetricValue, PerfectProfiler, ProfilerConfig, Stat,
     TelemetryConfig,
 };
-use lc_sigmem::{SignatureConfig, WriterMap};
+use lc_sigmem::SignatureConfig;
 use lc_trace::{run_threads, RecordingSink, Trace, TraceCtx, TracedBuffer};
 use loopcomm::prelude::*;
 
@@ -191,7 +191,7 @@ fn live_fpr_estimate_tracks_perfect_reference_within_2x() {
             continue; // genuinely written (cannot happen, but keep it honest)
         }
         probed += 1;
-        if p.detector().write_sig().last_writer(addr).is_some() {
+        if p.detector().signature().last_writer(addr).is_some() {
             fp += 1;
         }
     }

@@ -498,10 +498,12 @@ fn stored_bytes_are_pinned_across_checksum_kernels() {
         "LCIX index"
     );
 
+    // LCCP version 2 (the slot signature's occupied words; version 1
+    // pinned 3831 B with Bloom filters and writer slots apart).
     let cp = checkpoint_bytes(DetectorKind::Asymmetric, 1000, 2);
     assert_eq!(
         (cp.len(), fnv1a(&cp)),
-        (3831, 4467429022146482765),
+        (3179, 16790898593913918553),
         "LCCP checkpoint"
     );
     // And what is stored still verifies.
