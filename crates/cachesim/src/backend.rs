@@ -279,6 +279,13 @@ impl LoopCoh {
         self.fs_invalidations += other.fs_invalidations;
         self.false_bytes += other.false_bytes;
     }
+
+    /// Add another shard's traffic: counts summed, offending lines joined
+    /// (shards own disjoint lines, so no key is in both).
+    fn merge(&mut self, other: LoopCoh) {
+        self.add_counts(&other);
+        self.lines.extend(other.lines);
+    }
 }
 
 /// The backend's full output: global and per-loop coherence traffic plus
@@ -314,6 +321,34 @@ pub struct CoherenceReport {
 }
 
 impl CoherenceReport {
+    /// Fold in the report of another cache-set shard of the same stream
+    /// ([`CoherenceBackend::shard`]). Exact: every statistic is either a
+    /// sum over line-accesses or kept per line, and shards own disjoint
+    /// lines (DESIGN.md §16.4).
+    pub fn merge(&mut self, other: CoherenceReport) {
+        assert!(
+            self.threads == other.threads && self.config == other.config,
+            "merged coherence reports must share threads and geometry"
+        );
+        self.accesses += other.accesses;
+        self.clamped_accesses += other.clamped_accesses;
+        self.hits += other.hits;
+        self.fills += other.fills;
+        self.mem_fills += other.mem_fills;
+        self.c2c_fills += other.c2c_fills;
+        self.invalidations += other.invalidations;
+        self.writebacks += other.writebacks;
+        self.global.merge(other.global);
+        for (id, lc) in other.loops {
+            match self.loops.get_mut(&id) {
+                Some(mine) => mine.merge(lc),
+                None => {
+                    self.loops.insert(id, lc);
+                }
+            }
+        }
+    }
+
     /// Total false-sharing classified events (invalidations + flushes),
     /// each already counted once on its line.
     pub fn false_sharing_events(&self) -> u64 {
@@ -528,11 +563,12 @@ fn fs_keys(lx: usize, d: usize) -> [u64; 2] {
 }
 
 /// One line-granular slice of an access: the context every protocol step
-/// needs (requesting thread, line and its directory index, interned loop,
+/// needs (requesting thread, line key and directory index, interned loop,
 /// trigger address, covered words).
 #[derive(Clone, Copy)]
 struct Req {
     c: usize,
+    /// The line's key in this shard's caches (`line >> shift`).
     line: u64,
     d: usize,
     lx: usize,
@@ -570,10 +606,20 @@ pub struct CoherenceTotals {
 /// index, and arrays indexed by slot, directory index or interned loop
 /// (DESIGN.md §16.1). Allocation happens only when a line, a loop or a
 /// flagged line is seen for the first time.
+///
+/// A backend may be one cache-set shard of `n` ([`Self::shard`]): it then
+/// simulates only the lines whose set index is `k` modulo `n`, holds only
+/// those sets, and [`CoherenceReport::merge`] of the `n` shards' reports
+/// equals the unsharded report (DESIGN.md §16.4).
 pub struct CoherenceBackend {
     cfg: CoherenceConfig,
     threads: usize,
     words: usize,
+    /// This shard's index `k` and `log2` of the shard count `n`; a line
+    /// belongs here when `line % n == k`, and its cache key is
+    /// `line >> shift`.
+    shard: u64,
+    shift: u32,
     caches: Vec<Cache>,
     /// `[tid × slots + slot]`, parallel to the caches' slots.
     meta: Vec<SlotMeta>,
@@ -593,15 +639,34 @@ pub struct CoherenceBackend {
 impl CoherenceBackend {
     /// New backend for `threads` cores under `cfg` (validated here).
     pub fn new(cfg: CoherenceConfig, threads: usize) -> Self {
+        Self::shard(cfg, threads, 0, 1)
+    }
+
+    /// Shard `k` of `n` of the backend for `threads` cores under `cfg`:
+    /// it simulates exactly the line-accesses whose cache set is `k`
+    /// modulo `n` and allocates only those sets. Feed it the whole stream
+    /// or any part of it holding every access to its lines, in order; an
+    /// access is counted in `accesses` (and `clamped_accesses`) by the
+    /// shard that owns its first line. `n` must be a power of two no
+    /// larger than the geometry's set count.
+    pub fn shard(cfg: CoherenceConfig, threads: usize, k: usize, n: usize) -> Self {
         assert!(
             (1..=MAX_COHERENCE_THREADS).contains(&threads),
             "coherence backend supports 1..={MAX_COHERENCE_THREADS} threads, got {threads}"
         );
-        let ccfg = cfg.cache_config();
+        let mut ccfg = cfg.cache_config();
+        assert!(
+            n.is_power_of_two() && n <= ccfg.sets && k < n,
+            "shard {k} of {n}: the count must be a power of two up to the {} sets",
+            ccfg.sets
+        );
+        ccfg.sets /= n;
         Self {
             cfg,
             threads,
             words: cfg.words_per_line(),
+            shard: k as u64,
+            shift: n.trailing_zeros(),
             caches: (0..threads).map(|_| Cache::new(ccfg)).collect(),
             meta: vec![SlotMeta::default(); threads * ccfg.sets * ccfg.ways],
             dir: Directory::default(),
@@ -621,10 +686,19 @@ impl CoherenceBackend {
         self.threads
     }
 
+    /// Whether `line` belongs to this shard.
+    #[inline]
+    fn owns(&self, line: u64) -> bool {
+        line & ((1 << self.shift) - 1) == self.shard
+    }
+
     /// MESI state of `line` in every thread's cache — the property-test
-    /// inspection hook.
+    /// inspection hook (all `None` for a line another shard owns).
     pub fn line_states(&self, line: u64) -> Vec<Option<Mesi>> {
-        self.caches.iter().map(|c| c.state(line)).collect()
+        let owned = self.owns(line);
+        (self.caches.iter())
+            .map(|c| c.state(line >> self.shift).filter(|_| owned))
+            .collect()
     }
 
     /// Observe one access in stream order.
@@ -633,26 +707,29 @@ impl CoherenceBackend {
         if tid >= self.threads {
             return;
         }
-        self.run.accesses += 1;
         let lb = self.cfg.line_bytes;
-        // `addr` and `size` come verbatim from the wire or a spool: the end
-        // address saturates and the span is capped, so a hostile record
-        // costs at most `MAX_ACCESS_LINES` line-accesses.
-        let span = ev.size.max(1) as u64 - 1;
-        let end = ev.addr.saturating_add(span);
-        let first = ev.addr / lb;
-        let last = (end / lb).min(first + (MAX_ACCESS_LINES - 1));
-        if end - ev.addr != span || last != end / lb {
-            self.clamped += 1;
+        let line_shift = lb.trailing_zeros();
+        let (first, last, clamped) = line_span(ev, line_shift);
+        if self.owns(first) {
+            self.run.accesses += 1;
+            self.clamped += clamped as u64;
         }
-        let lx = self.loop_ix(ev.loop_id);
+        let end = ev.addr.saturating_add(ev.size.max(1) as u64 - 1);
+        let mut lx = None;
         for line in first..=last {
-            let base = line * lb;
+            if !self.owns(line) {
+                continue;
+            }
+            let lx = match lx {
+                Some(lx) => lx,
+                None => *lx.insert(self.loop_ix(ev.loop_id)),
+            };
+            let base = line << line_shift;
             let lo = ev.addr.max(base) - base;
             let hi = end.min(base + (lb - 1)) - base;
             let rq = Req {
                 c: tid,
-                line,
+                line: line >> self.shift,
                 d: self.dir.index_of(line, self.words),
                 lx,
                 addr: ev.addr,
@@ -1011,6 +1088,23 @@ impl CoherenceBackend {
     }
 }
 
+/// Lines `first..=last` an access covers under `2^line_shift`-byte lines,
+/// and whether it was cut short. `addr` and `size` come verbatim from the
+/// wire or a spool: the end address saturates and the span is capped, so
+/// a hostile record costs at most [`MAX_ACCESS_LINES`] line-accesses.
+#[inline]
+pub(crate) fn line_span(ev: &AccessEvent, line_shift: u32) -> (u64, u64, bool) {
+    let span = ev.size.max(1) as u64 - 1;
+    let end = ev.addr.saturating_add(span);
+    let first = ev.addr >> line_shift;
+    let last = (end >> line_shift).min(first + (MAX_ACCESS_LINES - 1));
+    (
+        first,
+        last,
+        end - ev.addr != span || last != end >> line_shift,
+    )
+}
+
 /// [`CoherenceBackend`] behind a mutex, so it can ride any
 /// [`AccessSink`] position (fork sinks, live instrumentation, serve
 /// tenants). Coherence simulation is inherently order-dependent; callers
@@ -1298,6 +1392,34 @@ mod tests {
             },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    /// `n` shards hold one backend's cache and `SlotMeta` slots between
+    /// them, so the eager slot arrays of a huge geometry are split, not
+    /// multiplied.
+    #[test]
+    fn shards_hold_the_unsharded_slot_count_between_them() {
+        let slots = |b: &CoherenceBackend| {
+            let per_cache: usize = b.caches.iter().map(Cache::slots).sum();
+            assert_eq!(per_cache, b.meta.len());
+            per_cache
+        };
+        for (line_bytes, cache_kib, assoc) in [(64, 16, 4), (16, 1024, 4), (512, 1, 1), (16, 1, 64)]
+        {
+            let cfg = CoherenceConfig {
+                line_bytes,
+                cache_kib,
+                assoc,
+            };
+            let whole = slots(&CoherenceBackend::new(cfg, 2));
+            for n in [1, 2, 4, 8] {
+                let n = n.min(cfg.cache_config().sets);
+                let split: usize = (0..n)
+                    .map(|k| slots(&CoherenceBackend::shard(cfg, 2, k, n)))
+                    .sum();
+                assert_eq!(split, whole, "{cfg:?} at {n} shard(s)");
+            }
         }
     }
 

@@ -10,6 +10,8 @@
 //!   thread plus an idealized full-map directory over the instrumentation
 //!   event stream, reporting per-loop invalidation/transfer/bus-traffic
 //!   matrices and a false-sharing detector.
+//! * [`ShardedCoherence`] — that backend split by cache set across the
+//!   host's cores, with a byte-identical merged report.
 //!
 //! Together with `lc_profiler::mapping` this closes the loop the paper
 //! draws: profile → communication matrix → placement → fewer remote
@@ -21,6 +23,7 @@
 
 pub mod backend;
 pub mod cache;
+pub mod sharded;
 
 pub use backend::{
     canonical_coherence_report, BusCounts, CoherenceBackend, CoherenceConfig, CoherenceReport,
@@ -28,3 +31,4 @@ pub use backend::{
     MAX_COHERENCE_THREADS, WORD_BYTES,
 };
 pub use cache::{Cache, CacheConfig, Mesi};
+pub use sharded::ShardedCoherence;

@@ -1,0 +1,309 @@
+//! The coherence backend split by cache set across the host's cores.
+//!
+//! [`ShardedCoherence`] runs `n` [`CoherenceBackend::shard`]s over one
+//! ordered stream: shard 0 on the calling thread, shards `1..n` each on a
+//! persistent helper thread fed the events of the lines it owns through a
+//! bounded channel of recycled buffers. Everything a line-access changes —
+//! the requester's cache set, an eviction victim in that same set, the
+//! line's directory row and false-sharing stats — belongs to the line's
+//! shard, so each shard sees its lines' accesses in stream order and the
+//! merged report is byte-identical to one backend's (DESIGN.md §16.4).
+//! With `n = 1` there are no helpers: the calling thread runs the one
+//! backend inline.
+
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::thread::JoinHandle;
+
+use lc_trace::{AccessEvent, AsAccess};
+
+use crate::backend::{line_span, CoherenceBackend, CoherenceConfig, CoherenceReport};
+
+/// Events per hand-off to a helper.
+const CHUNK: usize = 4096;
+
+/// Buffers per helper: one being filled, the rest queued or in use, so a
+/// helper that falls behind stalls the router instead of growing memory.
+const BUFFERS: usize = 3;
+
+type Buf = Vec<AccessEvent>;
+
+/// One helper thread and the calling thread's end of its two channels.
+struct Helper {
+    /// Events routed to this shard since the last hand-off.
+    buf: Buf,
+    work: SyncSender<Buf>,
+    free: Receiver<Buf>,
+    thread: Option<JoinHandle<CoherenceReport>>,
+}
+
+impl Helper {
+    /// Start a helper running `body` over its channel ends: it receives
+    /// filled buffers on the first and returns them, emptied, on the
+    /// second. Until the helper returns its first one the calling thread
+    /// holds one buffer and `BUFFERS - 1` wait in the free channel.
+    fn spawn(
+        name: String,
+        body: impl FnOnce(Receiver<Buf>, Sender<Buf>) -> CoherenceReport + Send + 'static,
+    ) -> Self {
+        let (work, work_rx) = mpsc::sync_channel(BUFFERS);
+        let (free_tx, free) = mpsc::channel();
+        for _ in 1..BUFFERS {
+            free_tx
+                .send(Buf::with_capacity(CHUNK))
+                .expect("receiver held here");
+        }
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(work_rx, free_tx))
+            .expect("spawn coherence shard thread");
+        Self {
+            buf: Buf::with_capacity(CHUNK),
+            work,
+            free,
+            thread: Some(thread),
+        }
+    }
+
+    /// Hand the filled buffer over and take back an empty one, waiting
+    /// while the helper holds all the others. `false` when the helper is
+    /// gone.
+    fn hand_off(&mut self) -> bool {
+        let Ok(next) = self.free.recv() else {
+            return false;
+        };
+        self.work
+            .send(std::mem::replace(&mut self.buf, next))
+            .is_ok()
+    }
+}
+
+/// The body of shard `k`'s helper thread: simulate every buffer it is
+/// handed, then report once the calling thread closes the channel.
+fn run_shard(
+    cfg: CoherenceConfig,
+    threads: usize,
+    k: usize,
+    n: usize,
+) -> impl FnOnce(Receiver<Buf>, Sender<Buf>) -> CoherenceReport {
+    move |work, free| {
+        let mut shard = CoherenceBackend::shard(cfg, threads, k, n);
+        for mut buf in work {
+            shard.on_block(&buf);
+            buf.clear();
+            // The calling thread stops taking buffers back once it has
+            // sent the last one; the queued ones still get simulated.
+            let _ = free.send(buf);
+        }
+        shard.report()
+    }
+}
+
+/// `n` cache-set shards of one [`CoherenceBackend`], shard 0 on the
+/// calling thread and the rest on helper threads.
+pub struct ShardedCoherence {
+    local: CoherenceBackend,
+    /// Shard `j + 1` is `helpers[j]`.
+    helpers: Vec<Helper>,
+    /// `log2` of the line size.
+    line_shift: u32,
+}
+
+impl ShardedCoherence {
+    /// How many shards to run on `cores` cores: `cores` rounded down to a
+    /// power of two, at most the geometry's set count.
+    pub fn shard_count(cfg: CoherenceConfig, cores: usize) -> usize {
+        let pow2 = 1usize << cores.max(1).ilog2();
+        pow2.min(cfg.cache_config().sets)
+    }
+
+    /// The backend for `threads` cores under `cfg` as `shards` cache-set
+    /// shards ([`Self::shard_count`] picks the number). `shards - 1`
+    /// helper threads start here; with one shard none does.
+    pub fn new(cfg: CoherenceConfig, threads: usize, shards: usize) -> Self {
+        let local = CoherenceBackend::shard(cfg, threads, 0, shards);
+        let helpers = (1..shards)
+            .map(|k| Helper::spawn(format!("lc-coh-{k}"), run_shard(cfg, threads, k, shards)))
+            .collect();
+        Self {
+            local,
+            helpers,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+        }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.helpers.len() + 1
+    }
+
+    /// Observe a block of accesses in stream order: route each one to the
+    /// helpers owning any of its lines — a straddling access goes to
+    /// every shard that owns one of its lines and each simulates only its
+    /// own — then run shard 0 over the block here. `Err` names a helper
+    /// that panicked; the simulation cannot go on without it.
+    pub fn on_block<E: AsAccess>(&mut self, evs: &[E]) -> Result<(), String> {
+        if !self.helpers.is_empty() {
+            self.route(evs)?;
+        }
+        self.local.on_block(evs);
+        Ok(())
+    }
+
+    fn route<E: AsAccess>(&mut self, evs: &[E]) -> Result<(), String> {
+        let mask = self.helpers.len() as u64;
+        for e in evs {
+            let ev = e.access();
+            let (first, last, _) = line_span(ev, self.line_shift);
+            // Consecutive lines fall in consecutive shards, so a span of
+            // fewer than `n` lines names each of its shards once.
+            for line in first..=last.min(first + mask) {
+                let k = (line & mask) as usize;
+                if k == 0 {
+                    continue;
+                }
+                let h = &mut self.helpers[k - 1];
+                h.buf.push(*ev);
+                if h.buf.len() >= CHUNK && !h.hand_off() {
+                    return Err(self.fail(k));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Join the gone helper of shard `k` and say why it stopped.
+    fn fail(&mut self, k: usize) -> String {
+        let thread = self.helpers[k - 1].thread.take();
+        shard_failed(k, self.shards(), thread.map(JoinHandle::join))
+    }
+
+    /// Hand the helpers their last events, build every shard's report
+    /// (each on its own thread) and merge them into the report one
+    /// backend would have produced.
+    pub fn finish(mut self) -> Result<CoherenceReport, String> {
+        let n = self.shards();
+        for k in 1..n {
+            let h = &mut self.helpers[k - 1];
+            let last = std::mem::take(&mut h.buf);
+            if !last.is_empty() && h.work.send(last).is_err() {
+                return Err(self.fail(k));
+            }
+        }
+        // Dropping the senders ends each helper's loop.
+        let threads: Vec<_> = (self.helpers.drain(..))
+            .map(|mut h| h.thread.take())
+            .collect();
+        let mut report = self.local.report();
+        for (k, thread) in (1..).zip(threads) {
+            match thread.map(JoinHandle::join) {
+                Some(Ok(part)) => report.merge(part),
+                joined => return Err(shard_failed(k, n, joined)),
+            }
+        }
+        Ok(report)
+    }
+}
+
+impl Drop for ShardedCoherence {
+    /// A run abandoned before [`Self::finish`] still joins its helpers:
+    /// closing each one's channel ends its loop.
+    fn drop(&mut self) {
+        for Helper { work, thread, .. } in self.helpers.drain(..) {
+            drop(work);
+            if let Some(thread) = thread {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+/// Why helper `k` of `n` stopped, from its join result (`None` when it was
+/// already joined).
+fn shard_failed(
+    k: usize,
+    n: usize,
+    joined: Option<std::thread::Result<CoherenceReport>>,
+) -> String {
+    let why = match &joined {
+        Some(Err(payload)) => (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panicked".to_string()),
+        _ => "stopped early".to_string(),
+    };
+    format!("coherence shard {k} of {n} failed: {why}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lc_trace::{AccessKind, FuncId, LoopId};
+    use std::time::Duration;
+
+    fn ev(tid: u32, addr: u64) -> AccessEvent {
+        AccessEvent {
+            tid,
+            addr,
+            size: 8,
+            kind: AccessKind::Write,
+            loop_id: LoopId(1),
+            parent_loop: LoopId::NONE,
+            func: FuncId::NONE,
+            site: 0,
+        }
+    }
+
+    #[test]
+    fn shard_count_is_a_power_of_two_within_the_sets() {
+        let dflt = CoherenceConfig::default(); // 64 sets
+        let counts: Vec<usize> = [0, 1, 2, 3, 6, 8, 100]
+            .iter()
+            .map(|&cores| ShardedCoherence::shard_count(dflt, cores))
+            .collect();
+        assert_eq!(counts, [1, 1, 2, 2, 4, 8, 64]);
+        let one_set = CoherenceConfig {
+            line_bytes: 16,
+            cache_kib: 1,
+            assoc: 64,
+        };
+        assert_eq!(ShardedCoherence::shard_count(one_set, 8), 1);
+    }
+
+    #[test]
+    fn one_shard_starts_no_thread() {
+        let b = ShardedCoherence::new(CoherenceConfig::default(), 2, 1);
+        assert!(b.helpers.is_empty());
+        assert_eq!(b.shards(), 1);
+    }
+
+    /// A helper that dies mid-run fails `on_block` (or `finish`) with its
+    /// panic message; the calling thread never waits on it forever.
+    #[test]
+    fn a_panicking_helper_fails_the_run_instead_of_hanging() {
+        let cfg = CoherenceConfig::default();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut b = ShardedCoherence {
+                local: CoherenceBackend::shard(cfg, 2, 0, 2),
+                helpers: vec![Helper::spawn("lc-coh-test".into(), |work, _free| {
+                    let _ = work.recv();
+                    panic!("injected shard panic");
+                })],
+                line_shift: cfg.line_bytes.trailing_zeros(),
+            };
+            // Every event on an odd line: all of them go to shard 1.
+            let evs: Vec<AccessEvent> = (0..4 * CHUNK as u64)
+                .map(|i| ev(i as u32 % 2, (2 * i + 1) * cfg.line_bytes))
+                .collect();
+            let outcome = b.on_block(&evs).and_then(|()| b.finish().map(|_| ()));
+            tx.send(outcome).unwrap();
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run ends instead of hanging");
+        let err = outcome.expect_err("a dead helper fails the run");
+        assert!(
+            err.contains("shard 1 of 2") && err.contains("injected shard panic"),
+            "{err}"
+        );
+    }
+}

@@ -11,11 +11,17 @@
 //! down to direct-mapped and up to 64-way sets. A mismatch prints the whole
 //! recomputed table; re-record only with a change that *means* to alter the
 //! simulated statistics.
+//!
+//! The same fingerprints hold for the backend split into 2, 4 and 8
+//! cache-set shards ([`ShardedCoherence`], each count clamped to the
+//! geometry's set count), and a property checks the merged sharded report
+//! against the unsharded one on random scripts.
 
 use std::sync::Arc;
 
 use lc_cachesim::{
-    canonical_coherence_report, CoherenceBackend, CoherenceConfig, CoherenceReport, CoherenceTotals,
+    canonical_coherence_report, CoherenceBackend, CoherenceConfig, CoherenceReport,
+    CoherenceTotals, ShardedCoherence,
 };
 use lc_trace::{
     synth_event, AccessEvent, AccessKind, FuncId, LoopId, RecordingSink, StampedEvent, TraceCtx,
@@ -85,15 +91,29 @@ fn totals_of(rep: &CoherenceReport) -> CoherenceTotals {
     }
 }
 
-fn fingerprint(cfg: CoherenceConfig, threads: usize, evs: &[AccessEvent]) -> u64 {
-    let mut b = CoherenceBackend::new(cfg, threads);
-    b.on_block(evs);
-    let rep = b.report();
-    assert_eq!(b.totals(), totals_of(&rep));
+/// The canonical report's fingerprint with the backend split into
+/// `shards` cache-set shards (clamped to the set count); one shard is the
+/// plain backend, whose scrape counters are checked too.
+fn fingerprint(cfg: CoherenceConfig, threads: usize, evs: &[AccessEvent], shards: usize) -> u64 {
+    let rep = if shards == 1 {
+        let mut b = CoherenceBackend::new(cfg, threads);
+        b.on_block(evs);
+        let rep = b.report();
+        assert_eq!(b.totals(), totals_of(&rep));
+        rep
+    } else {
+        let n = shards.min(cfg.cache_config().sets);
+        let mut b = ShardedCoherence::new(cfg, threads, n);
+        for block in evs.chunks(1000) {
+            b.on_block(block).unwrap();
+        }
+        b.finish().unwrap()
+    };
     fnv1a(&canonical_coherence_report(&rep))
 }
 
-fn computed() -> Vec<(String, u64)> {
+fn computed(shards: usize) -> Vec<(String, u64)> {
+    let fingerprint = |cfg, threads, evs: &[AccessEvent]| fingerprint(cfg, threads, evs, shards);
     let dflt = CoherenceConfig::default();
     let small = CoherenceConfig {
         line_bytes: 64,
@@ -179,9 +199,8 @@ const PINNED: &[(&str, u64)] = &[
     ("geom_l512_a4_k16", 0x1915317bc3b94ba9),
 ];
 
-#[test]
-fn canonical_reports_match_the_pinned_fingerprints() {
-    let got = computed();
+fn assert_pinned(shards: usize) {
+    let got = computed(shards);
     let table: String = got
         .iter()
         .map(|(n, f)| format!("    (\"{n}\", {f:#018x}),\n"))
@@ -189,8 +208,21 @@ fn canonical_reports_match_the_pinned_fingerprints() {
     let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, f)| (n.to_string(), f)).collect();
     assert!(
         got == want,
-        "fingerprints moved; recomputed table:\n{table}"
+        "fingerprints moved at {shards} shard(s); recomputed table:\n{table}"
     );
+}
+
+#[test]
+fn canonical_reports_match_the_pinned_fingerprints() {
+    assert_pinned(1);
+}
+
+/// Includes `geom_l16_a64_k1`, whose one set clamps every count to 1.
+#[test]
+fn sharded_canonical_reports_match_the_pinned_fingerprints() {
+    for shards in [2, 4, 8] {
+        assert_pinned(shards);
+    }
 }
 
 /// `(tid, word slot, is_write, loop, size index)`.
@@ -218,7 +250,103 @@ fn to_events(script: &[(u32, u64, bool, u32, usize)]) -> Vec<AccessEvent> {
         .collect()
 }
 
+/// `(tid, word, size index, loop, byte skew, write)` of a wilder script:
+/// tids past the 4 simulated threads, loops 0 (none) to 11, accesses from
+/// one byte to line-straddling (up to 10 lines, more than any shard
+/// count) to clamped (2^17 and 2^32 − 1 bytes, or running off the top of
+/// the address space). Clamped sizes are 1 in 25: each costs 1024
+/// line-accesses per backend.
+fn arb_wild_event() -> impl Strategy<Value = (u32, u64, usize, u32, u64, bool)> {
+    (
+        0u32..6,
+        0u64..400,
+        0usize..50,
+        0u32..12,
+        0u64..8,
+        any::<bool>(),
+    )
+}
+
+fn to_wild_events(script: &[(u32, u64, usize, u32, u64, bool)]) -> Vec<AccessEvent> {
+    script
+        .iter()
+        .map(|&(tid, word, sz, lid, skew, write)| {
+            let size = match sz {
+                48 => 1 << 17,
+                49 => u32::MAX,
+                _ => [8, 8, 8, 8, 8, 8, 8, 1, 4, 16, 16, 24, 72, 72, 200, 600][sz % 16],
+            };
+            // One word in 40 sits just below the top of the address space.
+            let addr = if word % 40 == 39 {
+                u64::MAX - (word % 8) * 16 - skew
+            } else {
+                0x1000 + word * 8 / 3 + skew
+            };
+            AccessEvent {
+                tid,
+                addr,
+                size,
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                loop_id: LoopId(lid),
+                parent_loop: LoopId::NONE,
+                func: FuncId::NONE,
+                site: 0,
+            }
+        })
+        .collect()
+}
+
 proptest! {
+    /// The merged report of 2, 4 and 8 cache-set shards equals the
+    /// unsharded one byte for byte, for any block split; fed the whole
+    /// stream, the shards count each access and each clamped access once.
+    #[test]
+    fn sharded_report_equals_the_unsharded_one(
+        script in prop::collection::vec(arb_wild_event(), 1..300),
+        cuts in prop::collection::vec(1usize..64, 1..16),
+    ) {
+        let cfg = CoherenceConfig { line_bytes: 64, cache_kib: 1, assoc: 2 };
+        let script = to_wild_events(&script);
+        let mut whole = CoherenceBackend::new(cfg, 4);
+        whole.on_block(&script);
+        let whole = whole.report();
+        let want = canonical_coherence_report(&whole);
+        for n in [2, 4, 8] {
+            let mut sharded = ShardedCoherence::new(cfg, 4, n);
+            let mut rest = &script[..];
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (block, tail) = rest.split_at(cut.min(rest.len()));
+                sharded.on_block(block).unwrap();
+                rest = tail;
+            }
+            let merged = sharded.finish().unwrap();
+            prop_assert_eq!(canonical_coherence_report(&merged), want.clone());
+
+            let parts: Vec<CoherenceReport> = (0..n)
+                .map(|k| {
+                    let mut shard = CoherenceBackend::shard(cfg, 4, k, n);
+                    shard.on_block(&script);
+                    shard.report()
+                })
+                .collect();
+            let accesses: u64 = parts.iter().map(|r| r.accesses).sum();
+            let clamped: u64 = parts.iter().map(|r| r.clamped_accesses).sum();
+            prop_assert_eq!(accesses, whole.accesses);
+            prop_assert_eq!(clamped, whole.clamped_accesses);
+            let mut parts = parts.into_iter();
+            let mut merged = parts.next().unwrap();
+            parts.for_each(|p| merged.merge(p));
+            prop_assert_eq!(canonical_coherence_report(&merged), want.clone());
+        }
+    }
+
     /// Snapshots are non-destructive: a `report()` taken mid-stream charges
     /// live pending sets on a copy, so the end report equals that of a
     /// backend that was never snapshotted. And `totals()` — what metrics

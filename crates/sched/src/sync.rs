@@ -181,6 +181,21 @@ macro_rules! shim_fetch_add {
                     }
                 }
             }
+
+            /// Atomic fetch-sub.
+            #[inline]
+            pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
+                match current_ctx() {
+                    None => self.inner.fetch_sub(v, order),
+                    Some(ctx) => {
+                        pre_op(&ctx);
+                        self.meta.check_birth(&ctx, "shim atomic");
+                        self.meta.acquire_from(&ctx, is_acquire(order));
+                        self.meta.release_to(&ctx, is_release(order), true);
+                        self.inner.fetch_sub(v, Ordering::SeqCst)
+                    }
+                }
+            }
         }
     };
 }

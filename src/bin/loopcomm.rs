@@ -32,7 +32,8 @@
 //! positioned reads, so RSS stays bounded; v1/v2 files and `--salvage`
 //! output are loaded once and streamed as zero-copy blocks) and every
 //! block goes through one `IncrementalAnalyzer` and, under
-//! `--coherence`, one `CoherenceBackend`.
+//! `--coherence`, one `ShardedCoherence`: the MESI backend split by cache
+//! set across the host's cores.
 //! `--mmap` is accepted and changes nothing.
 //!
 //! Every file a command writes is a v3 spool plus its `.idx` side-car,
@@ -199,7 +200,8 @@ fn usage() -> ! {
          \x20                  a truncated or corrupted trace instead of failing\n\
          \x20 --jobs N         (analyze) slot-sharded analyzer workers\n\
          \x20                  (default 1; results identical; --coherence\n\
-         \x20                  always runs one backend)\n\
+         \x20                  shards by cache set over the host's cores\n\
+         \x20                  whatever --jobs says)\n\
          \x20 --batch N        (analyze) block size in events for RAM-loaded\n\
          \x20                  v1/v2 input, valid range 1..=16777216 (default\n\
          \x20                  1024; v3 blocks are spool segments; results\n\
@@ -219,7 +221,7 @@ fn usage() -> ! {
          \x20                  power of two in 1..=64 (default 4)\n\
          \x20 --coherence-out P  (analyze --coherence) write the canonical\n\
          \x20                  coherence report — byte-identical for any\n\
-         \x20                  --jobs value\n\
+         \x20                  --jobs value and core count\n\
          \x20 --report-out P   (analyze) also write the canonical plain-text\n\
          \x20                  report — byte-identical to the server's\n\
          \x20                  /tenants/<t>/report on the same events\n\
@@ -823,16 +825,19 @@ fn check_resume_config(cp: &lc_profiler::Checkpoint, o: &Options, jobs: usize) {
 }
 
 /// One block through the analyzer and, under `--coherence`, the MESI
-/// backend. Generic so bare SoA blocks and stamped spool segments share
-/// one loop without either being copied into the other.
+/// backend's shards. Generic so bare SoA blocks and stamped spool segments
+/// share one loop without either being copied into the other.
 fn feed<T: lc_trace::AsAccess>(
     evs: &[T],
     analyzer: &mut lc_profiler::IncrementalAnalyzer,
-    coh: &mut Option<lc_cachesim::CoherenceBackend>,
+    coh: &mut Option<lc_cachesim::ShardedCoherence>,
 ) {
     analyzer.on_frame(evs);
     if let Some(c) = coh {
-        c.on_block(evs);
+        c.on_block(evs).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     }
 }
 
@@ -938,8 +943,12 @@ fn analyze(name: &str, o: &Options) {
     let mut last_cp = analyzer.events();
     // The coherence backend is not part of the checkpoint: on a resumed
     // run it only sees the events replayed here, so flag the shortfall.
+    // One shard per core (a power of two); with one, no thread starts.
     let mut coh = o.coherence.then(|| {
-        lc_cachesim::CoherenceBackend::new(coherence_config(o), coherence_threads(threads))
+        let cfg = coherence_config(o);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let shards = lc_cachesim::ShardedCoherence::shard_count(cfg, cores);
+        lc_cachesim::ShardedCoherence::new(cfg, coherence_threads(threads), shards)
     });
     if coh.is_some() && start > 0 {
         eprintln!(
@@ -1047,8 +1056,13 @@ fn analyze(name: &str, o: &Options) {
         });
         println!("wrote canonical report: {path}");
     }
-    if let Some(c) = &coh {
-        print_coherence(&c.report(), o);
+    if let Some(c) = coh {
+        let shards = c.shards();
+        let rep = c.finish().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+        print_coherence(&rep, shards, o);
     }
 }
 
@@ -1094,10 +1108,10 @@ fn profile_with_coherence(
 }
 
 /// Print a [`lc_cachesim::CoherenceReport`] and honour `--coherence-out`.
-fn print_coherence(rep: &lc_cachesim::CoherenceReport, o: &Options) {
+fn print_coherence(rep: &lc_cachesim::CoherenceReport, shards: usize, o: &Options) {
     println!(
-        "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], one backend (--jobs shards the \
-         RAW analyzer only):",
+        "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], {shards} cache-set shard(s) \
+         (--jobs shards the RAW analyzer only):",
         rep.config.line_bytes, rep.config.cache_kib, rep.config.assoc
     );
     println!(

@@ -214,10 +214,14 @@ impl Shared {
     /// new incarnation first restores the last checkpoint (counters +
     /// analyzer) and replays any spilled frames, reconciling the ledger so
     /// `received == analyzed + spilled + lost` survives the round trip.
-    fn tenant_or_create(&self, name: &str) -> io::Result<Arc<Tenant>> {
+    ///
+    /// The connection is counted on the tenant before the tenant map is
+    /// unlocked, so no one who can see the tenant finds it quiet while
+    /// this connection is still to send.
+    fn tenant_or_create(&self, name: &str) -> io::Result<ConnGuard> {
         let mut tenants = self.tenants.lock();
         if let Some(t) = tenants.get(name) {
-            return Ok(Arc::clone(t));
+            return Ok(ConnGuard::new(Arc::clone(t)));
         }
         if tenants.len() >= self.cfg.max_tenants {
             return Err(io::Error::other(format!(
@@ -288,9 +292,10 @@ impl Shared {
             seed,
             coherence,
         );
-        tenants.insert(name.to_string(), Arc::clone(&t));
+        let guard = ConnGuard::new(Arc::clone(&t));
+        tenants.insert(name.to_string(), t);
         self.evicted.lock().remove(name);
-        Ok(t)
+        Ok(guard)
     }
 
     /// Evict one tenant to disk: only when it is quiet with no open
@@ -406,8 +411,8 @@ fn conn_body(shared: &Shared, stream: &Stream) -> io::Result<bool> {
         None => Box::new(stream),
     };
     let name = read_hello(&mut reader)?;
-    let tenant = shared.tenant_or_create(&name)?;
-    let _guard = ConnGuard::new(Arc::clone(&tenant));
+    let guard = shared.tenant_or_create(&name)?;
+    let tenant = &guard.0;
 
     let mut dec = FrameDecoder::new();
     let mut frames = Vec::new();

@@ -13,6 +13,12 @@
 //! `ingest-drop-contended-frame` turns a lock contention into a silently
 //! dropped (but still counted) frame — the dropped-frame race the
 //! scenario's FIFO oracle provably catches.
+//!
+//! A frame stays *unfinished* from its push until the drain calls
+//! [`FrameQueue::done`] after analysing it, so [`FrameQueue::is_idle`]
+//! cannot read true in the window between the drain's pop and its
+//! analysis (the `quiesce` scenario; its `queue-idle-when-empty` mutant is
+//! the emptiness check that had that window).
 
 use std::collections::VecDeque;
 
@@ -35,6 +41,8 @@ pub struct FrameQueue<T> {
     closed: AtomicBool,
     pushed: AtomicU64,
     popped: AtomicU64,
+    /// Frames pushed and not yet [`Self::done`].
+    unfinished: AtomicU64,
 }
 
 impl<T> FrameQueue<T> {
@@ -47,6 +55,7 @@ impl<T> FrameQueue<T> {
             closed: AtomicBool::new(false),
             pushed: AtomicU64::new(0),
             popped: AtomicU64::new(0),
+            unfinished: AtomicU64::new(0),
         }
     }
 
@@ -76,6 +85,7 @@ impl<T> FrameQueue<T> {
         if buf.len() >= self.capacity {
             return Err(PushError::Full(item));
         }
+        self.unfinished.fetch_add(1, Ordering::AcqRel);
         buf.push_back(item);
         self.pushed.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -119,6 +129,24 @@ impl<T> FrameQueue<T> {
             }
             backoff();
         }
+    }
+
+    /// The consumer is finished with one popped frame (analysed or counted
+    /// lost).
+    pub fn done(&self) {
+        self.unfinished.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// True when every pushed frame was popped and [`Self::done`]: nothing
+    /// is buffered and nothing is between the drain's pop and its done.
+    pub fn is_idle(&self) -> bool {
+        #[cfg(feature = "sched")]
+        if lc_sched::mutant_active("queue-idle-when-empty") {
+            // Mutant: the emptiness check, blind to a popped frame the
+            // drain has not analysed yet.
+            return self.is_empty();
+        }
+        self.unfinished.load(Ordering::Acquire) == 0
     }
 
     /// Close the queue: future pushes fail, pops drain what remains.

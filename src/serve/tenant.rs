@@ -14,7 +14,7 @@
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -99,8 +99,6 @@ pub struct Tenant {
     analyzer: Mutex<IncrementalAnalyzer>,
     /// Counters, readable at any time without touching the analyzer.
     pub stats: TenantStats,
-    /// True while the drain thread is between pop and analyzer-done.
-    in_flight: AtomicBool,
     drain: Mutex<Option<JoinHandle<()>>>,
     /// On-disk state, when the server runs with `--durable-dir`.
     durable: Option<DurableTenant>,
@@ -134,7 +132,6 @@ impl Tenant {
             queue: Arc::new(FrameQueue::new(queue_frames)),
             analyzer: Mutex::new(analyzer),
             stats,
-            in_flight: AtomicBool::new(false),
             drain: Mutex::new(None),
             durable,
             coherence,
@@ -281,14 +278,15 @@ impl Tenant {
     /// `spilled` to analyzed. Runs on the drain thread with the queue
     /// empty; concurrent enqueues keep spilling into a *newer* generation
     /// (sticky), so the replayed files are immutable and the order
-    /// invariant holds. Crash-consistency matches restore: a file is
-    /// deleted only after its frames reached the analyzer, and the
-    /// checkpoint on disk still precedes those frames, so a crash between
-    /// replay and the next checkpoint re-replays from the old checkpoint
-    /// instead of double-counting.
+    /// invariant holds. The tenant is not quiet meanwhile: the spill stays
+    /// pending until `refresh_pending` finds the replayed files gone.
+    /// Crash-consistency matches restore: a file is deleted only after its
+    /// frames reached the analyzer, and the checkpoint on disk still
+    /// precedes those frames, so a crash between replay and the next
+    /// checkpoint re-replays from the old checkpoint instead of
+    /// double-counting.
     fn spill_catch_up(&self) {
         let Some(d) = &self.durable else { return };
-        self.in_flight.store(true, Ordering::Release);
         let files = {
             let mut spill = d.spill.lock();
             if let Err(e) = spill.seal() {
@@ -298,7 +296,6 @@ impl Tenant {
                     self.name
                 );
                 spill.refresh_pending();
-                self.in_flight.store(false, Ordering::Release);
                 return;
             }
             durable::spill_files(&d.dir)
@@ -337,7 +334,6 @@ impl Tenant {
             std::fs::remove_file(lc_trace::index_path(&path)).ok();
         }
         d.spill.lock().refresh_pending();
-        self.in_flight.store(false, Ordering::Release);
     }
 
     /// One frame into every backend: the profiler's analyzer and, when
@@ -367,7 +363,6 @@ impl Tenant {
 
     fn drain_loop(&self, faults: Option<Arc<FaultInjector>>) {
         while let Some(frame) = self.next_frame() {
-            self.in_flight.store(true, Ordering::Release);
             let events = frame.len() as u64;
             let action = faults
                 .as_ref()
@@ -395,17 +390,16 @@ impl Tenant {
             if !matches!(outcome, Ok(true)) {
                 self.count_lost(events);
             }
-            self.in_flight.store(false, Ordering::Release);
+            self.queue.done();
         }
     }
 
-    /// True when no connection is open, no frame is queued or spooled,
-    /// and the drain is idle — every received frame is either analyzed or
+    /// True when no connection is open, no frame is queued, spooled or
+    /// popped but unfinished — every received frame is either analyzed or
     /// counted lost.
     pub fn quiet(&self) -> bool {
         self.stats.conns_active.load(Ordering::Acquire) == 0
-            && self.queue.is_empty()
-            && !self.in_flight.load(Ordering::Acquire)
+            && self.queue.is_idle()
             && !self.spill_pending()
     }
 
@@ -562,6 +556,32 @@ mod tests {
         want.on_frame(&frame(0, 8));
         want.on_frame(&frame(16, 8));
         assert_eq!(t.report().global, want.report().global);
+        t.shutdown();
+    }
+
+    /// Scrape as soon as the tenant reads quiet, frame after frame: the
+    /// drain's pop empties the queue before the frame reaches either
+    /// backend, and the coherence counters are fed last, so a quiet
+    /// reading inside that window shows short totals.
+    #[test]
+    fn quiet_never_reads_true_between_a_pop_and_its_analysis() {
+        let coherence = lc_cachesim::SharedCoherence::new(lc_cachesim::CoherenceBackend::new(
+            lc_cachesim::CoherenceConfig::default(),
+            4,
+        ));
+        let t = Tenant::spawn("t".into(), analyzer(), 4, None, None, None, Some(coherence));
+        for i in 0..400 {
+            t.enqueue(frame(i * 8, 8));
+            while !t.quiet() {
+                std::hint::spin_loop();
+            }
+            let totals = t.coherence_totals().expect("coherence on");
+            assert_eq!(
+                totals.accesses,
+                (i + 1) * 8,
+                "frame {i}: quiet before analysed"
+            );
+        }
         t.shutdown();
     }
 

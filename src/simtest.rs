@@ -43,6 +43,9 @@ mod op {
     /// `[CP_OBSERVE, which, len, 0]` — a reader observed the checkpoint
     /// file (`which`: 0 = old, 1 = new, 2 = torn/other).
     pub const CP_OBSERVE: u64 = 8;
+    /// `[Q_IDLE, analyzed, 0, 0]` — a scraper found the queue idle after
+    /// seeing `analyzed` frames analysed.
+    pub const Q_IDLE: u64 = 9;
 }
 
 /// A named model-checking scenario.
@@ -122,6 +125,15 @@ pub fn scenarios() -> &'static [Scenario] {
             default_preemption_bound: Some(2),
             catchable_mutants: &["ingest-drop-contended-frame"],
             run: ingest_scenario,
+        },
+        Scenario {
+            name: "quiesce",
+            about: "a drain pops, analyses and finishes 2 frames while a \
+                    scraper polls the serve queue's idle check; oracle: an \
+                    idle queue has every pushed frame analysed",
+            default_preemption_bound: Some(2),
+            catchable_mutants: &["queue-idle-when-empty"],
+            run: quiesce_scenario,
         },
         Scenario {
             name: "checkpoint",
@@ -487,6 +499,60 @@ fn ingest_scenario() {
     assert_eq!(q.pushed(), accepted.len() as u64, "push counter honest");
     assert_eq!(q.popped(), popped.len() as u64, "pop counter honest");
     assert!(q.is_empty(), "nothing left behind");
+}
+
+/// The serve quiescence seam: 2 frames are queued, a drain thread pops
+/// each, counts it analysed (a facade atomic) and calls
+/// [`FrameQueue::done`], while a scraper polls
+/// [`FrameQueue::is_idle`] — what `Tenant::quiet` asks before a
+/// `?wait=1` report or a metrics scrape reads totals. Each idle reading is
+/// logged with the analysed count it then sees. Oracle: every idle
+/// reading saw both frames analysed. The `queue-idle-when-empty` mutant
+/// answers with queue emptiness instead, and a scrape interleaved between
+/// a pop and its analysis catches it.
+///
+/// [`FrameQueue::done`]: crate::serve::queue::FrameQueue::done
+/// [`FrameQueue::is_idle`]: crate::serve::queue::FrameQueue::is_idle
+fn quiesce_scenario() {
+    use crate::serve::queue::FrameQueue;
+    use crate::serve::sync::{AtomicU64, Ordering};
+
+    let q = Arc::new(FrameQueue::new(2));
+    for id in 1..=2u64 {
+        q.try_push(id).expect("capacity 2 holds both frames");
+    }
+    let analyzed = Arc::new(AtomicU64::new(0));
+    let drain = {
+        let (q, analyzed) = (Arc::clone(&q), Arc::clone(&analyzed));
+        lc_sched::spawn(move || {
+            while q.try_pop().is_some() {
+                analyzed.fetch_add(1, Ordering::AcqRel);
+                q.done();
+            }
+        })
+    };
+    let scraper = {
+        let (q, analyzed) = (Arc::clone(&q), Arc::clone(&analyzed));
+        lc_sched::spawn(move || {
+            for _ in 0..2 {
+                if q.is_idle() {
+                    let seen = analyzed.load(Ordering::Acquire);
+                    lc_sched::annotate([op::Q_IDLE, seen, 0, 0]);
+                }
+            }
+        })
+    };
+    drain.join();
+    scraper.join();
+    for (_, data) in lc_sched::op_log() {
+        if data[0] == op::Q_IDLE {
+            assert_eq!(
+                data[1], 2,
+                "the queue read idle with a popped frame not yet analysed"
+            );
+        }
+    }
+    assert!(q.is_idle(), "every frame finished after the drain joined");
 }
 
 /// The checkpoint publication seam: a writer replaces an existing

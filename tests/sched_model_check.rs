@@ -6,9 +6,9 @@
 //! decision points (with a preemption bound where the space is large) and
 //! seeded random exploration, with every explored interleaving validated
 //! in-scenario against the perfect oracle. Also proves the harness has
-//! teeth: four deliberately seeded mutants (a lost-update bit set, a
-//! blind registry publish, a dropped contended frame, a torn checkpoint
-//! write) are each caught, and the failing schedule replays from its
+//! teeth: five deliberately seeded mutants (a lost-update bit set, a
+//! blind registry publish, a dropped contended frame, an idle check blind
+//! to a popped frame, a torn checkpoint write) are each caught, and the failing schedule replays from its
 //! decision trace.
 //!
 //! Runs under plain `cargo test` (`--test sched_model_check` to select
@@ -96,6 +96,11 @@ fn registry_publish_race_is_exhaustively_exact() {
 #[test]
 fn ingest_queue_producer_racing_drain_is_exhaustively_fifo() {
     assert_clean_and_multi_schedule("ingest");
+}
+
+#[test]
+fn quiesce_idle_check_never_hides_a_popped_frame() {
+    assert_clean_and_multi_schedule("quiesce");
 }
 
 #[test]
@@ -200,6 +205,13 @@ fn blind_publish_mutant_is_caught_via_registry_oracle() {
 #[test]
 fn dropped_contended_frame_mutant_is_caught_via_ingest_fifo_oracle() {
     assert_mutant_caught("ingest", "ingest-drop-contended-frame");
+}
+
+/// The mutant is the emptiness check `Tenant::quiet` made before the
+/// queue counted a popped frame as unfinished.
+#[test]
+fn idle_when_empty_mutant_is_caught_via_quiesce_oracle() {
+    assert_mutant_caught("quiesce", "queue-idle-when-empty");
 }
 
 #[test]
