@@ -8,7 +8,9 @@
 //!   over the in-RAM SoA trace), swept over block sizes;
 //! * the **spool-fused** path: the trace written to a v3 spool and read
 //!   back one segment at a time straight into the fused engine — the full
-//!   read-checksum-decode-detect pipeline with no intermediate `Vec`;
+//!   read-checksum-decode-detect pipeline, with the read, checksum and
+//!   decode on a second thread when the host has a spare core, as
+//!   `analyze` runs it;
 //! * the **coherence** backend (`CoherenceBackend::on_block`, the
 //!   `--coherence` cost) on the same trace — reported against the fused
 //!   rate so the MESI hot path cannot silently slide back onto maps;
@@ -124,14 +126,15 @@ fn fused(events: &[AccessEvent], batch: usize) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), p.dependencies())
 }
 
-/// The fused engine fed by the spool reader: wall time and dependence
-/// count.
-fn spool_fused(spool: &MmapTrace) -> (f64, u64) {
+/// The fused engine fed by the spool reader as `analyze` ships it — with
+/// segment read-ahead when `read_ahead` (a spare core): wall time and
+/// dependence count.
+fn spool_fused(spool: &MmapTrace, read_ahead: bool) -> (f64, u64) {
     let p = make_profiler();
     let mut scratch = FusedScratch::with_defaults();
     let t0 = Instant::now();
     spool
-        .stream_from(0, |frame| p.on_block_fused(frame, &mut scratch))
+        .stream_events(0, read_ahead, |frame| p.on_block_fused(frame, &mut scratch))
         .expect("spool replay");
     p.flush();
     (t0.elapsed().as_secs_f64(), p.dependencies())
@@ -189,12 +192,16 @@ fn main() {
     );
 
     let trace = synth_trace(events);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // `analyze`'s rule: decode ahead only on a core the detector leaves.
+    let read_ahead = cores > 1;
     println!(
         "\nOffline replay scaling: {} events, {} threads in trace \
-         (host has {} CPU(s) — above that, workers time-share)\n",
+         (host has {cores} CPU(s) — above that, workers time-share; \
+         spool read-ahead {})\n",
         trace.len(),
         THREADS,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        if read_ahead { "on" } else { "off" }
     );
     let evs = trace.access_events();
     let tput = |secs: f64| events as f64 / secs / 1e6;
@@ -234,7 +241,7 @@ fn main() {
             check("fused replay", deps);
             times.push(s);
         }
-        let (s, deps) = spool_fused(&spool);
+        let (s, deps) = spool_fused(&spool, read_ahead);
         check("spool-fused replay", deps);
         spool_s.push(s);
         let (s, inv) = coherence(evs);

@@ -3,17 +3,15 @@
 //! [`ShardedCoherence`] runs `n` [`CoherenceBackend::shard`]s over one
 //! ordered stream: shard 0 on the calling thread, shards `1..n` each on a
 //! persistent helper thread fed the events of the lines it owns through a
-//! bounded channel of recycled buffers. Everything a line-access changes —
-//! the requester's cache set, an eviction victim in that same set, the
-//! line's directory row and false-sharing stats — belongs to the line's
-//! shard, so each shard sees its lines' accesses in stream order and the
-//! merged report is byte-identical to one backend's (DESIGN.md §16.4).
-//! With `n = 1` there are no helpers: the calling thread runs the one
-//! backend inline.
+//! bounded ring of recycled buffers ([`lc_trace::handoff`]). Everything a
+//! line-access changes — the requester's cache set, an eviction victim in
+//! that same set, the line's directory row and false-sharing stats —
+//! belongs to the line's shard, so each shard sees its lines' accesses in
+//! stream order and the merged report is byte-identical to one backend's
+//! (DESIGN.md §16.4). With `n = 1` there are no helpers: the calling
+//! thread runs the one backend inline.
 
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::thread::JoinHandle;
-
+use lc_trace::handoff::{self, Drainer, Filler};
 use lc_trace::{AccessEvent, AsAccess};
 
 use crate::backend::{line_span, CoherenceBackend, CoherenceConfig, CoherenceReport};
@@ -27,40 +25,30 @@ const BUFFERS: usize = 3;
 
 type Buf = Vec<AccessEvent>;
 
-/// One helper thread and the calling thread's end of its two channels.
+/// One helper thread and the calling thread's end of its ring. Dropping
+/// it closes the ring before joining the thread (field order), which is
+/// what ends the helper's loop.
 struct Helper {
     /// Events routed to this shard since the last hand-off.
     buf: Buf,
-    work: SyncSender<Buf>,
-    free: Receiver<Buf>,
-    thread: Option<JoinHandle<CoherenceReport>>,
+    ring: Filler<Buf>,
+    /// `None` once joined.
+    thread: Option<handoff::Helper<CoherenceReport>>,
 }
 
 impl Helper {
-    /// Start a helper running `body` over its channel ends: it receives
-    /// filled buffers on the first and returns them, emptied, on the
-    /// second. Until the helper returns its first one the calling thread
-    /// holds one buffer and `BUFFERS - 1` wait in the free channel.
+    /// Start a helper running `body` over the drainer end of a ring of
+    /// `BUFFERS` buffers; the calling thread takes one to fill.
     fn spawn(
         name: String,
-        body: impl FnOnce(Receiver<Buf>, Sender<Buf>) -> CoherenceReport + Send + 'static,
+        body: impl FnOnce(Drainer<Buf>) -> CoherenceReport + Send + 'static,
     ) -> Self {
-        let (work, work_rx) = mpsc::sync_channel(BUFFERS);
-        let (free_tx, free) = mpsc::channel();
-        for _ in 1..BUFFERS {
-            free_tx
-                .send(Buf::with_capacity(CHUNK))
-                .expect("receiver held here");
-        }
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || body(work_rx, free_tx))
-            .expect("spawn coherence shard thread");
+        let (mut ring, drainer) = handoff::ring((0..BUFFERS).map(|_| Buf::with_capacity(CHUNK)));
+        let buf = ring.empty().expect("drainer held here");
         Self {
-            buf: Buf::with_capacity(CHUNK),
-            work,
-            free,
-            thread: Some(thread),
+            buf,
+            ring,
+            thread: Some(handoff::Helper::spawn(name, move || body(drainer))),
         }
     }
 
@@ -68,31 +56,34 @@ impl Helper {
     /// while the helper holds all the others. `false` when the helper is
     /// gone.
     fn hand_off(&mut self) -> bool {
-        let Ok(next) = self.free.recv() else {
+        let full = std::mem::take(&mut self.buf);
+        if !self.ring.send(full) {
             return false;
-        };
-        self.work
-            .send(std::mem::replace(&mut self.buf, next))
-            .is_ok()
+        }
+        match self.ring.empty() {
+            Some(next) => {
+                self.buf = next;
+                true
+            }
+            None => false,
+        }
     }
 }
 
 /// The body of shard `k`'s helper thread: simulate every buffer it is
-/// handed, then report once the calling thread closes the channel.
+/// handed, then report once the calling thread closes the ring.
 fn run_shard(
     cfg: CoherenceConfig,
     threads: usize,
     k: usize,
     n: usize,
-) -> impl FnOnce(Receiver<Buf>, Sender<Buf>) -> CoherenceReport {
-    move |work, free| {
+) -> impl FnOnce(Drainer<Buf>) -> CoherenceReport {
+    move |mut ring| {
         let mut shard = CoherenceBackend::shard(cfg, threads, k, n);
-        for mut buf in work {
+        while let Some(mut buf) = ring.recv() {
             shard.on_block(&buf);
             buf.clear();
-            // The calling thread stops taking buffers back once it has
-            // sent the last one; the queued ones still get simulated.
-            let _ = free.send(buf);
+            ring.recycle(buf);
         }
         shard.report()
     }
@@ -174,7 +165,7 @@ impl ShardedCoherence {
     /// Join the gone helper of shard `k` and say why it stopped.
     fn fail(&mut self, k: usize) -> String {
         let thread = self.helpers[k - 1].thread.take();
-        shard_failed(k, self.shards(), thread.map(JoinHandle::join))
+        shard_failed(k, self.shards(), thread.map(handoff::Helper::join))
     }
 
     /// Hand the helpers their last events, build every shard's report
@@ -185,17 +176,18 @@ impl ShardedCoherence {
         for k in 1..n {
             let h = &mut self.helpers[k - 1];
             let last = std::mem::take(&mut h.buf);
-            if !last.is_empty() && h.work.send(last).is_err() {
+            if !last.is_empty() && !h.ring.send(last) {
                 return Err(self.fail(k));
             }
         }
-        // Dropping the senders ends each helper's loop.
+        // Closing each ring ends its helper's loop once it has drained
+        // what was sent.
         let threads: Vec<_> = (self.helpers.drain(..))
-            .map(|mut h| h.thread.take())
+            .map(|Helper { thread, .. }| thread)
             .collect();
         let mut report = self.local.report();
         for (k, thread) in (1..).zip(threads) {
-            match thread.map(JoinHandle::join) {
+            match thread.map(handoff::Helper::join) {
                 Some(Ok(part)) => report.merge(part),
                 joined => return Err(shard_failed(k, n, joined)),
             }
@@ -204,30 +196,11 @@ impl ShardedCoherence {
     }
 }
 
-impl Drop for ShardedCoherence {
-    /// A run abandoned before [`Self::finish`] still joins its helpers:
-    /// closing each one's channel ends its loop.
-    fn drop(&mut self) {
-        for Helper { work, thread, .. } in self.helpers.drain(..) {
-            drop(work);
-            if let Some(thread) = thread {
-                let _ = thread.join();
-            }
-        }
-    }
-}
-
-/// Why helper `k` of `n` stopped, from its join result (`None` when it was
-/// already joined).
-fn shard_failed(
-    k: usize,
-    n: usize,
-    joined: Option<std::thread::Result<CoherenceReport>>,
-) -> String {
-    let why = match &joined {
-        Some(Err(payload)) => (payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panicked".to_string()),
+/// Why helper `k` of `n` stopped, from its join result (`None` when it
+/// was already joined).
+fn shard_failed(k: usize, n: usize, joined: Option<Result<CoherenceReport, String>>) -> String {
+    let why = match joined {
+        Some(Err(why)) => why,
         _ => "stopped early".to_string(),
     };
     format!("coherence shard {k} of {n} failed: {why}")
@@ -280,12 +253,12 @@ mod tests {
     #[test]
     fn a_panicking_helper_fails_the_run_instead_of_hanging() {
         let cfg = CoherenceConfig::default();
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut b = ShardedCoherence {
                 local: CoherenceBackend::shard(cfg, 2, 0, 2),
-                helpers: vec![Helper::spawn("lc-coh-test".into(), |work, _free| {
-                    let _ = work.recv();
+                helpers: vec![Helper::spawn("lc-coh-test".into(), |mut ring| {
+                    let _ = ring.recv();
                     panic!("injected shard panic");
                 })],
                 line_shift: cfg.line_bytes.trailing_zeros(),

@@ -193,23 +193,32 @@ impl Checkpoint {
                 let sig = self.sig.ok_or_else(|| {
                     bad_data("asymmetric checkpoint lacks signature config".into())
                 })?;
-                let mut profilers = Vec::with_capacity(self.jobs);
+                // Each saved slot goes to the worker that owns it now, so a
+                // file written under another slot-to-worker routing resumes
+                // exactly; the accumulators are sums and stay put.
+                let router = SlotRouter::new(sig.n_slots);
+                let dets: Vec<_> = (0..self.jobs)
+                    .map(|_| AsymmetricDetector::asymmetric(sig))
+                    .collect();
                 for w in &self.workers {
                     let DetectorState::Asymmetric { slots } = &w.detector else {
                         return Err(bad_data("mixed detector states in checkpoint".into()));
                     };
-                    let det = AsymmetricDetector::asymmetric(sig);
                     for (slot, words) in slots {
-                        det.signature().restore_slot(*slot as usize, words);
+                        let slot = *slot as usize;
+                        dets[router.owner(slot, self.jobs)]
+                            .signature()
+                            .restore_slot(slot, words);
                     }
-                    let p = AsymmetricProfiler::from_detector_with(det, prof, accum);
-                    p.restore_accumulators(w.accesses, w.dependencies, &w.global, &w.loops);
-                    profilers.push(p);
                 }
-                Workers::Asymmetric {
-                    router: SlotRouter::new(sig.n_slots),
-                    profilers,
-                }
+                let profilers = (dets.into_iter().zip(&self.workers))
+                    .map(|(det, w)| {
+                        let p = AsymmetricProfiler::from_detector_with(det, prof, accum);
+                        p.restore_accumulators(w.accesses, w.dependencies, &w.global, &w.loops);
+                        p
+                    })
+                    .collect();
+                Workers::Asymmetric { router, profilers }
             }
             DetectorKind::Perfect => {
                 let mut profilers = Vec::with_capacity(self.jobs);
@@ -689,6 +698,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// LCCP v2 files written when workers owned the residue classes
+    /// `slot % jobs` resume exactly under contiguous-range ownership:
+    /// restore moves each saved slot to its current owner.
+    #[test]
+    fn a_checkpoint_from_residue_class_routing_resumes_exactly() {
+        let evs = events(4000);
+        let jobs = 3;
+        let mut straight = analyzer(DetectorKind::Asymmetric, jobs);
+        for chunk in evs.chunks(64) {
+            straight.on_frame(chunk);
+        }
+        let want = canonical_report(&straight.report(), straight.events());
+        let mut a = analyzer(DetectorKind::Asymmetric, jobs);
+        for chunk in evs[..1024].chunks(64) {
+            a.on_frame(chunk);
+        }
+        let mut cp = Checkpoint::capture(&a);
+        // Re-deal the saved slots as the residue-class routing held them.
+        let mut dealt: Vec<Vec<(u64, Vec<u64>)>> = vec![Vec::new(); jobs];
+        for w in &cp.workers {
+            let DetectorState::Asymmetric { slots } = &w.detector else {
+                unreachable!()
+            };
+            for (slot, words) in slots {
+                dealt[*slot as usize % jobs].push((*slot, words.clone()));
+            }
+        }
+        let moved = (cp.workers.iter().zip(&dealt))
+            .filter(|(w, d)| w.detector != DetectorState::Asymmetric { slots: d.to_vec() })
+            .count();
+        assert!(moved > 0, "the two routings place some slot differently");
+        for (w, mut slots) in cp.workers.iter_mut().zip(dealt) {
+            slots.sort_by_key(|(slot, _)| *slot);
+            w.detector = DetectorState::Asymmetric { slots };
+        }
+        let mut b = Checkpoint::decode(&cp.encode()).unwrap().restore().unwrap();
+        for chunk in evs[1024..].chunks(64) {
+            b.on_frame(chunk);
+        }
+        assert_eq!(canonical_report(&b.report(), b.events()), want);
     }
 
     #[test]

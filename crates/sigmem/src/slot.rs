@@ -45,7 +45,7 @@ pub fn slot_of_hash(h: u64, n_slots: usize) -> usize {
 /// let router = SlotRouter::new(1 << 12);
 /// let (slot, worker) = router.route(0xdead_beef, 4);
 /// assert_eq!(slot, router.slot(0xdead_beef));
-/// assert_eq!(worker, slot % 4);
+/// assert_eq!(worker, slot * 4 / (1 << 12));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotRouter {
@@ -70,20 +70,32 @@ impl SlotRouter {
         slot_index(addr, self.n_slots)
     }
 
-    /// The replay worker (of `jobs`) that owns `addr`'s slot. Workers own
-    /// the residue classes `slot ≡ w (mod jobs)`, so all traffic to one
-    /// slot lands on one worker.
+    /// The replay worker (of `jobs`) that owns `slot`. Workers own
+    /// contiguous slot ranges (`slot · jobs / n_slots`), so all traffic to
+    /// one slot lands on one worker and each worker touches only its own
+    /// `1/jobs` of the pages of its signature table.
+    #[inline]
+    pub fn owner(&self, slot: usize, jobs: usize) -> usize {
+        debug_assert!(jobs >= 1 && slot < self.n_slots);
+        let n = self.n_slots as u64;
+        match (slot as u64).checked_mul(jobs as u64) {
+            Some(p) => (p / n) as usize,
+            // Only past 2^64 / jobs slots, which no table reaches.
+            None => (slot as u128 * jobs as u128 / n as u128) as usize,
+        }
+    }
+
+    /// The replay worker (of `jobs`) that owns `addr`'s slot.
     #[inline]
     pub fn worker(&self, addr: u64, jobs: usize) -> usize {
-        debug_assert!(jobs >= 1);
-        self.slot(addr) % jobs
+        self.owner(self.slot(addr), jobs)
     }
 
     /// Slot and worker from a single hash evaluation.
     #[inline]
     pub fn route(&self, addr: u64, jobs: usize) -> (usize, usize) {
         let slot = self.slot(addr);
-        (slot, slot % jobs)
+        (slot, self.owner(slot, jobs))
     }
 }
 
@@ -108,9 +120,31 @@ mod tests {
             for jobs in 1..=8 {
                 let (slot, worker) = r.route(addr, jobs);
                 assert_eq!(slot, r.slot(addr));
-                assert_eq!(worker, slot % jobs);
+                assert_eq!(worker, slot * jobs / (1 << 10));
                 assert_eq!(worker, r.worker(addr, jobs));
                 assert!(worker < jobs);
+            }
+        }
+    }
+
+    #[test]
+    fn workers_own_contiguous_slot_ranges_of_equal_size() {
+        for n_slots in [1usize, 7, 64, 1000, 1 << 12] {
+            let r = SlotRouter::new(n_slots);
+            for jobs in 1..=8 {
+                let owners: Vec<usize> = (0..n_slots).map(|s| r.owner(s, jobs)).collect();
+                assert!(
+                    owners.windows(2).all(|w| w[0] <= w[1]),
+                    "ranges are contiguous"
+                );
+                assert_eq!(owners[0], 0);
+                for w in 0..jobs {
+                    let share = owners.iter().filter(|&&o| o == w).count();
+                    assert!(
+                        share.abs_diff(n_slots / jobs) <= 1,
+                        "n={n_slots} jobs={jobs}"
+                    );
+                }
             }
         }
     }

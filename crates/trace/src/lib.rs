@@ -16,6 +16,8 @@
 //! * [`tile`] — per-thread capture tiles: delayed, block-at-a-time
 //!   delivery for sinks that accept it, drained at every instrumented
 //!   synchronisation point.
+//! * [`handoff`] — the one bounded hand-off between two threads: a ring
+//!   of recycled buffers with close, panic-as-`Err` and join-on-drop.
 //! * [`replay`] — temporally ordered traces for deterministic offline
 //!   analysis.
 //! * [`selective`] — the §IV-A analyzed/not-analyzed region split as a
@@ -30,6 +32,7 @@ pub mod block_source;
 pub mod crc;
 pub mod ctx;
 pub mod event;
+pub mod handoff;
 pub mod loops;
 pub mod memory;
 pub mod net;
@@ -69,7 +72,8 @@ pub use spool::{
     SpoolStats, SpoolWriter, DEFAULT_FRAME_EVENTS,
 };
 pub use spool_v3::{
-    index_path, write_trace_spool_v3, MmapTrace, SegmentEntry, SpoolV3Writer, V3Index, PAGE_BYTES,
+    index_path, write_trace_spool_v3, MmapTrace, SegmentEntry, SegmentStream, SpoolV3Writer,
+    V3Index, PAGE_BYTES, READ_AHEAD_BUFFERS,
 };
 pub use tile::flush_thread;
 pub use trace_io::{load_trace, open_block_source, read_trace, write_trace};

@@ -36,14 +36,18 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lc_faults::{FaultInjector, FaultSite, FaultyWriter};
 
 use crate::crc::crc32;
-use crate::event::StampedEvent;
+use crate::event::{AccessEvent, StampedEvent};
+use crate::handoff;
 use crate::replay::Trace;
 use crate::spool::{SalvageReport, SpoolStats, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
-use crate::trace_io::{decode_event, encode_event, MAGIC, RECORD_BYTES, VERSION_V3};
+use crate::trace_io::{
+    decode_event, decode_records, encode_event, FromRecord, MAGIC, RECORD_BYTES, VERSION_V3,
+};
 
 /// Alignment unit for the v3 header and every segment.
 pub const PAGE_BYTES: usize = 4096;
@@ -702,15 +706,9 @@ impl MmapTrace {
         self.index.entries.len()
     }
 
-    /// Read segment `i` into `buf`, CRC-verify it and decode it into `out`
-    /// (cleared first).
-    fn decode_segment(
-        &self,
-        i: usize,
-        buf: &mut Vec<u8>,
-        out: &mut Vec<StampedEvent>,
-    ) -> io::Result<()> {
-        out.clear();
+    /// Read segment `i` into `buf` with one positioned read and CRC-verify
+    /// it; returns its payload.
+    fn read_segment<'b>(&self, i: usize, buf: &'b mut Vec<u8>) -> io::Result<&'b [u8]> {
         let e = self.index.entries[i];
         let off = e.page_no * PAGE_BYTES as u64;
         let seg_len = FRAME_HEADER_BYTES + e.payload_len as usize;
@@ -736,12 +734,21 @@ impl MmapTrace {
                 "segment {i} CRC mismatch (stored {want_crc:#010x}, computed {crc:#010x})"
             )));
         }
-        out.reserve(payload.len() / RECORD_BYTES);
-        for chunk in payload.chunks_exact(RECORD_BYTES) {
-            let rec: &[u8; RECORD_BYTES] = chunk.try_into().unwrap();
-            out.push(decode_event(rec)?);
-        }
-        Ok(())
+        Ok(payload)
+    }
+
+    /// Read segment `i` through `buf` and decode its events from the
+    /// `skip`-th on into `out` (cleared first).
+    fn decode_segment<T: FromRecord>(
+        &self,
+        i: usize,
+        skip: usize,
+        buf: &mut Vec<u8>,
+        out: &mut Vec<T>,
+    ) -> io::Result<()> {
+        out.clear();
+        let payload = self.read_segment(i, buf)?;
+        decode_records(&payload[skip * RECORD_BYTES..], out)
     }
 
     /// O(1) seek: which segment holds global event `offset`, and how many
@@ -761,13 +768,102 @@ impl MmapTrace {
         let mut scratch = Vec::new();
         let mut delivered = 0u64;
         for i in first..self.index.entries.len() {
-            self.decode_segment(i, &mut buf, &mut scratch)?;
-            let events = &scratch[if i == first { skip } else { 0 }..];
-            delivered += events.len() as u64;
-            f(events);
+            self.decode_segment(i, if i == first { skip } else { 0 }, &mut buf, &mut scratch)?;
+            delivered += scratch.len() as u64;
+            f(&scratch);
         }
         Ok(delivered)
     }
+
+    /// [`Self::stream_from`] without the stamps, which an analyzer never
+    /// reads. With `read_ahead` a scoped helper thread reads, CRC-checks
+    /// and decodes the next segments into [`READ_AHEAD_BUFFERS`] recycled
+    /// buffers (one [`crate::handoff::ring`]) while `f` works on the
+    /// current one; without it the calling thread does all of it inline.
+    /// Either way `f` sees the same blocks in segment order, and a damaged
+    /// segment `k` ends the stream after segment `k - 1` with the same
+    /// error. A panic in `f` closes the ring, so the helper stops and the
+    /// panic propagates.
+    pub fn stream_events<F: FnMut(&[AccessEvent])>(
+        &self,
+        from: u64,
+        read_ahead: bool,
+        mut f: F,
+    ) -> io::Result<SegmentStream> {
+        let mut stream = SegmentStream {
+            read_ahead,
+            ..SegmentStream::default()
+        };
+        let Some((first, skip)) = self.seek(from) else {
+            return Ok(stream);
+        };
+        let segments = first..self.index.entries.len();
+        let skip_in = |i: usize| if i == first { skip } else { 0 };
+        if !read_ahead {
+            let mut buf = Vec::new();
+            let mut scratch = Vec::new();
+            for i in segments {
+                let t = Instant::now();
+                self.decode_segment(i, skip_in(i), &mut buf, &mut scratch)?;
+                stream.segment_wait += t.elapsed();
+                stream.events += scratch.len() as u64;
+                f(&scratch);
+            }
+            return Ok(stream);
+        }
+        std::thread::scope(|s| {
+            let (mut tx, mut rx) = handoff::ring((0..READ_AHEAD_BUFFERS).map(|_| Vec::new()));
+            let helper = s.spawn(move || -> io::Result<()> {
+                let mut buf = Vec::new();
+                for i in segments {
+                    // `None` or `false`: the consumer is gone.
+                    let Some(mut out) = tx.empty() else {
+                        break;
+                    };
+                    self.decode_segment(i, skip_in(i), &mut buf, &mut out)?;
+                    if !tx.send(out) {
+                        break;
+                    }
+                }
+                Ok(())
+            });
+            loop {
+                let t = Instant::now();
+                let Some(evs) = rx.recv() else {
+                    break;
+                };
+                stream.segment_wait += t.elapsed();
+                stream.events += evs.len() as u64;
+                f(&evs);
+                rx.recycle(evs);
+            }
+            match helper.join() {
+                Ok(done) => done.map(|()| stream),
+                Err(payload) => Err(io::Error::other(format!(
+                    "segment read-ahead failed: {}",
+                    handoff::panic_message(&*payload)
+                ))),
+            }
+        })
+    }
+}
+
+/// Decoded segments in flight under read-ahead: one in the caller's hands,
+/// one being decoded and one waiting between them.
+pub const READ_AHEAD_BUFFERS: usize = 3;
+
+/// What one [`MmapTrace::stream_events`] pass did.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SegmentStream {
+    /// Events delivered.
+    pub events: u64,
+    /// Whether a helper thread decoded ahead of the caller.
+    pub read_ahead: bool,
+    /// Time the calling thread spent between asking for the next decoded
+    /// segment and having it: waiting on the helper with read-ahead,
+    /// reading and decoding it itself without. Large against the run's
+    /// wall time means decode-bound, small means detect-bound.
+    pub segment_wait: Duration,
 }
 
 #[cfg(test)]

@@ -65,39 +65,71 @@ pub(crate) fn encode_event(e: &StampedEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(&(ev.site as u32).to_le_bytes());
 }
 
+/// The error a record with kind byte `kind` (neither read nor write) is.
+fn bad_kind(kind: u8) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("bad access kind {kind}"),
+    )
+}
+
 /// Decode one 41-byte record.
 pub(crate) fn decode_event(rec: &[u8; RECORD_BYTES]) -> io::Result<StampedEvent> {
-    let seq = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-    let tid = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-    let addr = u64::from_le_bytes(rec[12..20].try_into().unwrap());
-    let size = u32::from_le_bytes(rec[20..24].try_into().unwrap());
-    let kind = match rec[24] {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad access kind {other}"),
-            ))
+    match rec[24] {
+        0 | 1 => Ok(StampedEvent::from_record(rec)),
+        other => Err(bad_kind(other)),
+    }
+}
+
+/// What one 41-byte record decodes to. `from_record` reads the kind byte
+/// as "write iff 1": callers check it first ([`decode_event`],
+/// [`decode_records`]).
+pub(crate) trait FromRecord: Sized {
+    fn from_record(rec: &[u8; RECORD_BYTES]) -> Self;
+}
+
+impl FromRecord for AccessEvent {
+    #[inline(always)]
+    fn from_record(rec: &[u8; RECORD_BYTES]) -> Self {
+        let u32_at = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
+        AccessEvent {
+            tid: u32_at(8),
+            addr: u64::from_le_bytes(rec[12..20].try_into().unwrap()),
+            size: u32_at(20),
+            kind: if rec[24] == 1 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            loop_id: LoopId(u32_at(25)),
+            parent_loop: LoopId(u32_at(29)),
+            func: FuncId(u32_at(33)),
+            site: u32_at(37) as u64,
         }
-    };
-    let loop_id = LoopId(u32::from_le_bytes(rec[25..29].try_into().unwrap()));
-    let parent_loop = LoopId(u32::from_le_bytes(rec[29..33].try_into().unwrap()));
-    let func = FuncId(u32::from_le_bytes(rec[33..37].try_into().unwrap()));
-    let site = u32::from_le_bytes(rec[37..41].try_into().unwrap()) as u64;
-    Ok(StampedEvent {
-        seq,
-        event: AccessEvent {
-            tid,
-            addr,
-            size,
-            kind,
-            loop_id,
-            parent_loop,
-            func,
-            site,
-        },
-    })
+    }
+}
+
+impl FromRecord for StampedEvent {
+    #[inline(always)]
+    fn from_record(rec: &[u8; RECORD_BYTES]) -> Self {
+        StampedEvent {
+            seq: u64::from_le_bytes(rec[0..8].try_into().unwrap()),
+            event: AccessEvent::from_record(rec),
+        }
+    }
+}
+
+/// Decode a run of whole records onto `out`. Every kind byte is checked
+/// in one pass first, so the decode itself is one exact-size `extend`
+/// with no error path; a bad byte fails the whole run with
+/// [`decode_event`]'s error and leaves `out` as it was.
+pub(crate) fn decode_records<T: FromRecord>(payload: &[u8], out: &mut Vec<T>) -> io::Result<()> {
+    let records = payload.chunks_exact(RECORD_BYTES);
+    if let Some(kind) = records.clone().map(|r| r[24]).find(|&k| k > 1) {
+        return Err(bad_kind(kind));
+    }
+    out.extend(records.map(|r| T::from_record(r.try_into().unwrap())));
+    Ok(())
 }
 
 /// Serialize a trace to a writer in format v1. Only tests use it: it

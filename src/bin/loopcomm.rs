@@ -944,12 +944,16 @@ fn analyze(name: &str, o: &Options) {
     // The coherence backend is not part of the checkpoint: on a resumed
     // run it only sees the events replayed here, so flag the shortfall.
     // One shard per core (a power of two); with one, no thread starts.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut coh = o.coherence.then(|| {
         let cfg = coherence_config(o);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shards = lc_cachesim::ShardedCoherence::shard_count(cfg, cores);
         lc_cachesim::ShardedCoherence::new(cfg, coherence_threads(threads), shards)
     });
+    // A spool is decoded ahead on a helper thread only when a core is left
+    // over after the detector (and the coherence shards) took theirs.
+    let busy = coh.as_ref().map_or(1, |c| c.shards());
+    let read_ahead = cores > busy;
     if coh.is_some() && start > 0 {
         eprintln!(
             "warning: --coherence state is not checkpointed; the coherence report \
@@ -969,9 +973,15 @@ fn analyze(name: &str, o: &Options) {
             }
         }
     };
-    match &mut source {
-        FileBlockSource::Ram(t) => t.block_source(o.batch).stream_blocks(start, &mut on_block),
-        FileBlockSource::Spool(m) => m.stream_blocks(start, &mut on_block),
+    let streamed = match &mut source {
+        FileBlockSource::Ram(t) => (t.block_source(o.batch).stream_blocks(start, &mut on_block))
+            .map(|events| lc_trace::SegmentStream {
+                events,
+                ..Default::default()
+            }),
+        FileBlockSource::Spool(m) => {
+            m.stream_events(start, read_ahead, |evs| on_block(EventBlock::Plain(evs)))
+        }
     }
     .unwrap_or_else(|e| {
         eprintln!("error: replay failed: {e}");
@@ -1042,6 +1052,17 @@ fn analyze(name: &str, o: &Options) {
             "loopcomm_replay_frames_total",
             "Blocks delivered to the analyzer (restored prefix included)",
             analyzer.frames(),
+        );
+        reg.gauge(
+            "loopcomm_replay_read_ahead",
+            "1 when a helper thread decoded spool segments ahead of the detector",
+            u8::from(streamed.read_ahead) as f64,
+        );
+        reg.gauge(
+            "loopcomm_replay_segment_wait_seconds",
+            "Time the detector thread spent waiting for a decoded segment \
+             (reading and decoding it itself without read-ahead)",
+            streamed.segment_wait.as_secs_f64(),
         );
         write_metrics(path, &reg);
     }

@@ -499,11 +499,13 @@ fn stored_bytes_are_pinned_across_checksum_kernels() {
     );
 
     // LCCP version 2 (the slot signature's occupied words; version 1
-    // pinned 3831 B with Bloom filters and writer slots apart).
+    // pinned 3831 B with Bloom filters and writer slots apart). The two
+    // workers own contiguous slot ranges; when they owned the residue
+    // classes `slot % 2` the same 3179 B hashed to 16790898593913918553.
     let cp = checkpoint_bytes(DetectorKind::Asymmetric, 1000, 2);
     assert_eq!(
         (cp.len(), fnv1a(&cp)),
-        (3179, 16790898593913918553),
+        (3179, 11952136531403581064),
         "LCCP checkpoint"
     );
     // And what is stored still verifies.
