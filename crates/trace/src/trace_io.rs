@@ -121,15 +121,21 @@ impl FromRecord for StampedEvent {
 
 /// Decode a run of whole records onto `out`. Every kind byte is checked
 /// in one pass first, so the decode itself is one exact-size `extend`
-/// with no error path; a bad byte fails the whole run with
-/// [`decode_event`]'s error and leaves `out` as it was.
+/// with no error path. A bad byte keeps the records before it (the valid
+/// prefix salvage keeps) and fails with [`decode_event`]'s error.
 pub(crate) fn decode_records<T: FromRecord>(payload: &[u8], out: &mut Vec<T>) -> io::Result<()> {
     let records = payload.chunks_exact(RECORD_BYTES);
-    if let Some(kind) = records.clone().map(|r| r[24]).find(|&k| k > 1) {
-        return Err(bad_kind(kind));
+    let bad = records.clone().position(|r| r[24] > 1);
+    let valid = bad.unwrap_or(records.len());
+    out.extend(
+        records
+            .take(valid)
+            .map(|r| T::from_record(r.try_into().unwrap())),
+    );
+    match bad {
+        Some(i) => Err(bad_kind(payload[i * RECORD_BYTES + 24])),
+        None => Ok(()),
     }
-    out.extend(records.map(|r| T::from_record(r.try_into().unwrap())));
-    Ok(())
 }
 
 /// Serialize a trace to a writer in format v1. Only tests use it: it

@@ -26,7 +26,7 @@ use std::io::{self, Read};
 use crate::crc::crc32;
 use crate::event::StampedEvent;
 use crate::spool::{FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
-use crate::trace_io::{decode_event, MAGIC, RECORD_BYTES, VERSION_SPOOL};
+use crate::trace_io::{decode_records, MAGIC, RECORD_BYTES, VERSION_SPOOL};
 
 /// Hello preamble marker: "LCHI".
 pub const HELLO_MAGIC: [u8; 4] = *b"LCHI";
@@ -223,6 +223,17 @@ impl FrameDecoder {
     /// Feed one chunk; complete frames are appended to `out` (one inner
     /// vector per frame). Never panics, whatever the bytes.
     pub fn feed(&mut self, chunk: &[u8], out: &mut Vec<Vec<StampedEvent>>) {
+        self.feed_with(chunk, out, Vec::new);
+    }
+
+    /// [`Self::feed`], decoding each frame into a buffer `spare` hands
+    /// over instead of a fresh allocation. The buffer is cleared first, so
+    /// a recycled one's length, capacity and stale contents never show:
+    /// the frames, events and [`WireSummary`] are those of [`Self::feed`].
+    pub fn feed_with<F>(&mut self, chunk: &[u8], out: &mut Vec<Vec<StampedEvent>>, mut spare: F)
+    where
+        F: FnMut() -> Vec<StampedEvent>,
+    {
         self.fed += chunk.len() as u64;
         if self.state == DecodeState::Poisoned {
             return;
@@ -285,31 +296,25 @@ impl FrameDecoder {
                         )));
                         return;
                     }
-                    let mut frame = Vec::with_capacity(payload.len() / RECORD_BYTES);
-                    for rec in payload.chunks_exact(RECORD_BYTES) {
-                        let rec: &[u8; RECORD_BYTES] = rec.try_into().unwrap();
-                        match decode_event(rec) {
-                            Ok(e) => frame.push(e),
-                            Err(e) => {
-                                // Same contract as salvage: keep the valid
-                                // prefix of a CRC-valid-but-undecodable
-                                // frame, count the frame itself as lost.
-                                self.events += frame.len() as u64;
-                                if !frame.is_empty() {
-                                    out.push(frame);
-                                }
-                                self.poison(WireError::Corrupt(e.to_string()));
-                                return;
-                            }
+                    pos += frame_bytes;
+                    if !payload.is_empty() {
+                        let mut frame = spare();
+                        frame.clear();
+                        let decoded = decode_records(payload, &mut frame);
+                        self.events += frame.len() as u64;
+                        if !frame.is_empty() {
+                            out.push(frame);
+                        }
+                        if let Err(e) = decoded {
+                            // Same contract as salvage: keep the valid
+                            // prefix of a CRC-valid-but-undecodable frame,
+                            // count the frame itself as lost.
+                            self.poison(WireError::Corrupt(e.to_string()));
+                            return;
                         }
                     }
-                    pos += frame_bytes;
                     self.consumed_valid += frame_bytes as u64;
                     self.frames += 1;
-                    self.events += frame.len() as u64;
-                    if !frame.is_empty() {
-                        out.push(frame);
-                    }
                 }
                 DecodeState::Poisoned => unreachable!("checked on entry"),
             }

@@ -428,7 +428,7 @@ fn conn_body(shared: &Shared, stream: &Stream) -> io::Result<bool> {
         match reader.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
-                dec.feed(&chunk[..n], &mut frames);
+                dec.feed_with(&chunk[..n], &mut frames, || tenant.spare_frame());
                 for frame in frames.drain(..) {
                     tenant.enqueue(frame);
                 }

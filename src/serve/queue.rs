@@ -100,13 +100,13 @@ impl<T> FrameQueue<T> {
         item
     }
 
-    /// Enqueue, waiting out a full queue (the backpressure stall). Returns
-    /// `false` — item dropped — only if the queue closes while waiting.
-    pub fn push_blocking(&self, mut item: T) -> bool {
+    /// Enqueue, waiting out a full queue (the backpressure stall). Hands
+    /// the item back only if the queue closes while waiting.
+    pub fn push_blocking(&self, mut item: T) -> Result<(), T> {
         loop {
             match self.try_push(item) {
-                Ok(()) => return true,
-                Err(PushError::Closed(_)) => return false,
+                Ok(()) => return Ok(()),
+                Err(PushError::Closed(it)) => return Err(it),
                 Err(PushError::Full(it)) => {
                     item = it;
                     backoff();
@@ -208,7 +208,7 @@ mod tests {
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
         assert_eq!(q.pop_blocking(), Some(1));
         assert_eq!(q.pop_blocking(), None);
-        assert!(!q.push_blocking(3));
+        assert_eq!(q.push_blocking(3), Err(3));
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    assert!(q.push_blocking(i));
+                    assert!(q.push_blocking(i).is_ok());
                 }
                 q.close();
             })

@@ -7,6 +7,11 @@
 //! the per-tenant memory bound is `jobs` signature pairs plus the loop
 //! registry, regardless of connection count or stream length.
 //!
+//! Frame buffers circulate: a connection's decoder fills a spare from
+//! the tenant's short list ([`SPARE_FRAMES`]), and every end of a frame's
+//! life — analysed or counted lost by the drain, spilled, refused by a
+//! closed queue — hands the buffer back (DESIGN.md §13.2).
+//!
 //! The drain step is a fault seam ([`FaultSite::TenantFlush`]): an
 //! injected panic, I/O error, or bit-flip there loses exactly that frame
 //! — counted in [`TenantStats`] as lost frames/events — and nothing
@@ -33,6 +38,16 @@ pub(crate) fn uptime_ms() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_millis() as u64
 }
+
+/// Spare frame buffers a tenant keeps for its connections' decoders. One
+/// buffer fills on a connection thread while the drain analyses another,
+/// so a short list covers the hand-back between them with slack for
+/// jitter; a longer one would only hoard memory the bounded queue already
+/// accounts for.
+pub const SPARE_FRAMES: usize = 4;
+/// A buffer that grew past this many events (an outsized client frame) is
+/// dropped rather than kept as a spare.
+const SPARE_MAX_EVENTS: usize = 1 << 16;
 
 /// Live per-tenant counters — the "exact lost-frame accounting" surface.
 #[derive(Default)]
@@ -96,6 +111,10 @@ pub struct Tenant {
     /// Tenant name (validated at hello time).
     pub name: String,
     queue: Arc<FrameQueue<Vec<StampedEvent>>>,
+    /// At most [`SPARE_FRAMES`] emptied frame buffers.
+    spares: Mutex<Vec<Vec<StampedEvent>>>,
+    /// Frame buffers handed out fresh because no spare was left.
+    fresh_buffers: AtomicU64,
     analyzer: Mutex<IncrementalAnalyzer>,
     /// Counters, readable at any time without touching the analyzer.
     pub stats: TenantStats,
@@ -130,6 +149,8 @@ impl Tenant {
         let tenant = Arc::new(Self {
             name: name.clone(),
             queue: Arc::new(FrameQueue::new(queue_frames)),
+            spares: Mutex::new(Vec::with_capacity(SPARE_FRAMES)),
+            fresh_buffers: AtomicU64::new(0),
             analyzer: Mutex::new(analyzer),
             stats,
             drain: Mutex::new(None),
@@ -146,6 +167,29 @@ impl Tenant {
         tenant
     }
 
+    /// A buffer for the next decoded frame: a spare when one is left, a
+    /// fresh one otherwise. The decoder clears it before filling it.
+    pub fn spare_frame(&self) -> Vec<StampedEvent> {
+        if let Some(buf) = self.spares.lock().pop() {
+            return buf;
+        }
+        self.fresh_buffers.fetch_add(1, Ordering::Relaxed);
+        Vec::new()
+    }
+
+    /// A frame's life is over: keep its buffer as a spare, or drop it once
+    /// [`SPARE_FRAMES`] are kept. A dropped buffer is freed after the lock
+    /// is released, not under it.
+    fn recycle(&self, frame: Vec<StampedEvent>) {
+        if frame.capacity() > SPARE_MAX_EVENTS {
+            return;
+        }
+        let mut spares = self.spares.lock();
+        if spares.len() < SPARE_FRAMES {
+            spares.push(frame);
+        }
+    }
+
     /// Count a decoded frame as received and hand it to the drain.
     ///
     /// Without durability a full queue blocks (backpressure to this
@@ -159,7 +203,8 @@ impl Tenant {
     /// in generation order reproduces exact arrival order, which the
     /// byte-identity guarantee requires. A frame neither queued nor
     /// spilled is counted lost — so `received == analyzed + spilled +
-    /// lost` at every quiescent point.
+    /// lost` at every quiescent point. A spilled or refused frame's buffer
+    /// goes back to the spares.
     pub fn enqueue(&self, frame: Vec<StampedEvent>) {
         let events = frame.len() as u64;
         self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
@@ -183,31 +228,41 @@ impl Tenant {
                 };
                 match overflow {
                     None => false,
-                    Some(frame) => match spill.append(&frame) {
-                        Ok(()) => {
-                            self.stats.frames_spilled.fetch_add(1, Ordering::Relaxed);
-                            self.stats
-                                .events_spilled
-                                .fetch_add(events, Ordering::Relaxed);
-                            self.stats
-                                .frames_spilled_total
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.stats
-                                .events_spilled_total
-                                .fetch_add(events, Ordering::Relaxed);
-                            false
+                    Some(frame) => {
+                        let appended = spill.append(&frame);
+                        self.recycle(frame);
+                        match appended {
+                            Ok(()) => {
+                                self.stats.frames_spilled.fetch_add(1, Ordering::Relaxed);
+                                self.stats
+                                    .events_spilled
+                                    .fetch_add(events, Ordering::Relaxed);
+                                self.stats
+                                    .frames_spilled_total
+                                    .fetch_add(1, Ordering::Relaxed);
+                                self.stats
+                                    .events_spilled_total
+                                    .fetch_add(events, Ordering::Relaxed);
+                                false
+                            }
+                            Err(e) => {
+                                eprintln!(
+                                    "warning: tenant `{}`: spill write failed ({e}); frame lost",
+                                    self.name
+                                );
+                                true
+                            }
                         }
-                        Err(e) => {
-                            eprintln!(
-                                "warning: tenant `{}`: spill write failed ({e}); frame lost",
-                                self.name
-                            );
-                            true
-                        }
-                    },
+                    }
                 }
             }
-            None => !self.queue.push_blocking(frame),
+            None => match self.queue.push_blocking(frame) {
+                Ok(()) => false,
+                Err(frame) => {
+                    self.recycle(frame);
+                    true
+                }
+            },
         };
         if lost {
             self.stats.frames_lost.fetch_add(1, Ordering::Relaxed);
@@ -390,6 +445,8 @@ impl Tenant {
             if !matches!(outcome, Ok(true)) {
                 self.count_lost(events);
             }
+            // Back before `done`, so a quiet tenant holds every buffer.
+            self.recycle(frame);
             self.queue.done();
         }
     }
@@ -604,6 +661,139 @@ mod tests {
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 1);
         assert_eq!(t.stats.events_lost.load(Ordering::Relaxed), 5);
         assert_eq!(t.events_analyzed(), 25);
+        t.shutdown();
+    }
+
+    /// A frame the way a connection builds it: in a buffer from the
+    /// tenant's spares.
+    fn spare_filled(t: &Tenant, base: u64, n: u64) -> Vec<StampedEvent> {
+        let mut buf = t.spare_frame();
+        buf.clear();
+        buf.extend(frame(base, n));
+        buf
+    }
+
+    /// `received == analyzed + spilled + lost`, in frames and in events.
+    fn assert_ledger_balances(t: &Tenant) {
+        let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let s = &t.stats;
+        assert_eq!(
+            n(&s.frames_received),
+            t.frames_analyzed() + n(&s.frames_spilled) + n(&s.frames_lost)
+        );
+        assert_eq!(
+            n(&s.events_received),
+            t.events_analyzed() + n(&s.events_spilled) + n(&s.events_lost)
+        );
+    }
+
+    fn spares(t: &Tenant) -> usize {
+        t.spares.lock().len()
+    }
+
+    /// Every end of a frame's life on a non-durable tenant hands its
+    /// buffer back: analysed, a wild-tid frame counted lost, an injected
+    /// drain panic and I/O fault, and a push refused by a closed queue.
+    /// With a queue of 2 at most 4 buffers are ever out at once (2 queued,
+    /// one in the drain, one filling), so no spare is ever dropped and the
+    /// 1 000-frame stream allocates at most that many.
+    #[test]
+    fn every_end_of_a_frames_life_recycles_its_buffer() {
+        use lc_faults::{FaultPlan, FaultRule};
+        const QUEUE: usize = 2;
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            rules: vec![
+                FaultRule::once(FaultSite::TenantFlush, FaultAction::Panic, 100),
+                FaultRule::once(FaultSite::TenantFlush, FaultAction::IoError, 500),
+            ],
+        }));
+        let t = Tenant::spawn("t".into(), analyzer(), QUEUE, Some(inj), None, None, None);
+        let mut wild = 0;
+        for i in 0..1000u64 {
+            let mut f = spare_filled(&t, i * 8, 8);
+            if i % 97 == 13 {
+                f[5].event.tid = 9;
+                wild += 1;
+            }
+            t.enqueue(f);
+            assert!(spares(&t) <= SPARE_FRAMES);
+        }
+        assert!(t.wait_quiet(Duration::from_secs(30)));
+        assert_ledger_balances(&t);
+        assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), wild + 2);
+        t.shutdown();
+        for i in 0..3u64 {
+            t.enqueue(spare_filled(&t, i * 8, 8));
+        }
+        assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), wild + 5);
+        assert_ledger_balances(&t);
+        let fresh = t.fresh_buffers.load(Ordering::Relaxed) as usize;
+        assert!(fresh <= QUEUE + 2, "{fresh} buffers for 1 003 frames");
+        assert!(fresh <= SPARE_FRAMES + QUEUE + 1);
+        assert_eq!(spares(&t), fresh, "a quiet tenant holds every buffer");
+    }
+
+    /// A durable tenant whose drain stalls spills the overflow: the spill
+    /// hands each buffer straight back, catch-up replays the spool, and
+    /// the ledger balances with nothing left spilled.
+    #[test]
+    fn spilled_frames_recycle_their_buffers() {
+        use lc_faults::{FaultPlan, FaultRule};
+        const QUEUE: usize = 1;
+        let dir = std::env::temp_dir().join(format!("lc_spare_spill_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            rules: vec![FaultRule::once(
+                FaultSite::TenantFlush,
+                FaultAction::Stall { ms: 200 },
+                0,
+            )],
+        }));
+        let durable = DurableTenant::new(dir.clone(), None);
+        let t = Tenant::spawn(
+            "t".into(),
+            analyzer(),
+            QUEUE,
+            Some(inj),
+            Some(durable),
+            None,
+            None,
+        );
+        for i in 0..1000u64 {
+            t.enqueue(spare_filled(&t, i * 8, 8));
+            assert!(spares(&t) <= SPARE_FRAMES);
+        }
+        assert!(t.wait_quiet(Duration::from_secs(30)));
+        assert!(t.stats.frames_spilled_total.load(Ordering::Relaxed) > 0);
+        assert_eq!(t.stats.frames_spilled.load(Ordering::Relaxed), 0);
+        assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 0);
+        assert_eq!(t.events_analyzed(), 8000);
+        assert_ledger_balances(&t);
+        let fresh = t.fresh_buffers.load(Ordering::Relaxed) as usize;
+        assert!(fresh <= SPARE_FRAMES + QUEUE + 1, "{fresh} buffers");
+        t.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The spare list never grows past its cap, and an outsized buffer is
+    /// dropped rather than kept.
+    #[test]
+    fn spares_are_capped_and_outsized_buffers_dropped() {
+        let t = Tenant::spawn("t".into(), analyzer(), 4, None, None, None, None);
+        t.recycle(Vec::with_capacity(SPARE_MAX_EVENTS + 1));
+        assert_eq!(spares(&t), 0);
+        for _ in 0..3 * SPARE_FRAMES {
+            t.recycle(Vec::with_capacity(16));
+        }
+        assert_eq!(spares(&t), SPARE_FRAMES);
+        for _ in 0..SPARE_FRAMES {
+            assert!(t.spare_frame().capacity() >= 16);
+        }
+        assert_eq!(t.fresh_buffers.load(Ordering::Relaxed), 0);
+        assert_eq!(t.spare_frame().capacity(), 0);
+        assert_eq!(t.fresh_buffers.load(Ordering::Relaxed), 1);
         t.shutdown();
     }
 }

@@ -10,14 +10,26 @@
 //! 3. the decoder is *salvage-exact*: its recovered events and its
 //!    frames/events/dropped-bytes accounting match [`salvage_stream`]
 //!    (the file-side recovery the spool format guarantees) on the same
-//!    bytes — the longest valid whole-frame prefix, no more, no less.
+//!    bytes — the longest valid whole-frame prefix, no more, no less;
+//! 4. recycled buffers are invisible: decoding into dirty spares
+//!    ([`FrameDecoder::feed_with`]) yields what fresh buffers yield.
 
 use lc_trace::event::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
-use lc_trace::{salvage_stream, write_trace_spool, FrameDecoder, Trace, WireError, WireSummary};
+use lc_trace::{
+    crc32, read_trace, salvage_stream, write_trace, write_trace_spool, FrameDecoder, Trace,
+    WireError, WireSummary,
+};
 use proptest::prelude::*;
 
 /// v2 prelude: magic + version.
 const V2_HEADER: usize = 8;
+/// v2 frame header: marker + payload length + CRC.
+const FRAME_HEADER: usize = 12;
+/// v1 header: magic + version + event count.
+const V1_HEADER: usize = 16;
+/// Bytes per record, and the offset of its kind byte.
+const RECORD_BYTES: usize = 41;
+const KIND_AT: usize = 24;
 
 fn ev(i: u64) -> StampedEvent {
     StampedEvent {
@@ -53,20 +65,153 @@ fn decode_chunked(bytes: &[u8], chunk_sizes: &[usize]) -> (WireSummary, Vec<Stam
     let mut dec = FrameDecoder::new();
     let mut frames = Vec::new();
     let mut events = Vec::new();
-    let mut pos = 0;
-    let mut i = 0;
-    while pos < bytes.len() {
-        let n = chunk_sizes[i % chunk_sizes.len()]
-            .max(1)
-            .min(bytes.len() - pos);
-        i += 1;
-        dec.feed(&bytes[pos..pos + n], &mut frames);
+    for piece in chunk_pieces(bytes, chunk_sizes) {
+        dec.feed(piece, &mut frames);
         for f in frames.drain(..) {
             events.extend(f);
         }
-        pos += n;
     }
     (dec.finish(), events)
+}
+
+/// Feed `bytes` in chunks cycling through `chunk_sizes`, each frame
+/// decoded into a buffer `spare` supplies; returns the summary and the
+/// frames as emitted. Emitted buffers go back through `recycle`.
+fn decode_frames(
+    bytes: &[u8],
+    chunk_sizes: &[usize],
+    mut spare: impl FnMut() -> Vec<StampedEvent>,
+    mut recycle: impl FnMut(Vec<StampedEvent>),
+) -> (WireSummary, Vec<Vec<StampedEvent>>) {
+    let mut dec = FrameDecoder::new();
+    let mut out = Vec::new();
+    let mut frames = Vec::new();
+    for piece in chunk_pieces(bytes, chunk_sizes) {
+        dec.feed_with(piece, &mut out, &mut spare);
+        for f in out.drain(..) {
+            frames.push(f.clone());
+            recycle(f);
+        }
+    }
+    (dec.finish(), frames)
+}
+
+/// `bytes` cut into pieces whose sizes cycle through `chunk_sizes`.
+fn chunk_pieces<'a>(bytes: &'a [u8], chunk_sizes: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+    let mut pos = 0;
+    let mut sizes = chunk_sizes.iter().cycle();
+    std::iter::from_fn(move || {
+        if pos >= bytes.len() {
+            return None;
+        }
+        let n = (*sizes.next()?).clamp(1, bytes.len() - pos);
+        pos += n;
+        Some(&bytes[pos - n..pos])
+    })
+}
+
+/// A used buffer: `stale` leftover events in `capacity` slots.
+fn dirty_buffer(stale: usize, capacity: usize) -> Vec<StampedEvent> {
+    let mut buf = Vec::with_capacity(capacity.max(stale));
+    buf.extend((0..stale as u64).map(|i| ev(1_000_000 + i)));
+    buf
+}
+
+/// Decode once into fresh buffers and once into dirty recycled ones (the
+/// spares `dirt` describes, then every emitted frame handed back with a
+/// stale event appended); both must agree exactly.
+fn assert_recycling_invisible(
+    bytes: &[u8],
+    chunk_sizes: &[usize],
+    dirt: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    let fresh = decode_frames(bytes, chunk_sizes, Vec::new, drop);
+    let pool: Vec<_> = dirt.iter().map(|&(l, c)| dirty_buffer(l, c)).collect();
+    let pool = std::cell::RefCell::new(pool);
+    let recycled = decode_frames(
+        bytes,
+        chunk_sizes,
+        || {
+            pool.borrow_mut()
+                .pop()
+                .unwrap_or_else(|| dirty_buffer(3, 7))
+        },
+        |mut f| {
+            f.push(ev(2_000_000));
+            pool.borrow_mut().insert(0, f);
+        },
+    );
+    prop_assert_eq!(&fresh, &recycled);
+    Ok(())
+}
+
+/// `bytes` (a valid spool of `per_frame`-event frames) with record
+/// `record` of frame `frame` given kind byte `kind` and the frame's CRC
+/// recomputed, so only the record decoder can see the damage.
+fn with_bad_kind(
+    mut bytes: Vec<u8>,
+    per_frame: usize,
+    frame: usize,
+    record: usize,
+    kind: u8,
+) -> Vec<u8> {
+    let payload_len = per_frame * RECORD_BYTES;
+    let start = V2_HEADER + frame * (FRAME_HEADER + payload_len);
+    let payload = start + FRAME_HEADER..start + FRAME_HEADER + payload_len;
+    bytes[payload.start + record * RECORD_BYTES + KIND_AT] = kind;
+    let crc = crc32(&bytes[payload]);
+    bytes[start + 8..start + 12].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// The error text the one-record decoder gives kind byte `kind`, read
+/// through the v1 file reader.
+fn decode_event_error(kind: u8) -> String {
+    let mut v1 = Vec::new();
+    write_trace(&Trace::new(vec![ev(0)]), &mut v1).expect("v1");
+    v1[V1_HEADER + KIND_AT] = kind;
+    read_trace(&v1[..]).expect_err("bad kind").to_string()
+}
+
+/// A CRC-valid frame whose record 0, a middle record or the last record
+/// has a bad kind byte: the frames before it and that frame's valid
+/// prefix are kept, the stream is poisoned with the record decoder's
+/// message, and dirty recycled buffers change none of it.
+#[test]
+fn bad_kind_byte_keeps_the_frames_valid_prefix() {
+    const PER_FRAME: usize = 6;
+    for record in [0, PER_FRAME / 2, PER_FRAME - 1] {
+        for kind in [2u8, 7, 0xFF] {
+            let bytes = with_bad_kind(spool_bytes(PER_FRAME as u64, 3), PER_FRAME, 1, record, kind);
+            let (summary, events) = decode_chunked(&bytes, &[5, 64, 1]);
+            let want_events = (PER_FRAME + record) as u64;
+            assert_eq!(summary.frames, 1, "record {record}");
+            assert_eq!(summary.events, want_events, "record {record}");
+            assert_eq!(
+                summary.error,
+                Some(WireError::Corrupt(decode_event_error(kind))),
+                "record {record}"
+            );
+            assert_eq!(
+                events,
+                (0..want_events).map(ev).collect::<Vec<_>>(),
+                "record {record}"
+            );
+            assert_eq!(
+                summary.bytes_dropped,
+                (bytes.len() - V2_HEADER - FRAME_HEADER - PER_FRAME * RECORD_BYTES) as u64
+            );
+            let (_, frames) = decode_frames(&bytes, &[bytes.len()], Vec::new, drop);
+            assert_eq!(
+                frames.len(),
+                if record == 0 { 1 } else { 2 },
+                "record {record}"
+            );
+            assert_salvage_exact(&bytes, &[7]).expect("salvage-exact");
+            assert_recycling_invisible(&bytes, &[7, 200], &[(5, 100), (0, 0), (40, 40)])
+                .expect("recycling invisible");
+        }
+    }
 }
 
 /// The differential contract: the decoder's outcome on `bytes` must map
@@ -177,6 +322,29 @@ proptest! {
         let bit = bit_seed % (bytes.len() as u64 * 8);
         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         assert_salvage_exact(&bytes, &chunks)?;
+    }
+
+    /// Dirty recycled buffers (stale events, any length and capacity)
+    /// decode exactly like fresh ones, whole or damaged: cut, bit-flipped
+    /// or both, under arbitrary chunking.
+    #[test]
+    fn recycled_buffers_are_invisible(
+        per_frame in 1u64..12,
+        frames in 1u64..7,
+        damage in 0u8..4,
+        seeds in (any::<u64>(), any::<u64>()),
+        chunks in prop::collection::vec(1usize..97, 1..8),
+        dirt in prop::collection::vec((0usize..40, 0usize..5000), 0..6)
+    ) {
+        let mut bytes = spool_bytes(per_frame, frames);
+        if damage & 1 != 0 {
+            bytes.truncate((seeds.0 % (bytes.len() as u64 + 1)) as usize);
+        }
+        if damage & 2 != 0 && !bytes.is_empty() {
+            let bit = seeds.1 % (bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        assert_recycling_invisible(&bytes, &chunks, &dirt)?;
     }
 
     /// Truncation and a bit flip together: the worst realistic damage a
