@@ -11,9 +11,11 @@
 //!   read-checksum-decode-detect pipeline, with the read, checksum and
 //!   decode on a second thread when the host has a spare core, as
 //!   `analyze` runs it;
-//! * the **coherence** backend (`CoherenceBackend::on_block`, the
-//!   `--coherence` cost) on the same trace — reported against the fused
-//!   rate so the MESI hot path cannot silently slide back onto maps;
+//! * the **coherence** backend as `analyze --coherence` runs it
+//!   (`ShardedCoherence`, one cache-set shard per core, fed 4096-event
+//!   blocks, through `finish()`'s merged report) on the same trace —
+//!   reported against the fused rate so the MESI hot path and its report
+//!   build cannot silently slide back onto maps;
 //! * the **slot-sharded** parallel path (`analyze_trace_asymmetric`) with
 //!   coalescing on and off.
 //!
@@ -34,7 +36,7 @@
 use std::time::Instant;
 
 use lc_bench::{ascii_table, results_dir, save_csv, save_metrics};
-use lc_cachesim::{CoherenceBackend, CoherenceConfig};
+use lc_cachesim::{CoherenceConfig, ShardedCoherence};
 use lc_profiler::raw::AsymmetricDetector;
 use lc_profiler::{
     analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, FusedScratch, MetricsRegistry,
@@ -140,15 +142,23 @@ fn spool_fused(spool: &MmapTrace, read_ahead: bool) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), p.dependencies())
 }
 
-/// The MESI backend: wall time and invalidations (its repeat-run
-/// cross-check).
+/// The MESI backend as `analyze --coherence` ships it — one cache-set
+/// shard per core, the helpers started, fed and joined, the report
+/// merged: wall time and invalidations (its repeat-run cross-check).
 fn coherence(events: &[AccessEvent]) -> (f64, u64) {
-    let mut b = CoherenceBackend::new(CoherenceConfig::default(), THREADS);
     let t0 = Instant::now();
+    let mut b = ShardedCoherence::new(CoherenceConfig::default(), THREADS, coherence_shards());
     for block in events.chunks(SEGMENT_EVENTS) {
-        b.on_block(block);
+        b.on_block(block).expect("coherence shards run");
     }
-    (t0.elapsed().as_secs_f64(), b.totals().invalidations)
+    let report = b.finish().expect("coherence shards run");
+    (t0.elapsed().as_secs_f64(), report.invalidations)
+}
+
+/// The shard count `analyze --coherence` picks on this host.
+fn coherence_shards() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    ShardedCoherence::shard_count(CoherenceConfig::default(), cores)
 }
 
 fn median(mut secs: Vec<f64>) -> f64 {
@@ -460,11 +470,13 @@ fn main() {
          \"fused_over_per_event\": {fused_ratio:.4},\n  \
          \"spool_over_fused\": {spool_ratio:.4},\n  \
          \"coherence_over_fused\": {coherence_ratio:.4},\n  \
+         \"coherence_shards\": {},\n  \
          \"fused_batch\": {fused_batch},\n  \"deps\": {base_deps}\n}}\n",
         tput(per_event_s),
         tput(fused_s_best),
         tput(spool_s),
         tput(coherence_s),
+        coherence_shards(),
     );
     let path = results_dir().join("BENCH_replay.json");
     if let Some(dir) = path.parent() {

@@ -30,13 +30,13 @@
 //!   the fill that pulled them.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hasher};
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use lc_profiler::DenseMatrix;
+use lc_profiler::{AccumConfig, DenseMatrix, RegistryFull};
 use lc_trace::{AccessEvent, AccessKind, AccessSink, AsAccess, BlockSource, EventBlock, LoopId};
 
 use crate::cache::{Cache, CacheConfig, Mesi};
@@ -197,8 +197,9 @@ impl BusCounts {
     }
 }
 
-/// One offending cache line in the false-sharing report.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// One offending cache line in the false-sharing report. Plain data
+/// (`Copy`): the address sample is an inline array.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FsLine {
     /// False-sharing classified coherence events on this line
     /// (invalidations + pending-set flushes).
@@ -209,8 +210,78 @@ pub struct FsLine {
     pub true_bytes: u64,
     /// Bitmask of threads involved in the line's false sharing.
     pub threads: u64,
-    /// Up to four sample addresses whose accesses triggered the events.
-    pub addrs: BTreeSet<u64>,
+    /// The first four distinct addresses whose accesses triggered the
+    /// events: in arrival order while the backend runs, ascending in a
+    /// report.
+    addrs: [u64; FS_ADDR_SAMPLES],
+    n_addrs: u8,
+}
+
+impl FsLine {
+    /// Up to four sample addresses whose accesses triggered the events,
+    /// ascending.
+    pub fn addrs(&self) -> &[u64] {
+        &self.addrs[..self.n_addrs as usize]
+    }
+
+    /// Whether anything was charged to the line: every charge adds an
+    /// event or true bytes, so an all-zero entry is an untracked line.
+    fn is_charged(&self) -> bool {
+        self.events != 0 || self.true_bytes != 0
+    }
+
+    fn note_addr(&mut self, addr: u64) {
+        let n = self.n_addrs as usize;
+        if n < FS_ADDR_SAMPLES && !self.addrs[..n].contains(&addr) {
+            self.addrs[n] = addr;
+            self.n_addrs += 1;
+        }
+    }
+
+    /// `holder`'s copy died (or is being snapshotted) with the pending
+    /// words of `m`, written by `writers`, untouched.
+    fn charge_pending(&mut self, holder: usize, m: SlotMeta, writers: u64) {
+        self.events += 1;
+        self.false_bytes += m.pending_bytes();
+        self.threads |= (1 << holder) | writers;
+        self.note_addr(m.trigger_addr);
+    }
+
+    /// The report form: the address sample in ascending order.
+    fn sorted(mut self) -> Self {
+        self.addrs[..self.n_addrs as usize].sort_unstable();
+        self
+    }
+}
+
+/// Line-ascending per-line rows of one scope.
+type FsRows = Vec<(u64, FsLine)>;
+
+/// Merge two line-ascending row lists in one linear pass; where a line is
+/// in both, `b`'s row wins. Shard reports own disjoint lines, so merging
+/// them never drops a row.
+fn merge_rows(a: FsRows, b: FsRows) -> FsRows {
+    if b.is_empty() {
+        return a;
+    }
+    if a.is_empty() {
+        return b;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if x.0 < y.0 => a.next(),
+            (Some(x), Some(y)) if x.0 == y.0 => {
+                a.next();
+                b.next()
+            }
+            (_, Some(_)) => b.next(),
+            (Some(_), None) => a.next(),
+            (None, None) => return out,
+        };
+        out.extend(next);
+    }
 }
 
 /// Coherence traffic attributed to one loop (or to the whole program).
@@ -226,8 +297,8 @@ pub struct LoopCoh {
     pub fs_invalidations: u64,
     /// Bytes pulled by fills and never touched before the copy died.
     pub false_bytes: u64,
-    /// Offending lines, keyed by line number.
-    pub lines: BTreeMap<u64, FsLine>,
+    /// Offending lines as `(line number, stats)`, ascending by line.
+    pub lines: Vec<(u64, FsLine)>,
 }
 
 impl LoopCoh {
@@ -238,7 +309,7 @@ impl LoopCoh {
             bus: BusCounts::new(threads),
             fs_invalidations: 0,
             false_bytes: 0,
-            lines: BTreeMap::new(),
+            lines: Vec::new(),
         }
     }
 
@@ -280,11 +351,11 @@ impl LoopCoh {
         self.false_bytes += other.false_bytes;
     }
 
-    /// Add another shard's traffic: counts summed, offending lines joined
-    /// (shards own disjoint lines, so no key is in both).
+    /// Add another shard's traffic: counts summed, offending lines merged
+    /// in line order (shards own disjoint lines, so no line is in both).
     fn merge(&mut self, other: LoopCoh) {
         self.add_counts(&other);
-        self.lines.extend(other.lines);
+        self.lines = merge_rows(std::mem::take(&mut self.lines), other.lines);
     }
 }
 
@@ -318,6 +389,15 @@ pub struct CoherenceReport {
     /// Per-loop traffic, innermost attribution, keyed by loop UID
     /// (`LoopId::NONE` collects accesses outside any loop).
     pub loops: BTreeMap<u32, LoopCoh>,
+    /// Set when the stream touched more distinct loops than the loop cap
+    /// ([`CoherenceBackend::with_loop_capacity`]): the loops past the cap
+    /// are missing from `loops`, while `global` and the counters stay
+    /// exact.
+    pub loop_overflow: Option<RegistryFull>,
+    /// Loop UIDs the simulation interned, ascending, and the cap they
+    /// count against — what [`Self::merge`] decides `loop_overflow` from.
+    interned: Vec<u32>,
+    loop_cap: usize,
 }
 
 impl CoherenceReport {
@@ -327,8 +407,10 @@ impl CoherenceReport {
     /// lines (DESIGN.md §16.4).
     pub fn merge(&mut self, other: CoherenceReport) {
         assert!(
-            self.threads == other.threads && self.config == other.config,
-            "merged coherence reports must share threads and geometry"
+            self.threads == other.threads
+                && self.config == other.config
+                && self.loop_cap == other.loop_cap,
+            "merged coherence reports must share threads, geometry and loop cap"
         );
         self.accesses += other.accesses;
         self.clamped_accesses += other.clamped_accesses;
@@ -347,12 +429,35 @@ impl CoherenceReport {
                 }
             }
         }
+        // Each shard counts the loops it saw against the cap; the stream
+        // overflowed when their union is over it, whatever the split.
+        self.interned.extend(other.interned);
+        self.interned.sort_unstable();
+        self.interned.dedup();
+        let over = (self.interned.len() > self.loop_cap).then_some(RegistryFull {
+            capacity: self.loop_cap,
+        });
+        self.loop_overflow = self.loop_overflow.or(other.loop_overflow).or(over);
     }
 
     /// Total false-sharing classified events (invalidations + flushes),
     /// each already counted once on its line.
     pub fn false_sharing_events(&self) -> u64 {
-        self.global.lines.values().map(|l| l.events).sum()
+        self.global.lines.iter().map(|(_, l)| l.events).sum()
+    }
+
+    /// The scrape counters of this report ([`CoherenceBackend::totals`]
+    /// taken at the same moment).
+    pub fn totals(&self) -> CoherenceTotals {
+        CoherenceTotals {
+            accesses: self.accesses,
+            invalidations: self.invalidations,
+            c2c_fills: self.c2c_fills,
+            writebacks: self.writebacks,
+            true_bytes: self.global.true_bytes(),
+            false_bytes: self.global.false_bytes,
+            false_sharing_events: self.false_sharing_events(),
+        }
     }
 
     /// The scale-free coherence features the §VI classifier consumes:
@@ -447,6 +552,8 @@ struct Directory {
     /// `[index × words + w]`: threads that accessed the word since its
     /// last write.
     touched: Vec<u64>,
+    /// Program-wide false-sharing stats of each line, by dense index.
+    fs: Vec<FsLine>,
 }
 
 impl Directory {
@@ -462,6 +569,7 @@ impl Directory {
         self.word_writer
             .resize(self.word_writer.len() + words, NO_WRITER);
         self.touched.resize(self.touched.len() + words, 0);
+        self.fs.push(FsLine::default());
         d as usize
     }
 }
@@ -489,77 +597,50 @@ impl SlotMeta {
     }
 }
 
-/// Hot-path twin of [`FsLine`]: the address sample is an inline array
-/// holding the first four distinct addresses in arrival order.
-#[derive(Clone, Copy, Default)]
-struct FsAcc {
-    events: u64,
-    false_bytes: u64,
-    true_bytes: u64,
-    threads: u64,
-    addrs: [u64; FS_ADDR_SAMPLES],
-    n_addrs: u8,
-}
+/// Lines per page of a loop's [`FsPages`].
+const FS_PAGE: usize = 64;
 
-impl From<&FsAcc> for FsLine {
-    fn from(f: &FsAcc) -> Self {
-        Self {
-            events: f.events,
-            false_bytes: f.false_bytes,
-            true_bytes: f.true_bytes,
-            threads: f.threads,
-            addrs: f.addrs[..f.n_addrs as usize].iter().copied().collect(),
+/// One loop's per-line false-sharing stats, by directory index: fixed
+/// pages of [`FS_PAGE`] lines, each allocated when one of its lines is
+/// first charged in the loop.
+#[derive(Default)]
+struct FsPages(Vec<Option<Box<[FsLine; FS_PAGE]>>>);
+
+impl FsPages {
+    #[inline]
+    fn at(&mut self, d: usize) -> &mut FsLine {
+        let p = d / FS_PAGE;
+        if p >= self.0.len() {
+            self.0.resize_with(p + 1, || None);
         }
+        let page = self.0[p].get_or_insert_with(|| Box::new([FsLine::default(); FS_PAGE]));
+        &mut page[d % FS_PAGE]
     }
-}
 
-impl FsAcc {
-    fn note_addr(&mut self, addr: u64) {
-        let n = self.n_addrs as usize;
-        if n < FS_ADDR_SAMPLES && !self.addrs[..n].contains(&addr) {
-            self.addrs[n] = addr;
-            self.n_addrs += 1;
-        }
+    fn get(&self, d: usize) -> Option<&FsLine> {
+        self.0
+            .get(d / FS_PAGE)?
+            .as_ref()
+            .map(|page| &page[d % FS_PAGE])
+    }
+
+    /// Every entry of the allocated pages as `(directory index, stats)`.
+    fn entries(&self) -> impl Iterator<Item = (usize, &FsLine)> {
+        (self.0.iter().enumerate())
+            .filter_map(|(p, page)| Some((p * FS_PAGE, page.as_ref()?)))
+            .flat_map(|(d0, page)| (d0..).zip(page.iter()))
     }
 }
 
 /// What `report()` charges live pending sets on a copy of: per-loop
-/// matrices (the global ones are their sum, taken at report time) and
-/// per-line false-sharing stats.
+/// matrices (the global ones are their sum, taken at report time), with
+/// each interned loop's per-line stats beside them.
 #[derive(Default)]
 struct Accum {
     /// Indexed by interned loop; `LoopCoh::lines` stays empty here.
     loops: Vec<LoopCoh>,
-    /// Keyed by `scope << 32 | line index`; scope 0 is the whole program,
-    /// scope `i + 1` is interned loop `i`.
-    fs: HashMap<u64, FsAcc, MulHash>,
-}
-
-impl Accum {
-    /// The false-sharing stats of line `d` program-wide and in loop `lx`.
-    fn fs_lines(&mut self, lx: usize, d: usize, mut f: impl FnMut(&mut FsAcc)) {
-        for key in fs_keys(lx, d) {
-            f(self.fs.entry(key).or_default());
-        }
-    }
-
-    /// `holder`'s copy of line `d` died (or is being snapshotted) with the
-    /// pending words of `m` untouched.
-    fn charge_false_bytes(&mut self, d: usize, holder: usize, m: SlotMeta, writers: u64) {
-        let bytes = m.pending_bytes();
-        self.loops[m.fill_loop as usize].false_bytes += bytes;
-        self.fs_lines(m.fill_loop as usize, d, |fsl| {
-            fsl.events += 1;
-            fsl.false_bytes += bytes;
-            fsl.threads |= (1 << holder) | writers;
-            fsl.note_addr(m.trigger_addr);
-        });
-    }
-}
-
-/// Keys of line `d`'s stats in [`Accum::fs`]: program-wide, then loop `lx`.
-fn fs_keys(lx: usize, d: usize) -> [u64; 2] {
-    [d as u64, (lx as u64 + 1) << 32 | d as u64]
+    /// Indexed by interned loop, parallel to `loops`.
+    fs: Vec<FsPages>,
 }
 
 /// One line-granular slice of an access: the context every protocol step
@@ -603,9 +684,14 @@ pub struct CoherenceTotals {
 ///
 /// One line-access touches only index-addressed state: a single probe of
 /// the requester's cache set, one hashed lookup of the line's directory
-/// index, and arrays indexed by slot, directory index or interned loop
-/// (DESIGN.md §16.1). Allocation happens only when a line, a loop or a
-/// flagged line is seen for the first time.
+/// index, and arrays indexed by slot, directory index or interned loop —
+/// a line's false-sharing stats included (DESIGN.md §16.1). Allocation
+/// happens only when a line or a loop is seen for the first time, or a
+/// loop is first charged on a page of lines.
+///
+/// At most the loop cap ([`Self::with_loop_capacity`]) of distinct loops
+/// is interned; the accesses of any further loop count program-wide but
+/// in no loop, and [`Self::loop_overflow`] latches.
 ///
 /// A backend may be one cache-set shard of `n` ([`Self::shard`]): it then
 /// simulates only the lines whose set index is `k` modulo `n`, holds only
@@ -627,6 +713,13 @@ pub struct CoherenceBackend {
     loop_index: HashMap<u64, u32, MulHash>,
     /// Interned loop → loop UID.
     loop_ids: Vec<u32>,
+    /// Most loops interned; past it, accesses go to `spill`.
+    loop_cap: usize,
+    /// The interned slot that takes the accesses of loops past the cap:
+    /// summed into the whole-program traffic, reported as no loop.
+    spill: Option<usize>,
+    /// Accesses whose loop was past the cap.
+    dropped: u64,
     acc: Accum,
     /// Running totals; [`Self::totals`] adds the live pending sets.
     run: CoherenceTotals,
@@ -672,6 +765,9 @@ impl CoherenceBackend {
             dir: Directory::default(),
             loop_index: HashMap::default(),
             loop_ids: Vec::new(),
+            loop_cap: AccumConfig::default().loop_capacity,
+            spill: None,
+            dropped: 0,
             acc: Accum::default(),
             run: CoherenceTotals::default(),
             clamped: 0,
@@ -679,6 +775,27 @@ impl CoherenceBackend {
             fills: 0,
             mem_fills: 0,
         }
+    }
+
+    /// The same backend interning at most `cap` distinct loops, rounded up
+    /// to a power of two as the RAW analyzer's loop registry is (default:
+    /// [`AccumConfig::default`]'s `loop_capacity`). Each shard counts the
+    /// loops it sees; [`CoherenceReport::merge`] counts their union.
+    pub fn with_loop_capacity(mut self, cap: usize) -> Self {
+        self.loop_cap = cap.max(1).next_power_of_two();
+        self
+    }
+
+    /// The loop cap, latched once a loop past it was seen.
+    pub fn loop_overflow(&self) -> Option<RegistryFull> {
+        self.spill.map(|_| RegistryFull {
+            capacity: self.loop_cap,
+        })
+    }
+
+    /// Accesses attributed to no loop because the loop cap was reached.
+    pub fn dropped_accesses(&self) -> u64 {
+        self.dropped
     }
 
     /// Matrix dimension.
@@ -738,6 +855,9 @@ impl CoherenceBackend {
             };
             self.line_access(ev.kind, rq);
         }
+        if self.spill.is_some() && lx == self.spill {
+            self.dropped += 1;
+        }
     }
 
     /// Observe a block of accesses — semantically one [`Self::on_access`]
@@ -794,51 +914,58 @@ impl CoherenceBackend {
     ///
     /// This is also where order is produced: live pending sets are charged
     /// in ascending `(tid, line)` order (the four-address sample depends on
-    /// it), and the hashed per-line stats are sorted into the report's
-    /// `BTreeMap`s.
+    /// it) on copies of just the entries they land on, and each scope's
+    /// charged lines are sorted into its row list.
     pub fn report(&self) -> CoherenceReport {
-        // The copy the live pending sets are charged on: the loop matrices
-        // whole, the per-line stats only where a live set lands.
-        let mut acc = Accum {
-            loops: self.acc.loops.clone(),
-            fs: HashMap::default(),
-        };
+        let mut loops = self.acc.loops.clone();
+        // Copies of the per-line stats a live pending set lands on, keyed
+        // `(scope, line)`: scope 0 is the whole program, `lx + 1` loop `lx`.
+        let mut overlay: BTreeMap<(usize, u64), FsLine> = BTreeMap::new();
         for tid in 0..self.threads {
             let mut live: Vec<_> = self.live_pending(tid).collect();
             live.sort_unstable_by_key(|&(line, _)| line);
             for (_, m) in live {
-                let d = m.dir as usize;
-                for key in fs_keys(m.fill_loop as usize, d) {
-                    if let Some(f) = self.acc.fs.get(&key) {
-                        acc.fs.entry(key).or_insert(*f);
-                    }
+                let (d, lx) = (m.dir as usize, m.fill_loop as usize);
+                loops[lx].false_bytes += m.pending_bytes();
+                let writers = self.writer_mask(d, m.mask);
+                for (scope, base) in [(0, Some(&self.dir.fs[d])), (lx + 1, self.acc.fs[lx].get(d))]
+                {
+                    (overlay.entry((scope, self.dir.lines[d])))
+                        .or_insert_with(|| base.copied().unwrap_or_default())
+                        .charge_pending(tid, m, writers);
                 }
-                acc.charge_false_bytes(d, tid, m, self.writer_mask(d, m.mask));
             }
         }
-        let mut global = LoopCoh::new(self.threads);
-        for lc in &acc.loops {
-            global.add_counts(lc);
-        }
-        let untouched = (self.acc.fs.iter()).filter(|(key, _)| !acc.fs.contains_key(key));
-        let mut fs: Vec<(u64, u64, &FsAcc)> = untouched
-            .chain(&acc.fs)
-            .map(|(&key, f)| (key >> 32, self.dir.lines[key as u32 as usize], f))
-            .collect();
-        fs.sort_unstable_by_key(|&(scope, line, _)| (scope, line));
-        for per_scope in fs.chunk_by(|a, b| a.0 == b.0) {
-            let lc = match per_scope[0].0 as usize {
-                0 => &mut global,
-                scope => &mut acc.loops[scope - 1],
-            };
-            lc.lines = (per_scope.iter())
-                .map(|&(_, line, f)| (line, f.into()))
+        let mut overlay = overlay.into_iter().peekable();
+        let mut rows = |scope: usize, base: &mut dyn Iterator<Item = (usize, &FsLine)>| {
+            let mut rows: FsRows = base
+                .filter(|(_, f)| f.is_charged())
+                .map(|(d, f)| (self.dir.lines[d], f.sorted()))
                 .collect();
+            rows.sort_unstable_by_key(|&(line, _)| line);
+            let mut patch = FsRows::new();
+            while let Some(((_, line), f)) = overlay.next_if(|((s, _), _)| *s == scope) {
+                patch.push((line, f.sorted()));
+            }
+            merge_rows(rows, patch)
+        };
+        let mut global = LoopCoh::new(self.threads);
+        global.lines = rows(0, &mut self.dir.fs.iter().enumerate());
+        for (lx, (lc, fs)) in loops.iter_mut().zip(&self.acc.fs).enumerate() {
+            global.add_counts(lc);
+            lc.lines = rows(lx + 1, &mut fs.entries());
         }
-        // A loop interned by an access that caused no traffic has no entry.
-        let loops = (self.loop_ids.iter().copied().zip(acc.loops))
-            .filter(|(_, lc)| !lc.is_zero())
+        // A loop interned by an access that caused no traffic has no entry;
+        // the spill slot is no loop at all.
+        let reported = (self.loop_ids.iter().copied().zip(loops).enumerate())
+            .filter(|(lx, (_, lc))| Some(*lx) != self.spill && !lc.is_zero())
+            .map(|(_, entry)| entry)
             .collect();
+        let mut interned = self.loop_ids.clone();
+        if let Some(lx) = self.spill {
+            interned.remove(lx);
+        }
+        interned.sort_unstable();
         CoherenceReport {
             threads: self.threads,
             config: self.cfg,
@@ -851,20 +978,37 @@ impl CoherenceBackend {
             invalidations: self.run.invalidations,
             writebacks: self.run.writebacks,
             global,
-            loops,
+            loops: reported,
+            loop_overflow: self.loop_overflow(),
+            interned,
+            loop_cap: self.loop_cap,
         }
     }
 
-    /// Interned index of a loop, assigned on first sight.
+    /// Interned index of a loop, assigned on first sight while fewer than
+    /// the cap are interned; past it, the spill slot.
     fn loop_ix(&mut self, lid: LoopId) -> usize {
         if let Some(&lx) = self.loop_index.get(&(lid.0 as u64)) {
             return lx as usize;
         }
-        let lx = self.loop_ids.len();
-        self.loop_index.insert(lid.0 as u64, lx as u32);
+        if self.loop_index.len() < self.loop_cap {
+            self.loop_index
+                .insert(lid.0 as u64, self.loop_ids.len() as u32);
+        } else if let Some(lx) = self.spill {
+            return lx;
+        } else {
+            self.spill = Some(self.loop_ids.len());
+        }
         self.loop_ids.push(lid.0);
         self.acc.loops.push(LoopCoh::new(self.threads));
-        lx
+        self.acc.fs.push(FsPages::default());
+        self.loop_ids.len() - 1
+    }
+
+    /// The false-sharing stats of line `d` program-wide and in loop `lx`.
+    #[inline]
+    fn fs_lines(&mut self, lx: usize, d: usize) -> [&mut FsLine; 2] {
+        [&mut self.dir.fs[d], self.acc.fs[lx].at(d)]
     }
 
     /// Writers of the `mask` words of directory line `d`.
@@ -1022,11 +1166,11 @@ impl CoherenceBackend {
             if !true_sharing {
                 self.acc.loops[lx].fs_invalidations += 1;
                 self.run.false_sharing_events += 1;
-                self.acc.fs_lines(lx, d, |fsl| {
+                for fsl in self.fs_lines(lx, d) {
                     fsl.events += 1;
                     fsl.threads |= (1 << c) | (1 << h);
                     fsl.note_addr(rq.addr);
-                });
+                }
             }
             self.flush_pending(d, h, m);
         }
@@ -1039,7 +1183,10 @@ impl CoherenceBackend {
             self.run.false_bytes += m.pending_bytes();
             self.run.false_sharing_events += 1;
             let writers = self.writer_mask(d, m.mask);
-            self.acc.charge_false_bytes(d, holder, m, writers);
+            self.acc.loops[m.fill_loop as usize].false_bytes += m.pending_bytes();
+            for fsl in self.fs_lines(m.fill_loop as usize, d) {
+                fsl.charge_pending(holder, m, writers);
+            }
         }
     }
 
@@ -1063,7 +1210,9 @@ impl CoherenceBackend {
         self.meta_mut(c, slot).mask &= !used;
         if bytes != 0 {
             self.run.true_bytes += bytes;
-            self.acc.fs_lines(lx, d, |fsl| fsl.true_bytes += bytes);
+            for fsl in self.fs_lines(lx, d) {
+                fsl.true_bytes += bytes;
+            }
         }
     }
 
@@ -1129,8 +1278,8 @@ impl SharedCoherence {
             .expect("no holder of the coherence lock panicked")
     }
 
-    /// Snapshot the full report — clones every per-loop line map under the
-    /// lock the feeding thread needs; periodic scrapes use
+    /// Snapshot the full report — builds every scope's line rows under
+    /// the lock the feeding thread needs; periodic scrapes use
     /// [`Self::totals`] instead.
     pub fn report(&self) -> CoherenceReport {
         self.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -1145,6 +1294,11 @@ impl SharedCoherence {
     /// The scrape counters ([`CoherenceBackend::totals`]).
     pub fn totals(&self) -> CoherenceTotals {
         self.lock().totals()
+    }
+
+    /// [`CoherenceBackend::dropped_accesses`].
+    pub fn dropped_accesses(&self) -> u64 {
+        self.lock().dropped_accesses()
     }
 
     /// Feed a block of any [`AsAccess`] events under one lock acquisition.
@@ -1168,69 +1322,112 @@ impl AccessSink for SharedCoherence {
 /// equality of analyses can be asserted with `diff`, mirroring
 /// `lc_profiler::canonical_report`.
 pub fn canonical_coherence_report(r: &CoherenceReport) -> String {
-    let mut out = String::new();
-    out.push_str("loopcomm-coherence v1\n");
-    out.push_str(&format!("threads {}\n", r.threads));
-    out.push_str(&format!(
-        "geometry line-bytes {} cache-kib {} assoc {}\n",
-        r.config.line_bytes, r.config.cache_kib, r.config.assoc
-    ));
-    out.push_str(&format!("accesses {}\n", r.accesses));
+    // The per-line rows are nearly all of a large report, and one seldom
+    // passes 128 bytes: sized for that, the buffer seldom grows. Bytes
+    // are written (`io::Write` on a `Vec` cannot fail) and checked as
+    // text once, at the end.
+    let rows = r.global.lines.len() + r.loops.values().map(|lc| lc.lines.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(4096 + 128 * rows);
+    let _ = write!(
+        out,
+        "loopcomm-coherence v1\nthreads {}\ngeometry line-bytes {} cache-kib {} assoc {}\n\
+         accesses {}\n",
+        r.threads, r.config.line_bytes, r.config.cache_kib, r.config.assoc, r.accesses
+    );
     if r.clamped_accesses != 0 {
-        out.push_str(&format!("clamped-accesses {}\n", r.clamped_accesses));
+        let _ = writeln!(out, "clamped-accesses {}", r.clamped_accesses);
     }
-    out.push_str(&format!(
-        "fills {} mem {} c2c {} hits {}\n",
-        r.fills, r.mem_fills, r.c2c_fills, r.hits
-    ));
-    out.push_str(&format!(
-        "invalidations {} writebacks {}\n",
-        r.invalidations, r.writebacks
-    ));
-    out.push_str("global\n");
+    let _ = write!(
+        out,
+        "fills {} mem {} c2c {} hits {}\ninvalidations {} writebacks {}\nglobal\n",
+        r.fills, r.mem_fills, r.c2c_fills, r.hits, r.invalidations, r.writebacks
+    );
     push_loop(&mut out, &r.global);
     for (id, lc) in &r.loops {
         if lc.is_zero() {
             continue;
         }
-        out.push_str(&format!("loop {id}\n"));
+        let _ = writeln!(out, "loop {id}");
         push_loop(&mut out, lc);
     }
-    out
+    String::from_utf8(out).expect("the canonical report is ASCII")
 }
 
-fn push_loop(out: &mut String, lc: &LoopCoh) {
+fn push_loop(out: &mut Vec<u8>, lc: &LoopCoh) {
     if !lc.invalidations.is_zero() {
-        out.push_str("invalidations\n");
-        out.push_str(&lc.invalidations.to_csv());
+        out.extend_from_slice(b"invalidations\n");
+        out.extend_from_slice(lc.invalidations.to_csv().as_bytes());
     }
     if !lc.transfers.is_zero() {
-        out.push_str("transfers\n");
-        out.push_str(&lc.transfers.to_csv());
+        out.extend_from_slice(b"transfers\n");
+        out.extend_from_slice(lc.transfers.to_csv().as_bytes());
     }
     if !lc.bus.is_zero() {
-        out.push_str(&format!("bus {}\n", BUS_OPS.join(",")));
-        out.push_str(&lc.bus.to_csv());
+        let _ = writeln!(out, "bus {}", BUS_OPS.join(","));
+        out.extend_from_slice(lc.bus.to_csv().as_bytes());
     }
-    out.push_str(&format!(
-        "false-sharing invalidations {} false-bytes {} true-bytes {}\n",
+    let _ = writeln!(
+        out,
+        "false-sharing invalidations {} false-bytes {} true-bytes {}",
         lc.fs_invalidations,
         lc.false_bytes,
         lc.true_bytes()
-    ));
-    // One line per tracked cache line — the bulk of a large report, so
-    // written in place (`fmt::Write` on a `String` cannot fail).
+    );
+    // One row per tracked cache line, the bulk of a large report: the
+    // numbers are written digit by digit, not through `format!`.
     for (line, fs) in &lc.lines {
-        let _ = write!(
-            out,
-            "line {:#x} events {} false {} true {} threads {:#x} addrs ",
-            line, fs.events, fs.false_bytes, fs.true_bytes, fs.threads
-        );
-        for (i, a) in fs.addrs.iter().enumerate() {
-            let _ = write!(out, "{}{a:#x}", if i == 0 { "" } else { "," });
+        out.extend_from_slice(b"line ");
+        push_hex(out, *line);
+        out.extend_from_slice(b" events ");
+        push_dec(out, fs.events);
+        out.extend_from_slice(b" false ");
+        push_dec(out, fs.false_bytes);
+        out.extend_from_slice(b" true ");
+        push_dec(out, fs.true_bytes);
+        out.extend_from_slice(b" threads ");
+        push_hex(out, fs.threads);
+        out.extend_from_slice(b" addrs ");
+        for (i, &a) in fs.addrs().iter().enumerate() {
+            if i != 0 {
+                out.push(b',');
+            }
+            push_hex(out, a);
         }
-        out.push('\n');
+        out.push(b'\n');
     }
+}
+
+/// Append `v` in decimal, as `format!("{v}")` writes it.
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Append `v` in `0x`-prefixed lowercase hex, as `format!("{v:#x}")`
+/// writes it.
+fn push_hex(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 18];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+        if v == 0 {
+            break;
+        }
+    }
+    i -= 2;
+    buf[i..i + 2].copy_from_slice(b"0x");
+    out.extend_from_slice(&buf[i..]);
 }
 
 #[cfg(test)]
@@ -1298,7 +1495,7 @@ mod tests {
         assert!(r.global.fs_invalidations > 0, "ping-pong must be flagged");
         assert!(r.global.false_bytes > 0, "pulled words never touched");
         // Every false-sharing invalidation is also one of its line's events.
-        let from_lines: u64 = r.global.lines.values().map(|l| l.events).sum();
+        let from_lines: u64 = r.global.lines.iter().map(|(_, l)| l.events).sum();
         assert_eq!(r.false_sharing_events(), from_lines);
         assert!(from_lines > r.global.fs_invalidations, "flushes count too");
         let (_, fs_ratio, _) = r.features();
@@ -1421,6 +1618,102 @@ mod tests {
                 assert_eq!(split, whole, "{cfg:?} at {n} shard(s)");
             }
         }
+    }
+
+    /// Accesses alternating write/read over 512 words, access `i` in its
+    /// own loop `i`.
+    fn one_loop_per_access(n: u32) -> Vec<AccessEvent> {
+        (0..n)
+            .map(|i| {
+                let kind = [AccessKind::Write, AccessKind::Read][i as usize % 2];
+                ev(i % 4, 0x1000 + (i as u64 % 512) * 8, kind, i)
+            })
+            .collect()
+    }
+
+    /// A stream of 100 K distinct loops interns at most the cap and
+    /// latches the overflow.
+    #[test]
+    fn loops_past_the_cap_are_not_interned() {
+        let mut b = backend(4).with_loop_capacity(1000);
+        b.on_block(&one_loop_per_access(100_000));
+        assert_eq!(b.loop_index.len(), 1024, "the cap rounds up to 1024");
+        assert_eq!(b.acc.loops.len(), 1025, "1024 loops and the spill slot");
+        assert_eq!(b.acc.fs.len(), 1025);
+        let r = b.report();
+        assert_eq!(r.loop_overflow, Some(RegistryFull { capacity: 1024 }));
+        assert_eq!(b.loop_overflow(), r.loop_overflow);
+        assert!(r.loops.len() <= 1024);
+        assert_eq!(b.dropped_accesses(), 100_000 - 1024);
+    }
+
+    /// Past the cap, the whole-program traffic is what an uncapped run
+    /// reports.
+    #[test]
+    fn a_capped_run_keeps_the_whole_program_traffic_exact() {
+        let evs = one_loop_per_access(4096);
+        let mut capped = backend(4).with_loop_capacity(64);
+        let mut whole = backend(4).with_loop_capacity(4096);
+        capped.on_block(&evs);
+        whole.on_block(&evs);
+        let (r, w) = (capped.report(), whole.report());
+        assert!(r.loop_overflow.is_some() && w.loop_overflow.is_none());
+        assert_eq!(r.totals(), w.totals());
+        let render = |lc: &LoopCoh| {
+            let mut out = Vec::new();
+            push_loop(&mut out, lc);
+            out
+        };
+        assert_eq!(render(&r.global), render(&w.global));
+    }
+
+    #[test]
+    fn digit_writers_match_format() {
+        for v in [0, 9, 10, 15, 16, u32::MAX as u64, u64::MAX] {
+            let (mut dec, mut hex) = (Vec::new(), Vec::new());
+            push_dec(&mut dec, v);
+            push_hex(&mut hex, v);
+            assert_eq!(dec, format!("{v}").as_bytes());
+            assert_eq!(hex, format!("{v:#x}").as_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        /// Any value, at every digit count (the shift).
+        #[test]
+        fn digit_writers_match_format_on_any_value(
+            v in proptest::arbitrary::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let v = v >> shift;
+            let (mut dec, mut hex) = (b"x".to_vec(), b"y".to_vec());
+            push_dec(&mut dec, v);
+            push_hex(&mut hex, v);
+            proptest::prop_assert_eq!(dec, format!("x{v}").into_bytes());
+            proptest::prop_assert_eq!(hex, format!("y{v:#x}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn rows_merge_in_line_order_and_the_later_row_wins() {
+        let row = |line: u64, events: u64| {
+            (
+                line,
+                FsLine {
+                    events,
+                    ..FsLine::default()
+                },
+            )
+        };
+        let merged = merge_rows(
+            vec![row(1, 1), row(4, 1), row(9, 1)],
+            vec![row(2, 2), row(4, 2), row(10, 2)],
+        );
+        assert_eq!(
+            merged,
+            vec![row(1, 1), row(2, 2), row(4, 2), row(9, 1), row(10, 2)]
+        );
+        assert_eq!(merge_rows(vec![], vec![row(3, 1)]), vec![row(3, 1)]);
     }
 
     #[test]

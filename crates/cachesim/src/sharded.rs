@@ -14,6 +14,8 @@
 use lc_trace::handoff::{self, Drainer, Filler};
 use lc_trace::{AccessEvent, AsAccess};
 
+use lc_profiler::AccumConfig;
+
 use crate::backend::{line_span, CoherenceBackend, CoherenceConfig, CoherenceReport};
 
 /// Events per hand-off to a helper.
@@ -77,9 +79,10 @@ fn run_shard(
     threads: usize,
     k: usize,
     n: usize,
+    loop_cap: usize,
 ) -> impl FnOnce(Drainer<Buf>) -> CoherenceReport {
     move |mut ring| {
-        let mut shard = CoherenceBackend::shard(cfg, threads, k, n);
+        let mut shard = CoherenceBackend::shard(cfg, threads, k, n).with_loop_capacity(loop_cap);
         while let Some(mut buf) = ring.recv() {
             shard.on_block(&buf);
             buf.clear();
@@ -108,12 +111,29 @@ impl ShardedCoherence {
     }
 
     /// The backend for `threads` cores under `cfg` as `shards` cache-set
-    /// shards ([`Self::shard_count`] picks the number). `shards - 1`
-    /// helper threads start here; with one shard none does.
+    /// shards ([`Self::shard_count`] picks the number), at the default
+    /// loop cap. `shards - 1` helper threads start here; with one shard
+    /// none does.
     pub fn new(cfg: CoherenceConfig, threads: usize, shards: usize) -> Self {
-        let local = CoherenceBackend::shard(cfg, threads, 0, shards);
+        Self::with_loop_capacity(cfg, threads, shards, AccumConfig::default().loop_capacity)
+    }
+
+    /// [`Self::new`] with every shard interning at most `loop_cap`
+    /// distinct loops ([`CoherenceBackend::with_loop_capacity`]); the
+    /// merged report latches `loop_overflow` when the stream's loops are
+    /// more than that, at any shard count.
+    pub fn with_loop_capacity(
+        cfg: CoherenceConfig,
+        threads: usize,
+        shards: usize,
+        loop_cap: usize,
+    ) -> Self {
+        let local = CoherenceBackend::shard(cfg, threads, 0, shards).with_loop_capacity(loop_cap);
         let helpers = (1..shards)
-            .map(|k| Helper::spawn(format!("lc-coh-{k}"), run_shard(cfg, threads, k, shards)))
+            .map(|k| {
+                let body = run_shard(cfg, threads, k, shards, loop_cap);
+                Helper::spawn(format!("lc-coh-{k}"), body)
+            })
             .collect();
         Self {
             local,

@@ -948,7 +948,8 @@ fn analyze(name: &str, o: &Options) {
     let mut coh = o.coherence.then(|| {
         let cfg = coherence_config(o);
         let shards = lc_cachesim::ShardedCoherence::shard_count(cfg, cores);
-        lc_cachesim::ShardedCoherence::new(cfg, coherence_threads(threads), shards)
+        let threads = coherence_threads(threads);
+        lc_cachesim::ShardedCoherence::with_loop_capacity(cfg, threads, shards, o.loop_capacity)
     });
     // A spool is decoded ahead on a helper thread only when a core is left
     // over after the detector (and the coherence shards) took theirs.
@@ -995,6 +996,22 @@ fn analyze(name: &str, o: &Options) {
     if let Some(e) = analyzer.overflow() {
         registry_full_error(e, o.loop_capacity);
     }
+    // The coherence report is merged and rendered here, ahead of the
+    // metrics that time it; it is printed last, as always.
+    let coherence = coh.map(|c| {
+        let t0 = std::time::Instant::now();
+        let shards = c.shards();
+        let rep = c.finish().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+        if let Some(e) = rep.loop_overflow {
+            registry_full_error(e, o.loop_capacity);
+        }
+        let body =
+            (o.coherence_out.as_ref()).map(|_| lc_cachesim::canonical_coherence_report(&rep));
+        (rep, shards, body, t0.elapsed())
+    });
     let r = analyzer.report();
     println!(
         "analyzed: {} event(s) in {} block(s), {} job(s)",
@@ -1064,6 +1081,9 @@ fn analyze(name: &str, o: &Options) {
              (reading and decoding it itself without read-ahead)",
             streamed.segment_wait.as_secs_f64(),
         );
+        if let Some((rep, shards, _, took)) = &coherence {
+            coherence_metrics(&mut reg, &rep.totals(), *shards, *took);
+        }
         write_metrics(path, &reg);
     }
     if let Some(path) = &o.report_out {
@@ -1077,14 +1097,55 @@ fn analyze(name: &str, o: &Options) {
         });
         println!("wrote canonical report: {path}");
     }
-    if let Some(c) = coh {
-        let shards = c.shards();
-        let rep = c.finish().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        print_coherence(&rep, shards, o);
+    if let Some((rep, shards, body, _)) = coherence {
+        print_coherence(&rep, shards, body, o);
     }
+}
+
+/// The `--coherence` series of `analyze --metrics`.
+fn coherence_metrics(
+    reg: &mut lc_profiler::MetricsRegistry,
+    t: &lc_cachesim::CoherenceTotals,
+    shards: usize,
+    took: std::time::Duration,
+) {
+    for (name, help, v) in [
+        (
+            "accesses",
+            "Accesses the MESI backend simulated",
+            t.accesses,
+        ),
+        (
+            "invalidations",
+            "Copies invalidated by remote writes",
+            t.invalidations,
+        ),
+        ("c2c_fills", "Line fills served cache-to-cache", t.c2c_fills),
+        ("writebacks", "Dirty lines written back", t.writebacks),
+        ("true_bytes", "First-touch attributed bytes", t.true_bytes),
+        (
+            "false_bytes",
+            "Bytes pulled into a copy and never touched",
+            t.false_bytes,
+        ),
+        (
+            "false_sharing_events",
+            "False-sharing invalidations and flushes",
+            t.false_sharing_events,
+        ),
+    ] {
+        reg.counter(&format!("loopcomm_coherence_{name}_total"), help, v);
+    }
+    reg.gauge(
+        "loopcomm_coherence_shards",
+        "Cache-set shards the MESI backend ran as",
+        shards as f64,
+    );
+    reg.gauge(
+        "loopcomm_coherence_report_seconds",
+        "Time to merge the shards' coherence reports and render the canonical one",
+        took.as_secs_f64(),
+    );
 }
 
 /// Cap the coherence backend's matrix dimension, with a clean error when
@@ -1128,8 +1189,14 @@ fn profile_with_coherence(
     (prof.global_matrix(), coh.report())
 }
 
-/// Print a [`lc_cachesim::CoherenceReport`] and honour `--coherence-out`.
-fn print_coherence(rep: &lc_cachesim::CoherenceReport, shards: usize, o: &Options) {
+/// Print a [`lc_cachesim::CoherenceReport`] and write its canonical
+/// form, `body`, to `--coherence-out`.
+fn print_coherence(
+    rep: &lc_cachesim::CoherenceReport,
+    shards: usize,
+    body: Option<String>,
+    o: &Options,
+) {
     println!(
         "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], {shards} cache-set shard(s) \
          (--jobs shards the RAW analyzer only):",
@@ -1177,25 +1244,29 @@ fn print_coherence(rep: &lc_cachesim::CoherenceReport, shards: usize, o: &Option
         );
     }
     // Only lines that actually false-shared; tracked-but-clean lines
-    // would read as noise here.
-    let mut flagged: Vec<_> = rep
-        .global
-        .lines
-        .iter()
+    // would read as noise here. The top 8 are selected, not sorted out of
+    // all of them.
+    const TOP: usize = 8;
+    let mut flagged: Vec<_> = (rep.global.lines.iter())
         .filter(|(_, fs)| fs.events > 0)
         .collect();
-    flagged.sort_by_key(|(line, fs)| (std::cmp::Reverse(fs.false_bytes), **line));
+    let key =
+        |&&(line, fs): &&(u64, lc_cachesim::FsLine)| (std::cmp::Reverse(fs.false_bytes), line);
+    if flagged.len() > TOP {
+        flagged.select_nth_unstable_by_key(TOP - 1, key);
+        flagged.truncate(TOP);
+    }
+    flagged.sort_unstable_by_key(key);
     if !flagged.is_empty() {
-        println!("\nfalse-sharing lines (top {}):", flagged.len().min(8));
-        for (line, fs) in flagged.into_iter().take(8) {
+        println!("\nfalse-sharing lines (top {}):", flagged.len());
+        for (line, fs) in flagged {
             println!(
                 "  line {:#x}: {} event(s), {} false / {} true byte(s), threads {:#x}",
                 line, fs.events, fs.false_bytes, fs.true_bytes, fs.threads
             );
         }
     }
-    if let Some(path) = &o.coherence_out {
-        let body = lc_cachesim::canonical_coherence_report(rep);
+    if let (Some(path), Some(body)) = (&o.coherence_out, body) {
         std::fs::write(path, body).unwrap_or_else(|e| {
             eprintln!("cannot write coherence report to `{path}`: {e}");
             std::process::exit(1);

@@ -438,19 +438,21 @@ fn tenants_json(shared: &Shared) -> String {
 
 fn tenant_stats_json(t: &Tenant) -> String {
     // The coherence object exists only when the backend is on, so its
-    // absence is distinguishable from an idle backend.
+    // absence is distinguishable from an idle backend. Accesses that lost
+    // their loop to the loop cap follow it.
     let coherence = match t.coherence_totals() {
         Some(tot) => format!(
             ",\"coherence\":{{\"accesses\":{},\"invalidations\":{},\"c2c_fills\":{},\
              \"writebacks\":{},\"false_bytes\":{},\"true_bytes\":{},\
-             \"false_sharing_events\":{}}}",
+             \"false_sharing_events\":{}}},\"coherence_loop_cap_dropped_accesses\":{}",
             tot.accesses,
             tot.invalidations,
             tot.c2c_fills,
             tot.writebacks,
             tot.false_bytes,
             tot.true_bytes,
-            tot.false_sharing_events
+            tot.false_sharing_events,
+            t.coherence_dropped_accesses().unwrap_or(0)
         ),
         None => String::new(),
     };

@@ -281,7 +281,9 @@ impl Shared {
                 .prof
                 .threads
                 .clamp(1, lc_cachesim::MAX_COHERENCE_THREADS);
-            lc_cachesim::SharedCoherence::new(lc_cachesim::CoherenceBackend::new(ccfg, threads))
+            let backend = lc_cachesim::CoherenceBackend::new(ccfg, threads)
+                .with_loop_capacity(self.cfg.accum.loop_capacity);
+            lc_cachesim::SharedCoherence::new(backend)
         });
         let t = Tenant::spawn(
             name.to_string(),

@@ -493,6 +493,13 @@ impl Tenant {
         self.coherence.as_ref().map(|c| c.totals())
     }
 
+    /// Accesses the coherence backend attributed to no loop because the
+    /// stream touched more loops than the loop cap (`None` when the
+    /// backend is off).
+    pub fn coherence_dropped_accesses(&self) -> Option<u64> {
+        self.coherence.as_ref().map(|c| c.dropped_accesses())
+    }
+
     /// Full coherence-report snapshots taken so far (0 with the backend
     /// off): `/tenants/<t>/coherence` moves it, metrics scrapes must not.
     pub fn coherence_snapshots(&self) -> u64 {
