@@ -2,7 +2,6 @@
 //!
 //! * hash function choice (MurmurHash finalizer vs FNV-1a vs
 //!   multiply-shift) — the paper picks Murmur for speed + collision quality;
-//! * Bloom-filter hash count `k` — the FPRate knob of §IV-D2;
 //! * lock-free vs mutex-guarded signature under contention — the paper's
 //!   "C++11 lock-free primitives" decision (§IV-D3).
 //!
@@ -12,11 +11,10 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 use std::hint::black_box;
 
-use lc_sigmem::bloom::BloomFilter;
 use lc_sigmem::murmur::fmix64;
 use lc_sigmem::{Signature, SlotSignature};
 
@@ -77,24 +75,6 @@ fn bench_hash_choice(c: &mut Criterion) {
         collide(&fnv1a64),
         collide(&multiply_shift),
     );
-}
-
-// --- bloom k sweep ----------------------------------------------------------
-
-fn bench_bloom_k(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_bloom_k");
-    for k in [2usize, 4, 7, 10] {
-        g.bench_with_input(BenchmarkId::new("insert+query", k), &k, |b, &k| {
-            let mut f = BloomFilter::with_params(512, k);
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                f.insert(black_box(i % 32));
-                f.contains(black_box(i % 64))
-            })
-        });
-    }
-    g.finish();
 }
 
 // --- lock-free vs mutex signature under contention --------------------------
@@ -186,7 +166,6 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_hash_choice,
-    bench_bloom_k,
     bench_lockfree_vs_mutex,
     bench_dense_vs_sparse
 );

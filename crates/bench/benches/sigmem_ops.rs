@@ -1,14 +1,11 @@
 //! Microbenchmarks of the signature-memory substrate: the per-access data
 //! structures on Algorithm 1's hot path.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use lc_sigmem::bloom::BloomFilter;
-use lc_sigmem::murmur::{fmix64, hash_addr, murmur3_x64_128, murmur3_x86_32};
-use lc_sigmem::{
-    BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature,
-};
+use lc_sigmem::murmur::{fmix64, murmur3_x64_128, murmur3_x86_32};
+use lc_sigmem::{PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature};
 
 fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("murmur");
@@ -19,43 +16,12 @@ fn bench_hashes(c: &mut Criterion) {
             x
         })
     });
-    g.bench_function("hash_addr_seeded", |b| {
-        b.iter(|| hash_addr(black_box(0xdead_beef_0000), black_box(7)))
-    });
     let buf = vec![0xa5u8; 64];
     g.bench_function("x86_32_64B", |b| {
         b.iter(|| murmur3_x86_32(black_box(&buf), 0))
     });
     g.bench_function("x64_128_64B", |b| {
         b.iter(|| murmur3_x64_128(black_box(&buf), 0))
-    });
-    g.finish();
-}
-
-fn bench_bloom(c: &mut Criterion) {
-    let mut g = c.benchmark_group("bloom");
-    g.bench_function("seq_insert_32", |b| {
-        b.iter_batched(
-            || BloomFilter::with_rate(32, 0.001),
-            |mut f| {
-                for t in 0..32u64 {
-                    f.insert(black_box(t));
-                }
-                f
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut filter = BloomFilter::with_rate(32, 0.001);
-    for t in 0..16u64 {
-        filter.insert(t);
-    }
-    g.bench_function("seq_contains", |b| b.iter(|| filter.contains(black_box(7))));
-
-    let cb = ConcurrentBloom::new(BloomGeometry::for_threads(32, 0.001));
-    g.bench_function("concurrent_insert", |b| b.iter(|| cb.insert(black_box(9))));
-    g.bench_function("concurrent_contains", |b| {
-        b.iter(|| cb.contains(black_box(9)))
     });
     g.finish();
 }
@@ -102,5 +68,5 @@ fn bench_signatures(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hashes, bench_bloom, bench_signatures);
+criterion_group!(benches, bench_hashes, bench_signatures);
 criterion_main!(benches);

@@ -344,7 +344,7 @@ impl Checkpoint {
         };
         let jobs = d.u32()? as usize;
         let threads = d.u32()? as usize;
-        if jobs == 0 || jobs > 1 << 16 || threads == 0 || threads > 1 << 12 {
+        if jobs == 0 || jobs > crate::MAX_JOBS || threads == 0 || threads > 1 << 12 {
             return Err(bad_data(format!(
                 "implausible checkpoint shape: jobs={jobs} threads={threads}"
             )));

@@ -52,6 +52,11 @@ pub(crate) enum Workers {
     },
 }
 
+/// The most workers an [`IncrementalAnalyzer`] is given: the CLI rejects a
+/// larger `--jobs`, and [`crate::Checkpoint::load`] refuses a checkpoint
+/// that claims more, so every checkpoint a run writes can be resumed.
+pub const MAX_JOBS: usize = 1 << 16;
+
 /// One tenant's live analysis state: `jobs` private profilers fed
 /// per-address-class sub-batches of each arriving frame.
 ///

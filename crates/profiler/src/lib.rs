@@ -66,7 +66,7 @@ pub use checkpoint::{checkpoint_path, write_atomic_blob, Checkpoint, DetectorSta
 pub use deps::{DepConfig, DepKind, FullDetector};
 pub use energy::{estimate_dvfs_savings, EnergyEstimate, PowerModel};
 pub use fused::{FusedScratch, FusedStats};
-pub use ingest::{DetectorKind, IncrementalAnalyzer};
+pub use ingest::{DetectorKind, IncrementalAnalyzer, MAX_JOBS};
 pub use mapping::{greedy_mapping, MachineTopology, ThreadMapping};
 pub use matrix::{CommMatrix, DenseMatrix};
 pub use matrix_sparse::SparseCommMatrix;

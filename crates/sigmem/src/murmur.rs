@@ -35,16 +35,6 @@ pub fn fmix32(mut h: u32) -> u32 {
     h
 }
 
-/// Hash a memory address together with a seed.
-///
-/// Used to derive the family of hash functions needed by the Bloom filters
-/// ("a linear combination of hash functions has been devised", §IV-D2):
-/// `h_i(x) = hash_addr(x, seed_a) + i * hash_addr(x, seed_b)`.
-#[inline]
-pub fn hash_addr(addr: u64, seed: u64) -> u64 {
-    fmix64(addr ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 /// Number of independent hash lanes [`hash_block`] interleaves.
 ///
 /// `fmix64` is a serial chain of five data-dependent steps (~15 cycles of
@@ -263,14 +253,6 @@ mod tests {
     fn fmix64_zero_maps_to_zero() {
         // Known fixed point of the finalizer.
         assert_eq!(fmix64(0), 0);
-    }
-
-    #[test]
-    fn hash_addr_seed_independence() {
-        // Different seeds must decorrelate the same address.
-        let a = hash_addr(0xdead_beef, 1);
-        let b = hash_addr(0xdead_beef, 2);
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -116,9 +116,9 @@ pub struct ParReplayStats {
 ///
 /// Legality (DESIGN.md §10): after a run's first event, every later member
 /// is a detector no-op — a repeat read by the same thread is suppressed by
-/// the first-read-only rule and its signature insert is idempotent (Bloom
-/// membership is keyed by tid); a repeat write re-records the same writer
-/// into the same slot and re-clears an already-cleared filter. The folded
+/// the first-read-only rule and its signature insert is idempotent (the
+/// reader bit is keyed by tid); a repeat write re-records the same writer
+/// into the same slot and re-clears an already-cleared reader set. The folded
 /// event therefore keeps the *first* event's address and size: those are
 /// the bytes the sequential detector would have attributed.
 pub fn coalesce_events(

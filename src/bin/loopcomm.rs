@@ -56,6 +56,14 @@ use loopcomm::prelude::*;
 /// values are rejected at parse time rather than silently clamped.
 const MAX_BATCH_EVENTS: usize = 1 << 24;
 
+/// Upper bound for `--slots`: 2^30 slots is two orders of magnitude past
+/// the paper's largest signature (10^7 slots).
+const MAX_SLOTS: usize = 1 << 30;
+
+/// Upper bound for `--loop-capacity`: the registry rounds it up to a power
+/// of two and allocates that many cells up front.
+const MAX_LOOP_CAPACITY: usize = 1 << 24;
+
 struct Options {
     threads: usize,
     size: InputSize,
@@ -324,21 +332,15 @@ fn parse_options(args: &[String]) -> Options {
                 .clone()
         };
         match a.as_str() {
-            "--threads" => {
-                o.threads = parse_value(a, &val());
-                if !(1..=MAX_ANALYZE_THREADS as usize).contains(&o.threads) {
-                    eprintln!("error: --threads must be in 1..={MAX_ANALYZE_THREADS}");
-                    std::process::exit(2);
-                }
-            }
-            "--slots" => o.slots = parse_value(a, &val()),
-            "--window" => o.window = parse_value(a, &val()),
+            "--threads" => o.threads = parse_in_range(a, &val(), 1..=MAX_ANALYZE_THREADS as usize),
+            "--slots" => o.slots = parse_in_range(a, &val(), 1..=MAX_SLOTS),
+            "--window" => o.window = parse_in_range(a, &val(), 1..),
             "--seed" => o.seed = parse_value(a, &val()),
-            "--loop-capacity" => o.loop_capacity = parse_value(a, &val()),
+            "--loop-capacity" => o.loop_capacity = parse_in_range(a, &val(), 1..=MAX_LOOP_CAPACITY),
             "--metrics" => o.metrics = Some(val()),
             "--spool" | "--v3" => removed_flag(a, "`record` and `synth` always stream a v3 spool"),
             "--salvage" => o.salvage = true,
-            "--jobs" => o.jobs = parse_value(a, &val()),
+            "--jobs" => o.jobs = parse_in_range(a, &val(), 1..=lc_profiler::MAX_JOBS),
             "--batch" => {
                 let raw = val();
                 let v: usize = raw.parse().unwrap_or_else(|_| {
@@ -474,6 +476,21 @@ fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
     })
 }
 
+/// Parse a numeric flag that must lie in `range`: a value outside it is a
+/// usage error naming the flag and the range, not a panic deeper in.
+fn parse_in_range<T, R>(flag: &str, raw: &str, range: R) -> T
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    let v = parse_value(flag, raw);
+    if !range.contains(&v) {
+        eprintln!("error: {flag} must be in {range:?} (got {v})");
+        std::process::exit(2);
+    }
+    v
+}
+
 /// Parse an integer value for one of the coherence geometry flags.
 /// Range/power-of-two checks happen later in [`CoherenceConfig::validate`];
 /// this only rejects non-numbers with the flag's name in the message.
@@ -568,7 +585,7 @@ fn registry_full_error(e: lc_profiler::RegistryFull, current: usize) -> ! {
     eprintln!("error: {e}");
     eprintln!(
         "hint: rerun with --loop-capacity {} or higher (current {})",
-        current.saturating_mul(4),
+        current.saturating_mul(4).min(MAX_LOOP_CAPACITY),
         current
     );
     std::process::exit(1);
@@ -850,7 +867,7 @@ fn analyze(name: &str, o: &Options) {
     use lc_trace::{BlockSource, EventBlock, FileBlockSource};
 
     let faults = fault_injector(o);
-    let jobs = o.jobs.max(1);
+    let jobs = o.jobs;
     let accum = lc_profiler::AccumConfig {
         loop_capacity: o.loop_capacity,
     };
@@ -1038,7 +1055,7 @@ fn analyze(name: &str, o: &Options) {
         if h.needs_more_slots() {
             eprintln!(
                 "hint: rerun with --slots {} for <10% slot aliasing",
-                h.suggested_slots(0.10)
+                h.suggested_slots(0.10).min(MAX_SLOTS)
             );
         }
     }
@@ -1336,7 +1353,7 @@ fn serve_cmd(o: &Options) -> ! {
         accum: lc_profiler::AccumConfig {
             loop_capacity: o.loop_capacity,
         },
-        jobs: o.jobs.max(1),
+        jobs: o.jobs,
         queue_frames: o.queue_frames.max(1),
         max_conns: o.max_conns.max(1),
         max_tenants: o.max_tenants.max(1),
@@ -1468,7 +1485,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             if health.needs_more_slots() {
                 println!(
                     "                      warning: rerun with --slots {} for <5% aliasing",
-                    health.suggested_slots(0.05)
+                    health.suggested_slots(0.05).min(MAX_SLOTS)
                 );
             }
             println!("\ncommunication matrix (bytes):\n{}", r.global.heatmap());

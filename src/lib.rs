@@ -36,7 +36,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`lc_sigmem`] | MurmurHash3, Bloom filters, the asymmetric signature memory, Eq. 2 |
+//! | [`lc_sigmem`] | MurmurHash3, the asymmetric signature memory, Eq. 2 |
 //! | [`lc_trace`] | instrumentation substrate: events, loop UIDs, traced buffers, replay |
 //! | [`lc_profiler`] | Algorithm 1, communication matrices, nested patterns, thread load, phases, classification |
 //! | [`lc_baselines`] | Memcheck/Helgrind/IPM/SD3-style comparators and exact ground truth |

@@ -19,14 +19,10 @@ use std::sync::Arc;
 
 use lc_profiler::LoopRegistry;
 use lc_sigmem::murmur::fmix64;
-use lc_sigmem::{
-    BloomGeometry, ConcurrentBloom, PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature,
-};
+use lc_sigmem::{PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature};
 
 /// Op-log record kinds (`data[0]` of [`lc_sched::annotate`]).
 mod op {
-    /// `[BLOOM_INSERT, item, 0, 0]`
-    pub const BLOOM_INSERT: u64 = 1;
     /// `[SIG_READ, addr, tid, 0]`
     pub const SIG_READ: u64 = 2;
     /// `[SIG_WRITE, addr, tid, 0]`
@@ -74,14 +70,6 @@ impl Scenario {
 /// The scenario registry.
 pub fn scenarios() -> &'static [Scenario] {
     &[
-        Scenario {
-            name: "bloom",
-            about: "2 threads x 2 inserts into one tiny concurrent Bloom filter; \
-                    oracle: no false negatives after join",
-            default_preemption_bound: Some(2),
-            catchable_mutants: &["bitvec-lost-update"],
-            run: bloom_scenario,
-        },
         Scenario {
             name: "write-sig",
             about: "2 threads x 2 writes into a 2-slot signature; oracle: \
@@ -150,53 +138,6 @@ pub fn scenarios() -> &'static [Scenario] {
 /// Look up a scenario by name.
 pub fn find(name: &str) -> Option<&'static Scenario> {
     scenarios().iter().find(|s| s.name == name)
-}
-
-/// 2 threads × 2 inserts into one shared filter sized for 4 items at a
-/// loose rate (one 64-bit word, so concurrent `fetch_or`s genuinely
-/// collide). Every insert that completed before the join must be visible:
-/// Bloom filters have false positives, never false negatives.
-fn bloom_scenario() {
-    // One 64-bit word, two derived hashes: every insert's `fetch_or`s land
-    // in the same atomic word, so concurrent inserts genuinely collide and
-    // the schedule count stays small enough for unbounded exhaustion.
-    let geometry = BloomGeometry {
-        m_bits: 64,
-        k: 2,
-        block_bits: 64,
-    };
-    let bloom = Arc::new(ConcurrentBloom::new(geometry));
-    let mut handles = Vec::new();
-    for t in 0..2u64 {
-        let bloom = Arc::clone(&bloom);
-        handles.push(lc_sched::spawn(move || {
-            for i in 0..2u64 {
-                let item = t * 2 + i;
-                bloom.insert(item);
-                lc_sched::annotate([op::BLOOM_INSERT, item, 0, 0]);
-            }
-        }));
-    }
-    for h in handles {
-        h.join();
-    }
-    // Oracle: drive the perfect reader set from the serialized log (item
-    // plays the role of tid at a single pseudo-address).
-    let perfect = PerfectReaderSet::new();
-    for (_, data) in lc_sched::op_log() {
-        if data[0] == op::BLOOM_INSERT {
-            perfect.insert(0, data[1] as u32);
-        }
-    }
-    for item in 0..4u64 {
-        if perfect.contains(0, item as u32) {
-            assert!(
-                bloom.contains(item),
-                "false negative: item {item} was inserted (per the op log) \
-                 but the filter does not contain it"
-            );
-        }
-    }
 }
 
 /// 2 threads × 2 writes into a 2-slot signature. Because a write and its

@@ -1,28 +1,20 @@
 //! Differential tests for the batched replay hot loop (DESIGN.md §12).
 //!
-//! The batched `on_batch` path earns its throughput through three
-//! rearrangements — SWAR block hashing (`hash_block`), hash reuse across
-//! every signature consultation (`on_access_hashed`), and cache-line-local
-//! blocked Bloom probes — none of which may change a single reported
-//! byte. These tests pin that claim at each layer:
+//! The batched `on_batch` path earns its throughput through SWAR block
+//! hashing (`hash_block`) and hash reuse across every signature
+//! consultation (`on_access_hashed`), neither of which may change a single
+//! reported byte. These tests pin that claim at each layer:
 //!
 //! 1. `hash_block` is lane-for-lane identical to scalar `fmix64`;
-//! 2. the concurrent blocked filter matches the sequential
-//!    [`BlockedBloomFilter`] reference exactly, keeps the no-false-negative
-//!    contract on real recorded workloads, and stays within 2× of the
-//!    unblocked reference's false-positive rate (the telemetry pin);
-//! 3. batched replay produces reports byte-identical to per-event replay
+//! 2. batched replay produces reports byte-identical to per-event replay
 //!    for every batch size — including sizes that straddle phase-window
 //!    boundaries — on both detectors.
 
 use std::sync::Arc;
 
 use lc_profiler::raw::{AsymmetricDetector, PerfectDetector};
-use lc_sigmem::bloom::{optimal_bits, optimal_hashes, BloomFilter};
+use lc_sigmem::hash_block;
 use lc_sigmem::murmur::fmix64;
-use lc_sigmem::{
-    hash_block, hash_pair, BlockedBloomFilter, BloomGeometry, ConcurrentBloom, BLOOM_BLOCK_BITS,
-};
 use lc_trace::{AccessKind, AccessSink, RecordingSink, Trace, TraceCtx};
 use loopcomm::prelude::*;
 use proptest::prelude::*;
@@ -67,7 +59,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: blocked Bloom filters.
+// Layer 2: batched replay is byte-identical to per-event replay.
 // ---------------------------------------------------------------------------
 
 /// Record one SPLASH-style workload trace through the real tracing stack.
@@ -79,124 +71,6 @@ fn record_workload(name: &str, threads: usize, seed: u64) -> Trace {
         .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, seed));
     rec.finish()
 }
-
-/// The distinct read addresses of a trace, in first-appearance order.
-fn distinct_read_addrs(trace: &Trace) -> Vec<u64> {
-    let mut seen = std::collections::HashSet::new();
-    trace
-        .access_events()
-        .iter()
-        .filter(|ev| ev.kind == AccessKind::Read)
-        .map(|ev| ev.addr)
-        .filter(|&a| seen.insert(a))
-        .collect()
-}
-
-/// A blocked geometry sized for `n` items at `fp_rate`, whole 512-bit
-/// blocks (the multi-block shape the read signature uses at scale).
-fn blocked_geometry_for(n: usize, fp_rate: f64) -> BloomGeometry {
-    let ideal = optimal_bits(n, fp_rate);
-    let m_bits = ideal.div_ceil(BLOOM_BLOCK_BITS) * BLOOM_BLOCK_BITS;
-    BloomGeometry {
-        m_bits,
-        k: optimal_hashes(m_bits, n),
-        block_bits: BLOOM_BLOCK_BITS,
-    }
-}
-
-/// Insert every address into the concurrent filter and the sequential
-/// reference; they share one probe-schedule definition
-/// ([`BloomGeometry::probe_bit`]), so their bit populations and membership
-/// answers must agree exactly. Then pin the blocked/unblocked FPR ratio on
-/// a disjoint probe set.
-fn check_blocked_filters(addrs: &[u64], probes: &[u64], what: &str) {
-    let geom = blocked_geometry_for(addrs.len().max(16), 0.01);
-    let concurrent = ConcurrentBloom::new(geom);
-    let mut reference = BlockedBloomFilter::new(geom);
-    let mut unblocked = BloomFilter::with_params(geom.m_bits, geom.k);
-    for &a in addrs {
-        concurrent.insert(a);
-        reference.insert(a);
-        unblocked.insert(a);
-    }
-    assert_eq!(
-        concurrent.ones(),
-        reference.ones(),
-        "{what}: concurrent and reference filters populated different bits"
-    );
-    for &a in addrs {
-        assert!(
-            concurrent.contains(a) && reference.contains(a),
-            "{what}: false negative for {a:#x}"
-        );
-        assert!(
-            unblocked.contains(a),
-            "{what}: unblocked reference false negative for {a:#x}"
-        );
-    }
-    let mut agreement_probes = 0u64;
-    let (mut blocked_fp, mut unblocked_fp) = (0u64, 0u64);
-    for &p in probes {
-        assert_eq!(
-            concurrent.contains(p),
-            reference.contains(p),
-            "{what}: membership answers diverge for probe {p:#x}"
-        );
-        agreement_probes += 1;
-        blocked_fp += u64::from(concurrent.contains(p));
-        unblocked_fp += u64::from(unblocked.contains(p));
-    }
-    assert!(agreement_probes > 0, "{what}: empty probe set");
-    // Blocking costs some uniformity; the telemetry health check tolerates
-    // estimates up to 2× off, so the filter must stay inside that band
-    // (plus an absolute floor so a 0-vs-1 count on tiny sets can't fail).
-    let n = probes.len() as f64;
-    let (bf, uf) = (blocked_fp as f64 / n, unblocked_fp as f64 / n);
-    assert!(
-        bf <= 2.0 * uf + 0.02,
-        "{what}: blocked FPR {bf:.4} exceeds 2x the unblocked reference {uf:.4}"
-    );
-}
-
-#[test]
-fn blocked_filters_match_on_recorded_workloads() {
-    for (name, threads, seed) in [("radix", 4, 7u64), ("fft", 4, 11), ("lu_cb", 8, 3)] {
-        let trace = record_workload(name, threads, seed);
-        let addrs = distinct_read_addrs(&trace);
-        assert!(addrs.len() > 100, "{name}: trace too small to be probative");
-        // Probe with addresses the workload never read (shifted out of its
-        // arena), so every hit is a genuine false positive.
-        let probes: Vec<u64> = (0..4096u64)
-            .map(|i| 0xdead_0000_0000 + i * 8)
-            .filter(|p| !addrs.contains(p))
-            .collect();
-        check_blocked_filters(&addrs, &probes, name);
-    }
-}
-
-proptest! {
-    #[test]
-    fn blocked_filters_match_on_random_traces(seed in 0u64..u64::MAX, n in 64usize..2048) {
-        let addrs: Vec<u64> = (0..n as u64).map(|i| fmix64(seed.wrapping_add(i)) | 1).collect();
-        let probes: Vec<u64> = (0..2048u64).map(|i| fmix64(!seed ^ i) & !1).collect();
-        check_blocked_filters(&addrs, &probes, "random trace");
-    }
-}
-
-#[test]
-fn hash_pair_derives_the_documented_family() {
-    // `hash_pair` feeds both the sequential reference and the concurrent
-    // filter; the second hash must be odd so the Kirsch–Mitzenmacher
-    // family `ha + i*hb` walks every residue.
-    for item in [0u64, 1, 0xffff_ffff_ffff_ffff, 0x1234_5678] {
-        let (_, hb) = hash_pair(item);
-        assert_eq!(hb & 1, 1, "hb must be odd for {item:#x}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3: batched replay is byte-identical to per-event replay.
-// ---------------------------------------------------------------------------
 
 fn config(threads: usize, phase_window: Option<u64>) -> ProfilerConfig {
     ProfilerConfig {

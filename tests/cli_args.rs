@@ -307,6 +307,109 @@ fn thread_counts_out_of_range_are_usage_errors_not_panics() {
     }
 }
 
+#[test]
+fn sizing_flags_out_of_range_exit_2_naming_the_flag_and_its_range() {
+    // Each of these used to panic, abort or wrap deep in the run: a
+    // zero-slot signature, a capacity overflow, a zero-capacity registry,
+    // `next_power_of_two` wrapping to 0, an 8 TiB allocation, a zero phase
+    // window, and a `--jobs` value whose checkpoint `--resume` refuses.
+    let max = "18446744073709551615";
+    let cases: [(&str, &[&str], &str); 10] = [
+        (
+            "--slots",
+            &["analyze", "x", "--slots", "0"],
+            "1..=1073741824",
+        ),
+        (
+            "--slots",
+            &["profile", "radix", "--size", "simdev", "--slots", "0"],
+            "1..=1073741824",
+        ),
+        (
+            "--slots",
+            &["analyze", "x", "--slots", max],
+            "1..=1073741824",
+        ),
+        (
+            "--loop-capacity",
+            &["analyze", "x", "--loop-capacity", "0"],
+            "1..=16777216",
+        ),
+        (
+            "--loop-capacity",
+            &["analyze", "x", "--coherence", "--loop-capacity", "0"],
+            "1..=16777216",
+        ),
+        (
+            "--loop-capacity",
+            &["analyze", "x", "--loop-capacity", max],
+            "1..=16777216",
+        ),
+        (
+            "--loop-capacity",
+            &["analyze", "x", "--loop-capacity", "1099511627776"],
+            "1..=16777216",
+        ),
+        (
+            "--window",
+            &["phases", "radix", "--size", "simdev", "--window", "0"],
+            "1..",
+        ),
+        ("--jobs", &["analyze", "x", "--jobs", "65537"], "1..=65536"),
+        (
+            "--jobs",
+            &["analyze", "x", "--jobs", "65537", "--checkpoint", "cp"],
+            "1..=65536",
+        ),
+    ];
+    for (flag, args, range) in cases {
+        let o = loopcomm(args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked at"), "{args:?} panicked: {err}");
+        assert!(
+            err.contains(&format!("{flag} must be in {range} (got ")),
+            "{args:?}: error must name the flag and its range, got: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: one line, got: {err}");
+        assert!(o.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+#[test]
+fn sizing_flags_at_their_bounds_are_accepted() {
+    let dir = scratch_dir("sizing_bounds");
+    let trace = dir.join("t.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 1)).unwrap();
+    let trace = trace.to_str().unwrap();
+    let report = |name: &str, flags: &[&str]| {
+        let path = dir.join(name);
+        let mut args = vec!["analyze", trace, "--report-out", path.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let o = loopcomm(&args);
+        assert!(o.status.success(), "{flags:?}: {}", stderr_of(&o));
+        std::fs::read(path).unwrap()
+    };
+    let base = report("base.txt", &[]);
+    let low = report(
+        "low.txt",
+        &["--slots", "1", "--loop-capacity", "1", "--jobs", "1"],
+    );
+    assert_eq!(base, low, "one slot and one loop still see both RAWs");
+    let o = loopcomm(&[
+        "phases",
+        "radix",
+        "--size",
+        "simdev",
+        "--threads",
+        "2",
+        "--window",
+        "1",
+    ]);
+    assert!(o.status.success(), "--window 1: {}", stderr_of(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A v1 trace built byte-by-byte (`LCTR`, version 1, count, 41-byte
 /// records): thread `writer` stores one word, thread `reader` loads it.
 fn v1_two_thread_trace(writer: u32, reader: u32) -> Vec<u8> {

@@ -221,50 +221,6 @@ fn exact_exchange_again(p: &Arc<AsymmetricProfiler>, threads: usize) {
 }
 
 #[test]
-fn concurrent_bloom_has_no_false_negatives_under_parallel_insert_query() {
-    use lc_sigmem::{BloomGeometry, ConcurrentBloom};
-    // Bloom filters admit false *positives* only; an item a thread inserted
-    // must be reported present — during the storm (each thread re-queries
-    // its own inserts while the others hammer neighbouring bits) and after
-    // it (exact membership oracle = the union of every thread's items).
-    let threads = 10u32;
-    let per_thread = 2_000u64;
-    // Geometry sized well above the insert count so the assertion is not
-    // trivially satisfied by saturation.
-    let bloom = Arc::new(ConcurrentBloom::new(BloomGeometry::for_threads(
-        (threads as u64 * per_thread) as usize * 4,
-        0.001,
-    )));
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let bloom = Arc::clone(&bloom);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let item = (tid as u64) << 32 | i;
-                    bloom.insert(item);
-                    // Own insert must be visible to own query immediately.
-                    assert!(bloom.contains(item), "lost own insert {item:#x}");
-                    if i > 0 {
-                        let earlier = (tid as u64) << 32 | (i / 2);
-                        assert!(bloom.contains(earlier), "lost earlier insert");
-                    }
-                }
-            });
-        }
-    });
-    // Post-quiescence oracle sweep across every thread's items.
-    for tid in 0..threads {
-        for i in 0..per_thread {
-            assert!(
-                bloom.contains((tid as u64) << 32 | i),
-                "false negative for tid {tid} item {i}"
-            );
-        }
-    }
-    assert!(bloom.fill() < 0.9, "filter saturated; test lost its teeth");
-}
-
-#[test]
 fn read_signature_has_no_false_negatives_under_parallel_insert_query() {
     // 12 threads read disjoint (addr, tid) streams through the slot
     // signature — racing on shared reader words — while re-querying their

@@ -1,15 +1,15 @@
 //! Bounded model checking of the concurrency core (ISSUE 5 tentpole).
 //!
-//! Drives the [`loopcomm::simtest`] scenarios — the concurrent Bloom
-//! filter, the slot signature, and the loop-matrix registry — through the
-//! [`lc_sched`] deterministic scheduler: exhaustive DFS over schedule
-//! decision points (with a preemption bound where the space is large) and
-//! seeded random exploration, with every explored interleaving validated
-//! in-scenario against the perfect oracle. Also proves the harness has
-//! teeth: five deliberately seeded mutants (a lost-update bit set, a
-//! blind registry publish, a dropped contended frame, an idle check blind
-//! to a popped frame, a torn checkpoint write) are each caught, and the failing schedule replays from its
-//! decision trace.
+//! Drives the [`loopcomm::simtest`] scenarios — the slot signature, the
+//! loop-matrix registry, the serve queue and checkpoint publication —
+//! through the [`lc_sched`] deterministic scheduler: exhaustive DFS over
+//! schedule decision points (with a preemption bound where the space is
+//! large) and seeded random exploration, with every explored interleaving
+//! validated in-scenario against the perfect oracle. Also proves the
+//! harness has teeth: five deliberately seeded mutants (a lost-update bit
+//! set, a blind registry publish, a dropped contended frame, an idle check
+//! blind to a popped frame, a torn checkpoint write) are each caught, and
+//! the failing schedule replays from its decision trace.
 //!
 //! Runs under plain `cargo test` (`--test sched_model_check` to select
 //! it): `sched` is not a default feature, but the root package's self
@@ -67,11 +67,6 @@ fn assert_clean_and_multi_schedule(name: &str) {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn bloom_two_threads_two_inserts_is_exhaustively_clean() {
-    assert_clean_and_multi_schedule("bloom");
-}
-
-#[test]
 fn write_signature_two_threads_two_records_is_exhaustively_clean() {
     assert_clean_and_multi_schedule("write-sig");
 }
@@ -110,8 +105,8 @@ fn checkpoint_publication_racing_reader_is_exhaustively_atomic() {
 
 #[test]
 fn exploration_counts_are_deterministic() {
-    let a = explore("bloom", clean_cfg("bloom"));
-    let b = explore("bloom", clean_cfg("bloom"));
+    let a = explore("read-sig", clean_cfg("read-sig"));
+    let b = explore("read-sig", clean_cfg("read-sig"));
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.max_decisions, b.max_decisions);
     assert_eq!(a.max_steps_seen, b.max_steps_seen);
@@ -183,11 +178,6 @@ fn assert_mutant_caught(name: &str, mutant: &str) {
 }
 
 #[test]
-fn lost_update_mutant_in_bit_vector_is_caught_via_bloom_oracle() {
-    assert_mutant_caught("bloom", "bitvec-lost-update");
-}
-
-#[test]
 fn lost_update_mutant_is_also_caught_through_the_read_signature() {
     assert_mutant_caught("read-sig", "bitvec-lost-update");
 }
@@ -223,6 +213,6 @@ fn torn_checkpoint_write_mutant_is_caught_via_reader_oracle() {
 fn mutants_do_not_leak_between_simulations() {
     // A mutant run followed by a clean run of the same scenario: the
     // clean run must not observe the mutant.
-    assert_mutant_caught("bloom", "bitvec-lost-update");
-    assert_clean_and_multi_schedule("bloom");
+    assert_mutant_caught("read-sig", "bitvec-lost-update");
+    assert_clean_and_multi_schedule("read-sig");
 }

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use lc_profiler::{AsymmetricProfiler, PerfectProfiler, ProfilerConfig};
+use lc_sigmem::murmur::fmix64;
 use lc_sigmem::SignatureConfig;
 use lc_trace::{RecordingSink, StampedEvent, Trace};
 use loopcomm::prelude::*;
@@ -162,6 +163,49 @@ fn eq2_model_brackets_actual_signature_allocation() {
     );
 }
 
+/// The paper's reader-set Bloom filter at FPRate 0.001, sized for `t`
+/// reader ids (§IV-D2): `m` from Eq. 2 rounded up to whole words, then to
+/// a power of two while it fits one 512-bit block and to whole blocks
+/// beyond; `k = round(m/t · ln 2)` clamped to 1..=16. Returns `(m, k,
+/// block_bits)`.
+fn paper_filter_geometry(t: usize) -> (usize, usize, usize) {
+    const BLOCK_BITS: usize = 512;
+    let ideal = lc_sigmem::mem_model::paper_bloom_bits(t, 0.001).ceil() as usize;
+    let ideal = ideal.max(64).div_ceil(64) * 64;
+    let (m, block_bits) = if ideal <= BLOCK_BITS {
+        let b = ideal.next_power_of_two();
+        (b, b)
+    } else {
+        (ideal.div_ceil(BLOCK_BITS) * BLOCK_BITS, BLOCK_BITS)
+    };
+    let k = ((m as f64 / t as f64) * std::f64::consts::LN_2).round() as usize;
+    (m, k.clamp(1, 16), block_bits)
+}
+
+/// The bits reader id `tid` sets in a filter of geometry `(m, k,
+/// block_bits)`: two seeded `fmix64` base hashes, the second forced odd,
+/// combined Kirsch–Mitzenmacher style (`h_i = h_a + i·h_b`) inside one
+/// block picked by the high half of `h_a`. Sorted and deduplicated.
+fn paper_filter_probes(tid: u64, (m, k, block_bits): (usize, usize, usize)) -> Vec<usize> {
+    const SEED_A: u64 = 0x9368_7fbc_a1b2_c3d4;
+    const SEED_B: u64 = 0x1f83_d9ab_fb41_bd6b;
+    let seeded = |seed: u64| fmix64(tid ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let (ha, hb) = (seeded(SEED_A), seeded(SEED_B) | 1);
+    let block = if m > block_bits {
+        (ha >> 32) as usize % (m / block_bits)
+    } else {
+        0
+    };
+    let mut bits: Vec<usize> = (0..k as u64)
+        .map(|i| {
+            block * block_bits + (ha.wrapping_add(hb.wrapping_mul(i)) as usize & (block_bits - 1))
+        })
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    bits
+}
+
 /// Why the slot signature may store an exact reader mask: at the paper's
 /// FPRate 0.001 the Bloom filter over t reader ids answers exactly for
 /// t ≤ 211 — no tid's probe set is covered by the union of the other
@@ -169,21 +213,14 @@ fn eq2_model_brackets_actual_signature_allocation() {
 /// the first t where one is.
 #[test]
 fn bloom_reader_sets_are_exact_through_211_threads() {
-    use lc_sigmem::{hash_pair, BloomGeometry};
     let covered_tid_exists = |t: usize| {
-        let g = BloomGeometry::for_threads(t, 0.001);
+        let geom = paper_filter_geometry(t);
         let probes: Vec<Vec<usize>> = (0..t as u64)
-            .map(|tid| {
-                let (ha, hb) = hash_pair(tid);
-                let mut bits: Vec<usize> = (0..g.k).map(|i| g.probe_bit(ha, hb, i)).collect();
-                bits.sort_unstable();
-                bits.dedup();
-                bits
-            })
+            .map(|tid| paper_filter_probes(tid, geom))
             .collect();
         // How many tids probe each bit: a tid is covered by the others iff
         // every one of its bits is probed by some other tid too.
-        let mut owners = vec![0u32; g.m_bits];
+        let mut owners = vec![0u32; geom.0];
         for bits in &probes {
             for &b in bits {
                 owners[b] += 1;
