@@ -5,7 +5,9 @@
 //! * the **per-event** sequential path (`on_access` loop) — the baseline
 //!   the fused engine must beat;
 //! * the **fused** zero-materialization path (`on_block_fused` straight
-//!   over the in-RAM SoA trace), swept over block sizes;
+//!   over the in-RAM SoA trace), swept over block sizes, driven through the
+//!   object `analyze` runs: an `IncrementalAnalyzer` with one worker, whose
+//!   signature words it owns;
 //! * the **spool-fused** path: the trace written to a v3 spool and read
 //!   back one segment at a time straight into the fused engine — the full
 //!   read-checksum-decode-detect pipeline, with the read, checksum and
@@ -39,8 +41,8 @@ use lc_bench::{ascii_table, results_dir, save_csv, save_metrics};
 use lc_cachesim::{CoherenceConfig, ShardedCoherence};
 use lc_profiler::raw::AsymmetricDetector;
 use lc_profiler::{
-    analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, FusedScratch, MetricsRegistry,
-    ParReplayConfig, ProfilerConfig,
+    analyze_trace_asymmetric, AccumConfig, AsymmetricProfiler, IncrementalAnalyzer,
+    MetricsRegistry, ParReplayConfig, ProfilerConfig,
 };
 use lc_sigmem::SignatureConfig;
 use lc_trace::{
@@ -115,31 +117,37 @@ fn per_event(events: &[AccessEvent]) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), p.dependencies())
 }
 
-/// The fused engine over `batch`-event slices: wall time and dependence
-/// count.
+/// The analyzer `analyze` runs: one worker, its signature words owned.
+fn make_analyzer() -> IncrementalAnalyzer {
+    IncrementalAnalyzer::asymmetric(
+        SignatureConfig::paper_default(SLOTS, THREADS),
+        ProfilerConfig::nested(THREADS),
+        AccumConfig::default(),
+        1,
+    )
+}
+
+/// The fused engine, as `analyze` runs it, over `batch`-event slices:
+/// wall time and dependence count.
 fn fused(events: &[AccessEvent], batch: usize) -> (f64, u64) {
-    let p = make_profiler();
-    let mut scratch = FusedScratch::with_defaults();
+    let mut a = make_analyzer();
     let t0 = Instant::now();
     for block in events.chunks(batch) {
-        p.on_block_fused(block, &mut scratch);
+        a.on_frame(block);
     }
-    p.flush();
-    (t0.elapsed().as_secs_f64(), p.dependencies())
+    (t0.elapsed().as_secs_f64(), a.report().dependencies)
 }
 
 /// The fused engine fed by the spool reader as `analyze` ships it — with
 /// segment read-ahead when `read_ahead` (a spare core): wall time and
 /// dependence count.
 fn spool_fused(spool: &MmapTrace, read_ahead: bool) -> (f64, u64) {
-    let p = make_profiler();
-    let mut scratch = FusedScratch::with_defaults();
+    let mut a = make_analyzer();
     let t0 = Instant::now();
     spool
-        .stream_events(0, read_ahead, |frame| p.on_block_fused(frame, &mut scratch))
+        .stream_events(0, read_ahead, |frame| a.on_frame(frame))
         .expect("spool replay");
-    p.flush();
-    (t0.elapsed().as_secs_f64(), p.dependencies())
+    (t0.elapsed().as_secs_f64(), a.report().dependencies)
 }
 
 /// The MESI backend as `analyze --coherence` ships it — one cache-set

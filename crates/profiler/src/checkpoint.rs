@@ -48,8 +48,8 @@ use lc_trace::{crc32, LoopId};
 
 use crate::ingest::{DetectorKind, IncrementalAnalyzer, Workers};
 use crate::matrix::DenseMatrix;
-use crate::profiler::{AsymmetricProfiler, PerfectProfiler, ProfilerConfig};
-use crate::raw::{AsymmetricDetector, PerfectDetector};
+use crate::profiler::{OwnedProfiler, PerfectProfiler, ProfilerConfig};
+use crate::raw::{PerfectDetector, RawDetector};
 use crate::shards::AccumConfig;
 
 /// Checkpoint file magic: "LCCP".
@@ -197,9 +197,10 @@ impl Checkpoint {
                 // file written under another slot-to-worker routing resumes
                 // exactly; the accumulators are sums and stay put.
                 let router = SlotRouter::new(sig.n_slots);
-                let dets: Vec<_> = (0..self.jobs)
-                    .map(|_| AsymmetricDetector::asymmetric(sig))
-                    .collect();
+                let dets = (0..self.jobs)
+                    .map(|_| sig.try_build().map(RawDetector::new))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?;
                 for w in &self.workers {
                     let DetectorState::Asymmetric { slots } = &w.detector else {
                         return Err(bad_data("mixed detector states in checkpoint".into()));
@@ -213,7 +214,7 @@ impl Checkpoint {
                 }
                 let profilers = (dets.into_iter().zip(&self.workers))
                     .map(|(det, w)| {
-                        let p = AsymmetricProfiler::from_detector_with(det, prof, accum);
+                        let p = OwnedProfiler::from_detector_with(det, prof, accum);
                         p.restore_accumulators(w.accesses, w.dependencies, &w.global, &w.loops);
                         p
                     })

@@ -24,13 +24,13 @@
 //! per-loop matrix registry — the paper's Eq. 2 bound times the worker
 //! count, independent of how many events have streamed through.
 
-use lc_sigmem::{murmur::fmix64, SignatureConfig, SignatureHealth, SlotRouter};
+use lc_sigmem::{murmur::fmix64, SignatureConfig, SignatureHealth, SlotRouter, TableTooLarge};
 use lc_trace::{AccessEvent, AsAccess};
 
 use crate::fused::FusedScratch;
 use crate::parallel::merge_reports;
-use crate::profiler::{AsymmetricProfiler, PerfectProfiler, ProfileReport, ProfilerConfig};
-use crate::raw::{AsymmetricDetector, PerfectDetector};
+use crate::profiler::{OwnedProfiler, PerfectProfiler, ProfileReport, ProfilerConfig};
+use crate::raw::{PerfectDetector, RawDetector};
 use crate::shards::{AccumConfig, RegistryFull};
 
 /// Which detector a tenant's analyzer runs.
@@ -45,7 +45,7 @@ pub enum DetectorKind {
 pub(crate) enum Workers {
     Asymmetric {
         router: SlotRouter,
-        profilers: Vec<AsymmetricProfiler>,
+        profilers: Vec<OwnedProfiler>,
     },
     Perfect {
         profilers: Vec<PerfectProfiler>,
@@ -80,30 +80,42 @@ pub struct IncrementalAnalyzer {
 
 impl IncrementalAnalyzer {
     /// Asymmetric-signature analyzer with `jobs` slot-sharded workers.
+    /// Panics when the host cannot hold the signature tables;
+    /// [`Self::try_new`] returns the error instead.
     pub fn asymmetric(
         sig: SignatureConfig,
         prof: ProfilerConfig,
         accum: AccumConfig,
         jobs: usize,
     ) -> Self {
+        Self::try_asymmetric(sig, prof, accum, jobs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::asymmetric`], or the table the allocator refused. Each
+    /// worker owns its signature's words ([`lc_sigmem::OwnedWord`]): it is
+    /// stepped by one thread at a time, so a reader bit is a plain store.
+    fn try_asymmetric(
+        sig: SignatureConfig,
+        prof: ProfilerConfig,
+        accum: AccumConfig,
+        jobs: usize,
+    ) -> Result<Self, TableTooLarge> {
         let jobs = jobs.max(1);
         assert!(
             prof.phase_window.is_none(),
             "phase windows are order-dependent across the whole dependence \
              stream; streaming ingest does not support them"
         );
-        Self {
+        let profilers = (0..jobs)
+            .map(|_| {
+                let det = RawDetector::new(sig.try_build()?);
+                Ok(OwnedProfiler::from_detector_with(det, prof, accum))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
             workers: Workers::Asymmetric {
                 router: SlotRouter::new(sig.n_slots),
-                profilers: (0..jobs)
-                    .map(|_| {
-                        AsymmetricProfiler::from_detector_with(
-                            AsymmetricDetector::asymmetric(sig),
-                            prof,
-                            accum,
-                        )
-                    })
-                    .collect(),
+                profilers,
             },
             jobs,
             scratch: (0..jobs).map(|_| Vec::new()).collect(),
@@ -113,7 +125,7 @@ impl IncrementalAnalyzer {
             prof,
             accum,
             fused_scratch: fused_scratches(jobs),
-        }
+        })
     }
 
     /// Perfect-baseline analyzer with `jobs` address-hashed workers.
@@ -143,7 +155,8 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// Build for `kind` (CLI-facing convenience).
+    /// Build for `kind` (CLI-facing convenience). Panics when the host
+    /// cannot hold the signature tables.
     pub fn new(
         kind: DetectorKind,
         sig: SignatureConfig,
@@ -151,9 +164,20 @@ impl IncrementalAnalyzer {
         accum: AccumConfig,
         jobs: usize,
     ) -> Self {
+        Self::try_new(kind, sig, prof, accum, jobs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`], or the signature table the allocator refused.
+    pub fn try_new(
+        kind: DetectorKind,
+        sig: SignatureConfig,
+        prof: ProfilerConfig,
+        accum: AccumConfig,
+        jobs: usize,
+    ) -> Result<Self, TableTooLarge> {
         match kind {
-            DetectorKind::Asymmetric => Self::asymmetric(sig, prof, accum, jobs),
-            DetectorKind::Perfect => Self::perfect(prof, accum, jobs),
+            DetectorKind::Asymmetric => Self::try_asymmetric(sig, prof, accum, jobs),
+            DetectorKind::Perfect => Ok(Self::perfect(prof, accum, jobs)),
         }
     }
 

@@ -164,7 +164,7 @@ pub fn analyze_trace_perfect(
 }
 
 /// Generic core: build one private profiler per worker, replay, merge.
-fn analyze_with<S: Signature>(
+fn analyze_with<S: Signature + Sync>(
     trace: &Trace,
     make: impl Fn() -> CommProfiler<S>,
     worker_of: &(dyn Fn(u64) -> usize + Sync),
@@ -218,7 +218,7 @@ fn analyze_with<S: Signature>(
 /// transform by nature) and multi-worker partitioning build the same
 /// per-worker streams the non-fused path builds, so replay statistics and
 /// reports match it field for field; only the consumption changes.
-fn fused_replay<S: Signature>(
+fn fused_replay<S: Signature + Sync>(
     trace: &Trace,
     profilers: &[CommProfiler<S>],
     worker_of: &(dyn Fn(u64) -> usize + Sync),

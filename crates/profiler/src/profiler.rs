@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use lc_sigmem::{Signature, SignatureConfig};
+use lc_sigmem::{Signature, SignatureConfig, SlotSignature, SlotWord};
 use lc_trace::{AccessEvent, AccessSink, LoopId};
 use parking_lot::Mutex;
 
@@ -67,8 +67,13 @@ pub struct CommProfiler<S: Signature> {
     pub(crate) telemetry: Option<Telemetry>,
 }
 
-/// The paper's profiler: the bounded-memory slot signature.
+/// The paper's profiler: the bounded-memory slot signature, on words
+/// any number of threads may share (live capture, `par_replay`).
 pub type AsymmetricProfiler = CommProfiler<lc_sigmem::SlotSignature>;
+
+/// The same profiler on words one thread at a time owns: an analyzer
+/// worker's. `!Sync`, so it is no [`AccessSink`].
+pub(crate) type OwnedProfiler = CommProfiler<lc_sigmem::OwnedSlotSignature>;
 
 /// The exact baseline profiler (perfect signature, §V-A3).
 pub type PerfectProfiler = CommProfiler<lc_sigmem::PerfectSignature>;
@@ -78,7 +83,9 @@ impl AsymmetricProfiler {
     pub fn asymmetric(sig: SignatureConfig, config: ProfilerConfig) -> Self {
         Self::from_detector(AsymmetricDetector::asymmetric(sig), config)
     }
+}
 
+impl<W: SlotWord> CommProfiler<SlotSignature<W>> {
     /// Live signature-health diagnostics: occupancy, estimated footprint
     /// and aliasing risk (was `n_slots` adequate for this program?).
     pub fn signature_health(&self) -> lc_sigmem::SignatureHealth {
@@ -391,7 +398,7 @@ impl<S: Signature> CommProfiler<S> {
     }
 }
 
-impl<S: Signature> AccessSink for CommProfiler<S> {
+impl<S: Signature + Sync> AccessSink for CommProfiler<S> {
     #[inline]
     fn on_access(&self, ev: &AccessEvent) {
         // One well-predicted branch when telemetry is off (the default) —

@@ -11,6 +11,10 @@
 //! NOT optional is the atomicity of `fetch_or` itself: a load+store split
 //! loses concurrent inserts, which the `bitvec-lost-update` mutant below
 //! demonstrates under the model checker (DESIGN.md §11).
+//!
+//! Only shared words ([`crate::SharedWord`]) come here. A signature one
+//! thread owns ([`crate::OwnedSlotSignature`], an analyzer worker's) has
+//! no concurrent insert to lose and sets the bit with a plain store.
 
 use crate::sync::{AtomicU64, Ordering};
 

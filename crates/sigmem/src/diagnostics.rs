@@ -8,7 +8,7 @@
 //! can report whether its own configuration was adequate — without a
 //! perfect-signature reference run.
 
-use crate::slot_signature::SlotSignature;
+use crate::slot_signature::{SlotSignature, SlotWord};
 
 /// Expected fraction of occupied slots after hashing `items` distinct keys
 /// into `slots` slots uniformly: `1 − e^(−items/slots)`.
@@ -53,7 +53,7 @@ pub struct SignatureHealth {
 
 impl SignatureHealth {
     /// Gather health from a live signature.
-    pub fn inspect(sig: &SlotSignature) -> Self {
+    pub fn inspect<W: SlotWord>(sig: &SlotSignature<W>) -> Self {
         let slots = sig.n_slots();
         let write_occupied = sig.write_occupied();
         Self {

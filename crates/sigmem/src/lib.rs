@@ -8,7 +8,9 @@
 //! * [`SlotSignature`] — a MurmurHash-indexed slot array; each slot holds
 //!   the last writer (the paper's write signature) and the exact reader
 //!   set its Bloom filter holds at FPRate 0.001 for t ≤ 211 (the read
-//!   signature) in `w` 64-bit words, one cache line per access.
+//!   signature) in `w` 64-bit words, one cache line per access. Its words
+//!   are shared between threads (live capture) or owned by one
+//!   ([`OwnedSlotSignature`], an analyzer worker).
 //! * [`PerfectSignature`] — the exact baseline used to quantify the
 //!   signature's false-positive rate (§V-A3).
 //! * [`mem_model`] — the closed-form footprint model (Eq. 2).
@@ -35,7 +37,9 @@ pub use diagnostics::SignatureHealth;
 pub use murmur::{hash_block, HASH_BLOCK_LANES};
 pub use perfect::{PerfectReaderSet, PerfectSignature, PerfectWriterMap};
 pub use slot::{slot_index, slot_of_hash, SlotRouter};
-pub use slot_signature::{slot_words, SlotSignature};
+pub use slot_signature::{
+    slot_words, OwnedSlotSignature, OwnedWord, SharedWord, SlotSignature, SlotWord, TableTooLarge,
+};
 pub use traits::Signature;
 
 /// Configuration of one signature.
@@ -71,9 +75,15 @@ impl SignatureConfig {
         Self { n_slots, threads }
     }
 
-    /// Build the signature this configuration describes.
+    /// Build the shared signature this configuration describes.
     pub fn build(&self) -> SlotSignature {
         SlotSignature::new(self.n_slots, self.threads)
+    }
+
+    /// Build the signature this configuration describes on words `W`, or
+    /// the size of the table the host would not allocate.
+    pub fn try_build<W: SlotWord>(&self) -> Result<SlotSignature<W>, TableTooLarge> {
+        SlotSignature::try_new(self.n_slots, self.threads)
     }
 
     /// The footprint of the signature [`Self::build`] returns, in bytes:

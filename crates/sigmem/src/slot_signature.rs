@@ -26,8 +26,8 @@
 //! * **write** stores `tid + 1` to word 0 and zero to the others — for
 //!   t ≤ 32 a single plain store records the writer and clears the readers
 //!   together;
-//! * **read** loads the word holding the reader's bit, tests it, and ORs
-//!   it in ([`crate::atomic_bits`]) only when it was missing.
+//! * **read** loads the word holding the reader's bit, tests it, and sets
+//!   it only when it was missing.
 //!
 //! A thread id `≥ t` is never shifted or indexed: as a reader it is absent
 //! and not recorded; as a writer it is recorded like any other (a tid of
@@ -35,6 +35,19 @@
 //!
 //! Distinct addresses hashing to one slot share its writer and readers —
 //! the aliasing §V-A3 sweeps against signature size.
+//!
+//! How the missing reader bit is set is the word type's one decision
+//! ([`SlotWord`], DESIGN.md §12.1). **Shared** words ([`SharedWord`],
+//! `AtomicU64`) take any number of threads at once, as live capture does:
+//! the bit goes in with one atomic `fetch_or` ([`crate::atomic_bits`]).
+//! **Owned** words ([`OwnedWord`], `Cell<u64>`) belong to one thread at a
+//! time, as every analyzer worker's do: the bit is a plain store of the
+//! word just loaded. An [`OwnedSlotSignature`] is `!Sync`, so sharing one
+//! between threads does not compile. Both hold the same bits, so
+//! snapshots, restores and reports do not depend on the word type.
+
+use std::cell::Cell;
+use std::fmt;
 
 use crate::atomic_bits::fetch_or_bit;
 use crate::murmur::fmix64;
@@ -57,53 +70,210 @@ fn writer_of(head: u64) -> Option<u32> {
     (head as u32).checked_sub(1)
 }
 
-/// `n` zero words. The lean build takes them from the allocator already
-/// zeroed, so pages no access reaches are never committed.
-#[cfg(not(feature = "sched"))]
-fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    const _: () = assert!(
-        std::mem::size_of::<AtomicU64>() == std::mem::size_of::<u64>()
-            && std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>()
-    );
-    let words = Box::into_raw(vec![0u64; n].into_boxed_slice());
-    // SAFETY: `AtomicU64` has the size and bit validity of `u64`, and the
-    // alignment asserted above, so the allocation is a valid `[AtomicU64]`
-    // of the same layout, owned by the returned box alone.
-    unsafe { Box::from_raw(words as *mut [AtomicU64]) }
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::SharedWord {}
+    impl Sealed for super::OwnedWord {}
 }
 
-/// The model checker's shim atomics are not plain words; build them.
-#[cfg(feature = "sched")]
-fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
+/// One 64-bit word of a [`SlotSignature`]: [`SharedWord`] or
+/// [`OwnedWord`], and no other type.
+pub trait SlotWord: sealed::Sealed + Send + fmt::Debug {
+    /// Whether the word is a plain `u64` cell in this build, so a table of
+    /// them can come zeroed from the allocator.
+    #[doc(hidden)]
+    const PLAIN: bool;
+
+    /// A word holding zero.
+    fn zero() -> Self;
+
+    /// The word's value.
+    fn value(&self) -> u64;
+
+    /// Overwrite the word.
+    fn assign(&self, v: u64);
+
+    /// Set `mask`, which the word read as `cur` lacked.
+    fn or_bit(&self, cur: u64, mask: u64);
 }
 
-/// `n_slots × w` words of last writers and reader bits.
+/// A word any number of threads may step at once.
+pub type SharedWord = AtomicU64;
+
+/// A word one thread at a time steps; `!Sync`.
+pub type OwnedWord = Cell<u64>;
+
+impl SlotWord for SharedWord {
+    // The model checker's shim atomics are not plain words.
+    const PLAIN: bool = cfg!(not(feature = "sched"));
+
+    fn zero() -> Self {
+        AtomicU64::new(0)
+    }
+
+    #[inline]
+    fn value(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn assign(&self, v: u64) {
+        self.store(v, Ordering::Relaxed)
+    }
+
+    /// One atomic `fetch_or`: a reader racing on the same word keeps its
+    /// bit. `cur` may already be stale, so it is not reused.
+    #[inline]
+    fn or_bit(&self, _cur: u64, mask: u64) {
+        fetch_or_bit(self, mask);
+    }
+}
+
+impl SlotWord for OwnedWord {
+    const PLAIN: bool = true;
+
+    fn zero() -> Self {
+        Cell::new(0)
+    }
+
+    #[inline]
+    fn value(&self) -> u64 {
+        self.get()
+    }
+
+    #[inline]
+    fn assign(&self, v: u64) {
+        self.set(v)
+    }
+
+    /// A plain store: no other thread can have changed the word since
+    /// `cur` was loaded.
+    #[inline]
+    fn or_bit(&self, cur: u64, mask: u64) {
+        self.set(cur | mask)
+    }
+}
+
+/// A signature table the host would not allocate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableTooLarge {
+    /// Slots asked for.
+    pub n_slots: usize,
+    /// Bytes asked for: `n_slots · 8 · w`.
+    pub bytes: u128,
+}
+
+impl fmt::Display for TableTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot allocate a {}-byte signature table", self.bytes)
+    }
+}
+
+impl std::error::Error for TableTooLarge {}
+
+/// `n ≥ 1` zero words, or `None` when the allocator refuses. Plain words
+/// come from the allocator already zeroed, so pages no access reaches are
+/// never committed; on Linux the table's 2 MiB-aligned interior is then
+/// offered to transparent huge pages, one TLB entry per 2 MiB instead of
+/// 512.
+fn zeroed_words<W: SlotWord>(n: usize) -> Option<Box<[W]>> {
+    if !W::PLAIN {
+        let mut words = Vec::new();
+        words.try_reserve_exact(n).ok()?;
+        words.extend((0..n).map(|_| W::zero()));
+        return Some(words.into_boxed_slice());
+    }
+    const {
+        assert!(
+            !W::PLAIN
+                || (std::mem::size_of::<W>() == std::mem::size_of::<u64>()
+                    && std::mem::align_of::<W>() == std::mem::align_of::<u64>())
+        )
+    };
+    let layout = std::alloc::Layout::array::<W>(n).ok()?;
+    assert!(layout.size() > 0, "a signature has at least one word");
+    // SAFETY: `layout` has a non-zero size.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return None;
+    }
+    advise_huge_pages(ptr, layout.size());
+    // SAFETY: a plain word is a `u64` cell (`AtomicU64` in the lean build,
+    // `Cell<u64>`) with the size and alignment asserted above, for which
+    // all-zero bytes are the value 0. The block is `layout` from the global
+    // allocator, so the returned box owns and frees it.
+    Some(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr.cast::<W>(), n)) })
+}
+
+/// Ask the kernel to back the 2 MiB-aligned interior of `len` bytes at
+/// `ptr` with transparent huge pages (`MADV_HUGEPAGE`). Pages are still
+/// committed on first touch; a kernel that declines leaves 4 KiB pages.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(ptr: *mut u8, len: usize) {
+    use std::ffi::{c_int, c_void};
+    const HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: c_int = 14;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    let head = ptr.align_offset(HUGE_PAGE);
+    let body = len.saturating_sub(head) / HUGE_PAGE * HUGE_PAGE;
+    if body > 0 {
+        // SAFETY: `[ptr + head, ptr + head + body)` lies inside the live
+        // allocation of `len` bytes at `ptr`. `MADV_HUGEPAGE` changes how
+        // the kernel backs those pages, never their contents, and its
+        // result is ignored: a refusal leaves them as they were.
+        unsafe {
+            madvise(ptr.add(head).cast(), body, MADV_HUGEPAGE);
+        }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_ptr: *mut u8, _len: usize) {}
+
+/// `n_slots × w` words of last writers and reader bits, shared
+/// ([`SharedWord`], the default) or owned ([`OwnedWord`]).
 #[derive(Debug)]
-pub struct SlotSignature {
-    words: Box<[AtomicU64]>,
+pub struct SlotSignature<W: SlotWord = SharedWord> {
+    words: Box<[W]>,
     n_slots: usize,
     threads: usize,
     /// `log2(w)`.
     shift: u32,
 }
 
+/// A signature one thread at a time steps: no atomic read-modify-write.
+pub type OwnedSlotSignature = SlotSignature<OwnedWord>;
+
 impl SlotSignature {
-    /// A signature of `n_slots` slots (the paper's `n`) for `threads`
-    /// reader ids.
+    /// A shared signature of `n_slots` slots (the paper's `n`) for
+    /// `threads` reader ids. Panics when the host cannot hold the table;
+    /// [`Self::try_new`] returns the error instead.
     pub fn new(n_slots: usize, threads: usize) -> Self {
+        Self::try_new(n_slots, threads).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+impl<W: SlotWord> SlotSignature<W> {
+    /// A signature of `n_slots` slots for `threads` reader ids, or the
+    /// size of the table the allocator refused.
+    pub fn try_new(n_slots: usize, threads: usize) -> Result<Self, TableTooLarge> {
         assert!(n_slots > 0, "signature needs at least one slot");
         let w = slot_words(threads);
-        Self {
-            words: zeroed_words(
-                n_slots
-                    .checked_mul(w)
-                    .expect("signature size overflows usize"),
-            ),
+        let words = n_slots
+            .checked_mul(w)
+            .and_then(zeroed_words)
+            .ok_or(TableTooLarge {
+                n_slots,
+                bytes: n_slots as u128 * w as u128 * 8,
+            })?;
+        Ok(Self {
+            words,
             n_slots,
             threads,
             shift: w.trailing_zeros(),
-        }
+        })
     }
 
     /// Number of slots.
@@ -123,7 +293,7 @@ impl SlotSignature {
     }
 
     /// The words of slot `slot`.
-    fn slot(&self, slot: usize) -> &[AtomicU64] {
+    fn slot(&self, slot: usize) -> &[W] {
         &self.words[slot << self.shift..(slot + 1) << self.shift]
     }
 
@@ -140,20 +310,19 @@ impl SlotSignature {
     /// The last writer recorded in `addr`'s slot (diagnostic: a query that
     /// records nothing).
     pub fn last_writer(&self, addr: u64) -> Option<u32> {
-        writer_of(self.words[self.base(fmix64(addr))].load(Ordering::Relaxed))
+        writer_of(self.words[self.base(fmix64(addr))].value())
     }
 
     /// Whether `tid` is in the reader set of `addr`'s slot (diagnostic).
     pub fn has_reader(&self, addr: u64, tid: u32) -> bool {
-        self.reader_bit(tid).is_some_and(|(i, mask)| {
-            self.words[self.base(fmix64(addr)) + i].load(Ordering::Relaxed) & mask != 0
-        })
+        self.reader_bit(tid)
+            .is_some_and(|(i, mask)| self.words[self.base(fmix64(addr)) + i].value() & mask != 0)
     }
 
     /// Slots holding a writer (diagnostic; O(n)).
     pub fn write_occupied(&self) -> usize {
         (0..self.n_slots)
-            .filter(|&s| writer_of(self.slot(s)[0].load(Ordering::Relaxed)).is_some())
+            .filter(|&s| writer_of(self.slot(s)[0].value()).is_some())
             .count()
     }
 
@@ -162,8 +331,7 @@ impl SlotSignature {
         (0..self.n_slots)
             .filter(|&s| {
                 let words = self.slot(s);
-                words[0].load(Ordering::Relaxed) >> WRITER_BITS != 0
-                    || words[1..].iter().any(|w| w.load(Ordering::Relaxed) != 0)
+                words[0].value() >> WRITER_BITS != 0 || words[1..].iter().any(|w| w.value() != 0)
             })
             .count()
     }
@@ -173,10 +341,9 @@ impl SlotSignature {
     /// plus `(n_slots, threads)` reproduces the signature — the checkpoint
     /// serialization contract.
     pub fn snapshot_slots(&self) -> Vec<(u64, Vec<u64>)> {
-        let load = |w: &AtomicU64| w.load(Ordering::Relaxed);
         (0..self.n_slots)
-            .filter(|&s| self.slot(s).iter().any(|w| load(w) != 0))
-            .map(|s| (s as u64, self.slot(s).iter().map(load).collect()))
+            .filter(|&s| self.slot(s).iter().any(|w| w.value() != 0))
+            .map(|s| (s as u64, self.slot(s).iter().map(W::value).collect()))
             .collect()
     }
 
@@ -187,29 +354,25 @@ impl SlotSignature {
         let dst = self.slot(slot);
         assert_eq!(words.len(), dst.len(), "checkpoint slot width mismatch");
         for (d, &w) in dst.iter().zip(words) {
-            d.store(w, Ordering::Relaxed);
+            d.assign(w);
         }
     }
 }
 
-impl Signature for SlotSignature {
+impl<W: SlotWord> Signature for SlotSignature<W> {
     #[inline]
     fn read(&self, _addr: u64, h: u64, tid: u32) -> (Option<u32>, bool) {
         let base = self.base(h);
-        let head = self.words[base].load(Ordering::Relaxed);
+        let head = self.words[base].value();
         let writer = writer_of(head);
         let Some((i, mask)) = self.reader_bit(tid) else {
             return (writer, false);
         };
         let word = &self.words[base + i];
-        let cur = if i == 0 {
-            head
-        } else {
-            word.load(Ordering::Relaxed)
-        };
+        let cur = if i == 0 { head } else { word.value() };
         let seen = cur & mask != 0;
         if !seen {
-            fetch_or_bit(word, mask);
+            word.or_bit(cur, mask);
         }
         (writer, seen)
     }
@@ -217,9 +380,9 @@ impl Signature for SlotSignature {
     #[inline]
     fn write(&self, _addr: u64, h: u64, tid: u32) {
         let base = self.base(h);
-        self.words[base].store(u64::from(tid.wrapping_add(1)), Ordering::Relaxed);
+        self.words[base].assign(u64::from(tid.wrapping_add(1)));
         for w in &self.words[base + 1..base + (1 << self.shift)] {
-            w.store(0, Ordering::Relaxed);
+            w.assign(0);
         }
     }
 
@@ -253,12 +416,18 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn read(sig: &SlotSignature, addr: u64, tid: u32) -> (Option<u32>, bool) {
+    use proptest::prelude::*;
+
+    fn read<W: SlotWord>(sig: &SlotSignature<W>, addr: u64, tid: u32) -> (Option<u32>, bool) {
         sig.read(addr, fmix64(addr), tid)
     }
 
-    fn write(sig: &SlotSignature, addr: u64, tid: u32) {
+    fn write<W: SlotWord>(sig: &SlotSignature<W>, addr: u64, tid: u32) {
         sig.write(addr, fmix64(addr), tid)
+    }
+
+    fn owned(n_slots: usize, threads: usize) -> OwnedSlotSignature {
+        OwnedSlotSignature::try_new(n_slots, threads).expect("small table")
     }
 
     #[test]
@@ -310,19 +479,22 @@ mod tests {
     /// slot and at two.
     #[test]
     fn wild_tids_are_absent_readers_and_recorded_writers() {
+        fn check<W: SlotWord>(sig: SlotSignature<W>, tid: u32) {
+            write(&sig, 0x40, 2);
+            assert_eq!(read(&sig, 0x40, tid), (Some(2), false), "tid {tid}");
+            assert_eq!(read(&sig, 0x40, tid), (Some(2), false), "tid {tid}");
+            assert!(!sig.has_reader(0x40, tid));
+            assert_eq!(sig.read_occupied(), 0, "tid {tid} set a reader bit");
+            write(&sig, 0x40, tid);
+            assert_eq!(sig.last_writer(0x40), Some(tid), "tid {tid}");
+            assert_eq!(read(&sig, 0x40, 0), (Some(tid), false));
+        }
         for threads in [8usize, 40] {
             let w = slot_words(threads);
             assert_eq!(w, if threads == 8 { 1 } else { 2 });
             for tid in [threads as u32, 63, 64, u32::MAX - 1] {
-                let sig = SlotSignature::new(16, threads);
-                write(&sig, 0x40, 2);
-                assert_eq!(read(&sig, 0x40, tid), (Some(2), false), "tid {tid}");
-                assert_eq!(read(&sig, 0x40, tid), (Some(2), false), "tid {tid}");
-                assert!(!sig.has_reader(0x40, tid));
-                assert_eq!(sig.read_occupied(), 0, "tid {tid} set a reader bit");
-                write(&sig, 0x40, tid);
-                assert_eq!(sig.last_writer(0x40), Some(tid), "tid {tid}");
-                assert_eq!(read(&sig, 0x40, 0), (Some(tid), false));
+                check(SlotSignature::new(16, threads), tid);
+                check(owned(16, threads), tid);
             }
         }
     }
@@ -349,6 +521,18 @@ mod tests {
     fn memory_is_eight_bytes_per_word() {
         assert_eq!(SlotSignature::new(10_000, 8).memory_bytes(), 80_000);
         assert_eq!(SlotSignature::new(10_000, 40).memory_bytes(), 160_000);
+        assert_eq!(owned(10_000, 40).memory_bytes(), 160_000);
+    }
+
+    /// A table no host holds is an error naming its size, not an abort.
+    #[test]
+    fn an_unallocatable_table_is_an_error() {
+        let too_big = usize::MAX / 64;
+        let e = OwnedSlotSignature::try_new(too_big, 1024).unwrap_err();
+        assert_eq!(e.n_slots, too_big);
+        assert_eq!(e.bytes, too_big as u128 * 32 * 8);
+        assert!(e.to_string().contains(&e.bytes.to_string()), "{e}");
+        assert!(SlotSignature::<SharedWord>::try_new(too_big, 8).is_err());
     }
 
     /// The `8` of `memory_bytes` is the word the default build allocates,
@@ -360,6 +544,8 @@ mod tests {
     #[test]
     fn memory_bytes_is_the_allocated_table() {
         let sig = SlotSignature::new(10_000, 40);
+        assert_eq!(sig.memory_bytes(), std::mem::size_of_val(&*sig.words));
+        let sig = owned(1 << 20, 8);
         assert_eq!(sig.memory_bytes(), std::mem::size_of_val(&*sig.words));
     }
 
@@ -378,6 +564,54 @@ mod tests {
         });
         for tid in 0..16u32 {
             assert!(sig.has_reader(7, tid));
+        }
+    }
+
+    /// One step of a random stream: `(write?, address index, tid index)`.
+    type Step = (bool, u64, usize);
+
+    /// Run `steps` through a shared and an owned signature of `threads`
+    /// readers side by side: every reply and the final snapshot agree.
+    /// Tid indices past `threads` pick the wild ids `t`, 63, 64,
+    /// `u32::MAX − 1` and `u32::MAX`.
+    fn owned_matches_shared(threads: usize, steps: &[Step]) -> Result<(), TestCaseError> {
+        let wild = [threads as u32, 63, 64, u32::MAX - 1, u32::MAX];
+        let shared = SlotSignature::new(64, threads);
+        let owned = owned(64, threads);
+        for &(is_write, a, t) in steps {
+            let addr = 0x1000 + a * 8;
+            let tid = if t < threads {
+                t as u32
+            } else {
+                wild[t - threads]
+            };
+            if is_write {
+                write(&shared, addr, tid);
+                write(&owned, addr, tid);
+            } else {
+                prop_assert_eq!(read(&shared, addr, tid), read(&owned, addr, tid));
+            }
+        }
+        prop_assert_eq!(shared.snapshot_slots(), owned.snapshot_slots());
+        Ok(())
+    }
+
+    proptest! {
+        /// One-word slots (t = 8): 200 addresses over 64 slots, so slots
+        /// alias too.
+        #[test]
+        fn owned_words_answer_like_shared_words_at_one_word(
+            steps in prop::collection::vec((any::<bool>(), 0u64..200, 0usize..13), 1..600),
+        ) {
+            owned_matches_shared(8, &steps)?;
+        }
+
+        /// Two-word slots (t = 40).
+        #[test]
+        fn owned_words_answer_like_shared_words_at_two_words(
+            steps in prop::collection::vec((any::<bool>(), 0u64..200, 0usize..45), 1..600),
+        ) {
+            owned_matches_shared(40, &steps)?;
         }
     }
 }

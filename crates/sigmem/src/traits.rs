@@ -8,7 +8,11 @@
 //! generic over the accuracy/memory trade-off.
 
 /// Algorithm 1's two steps over one signature memory.
-pub trait Signature: Send + Sync {
+///
+/// `Send`, not `Sync`: an implementation one thread at a time steps (an
+/// [`crate::OwnedSlotSignature`]) is a signature too. Where threads share
+/// one, the caller asks for `Sync` as well.
+pub trait Signature: Send {
     /// The read step for thread `tid` at `addr`, with `h = fmix64(addr)`
     /// computed by the caller (the batched paths hash whole address blocks
     /// via [`crate::murmur::hash_block`]): returns the last writer and

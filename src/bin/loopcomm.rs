@@ -550,10 +550,11 @@ fn profile(
     phase_window: Option<u64>,
 ) -> (Arc<AsymmetricProfiler>, Arc<TraceCtx>) {
     let workload = workload(name, o);
+    let sig = SignatureConfig::paper_default(o.slots, o.threads)
+        .try_build()
+        .unwrap_or_else(|e| table_too_large(e));
     let profiler = Arc::new(AsymmetricProfiler::from_detector_full(
-        lc_profiler::AsymmetricDetector::asymmetric(SignatureConfig::paper_default(
-            o.slots, o.threads,
-        )),
+        lc_profiler::RawDetector::new(sig),
         lc_profiler::ProfilerConfig {
             threads: o.threads,
             track_nested: true,
@@ -574,6 +575,13 @@ fn profile(
         registry_full_error(e, o.loop_capacity);
     }
     (profiler, ctx)
+}
+
+/// A signature table the host will not allocate: one line naming
+/// `--slots` and the bytes asked for, then exit 1.
+fn table_too_large(e: lc_sigmem::TableTooLarge) -> ! {
+    eprintln!("error: --slots {}: {e}", e.n_slots);
+    std::process::exit(1);
 }
 
 /// Report a loop-registry overflow as a clean actionable error. The
@@ -937,7 +945,7 @@ fn analyze(name: &str, o: &Options) {
         }
     }
     let mut analyzer = restored.unwrap_or_else(|| {
-        lc_profiler::IncrementalAnalyzer::new(
+        lc_profiler::IncrementalAnalyzer::try_new(
             if o.perfect {
                 lc_profiler::DetectorKind::Perfect
             } else {
@@ -952,6 +960,7 @@ fn analyze(name: &str, o: &Options) {
             accum,
             jobs,
         )
+        .unwrap_or_else(|e| table_too_large(e))
     });
 
     let cp_dir = o.checkpoint.as_deref().map(std::path::Path::new);
@@ -1367,6 +1376,13 @@ fn serve_cmd(o: &Options) -> ! {
             coherence_config(o)
         }),
     };
+    // Every tenant allocates this table; find out now, before listening,
+    // whether the host holds one.
+    if !o.perfect {
+        if let Err(e) = cfg.sig.try_build::<lc_sigmem::OwnedWord>() {
+            table_too_large(e);
+        }
+    }
     if cfg.durable_dir.is_none() && (cfg.tenant_idle.is_some() || cfg.tenant_max_bytes > 0) {
         eprintln!(
             "warning: --tenant-idle-secs/--tenant-max-bytes need --durable-dir \

@@ -229,13 +229,14 @@ impl Shared {
                 self.cfg.max_tenants
             )));
         }
-        let mut analyzer = IncrementalAnalyzer::new(
+        let mut analyzer = IncrementalAnalyzer::try_new(
             self.cfg.detector,
             self.cfg.sig,
             self.cfg.prof,
             self.cfg.accum,
             self.cfg.jobs,
-        );
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?;
         let mut durable_side = None;
         let mut seed = None;
         if let Some(root) = &self.cfg.durable_dir {

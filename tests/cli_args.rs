@@ -495,6 +495,29 @@ fn wild_thread_id_is_refused_before_anything_is_allocated() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// 2^30 slots at 1024 threads ask for 256 GiB of signature table. Where the
+/// host will not hand that out, `analyze` exits 1 naming `--slots`; where
+/// it will (it commits no page it does not touch), the run completes. It
+/// never dies in the allocator.
+#[test]
+fn a_signature_table_past_host_memory_exits_1_naming_slots() {
+    let dir = scratch_dir("huge_table");
+    let trace = dir.join("t.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 1023)).unwrap();
+    let out = loopcomm(&["analyze", trace.to_str().unwrap(), "--slots", "1073741824"]);
+    let err = stderr_of(&out);
+    match out.status.code() {
+        Some(0) => {}
+        Some(1) => {
+            assert!(err.contains("--slots"), "{err}");
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
+        code => panic!("exit {code:?}, want 0 or 1: {err}"),
+    }
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn closed_stdout_pipe_ends_quietly_not_with_a_panic() {
     // `loopcomm profile … | head -3`: the reader leaves before the report

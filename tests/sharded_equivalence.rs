@@ -178,7 +178,7 @@ fn sharded_report_is_byte_identical_to_reference_asymmetric() {
 
 /// Per-event `on_access` and fused blocks of `block` events must both
 /// match the reference on `trace`.
-fn assert_block_sizes_agree<S: Signature>(
+fn assert_block_sizes_agree<S: Signature + Sync>(
     trace: &Trace,
     make: impl Fn() -> CommProfiler<S>,
     expected: &ProfileReport,
