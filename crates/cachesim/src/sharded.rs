@@ -147,6 +147,14 @@ impl ShardedCoherence {
         self.helpers.len() + 1
     }
 
+    /// The one backend, when this runs as a single shard: all its state
+    /// is then on the calling thread and can be read between blocks.
+    /// `None` with helper threads, whose shards only [`Self::finish`]
+    /// can reach.
+    pub fn single(&self) -> Option<&CoherenceBackend> {
+        self.helpers.is_empty().then_some(&self.local)
+    }
+
     /// Observe a block of accesses in stream order: route each one to the
     /// helpers owning any of its lines — a straddling access goes to
     /// every shard that owns one of its lines and each simulates only its
@@ -266,6 +274,9 @@ mod tests {
         let b = ShardedCoherence::new(CoherenceConfig::default(), 2, 1);
         assert!(b.helpers.is_empty());
         assert_eq!(b.shards(), 1);
+        assert!(b.single().is_some());
+        let two = ShardedCoherence::new(CoherenceConfig::default(), 2, 2);
+        assert!(two.single().is_none(), "a helper's shard is out of reach");
     }
 
     /// A helper that dies mid-run fails `on_block` (or `finish`) with its

@@ -52,9 +52,12 @@ pub use lc_sigmem;
 pub use lc_trace;
 pub use lc_workloads;
 
+pub mod pipeline;
 pub mod serve;
 #[cfg(feature = "sched")]
 pub mod simtest;
+
+pub use pipeline::{Pipeline, PipelineConfig};
 
 /// Everything needed for typical profiling sessions.
 pub mod prelude {

@@ -345,17 +345,20 @@ fn prometheus(shared: &Shared) -> String {
          loopcomm_serve_tenants_evicted {}",
         shared.evicted().len()
     );
+    // One consistent snapshot per tenant for every pipeline series.
+    let snaps: Vec<_> = (shared.tenants().into_iter())
+        .map(|t| (t.snapshot(), t))
+        .collect();
     let _ = writeln!(
         out,
         "# HELP loopcomm_tenant_events_analyzed_total Events that reached the analyzer\n\
          # TYPE loopcomm_tenant_events_analyzed_total counter"
     );
-    for t in shared.tenants() {
+    for (snap, t) in &snaps {
         let _ = writeln!(
             out,
             "loopcomm_tenant_events_analyzed_total{{tenant=\"{}\"}} {}",
-            t.name,
-            t.events_analyzed()
+            t.name, snap.events
         );
     }
     let _ = writeln!(
@@ -363,12 +366,11 @@ fn prometheus(shared: &Shared) -> String {
         "# HELP loopcomm_tenant_memory_bytes Analyzer heap footprint (bounded)\n\
          # TYPE loopcomm_tenant_memory_bytes gauge"
     );
-    for t in shared.tenants() {
+    for (snap, t) in &snaps {
         let _ = writeln!(
             out,
             "loopcomm_tenant_memory_bytes{{tenant=\"{}\"}} {}",
-            t.name,
-            t.memory_bytes()
+            t.name, snap.memory_bytes
         );
     }
     // Coherence series appear only when the backend is on — an absent
@@ -392,9 +394,8 @@ fn prometheus(shared: &Shared) -> String {
                 "First-touch attributed transfer bytes (true sharing)",
             ),
         ];
-        // One consistent set of counters per tenant for all four series.
-        let totals: Vec<_> = (shared.tenants().into_iter())
-            .filter_map(|t| Some((t.coherence_totals()?, t)))
+        let totals: Vec<_> = (snaps.iter())
+            .filter_map(|(snap, t)| Some((snap.coherence?, t)))
             .collect();
         for (i, (name, help)) in coh.iter().enumerate() {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -425,7 +426,7 @@ fn tenants_json(shared: &Shared) -> String {
         .map(|(name, e)| {
             format!(
                 "{{\"name\":\"{name}\",\"events_analyzed\":{},\"frames_analyzed\":{}}}",
-                e.events_analyzed, e.frames_analyzed
+                e.events, e.frames
             )
         })
         .collect();
@@ -437,10 +438,12 @@ fn tenants_json(shared: &Shared) -> String {
 }
 
 fn tenant_stats_json(t: &Tenant) -> String {
+    // Every analysis figure comes from one snapshot, taken under one lock.
     // The coherence object exists only when the backend is on, so its
     // absence is distinguishable from an idle backend. Accesses that lost
     // their loop to the loop cap follow it.
-    let coherence = match t.coherence_totals() {
+    let snap = t.snapshot();
+    let coherence = match snap.coherence {
         Some(tot) => format!(
             ",\"coherence\":{{\"accesses\":{},\"invalidations\":{},\"c2c_fills\":{},\
              \"writebacks\":{},\"false_bytes\":{},\"true_bytes\":{},\
@@ -452,7 +455,7 @@ fn tenant_stats_json(t: &Tenant) -> String {
             tot.false_bytes,
             tot.true_bytes,
             tot.false_sharing_events,
-            t.coherence_dropped_accesses().unwrap_or(0)
+            snap.coherence_dropped
         ),
         None => String::new(),
     };
@@ -466,8 +469,8 @@ fn tenant_stats_json(t: &Tenant) -> String {
         t.name,
         t.stats.frames_received.load(Ordering::Relaxed),
         t.stats.events_received.load(Ordering::Relaxed),
-        t.frames_analyzed(),
-        t.events_analyzed(),
+        snap.frames,
+        snap.events,
         t.stats.frames_lost.load(Ordering::Relaxed),
         t.stats.events_lost.load(Ordering::Relaxed),
         t.stats.frames_spilled.load(Ordering::Relaxed),
@@ -478,7 +481,7 @@ fn tenant_stats_json(t: &Tenant) -> String {
         t.stats.conns_active.load(Ordering::Relaxed),
         t.stats.conns_total.load(Ordering::Relaxed),
         t.stats.conns_faulted.load(Ordering::Relaxed),
-        t.memory_bytes(),
-        t.report().dependencies,
+        snap.memory_bytes,
+        snap.dependencies,
     )
 }
