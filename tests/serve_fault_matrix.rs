@@ -124,12 +124,12 @@ fn assert_accounting_exact(server: &Server, tenant: &str) {
     let dropped = t.stats.bytes_dropped.load(Ordering::Relaxed);
     let conns = t.stats.conns_total.load(Ordering::Relaxed);
     assert_eq!(
-        t.frames_analyzed() + frames_lost,
+        t.snapshot().frames + frames_lost,
         frames,
         "{tenant}: every received frame analyzed or counted lost"
     );
     assert_eq!(
-        t.events_analyzed() + events_lost,
+        t.snapshot().events + events_lost,
         events,
         "{tenant}: every received event analyzed or counted lost"
     );
@@ -228,7 +228,7 @@ fn run_server_fault_case(site: FaultSite, action: FaultAction, after: u64, expec
                     FE as u64,
                     "exactly one full frame's events lost"
                 );
-                assert_eq!(t.events_analyzed(), total - FE as u64);
+                assert_eq!(t.snapshot().events, total - FE as u64);
                 assert_eq!(t.stats.bytes_dropped.load(Ordering::Relaxed), 0);
             }
             Expect::Prefix => {
@@ -236,11 +236,11 @@ fn run_server_fault_case(site: FaultSite, action: FaultAction, after: u64, expec
                 assert_accounting_exact(&server, "victim");
                 let t = server.shared().tenant("victim").unwrap();
                 assert!(
-                    t.events_analyzed() < total,
+                    t.snapshot().events < total,
                     "the fault must have cost something"
                 );
                 assert_eq!(
-                    t.events_analyzed() % FE as u64,
+                    t.snapshot().events % FE as u64,
                     0,
                     "analyzed events are whole frames (valid prefix)"
                 );
@@ -445,13 +445,13 @@ fn run_client_fault_case(action: FaultAction, expect_client_error: bool) {
         assert_accounting_exact(&server, "victim");
         let t = server.shared().tenant("victim").unwrap();
         assert_eq!(
-            t.events_analyzed() % FE as u64,
+            t.snapshot().events % FE as u64,
             0,
             "server salvages whole frames only"
         );
         if expect_client_error {
             assert!(
-                t.events_analyzed() < victim_trace().len() as u64,
+                t.snapshot().events < victim_trace().len() as u64,
                 "a dead producer cannot have delivered everything"
             );
         }
@@ -491,8 +491,8 @@ fn client_bit_flip_is_caught_by_server_crc() {
         // ...but the server's CRC rejects the damaged frame and counts
         // everything from it on as dropped.
         assert!(t.stats.bytes_dropped.load(Ordering::Relaxed) > 0);
-        assert!(t.events_analyzed() < victim_trace().len() as u64);
-        assert_eq!(t.events_analyzed() % FE as u64, 0);
+        assert!(t.snapshot().events < victim_trace().len() as u64);
+        assert_eq!(t.snapshot().events % FE as u64, 0);
         assert_eq!(t.stats.conns_faulted.load(Ordering::Relaxed), 1);
         assert_recovers_clean(&server, &addr);
         server.shutdown();
