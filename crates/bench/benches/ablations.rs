@@ -132,41 +132,5 @@ fn bench_lockfree_vs_mutex(c: &mut Criterion) {
     g.finish();
 }
 
-// --- dense vs sparse matrix accumulator (§VII future work) -------------------
-
-fn bench_dense_vs_sparse(c: &mut Criterion) {
-    use lc_profiler::{CommMatrix, SparseCommMatrix};
-    let mut g = c.benchmark_group("ablation_matrix_accumulator");
-    let t = 64;
-    let dense = CommMatrix::new(t);
-    let sparse = SparseCommMatrix::new(t);
-    let mut i = 0u32;
-    g.bench_function("dense_add", |b| {
-        b.iter(|| {
-            i = (i + 1) % 63;
-            dense.add(black_box(i), black_box(i + 1), 8)
-        })
-    });
-    g.bench_function("sparse_add", |b| {
-        b.iter(|| {
-            i = (i + 1) % 63;
-            sparse.add(black_box(i), black_box(i + 1), 8)
-        })
-    });
-    // Report the memory trade-off alongside the speed numbers.
-    eprintln!(
-        "[ablation] pipeline pattern at t={t}: dense {} B vs sparse {} B ({} pairs)",
-        dense.memory_bytes(),
-        sparse.memory_bytes(),
-        sparse.nnz()
-    );
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_hash_choice,
-    bench_lockfree_vs_mutex,
-    bench_dense_vs_sparse
-);
+criterion_group!(benches, bench_hash_choice, bench_lockfree_vs_mutex);
 criterion_main!(benches);

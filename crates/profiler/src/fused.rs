@@ -12,7 +12,7 @@
 //! tile it gathers the addresses, hashes them four at a time
 //! ([`lc_sigmem::hash_block`]) and runs the paper's O(1) per-access step
 //! — one signature slot, one cache line — with the slot lines prefetched
-//! [`PREFETCH_AHEAD`] events ahead.
+//! `PREFETCH_AHEAD` events ahead.
 //!
 //! Dependences are **recorded once per block**: they aggregate by
 //! `(loop, src, dst)` in a [`FusedScratch`], and each distinct key is then

@@ -26,11 +26,7 @@
 //! * [`classify`] — §VI parallel-pattern classification.
 //! * [`mapping`] — §VI's application: communication-aware thread mapping.
 //! * [`deps`] — the full DiscoPoP dependence taxonomy (RAW/WAR/WAW/RAR).
-//! * [`energy`] — the §III DVFS motivation, quantified from phase reports.
 //! * [`viz`] — SVG heat maps / load charts (the figures' graphical form).
-//! * [`sampling`] / [`matrix_sparse`] — the paper's stated future work
-//!   (overhead-reducing access sampling, sparse matrices at high thread
-//!   counts), implemented as extensions.
 //! * [`telemetry`] — zero-cost-when-off self-observability: per-thread
 //!   counter cells, log₂ histograms, Prometheus/JSON expositions.
 //! * [`overhead`] / [`report`] — measurement and rendering support for the
@@ -41,12 +37,10 @@
 pub mod checkpoint;
 pub mod classify;
 pub mod deps;
-pub mod energy;
 pub mod fused;
 pub mod ingest;
 pub mod mapping;
 pub mod matrix;
-pub mod matrix_sparse;
 pub mod nested;
 pub mod overhead;
 pub mod parallel;
@@ -55,7 +49,6 @@ pub mod profiler;
 pub mod raw;
 pub mod report;
 pub mod report_html;
-pub mod sampling;
 pub mod shards;
 pub mod sync;
 pub mod telemetry;
@@ -64,12 +57,10 @@ pub mod viz;
 
 pub use checkpoint::{checkpoint_path, write_atomic_blob, Checkpoint, DetectorState, WorkerState};
 pub use deps::{DepConfig, DepKind, FullDetector};
-pub use energy::{estimate_dvfs_savings, EnergyEstimate, PowerModel};
 pub use fused::{FusedScratch, FusedStats};
 pub use ingest::{DetectorKind, IncrementalAnalyzer, MAX_JOBS};
 pub use mapping::{greedy_mapping, MachineTopology, ThreadMapping};
 pub use matrix::{CommMatrix, DenseMatrix};
-pub use matrix_sparse::SparseCommMatrix;
 pub use nested::{verify_sum_invariant, NestedNode, NestedReport};
 pub use parallel::{analyze_trace_asymmetric, analyze_trace_perfect, ParAnalysis, ParReplayConfig};
 pub use phases::{detect_phases, Phase, PhaseAccumulator};
@@ -79,7 +70,6 @@ pub use profiler::{
 pub use raw::{AccessProbe, AsymmetricDetector, Dependence, PerfectDetector, RawDetector};
 pub use report::canonical_report;
 pub use report_html::html_report;
-pub use sampling::{BurstSampler, StrideSampler};
 pub use shards::{AccumConfig, LoopRegistry, RegistryFull, ShardSet};
 pub use telemetry::{
     HistId, MergedHist, Metric, MetricValue, MetricsRegistry, Pow2Hist, Stat, Telemetry,

@@ -13,7 +13,7 @@
 //!   release-CAS; lookups are wait-free loads.
 //!
 //! Dependences go straight into the shared [`CommMatrix`] cells, one
-//! relaxed add per `(loop, src, dst)` key ([`pack_key`]): the fused engine
+//! relaxed add per `(loop, src, dst)` key (`pack_key`): the fused engine
 //! folds a block's dependences by key and adds each key once per block,
 //! and the per-event path adds each dependence as it is detected. Nothing
 //! sits between a detected dependence and its cell, so there is nothing to

@@ -283,7 +283,7 @@ impl Cell {
     }
 }
 
-/// The sharded metrics layer: one padded [`Cell`] per profiled thread,
+/// The sharded metrics layer: one padded `Cell` per profiled thread,
 /// indexed by dense tid (masked), merged on scrape.
 #[derive(Debug)]
 pub struct Telemetry {

@@ -5,7 +5,7 @@
 //! One value, two kernels, chosen from what the code observes:
 //!
 //! * **carry-less multiply** (`x86_64` with `pclmulqdq` + `sse4.1`
-//!   detected at run time, inputs of at least [`FOLD_MIN_BYTES`]): four
+//!   detected at run time, inputs of at least `FOLD_MIN_BYTES`): four
 //!   128-bit lanes are folded 64 bytes at a time, reduced to one lane, and
 //!   brought down to 32 bits by Barrett reduction (Gopal et al., "Fast CRC
 //!   Computation for Generic Polynomials Using PCLMULQDQ Instruction",

@@ -20,8 +20,6 @@
 //!   of recycled buffers with close, panic-as-`Err` and join-on-drop.
 //! * [`replay`] — temporally ordered traces for deterministic offline
 //!   analysis.
-//! * [`selective`] — the §IV-A analyzed/not-analyzed region split as a
-//!   filtering sink wrapper.
 //!
 //! The profiler itself lives in `lc-profiler`; it is just another
 //! [`AccessSink`].
@@ -39,7 +37,6 @@ pub mod net;
 pub mod registry;
 pub mod replay;
 pub mod runtime;
-pub mod selective;
 pub mod sink;
 pub mod sites;
 pub mod spool;
@@ -61,11 +58,7 @@ pub use replay::{
     REPLAY_BATCH_EVENTS,
 };
 pub use runtime::{run_threads, InstrumentedBarrier};
-pub use selective::{RegionFilter, SelectiveSink};
-pub use sink::{
-    AccessSink, CountingSink, ForkSink, LatencySamplingSink, LatencySnapshot, NoopSink,
-    RecordingSink,
-};
+pub use sink::{AccessSink, CountingSink, ForkSink, NoopSink, RecordingSink};
 pub use sites::{site_location, SiteCounter, SiteTraffic};
 pub use spool::{
     salvage_stream, salvage_trace, write_trace_spool, SalvageReport, SpoolError, SpoolSink,

@@ -254,100 +254,6 @@ impl AccessSink for ForkSink {
     }
 }
 
-/// Buckets in a [`LatencySamplingSink`] histogram (log₂ nanoseconds).
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// Wraps any sink and times a 1-in-N sample of its `on_access` calls into
-/// a log₂ nanosecond histogram — pipeline-level telemetry for sinks that
-/// have no metrics of their own (recording, baselines, fork fan-outs).
-/// The unsampled N−1 calls pay one relaxed `fetch_add`; the wrapper is
-/// opt-in, so the bare pipeline stays untouched.
-pub struct LatencySamplingSink<S> {
-    inner: S,
-    sample_every: u64,
-    tick: AtomicU64,
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    sum_ns: AtomicU64,
-}
-
-/// A point-in-time copy of a [`LatencySamplingSink`] histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// Per-bucket sample counts; bucket `i >= 1` covers `[2^(i-1), 2^i)`
-    /// nanoseconds, bucket 0 holds sub-nanosecond readings, the last
-    /// bucket absorbs everything above.
-    pub buckets: [u64; LATENCY_BUCKETS],
-    /// Samples taken.
-    pub count: u64,
-    /// Total sampled nanoseconds.
-    pub sum_ns: u64,
-}
-
-impl LatencySnapshot {
-    /// Mean sampled latency in nanoseconds (0 when no samples).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
-impl<S: AccessSink> LatencySamplingSink<S> {
-    /// Wrap `inner`, timing one in `sample_every` accesses (must be ≥ 1).
-    pub fn new(inner: S, sample_every: u64) -> Self {
-        assert!(sample_every >= 1, "sample_every must be at least 1");
-        Self {
-            inner,
-            sample_every,
-            tick: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Copy out the histogram.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let mut out = LatencySnapshot::default();
-        for (i, b) in self.buckets.iter().enumerate() {
-            out.buckets[i] = b.load(Ordering::Relaxed);
-            out.count += out.buckets[i];
-        }
-        out.sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        out
-    }
-}
-
-impl<S: AccessSink> AccessSink for LatencySamplingSink<S> {
-    #[inline]
-    fn on_access(&self, ev: &AccessEvent) {
-        if self.tick.fetch_add(1, Ordering::Relaxed) % self.sample_every != 0 {
-            self.inner.on_access(ev);
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        self.inner.on_access(ev);
-        let ns = t0.elapsed().as_nanos() as u64;
-        let bucket = if ns == 0 {
-            0
-        } else {
-            ((64 - ns.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,29 +329,6 @@ mod tests {
         let mut seqs: Vec<u64> = trace.events().iter().map(|e| e.seq).collect();
         seqs.dedup();
         assert_eq!(seqs.len(), 2000);
-    }
-
-    #[test]
-    fn latency_sink_forwards_everything_and_samples_one_in_n() {
-        let s = LatencySamplingSink::new(CountingSink::new(), 4);
-        for _ in 0..16 {
-            s.on_access(&ev(0, AccessKind::Read));
-        }
-        assert_eq!(s.inner().total(), 16); // every event forwarded
-        let snap = s.snapshot();
-        assert_eq!(snap.count, 4); // ticks 0, 4, 8, 12
-        assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-        assert!(snap.mean_ns() >= 0.0);
-        s.flush(); // forwards without panicking
-    }
-
-    #[test]
-    fn latency_sink_sample_every_one_times_all() {
-        let s = LatencySamplingSink::new(NoopSink, 1);
-        for _ in 0..10 {
-            s.on_access(&ev(1, AccessKind::Write));
-        }
-        assert_eq!(s.snapshot().count, 10);
     }
 
     #[test]

@@ -365,7 +365,7 @@ pub fn salvage_stream<R: Read>(r: &mut R) -> io::Result<(Trace, SalvageReport)> 
 /// A recording [`AccessSink`] that spools frames as the run progresses:
 /// v3 segments into a file, or v2 frames into any other byte sink.
 /// Application threads stamp events into a shared batch; each full batch
-/// crosses a bounded channel ([`BACKLOG_FRAMES`] deep) to a dedicated
+/// crosses a bounded channel (`BACKLOG_FRAMES` deep) to a dedicated
 /// writer thread that appends it as one durable frame. Memory therefore
 /// stays bounded however long the run, and a run that crashes mid-way
 /// leaves every completed frame salvageable on disk — the crash-tolerance

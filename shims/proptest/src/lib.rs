@@ -174,7 +174,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Inclusive-exclusive length bound accepted by [`vec`]: a `usize` is an
+    /// Inclusive-exclusive length bound accepted by [`vec()`]: a `usize` is an
     /// exact length, a `Range<usize>` is `[start, end)`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
@@ -206,7 +206,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

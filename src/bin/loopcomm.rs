@@ -1424,6 +1424,7 @@ fn main() {
     // `serve` takes no positional at all: options only.
     if cmd == "serve" {
         let o = parse_options(&args[1..]);
+        check_coherence_flags(cmd, &o);
         serve_cmd(&o);
     }
 
@@ -1443,7 +1444,24 @@ fn main() {
         _ => 2,
     };
     let o = parse_options(&args[opt_start.min(args.len())..]);
+    check_coherence_flags(cmd, &o);
     run(cmd, name, &args, &o)
+}
+
+/// `--coherence` or `--coherence-out` on a command that would ignore it
+/// is a usage error: a run must not look as if it simulated caches when
+/// it did not.
+fn check_coherence_flags(cmd: &str, o: &Options) {
+    if o.coherence && !matches!(cmd, "analyze" | "serve" | "classify") {
+        eprintln!(
+            "error: --coherence is read only by `analyze`, `serve` and `classify`, not `{cmd}`"
+        );
+        std::process::exit(2);
+    }
+    if o.coherence_out.is_some() && !(cmd == "analyze" && o.coherence) {
+        eprintln!("error: --coherence-out is read only by `analyze --coherence`");
+        std::process::exit(2);
+    }
 }
 
 fn run(cmd: &str, name: &str, args: &[String], o: &Options) {

@@ -107,7 +107,7 @@ pub struct Tenant {
     drain: Mutex<Option<JoinHandle<()>>>,
     /// The spill side of a durable tenant (`--durable-dir`).
     spill: Option<Mutex<SpillWriter>>,
-    /// Last enqueue/creation instant ([`uptime_ms`]) — the idle-reaper's
+    /// Last enqueue/creation instant (`uptime_ms`) — the idle-reaper's
     /// clock.
     pub last_activity: AtomicU64,
 }

@@ -282,6 +282,81 @@ fn retired_write_and_analyze_flags_exit_2_with_a_one_line_hint() {
 }
 
 #[test]
+fn coherence_on_a_command_that_ignores_it_exits_2_naming_the_readers() {
+    // Each of these used to exit 0 with no coherence output at all; the
+    // 100-thread case also slipped past the backend's 64-thread limit.
+    let cases: [&[&str]; 5] = [
+        &[
+            "profile",
+            "radix",
+            "--threads",
+            "2",
+            "--size",
+            "simdev",
+            "--coherence",
+        ],
+        &[
+            "profile",
+            "radix",
+            "--threads",
+            "100",
+            "--size",
+            "simdev",
+            "--coherence",
+        ],
+        &["nested", "radix", "--size", "simdev", "--coherence"],
+        &["simulate", "radix", "--size", "simdev", "--coherence"],
+        &["deps", "fft", "--size", "simdev", "--coherence"],
+    ];
+    for args in cases {
+        let o = loopcomm(args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("--coherence")
+                && err.contains("`analyze`, `serve` and `classify`")
+                && err.contains(&format!("not `{}`", args[0])),
+            "{args:?}: must name the flag and its readers, got: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: one line, got: {err}");
+        assert!(o.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+#[test]
+fn coherence_out_without_analyze_coherence_exits_2_and_writes_nothing() {
+    let dir = scratch_dir("coherence_out");
+    let trace = dir.join("t.lctrace");
+    std::fs::write(&trace, v1_two_thread_trace(0, 1)).unwrap();
+    let (trace, report) = (trace.to_str().unwrap(), dir.join("coh.txt"));
+    let report = report.to_str().unwrap();
+    let cases: [&[&str]; 2] = [
+        &["analyze", trace, "--coherence-out", report],
+        &[
+            "profile",
+            "radix",
+            "--size",
+            "simdev",
+            "--coherence-out",
+            report,
+        ],
+    ];
+    for args in cases {
+        let o = loopcomm(args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("--coherence-out is read only by `analyze --coherence`"),
+            "{args:?}: must name the flag and its reader, got: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: one line, got: {err}");
+        assert!(o.stdout.is_empty(), "{args:?}: nothing ran");
+        assert!(!std::path::Path::new(report).exists(), "{args:?}: no file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn thread_counts_out_of_range_are_usage_errors_not_panics() {
     let cases: [&[&str]; 4] = [
         // The producer/consumer ring needs a neighbour to hand off to.

@@ -1,14 +1,12 @@
-//! End-to-end tests of the extension subsystems: TLB baseline, sampling,
-//! sparse matrices, selective instrumentation, thread mapping.
+//! End-to-end tests of the extension subsystems: the TLB baseline and
+//! communication-aware thread mapping.
 
 use std::sync::Arc;
 
 use lc_baselines::TlbProfiler;
 use lc_profiler::{
-    greedy_mapping, BurstSampler, MachineTopology, PerfectProfiler, ProfilerConfig,
-    SparseCommMatrix, StrideSampler, ThreadMapping,
+    greedy_mapping, MachineTopology, PerfectProfiler, ProfilerConfig, ThreadMapping,
 };
-use lc_trace::{RegionFilter, SelectiveSink};
 use loopcomm::prelude::*;
 
 fn flat(threads: usize) -> ProfilerConfig {
@@ -53,133 +51,6 @@ fn tlb_memory_is_execution_length_independent() {
         .unwrap()
         .run(&ctx, &RunConfig::new(4, InputSize::SimSmall, 1));
     assert_eq!(tlb.memory_bytes(), before);
-}
-
-#[test]
-fn burst_sampling_approximates_the_full_matrix() {
-    let threads = 4;
-    // Record once; replay through full and sampled profilers.
-    let rec = Arc::new(lc_trace::RecordingSink::new());
-    let ctx = TraceCtx::new(rec.clone(), threads);
-    by_name("radix")
-        .unwrap()
-        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 7));
-    let trace = rec.finish();
-
-    let full = PerfectProfiler::perfect(flat(threads));
-    trace.replay(&full);
-    let reference = full.global_matrix();
-
-    let sampler = BurstSampler::new(PerfectProfiler::perfect(flat(threads)), 512, 512);
-    trace.replay(&sampler);
-    assert!((sampler.inflation() - 2.0).abs() < 0.1);
-    let sampled = sampler.inner().global_matrix();
-    // Normalized topology must survive 1/2 burst sampling.
-    assert!(
-        reference.l1_distance(&sampled) < 0.25,
-        "L1 {} too high",
-        reference.l1_distance(&sampled)
-    );
-}
-
-#[test]
-fn stride_sampling_reduces_analysis_volume() {
-    let threads = 4;
-    let sampler = Arc::new(StrideSampler::new(
-        PerfectProfiler::perfect(flat(threads)),
-        8,
-    ));
-    let ctx = TraceCtx::new(sampler.clone(), threads);
-    by_name("water_nsq")
-        .unwrap()
-        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 3));
-    assert!(sampler.seen() > 0);
-    assert_eq!(sampler.forwarded(), sampler.inner().accesses());
-    assert!(sampler.forwarded() * 7 <= sampler.seen());
-    // The dense all-to-all still shows through.
-    assert!(sampler.inner().dependencies() > 0);
-}
-
-#[test]
-fn selective_sink_profiles_only_the_chosen_region() {
-    // Profile lu_ncb but restrict analysis to the `bmod`/`daxpy` subtree;
-    // the resulting matrix must equal the unrestricted run's bmod
-    // aggregate.
-    let threads = 4;
-    let full = Arc::new(PerfectProfiler::perfect(ProfilerConfig::nested(threads)));
-    let ctx = TraceCtx::new(full.clone(), threads);
-    by_name("lu_ncb")
-        .unwrap()
-        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 9));
-    let report = full.report();
-    let nested = lc_profiler::NestedReport::build(ctx.loops(), &report.per_loop, threads);
-    let bmod_aggregate = nested
-        .all_nodes()
-        .into_iter()
-        .find(|n| n.name == "bmod")
-        .expect("bmod exists")
-        .aggregate
-        .clone();
-    let bmod_id = ctx
-        .loops()
-        .all_loops()
-        .into_iter()
-        .find(|l| ctx.loops().name(*l) == "bmod")
-        .unwrap();
-
-    // Same seed, same program — now with a region filter in front. Note
-    // selective analysis changes detector *state* coverage (writes outside
-    // the region are invisible), so this matches the paper's semantics of
-    // not analyzing excluded code at all.
-    let selective = Arc::new(SelectiveSink::new(
-        PerfectProfiler::perfect(flat(threads)),
-        RegionFilter::loops_only([bmod_id]),
-    ));
-    let ctx2 = TraceCtx::new(selective.clone(), threads);
-    by_name("lu_ncb")
-        .unwrap()
-        .run(&ctx2, &RunConfig::new(threads, InputSize::SimDev, 9));
-    assert!(selective.dropped() > 0);
-    assert!(selective.admitted() > 0);
-    let restricted = selective.inner().global_matrix();
-
-    // The restricted matrix differs from the full run's bmod aggregate
-    // where the producing write happened *outside* the region (bdiv/bmodd
-    // panels feed bmod): excluded writes are invisible, so those edges
-    // either vanish or re-attribute — exactly the paper's "code that
-    // should not be analyzed" semantics. The bulk of the topology must
-    // still agree.
-    assert!(
-        bmod_aggregate.l1_distance(&restricted) < 0.6,
-        "restricted profile diverged: L1 {}\nfull bmod:\n{}\nrestricted:\n{}",
-        bmod_aggregate.l1_distance(&restricted),
-        bmod_aggregate.heatmap(),
-        restricted.heatmap()
-    );
-}
-
-#[test]
-fn sparse_matrix_matches_dense_on_a_real_profile() {
-    let threads = 6;
-    let p = Arc::new(PerfectProfiler::perfect(flat(threads)));
-    let ctx = TraceCtx::new(p.clone(), threads);
-    by_name("ocean_cp")
-        .unwrap()
-        .run(&ctx, &RunConfig::new(threads, InputSize::SimDev, 11));
-    let dense = p.global_matrix();
-
-    let sparse = SparseCommMatrix::new(threads);
-    for i in 0..threads {
-        for j in 0..threads {
-            let v = dense.get(i, j);
-            if v > 0 {
-                sparse.add(i as u32, j as u32, v);
-            }
-        }
-    }
-    assert_eq!(sparse.to_dense(), dense);
-    // Neighbour-structured: far fewer pairs than t².
-    assert!(sparse.nnz() < threads * threads);
 }
 
 #[test]

@@ -186,21 +186,6 @@ proptest! {
     }
 
     #[test]
-    fn sampler_inflation_is_exact_for_stride(
-        k in 1u64..16,
-        n in 1u64..500,
-    ) {
-        use lc_profiler::StrideSampler;
-        use lc_trace::{AccessSink, CountingSink};
-        let s = StrideSampler::new(CountingSink::new(), k);
-        for i in 0..n {
-            s.on_access(&script_to_trace(&[(0, i % 24, false)]).events()[0].event);
-        }
-        prop_assert_eq!(s.forwarded(), n / k);
-        prop_assert_eq!(s.seen(), n);
-    }
-
-    #[test]
     fn trace_io_roundtrips_arbitrary_traces(
         script in prop::collection::vec(
             (0u32..16, 0u64..1_000_000, any::<bool>(), 1u32..64, 0u32..9, 0u64..4096),
@@ -235,21 +220,6 @@ proptest! {
             prop_assert_eq!(a.seq, b.seq);
             prop_assert_eq!(&a.event, &b.event); // sites < 2^32 here: lossless
         }
-    }
-
-    #[test]
-    fn sparse_matrix_agrees_with_dense_accumulation(
-        cells in prop::collection::vec((0u32..12, 0u32..12, 1u64..500), 0..100),
-    ) {
-        use lc_profiler::SparseCommMatrix;
-        let sparse = SparseCommMatrix::new(12);
-        let mut dense = DenseMatrix::zero(12);
-        for &(i, j, v) in &cells {
-            sparse.add(i, j, v);
-            dense.bump(i as usize, j as usize, v);
-        }
-        prop_assert_eq!(sparse.to_dense(), dense);
-        prop_assert_eq!(sparse.total(), cells.iter().map(|c| c.2).sum::<u64>());
     }
 
     #[test]
@@ -292,30 +262,6 @@ proptest! {
             greedy as f64 <= identity as f64 * 1.25 + 1.0,
             "greedy {greedy} vs identity {identity}"
         );
-    }
-
-    #[test]
-    fn dvfs_savings_grow_with_deeper_downclocking(
-        heavy in 1_000u64..100_000,
-        light in 0u64..100,
-        windows in 2usize..12,
-    ) {
-        use lc_profiler::{estimate_dvfs_savings, Phase, PowerModel};
-        let mk = |bytes: u64| {
-            let mut m = DenseMatrix::zero(4);
-            m.set(0, 1, bytes);
-            Phase { start_window: 0, end_window: windows - 1, matrix: m }
-        };
-        let phases = vec![mk(heavy), mk(light)];
-        let savings_at = |f: f64| {
-            let model = PowerModel { static_fraction: 0.3, scaled_frequency: f, comm_compute_residue: 0.2 };
-            estimate_dvfs_savings(&phases, &model, 1.0).savings()
-        };
-        prop_assume!(heavy > light.max(1) * 2); // heterogeneous schedule
-        let s_mild = savings_at(0.9);
-        let s_deep = savings_at(0.5);
-        prop_assert!(s_deep >= s_mild - 1e-9, "deep {s_deep} vs mild {s_mild}");
-        prop_assert!((0.0..1.0).contains(&s_deep));
     }
 
     #[test]
