@@ -148,9 +148,6 @@ impl<S: Signature> CommProfiler<S> {
     /// — with dependences recorded once per block. Generic over
     /// [`AsAccess`] so SoA trace slices and decoded spool segments both
     /// feed it without copying.
-    ///
-    /// With telemetry enabled the call degrades to the instrumented
-    /// per-event path, preserving the zero-cost-when-off contract.
     pub fn on_block_fused<T: AsAccess>(&self, evs: &[T], scratch: &mut FusedScratch) {
         if evs.is_empty() {
             return;
@@ -160,13 +157,6 @@ impl<S: Signature> CommProfiler<S> {
         // (counters and matrices merge across shards), mirroring the
         // `seed_counts` contract.
         let tid = evs[0].access().tid;
-        if let Some(t) = &self.telemetry {
-            t.bump(tid, crate::telemetry::Stat::SinkBatch);
-            for rec in evs {
-                self.on_access_instrumented(rec.access(), t);
-            }
-            return;
-        }
         self.counters.count_accesses(tid, evs.len() as u64);
         let mut addrs = [0u64; TILE];
         let mut hashes = [0u64; TILE];

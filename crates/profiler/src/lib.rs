@@ -27,8 +27,8 @@
 //! * [`mapping`] — §VI's application: communication-aware thread mapping.
 //! * [`deps`] — the full DiscoPoP dependence taxonomy (RAW/WAR/WAW/RAR).
 //! * [`viz`] — SVG heat maps / load charts (the figures' graphical form).
-//! * [`telemetry`] — zero-cost-when-off self-observability: per-thread
-//!   counter cells, log₂ histograms, Prometheus/JSON expositions.
+//! * [`metrics`] — [`MetricsRegistry`], the one Prometheus/JSON
+//!   exposition every `--metrics` file and `serve`'s `/metrics` render.
 //! * [`overhead`] / [`report`] — measurement and rendering support for the
 //!   experiment harness.
 
@@ -41,6 +41,7 @@ pub mod fused;
 pub mod ingest;
 pub mod mapping;
 pub mod matrix;
+pub mod metrics;
 pub mod nested;
 pub mod overhead;
 pub mod parallel;
@@ -51,7 +52,6 @@ pub mod report;
 pub mod report_html;
 pub mod shards;
 pub mod sync;
-pub mod telemetry;
 pub mod thread_load;
 pub mod viz;
 
@@ -61,19 +61,16 @@ pub use fused::{FusedScratch, FusedStats};
 pub use ingest::{DetectorKind, IncrementalAnalyzer, MAX_JOBS};
 pub use mapping::{greedy_mapping, MachineTopology, ThreadMapping};
 pub use matrix::{CommMatrix, DenseMatrix};
+pub use metrics::{Metric, MetricValue, MetricsRegistry};
 pub use nested::{verify_sum_invariant, NestedNode, NestedReport};
 pub use parallel::{analyze_trace_asymmetric, analyze_trace_perfect, ParAnalysis, ParReplayConfig};
 pub use phases::{detect_phases, Phase, PhaseAccumulator};
 pub use profiler::{
     AsymmetricProfiler, CommProfiler, PerfectProfiler, ProfileReport, ProfilerConfig,
 };
-pub use raw::{AccessProbe, AsymmetricDetector, Dependence, PerfectDetector, RawDetector};
+pub use raw::{AsymmetricDetector, Dependence, PerfectDetector, RawDetector};
 pub use report::canonical_report;
 pub use report_html::html_report;
 pub use shards::{AccumConfig, LoopRegistry, RegistryFull, ShardSet};
-pub use telemetry::{
-    HistId, MergedHist, Metric, MetricValue, MetricsRegistry, Pow2Hist, Stat, Telemetry,
-    TelemetryConfig,
-};
 pub use thread_load::ThreadLoad;
 pub use viz::{svg_heatmap, svg_thread_load};

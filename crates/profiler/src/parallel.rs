@@ -23,10 +23,10 @@ use lc_trace::{
 };
 
 use crate::fused::FusedScratch;
+use crate::metrics::MetricsRegistry;
 use crate::profiler::{CommProfiler, ProfileReport, ProfilerConfig};
 use crate::raw::{AsymmetricDetector, PerfectDetector};
 use crate::shards::{AccumConfig, RegistryFull};
-use crate::telemetry::MetricsRegistry;
 
 /// Tuning for one parallel analysis run.
 #[derive(Clone, Copy, Debug)]

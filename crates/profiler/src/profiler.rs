@@ -27,10 +27,10 @@ use lc_trace::{AccessEvent, AccessSink, LoopId};
 use parking_lot::Mutex;
 
 use crate::matrix::{CommMatrix, DenseMatrix};
+use crate::metrics::MetricsRegistry;
 use crate::phases::{detect_phases, Phase, PhaseAccumulator};
 use crate::raw::{AsymmetricDetector, PerfectDetector, RawDetector};
 use crate::shards::{pack_key, unpack_key, AccumConfig, LoopRegistry, RegistryFull, ShardSet};
-use crate::telemetry::{HistId, MetricsRegistry, Stat, Telemetry, TelemetryConfig};
 
 /// Tunables for one profiling run.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +64,6 @@ pub struct CommProfiler<S: Signature> {
     pub(crate) loops: LoopRegistry,
     pub(crate) counters: ShardSet,
     pub(crate) phases: Option<Mutex<PhaseAccumulator>>,
-    pub(crate) telemetry: Option<Telemetry>,
 }
 
 /// The paper's profiler: the bounded-memory slot signature, on words
@@ -92,13 +91,14 @@ impl<W: SlotWord> CommProfiler<SlotSignature<W>> {
         lc_sigmem::SignatureHealth::inspect(self.detector().signature())
     }
 
-    /// [`CommProfiler::metrics`] plus live signature-health gauges: write
-    /// and read occupancy, aliasing and the estimated written footprint —
-    /// the runtime counterpart of the `fpr_sweep` ground-truth experiment
-    /// (see EXPERIMENTS.md for how to read the two against each other).
-    pub fn metrics_with_health(&self) -> MetricsRegistry {
+    /// [`CommProfiler::metrics`] plus the signature-health gauges of `h`,
+    /// this profiler's [`Self::signature_health`] (a scan of every slot,
+    /// so a caller that already holds it passes it in): write and read
+    /// occupancy, aliasing and the estimated written footprint — the
+    /// runtime counterpart of the `fpr_sweep` ground-truth experiment (see
+    /// EXPERIMENTS.md for how to read the two against each other).
+    pub fn metrics_with_health(&self, h: &lc_sigmem::SignatureHealth) -> MetricsRegistry {
         let mut reg = self.metrics();
-        let h = self.signature_health();
         reg.gauge(
             "loopcomm_sig_slots",
             "First-level signature slots",
@@ -147,19 +147,6 @@ impl<S: Signature> CommProfiler<S> {
         config: ProfilerConfig,
         accum: AccumConfig,
     ) -> Self {
-        Self::from_detector_full(detector, config, accum, None)
-    }
-
-    /// Build with every layer explicit, including the optional telemetry
-    /// layer. `telemetry: None` (what all other constructors pass) keeps the
-    /// hot path identical to a build without this module — see DESIGN.md §8
-    /// for the zero-cost-when-off argument.
-    pub fn from_detector_full(
-        detector: RawDetector<S>,
-        config: ProfilerConfig,
-        accum: AccumConfig,
-        telemetry: Option<TelemetryConfig>,
-    ) -> Self {
         assert!(config.threads >= 1);
         let phases = config
             .phase_window
@@ -171,7 +158,6 @@ impl<S: Signature> CommProfiler<S> {
             loops: LoopRegistry::new(config.threads, accum.loop_capacity),
             counters: ShardSet::new(config.threads),
             phases,
-            telemetry: telemetry.map(|t| Telemetry::new(config.threads, t)),
         }
     }
 
@@ -203,26 +189,15 @@ impl<S: Signature> CommProfiler<S> {
             // so a capacity panic here would strand sibling threads at
             // their next barrier (the error is latched and surfaced after
             // the run instead).
-            if let Some((m, probe, inserted)) = self.loops.get_or_insert_lossy(loop_id) {
-                if let Some(t) = &self.telemetry {
-                    t.observe(tid, HistId::RegistryProbeLen, probe as u64);
-                    if inserted {
-                        t.bump(tid, Stat::RegistryInsert);
-                    }
-                }
+            if let Some((m, _)) = self.loops.get_or_insert_lossy(loop_id) {
                 m.add(src, dst, bytes);
             }
         }
     }
 
-    /// The telemetry layer, when enabled at construction.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Scrape a metrics registry: run totals, memory, loop registry size
-    /// and — when telemetry is on — the full counter/histogram set.
-    /// Delivers the caller's live tile first, like every read path.
+    /// and the deltas an overflowed registry dropped. Delivers the
+    /// caller's live tile first, like every read path.
     pub fn metrics(&self) -> MetricsRegistry {
         self.flush_pending();
         let mut reg = MetricsRegistry::new();
@@ -256,9 +231,6 @@ impl<S: Signature> CommProfiler<S> {
             "Deltas left unattributed per-loop after a registry overflow",
             self.loops.dropped_deltas(),
         );
-        if let Some(t) = &self.telemetry {
-            t.export_into(&mut reg);
-        }
         reg
     }
 
@@ -356,34 +328,10 @@ impl<S: Signature> CommProfiler<S> {
     }
 }
 
-impl<S: Signature> CommProfiler<S> {
-    /// Metrics-on access path: probe the detector, classify the outcome,
-    /// and time the detect/accumulate stages for one access in
-    /// [`TelemetryConfig::sample_every`]. Accumulation is identical to the
-    /// plain path — the `telemetry_observability` test proves the outputs
-    /// are byte-for-byte the same.
-    pub(crate) fn on_access_instrumented(&self, ev: &AccessEvent, t: &Telemetry) {
-        let t0 = t.should_sample(ev.tid).then(std::time::Instant::now);
-        let (dep, probe) = self
-            .detector
-            .on_access_probed(ev.tid, ev.addr, ev.size, ev.kind);
-        let detect_done = t0.map(|s| (s.elapsed(), std::time::Instant::now()));
-        t.record_access(ev.tid, ev.kind, probe, dep.is_some());
-        self.accumulate(ev, dep);
-        if let Some((detect, accum_start)) = detect_done {
-            t.observe(ev.tid, HistId::DetectNs, detect.as_nanos() as u64);
-            t.observe(
-                ev.tid,
-                HistId::AccumNs,
-                accum_start.elapsed().as_nanos() as u64,
-            );
-        }
-    }
-
-    /// Count one access and record its dependence, if any — the per-event
-    /// accumulation step both per-event paths share.
+impl<S: Signature + Sync> AccessSink for CommProfiler<S> {
     #[inline]
-    fn accumulate(&self, ev: &AccessEvent, dep: Option<crate::raw::Dependence>) {
+    fn on_access(&self, ev: &AccessEvent) {
+        let dep = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind);
         self.counters.count_access(ev.tid);
         if let Some(dep) = dep {
             self.add_deps(
@@ -395,20 +343,6 @@ impl<S: Signature> CommProfiler<S> {
                 p.lock().add(dep.src, dep.dst, dep.bytes);
             }
         }
-    }
-}
-
-impl<S: Signature + Sync> AccessSink for CommProfiler<S> {
-    #[inline]
-    fn on_access(&self, ev: &AccessEvent) {
-        // One well-predicted branch when telemetry is off (the default) —
-        // the zero-cost-when-off contract.
-        if let Some(t) = &self.telemetry {
-            self.on_access_instrumented(ev, t);
-            return;
-        }
-        let dep = self.detector.on_access(ev.tid, ev.addr, ev.size, ev.kind);
-        self.accumulate(ev, dep);
     }
 
     /// Batched delivery — live capture tiles, `Trace::replay` and

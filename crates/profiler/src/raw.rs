@@ -47,18 +47,6 @@ pub struct Dependence {
     pub bytes: u64,
 }
 
-/// What one access observed inside Algorithm 1 — the telemetry layer's
-/// view of a [`RawDetector::on_access_probed`] call. For writes both flags
-/// stay `false`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AccessProbe {
-    /// A read found a recorded last writer in the write signature.
-    pub writer_hit: bool,
-    /// The writer hit did not become a dependence: same thread, or the
-    /// reader was already in the read signature (first-read-only rule).
-    pub suppressed: bool,
-}
-
 /// Algorithm 1 over any [`Signature`].
 ///
 /// ```
@@ -135,8 +123,14 @@ impl<S: Signature> RawDetector<S> {
         debug_assert_eq!(h, lc_sigmem::murmur::fmix64(addr), "stale hash for addr");
         match kind {
             AccessKind::Read => {
+                // Communication iff another thread wrote last and `tid` has
+                // not read since (§V-A5 first-read-only semantics).
                 let (writer, seen) = self.sig.read(addr, h, tid);
-                first_read_dependence(writer, seen, tid, size)
+                writer.filter(|&w| w != tid && !seen).map(|src| Dependence {
+                    src,
+                    dst: tid,
+                    bytes: size as u64,
+                })
             }
             AccessKind::Write => {
                 self.sig.write(addr, h, tid);
@@ -153,35 +147,6 @@ impl<S: Signature> RawDetector<S> {
         self.sig.prefetch(h);
     }
 
-    /// [`Self::on_access`] plus a probe describing what the signature
-    /// observed, for the telemetry layer. `tests/telemetry_observability.rs`
-    /// pins the two paths to byte-identical reports.
-    #[inline]
-    pub fn on_access_probed(
-        &self,
-        tid: u32,
-        addr: u64,
-        size: u32,
-        kind: AccessKind,
-    ) -> (Option<Dependence>, AccessProbe) {
-        let h = lc_sigmem::murmur::fmix64(addr);
-        match kind {
-            AccessKind::Read => {
-                let (writer, seen) = self.sig.read(addr, h, tid);
-                let dep = first_read_dependence(writer, seen, tid, size);
-                let probe = AccessProbe {
-                    writer_hit: writer.is_some(),
-                    suppressed: writer.is_some() && dep.is_none(),
-                };
-                (dep, probe)
-            }
-            AccessKind::Write => {
-                self.sig.write(addr, h, tid);
-                (None, AccessProbe::default())
-            }
-        }
-    }
-
     /// Heap footprint of the signature.
     pub fn memory_bytes(&self) -> usize {
         self.sig.memory_bytes()
@@ -191,23 +156,6 @@ impl<S: Signature> RawDetector<S> {
     pub fn signature(&self) -> &S {
         &self.sig
     }
-}
-
-/// The dependence a read by `tid` completes, given what the signature
-/// answered: communication iff another thread wrote last and `tid` has
-/// not read since (§V-A5 first-read-only semantics).
-#[inline]
-fn first_read_dependence(
-    writer: Option<u32>,
-    seen: bool,
-    tid: u32,
-    size: u32,
-) -> Option<Dependence> {
-    writer.filter(|&w| w != tid && !seen).map(|src| Dependence {
-        src,
-        dst: tid,
-        bytes: size as u64,
-    })
 }
 
 #[cfg(test)]
@@ -335,45 +283,6 @@ mod tests {
                 dst: 1,
                 bytes: 8
             })
-        );
-    }
-
-    #[test]
-    fn probed_path_matches_plain_path_and_classifies() {
-        // Two detectors fed the same script: the probed body must return the
-        // exact dependences of the plain body, plus sensible probe flags.
-        let plain = perfect();
-        let probed = perfect();
-        let script: Vec<(u32, u64, AccessKind)> = vec![
-            (0, 0x10, Write),
-            (1, 0x10, Read), // writer hit, dep
-            (1, 0x10, Read), // writer hit, suppressed (already read)
-            (0, 0x10, Read), // writer hit, suppressed (self)
-            (2, 0x99, Read), // writer miss
-            (3, 0x10, Write),
-            (1, 0x10, Read), // fresh dep from 3
-        ];
-        let mut probes = Vec::new();
-        for (tid, addr, kind) in script {
-            let (dep, probe) = probed.on_access_probed(tid, addr, 8, kind);
-            assert_eq!(dep, plain.on_access(tid, addr, 8, kind));
-            probes.push(probe);
-        }
-        let hit = |w, s| AccessProbe {
-            writer_hit: w,
-            suppressed: s,
-        };
-        assert_eq!(
-            probes,
-            vec![
-                hit(false, false), // write
-                hit(true, false),
-                hit(true, true),
-                hit(true, true),
-                hit(false, false), // miss
-                hit(false, false), // write
-                hit(true, false),
-            ]
         );
     }
 

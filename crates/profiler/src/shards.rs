@@ -245,7 +245,7 @@ impl LoopRegistry {
     #[inline]
     pub fn get_or_insert(&self, id: LoopId) -> &CommMatrix {
         match self.find_or_publish(id) {
-            Ok((m, _, _)) => m,
+            Ok((m, _)) => m,
             Err(e) => panic!("{e}"),
         }
     }
@@ -254,17 +254,18 @@ impl LoopRegistry {
     /// panicking when the registry is full.
     #[inline]
     pub fn try_get_or_insert(&self, id: LoopId) -> Result<&CommMatrix, RegistryFull> {
-        self.find_or_publish(id).map(|(m, _, _)| m)
+        self.find_or_publish(id).map(|(m, _)| m)
     }
 
-    /// The accumulation-path lookup: on overflow it latches the error
+    /// The accumulation-path lookup, returning the matrix and whether this
+    /// call published it. On overflow it latches the error
     /// (readable afterwards via [`Self::overflow`]), counts the dropped
     /// delta, and returns `None` instead of panicking. Accumulation runs
     /// inline on application threads, where a panic would strand the
     /// sibling threads at their next barrier — the run completes with per-loop attribution
     /// degraded, and the caller (e.g. the CLI) reports the clean error.
     #[inline]
-    pub fn get_or_insert_lossy(&self, id: LoopId) -> Option<(&CommMatrix, u32, bool)> {
+    pub fn get_or_insert_lossy(&self, id: LoopId) -> Option<(&CommMatrix, bool)> {
         match self.find_or_publish(id) {
             Ok(r) => Some(r),
             Err(_) => {
@@ -291,14 +292,14 @@ impl LoopRegistry {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Core open-addressed lookup/publish: the matrix, the probe distance
-    /// walked, and whether this call published the slot.
+    /// Core open-addressed lookup/publish: the matrix, and whether this
+    /// call published the slot.
     #[inline]
-    fn find_or_publish(&self, id: LoopId) -> Result<(&CommMatrix, u32, bool), RegistryFull> {
+    fn find_or_publish(&self, id: LoopId) -> Result<(&CommMatrix, bool), RegistryFull> {
         let mask = self.slots.len() - 1;
         let mut idx = (lc_sigmem::murmur::fmix64(id.0 as u64) as usize) & mask;
         let mut fresh: *mut LoopSlot = std::ptr::null_mut();
-        for probe in 0..self.slots.len() as u32 {
+        for _ in 0..self.slots.len() {
             let slot = &self.slots[idx];
             let p = slot.load(Ordering::Acquire);
             if p.is_null() {
@@ -320,7 +321,7 @@ impl LoopRegistry {
                     self.len.fetch_add(1, Ordering::Relaxed);
                     // Safety: just published; the mutant leaks what it
                     // overwrites instead of freeing it.
-                    return Ok((unsafe { &(*fresh).matrix }, probe, true));
+                    return Ok((unsafe { &(*fresh).matrix }, true));
                 }
                 match slot.compare_exchange(
                     std::ptr::null_mut(),
@@ -331,7 +332,7 @@ impl LoopRegistry {
                     Ok(_) => {
                         self.len.fetch_add(1, Ordering::Relaxed);
                         // Safety: just published; lives until `self` drops.
-                        return Ok((unsafe { &(*fresh).matrix }, probe, true));
+                        return Ok((unsafe { &(*fresh).matrix }, true));
                     }
                     Err(winner) => {
                         // Safety: `winner` was published by a release-CAS
@@ -339,7 +340,7 @@ impl LoopRegistry {
                         if unsafe { &*winner }.id == id {
                             // Safety: `fresh` never escaped this thread.
                             drop(unsafe { Box::from_raw(fresh) });
-                            return Ok((unsafe { &(*winner).matrix }, probe, false));
+                            return Ok((unsafe { &(*winner).matrix }, false));
                         }
                         // Different loop claimed the slot: keep probing and
                         // reuse `fresh` for the next empty slot.
@@ -352,7 +353,7 @@ impl LoopRegistry {
                         // Safety: `fresh` never escaped this thread.
                         drop(unsafe { Box::from_raw(fresh) });
                     }
-                    return Ok((unsafe { &(*p).matrix }, probe, false));
+                    return Ok((unsafe { &(*p).matrix }, false));
                 }
             }
             idx = (idx + 1) & mask;

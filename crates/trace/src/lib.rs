@@ -62,7 +62,7 @@ pub use sink::{AccessSink, CountingSink, ForkSink, NoopSink, RecordingSink};
 pub use sites::{site_location, SiteCounter, SiteTraffic};
 pub use spool::{
     salvage_stream, salvage_trace, write_trace_spool, SalvageReport, SpoolError, SpoolSink,
-    SpoolStats, SpoolWriter, DEFAULT_FRAME_EVENTS,
+    SpoolStats, SpoolWriter, DEFAULT_FRAME_EVENTS, MAX_FRAME_EVENTS,
 };
 pub use spool_v3::{
     index_path, write_trace_spool_v3, MmapTrace, SegmentEntry, SegmentStream, SpoolV3Writer,

@@ -24,7 +24,7 @@ pub trait AccessSink: Send + Sync {
     /// Observe a block of accesses in order. Semantically identical to
     /// calling [`AccessSink::on_access`] once per event (which is the
     /// default implementation); sinks override it to amortize per-event
-    /// costs — dyn dispatch, atomic counter traffic, telemetry branches —
+    /// costs — dyn dispatch, atomic counter traffic, per-event hashing —
     /// across the block. [`Trace::replay`] and `Trace::par_replay` feed
     /// fixed-size blocks through this entry point.
     fn on_batch(&self, evs: &[AccessEvent]) {

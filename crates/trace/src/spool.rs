@@ -51,9 +51,12 @@ use crate::trace_io::{
 pub(crate) const FRAME_MAGIC: [u8; 4] = *b"LCFR";
 /// Bytes of frame header (marker + payload length + CRC32).
 pub(crate) const FRAME_HEADER_BYTES: usize = 12;
-/// Sanity cap on one frame's payload (16 Mi events); a length field above
-/// this is treated as corruption, not an allocation request.
-pub(crate) const MAX_FRAME_PAYLOAD: u32 = (1 << 24) * RECORD_BYTES as u32;
+/// Most events one spool segment or wire frame may carry (16 Mi).
+pub const MAX_FRAME_EVENTS: usize = 1 << 24;
+/// Sanity cap on one frame's payload ([`MAX_FRAME_EVENTS`] records); a
+/// length field above this is treated as corruption, not an allocation
+/// request.
+pub(crate) const MAX_FRAME_PAYLOAD: u32 = (MAX_FRAME_EVENTS * RECORD_BYTES) as u32;
 /// Events per frame when the caller does not choose (4096 events ≈ 164 KiB
 /// per frame — large enough to amortize the 12-byte header and the flush,
 /// small enough that a crash loses under a fifth of a megabyte).

@@ -65,6 +65,17 @@ const MAX_SLOTS: usize = 1 << 30;
 /// of two and allocates that many cells up front.
 const MAX_LOOP_CAPACITY: usize = 1 << 24;
 
+/// Upper bound for `--queue-frames`: a tenant allocates its queue's slots
+/// when it connects.
+const MAX_QUEUE_FRAMES: usize = 1 << 16;
+
+/// Upper bound for `--max-conns`: each connection holds a thread.
+const MAX_CONNS: usize = 4096;
+
+/// Upper bound for `--max-tenants`: each tenant holds a signature table
+/// and a drain thread.
+const MAX_TENANTS: usize = 1024;
+
 struct Options {
     threads: usize,
     size: InputSize,
@@ -203,7 +214,7 @@ fn usage() -> ! {
          \x20 --window W       phase window in dependencies (default 2000)\n\
          \x20 --seed S         workload RNG seed (default 42)\n\
          \x20 --loop-capacity K  loop-matrix registry capacity (default 1024)\n\
-         \x20 --metrics PATH   (profile, analyze) write run telemetry;\n\
+         \x20 --metrics PATH   (profile, analyze) write run metrics;\n\
          \x20                  `.json` gets JSON, anything else Prometheus text\n\
          \x20 --salvage        (analyze) recover the longest valid prefix of\n\
          \x20                  a truncated or corrupted trace instead of failing\n\
@@ -238,7 +249,7 @@ fn usage() -> ! {
          \x20                  (signatures, matrices, replay cursor) to DIR\n\
          \x20                  every --every events\n\
          \x20 --every N        (analyze --checkpoint) events between\n\
-         \x20                  checkpoints (default 1000000)\n\
+         \x20                  checkpoints, at least 1 (default 1000000)\n\
          \x20 --resume DIR     (analyze) resume from DIR's checkpoint; the\n\
          \x20                  final report is byte-identical to an\n\
          \x20                  uninterrupted run\n\
@@ -262,15 +273,17 @@ fn usage() -> ! {
          \x20                  (default 127.0.0.1:9009)\n\
          \x20 --http ADDR      (serve) HTTP endpoint for live reports,\n\
          \x20                  matrices, and Prometheus /metrics\n\
-         \x20 --queue-frames N (serve) per-tenant queue bound (default 64)\n\
-         \x20 --max-conns N    (serve) connection limit (default 64)\n\
-         \x20 --max-tenants N  (serve) tenant limit (default 64)\n\
+         \x20 --queue-frames N (serve) per-tenant queue bound in frames,\n\
+         \x20                  1..=65536 (default 64)\n\
+         \x20 --max-conns N    (serve) connection limit, 1..=4096 (default 64)\n\
+         \x20 --max-tenants N  (serve) tenant limit, 1..=1024 (default 64)\n\
          \x20 --connect ADDR   (record, stream) stream to a server instead\n\
          \x20                  of writing a file\n\
          \x20 --tenant NAME    (record, stream) tenant to stream as\n\
          \x20                  (default `default`)\n\
          \x20 --frame-events N (record, stream, synth) events per spool\n\
-         \x20                  segment or wire frame (default 4096)\n\
+         \x20                  segment or wire frame, 1..=16777216\n\
+         \x20                  (default 4096)\n\
          \x20 --explore N      (simtest) N seeded random schedules instead of\n\
          \x20                  bounded-exhaustive DFS (seeded by --seed)\n\
          \x20 --max-preemptions N|none  (simtest) preemption bound override\n\
@@ -396,13 +409,15 @@ fn parse_options(args: &[String]) -> Options {
             "--http" => o.http = Some(val()),
             "--connect" => o.connect = Some(val()),
             "--tenant" => o.tenant = val(),
-            "--frame-events" => o.frame_events = parse_value(a, &val()),
-            "--queue-frames" => o.queue_frames = parse_value(a, &val()),
-            "--max-conns" => o.max_conns = parse_value(a, &val()),
-            "--max-tenants" => o.max_tenants = parse_value(a, &val()),
+            "--frame-events" => {
+                o.frame_events = parse_in_range(a, &val(), 1..=lc_trace::MAX_FRAME_EVENTS)
+            }
+            "--queue-frames" => o.queue_frames = parse_in_range(a, &val(), 1..=MAX_QUEUE_FRAMES),
+            "--max-conns" => o.max_conns = parse_in_range(a, &val(), 1..=MAX_CONNS),
+            "--max-tenants" => o.max_tenants = parse_in_range(a, &val(), 1..=MAX_TENANTS),
             "--report-out" => o.report_out = Some(val()),
             "--checkpoint" => o.checkpoint = Some(val()),
-            "--every" => o.every = parse_value(a, &val()),
+            "--every" => o.every = parse_in_range(a, &val(), 1..),
             "--resume" => o.resume = Some(val()),
             // Accepted, no effect: every `analyze` streams a v3 spool one
             // segment at a time. It stays because `lcbench` passes it.
@@ -554,7 +569,7 @@ fn profile(
     let sig = SignatureConfig::paper_default(o.slots, o.threads)
         .try_build()
         .unwrap_or_else(|e| pipeline_failed(&PipelineError::Table(e)));
-    let profiler = Arc::new(AsymmetricProfiler::from_detector_full(
+    let profiler = Arc::new(AsymmetricProfiler::from_detector_with(
         lc_profiler::RawDetector::new(sig),
         lc_profiler::ProfilerConfig {
             threads: o.threads,
@@ -564,11 +579,6 @@ fn profile(
         lc_profiler::AccumConfig {
             loop_capacity: o.loop_capacity,
         },
-        // Telemetry only when the run will export it: the default path
-        // stays zero-cost.
-        o.metrics
-            .as_ref()
-            .map(|_| lc_profiler::TelemetryConfig::default()),
     ));
     let ctx = TraceCtx::new(profiler.clone(), o.threads);
     workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
@@ -959,7 +969,6 @@ fn analyze(name: &str, o: &Options) {
             );
         }
     };
-    let every = o.every.max(1);
     let start = pipe.analyzer().events().min(total);
     let mut last_cp = pipe.analyzer().events();
     // A spool is decoded ahead on a helper thread only when a core is left
@@ -984,7 +993,7 @@ fn analyze(name: &str, o: &Options) {
             std::process::exit(1);
         }
         if let Some(dir) = cp_dir {
-            if pipe.analyzer().events() - last_cp >= every {
+            if pipe.analyzer().events() - last_cp >= o.every {
                 write_checkpoint(&pipe, dir);
                 last_cp = pipe.analyzer().events();
             }
@@ -1286,7 +1295,7 @@ use lc_trace::synth_event;
 /// spools far larger than RAM for the out-of-core replay checks.
 fn synth_cmd(name: &str, o: &Options) {
     let threads = o.threads as u32;
-    let frame = o.frame_events.max(1);
+    let frame = o.frame_events;
     let mut buf: Vec<lc_trace::StampedEvent> = Vec::with_capacity(frame);
     let mut i = 0u64;
     let mut w = lc_trace::SpoolV3Writer::create_with(std::path::Path::new(name), fault_injector(o))
@@ -1337,9 +1346,9 @@ fn serve_cmd(o: &Options) -> ! {
             loop_capacity: o.loop_capacity,
         },
         jobs: o.jobs,
-        queue_frames: o.queue_frames.max(1),
-        max_conns: o.max_conns.max(1),
-        max_tenants: o.max_tenants.max(1),
+        queue_frames: o.queue_frames,
+        max_conns: o.max_conns,
+        max_tenants: o.max_tenants,
         faults: fault_injector(o),
         durable_dir: o.durable_dir.as_ref().map(std::path::PathBuf::from),
         tenant_idle: (o.tenant_idle_secs > 0)
@@ -1491,7 +1500,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             }
             println!("\ncommunication matrix (bytes):\n{}", r.global.heatmap());
             if let Some(path) = &o.metrics {
-                write_metrics(path, &p.metrics_with_health());
+                write_metrics(path, &p.metrics_with_health(&health));
             }
         }
         "nested" => {
@@ -1580,16 +1589,11 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 // the writer thread ships v2 frames to a `loopcomm serve`
                 // endpoint.
                 let sink = Arc::new(
-                    lc_trace::NetSink::connect(
-                        addr,
-                        &o.tenant,
-                        o.frame_events.max(1),
-                        fault_injector(o),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot connect to `{addr}`: {e}");
-                        std::process::exit(1);
-                    }),
+                    lc_trace::NetSink::connect(addr, &o.tenant, o.frame_events, fault_injector(o))
+                        .unwrap_or_else(|e| {
+                            eprintln!("cannot connect to `{addr}`: {e}");
+                            std::process::exit(1);
+                        }),
                 );
                 let ctx = TraceCtx::new(sink.clone(), o.threads);
                 workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
@@ -1618,7 +1622,7 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             let sink = Arc::new(
                 lc_trace::SpoolSink::create_with(
                     std::path::Path::new(path),
-                    o.frame_events.max(1),
+                    o.frame_events,
                     fault_injector(o),
                 )
                 .unwrap_or_else(|e| {
@@ -1654,13 +1658,8 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 std::process::exit(2);
             };
             let trace = load_or_salvage(name, o);
-            match lc_trace::stream_trace(
-                &trace,
-                addr,
-                &o.tenant,
-                o.frame_events.max(1),
-                fault_injector(o),
-            ) {
+            match lc_trace::stream_trace(&trace, addr, &o.tenant, o.frame_events, fault_injector(o))
+            {
                 Ok(stats) => println!(
                     "streamed {} events in {} frames ({} bytes) as tenant `{}` -> {addr}",
                     stats.events, stats.frames, stats.bytes, o.tenant

@@ -18,17 +18,17 @@
 //! The canonical report is the server half of the differential contract:
 //! byte-identical to `loopcomm analyze --report-out` on the same events.
 
-use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lc_profiler::ThreadLoad;
+use lc_cachesim::CoherenceTotals;
+use lc_profiler::{MetricsRegistry, ThreadLoad};
 
-use super::tenant::Tenant;
+use super::tenant::{Tenant, TenantStats};
 use super::{Shared, POLL_INTERVAL};
 
 /// How long `?wait=1` will poll for tenant quiescence before reporting
@@ -254,164 +254,153 @@ fn route(shared: &Shared, target: &str) -> (u16, &'static str, String) {
 /// Prometheus exposition: server-wide counters plus one labelled series
 /// per tenant per counter.
 fn prometheus(shared: &Shared) -> String {
-    let mut out = String::new();
-    let server: [(&str, &str, u64); 3] = [
+    let mut reg = MetricsRegistry::new();
+    for (name, help, v) in [
         (
             "loopcomm_serve_connections_accepted_total",
             "Ingest connections accepted",
-            shared.conns_accepted.load(Ordering::Relaxed),
+            &shared.conns_accepted,
         ),
         (
             "loopcomm_serve_connections_rejected_total",
             "Ingest connections refused by the connection limit",
-            shared.conns_rejected.load(Ordering::Relaxed),
+            &shared.conns_rejected,
         ),
         (
             "loopcomm_serve_connections_faulted_total",
             "Ingest connections that ended degraded",
-            shared.conns_faulted.load(Ordering::Relaxed),
+            &shared.conns_faulted,
         ),
-    ];
-    for (name, help, v) in server {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
+    ] {
+        reg.counter(name, help, v.load(Ordering::Relaxed));
     }
-    let _ = writeln!(
-        out,
-        "# HELP loopcomm_serve_tenants Tenants currently known\n\
-         # TYPE loopcomm_serve_tenants gauge\n\
-         loopcomm_serve_tenants {}",
-        shared.tenants().len()
+    let tenants = shared.tenants();
+    reg.gauge(
+        "loopcomm_serve_tenants",
+        "Tenants currently known",
+        tenants.len() as f64,
     );
-    let per_tenant: [(&str, &str); 9] = [
+    type Stat = fn(&TenantStats) -> &AtomicU64;
+    let stats: [(&str, &str, bool, Stat); 9] = [
         (
             "loopcomm_tenant_frames_received_total",
             "Valid frames decoded",
+            false,
+            |s| &s.frames_received,
         ),
         (
             "loopcomm_tenant_events_received_total",
             "Events in valid frames",
+            false,
+            |s| &s.events_received,
         ),
         (
             "loopcomm_tenant_frames_lost_total",
             "Frames lost to drain faults or shutdown",
+            false,
+            |s| &s.frames_lost,
         ),
-        ("loopcomm_tenant_events_lost_total", "Events in lost frames"),
+        (
+            "loopcomm_tenant_events_lost_total",
+            "Events in lost frames",
+            false,
+            |s| &s.events_lost,
+        ),
         (
             "loopcomm_tenant_bytes_dropped_total",
             "Stream bytes that never formed a valid frame",
+            false,
+            |s| &s.bytes_dropped,
         ),
-        ("loopcomm_tenant_connections_active", "Open connections"),
+        (
+            "loopcomm_tenant_connections_active",
+            "Open connections",
+            true,
+            |s| &s.conns_active,
+        ),
         (
             "loopcomm_tenant_connections_faulted_total",
             "Connections that ended degraded",
+            false,
+            |s| &s.conns_faulted,
         ),
         (
             "loopcomm_tenant_frames_spilled",
             "Frames spilled to the durable spool, awaiting replay",
+            true,
+            |s| &s.frames_spilled,
         ),
         (
             "loopcomm_tenant_events_spilled",
             "Events in the spilled frames",
+            true,
+            |s| &s.events_spilled,
         ),
     ];
-    for (i, (name, help)) in per_tenant.iter().enumerate() {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(
-            out,
-            "# TYPE {name} {}",
-            if i == 5 || i >= 7 { "gauge" } else { "counter" }
-        );
-        for t in shared.tenants() {
-            let v = match i {
-                0 => t.stats.frames_received.load(Ordering::Relaxed),
-                1 => t.stats.events_received.load(Ordering::Relaxed),
-                2 => t.stats.frames_lost.load(Ordering::Relaxed),
-                3 => t.stats.events_lost.load(Ordering::Relaxed),
-                4 => t.stats.bytes_dropped.load(Ordering::Relaxed),
-                5 => t.stats.conns_active.load(Ordering::Relaxed),
-                6 => t.stats.conns_faulted.load(Ordering::Relaxed),
-                7 => t.stats.frames_spilled.load(Ordering::Relaxed),
-                _ => t.stats.events_spilled.load(Ordering::Relaxed),
-            };
-            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {v}", t.name);
+    for (name, help, gauge, stat) in stats {
+        let samples =
+            (tenants.iter()).map(|t| (t.name.clone(), stat(&t.stats).load(Ordering::Relaxed)));
+        if gauge {
+            reg.gauges(name, help, "tenant", samples);
+        } else {
+            reg.counters(name, help, "tenant", samples);
         }
     }
-    let _ = writeln!(
-        out,
-        "# HELP loopcomm_serve_tenants_evicted Tenants evicted to durable storage\n\
-         # TYPE loopcomm_serve_tenants_evicted gauge\n\
-         loopcomm_serve_tenants_evicted {}",
-        shared.evicted().len()
+    reg.gauge(
+        "loopcomm_serve_tenants_evicted",
+        "Tenants evicted to durable storage",
+        shared.evicted().len() as f64,
     );
     // One consistent snapshot per tenant for every pipeline series.
-    let snaps: Vec<_> = (shared.tenants().into_iter())
-        .map(|t| (t.snapshot(), t))
+    let snaps: Vec<_> = tenants
+        .iter()
+        .map(|t| (t.name.clone(), t.snapshot()))
         .collect();
-    let _ = writeln!(
-        out,
-        "# HELP loopcomm_tenant_events_analyzed_total Events that reached the analyzer\n\
-         # TYPE loopcomm_tenant_events_analyzed_total counter"
+    reg.counters(
+        "loopcomm_tenant_events_analyzed_total",
+        "Events that reached the analyzer",
+        "tenant",
+        snaps.iter().map(|(name, s)| (name.clone(), s.events)),
     );
-    for (snap, t) in &snaps {
-        let _ = writeln!(
-            out,
-            "loopcomm_tenant_events_analyzed_total{{tenant=\"{}\"}} {}",
-            t.name, snap.events
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP loopcomm_tenant_memory_bytes Analyzer heap footprint (bounded)\n\
-         # TYPE loopcomm_tenant_memory_bytes gauge"
+    reg.gauges(
+        "loopcomm_tenant_memory_bytes",
+        "Analyzer heap footprint (bounded)",
+        "tenant",
+        (snaps.iter()).map(|(name, s)| (name.clone(), s.memory_bytes as u64)),
     );
-    for (snap, t) in &snaps {
-        let _ = writeln!(
-            out,
-            "loopcomm_tenant_memory_bytes{{tenant=\"{}\"}} {}",
-            t.name, snap.memory_bytes
-        );
-    }
     // Coherence series appear only when the backend is on — an absent
     // series is "not measured", not zero.
     if shared.cfg.coherence.is_some() {
-        let coh: [(&str, &str); 4] = [
+        type Total = fn(&CoherenceTotals) -> u64;
+        let coh: [(&str, &str, Total); 4] = [
             (
                 "loopcomm_tenant_coherence_invalidations_total",
                 "Cache copies invalidated by remote writes",
+                |t| t.invalidations,
             ),
             (
                 "loopcomm_tenant_coherence_c2c_fills_total",
                 "Line fills served cache-to-cache",
+                |t| t.c2c_fills,
             ),
             (
                 "loopcomm_tenant_coherence_false_bytes_total",
                 "Bytes pulled by fills and never touched (false sharing)",
+                |t| t.false_bytes,
             ),
             (
                 "loopcomm_tenant_coherence_true_bytes_total",
                 "First-touch attributed transfer bytes (true sharing)",
+                |t| t.true_bytes,
             ),
         ];
-        let totals: Vec<_> = (snaps.iter())
-            .filter_map(|(snap, t)| Some((snap.coherence?, t)))
-            .collect();
-        for (i, (name, help)) in coh.iter().enumerate() {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (tot, t) in &totals {
-                let v = match i {
-                    0 => tot.invalidations,
-                    1 => tot.c2c_fills,
-                    2 => tot.false_bytes,
-                    _ => tot.true_bytes,
-                };
-                let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {v}", t.name);
-            }
+        for (name, help, total) in coh {
+            let samples = (snaps.iter())
+                .filter_map(|(name, s)| Some((name.clone(), total(s.coherence.as_ref()?))));
+            reg.counters(name, help, "tenant", samples);
         }
     }
-    out
+    reg.to_prometheus()
 }
 
 fn tenants_json(shared: &Shared) -> String {

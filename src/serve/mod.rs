@@ -9,7 +9,7 @@
 //! into a single-drain [`crate::Pipeline`], the engine offline `loopcomm
 //! analyze` drives — so the live report is byte-identical to the batch
 //! one on the same events. Live
-//! matrices, thread load, and Prometheus telemetry are served over HTTP
+//! matrices, thread load, and Prometheus metrics are served over HTTP
 //! ([`http`]).
 //!
 //! Failure model: every network seam is a fault-injection site

@@ -338,7 +338,7 @@ fn registry_scenario() {
         handles.push(lc_sched::spawn(move || {
             for (i, &id) in IDS[t as usize].iter().enumerate() {
                 let bytes = 8 + 2 * t as u64 + i as u64;
-                let (m, _, inserted) = reg
+                let (m, inserted) = reg
                     .get_or_insert_lossy(lc_trace::LoopId(id))
                     .expect("two ids fit a capacity-2 registry");
                 m.add(0, 1, bytes);

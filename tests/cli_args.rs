@@ -388,8 +388,14 @@ fn sizing_flags_out_of_range_exit_2_naming_the_flag_and_its_range() {
     // zero-slot signature, a capacity overflow, a zero-capacity registry,
     // `next_power_of_two` wrapping to 0, an 8 TiB allocation, a zero phase
     // window, and a `--jobs` value whose checkpoint `--resume` refuses.
+    // The last ten used to be raised to 1 at 0 (`synth --frame-events 0`
+    // wrote one page-padded segment per event) or, at 2^40, to abort the
+    // process (`synth --frame-events`) or the whole server at its first
+    // tenant (`serve --queue-frames`); a frame above 2^24 events was
+    // written but refused by every reader.
     let max = "18446744073709551615";
-    let cases: [(&str, &[&str], &str); 10] = [
+    let big = "1099511627776";
+    let cases: [(&str, &[&str], &str); 20] = [
         (
             "--slots",
             &["analyze", "x", "--slots", "0"],
@@ -436,6 +442,52 @@ fn sizing_flags_out_of_range_exit_2_naming_the_flag_and_its_range() {
             &["analyze", "x", "--jobs", "65537", "--checkpoint", "cp"],
             "1..=65536",
         ),
+        (
+            "--frame-events",
+            &["analyze", "x", "--frame-events", "0"],
+            "1..=16777216",
+        ),
+        (
+            "--frame-events",
+            &["analyze", "x", "--frame-events", "16777217"],
+            "1..=16777216",
+        ),
+        (
+            "--frame-events",
+            &["analyze", "x", "--frame-events", big],
+            "1..=16777216",
+        ),
+        (
+            "--queue-frames",
+            &["analyze", "x", "--queue-frames", "0"],
+            "1..=65536",
+        ),
+        (
+            "--queue-frames",
+            &["analyze", "x", "--queue-frames", big],
+            "1..=65536",
+        ),
+        (
+            "--max-conns",
+            &["analyze", "x", "--max-conns", "0"],
+            "1..=4096",
+        ),
+        (
+            "--max-conns",
+            &["analyze", "x", "--max-conns", big],
+            "1..=4096",
+        ),
+        (
+            "--max-tenants",
+            &["analyze", "x", "--max-tenants", "0"],
+            "1..=1024",
+        ),
+        (
+            "--max-tenants",
+            &["analyze", "x", "--max-tenants", big],
+            "1..=1024",
+        ),
+        ("--every", &["analyze", "x", "--every", "0"], "1.."),
     ];
     for (flag, args, range) in cases {
         let o = loopcomm(args);

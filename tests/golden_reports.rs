@@ -13,14 +13,18 @@
 //! different bytes fails the job even if someone also updated the goldens
 //! without review.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lc_cachesim::{canonical_coherence_report, CoherenceBackend, CoherenceConfig};
 use lc_profiler::report::{ascii_table, fmt_bytes, fmt_slowdown, write_csv};
-use lc_profiler::{HistId, MergedHist, MetricsRegistry, Stat, Telemetry, TelemetryConfig};
-use lc_trace::{AccessKind, RecordingSink, StampedEvent, Trace, TraceCtx};
+use lc_profiler::MetricsRegistry;
+use lc_trace::{RecordingSink, StampedEvent, Trace, TraceCtx};
 use lc_workloads::{by_name, InputSize, RunConfig};
+use loopcomm::serve::{ServeConfig, Server};
 
 fn golden_path(name: &str) -> PathBuf {
     // GOLDEN_DIR redirects reads *and* writes — the CI drift guard points
@@ -89,8 +93,8 @@ fn csv_snapshot() {
 }
 
 /// A deterministic registry covering every metric kind and the numeric edge
-/// cases both expositions must render stably: counters, finite / NaN /
-/// infinite gauges, and a histogram with empty interior buckets.
+/// cases both expositions must render stably: counters and finite / NaN /
+/// infinite gauges.
 fn synthetic_registry() -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     reg.counter("loopcomm_accesses_total", "Accesses observed", 123_456);
@@ -106,13 +110,6 @@ fn synthetic_registry() -> MetricsRegistry {
         f64::NAN,
     );
     reg.gauge("loopcomm_gauge_inf", "An unbounded gauge", f64::INFINITY);
-    let mut h = MergedHist::default();
-    h.buckets[0] = 2; // two observations of 0
-    h.buckets[3] = 5; // five in [4, 7]
-    h.buckets[10] = 1; // one in [512, 1023]
-    h.count = 8;
-    h.sum = 550;
-    reg.histogram("loopcomm_flush_occupancy", "Entries per flush", h);
     reg
 }
 
@@ -125,29 +122,6 @@ fn prometheus_exposition_snapshot() {
 fn json_exposition_snapshot() {
     let json = synthetic_registry().to_json();
     assert_golden("metrics.json", &json);
-}
-
-#[test]
-fn telemetry_export_snapshot() {
-    // Hand-driven telemetry (no wall-clock sampling involved) so the full
-    // counter/histogram export is bit-stable.
-    let t = Telemetry::new(4, TelemetryConfig::default());
-    for tid in 0..4 {
-        t.record_access(
-            tid,
-            AccessKind::Write,
-            lc_profiler::AccessProbe::default(),
-            false,
-        );
-    }
-    t.bump(0, Stat::ReadWriterHit);
-    t.bump(1, Stat::ReadWriterHit);
-    t.bump(1, Stat::DepDetected);
-    t.observe(0, HistId::RegistryProbeLen, 0);
-    t.observe(1, HistId::RegistryProbeLen, 3);
-    let mut reg = MetricsRegistry::new();
-    t.export_into(&mut reg);
-    assert_golden("telemetry_export.prom", &reg.to_prometheus());
 }
 
 /// Record `name` and normalize the schedule to thread-serial order: stable
@@ -190,4 +164,53 @@ fn coherence_report_snapshots() {
             &canonical_coherence_report(&b.report()),
         );
     }
+}
+
+/// How long a streamed tenant may take to appear and go quiet.
+const QUIESCE: Duration = Duration::from_secs(60);
+
+/// Body of a plain `GET path` against the server's HTTP surface.
+fn http_body(addr: &str, path: &str) -> String {
+    let mut sock = TcpStream::connect(addr).expect("connect http");
+    write!(sock, "GET {path} HTTP/1.0\r\n\r\n").expect("send request");
+    let mut text = String::new();
+    sock.read_to_string(&mut text).expect("read response");
+    let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200"), "{path}: {head}");
+    body.to_string()
+}
+
+#[test]
+fn serve_metrics_snapshot() {
+    // `serve --coherence` with two tenants, each fed one thread-serial
+    // trace over one connection that has closed, scraped once the two are
+    // quiet: every value is a count of fixed input. The scrape before any
+    // tenant connects pins the families that have no sample yet.
+    let mut server = Server::start(ServeConfig {
+        http: Some("127.0.0.1:0".into()),
+        sig: lc_sigmem::SignatureConfig::paper_default(1 << 12, 4),
+        prof: lc_profiler::ProfilerConfig::nested(4),
+        coherence: Some(CoherenceConfig::default()),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let http = server.http_addr().expect("http enabled").to_string();
+    let ingest = server.ingest_addrs()[0].clone();
+    assert_golden("serve_metrics_empty.prom", &http_body(&http, "/metrics"));
+    for (tenant, workload, frame_events) in [("radix", "radix", 512), ("fft.b", "fft", 4096)] {
+        let trace = thread_serial_trace(workload);
+        lc_trace::stream_trace(&trace, &ingest, tenant, frame_events, None).expect("stream");
+        // The server may read the hello after the producer has closed.
+        let start = Instant::now();
+        let t = loop {
+            if let Some(t) = server.shared().tenant(tenant) {
+                break t;
+            }
+            assert!(start.elapsed() < QUIESCE, "{tenant} never said hello");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(t.wait_quiet(QUIESCE), "{tenant} never quiesced");
+    }
+    assert_golden("serve_metrics.prom", &http_body(&http, "/metrics"));
+    server.shutdown();
 }
