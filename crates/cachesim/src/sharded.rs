@@ -45,12 +45,16 @@ impl Helper {
         name: String,
         body: impl FnOnce(Drainer<Buf>) -> CoherenceReport + Send + 'static,
     ) -> Self {
-        let (mut ring, drainer) = handoff::ring((0..BUFFERS).map(|_| Buf::with_capacity(CHUNK)));
-        let buf = ring.empty().expect("drainer held here");
+        let (ring, drainer) = handoff::ring::<Buf>(BUFFERS, BUFFERS);
+        let mut buf = ring.empty().expect("drainer held here");
+        buf.reserve(CHUNK);
         Self {
             buf,
             ring,
-            thread: Some(handoff::Helper::spawn(name, move || body(drainer))),
+            thread: Some(
+                handoff::Helper::spawn(name, move || body(drainer))
+                    .expect("spawn coherence shard thread"),
+            ),
         }
     }
 
@@ -59,11 +63,13 @@ impl Helper {
     /// gone.
     fn hand_off(&mut self) -> bool {
         let full = std::mem::take(&mut self.buf);
-        if !self.ring.send(full) {
+        if self.ring.send(full).is_err() {
             return false;
         }
         match self.ring.empty() {
-            Some(next) => {
+            Some(mut next) => {
+                // A buffer made fresh is sized once, not grown by doubling.
+                next.reserve(CHUNK);
                 self.buf = next;
                 true
             }
@@ -81,7 +87,7 @@ fn run_shard(
     n: usize,
     loop_cap: usize,
 ) -> impl FnOnce(Drainer<Buf>) -> CoherenceReport {
-    move |mut ring| {
+    move |ring| {
         let mut shard = CoherenceBackend::shard(cfg, threads, k, n).with_loop_capacity(loop_cap);
         while let Some(mut buf) = ring.recv() {
             shard.on_block(&buf);
@@ -204,7 +210,7 @@ impl ShardedCoherence {
         for k in 1..n {
             let h = &mut self.helpers[k - 1];
             let last = std::mem::take(&mut h.buf);
-            if !last.is_empty() && !h.ring.send(last) {
+            if !last.is_empty() && h.ring.send(last).is_err() {
                 return Err(self.fail(k));
             }
         }
@@ -288,7 +294,7 @@ mod tests {
         std::thread::spawn(move || {
             let mut b = ShardedCoherence {
                 local: CoherenceBackend::shard(cfg, 2, 0, 2),
-                helpers: vec![Helper::spawn("lc-coh-test".into(), |mut ring| {
+                helpers: vec![Helper::spawn("lc-coh-test".into(), |ring| {
                     let _ = ring.recv();
                     panic!("injected shard panic");
                 })],

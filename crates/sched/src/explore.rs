@@ -216,13 +216,7 @@ impl Explorer {
                 }
                 Err(p) => {
                     if p.downcast_ref::<SimAbort>().is_none() && st.violation.is_none() {
-                        let msg = if let Some(s) = p.downcast_ref::<&str>() {
-                            (*s).to_string()
-                        } else if let Some(s) = p.downcast_ref::<String>() {
-                            s.clone()
-                        } else {
-                            "non-string panic payload".into()
-                        };
+                        let msg = crate::panic_message(p.as_ref());
                         rt.record_violation(
                             &mut st,
                             ViolationKind::Panic,

@@ -34,17 +34,6 @@ use std::sync::Arc;
 
 use rt::{current_ctx, vc_join, Runtime, SimAbort, Status, ThreadSlot, CTX};
 
-/// True when the calling OS thread is executing inside a simulation.
-///
-/// The guard the instrumented crates use to decide between real and
-/// simulated behavior; compiled in even with the `sched` feature enabled
-/// everywhere, it costs one relaxed static load when no simulation exists
-/// anywhere in the process.
-#[inline]
-pub fn in_sim() -> bool {
-    current_ctx().is_some()
-}
-
 /// True when the named fault mutant is active in the current simulation.
 ///
 /// Mutants are deliberately-broken variants of production code paths,
@@ -80,24 +69,6 @@ pub fn op_log() -> Vec<(usize, [u64; 4])> {
     }
 }
 
-/// Virtual-time now, in microseconds, when simulated.
-pub fn virtual_now_us() -> Option<u64> {
-    current_ctx().map(|ctx| ctx.rt.now_us())
-}
-
-/// Virtual-time sleep when simulated; returns false (and does nothing)
-/// otherwise. The scheduler advances the clock past the deadline whenever
-/// no thread is runnable, so sleeps cost no wall-clock time.
-pub fn virtual_sleep_us(us: u64) -> bool {
-    match current_ctx() {
-        Some(ctx) => {
-            ctx.rt.sleep_us(ctx.tid, us);
-            true
-        }
-        None => false,
-    }
-}
-
 /// Handle to a simulated thread, returned by [`spawn`].
 pub struct JoinHandle {
     tid: usize,
@@ -126,7 +97,7 @@ impl JoinHandle {
     }
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

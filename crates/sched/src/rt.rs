@@ -75,7 +75,7 @@ pub(crate) fn vc_leq(a: &Vc, b: &Vc) -> bool {
 pub enum ViolationKind {
     /// An oracle assertion (or any other panic) fired inside the scenario.
     Panic,
-    /// No runnable or sleeping thread remains but some are blocked.
+    /// No runnable thread remains but some are blocked.
     Deadlock,
     /// A shim cell was accessed by a thread with no happens-before edge to
     /// the cell's initialization (relaxed-publish class of bug).
@@ -120,8 +120,8 @@ pub(crate) enum Status {
     BlockedMutex(usize),
     /// Waiting for another simulated thread to finish.
     BlockedJoin(usize),
-    /// Virtual-time sleep until the given microsecond tick.
-    Sleeping(u64),
+    /// Waiting on a shim condition variable identified by its address.
+    BlockedCondvar(usize),
     Finished,
 }
 
@@ -138,7 +138,6 @@ pub(crate) struct RtState {
     pub trace: Vec<Decision>,
     pub preemptions: usize,
     pub steps: u64,
-    pub clock_us: u64,
     pub violation: Option<Violation>,
     pub aborting: bool,
     /// Serialized log of scenario-level annotations, in execution order.
@@ -180,7 +179,6 @@ impl Runtime {
                 trace: Vec::new(),
                 preemptions: 0,
                 steps: 0,
-                clock_us: 0,
                 violation: None,
                 aborting: false,
                 op_log: Vec::new(),
@@ -230,108 +228,81 @@ impl Runtime {
     /// budget permitting) consume a decision and are recorded in the trace;
     /// forced moves keep traces small and the DFS frontier exact.
     pub(crate) fn choose_next(&self, st: &mut RtState) -> usize {
-        loop {
-            let mut enabled = Self::enabled_set(st);
-            if enabled.is_empty() {
-                // Wake sleepers by advancing virtual time to the earliest
-                // deadline; if none, the system is deadlocked.
-                let min_wake = st
-                    .threads
-                    .iter()
-                    .filter_map(|t| match t.status {
-                        Status::Sleeping(at) => Some(at),
-                        _ => None,
-                    })
-                    .min();
-                match min_wake {
-                    Some(at) => {
-                        st.clock_us = st.clock_us.max(at);
-                        for t in st.threads.iter_mut() {
-                            if let Status::Sleeping(w) = t.status {
-                                if w <= st.clock_us {
-                                    t.status = Status::Runnable;
-                                }
-                            }
-                        }
-                        continue;
-                    }
+        let mut enabled = Self::enabled_set(st);
+        if enabled.is_empty() {
+            if st.threads.iter().all(|t| t.status == Status::Finished) {
+                // Nothing left to schedule; callers handle this only
+                // from thread-exit, where it is legal.
+                return st.current;
+            }
+            let blocked: Vec<String> = st
+                .threads
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.status != Status::Finished)
+                .map(|(i, t)| format!("t{} {:?}", i, t.status))
+                .collect();
+            self.record_violation(
+                st,
+                ViolationKind::Deadlock,
+                format!("deadlock: no runnable thread ({})", blocked.join(", ")),
+            );
+            return st.current;
+        }
+
+        let prev = st.current;
+        let prev_enabled = enabled.first() == Some(&(prev as u16));
+        // Preemption budget exhausted: keep running the current thread.
+        if prev_enabled
+            && enabled.len() > 1
+            && self
+                .max_preemptions
+                .is_some_and(|max| st.preemptions >= max)
+        {
+            enabled.truncate(1);
+        }
+
+        if enabled.len() == 1 {
+            return enabled[0] as usize;
+        }
+
+        let chosen_idx = match &mut st.decider {
+            Decider::Dfs { prefix, pos } => {
+                let idx = prefix.get(*pos).copied().unwrap_or(0);
+                *pos += 1;
+                idx.min(enabled.len() - 1)
+            }
+            Decider::Random(rng) => (rng.next_u64() % enabled.len() as u64) as usize,
+            Decider::Replay { choices, pos } => {
+                let want = choices.get(*pos).copied();
+                *pos += 1;
+                match want.and_then(|w| enabled.iter().position(|&e| e == w)) {
+                    Some(idx) => idx,
                     None => {
-                        if st.threads.iter().all(|t| t.status == Status::Finished) {
-                            // Nothing left to schedule; callers handle this
-                            // only from thread-exit, where it is legal.
-                            return st.current;
-                        }
-                        let blocked: Vec<String> = st
-                            .threads
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, t)| t.status != Status::Finished)
-                            .map(|(i, t)| format!("t{} {:?}", i, t.status))
-                            .collect();
                         self.record_violation(
                             st,
-                            ViolationKind::Deadlock,
-                            format!("deadlock: no runnable thread ({})", blocked.join(", ")),
+                            ViolationKind::ReplayDivergence,
+                            format!(
+                                "replay divergence at decision {}: wanted {:?}, enabled {:?}",
+                                st.trace.len(),
+                                want,
+                                enabled
+                            ),
                         );
                         return st.current;
                     }
                 }
             }
-
-            let prev = st.current;
-            let prev_enabled = enabled.first() == Some(&(prev as u16));
-            // Preemption budget exhausted: keep running the current thread.
-            if prev_enabled
-                && enabled.len() > 1
-                && self
-                    .max_preemptions
-                    .is_some_and(|max| st.preemptions >= max)
-            {
-                enabled.truncate(1);
-            }
-
-            if enabled.len() == 1 {
-                return enabled[0] as usize;
-            }
-
-            let chosen_idx = match &mut st.decider {
-                Decider::Dfs { prefix, pos } => {
-                    let idx = prefix.get(*pos).copied().unwrap_or(0);
-                    *pos += 1;
-                    idx.min(enabled.len() - 1)
-                }
-                Decider::Random(rng) => (rng.next_u64() % enabled.len() as u64) as usize,
-                Decider::Replay { choices, pos } => {
-                    let want = choices.get(*pos).copied();
-                    *pos += 1;
-                    match want.and_then(|w| enabled.iter().position(|&e| e == w)) {
-                        Some(idx) => idx,
-                        None => {
-                            self.record_violation(
-                                st,
-                                ViolationKind::ReplayDivergence,
-                                format!(
-                                    "replay divergence at decision {}: wanted {:?}, enabled {:?}",
-                                    st.trace.len(),
-                                    want,
-                                    enabled
-                                ),
-                            );
-                            return st.current;
-                        }
-                    }
-                }
-            };
-            let chosen = enabled[chosen_idx] as usize;
-            if prev_enabled && chosen != prev {
-                st.preemptions += 1;
-            }
-            st.trace.push(Decision {
-                enabled,
-                chosen_idx,
-            });
-            return chosen;
+        };
+        let chosen = enabled[chosen_idx] as usize;
+        if prev_enabled && chosen != prev {
+            st.preemptions += 1;
         }
+        st.trace.push(Decision {
+            enabled,
+            chosen_idx,
+        });
+        chosen
     }
 
     /// Transfer the baton to `next` and, unless it is `me`, park until the
@@ -351,7 +322,7 @@ impl Runtime {
     }
 
     /// The decision point entered by every shim operation. Advances the
-    /// thread's clock component and virtual time, then possibly reschedules.
+    /// thread's clock component, then possibly reschedules.
     pub(crate) fn yield_point(&self, me: usize) {
         if std::thread::panicking() {
             // Shim ops that run during unwind (Drop impls) must not
@@ -361,7 +332,6 @@ impl Runtime {
         let mut st = self.lock_state();
         debug_assert_eq!(st.current, me, "yield from a thread without the baton");
         st.steps += 1;
-        st.clock_us += 1;
         st.threads[me].vc[me] += 1;
         if st.steps > self.max_steps {
             self.record_violation(
@@ -388,18 +358,16 @@ impl Runtime {
         self.hand_off(st, me, next);
     }
 
-    /// Virtual-time sleep: no wall-clock waiting, the scheduler advances
-    /// the clock when nothing else is runnable.
-    pub(crate) fn sleep_us(&self, me: usize, us: u64) {
-        let wake = {
-            let st = self.lock_state();
-            st.clock_us.saturating_add(us.max(1))
-        };
-        self.block_current(me, Status::Sleeping(wake));
-    }
-
-    pub(crate) fn now_us(&self) -> u64 {
-        self.lock_state().clock_us
+    /// Make the threads blocked with `status` runnable: the lowest tid
+    /// alone, or all of them.
+    pub(crate) fn wake(&self, status: Status, all: bool) {
+        let mut st = self.lock_state();
+        for t in st.threads.iter_mut().filter(|t| t.status == status) {
+            t.status = Status::Runnable;
+            if !all {
+                break;
+            }
+        }
     }
 
     /// Append a ground-truth annotation to the serialized op log. No

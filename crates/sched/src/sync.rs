@@ -1,7 +1,8 @@
 //! Drop-in sync primitives for the concurrency core.
 //!
-//! Mirrors the std/parking_lot API surface the sigmem and profiler crates
-//! use (`AtomicU32/U64/Usize/Bool`, `AtomicPtr`, `Ordering`, `Mutex`).
+//! Mirrors the std/parking_lot API surface the sigmem, profiler and trace
+//! crates use (`AtomicU32/U64/Usize/Bool`, `AtomicPtr`, `Ordering`,
+//! `Mutex`, `Condvar`).
 //! Outside a simulation every operation delegates straight to the real
 //! primitive with the caller's ordering, so behavior is unchanged — but
 //! not cost. Every cell embeds a mutex-guarded `CellMeta` (vector clocks
@@ -357,7 +358,7 @@ impl<T> Mutex<T> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Acquire, blocking (in virtual time when simulated).
+    /// Acquire, blocking (the simulated thread, when simulated).
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match current_ctx() {
             None => MutexGuard {
@@ -449,6 +450,69 @@ impl<T> Drop for MutexGuard<'_, T> {
                 ctx.rt.yield_point(ctx.tid);
             }
             self.lock.meta.unlock_sim(&ctx, self.lock.key());
+        }
+    }
+}
+
+/// Shim condition variable for [`Mutex`]: `std::sync::Condvar` outside a
+/// simulation. Inside one, [`Condvar::wait`] releases the mutex and blocks
+/// the simulated thread in one step, and only a notify on this variable
+/// makes it runnable again; a notify with no waiter is lost, and no
+/// spurious wake-up is simulated. A waiter that nobody notifies therefore
+/// stays blocked, and a lost wake-up ends the execution as a `Deadlock`
+/// once no other thread can run.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    inner: std::sync::Condvar,
+}
+
+impl Condvar {
+    /// A condition variable with no waiter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn key(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    /// Release `guard`'s mutex, wait for a notify, and lock it again.
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let Some(ctx) = guard.sim.take() else {
+            let inner = guard.inner.take().expect("guard accessed after release");
+            let inner = self.inner.wait(inner).unwrap_or_else(|p| p.into_inner());
+            guard.inner = Some(inner);
+            return guard;
+        };
+        let lock = guard.lock;
+        // No decision point between the release and the block: a notify
+        // cannot fall between them, as with a real condition variable.
+        drop(guard.inner.take());
+        drop(guard);
+        lock.meta.unlock_sim(&ctx, lock.key());
+        ctx.rt
+            .block_current(ctx.tid, Status::BlockedCondvar(self.key()));
+        lock.lock()
+    }
+
+    /// Wake one waiter (the lowest simulated tid when simulated).
+    pub fn notify_one(&self) {
+        self.notify(false)
+    }
+
+    /// Wake every waiter.
+    pub fn notify_all(&self) {
+        self.notify(true)
+    }
+
+    fn notify(&self, all: bool) {
+        match current_ctx() {
+            None if all => self.inner.notify_all(),
+            None => self.inner.notify_one(),
+            Some(ctx) => {
+                ctx.rt.yield_point(ctx.tid);
+                ctx.rt.wake(Status::BlockedCondvar(self.key()), all);
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use crate::sync::{AtomicPtr, AtomicU64, Mutex, Ordering};
+use crate::sync::{AtomicBool, AtomicPtr, AtomicU64, Condvar, Mutex, Ordering};
 use crate::{Explorer, ScheduleTrace, SimConfig};
 
 fn cfg(max_preemptions: Option<usize>) -> SimConfig {
@@ -138,6 +138,44 @@ fn abba_lock_order_deadlock_is_detected_and_replayable() {
     }
 }
 
+/// One thread waits for a flag a second one sets and notifies. With the
+/// flag checked under the mutex, every schedule ends; checked before the
+/// mutex is taken, a notify can land between the check and the wait and
+/// the waiter blocks for good, which the runtime reports as a deadlock.
+fn handshake(check_under_lock: bool) {
+    let pair = Arc::new((Mutex::new(false), Condvar::new(), AtomicBool::new(false)));
+    let waiter = {
+        let pair = Arc::clone(&pair);
+        crate::spawn(move || {
+            let (m, cv, seen) = &*pair;
+            if check_under_lock {
+                let mut g = m.lock();
+                while !*g {
+                    g = cv.wait(g);
+                }
+            } else if !seen.load(Ordering::Acquire) {
+                drop(cv.wait(m.lock()));
+            }
+        })
+    };
+    let (m, cv, seen) = &*pair;
+    *m.lock() = true;
+    seen.store(true, Ordering::Release);
+    cv.notify_one();
+    waiter.join();
+}
+
+#[test]
+fn condvar_wait_ends_in_every_schedule_unless_a_wakeup_can_be_lost() {
+    let report = Explorer::new(cfg(None)).explore_exhaustive(|| handshake(true));
+    assert!(report.ok(), "violation: {:?}", report.violation);
+    assert!(report.schedules > 1);
+    let report = Explorer::new(cfg(None)).explore_exhaustive(|| handshake(false));
+    let v = report.violation.expect("the lost wake-up must be found");
+    assert_eq!(v.kind, crate::ViolationKind::Deadlock, "{}", v.message);
+    assert!(v.message.contains("BlockedCondvar"), "{}", v.message);
+}
+
 /// Publish an atomic through a pointer. With a release store + acquire
 /// load every schedule is clean; with relaxed orderings the consumer can
 /// reach the cell without a happens-before edge to its initialization,
@@ -204,26 +242,6 @@ fn seeded_random_exploration_is_deterministic_per_seed() {
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.max_steps_seen, b.max_steps_seen);
     assert_eq!(a.ok(), b.ok());
-}
-
-#[test]
-fn virtual_sleep_lets_watchdog_style_timeouts_run_without_wall_clock() {
-    // A sleeper waiting "10 seconds" of virtual time finishes instantly:
-    // the clock jumps when nothing else is runnable.
-    let report = Explorer::new(cfg(Some(1))).explore_exhaustive(|| {
-        let before = crate::virtual_now_us().expect("in sim");
-        let h = crate::spawn(|| {
-            assert!(crate::virtual_sleep_us(10_000_000));
-        });
-        h.join();
-        let after = crate::virtual_now_us().expect("in sim");
-        assert!(
-            after - before >= 10_000_000,
-            "clock advanced only {} us",
-            after - before
-        );
-    });
-    assert!(report.ok(), "violation: {:?}", report.violation);
 }
 
 #[test]

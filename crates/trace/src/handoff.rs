@@ -1,40 +1,90 @@
-//! One bounded hand-off between two threads: a ring of recycled buffers.
+//! One bounded hand-off between threads: a ring of recycled buffers.
 //!
-//! A [`ring`] starts with a fixed set of buffers, all empty. The
-//! [`Filler`] end takes an empty one ([`Filler::empty`]), fills it and
-//! sends it ([`Filler::send`]); the [`Drainer`] end receives it in send
-//! order ([`Drainer::recv`]), uses it and hands it back
-//! ([`Drainer::recycle`]). No buffer is ever allocated after the start,
-//! so a side that falls behind stalls the other instead of growing
-//! memory, and a waiting side parks on a `Condvar` rather than spinning.
+//! A [`ring`] of `n` buffers carries filled buffers from its [`Filler`]
+//! end to its [`Drainer`] end and the drained ones back. The filler takes
+//! an empty buffer ([`Filler::empty`]), fills it and sends it
+//! ([`Filler::send`]); the drainer receives buffers in send order
+//! ([`Drainer::recv`]), uses each and hands it back ([`Drainer::recycle`]).
+//! At most `n` buffers are out — taken and not yet recycled — at once, so
+//! a side that falls behind stalls the other instead of growing memory,
+//! and a waiting side parks on a `Condvar` rather than spinning. A buffer
+//! is made (`T::default()`) when it is first taken; at most `keep`
+//! recycled ones wait for reuse, and one recycled beyond that is dropped
+//! and made afresh when next taken.
 //!
-//! Dropping either end closes the ring: after the filler is gone the
-//! drainer still receives what was sent and then `None`; after the
-//! drainer is gone every `send` and `empty` fails at once. A side that
-//! panics drops its end while unwinding, so the other side never waits on
-//! it forever. [`Helper`] puts a thread behind one end: it joins on drop
-//! and turns the thread's panic into an `Err` naming it.
+//! The filler end is shared: any number of threads may fill through one
+//! `&Filler`. Closing the ring ([`Filler::close`], or dropping either
+//! end) ends the hand-off: the drainer still receives what was sent and
+//! then `None`, while every later `empty` and `send` fails at once. A side
+//! that panics drops its end while unwinding, so the other side never
+//! waits on it forever. [`Helper`] puts a thread behind one end: it joins
+//! on drop and turns the thread's panic into an `Err` naming it.
 //!
-//! Users: `analyze`'s segment read-ahead ([`crate::MmapTrace::stream_events`])
-//! and the coherence backend's cache-set shards (`lc_cachesim::ShardedCoherence`).
+//! Built on a sync facade: `std::sync`'s `Mutex` and `Condvar` in the
+//! default build, `lc_sched::sync`'s under the `sched` feature, so the
+//! model checker explores the ring's interleavings (the `handoff`,
+//! `ingest` and `quiesce` scenarios of `loopcomm simtest`).
+//!
+//! Users: `analyze`'s segment read-ahead ([`crate::MmapTrace::stream_events`]),
+//! the recorder's spool writer ([`crate::SpoolSink`], which
+//! [`crate::NetSink`] wraps), the coherence backend's cache-set shards
+//! (`lc_cachesim::ShardedCoherence`) and every `serve` tenant's drain.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::io;
+use std::sync::Arc;
 use std::thread::JoinHandle;
+
+#[cfg(feature = "sched")]
+use lc_sched::sync::{Condvar, Mutex, MutexGuard};
+#[cfg(not(feature = "sched"))]
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// Lock the ring. A poisoned std lock is taken over: neither end panics
+/// while holding it, and the queues stay consistent if one ever did.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    #[cfg(feature = "sched")]
+    return m.lock();
+    #[cfg(not(feature = "sched"))]
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Release `guard` and wait for a notify on `cv`, then lock again.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    #[cfg(feature = "sched")]
+    return cv.wait(guard);
+    #[cfg(not(feature = "sched"))]
+    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+}
+
+/// True when the named model-checking mutant is armed (never in the
+/// default build).
+fn mutant(_name: &str) -> bool {
+    #[cfg(feature = "sched")]
+    return lc_sched::mutant_active(_name);
+    #[cfg(not(feature = "sched"))]
+    false
+}
 
 struct State<T> {
     /// Sent and not yet received, in send order.
     full: VecDeque<T>,
-    /// Recycled and not yet taken.
+    /// Recycled and not yet taken again: at most `keep`.
     free: Vec<T>,
+    /// Taken and not yet recycled: being filled, sent, or in the
+    /// drainer's hands. At most `size`.
+    out: usize,
     closed: bool,
-    /// A side is parked waiting for `full` (drainer) or `free` (filler).
+    /// The drainer is parked waiting for `full`.
     drainer_waits: bool,
-    filler_waits: bool,
+    /// Fillers parked waiting for a buffer.
+    fillers_waiting: usize,
 }
 
 struct Ring<T> {
     state: Mutex<State<T>>,
+    size: usize,
+    keep: usize,
     /// Each end parks on its own variable, so a wake-up is never spent
     /// on the side that did the notifying.
     to_drainer: Condvar,
@@ -42,14 +92,8 @@ struct Ring<T> {
 }
 
 impl<T> Ring<T> {
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        // Neither end panics while holding the lock, but a poisoned ring
-        // still holds consistent queues.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn close(&self) {
-        let mut s = self.lock();
+        let mut s = lock(&self.state);
         s.closed = true;
         drop(s);
         self.to_drainer.notify_all();
@@ -57,18 +101,23 @@ impl<T> Ring<T> {
     }
 }
 
-/// A ring of `buffers`, all empty: the two ends of one bounded hand-off.
-pub fn ring<T>(buffers: impl IntoIterator<Item = T>) -> (Filler<T>, Drainer<T>) {
+/// The two ends of one bounded hand-off of `buffers` buffers, of which at
+/// most `keep` are kept for reuse between a recycle and the next take.
+pub fn ring<T>(buffers: usize, keep: usize) -> (Filler<T>, Drainer<T>) {
+    assert!(buffers >= 1, "a ring needs a buffer");
     let ring = Arc::new(Ring {
         state: Mutex::new(State {
             full: VecDeque::new(),
-            free: buffers.into_iter().collect(),
+            free: Vec::new(),
+            out: 0,
             closed: false,
             drainer_waits: false,
-            filler_waits: false,
+            fillers_waiting: 0,
         }),
-        to_drainer: Condvar::new(),
-        to_filler: Condvar::new(),
+        size: buffers,
+        keep,
+        to_drainer: Condvar::default(),
+        to_filler: Condvar::default(),
     });
     (
         Filler {
@@ -78,43 +127,109 @@ pub fn ring<T>(buffers: impl IntoIterator<Item = T>) -> (Filler<T>, Drainer<T>) 
     )
 }
 
-/// The sending end: takes empty buffers and sends them filled.
+/// The sending end: takes empty buffers and sends them filled. Shared by
+/// reference among any number of filling threads.
 pub struct Filler<T> {
     ring: Arc<Ring<T>>,
 }
 
-impl<T> Filler<T> {
-    /// An empty buffer, waiting while the drainer holds all of them.
-    /// `None` once the drainer is gone.
-    pub fn empty(&mut self) -> Option<T> {
-        let mut s = self.ring.lock();
+impl<T: Default> Filler<T> {
+    /// An empty buffer, waiting while all of them are out. `None` once
+    /// the ring is closed.
+    pub fn empty(&self) -> Option<T> {
+        let mut s = lock(&self.ring.state);
         loop {
             if s.closed {
                 return None;
             }
-            if let Some(buf) = s.free.pop() {
+            if let Some(buf) = self.take(&mut s) {
                 return Some(buf);
             }
-            s.filler_waits = true;
-            s = (self.ring.to_filler.wait(s)).unwrap_or_else(|e| e.into_inner());
-            s.filler_waits = false;
+            s.fillers_waiting += 1;
+            s = wait(&self.ring.to_filler, s);
+            s.fillers_waiting -= 1;
         }
     }
 
-    /// Send a filled buffer. `false` (and the buffer dropped) once the
-    /// drainer is gone.
-    pub fn send(&mut self, buf: T) -> bool {
-        let mut s = self.ring.lock();
+    /// [`Self::empty`] without waiting: `None` also while all the buffers
+    /// are out.
+    pub fn try_empty(&self) -> Option<T> {
+        let mut s = lock(&self.ring.state);
         if s.closed {
-            return false;
+            return None;
+        }
+        self.take(&mut s)
+    }
+
+    fn take(&self, s: &mut State<T>) -> Option<T> {
+        if s.out == self.ring.size {
+            return None;
+        }
+        s.out += 1;
+        Some(s.free.pop().unwrap_or_default())
+    }
+}
+
+impl<T> Filler<T> {
+    /// Send a filled buffer; once the ring is closed it is handed back.
+    pub fn send(&self, buf: T) -> Result<(), T> {
+        #[cfg(feature = "sched")]
+        if mutant("ingest-drop-contended-frame") {
+            // Mutant: treat lock contention as success. The caller
+            // believes the buffer is sent, but it never reaches the
+            // drainer — the dropped-frame race the `ingest` scenario's
+            // FIFO oracle catches.
+            if self.ring.state.try_lock().is_none() {
+                return Ok(());
+            }
+        }
+        let mut s = lock(&self.ring.state);
+        if s.closed {
+            s.out -= 1;
+            return Err(buf);
         }
         s.full.push_back(buf);
-        let wake = s.drainer_waits;
+        // Mutant: skip the wake-up a parked drainer is owed, which the
+        // `handoff` scenario finds as a deadlock.
+        let wake = s.drainer_waits && !mutant("ring-lost-wakeup");
         drop(s);
         if wake {
             self.ring.to_drainer.notify_one();
         }
-        true
+        Ok(())
+    }
+
+    /// Close the ring: later `empty` and `send` calls fail, and the
+    /// drainer receives what was sent, then `None`.
+    pub fn close(&self) {
+        self.ring.close();
+    }
+
+    /// Whether the ring is closed.
+    pub fn is_closed(&self) -> bool {
+        lock(&self.ring.state).closed
+    }
+
+    /// Buffers sent and not yet received.
+    pub fn len(&self) -> usize {
+        lock(&self.ring.state).full.len()
+    }
+
+    /// True when nothing is sent and not yet received.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every buffer is home: none is being filled, waits to be received
+    /// or is in the drainer's hands, so everything sent has been used.
+    pub fn all_home(&self) -> bool {
+        let s = lock(&self.ring.state);
+        if mutant("queue-idle-when-empty") {
+            // Mutant: "nothing waits to be received", blind to the buffer
+            // the drainer is still using (the `quiesce` scenario).
+            return s.full.is_empty();
+        }
+        s.out == 0
     }
 }
 
@@ -133,28 +248,44 @@ pub struct Drainer<T> {
 
 impl<T> Drainer<T> {
     /// The next filled buffer, waiting while none is sent. `None` once the
-    /// filler is gone and everything it sent has been received.
-    pub fn recv(&mut self) -> Option<T> {
-        let mut s = self.ring.lock();
+    /// ring is closed and everything sent has been received.
+    pub fn recv(&self) -> Option<T> {
+        let mut s = lock(&self.ring.state);
         loop {
             if let Some(buf) = s.full.pop_front() {
+                if mutant("ring-recycle-before-consumed") {
+                    // Mutant: the buffer counts as home while the drainer
+                    // still uses it, so a filler can take one more than
+                    // the ring holds (the `handoff` scenario's bound).
+                    s.out -= 1;
+                }
                 return Some(buf);
             }
             if s.closed {
                 return None;
             }
             s.drainer_waits = true;
-            s = (self.ring.to_drainer.wait(s)).unwrap_or_else(|e| e.into_inner());
+            s = wait(&self.ring.to_drainer, s);
             s.drainer_waits = false;
         }
     }
 
-    /// Hand a used buffer back to the filler.
-    pub fn recycle(&mut self, buf: T) {
-        let mut s = self.ring.lock();
-        s.free.push(buf);
-        let wake = s.filler_waits;
+    /// Hand a used buffer back; it is kept for reuse unless `keep` are
+    /// already waiting, and then dropped once the lock is released.
+    pub fn recycle(&self, buf: T) {
+        let mut s = lock(&self.ring.state);
+        if !mutant("ring-recycle-before-consumed") {
+            s.out -= 1;
+        }
+        let dropped = if s.free.len() < self.ring.keep {
+            s.free.push(buf);
+            None
+        } else {
+            Some(buf)
+        };
+        let wake = s.fillers_waiting > 0;
         drop(s);
+        drop(dropped);
         if wake {
             self.ring.to_filler.notify_one();
         }
@@ -162,7 +293,7 @@ impl<T> Drainer<T> {
 }
 
 impl<T> Drop for Drainer<T> {
-    /// The receiver is gone: the filler's next `send` or `empty` fails.
+    /// The receiver is gone: every later `send` or `empty` fails.
     fn drop(&mut self) {
         self.ring.close();
     }
@@ -178,23 +309,21 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A named thread behind one end of a ring. [`Helper::join`] turns its
 /// panic into `Err`; dropping an unjoined helper joins it quietly, so a
-/// run abandoned half-way leaves no thread behind — drop the caller's end
-/// of the ring first, which is what ends the helper's loop.
+/// run abandoned half-way leaves no thread behind — close the ring first,
+/// which is what ends the helper's loop.
 pub struct Helper<R> {
     /// `None` only while [`Helper::join`] or `drop` runs.
     thread: Option<JoinHandle<R>>,
 }
 
 impl<R: Send + 'static> Helper<R> {
-    /// Start `body` on a thread called `name`.
-    pub fn spawn(name: String, body: impl FnOnce() -> R + Send + 'static) -> Self {
-        let thread = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(body)
-            .unwrap_or_else(|e| panic!("spawn thread {name}: {e}"));
-        Self {
+    /// Start `body` on a thread called `name`; `Err` when no thread can
+    /// be started.
+    pub fn spawn(name: String, body: impl FnOnce() -> R + Send + 'static) -> io::Result<Self> {
+        let thread = std::thread::Builder::new().name(name).spawn(body)?;
+        Ok(Self {
             thread: Some(thread),
-        }
+        })
     }
 
     /// Wait for the thread and take its result; `Err` says why it
@@ -221,15 +350,16 @@ mod tests {
 
     #[test]
     fn a_hundred_sends_through_three_buffers_arrive_in_order() {
-        let (mut tx, mut rx) = ring((0..3).map(|_| Vec::<u32>::new()));
+        let (tx, rx) = ring::<Vec<u32>>(3, 3);
         let producer = Helper::spawn("ring-test".into(), move || {
             for i in 0..100u32 {
                 let mut buf = tx.empty().expect("drainer alive");
                 buf.clear();
                 buf.push(i);
-                assert!(tx.send(buf));
+                assert!(tx.send(buf).is_ok());
             }
-        });
+        })
+        .unwrap();
         let mut got = Vec::new();
         while let Some(buf) = rx.recv() {
             got.extend_from_slice(&buf);
@@ -241,15 +371,19 @@ mod tests {
 
     #[test]
     fn the_filler_waits_once_every_buffer_is_out() {
-        let (mut tx, mut rx) = ring([1u8, 2]);
-        let a = tx.empty().unwrap();
-        let b = tx.empty().unwrap();
-        assert!(tx.send(a) && tx.send(b));
+        let (tx, rx) = ring::<u8>(2, 2);
+        assert_eq!(
+            (tx.empty(), tx.empty(), tx.try_empty()),
+            (Some(0), Some(0), None)
+        );
+        assert_eq!((tx.send(1), tx.send(2)), (Ok(()), Ok(())));
+        assert_eq!(tx.len(), 2);
         let (done_tx, done_rx) = mpsc::channel();
         let waiter = Helper::spawn("ring-wait".into(), move || {
             let third = tx.empty();
             done_tx.send(third).unwrap();
-        });
+        })
+        .unwrap();
         assert!(
             done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
             "no third buffer exists until one is recycled"
@@ -258,20 +392,81 @@ mod tests {
         rx.recycle(first);
         assert_eq!(
             done_rx.recv_timeout(Duration::from_secs(60)).unwrap(),
-            Some(first),
+            Some(1),
             "the recycled buffer is the one handed out again"
         );
         waiter.join().unwrap();
     }
 
+    /// Fillers on three threads share one end; each one's sends arrive in
+    /// its own order, none is lost, and afterwards every buffer is home.
+    #[test]
+    fn shared_fillers_keep_their_own_order() {
+        let (tx, rx) = ring::<u32>(2, 2);
+        let tx = Arc::new(tx);
+        let fillers: Vec<_> = (0..3u32)
+            .map(|f| {
+                let tx = Arc::clone(&tx);
+                Helper::spawn(format!("ring-fill-{f}"), move || {
+                    for i in 0..50 {
+                        tx.empty().expect("drainer alive");
+                        assert!(tx.send(f * 1000 + i).is_ok());
+                    }
+                })
+                .unwrap()
+            })
+            .collect();
+        let mut got = vec![Vec::new(); 3];
+        for _ in 0..150 {
+            let v = rx.recv().expect("150 sends");
+            got[(v / 1000) as usize].push(v % 1000);
+            rx.recycle(v);
+        }
+        for f in fillers {
+            f.join().unwrap();
+        }
+        assert!(got.iter().all(|g| *g == (0..50).collect::<Vec<_>>()));
+        assert!(tx.all_home() && tx.is_empty());
+    }
+
+    /// Buffers recycled beyond `keep` are dropped and made afresh.
+    #[test]
+    fn at_most_keep_buffers_wait_for_reuse() {
+        let (tx, rx) = ring::<Vec<u8>>(4, 1);
+        for _ in 0..4 {
+            let mut buf = tx.empty().unwrap();
+            buf.push(7);
+            assert!(tx.send(buf).is_ok());
+        }
+        assert!(!tx.all_home());
+        while !tx.is_empty() {
+            rx.recycle(rx.recv().unwrap());
+        }
+        assert!(tx.all_home());
+        let kept: Vec<_> = (0..4).map(|_| tx.try_empty().unwrap()).collect();
+        assert_eq!(kept.iter().filter(|b| b.capacity() > 0).count(), 1);
+    }
+
+    #[test]
+    fn closing_lets_the_drainer_finish_and_fails_the_filler() {
+        let (tx, rx) = ring::<u8>(2, 2);
+        tx.empty().unwrap();
+        assert!(tx.send(5).is_ok());
+        tx.close();
+        assert!(tx.is_closed());
+        assert_eq!((tx.empty(), tx.try_empty()), (None, None));
+        assert_eq!((rx.recv(), rx.recv()), (Some(5), None));
+    }
+
     #[test]
     fn dropping_the_drainer_releases_a_waiting_filler() {
-        let (mut tx, rx) = ring([0u8]);
+        let (tx, rx) = ring::<u8>(1, 1);
         let buf = tx.empty().unwrap();
         let waiter = Helper::spawn("ring-close".into(), move || {
             let sent = tx.send(buf);
             (sent, tx.empty())
-        });
+        })
+        .unwrap();
         drop(rx);
         let (_, next) = waiter.join().unwrap();
         assert_eq!(next, None);
@@ -279,7 +474,7 @@ mod tests {
 
     #[test]
     fn a_panicking_helper_joins_as_err() {
-        let h = Helper::spawn("ring-panic".into(), || -> u8 { panic!("boom {}", 7) });
+        let h = Helper::spawn("ring-panic".into(), || -> u8 { panic!("boom {}", 7) }).unwrap();
         assert_eq!(h.join(), Err("boom 7".to_string()));
     }
 }

@@ -315,11 +315,7 @@ mod tests {
             // A panicked recorder thread is a test failure with its own
             // message, not an opaque `unwrap` on the join result.
             if let Err(p) = h.join() {
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = crate::handoff::panic_message(&*p);
                 panic!("recorder thread panicked: {msg}");
             }
         }

@@ -30,15 +30,14 @@
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use lc_faults::FaultInjector;
 use parking_lot::Mutex;
 
 use crate::crc::crc32;
 use crate::event::{AccessEvent, StampedEvent};
+use crate::handoff::{self, Filler, Helper};
 use crate::replay::Trace;
 use crate::sink::AccessSink;
 use crate::spool_v3::SpoolV3Writer;
@@ -64,7 +63,9 @@ pub const DEFAULT_FRAME_EVENTS: usize = 4096;
 /// Full frames a [`SpoolSink`] queues for its writer thread before
 /// recording threads block. Bounds the recorder's memory when the disk
 /// or the server is slower than capture, and keeps a server's
-/// backpressure reaching the recorded program.
+/// backpressure reaching the recorded program. The sink's ring holds one
+/// buffer more, the frame the writer is writing; the frame being filled
+/// is one more again.
 const BACKLOG_FRAMES: usize = 4;
 
 /// What one spool writer produced.
@@ -368,17 +369,18 @@ pub fn salvage_stream<R: Read>(r: &mut R) -> io::Result<(Trace, SalvageReport)> 
 /// A recording [`AccessSink`] that spools frames as the run progresses:
 /// v3 segments into a file, or v2 frames into any other byte sink.
 /// Application threads stamp events into a shared batch; each full batch
-/// crosses a bounded channel (`BACKLOG_FRAMES` deep) to a dedicated
-/// writer thread that appends it as one durable frame. Memory therefore
-/// stays bounded however long the run, and a run that crashes mid-way
-/// leaves every completed frame salvageable on disk — the crash-tolerance
-/// contract v1's trailing-count format cannot offer.
+/// crosses a bounded ring (`BACKLOG_FRAMES` deep, [`crate::handoff`]) to
+/// a dedicated writer thread that appends it as one durable frame and
+/// hands the buffer back. Memory therefore stays bounded however long the
+/// run, and a run that crashes mid-way leaves every completed frame
+/// salvageable on disk — the crash-tolerance contract v1's trailing-count
+/// format cannot offer.
 pub struct SpoolSink {
     seq: AtomicU64,
     batch_events: usize,
     batch: Mutex<Vec<StampedEvent>>,
-    tx: Mutex<Option<mpsc::SyncSender<Vec<StampedEvent>>>>,
-    writer: Mutex<Option<JoinHandle<Result<SpoolStats, SpoolError>>>>,
+    ring: Filler<Vec<StampedEvent>>,
+    writer: Mutex<Option<Helper<Result<SpoolStats, SpoolError>>>>,
     writer_dead: AtomicBool,
 }
 
@@ -410,17 +412,6 @@ impl std::error::Error for SpoolError {}
 impl From<io::Error> for SpoolError {
     fn from(e: io::Error) -> Self {
         SpoolError::Io(e)
-    }
-}
-
-/// Render a panic payload (the `&str`/`String` cases panics carry).
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -480,47 +471,56 @@ impl SpoolSink {
     }
 
     /// Start the writer thread: it opens its frame writer with `open`,
-    /// appends every batch it receives as one frame, and finishes the
-    /// writer when the channel closes.
+    /// appends every buffer it receives as one frame, and finishes the
+    /// writer when the ring closes.
     fn spawn<F: FrameWrite>(
         open: impl FnOnce() -> io::Result<F> + Send + 'static,
         frame_events: usize,
     ) -> io::Result<Self> {
         assert!(frame_events >= 1, "frame_events must be at least 1");
-        let (tx, rx) = mpsc::sync_channel::<Vec<StampedEvent>>(BACKLOG_FRAMES);
-        let writer = std::thread::Builder::new()
-            .name("lc-spool-writer".into())
-            .spawn(move || -> Result<SpoolStats, SpoolError> {
-                let mut w = open()?;
-                for batch in rx.iter() {
-                    w.append_frame(&batch)?;
-                }
-                Ok(w.finish()?)
-            })?;
+        let buffers = BACKLOG_FRAMES + 1;
+        let (ring, drainer) = handoff::ring::<Vec<StampedEvent>>(buffers, buffers);
+        let writer = Helper::spawn("lc-spool-writer".into(), move || {
+            let mut w = open()?;
+            while let Some(mut batch) = drainer.recv() {
+                w.append_frame(&batch)?;
+                batch.clear();
+                drainer.recycle(batch);
+            }
+            Ok(w.finish()?)
+        })?;
         Ok(Self {
             seq: AtomicU64::new(0),
             batch_events: frame_events,
             batch: Mutex::new(Vec::with_capacity(frame_events)),
-            tx: Mutex::new(Some(tx)),
+            ring,
             writer: Mutex::new(Some(writer)),
             writer_dead: AtomicBool::new(false),
         })
     }
 
-    /// Send `batch` to the writer thread, blocking while the backlog is
-    /// full; latches `writer_dead` when the channel is closed (writer
-    /// errored out and dropped the receiver, which also wakes a blocked
-    /// send).
-    fn send(&self, batch: Vec<StampedEvent>) {
+    /// Hand the full `batch` to the writer thread and leave an empty
+    /// buffer in its place, waiting while the writer holds every buffer;
+    /// latches `writer_dead` when the ring is closed (the writer errored
+    /// out and dropped its end, which also wakes a waiting recorder).
+    fn send(&self, batch: &mut Vec<StampedEvent>) {
         if batch.is_empty() {
             return;
         }
-        let tx = self.tx.lock();
-        match tx.as_ref() {
-            Some(tx) if tx.send(batch).is_ok() => {}
+        match self.ring.empty() {
+            Some(mut next) => {
+                next.reserve_exact(self.batch_events);
+                std::mem::swap(batch, &mut next);
+                if self.ring.send(next).is_err() {
+                    self.writer_dead.store(true, Ordering::Relaxed);
+                }
+            }
             // Writer gone: the events are lost, but the run must not be —
             // finish() reports the writer's root-cause error.
-            _ => self.writer_dead.store(true, Ordering::Relaxed),
+            None => {
+                batch.clear();
+                self.writer_dead.store(true, Ordering::Relaxed);
+            }
         }
     }
 
@@ -546,16 +546,11 @@ impl SpoolSink {
     /// [`SpoolError::WriterPanicked`], not a nested panic.
     pub fn finish(&self) -> Result<SpoolStats, SpoolError> {
         self.flush();
-        drop(self.tx.lock().take()); // close the channel: writer loop ends
-        let handle = self
-            .writer
-            .lock()
-            .take()
-            .ok_or(SpoolError::AlreadyFinished)?;
-        let result = match handle.join() {
-            Ok(result) => result,
-            Err(p) => Err(SpoolError::WriterPanicked(panic_message(p))),
-        };
+        self.ring.close(); // the writer loop ends
+        let writer = (self.writer.lock().take()).ok_or(SpoolError::AlreadyFinished)?;
+        let result = writer
+            .join()
+            .unwrap_or_else(|msg| Err(SpoolError::WriterPanicked(msg)));
         if result.is_err() {
             self.writer_dead.store(true, Ordering::Relaxed);
         }
@@ -578,15 +573,13 @@ impl AccessSink for SpoolSink {
         for (seq, ev) in (first..).zip(evs) {
             batch.push(StampedEvent { seq, event: *ev });
             if batch.len() >= self.batch_events {
-                let full = Vec::with_capacity(self.batch_events);
-                self.send(std::mem::replace(&mut *batch, full));
+                self.send(&mut batch);
             }
         }
     }
 
     fn flush(&self) {
-        let mut batch = self.batch.lock();
-        self.send(std::mem::take(&mut *batch));
+        self.send(&mut self.batch.lock());
     }
 }
 
@@ -596,6 +589,7 @@ mod tests {
     use crate::event::{AccessKind, FuncId, LoopId};
     use crate::trace_io::read_trace;
     use lc_faults::{FaultAction, FaultPlan, FaultRule, FaultSite};
+    use std::sync::mpsc;
 
     fn ev(i: u64) -> StampedEvent {
         StampedEvent {
@@ -833,7 +827,7 @@ mod tests {
 
     /// Spool [`FILL_FRAMES`] batches into `inner` from a producer thread
     /// while the gate is shut, check the producer blocks once one frame is
-    /// stuck in the writer and `BACKLOG_FRAMES` wait in the channel, then
+    /// stuck in the writer and `BACKLOG_FRAMES` wait in the ring, then
     /// open the gate and return the sink when the producer is done.
     fn fill_past_the_backlog(inner: impl Write + Send + 'static) -> Arc<SpoolSink> {
         let (open, gate) = mpsc::channel();

@@ -812,7 +812,7 @@ impl MmapTrace {
             return Ok(stream);
         }
         std::thread::scope(|s| {
-            let (mut tx, mut rx) = handoff::ring((0..READ_AHEAD_BUFFERS).map(|_| Vec::new()));
+            let (tx, rx) = handoff::ring(READ_AHEAD_BUFFERS, READ_AHEAD_BUFFERS);
             let helper = s.spawn(move || -> io::Result<()> {
                 let mut buf = Vec::new();
                 for i in segments {
@@ -821,7 +821,7 @@ impl MmapTrace {
                         break;
                     };
                     self.decode_segment(i, skip_in(i), &mut buf, &mut out)?;
-                    if !tx.send(out) {
+                    if tx.send(out).is_err() {
                         break;
                     }
                 }

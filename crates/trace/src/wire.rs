@@ -223,16 +223,20 @@ impl FrameDecoder {
     /// Feed one chunk; complete frames are appended to `out` (one inner
     /// vector per frame). Never panics, whatever the bytes.
     pub fn feed(&mut self, chunk: &[u8], out: &mut Vec<Vec<StampedEvent>>) {
-        self.feed_with(chunk, out, Vec::new);
+        self.feed_with(chunk, &mut Vec::new(), |frame| {
+            out.push(std::mem::take(frame))
+        });
     }
 
-    /// [`Self::feed`], decoding each frame into a buffer `spare` hands
-    /// over instead of a fresh allocation. The buffer is cleared first, so
-    /// a recycled one's length, capacity and stale contents never show:
-    /// the frames, events and [`WireSummary`] are those of [`Self::feed`].
-    pub fn feed_with<F>(&mut self, chunk: &[u8], out: &mut Vec<Vec<StampedEvent>>, mut spare: F)
+    /// [`Self::feed`], decoding each frame into `frame` and handing it to
+    /// `emit` as soon as it is whole, before the next one is decoded.
+    /// `emit` may keep the buffer and leave another in its place; `frame`
+    /// is cleared before each decode, so a recycled buffer's length,
+    /// capacity and stale contents never show: the frames, events and
+    /// [`WireSummary`] are those of [`Self::feed`].
+    pub fn feed_with<F>(&mut self, chunk: &[u8], frame: &mut Vec<StampedEvent>, mut emit: F)
     where
-        F: FnMut() -> Vec<StampedEvent>,
+        F: FnMut(&mut Vec<StampedEvent>),
     {
         self.fed += chunk.len() as u64;
         if self.state == DecodeState::Poisoned {
@@ -298,12 +302,11 @@ impl FrameDecoder {
                     }
                     pos += frame_bytes;
                     if !payload.is_empty() {
-                        let mut frame = spare();
                         frame.clear();
-                        let decoded = decode_records(payload, &mut frame);
+                        let decoded = decode_records(payload, frame);
                         self.events += frame.len() as u64;
                         if !frame.is_empty() {
-                            out.push(frame);
+                            emit(frame);
                         }
                         if let Err(e) = decoded {
                             // Same contract as salvage: keep the valid

@@ -61,7 +61,7 @@ pub fn fft_inplace(re: &mut [f64], im: &mut [f64]) {
     }
 }
 
-/// Naive O(n²) DFT, the correctness oracle.
+/// Naive O(n²) DFT, the correctness oracle of this module's tests.
 pub fn naive_dft(re: &[f64], im: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let n = re.len();
     let mut or = vec![0.0; n];
@@ -80,16 +80,10 @@ pub fn naive_dft(re: &[f64], im: &[f64]) -> (Vec<f64>, Vec<f64>) {
 /// The six-step FFT workload.
 pub struct Fft;
 
-impl Workload for Fft {
-    fn name(&self) -> &'static str {
-        "fft"
-    }
-
-    fn description(&self) -> &'static str {
-        "six-step transpose FFT: row FFTs, twiddle, all-to-all column FFTs"
-    }
-
-    fn run(&self, ctx: &Arc<TraceCtx>, cfg: &RunConfig) -> WorkloadResult {
+impl Fft {
+    /// Run the six-step transform under `ctx`: the random input (real,
+    /// imaginary) and its transform (real, imaginary).
+    fn transform(ctx: &Arc<TraceCtx>, cfg: &RunConfig) -> [Vec<f64>; 4] {
         let m = cfg.size.pick(16usize, 32, 64); // n = m*m
         let n = m * m;
         let iters = cfg.size.pick(6, 8, 10);
@@ -162,39 +156,38 @@ impl Workload for Fft {
             }
         });
 
-        // Validate against the O(n²) oracle on small inputs, Parseval
-        // otherwise.
-        if n <= 1024 {
-            let (er, ei) = naive_dft(&input_re, &input_im);
-            for k in (0..n).step_by(7) {
-                let (gr, gi) = (yr.peek(k), yi.peek(k));
-                assert!(
-                    (gr - er[k]).abs() < 1e-6 && (gi - ei[k]).abs() < 1e-6,
-                    "fft mismatch at {k}: got ({gr},{gi}) want ({},{})",
-                    er[k],
-                    ei[k]
-                );
-            }
-        } else {
-            let ein: f64 = input_re
-                .iter()
-                .zip(&input_im)
-                .map(|(r, i)| r * r + i * i)
-                .sum();
-            let eout: f64 = (0..n)
-                .map(|k| {
-                    let (r, i) = (yr.peek(k), yi.peek(k));
-                    r * r + i * i
-                })
-                .sum::<f64>()
-                / n as f64;
-            assert!(
-                ((ein - eout) / ein).abs() < 1e-9,
-                "Parseval violated: {ein} vs {eout}"
-            );
-        }
+        let out_re = (0..n).map(|k| yr.peek(k)).collect();
+        let out_im = (0..n).map(|k| yi.peek(k)).collect();
+        [input_re, input_im, out_re, out_im]
+    }
+}
 
-        let checksum = (0..n).map(|k| yr.peek(k).abs() + yi.peek(k).abs()).sum();
+impl Workload for Fft {
+    fn name(&self) -> &'static str {
+        "fft"
+    }
+
+    fn description(&self) -> &'static str {
+        "six-step transpose FFT: row FFTs, twiddle, all-to-all column FFTs"
+    }
+
+    /// The transform, checked by Parseval's theorem (O(n)); the tests
+    /// check it against the O(n²) DFT.
+    fn run(&self, ctx: &Arc<TraceCtx>, cfg: &RunConfig) -> WorkloadResult {
+        let [in_re, in_im, out_re, out_im] = Self::transform(ctx, cfg);
+        let energy =
+            |re: &[f64], im: &[f64]| -> f64 { re.iter().zip(im).map(|(r, i)| r * r + i * i).sum() };
+        let ein = energy(&in_re, &in_im);
+        let eout = energy(&out_re, &out_im) / out_re.len() as f64;
+        assert!(
+            ((ein - eout) / ein).abs() < 1e-9,
+            "Parseval violated: {ein} vs {eout}"
+        );
+        let checksum = out_re
+            .iter()
+            .zip(&out_im)
+            .map(|(r, i)| r.abs() + i.abs())
+            .sum();
         WorkloadResult { checksum }
     }
 }
@@ -221,10 +214,31 @@ mod tests {
 
     #[test]
     fn six_step_workload_validates_internally() {
-        // The run() itself asserts against the oracle at SimDev size.
+        // The run() itself checks Parseval's theorem.
         let ctx = TraceCtx::new(Arc::new(NoopSink), 4);
         let r = Fft.run(&ctx, &RunConfig::new(4, InputSize::SimDev, 42));
         assert!(r.checksum.is_finite() && r.checksum > 0.0);
+    }
+
+    /// The six-step transform equals the O(n²) DFT at the two sizes whose
+    /// n is at most 1 024 (SimDev n = 256, SimSmall n = 1 024).
+    #[test]
+    fn six_step_transform_matches_naive_dft() {
+        for size in [InputSize::SimDev, InputSize::SimSmall] {
+            let ctx = TraceCtx::new(Arc::new(NoopSink), 4);
+            let [in_re, in_im, out_re, out_im] = Fft::transform(&ctx, &RunConfig::new(4, size, 42));
+            let (er, ei) = naive_dft(&in_re, &in_im);
+            for k in 0..out_re.len() {
+                assert!(
+                    (out_re[k] - er[k]).abs() < 1e-6 && (out_im[k] - ei[k]).abs() < 1e-6,
+                    "{size:?}: fft mismatch at {k}: got ({},{}) want ({},{})",
+                    out_re[k],
+                    out_im[k],
+                    er[k],
+                    ei[k]
+                );
+            }
+        }
     }
 
     #[test]

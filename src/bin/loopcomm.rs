@@ -12,7 +12,7 @@
 //! loopcomm record   <workload> <file> [--threads N] [--size ...] [--frame-events N]
 //! loopcomm record   <workload> --connect HOST:PORT [--tenant NAME]
 //! loopcomm synth    <file> [--events N] [--threads N] [--seed S]
-//! loopcomm analyze  <file> [--slots 2^k] [--jobs N] [--batch N] [--perfect] [--salvage]
+//! loopcomm analyze  <file> [--slots 2^k] [--jobs N] [--perfect] [--salvage]
 //!                   [--checkpoint DIR [--every N]] [--resume DIR]
 //!                   [--report-out P] [--metrics P]
 //!                   [--coherence [--line-size N] [--cache-kib N] [--assoc N] [--coherence-out P]]
@@ -52,11 +52,6 @@ use lc_profiler::{greedy_mapping, MachineTopology, NestedReport, ThreadMapping};
 use loopcomm::pipeline::PipelineError;
 use loopcomm::prelude::*;
 
-/// Upper bound for `--batch`: past this a "batch" is no longer a cache
-/// tiling knob but an accidental whole-trace materialization, so absurd
-/// values are rejected at parse time rather than silently clamped.
-const MAX_BATCH_EVENTS: usize = 1 << 24;
-
 /// Upper bound for `--slots`: 2^30 slots is two orders of magnitude past
 /// the paper's largest signature (10^7 slots).
 const MAX_SLOTS: usize = 1 << 30;
@@ -65,8 +60,8 @@ const MAX_SLOTS: usize = 1 << 30;
 /// of two and allocates that many cells up front.
 const MAX_LOOP_CAPACITY: usize = 1 << 24;
 
-/// Upper bound for `--queue-frames`: a tenant allocates its queue's slots
-/// when it connects.
+/// Upper bound for `--queue-frames`: a tenant may hold that many frame
+/// buffers at once.
 const MAX_QUEUE_FRAMES: usize = 1 << 16;
 
 /// Upper bound for `--max-conns`: each connection holds a thread.
@@ -86,7 +81,6 @@ struct Options {
     metrics: Option<String>,
     salvage: bool,
     jobs: usize,
-    batch: usize,
     /// `synth`: probability in [0,1] that an event reuses an address
     /// from a small hot set instead of the uniform working set.
     addr_reuse: f64,
@@ -104,7 +98,7 @@ struct Options {
     tenant: String,
     /// `record`/`stream`/`synth`: events per spool segment or wire frame.
     frame_events: usize,
-    /// `serve`: per-tenant queue capacity in frames.
+    /// `serve`: frame buffers per tenant.
     queue_frames: usize,
     /// `serve`: concurrent ingest connection limit.
     max_conns: usize,
@@ -222,10 +216,6 @@ fn usage() -> ! {
          \x20                  (default 1; results identical; --coherence\n\
          \x20                  shards by cache set over the host's cores\n\
          \x20                  whatever --jobs says)\n\
-         \x20 --batch N        (analyze) block size in events for RAM-loaded\n\
-         \x20                  v1/v2 input, valid range 1..=16777216 (default\n\
-         \x20                  1024; v3 blocks are spool segments; results\n\
-         \x20                  identical)\n\
          \x20 --perfect        (analyze, serve) exact perfect-signature\n\
          \x20                  baseline detector instead of the asymmetric\n\
          \x20                  signatures\n\
@@ -273,8 +263,8 @@ fn usage() -> ! {
          \x20                  (default 127.0.0.1:9009)\n\
          \x20 --http ADDR      (serve) HTTP endpoint for live reports,\n\
          \x20                  matrices, and Prometheus /metrics\n\
-         \x20 --queue-frames N (serve) per-tenant queue bound in frames,\n\
-         \x20                  1..=65536 (default 64)\n\
+         \x20 --queue-frames N (serve) frame buffers per tenant, sent and not\n\
+         \x20                  yet analysed, 1..=65536 (default 64)\n\
          \x20 --max-conns N    (serve) connection limit, 1..=4096 (default 64)\n\
          \x20 --max-tenants N  (serve) tenant limit, 1..=1024 (default 64)\n\
          \x20 --connect ADDR   (record, stream) stream to a server instead\n\
@@ -306,7 +296,6 @@ fn parse_options(args: &[String]) -> Options {
         metrics: None,
         salvage: false,
         jobs: 1,
-        batch: lc_trace::REPLAY_BATCH_EVENTS,
         addr_reuse: 0.0,
         working_set: 65_536,
         perfect: false,
@@ -355,22 +344,10 @@ fn parse_options(args: &[String]) -> Options {
             "--spool" | "--v3" => removed_flag(a, "`record` and `synth` always stream a v3 spool"),
             "--salvage" => o.salvage = true,
             "--jobs" => o.jobs = parse_in_range(a, &val(), 1..=lc_profiler::MAX_JOBS),
-            "--batch" => {
-                let raw = val();
-                let v: usize = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --batch expects an integer, got `{raw}`");
-                    std::process::exit(2);
-                });
-                if !(1..=MAX_BATCH_EVENTS).contains(&v) {
-                    eprintln!(
-                        "error: --batch must be in 1..={MAX_BATCH_EVENTS} (got {v}); \
-                         the default is {}",
-                        lc_trace::REPLAY_BATCH_EVENTS
-                    );
-                    std::process::exit(2);
-                }
-                o.batch = v;
-            }
+            "--batch" => removed_flag(
+                a,
+                "RAM-loaded input is analysed in 1024-event blocks, with results that never depended on the size",
+            ),
             "--no-coalesce" => removed_flag(a, "`analyze` never coalesces"),
             "--fused" | "--no-fused" => removed_flag(a, "`analyze` always runs the fused engine"),
             "--no-skip-filter" => {
@@ -1000,14 +977,13 @@ fn analyze(name: &str, o: &Options) {
         }
     };
     let streamed = match &mut source {
-        FileBlockSource::Ram(t) => (t.block_source(o.batch).stream_blocks(start, &mut on_block))
-            .map(|events| lc_trace::SegmentStream {
-                events,
-                ..Default::default()
-            }),
         FileBlockSource::Spool(m) => {
             m.stream_events(start, read_ahead, |evs| on_block(EventBlock::Plain(evs)))
         }
+        ram => (ram.stream_blocks(start, &mut on_block)).map(|events| lc_trace::SegmentStream {
+            events,
+            ..Default::default()
+        }),
     }
     .unwrap_or_else(|e| {
         eprintln!("error: replay failed: {e}");
@@ -1114,7 +1090,7 @@ fn analyze(name: &str, o: &Options) {
     if let Some(path) = &o.report_out {
         // Canonical plain-text form: byte-identical to what a
         // `loopcomm serve` tenant reports for the same events, whatever
-        // the input format, --jobs, --batch or checkpoint/resume history.
+        // the input format, --jobs or checkpoint/resume history.
         let body = lc_profiler::canonical_report(&r, analyzer.events());
         std::fs::write(path, body).unwrap_or_else(|e| {
             eprintln!("cannot write report to `{path}`: {e}");

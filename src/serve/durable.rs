@@ -7,8 +7,8 @@
 //! * `state.lctn` — the tenant's last checkpoint: ingest counters plus a
 //!   full [`lc_profiler::Checkpoint`] of the analyzer, written atomically
 //!   (temp + fsync + rename) through the `checkpoint_write` fault seam.
-//! * `spill-<gen>.lcv3` — v3 spool generations of frames that overflowed
-//!   the bounded queue. Spilling replaces the backpressure stall: under
+//! * `spill-<gen>.lcv3` — v3 spool generations of frames that found
+//!   every buffer of the tenant's bounded ring out. Spilling replaces the backpressure stall: under
 //!   memory pressure the frames go to disk instead of stalling producers,
 //!   and are replayed into the analyzer when the tenant is next restored.
 //!
@@ -255,8 +255,8 @@ pub struct SpillWriter {
     generation: u64,
     /// Whether any spilled frame awaits replay (open or sealed, this
     /// incarnation or a previous one). While true, `Tenant::enqueue` must
-    /// keep spilling instead of re-entering the queue: a frame admitted
-    /// to the queue would be analyzed *before* the spilled frames that
+    /// keep spilling instead of re-entering the ring: a frame admitted
+    /// to the ring would be analyzed *before* the spilled frames that
     /// precede it in arrival order, and replay order is the byte-identity
     /// guarantee. Cleared only by `replay_spills` deleting the files.
     pending: bool,

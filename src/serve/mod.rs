@@ -5,8 +5,9 @@
 //! see [`lc_trace::wire`]) from many concurrent producers over TCP and/or
 //! Unix sockets. Each connection reassembles frames incrementally with
 //! the salvage-exact [`lc_trace::FrameDecoder`]; frames flow through a
-//! bounded per-tenant [`queue::FrameQueue`] (backpressure, not growth)
-//! into a single-drain [`crate::Pipeline`], the engine offline `loopcomm
+//! bounded per-tenant ring of frame buffers ([`lc_trace::handoff`]:
+//! backpressure, not growth) into a single-drain [`crate::Pipeline`],
+//! the engine offline `loopcomm
 //! analyze` drives — so the live report is byte-identical to the batch
 //! one on the same events. Live
 //! matrices, thread load, and Prometheus metrics are served over HTTP
@@ -21,8 +22,6 @@
 
 pub mod durable;
 pub mod http;
-pub mod queue;
-pub mod sync;
 pub mod tenant;
 
 use std::collections::HashMap;
@@ -73,7 +72,8 @@ pub struct ServeConfig {
     pub accum: AccumConfig,
     /// Analysis workers per tenant.
     pub jobs: usize,
-    /// Per-tenant queue capacity in frames (the backpressure bound).
+    /// Frame buffers in each tenant's ring: frames sent and not yet
+    /// analysed, the drain's included (the backpressure bound).
     pub queue_frames: usize,
     /// Concurrent ingest connection limit (excess connections are
     /// closed immediately and counted rejected).
@@ -83,7 +83,7 @@ pub struct ServeConfig {
     /// Optional fault plan covering the network seams.
     pub faults: Option<Arc<FaultInjector>>,
     /// Root directory for durable tenant state (`None` = in-memory only).
-    /// With it set, queue overflow spills to per-tenant v3 spools, tenants
+    /// With it set, ring overflow spills to per-tenant v3 spools, tenants
     /// checkpoint on eviction/shutdown, and a hello for a known name
     /// resumes from disk.
     pub durable_dir: Option<PathBuf>,
@@ -376,7 +376,7 @@ fn conn_body(shared: &Shared, stream: &Stream) -> io::Result<bool> {
     let tenant = &guard.0;
 
     let mut dec = FrameDecoder::new();
-    let mut frames = Vec::new();
+    let mut frame = Vec::new();
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut read_error = None;
     // Catch panics out of the read loop (an injected NetFrameRead panic
@@ -389,10 +389,7 @@ fn conn_body(shared: &Shared, stream: &Stream) -> io::Result<bool> {
         match reader.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
-                dec.feed_with(&chunk[..n], &mut frames, || tenant.spare_frame());
-                for frame in frames.drain(..) {
-                    tenant.enqueue(frame);
-                }
+                dec.feed_with(&chunk[..n], &mut frame, |f| tenant.enqueue(f));
                 // After damage, keep reading so the dropped-byte count is
                 // exact (salvage counts everything after the bad frame);
                 // the peer finishes its stream and closes.

@@ -1,16 +1,17 @@
-//! Per-tenant ingest state: bounded queue, drain thread, live pipeline.
+//! Per-tenant ingest state: bounded hand-off, drain thread, live pipeline.
 //!
 //! One tenant = one isolated analysis domain. Connections for the tenant
-//! decode frames and push them into its bounded [`FrameQueue`]; a single
-//! drain thread pops frames into the tenant's [`Pipeline`] — so the
+//! decode frames and send each through the tenant's bounded ring of frame
+//! buffers ([`lc_trace::handoff`], `--queue-frames` buffers); a single
+//! drain thread receives them into the tenant's [`Pipeline`] — so the
 //! analyzer itself is single-writer and the per-tenant memory bound is
 //! `jobs` signature pairs plus the loop registry, regardless of
 //! connection count or stream length.
 //!
-//! Frame buffers circulate: a connection's decoder fills a spare from
-//! the tenant's short list ([`SPARE_FRAMES`]), and every end of a frame's
-//! life — analysed or counted lost by the drain, spilled, refused by a
-//! closed queue — hands the buffer back (DESIGN.md §13.2).
+//! Frame buffers circulate: a connection decodes into its own buffer and
+//! trades it for an empty one from the ring as it sends the frame, and
+//! the drain recycles every buffer it received — analysed or counted
+//! lost — keeping at most [`SPARE_FRAMES`] for reuse (DESIGN.md §13.2).
 //!
 //! The drain step is a fault seam ([`FaultSite::TenantFlush`]): an
 //! injected panic, I/O error, or bit-flip there loses exactly that frame
@@ -20,18 +21,20 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lc_faults::{FaultAction, FaultInjector, FaultSite};
 use lc_profiler::{Checkpoint, ProfileReport};
+use lc_trace::handoff::{self, Drainer, Filler, Helper};
 use lc_trace::StampedEvent;
 use parking_lot::Mutex;
 
 use crate::pipeline::{Pipeline, Snapshot};
 
 use super::durable::{self, PersistedStats, SpillWriter};
-use super::queue::{FrameQueue, PushError};
+
+/// One decoded frame.
+type Frame = Vec<StampedEvent>;
 
 /// Milliseconds since the process's first activity reading — the
 /// monotonic base for idle-reaping decisions.
@@ -40,14 +43,13 @@ pub(crate) fn uptime_ms() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_millis() as u64
 }
 
-/// Spare frame buffers a tenant keeps for its connections' decoders. One
-/// buffer fills on a connection thread while the drain analyses another,
-/// so a short list covers the hand-back between them with slack for
-/// jitter; a longer one would only hoard memory the bounded queue already
-/// accounts for.
+/// Emptied frame buffers a tenant's ring keeps for reuse. One buffer
+/// fills on a connection thread while the drain analyses another, so a
+/// short list covers the hand-back between them with slack for jitter; a
+/// longer one would only hoard memory a quiet tenant does not need.
 pub const SPARE_FRAMES: usize = 4;
 /// A buffer that grew past this many events (an outsized client frame) is
-/// dropped rather than kept as a spare.
+/// dropped rather than kept for reuse.
 const SPARE_MAX_EVENTS: usize = 1 << 16;
 
 /// Live per-tenant counters — the "exact lost-frame accounting" surface.
@@ -57,7 +59,7 @@ pub struct TenantStats {
     pub frames_received: AtomicU64,
     /// Events in those frames.
     pub events_received: AtomicU64,
-    /// Frames that never reached the analyzer (queue closed under them
+    /// Frames that never reached the analyzer (ring closed under them
     /// or an injected drain fault consumed them).
     pub frames_lost: AtomicU64,
     /// Events in the lost frames.
@@ -88,15 +90,12 @@ pub struct TenantStats {
     pub events_spilled_total: AtomicU64,
 }
 
-/// One tenant: queue + drain thread + live pipeline + counters.
+/// One tenant: frame ring + drain thread + live pipeline + counters.
 pub struct Tenant {
     /// Tenant name (validated at hello time).
     pub name: String,
-    queue: Arc<FrameQueue<Vec<StampedEvent>>>,
-    /// At most [`SPARE_FRAMES`] emptied frame buffers.
-    spares: Mutex<Vec<Vec<StampedEvent>>>,
-    /// Frame buffers handed out fresh because no spare was left.
-    fresh_buffers: AtomicU64,
+    /// The filling end of the frame ring, shared by the connections.
+    ring: Filler<Frame>,
     /// The analyzer and, with `--coherence`, a one-shard MESI backend.
     pipeline: Mutex<Pipeline>,
     /// Full coherence reports taken so far: `/tenants/<t>/coherence`
@@ -104,7 +103,7 @@ pub struct Tenant {
     coherence_snapshots: AtomicU64,
     /// Counters, readable at any time without touching the analyzer.
     pub stats: TenantStats,
-    drain: Mutex<Option<JoinHandle<()>>>,
+    drain: Mutex<Option<Helper<()>>>,
     /// The spill side of a durable tenant (`--durable-dir`).
     spill: Option<Mutex<SpillWriter>>,
     /// Last enqueue/creation instant (`uptime_ms`) — the idle-reaper's
@@ -113,9 +112,10 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Create the tenant and start its drain thread. `spill` arms
-    /// spill-to-disk overflow and checkpointing in its directory; `seed`
-    /// restores the ingest ledger a previous incarnation checkpointed.
+    /// Create the tenant and start its drain thread over a ring of
+    /// `queue_frames` frame buffers. `spill` arms spill-to-disk overflow
+    /// and checkpointing in its directory; `seed` restores the ingest
+    /// ledger a previous incarnation checkpointed.
     pub fn spawn(
         name: String,
         pipeline: Pipeline,
@@ -128,11 +128,10 @@ impl Tenant {
         if let Some(s) = &seed {
             s.seed(&stats);
         }
+        let (ring, drainer) = handoff::ring(queue_frames, SPARE_FRAMES);
         let tenant = Arc::new(Self {
             name: name.clone(),
-            queue: Arc::new(FrameQueue::new(queue_frames)),
-            spares: Mutex::new(Vec::with_capacity(SPARE_FRAMES)),
-            fresh_buffers: AtomicU64::new(0),
+            ring,
             pipeline: Mutex::new(pipeline),
             coherence_snapshots: AtomicU64::new(0),
             stats,
@@ -141,53 +140,30 @@ impl Tenant {
             last_activity: AtomicU64::new(uptime_ms()),
         });
         let t = Arc::clone(&tenant);
-        let handle = std::thread::Builder::new()
-            .name(format!("lc-drain-{name}"))
-            .spawn(move || t.drain_loop(faults))
-            .expect("spawn drain thread");
-        *tenant.drain.lock() = Some(handle);
+        let drain = Helper::spawn(format!("lc-drain-{name}"), move || {
+            t.drain_loop(&drainer, faults)
+        })
+        .expect("spawn drain thread");
+        *tenant.drain.lock() = Some(drain);
         tenant
     }
 
-    /// A buffer for the next decoded frame: a spare when one is left, a
-    /// fresh one otherwise. The decoder clears it before filling it.
-    pub fn spare_frame(&self) -> Vec<StampedEvent> {
-        if let Some(buf) = self.spares.lock().pop() {
-            return buf;
-        }
-        self.fresh_buffers.fetch_add(1, Ordering::Relaxed);
-        Vec::new()
-    }
-
-    /// A frame's life is over: keep its buffer as a spare, or drop it once
-    /// [`SPARE_FRAMES`] are kept. A dropped buffer is freed after the lock
-    /// is released, not under it.
-    fn recycle(&self, frame: Vec<StampedEvent>) {
-        if frame.capacity() > SPARE_MAX_EVENTS {
-            return;
-        }
-        let mut spares = self.spares.lock();
-        if spares.len() < SPARE_FRAMES {
-            spares.push(frame);
-        }
-    }
-
-    /// Count a decoded frame as received and hand it to the drain.
+    /// Count the decoded `frame` as received and hand it to the drain,
+    /// leaving an emptied buffer from the ring in its place.
     ///
-    /// Without durability a full queue blocks (backpressure to this
-    /// tenant's producers only). A durable tenant never stalls producers:
-    /// overflow frames spill to its v3 spool instead, counted spilled and
-    /// replayed into the analyzer at the drain's next catch-up pass (or
-    /// the tenant's next restore, if the server dies first). Spilling is
-    /// **sticky**: once one frame has spilled, every later frame spills
-    /// too (the spill lock serializes the decision), so the analyzer sees
-    /// a live prefix and the spool holds the contiguous suffix — replay
-    /// in generation order reproduces exact arrival order, which the
-    /// byte-identity guarantee requires. A frame neither queued nor
-    /// spilled is counted lost — so `received == analyzed + spilled +
-    /// lost` at every quiescent point. A spilled or refused frame's buffer
-    /// goes back to the spares.
-    pub fn enqueue(&self, frame: Vec<StampedEvent>) {
+    /// Without durability this waits while every ring buffer is out
+    /// (backpressure to this tenant's producers only). A durable tenant
+    /// never stalls producers: overflow frames spill to its v3 spool
+    /// instead, counted spilled and replayed into the analyzer at the
+    /// drain's next catch-up pass (or the tenant's next restore, if the
+    /// server dies first). Spilling is **sticky**: once one frame has
+    /// spilled, every later frame spills too (the spill lock serializes
+    /// the decision), so the analyzer sees a live prefix and the spool
+    /// holds the contiguous suffix — replay in generation order
+    /// reproduces exact arrival order, which the byte-identity guarantee
+    /// requires. A frame neither sent nor spilled is counted lost — so
+    /// `received == analyzed + spilled + lost` at every quiescent point.
+    pub fn enqueue(&self, frame: &mut Frame) {
         let events = frame.len() as u64;
         self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -197,58 +173,50 @@ impl Tenant {
         let lost = match &self.spill {
             Some(spill) => {
                 let mut spill = spill.lock();
-                let overflow = if spill.has_pending() {
-                    // Earlier frames are already on disk awaiting replay;
-                    // admitting this one to the queue would analyze it
-                    // ahead of them.
-                    Some(frame)
+                // Pending spills hold earlier frames; sending this one
+                // would analyze it ahead of them.
+                if !spill.has_pending() && self.send(frame, self.ring.try_empty()) {
+                    false
                 } else {
-                    match self.queue.try_push(frame) {
-                        Ok(()) => None,
-                        Err(PushError::Full(frame)) | Err(PushError::Closed(frame)) => Some(frame),
-                    }
-                };
-                match overflow {
-                    None => false,
-                    Some(frame) => {
-                        let appended = spill.append(&frame);
-                        self.recycle(frame);
-                        match appended {
-                            Ok(()) => {
-                                self.stats.frames_spilled.fetch_add(1, Ordering::Relaxed);
-                                self.stats
-                                    .events_spilled
-                                    .fetch_add(events, Ordering::Relaxed);
-                                self.stats
-                                    .frames_spilled_total
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.stats
-                                    .events_spilled_total
-                                    .fetch_add(events, Ordering::Relaxed);
-                                false
-                            }
-                            Err(e) => {
-                                eprintln!(
-                                    "warning: tenant `{}`: spill write failed ({e}); frame lost",
-                                    self.name
-                                );
-                                true
-                            }
+                    match spill.append(frame) {
+                        Ok(()) => {
+                            let s = &self.stats;
+                            s.frames_spilled.fetch_add(1, Ordering::Relaxed);
+                            s.events_spilled.fetch_add(events, Ordering::Relaxed);
+                            s.frames_spilled_total.fetch_add(1, Ordering::Relaxed);
+                            s.events_spilled_total.fetch_add(events, Ordering::Relaxed);
+                            false
+                        }
+                        Err(e) => {
+                            eprintln!(
+                                "warning: tenant `{}`: spill write failed ({e}); frame lost",
+                                self.name
+                            );
+                            true
                         }
                     }
                 }
             }
-            None => match self.queue.push_blocking(frame) {
-                Ok(()) => false,
-                Err(frame) => {
-                    self.recycle(frame);
-                    true
-                }
-            },
+            None => !self.send(frame, self.ring.empty()),
         };
         if lost {
             self.stats.frames_lost.fetch_add(1, Ordering::Relaxed);
             self.stats.events_lost.fetch_add(events, Ordering::Relaxed);
+        }
+    }
+
+    /// Trade `frame` for the ring's `empty` buffer and send it; `false`,
+    /// with `frame` as it was, when the ring had none to give or is closed.
+    fn send(&self, frame: &mut Frame, empty: Option<Frame>) -> bool {
+        let Some(buf) = empty else {
+            return false;
+        };
+        match self.ring.send(std::mem::replace(frame, buf)) {
+            Ok(()) => true,
+            Err(sent) => {
+                *frame = sent;
+                false
+            }
         }
     }
 
@@ -277,29 +245,35 @@ impl Tenant {
         Ok(true)
     }
 
-    /// Pop the next frame, interleaving spill catch-up: whenever the
-    /// queue runs dry while spilled frames await replay, drain them from
-    /// disk before blocking again. The queue holds only frames *older*
-    /// than the oldest spill (enqueue spills sticky), so "queue first,
-    /// then spool" is exact arrival order. Returns `None` once the queue
-    /// is closed and drained — the drain thread's exit condition.
-    fn next_frame(&self) -> Option<Vec<StampedEvent>> {
-        loop {
-            if let Some(frame) = self.queue.try_pop() {
-                return Some(frame);
-            }
-            if self.queue.is_closed() {
-                // Re-check after observing closed: a racing push may have
-                // landed between the failed pop and the flag read. Spills
-                // beyond this point stay on disk for the next restore.
-                return self.queue.try_pop();
-            }
-            if self.spill_pending() {
-                self.spill_catch_up();
-                continue;
-            }
-            super::sync::backoff();
+    /// Receive the next frame, interleaving spill catch-up: whenever
+    /// nothing waits in the ring while spilled frames await replay, drain
+    /// them from disk before waiting. The ring holds only frames *older*
+    /// than the oldest spill (enqueue spills sticky), so "ring first,
+    /// then spool" is exact arrival order. Returns `None` once the ring
+    /// is closed and drained — the drain thread's exit condition; spills
+    /// left then stay on disk for the next restore.
+    ///
+    /// The drain never waits on an empty ring with a spill pending: a
+    /// spill either follows earlier ones (pending already seen here) or
+    /// found every ring buffer out — sent and waiting, or in this
+    /// thread's hands — so this thread recycles at least once more and
+    /// looks again before it waits.
+    fn next_frame(&self, drainer: &Drainer<Frame>) -> Option<Frame> {
+        while self.spill_due() && !self.ring.is_closed() {
+            self.spill_catch_up();
         }
+        drainer.recv()
+    }
+
+    /// Whether spilled frames await replay with nothing in the ring ahead
+    /// of them. Both are read under the spill lock, which every durable
+    /// send holds too, so no frame can enter the ring between the reads
+    /// and land behind a spill the catch-up would then replay first.
+    fn spill_due(&self) -> bool {
+        (self.spill.as_ref()).is_some_and(|s| {
+            let spill = s.lock();
+            spill.has_pending() && self.ring.is_empty()
+        })
     }
 
     /// Whether spilled frames await replay (always false when not
@@ -311,7 +285,7 @@ impl Tenant {
     /// Replay every sealed spill generation into the live pipeline, in
     /// order ([`durable::replay_spills`]), and move the replayed counts
     /// from `spilled` to analyzed or lost. Runs on the drain thread with
-    /// the queue empty; concurrent enqueues keep spilling into a *newer*
+    /// the ring empty; concurrent enqueues keep spilling into a *newer*
     /// generation (sticky), so the replayed files are immutable and the
     /// order invariant holds. The tenant is not quiet meanwhile: the spill
     /// stays pending until `refresh_pending` finds the replayed files
@@ -343,8 +317,8 @@ impl Tenant {
         spill.lock().refresh_pending();
     }
 
-    fn drain_loop(&self, faults: Option<Arc<FaultInjector>>) {
-        while let Some(frame) = self.next_frame() {
+    fn drain_loop(&self, drainer: &Drainer<Frame>, faults: Option<Arc<FaultInjector>>) {
+        while let Some(mut frame) = self.next_frame(drainer) {
             let events = frame.len() as u64;
             let action = faults
                 .as_ref()
@@ -354,9 +328,9 @@ impl Tenant {
                     Some(FaultAction::Panic) => {
                         panic!("injected fault: panic at tenant_flush")
                     }
-                    // Stall *inside* the drain: the queue fills and
-                    // producers stall behind it — the backpressure path,
-                    // not a loss.
+                    // Stall *inside* the drain: the ring's buffers run out
+                    // and producers stall behind it — the backpressure
+                    // path, not a loss.
                     Some(FaultAction::Stall { ms }) => {
                         std::thread::sleep(Duration::from_millis(ms))
                     }
@@ -371,18 +345,21 @@ impl Tenant {
                 self.stats.frames_lost.fetch_add(1, Ordering::Relaxed);
                 self.stats.events_lost.fetch_add(events, Ordering::Relaxed);
             }
-            // Back before `done`, so a quiet tenant holds every buffer.
-            self.recycle(frame);
-            self.queue.done();
+            if frame.capacity() > SPARE_MAX_EVENTS {
+                frame = Frame::new();
+            }
+            // Last, so a quiet tenant has counted this frame.
+            drainer.recycle(frame);
         }
     }
 
-    /// True when no connection is open, no frame is queued, spooled or
-    /// popped but unfinished — every received frame is either analyzed or
-    /// counted lost.
+    /// True when no connection is open, no frame is spooled, and every
+    /// ring buffer is home — none waits to be received or is between the
+    /// drain's receive and its recycle, so every received frame is either
+    /// analyzed or counted lost.
     pub fn quiet(&self) -> bool {
         self.stats.conns_active.load(Ordering::Acquire) == 0
-            && self.queue.is_idle()
+            && self.ring.all_home()
             && !self.spill_pending()
     }
 
@@ -431,14 +408,14 @@ impl Tenant {
         Some(lc_cachesim::canonical_coherence_report(&report))
     }
 
-    /// Frames currently waiting in the queue.
+    /// Frames sent and not yet received by the drain.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.ring.len()
     }
 
-    /// Close the queue and join the drain thread (idempotent).
+    /// Close the ring and join the drain thread (idempotent).
     pub fn shutdown(&self) {
-        self.queue.close();
+        self.ring.close();
         if let Some(h) = self.drain.lock().take() {
             let _ = h.join();
         }
@@ -505,7 +482,7 @@ pub(super) mod tests {
     fn frames_flow_to_analyzer_and_quiesce() {
         let t = Tenant::spawn("t".into(), pipeline(), 4, None, None, None);
         for i in 0..10 {
-            t.enqueue(frame(i * 8, 8));
+            t.enqueue(&mut frame(i * 8, 8));
         }
         assert!(t.wait_quiet(Duration::from_secs(10)));
         assert_eq!(t.stats.frames_received.load(Ordering::Relaxed), 10);
@@ -521,9 +498,9 @@ pub(super) mod tests {
         let t = Tenant::spawn("t".into(), pipeline(), 4, None, None, None);
         let mut wild = frame(8, 8);
         wild[3].event.tid = 4;
-        t.enqueue(frame(0, 8));
-        t.enqueue(wild);
-        t.enqueue(frame(16, 8));
+        t.enqueue(&mut frame(0, 8));
+        t.enqueue(&mut wild);
+        t.enqueue(&mut frame(16, 8));
         assert!(t.wait_quiet(Duration::from_secs(10)));
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 1);
         assert_eq!(t.stats.events_lost.load(Ordering::Relaxed), 8);
@@ -536,7 +513,7 @@ pub(super) mod tests {
     }
 
     /// Scrape as soon as the tenant reads quiet, frame after frame: the
-    /// drain's pop empties the queue before the frame reaches either
+    /// drain's receive empties the ring before the frame reaches either
     /// backend, and the coherence counters are fed last, so a quiet
     /// reading inside that window shows short totals.
     #[test]
@@ -544,7 +521,7 @@ pub(super) mod tests {
         let p = tenant_pipeline(Some(lc_cachesim::CoherenceConfig::default()));
         let t = Tenant::spawn("t".into(), p, 4, None, None, None);
         for i in 0..400 {
-            t.enqueue(frame(i * 8, 8));
+            t.enqueue(&mut frame(i * 8, 8));
             while !t.quiet() {
                 std::hint::spin_loop();
             }
@@ -571,22 +548,13 @@ pub(super) mod tests {
         }));
         let t = Tenant::spawn("t".into(), pipeline(), 4, Some(inj), None, None);
         for i in 0..6 {
-            t.enqueue(frame(i * 5, 5));
+            t.enqueue(&mut frame(i * 5, 5));
         }
         assert!(t.wait_quiet(Duration::from_secs(10)));
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 1);
         assert_eq!(t.stats.events_lost.load(Ordering::Relaxed), 5);
         assert_eq!(t.snapshot().events, 25);
         t.shutdown();
-    }
-
-    /// A frame the way a connection builds it: in a buffer from the
-    /// tenant's spares.
-    fn spare_filled(t: &Tenant, base: u64, n: u64) -> Vec<StampedEvent> {
-        let mut buf = t.spare_frame();
-        buf.clear();
-        buf.extend(frame(base, n));
-        buf
     }
 
     /// `received == analyzed + spilled + lost`, in frames and in events.
@@ -603,16 +571,45 @@ pub(super) mod tests {
         );
     }
 
-    fn spares(t: &Tenant) -> usize {
-        t.spares.lock().len()
+    /// Take every buffer out of a quiet tenant's ring and return the
+    /// capacities of those that hold memory. The tenant takes no frame
+    /// afterwards, so only a test's last step may call it.
+    fn grown_buffers(t: &Tenant, queue: usize) -> Vec<usize> {
+        assert!(t.quiet());
+        let bufs: Vec<Frame> = (0..queue).map_while(|_| t.ring.try_empty()).collect();
+        assert_eq!(bufs.len(), queue, "a quiet tenant holds every buffer");
+        assert_eq!(t.ring.try_empty(), None, "and no more than that");
+        bufs.iter().map(Vec::capacity).filter(|&c| c > 0).collect()
+    }
+
+    /// A plan that stalls the drain on its first frame for `ms`.
+    fn stall_first(ms: u64) -> Option<Arc<FaultInjector>> {
+        use lc_faults::{FaultPlan, FaultRule};
+        Some(Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            rules: vec![FaultRule::once(
+                FaultSite::TenantFlush,
+                FaultAction::Stall { ms },
+                0,
+            )],
+        })))
+    }
+
+    /// A durable tenant over `queue` buffers whose drain stalls 200 ms on
+    /// its first frame, spilling into a fresh directory named by `tag`.
+    fn stalled_durable(tag: &str, queue: usize) -> (Arc<Tenant>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("lc_tenant_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let spill = Some(SpillWriter::new(dir.clone(), None));
+        let t = Tenant::spawn("t".into(), pipeline(), queue, stall_first(200), spill, None);
+        (t, dir)
     }
 
     /// Every end of a frame's life on a non-durable tenant hands its
     /// buffer back: analysed, a wild-tid frame counted lost, an injected
-    /// drain panic and I/O fault, and a push refused by a closed queue.
-    /// With a queue of 2 at most 4 buffers are ever out at once (2 queued,
-    /// one in the drain, one filling), so no spare is ever dropped and the
-    /// 1 000-frame stream allocates at most that many.
+    /// drain panic and I/O fault. A frame refused by a closed ring is
+    /// counted lost. With a ring of 2 the 1 000-frame stream never holds
+    /// more than 2 buffers.
     #[test]
     fn every_end_of_a_frames_life_recycles_its_buffer() {
         use lc_faults::{FaultPlan, FaultRule};
@@ -626,52 +623,36 @@ pub(super) mod tests {
         }));
         let t = Tenant::spawn("t".into(), pipeline(), QUEUE, Some(inj), None, None);
         let mut wild = 0;
+        let mut buf = Frame::new();
         for i in 0..1000u64 {
-            let mut f = spare_filled(&t, i * 8, 8);
+            buf.clear();
+            buf.extend(frame(i * 8, 8));
             if i % 97 == 13 {
-                f[5].event.tid = 9;
+                buf[5].event.tid = 9;
                 wild += 1;
             }
-            t.enqueue(f);
-            assert!(spares(&t) <= SPARE_FRAMES);
+            t.enqueue(&mut buf);
         }
         assert!(t.wait_quiet(Duration::from_secs(30)));
         assert_ledger_balances(&t);
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), wild + 2);
+        assert!(grown_buffers(&t, QUEUE).len() <= QUEUE);
         t.shutdown();
         for i in 0..3u64 {
-            t.enqueue(spare_filled(&t, i * 8, 8));
+            t.enqueue(&mut frame(i * 8, 8));
         }
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), wild + 5);
         assert_ledger_balances(&t);
-        let fresh = t.fresh_buffers.load(Ordering::Relaxed) as usize;
-        assert!(fresh <= QUEUE + 2, "{fresh} buffers for 1 003 frames");
-        assert!(fresh <= SPARE_FRAMES + QUEUE + 1);
-        assert_eq!(spares(&t), fresh, "a quiet tenant holds every buffer");
     }
 
-    /// A durable tenant whose drain stalls spills the overflow: the spill
-    /// hands each buffer straight back, catch-up replays the spool, and
-    /// the ledger balances with nothing left spilled.
+    /// A durable tenant whose drain stalls spills the overflow, catch-up
+    /// replays the spool, and the ledger balances with nothing left
+    /// spilled and no more than `SPARE_FRAMES` buffers kept.
     #[test]
     fn spilled_frames_recycle_their_buffers() {
-        use lc_faults::{FaultPlan, FaultRule};
-        const QUEUE: usize = 1;
-        let dir = std::env::temp_dir().join(format!("lc_spare_spill_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let inj = Arc::new(FaultInjector::new(FaultPlan {
-            seed: 0,
-            rules: vec![FaultRule::once(
-                FaultSite::TenantFlush,
-                FaultAction::Stall { ms: 200 },
-                0,
-            )],
-        }));
-        let spill = SpillWriter::new(dir.clone(), None);
-        let t = Tenant::spawn("t".into(), pipeline(), QUEUE, Some(inj), Some(spill), None);
+        let (t, dir) = stalled_durable("spill", 1);
         for i in 0..1000u64 {
-            t.enqueue(spare_filled(&t, i * 8, 8));
-            assert!(spares(&t) <= SPARE_FRAMES);
+            t.enqueue(&mut frame(i * 8, 8));
         }
         assert!(t.wait_quiet(Duration::from_secs(30)));
         assert!(t.stats.frames_spilled_total.load(Ordering::Relaxed) > 0);
@@ -679,29 +660,51 @@ pub(super) mod tests {
         assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 0);
         assert_eq!(t.snapshot().events, 8000);
         assert_ledger_balances(&t);
-        let fresh = t.fresh_buffers.load(Ordering::Relaxed) as usize;
-        assert!(fresh <= SPARE_FRAMES + QUEUE + 1, "{fresh} buffers");
+        assert!(grown_buffers(&t, 1).len() <= SPARE_FRAMES);
         t.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The spare list never grows past its cap, and an outsized buffer is
-    /// dropped rather than kept.
+    /// The drain must not wait on an empty ring while a spill is pending:
+    /// here the last frame spills (the one buffer is in the stalled
+    /// drain) and nothing arrives after it, so only the drain's own check
+    /// after its recycle can replay it.
+    #[test]
+    fn a_spill_after_the_last_frame_is_replayed_without_more_traffic() {
+        let (t, dir) = stalled_durable("last", 1);
+        t.enqueue(&mut frame(0, 8));
+        while t.queue_len() != 0 {
+            std::thread::yield_now(); // the drain holds the only buffer
+        }
+        t.enqueue(&mut frame(8, 8));
+        assert_eq!(t.stats.frames_spilled_total.load(Ordering::Relaxed), 1);
+        assert!(
+            t.wait_quiet(Duration::from_secs(10)),
+            "the spill was never replayed"
+        );
+        assert_eq!(t.stats.frames_spilled.load(Ordering::Relaxed), 0);
+        assert_eq!(t.snapshot().events, 16);
+        assert_ledger_balances(&t);
+        t.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// After a burst that fills the ring, a quiet tenant keeps at most
+    /// `SPARE_FRAMES` grown buffers, and none past `SPARE_MAX_EVENTS`
+    /// events, however many buffers the ring has.
     #[test]
     fn spares_are_capped_and_outsized_buffers_dropped() {
-        let t = Tenant::spawn("t".into(), pipeline(), 4, None, None, None);
-        t.recycle(Vec::with_capacity(SPARE_MAX_EVENTS + 1));
-        assert_eq!(spares(&t), 0);
-        for _ in 0..3 * SPARE_FRAMES {
-            t.recycle(Vec::with_capacity(16));
+        const QUEUE: usize = 16;
+        let t = Tenant::spawn("t".into(), pipeline(), QUEUE, stall_first(100), None, None);
+        t.enqueue(&mut frame(0, SPARE_MAX_EVENTS as u64 + 1));
+        for i in 0..3 * QUEUE as u64 {
+            t.enqueue(&mut frame(100_000 + i * 8, 8));
         }
-        assert_eq!(spares(&t), SPARE_FRAMES);
-        for _ in 0..SPARE_FRAMES {
-            assert!(t.spare_frame().capacity() >= 16);
-        }
-        assert_eq!(t.fresh_buffers.load(Ordering::Relaxed), 0);
-        assert_eq!(t.spare_frame().capacity(), 0);
-        assert_eq!(t.fresh_buffers.load(Ordering::Relaxed), 1);
+        assert!(t.wait_quiet(Duration::from_secs(30)));
+        assert_eq!(t.stats.frames_lost.load(Ordering::Relaxed), 0);
+        let grown = grown_buffers(&t, QUEUE);
+        assert!(grown.len() <= SPARE_FRAMES, "{grown:?}");
+        assert!(grown.iter().all(|&c| c <= SPARE_MAX_EVENTS), "{grown:?}");
         t.shutdown();
     }
 }

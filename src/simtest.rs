@@ -1,7 +1,8 @@
 //! Model-checking scenarios for the concurrency core.
 //!
 //! Each scenario is a closed concurrent program over the signature memory,
-//! the loop-matrix registry, the serve queue or checkpoint publication,
+//! the loop-matrix registry, the bounded hand-off ring under every worker
+//! (`lc_trace::handoff`) or checkpoint publication,
 //! built to run under the [`lc_sched`] deterministic scheduler: worker
 //! threads are [`lc_sched::spawn`]ed, every logical operation is annotated
 //! into the runtime's serialized op log, and after joining, the scenario
@@ -18,8 +19,10 @@
 use std::sync::Arc;
 
 use lc_profiler::LoopRegistry;
+use lc_sched::sync::{AtomicU64, Ordering};
 use lc_sigmem::murmur::fmix64;
 use lc_sigmem::{PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature};
+use lc_trace::handoff;
 
 /// Op-log record kinds (`data[0]` of [`lc_sched::annotate`]).
 mod op {
@@ -30,18 +33,23 @@ mod op {
     /// `[LOOP_INSERT, loop_id, published, bytes]` — one registry insert
     /// and the bytes added to its loop's cell.
     pub const LOOP_INSERT: u64 = 4;
-    /// `[Q_PUSH, frame_id, 0, 0]` — ingest queue accepted a frame.
+    /// `[Q_PUSH, frame_id, 0, 0]` — the ring accepted a frame.
     pub const Q_PUSH: u64 = 5;
-    /// `[Q_FULL, frame_id, 0, 0]` — ingest queue refused a frame (full).
+    /// `[Q_FULL, frame_id, 0, 0]` — the ring had no free buffer.
     pub const Q_FULL: u64 = 6;
-    /// `[Q_POP, frame_id, 0, 0]` — drain popped a frame.
+    /// `[Q_POP, frame_id, 0, 0]` — the drain received a frame.
     pub const Q_POP: u64 = 7;
     /// `[CP_OBSERVE, which, len, 0]` — a reader observed the checkpoint
     /// file (`which`: 0 = old, 1 = new, 2 = torn/other).
     pub const CP_OBSERVE: u64 = 8;
-    /// `[Q_IDLE, analyzed, 0, 0]` — a scraper found the queue idle after
-    /// seeing `analyzed` frames analysed.
+    /// `[Q_IDLE, analyzed, 0, 0]` — a scraper found every ring buffer
+    /// home after seeing `analyzed` frames analysed.
     pub const Q_IDLE: u64 = 9;
+    /// `[RING_SENT, filler, k, 0]` — filler `filler`'s `k`-th send
+    /// succeeded.
+    pub const RING_SENT: u64 = 10;
+    /// `[RING_RECV, filler, k, 0]` — the drainer received it.
+    pub const RING_RECV: u64 = 11;
 }
 
 /// A named model-checking scenario.
@@ -107,21 +115,30 @@ pub fn scenarios() -> &'static [Scenario] {
         },
         Scenario {
             name: "ingest",
-            about: "bounded serve queue: producer try_push racing a drain \
-                    try_pop at capacity 2; oracle: popped ids are exactly \
-                    the accepted ids, FIFO",
+            about: "a durable tenant's producer: try_empty + send into a \
+                    2-buffer ring racing the drain's recv/recycle; oracle: \
+                    received ids are exactly the accepted ids, FIFO",
             default_preemption_bound: Some(2),
             catchable_mutants: &["ingest-drop-contended-frame"],
             run: ingest_scenario,
         },
         Scenario {
             name: "quiesce",
-            about: "a drain pops, analyses and finishes 2 frames while a \
-                    scraper polls the serve queue's idle check; oracle: an \
-                    idle queue has every pushed frame analysed",
+            about: "a drain receives, analyses and recycles 2 frames while \
+                    a scraper polls the ring's every-buffer-home check; \
+                    oracle: all home means every sent frame analysed",
             default_preemption_bound: Some(2),
             catchable_mutants: &["queue-idle-when-empty"],
             run: quiesce_scenario,
+        },
+        Scenario {
+            name: "handoff",
+            about: "2 fillers x 1 drainer on a 1-buffer ring, one filler \
+                    closing it racing the other's sends; oracle: no loss, \
+                    no duplication, FIFO per filler, at most 1 buffer out",
+            default_preemption_bound: Some(1),
+            catchable_mutants: &["ring-lost-wakeup", "ring-recycle-before-consumed"],
+            run: handoff_scenario,
         },
         Scenario {
             name: "checkpoint",
@@ -368,115 +385,83 @@ fn registry_scenario() {
     }
 }
 
-/// The serve ingest seam: a producer `try_push`es 3 frames into a
-/// capacity-2 [`FrameQueue`] while a drain thread `try_pop`s, then the
-/// main thread drains the leftovers after both join. Annotations are tied
-/// to the outcome each caller *observed* (accepted / full / popped), and
-/// pops are serialized (one popper at a time), so the log's `Q_POP`
-/// subsequence is the true dequeue order. Oracle: the popped ids are
-/// exactly the accepted ids in FIFO order, and the queue's own counters
-/// agree — an accepted-but-never-delivered frame (the
+/// The serve ingest seam of a durable tenant: a producer offers 3 frames
+/// to a 2-buffer [`handoff::ring`], each through `try_empty` + `send`
+/// (no buffer free: refused, as the tenant then spills), while a drain
+/// thread receives and recycles until the producer's end closes.
+/// Annotations are tied to the outcome each caller *observed*, and there
+/// is one receiver, so the log's `Q_POP` subsequence is the true receive
+/// order. Oracle: the received ids are exactly the accepted ids in FIFO
+/// order — an accepted-but-never-delivered frame (the
 /// `ingest-drop-contended-frame` mutant turns lock contention into
 /// exactly that) breaks it.
 fn ingest_scenario() {
-    use crate::serve::queue::{FrameQueue, PushError};
-
-    let q = Arc::new(FrameQueue::new(2));
-    let producer = {
-        let q = Arc::clone(&q);
-        lc_sched::spawn(move || {
-            for id in 1..=3u64 {
-                match q.try_push(id) {
-                    Ok(()) => lc_sched::annotate([op::Q_PUSH, id, 0, 0]),
-                    Err(PushError::Full(_)) => lc_sched::annotate([op::Q_FULL, id, 0, 0]),
-                    Err(PushError::Closed(_)) => unreachable!("queue is never closed here"),
-                }
+    let (tx, rx) = handoff::ring::<u64>(2, 2);
+    let producer = lc_sched::spawn(move || {
+        for id in 1..=3u64 {
+            if tx.try_empty().is_none() {
+                lc_sched::annotate([op::Q_FULL, id, 0, 0]);
+            } else if tx.send(id).is_ok() {
+                lc_sched::annotate([op::Q_PUSH, id, 0, 0]);
+            } else {
+                unreachable!("the ring closes only when the producer is done");
             }
-        })
-    };
-    let drain = {
-        let q = Arc::clone(&q);
-        lc_sched::spawn(move || {
-            for _ in 0..3 {
-                if let Some(id) = q.try_pop() {
-                    lc_sched::annotate([op::Q_POP, id, 0, 0]);
-                }
-            }
-        })
-    };
+        }
+    });
+    let drain = lc_sched::spawn(move || {
+        while let Some(id) = rx.recv() {
+            lc_sched::annotate([op::Q_POP, id, 0, 0]);
+            rx.recycle(id);
+        }
+    });
     producer.join();
     drain.join();
-    // Leftover frames drain here, with no concurrency: pop order stays
-    // the true order.
-    while let Some(id) = q.try_pop() {
-        lc_sched::annotate([op::Q_POP, id, 0, 0]);
-    }
-    let log = lc_sched::op_log();
-    let accepted: Vec<u64> = log
-        .iter()
-        .filter(|(_, d)| d[0] == op::Q_PUSH)
-        .map(|(_, d)| d[1])
-        .collect();
-    let refused: Vec<u64> = log
-        .iter()
-        .filter(|(_, d)| d[0] == op::Q_FULL)
-        .map(|(_, d)| d[1])
-        .collect();
-    let popped: Vec<u64> = log
-        .iter()
-        .filter(|(_, d)| d[0] == op::Q_POP)
-        .map(|(_, d)| d[1])
-        .collect();
+    let (accepted, refused) = (logged(op::Q_PUSH), logged(op::Q_FULL));
+    let popped = logged(op::Q_POP);
     assert_eq!(
         accepted.len() + refused.len(),
         3,
-        "every push attempt resolved exactly once"
+        "every offer resolved exactly once"
     );
     assert_eq!(
         popped, accepted,
         "delivered frames must be exactly the accepted frames, in FIFO \
          order (an accepted frame that never arrives is a dropped frame)"
     );
-    assert_eq!(q.pushed(), accepted.len() as u64, "push counter honest");
-    assert_eq!(q.popped(), popped.len() as u64, "pop counter honest");
-    assert!(q.is_empty(), "nothing left behind");
 }
 
-/// The serve quiescence seam: 2 frames are queued, a drain thread pops
-/// each, counts it analysed (a facade atomic) and calls
-/// [`FrameQueue::done`], while a scraper polls
-/// [`FrameQueue::is_idle`] — what `Tenant::quiet` asks before a
-/// `?wait=1` report or a metrics scrape reads totals. Each idle reading is
-/// logged with the analysed count it then sees. Oracle: every idle
-/// reading saw both frames analysed. The `queue-idle-when-empty` mutant
-/// answers with queue emptiness instead, and a scrape interleaved between
-/// a pop and its analysis catches it.
-///
-/// [`FrameQueue::done`]: crate::serve::queue::FrameQueue::done
-/// [`FrameQueue::is_idle`]: crate::serve::queue::FrameQueue::is_idle
+/// The serve quiescence seam: 2 frames are sent into a 2-buffer ring, a
+/// drain thread receives each, counts it analysed (a shim atomic) and
+/// recycles it, while a scraper polls [`handoff::Filler::all_home`] —
+/// what `Tenant::quiet` asks before a `?wait=1` report or a metrics
+/// scrape reads totals. Each all-home reading is logged with the analysed
+/// count it then sees. Oracle: every such reading saw both frames
+/// analysed. The `queue-idle-when-empty` mutant answers "nothing waits to
+/// be received" instead, and a scrape between a receive and its analysis
+/// catches it.
 fn quiesce_scenario() {
-    use crate::serve::queue::FrameQueue;
-    use crate::serve::sync::{AtomicU64, Ordering};
-
-    let q = Arc::new(FrameQueue::new(2));
+    let (tx, rx) = handoff::ring::<u64>(2, 2);
     for id in 1..=2u64 {
-        q.try_push(id).expect("capacity 2 holds both frames");
+        tx.empty().expect("2 buffers hold both frames");
+        assert!(tx.send(id).is_ok());
     }
     let analyzed = Arc::new(AtomicU64::new(0));
     let drain = {
-        let (q, analyzed) = (Arc::clone(&q), Arc::clone(&analyzed));
+        let analyzed = Arc::clone(&analyzed);
         lc_sched::spawn(move || {
-            while q.try_pop().is_some() {
+            for _ in 0..2 {
+                let id = rx.recv().expect("2 frames sent");
                 analyzed.fetch_add(1, Ordering::AcqRel);
-                q.done();
+                rx.recycle(id);
             }
         })
     };
+    let tx = Arc::new(tx);
     let scraper = {
-        let (q, analyzed) = (Arc::clone(&q), Arc::clone(&analyzed));
+        let (tx, analyzed) = (Arc::clone(&tx), Arc::clone(&analyzed));
         lc_sched::spawn(move || {
             for _ in 0..2 {
-                if q.is_idle() {
+                if tx.all_home() {
                     let seen = analyzed.load(Ordering::Acquire);
                     lc_sched::annotate([op::Q_IDLE, seen, 0, 0]);
                 }
@@ -489,11 +474,84 @@ fn quiesce_scenario() {
         if data[0] == op::Q_IDLE {
             assert_eq!(
                 data[1], 2,
-                "the queue read idle with a popped frame not yet analysed"
+                "every buffer read home with a received frame not yet analysed"
             );
         }
     }
-    assert!(q.is_idle(), "every frame finished after the drain joined");
+    assert!(tx.all_home(), "every frame finished after the drain joined");
+}
+
+/// The hand-off itself: two fillers share one end of a 1-buffer
+/// [`handoff::ring`] — filler 0 sends twice, filler 1 once and then
+/// closes the ring, racing filler 0 — and one drainer receives until the
+/// ring is closed and empty. Filler `f`'s `k`-th successful send and its
+/// receipt are logged as `(f, k)`. A shim counter holds the buffers
+/// between a filler's take and the drainer's finish with it. Oracle:
+/// what was received is exactly what was sent (no loss, no duplication),
+/// in each filler's send order, and the counter never passes the ring's
+/// one buffer. The `ring-lost-wakeup` mutant leaves the drainer parked
+/// while both fillers wait for the buffer it should have drained — a
+/// deadlock; `ring-recycle-before-consumed` lets a filler take a second
+/// buffer while the drainer still holds the first.
+fn handoff_scenario() {
+    let (tx, rx) = handoff::ring::<u64>(1, 1);
+    let tx = Arc::new(tx);
+    let held = Arc::new(AtomicU64::new(0));
+    let filler = |f: u64, sends: u64| {
+        let (tx, held) = (Arc::clone(&tx), Arc::clone(&held));
+        lc_sched::spawn(move || {
+            for k in 0..sends {
+                if tx.empty().is_none() {
+                    break;
+                }
+                let out = held.fetch_add(1, Ordering::AcqRel) + 1;
+                assert!(out <= 1, "{out} buffers out of a 1-buffer ring");
+                if tx.send((f << 8) | k).is_err() {
+                    held.fetch_sub(1, Ordering::AcqRel);
+                    break;
+                }
+                lc_sched::annotate([op::RING_SENT, f, k, 0]);
+            }
+            if f == 1 {
+                tx.close();
+            }
+        })
+    };
+    let fillers = [filler(0, 2), filler(1, 1)];
+    let drainer = {
+        let held = Arc::clone(&held);
+        lc_sched::spawn(move || {
+            while let Some(id) = rx.recv() {
+                lc_sched::annotate([op::RING_RECV, id >> 8, id & 0xff, 0]);
+                held.fetch_sub(1, Ordering::AcqRel);
+                rx.recycle(id);
+            }
+        })
+    };
+    for f in fillers {
+        f.join();
+    }
+    drainer.join();
+    // A stable sort by filler keeps each filler's own order.
+    let by_filler = |kind: u64| {
+        let mut v = logged(kind);
+        v.sort_by_key(|&(f, _)| f);
+        v
+    };
+    assert_eq!(
+        by_filler(op::RING_RECV),
+        by_filler(op::RING_SENT),
+        "each filler's sends must be received exactly once, in its order"
+    );
+    assert!(tx.all_home(), "every buffer home once the drainer is done");
+}
+
+/// The op-log records of `kind` in log order, as `(data[1], data[2])`.
+fn logged(kind: u64) -> Vec<(u64, u64)> {
+    (lc_sched::op_log().into_iter())
+        .filter(|(_, d)| d[0] == kind)
+        .map(|(_, d)| (d[1], d[2]))
+        .collect()
 }
 
 /// The checkpoint publication seam: a writer replaces an existing
@@ -506,7 +564,6 @@ fn quiesce_scenario() {
 /// rewrites the file in place in two halves with a scheduling point
 /// between them, and a reader interleaved there sees a torn prefix.
 fn checkpoint_scenario() {
-    use crate::serve::sync::{AtomicU64, Ordering};
     use lc_faults::FaultSite;
     use lc_profiler::write_atomic_blob;
 

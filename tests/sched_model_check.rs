@@ -1,15 +1,17 @@
 //! Bounded model checking of the concurrency core (ISSUE 5 tentpole).
 //!
 //! Drives the [`loopcomm::simtest`] scenarios — the slot signature, the
-//! loop-matrix registry, the serve queue and checkpoint publication —
+//! loop-matrix registry, the bounded hand-off ring under `serve`'s
+//! tenants and the other workers, and checkpoint publication —
 //! through the [`lc_sched`] deterministic scheduler: exhaustive DFS over
 //! schedule decision points (with a preemption bound where the space is
 //! large) and seeded random exploration, with every explored interleaving
 //! validated in-scenario against the perfect oracle. Also proves the
-//! harness has teeth: five deliberately seeded mutants (a lost-update bit
-//! set, a blind registry publish, a dropped contended frame, an idle check
-//! blind to a popped frame, a torn checkpoint write) are each caught, and
-//! the failing schedule replays from its decision trace.
+//! harness has teeth: seven deliberately seeded mutants (a lost-update
+//! bit set, a blind registry publish, a dropped contended frame, an idle
+//! check blind to a received frame, a lost ring wake-up, a buffer counted
+//! home before it is consumed, a torn checkpoint write) are each caught,
+//! and the failing schedule replays from its decision trace.
 //!
 //! Runs under plain `cargo test` (`--test sched_model_check` to select
 //! it): `sched` is not a default feature, but the root package's self
@@ -96,6 +98,11 @@ fn ingest_queue_producer_racing_drain_is_exhaustively_fifo() {
 #[test]
 fn quiesce_idle_check_never_hides_a_popped_frame() {
     assert_clean_and_multi_schedule("quiesce");
+}
+
+#[test]
+fn handoff_fillers_racing_close_lose_and_duplicate_nothing() {
+    assert_clean_and_multi_schedule("handoff");
 }
 
 #[test]
@@ -202,6 +209,25 @@ fn dropped_contended_frame_mutant_is_caught_via_ingest_fifo_oracle() {
 #[test]
 fn idle_when_empty_mutant_is_caught_via_quiesce_oracle() {
     assert_mutant_caught("quiesce", "queue-idle-when-empty");
+}
+
+/// A send that does not wake the parked drainer leaves every thread
+/// blocked: the runtime's deadlock check, not the oracle, catches it.
+#[test]
+fn lost_wakeup_mutant_is_caught_as_a_deadlock_via_handoff() {
+    assert_mutant_caught("handoff", "ring-lost-wakeup");
+    let scenario = simtest::find("handoff").expect("scenario registered");
+    let report = Explorer::new(mutant_cfg("handoff", "ring-lost-wakeup"))
+        .explore_exhaustive(|| scenario.run());
+    assert_eq!(
+        report.violation.expect("caught").kind,
+        ViolationKind::Deadlock
+    );
+}
+
+#[test]
+fn recycle_before_consumed_mutant_is_caught_via_handoff_bound() {
+    assert_mutant_caught("handoff", "ring-recycle-before-consumed");
 }
 
 #[test]

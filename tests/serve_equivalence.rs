@@ -242,6 +242,61 @@ fn tiny_frames_do_not_change_the_report() {
     server.shutdown();
 }
 
+/// `--queue-frames 1`: each tenant's ring has one frame buffer. One
+/// socket write carrying every frame of a trace (16-event frames, so a
+/// 64 KiB read holds dozens), and separately two tenants streaming at
+/// once, both end with reports byte-identical to offline analysis. A
+/// decoder that took a buffer for every whole frame of a read before
+/// handing any over would wait for a second buffer forever.
+#[test]
+fn a_one_buffer_ring_takes_many_frames_per_write_and_concurrent_connections() {
+    let mut server = Server::start(ServeConfig {
+        listen: vec!["127.0.0.1:0".into()],
+        http: Some("127.0.0.1:0".into()),
+        sig: SignatureConfig::paper_default(SLOTS, THREADS),
+        prof: ProfilerConfig::nested(THREADS),
+        queue_frames: 1,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = server.ingest_addrs()[0].clone();
+    let http = server.http_addr().unwrap().to_string();
+
+    let burst = record_workload("radix", 4, 7);
+    let mut bytes = lc_trace::wire::encode_hello("burst");
+    lc_trace::write_trace_spool(&burst, &mut bytes, 16).expect("encode");
+    assert!(burst.len() >= 3 * 16, "at least three whole frames");
+    let mut sock = TcpStream::connect(&addr).expect("connect");
+    sock.write_all(&bytes).expect("one write");
+    drop(sock);
+
+    let pair = [
+        ("fft", record_workload("fft", 4, 11)),
+        ("lu_cb", record_workload("lu_cb", 8, 3)),
+    ];
+    std::thread::scope(|s| {
+        for (tenant, trace) in &pair {
+            let addr = &addr;
+            s.spawn(move || stream_trace(trace, addr, tenant, 64, None).expect("stream"));
+        }
+    });
+    for (tenant, trace) in [
+        ("burst", &burst),
+        ("fft", &pair[0].1),
+        ("lu_cb", &pair[1].1),
+    ] {
+        wait_tenant_quiet(&server, tenant);
+        let (status, live) = http_get(&http, &format!("/tenants/{tenant}/report?wait=1"));
+        assert_eq!(status, 200, "{tenant}");
+        assert_eq!(
+            live,
+            offline_canonical(trace, DetectorKind::Asymmetric, 1),
+            "{tenant}: one frame buffer must not change the report"
+        );
+    }
+    server.shutdown();
+}
+
 /// `/metrics` and `/tenants/<t>/stats` are scraped periodically, under the
 /// coherence mutex the drain thread feeds through: they must read the
 /// O(threads × slots) totals, never take a full report — and the totals

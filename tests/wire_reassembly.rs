@@ -11,8 +11,9 @@
 //!    frames/events/dropped-bytes accounting match [`salvage_stream`]
 //!    (the file-side recovery the spool format guarantees) on the same
 //!    bytes — the longest valid whole-frame prefix, no more, no less;
-//! 4. recycled buffers are invisible: decoding into dirty spares
-//!    ([`FrameDecoder::feed_with`]) yields what fresh buffers yield.
+//! 4. recycled buffers are invisible: decoding into dirty spares, each
+//!    frame handed off as it is decoded ([`FrameDecoder::feed_with`]),
+//!    yields what fresh buffers yield.
 
 use lc_trace::event::{AccessEvent, AccessKind, FuncId, LoopId, StampedEvent};
 use lc_trace::{
@@ -74,9 +75,10 @@ fn decode_chunked(bytes: &[u8], chunk_sizes: &[usize]) -> (WireSummary, Vec<Stam
     (dec.finish(), events)
 }
 
-/// Feed `bytes` in chunks cycling through `chunk_sizes`, each frame
-/// decoded into a buffer `spare` supplies; returns the summary and the
-/// frames as emitted. Emitted buffers go back through `recycle`.
+/// Feed `bytes` in chunks cycling through `chunk_sizes`, decoding into a
+/// buffer `spare` supplies; returns the summary and the frames as
+/// emitted. Each frame is handed off as it is decoded: its buffer goes
+/// back through `recycle` and `spare` supplies the next one.
 fn decode_frames(
     bytes: &[u8],
     chunk_sizes: &[usize],
@@ -84,14 +86,13 @@ fn decode_frames(
     mut recycle: impl FnMut(Vec<StampedEvent>),
 ) -> (WireSummary, Vec<Vec<StampedEvent>>) {
     let mut dec = FrameDecoder::new();
-    let mut out = Vec::new();
+    let mut frame = spare();
     let mut frames = Vec::new();
     for piece in chunk_pieces(bytes, chunk_sizes) {
-        dec.feed_with(piece, &mut out, &mut spare);
-        for f in out.drain(..) {
+        dec.feed_with(piece, &mut frame, |f| {
             frames.push(f.clone());
-            recycle(f);
-        }
+            recycle(std::mem::replace(f, spare()));
+        });
     }
     (dec.finish(), frames)
 }
