@@ -43,9 +43,6 @@ use crate::cache::{Cache, CacheConfig, Mesi};
 /// Directory sharer masks are 64-bit; the backend refuses larger fleets.
 pub const MAX_COHERENCE_THREADS: usize = 64;
 
-/// Sentinel for "no writer yet" in the per-word last-writer array.
-const NO_WRITER: u32 = u32::MAX;
-
 /// Word granularity of producer attribution, in bytes. Matches the
 /// instrumentation layer's natural access grain (`TracedBuffer<u64>`).
 pub const WORD_BYTES: u64 = 8;
@@ -210,8 +207,7 @@ pub struct FsLine {
     /// Bitmask of threads involved in the line's false sharing.
     pub threads: u64,
     /// The first four distinct addresses whose accesses triggered the
-    /// events: in arrival order while the backend runs, ascending in a
-    /// report.
+    /// events, ascending.
     addrs: [u64; FS_ADDR_SAMPLES],
     n_addrs: u8,
 }
@@ -223,33 +219,70 @@ impl FsLine {
         &self.addrs[..self.n_addrs as usize]
     }
 
-    /// Whether anything was charged to the line: every charge adds an
-    /// event or true bytes, so an all-zero entry is an untracked line.
-    fn is_charged(&self) -> bool {
-        self.events != 0 || self.true_bytes != 0
-    }
-
-    fn note_addr(&mut self, addr: u64) {
-        let n = self.n_addrs as usize;
-        if n < FS_ADDR_SAMPLES && !self.addrs[..n].contains(&addr) {
-            self.addrs[n] = addr;
-            self.n_addrs += 1;
+    /// The report row of one line's stats in one scope: the address
+    /// sample in ascending order.
+    fn from_parts(hot: &FsHot, sample: &FsSample) -> Self {
+        let n_addrs = (hot[EVENTS] >> SAMPLED_SHIFT) as u8;
+        let mut addrs = *sample;
+        addrs[..n_addrs as usize].sort_unstable();
+        Self {
+            events: hot[EVENTS] & ((1 << SAMPLED_SHIFT) - 1),
+            false_bytes: hot[FALSE_BYTES],
+            true_bytes: hot[TRUE_BYTES],
+            threads: hot[THREADS],
+            addrs,
+            n_addrs,
         }
     }
+}
 
-    /// `holder`'s copy died (or is being snapshotted) with the pending
-    /// words of `m`, written by `writers`, untouched.
-    fn charge_pending(&mut self, holder: usize, m: SlotMeta, writers: u64) {
-        self.events += 1;
-        self.false_bytes += m.pending_bytes();
-        self.threads |= (1 << holder) | writers;
-        self.note_addr(m.trigger_addr);
-    }
+/// The hot half of one line's false-sharing stats in one scope — what
+/// every charge bumps — as four words indexed by [`EVENTS`],
+/// [`FALSE_BYTES`], [`TRUE_BYTES`] and [`THREADS`]. The events word
+/// also holds the sample length, from bit [`SAMPLED_SHIFT`] up.
+type FsHot = [u64; 4];
+const EVENTS: usize = 0;
+const FALSE_BYTES: usize = 1;
+const TRUE_BYTES: usize = 2;
+const THREADS: usize = 3;
+/// Where the sample length starts in the events word: no run counts
+/// 2^61 events on one line.
+const SAMPLED_SHIFT: u32 = 61;
 
-    /// The report form: the address sample in ascending order.
-    fn sorted(mut self) -> Self {
-        self.addrs[..self.n_addrs as usize].sort_unstable();
-        self
+/// The cold half: the first four distinct trigger addresses, in arrival
+/// order. Written only until it holds four, so a line charged often
+/// stops reading it.
+type FsSample = [u64; FS_ADDR_SAMPLES];
+
+/// Both halves of one line's stats in one scope, copied.
+type FsStats = (FsHot, FsSample);
+
+/// Whether anything was charged to a line: every charge adds an event or
+/// true bytes, so all-zero stats are an untracked line.
+fn is_charged(hot: &FsHot) -> bool {
+    hot[EVENTS] != 0 || hot[TRUE_BYTES] != 0
+}
+
+/// One line's false-sharing stats in one scope, both halves.
+struct FsEntry<'a> {
+    hot: &'a mut FsHot,
+    sample: &'a mut FsSample,
+}
+
+impl FsEntry<'_> {
+    /// One false-sharing event: an invalidation (`false_bytes` 0) or a
+    /// pending-set flush, involving `threads` and triggered by an access
+    /// to `addr`.
+    #[inline]
+    fn event(&mut self, threads: u64, false_bytes: u64, addr: u64) {
+        self.hot[EVENTS] += 1;
+        self.hot[FALSE_BYTES] += false_bytes;
+        self.hot[THREADS] |= threads;
+        let n = (self.hot[EVENTS] >> SAMPLED_SHIFT) as usize;
+        if n < FS_ADDR_SAMPLES && !self.sample[..n].contains(&addr) {
+            self.sample[n] = addr;
+            self.hot[EVENTS] += 1 << SAMPLED_SHIFT;
+        }
     }
 }
 
@@ -531,45 +564,211 @@ impl Hasher for MulHash {
     }
 }
 
-/// Idealized full-map directory, struct-of-arrays over a dense per-line
-/// index assigned on first touch. `word_writer` and `touched` never reset
-/// on eviction — they mirror the RAW detector's signature memory, which
-/// also survives capacity pressure.
-#[derive(Default)]
+/// Thread id standing for "none" in a directory row's owner word and
+/// last-writer bytes; thread ids are below [`MAX_COHERENCE_THREADS`].
+const NO_TID: u8 = 0xFF;
+
+/// Word offsets in a directory row: the sharer mask, the Modified owner
+/// (`NO_TID` when none), the line's program-wide [`FsHot`], then the
+/// per-word state from [`TOUCHED`].
+const SHARERS: usize = 0;
+const OWNER: usize = 1;
+const FS: usize = 2;
+/// A row's per-word state: `words` toucher masks (the threads that
+/// accessed the word since its last write), then the words' last
+/// writers, one byte each (`NO_TID` when unwritten), eight to a `u64`.
+const TOUCHED: usize = FS + 4;
+
+/// Rows are a whole number of these, and start on one: a host cache line.
+const ROW_ALIGN_BYTES: usize = 64;
+const ROW_ALIGN_WORDS: usize = ROW_ALIGN_BYTES / 8;
+
+/// Last writer of word `w`, from a row's writer bytes.
+#[inline]
+fn writer(writers: &[u64], w: usize) -> u8 {
+    (writers[w / 8] >> (w % 8 * 8)) as u8
+}
+
+/// The word mask of the written words, from a row's writer bytes: a bit
+/// for each byte that is not `NO_TID`, eight bytes to a word at a time.
+#[inline]
+fn written(writers: &[u64]) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let mut mask = 0u64;
+    for (k, &bytes) in writers.iter().enumerate() {
+        // Each written byte of `!bytes` is non-zero: set its top bit, then
+        // gather the eight top bits into eight adjacent ones.
+        let x = !bytes;
+        let tops = (x | ((x & LOW7) + LOW7)) & !LOW7;
+        mask |= ((tops >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    mask
+}
+
+/// The word mask of words `w0..=w1`.
+#[inline]
+fn span_mask(w0: usize, w1: usize) -> u64 {
+    (u64::MAX >> (63 - w1)) & (u64::MAX << w0)
+}
+
+/// Prefetch the host cache line holding `r`.
+#[inline]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: in-bounds shared reference cast; prefetch has no memory
+    // effects beyond the cache.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch(
+            std::ptr::from_ref(r) as *const i8,
+            std::arch::x86_64::_MM_HINT_T0,
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// Idealized full-map directory: one row per line, by a dense index
+/// assigned on first touch, holding all a line-access reads of the line —
+/// its sharers, its Modified owner, each word's toucher mask and last
+/// writer, and its program-wide false-sharing counters (see [`SHARERS`]
+/// and the offsets after it). A row is a whole number of 64 B host cache
+/// lines and starts on one: two at 64 B lines. Word writer/toucher state
+/// never resets on eviction — it mirrors the RAW detector's signature
+/// memory, which also survives capacity pressure.
 struct Directory {
     /// Line number → dense index; probed once per line-access.
     index: HashMap<u64, u32, MulHash>,
     /// Dense index → line number (for report-time ordering).
     lines: Vec<u64>,
-    /// Bitmask of threads holding a valid copy (any MESI state).
-    sharers: Vec<u64>,
-    /// Thread holding the line Modified (`NO_WRITER` when none).
-    owner: Vec<u32>,
-    /// `[index × words + w]`: last writer of each 8-byte word
-    /// (`NO_WRITER` when unwritten).
-    word_writer: Vec<u32>,
-    /// `[index × words + w]`: threads that accessed the word since its
-    /// last write.
-    touched: Vec<u64>,
-    /// Program-wide false-sharing stats of each line, by dense index.
-    fs: Vec<FsLine>,
+    /// 8-byte words per line.
+    words: usize,
+    /// `u64`s per row.
+    stride: usize,
+    /// The rows, from `rows[base]` on, which is 64 B aligned.
+    rows: Vec<u64>,
+    base: usize,
+    /// The cold half of each line's program-wide stats, by dense index.
+    samples: Vec<FsSample>,
 }
 
 impl Directory {
-    fn index_of(&mut self, line: u64, words: usize) -> usize {
+    fn new(words: usize) -> Self {
+        let used = TOUCHED + words + words.div_ceil(8);
+        Self {
+            index: HashMap::default(),
+            lines: Vec::new(),
+            words,
+            stride: used.next_multiple_of(ROW_ALIGN_WORDS),
+            rows: Vec::new(),
+            base: 0,
+            samples: Vec::new(),
+        }
+    }
+
+    fn index_of(&mut self, line: u64) -> usize {
         if let Some(&d) = self.index.get(&line) {
             return d as usize;
         }
         let d = u32::try_from(self.lines.len()).expect("fewer than 2^32 distinct lines");
         self.index.insert(line, d);
         self.lines.push(line);
-        self.sharers.push(0);
-        self.owner.push(NO_WRITER);
-        self.word_writer
-            .resize(self.word_writer.len() + words, NO_WRITER);
-        self.touched.resize(self.touched.len() + words, 0);
-        self.fs.push(FsLine::default());
+        self.samples.push(FsSample::default());
+        self.push_row();
         d as usize
+    }
+
+    /// Append an empty row. A `Vec<u64>` is only 8 B aligned, so when it
+    /// must grow the rows move to a new one twice the size, from its first
+    /// 64 B aligned word on.
+    fn push_row(&mut self) {
+        if self.rows.len() + self.stride > self.rows.capacity() {
+            let mut grown =
+                Vec::with_capacity(2 * self.rows.capacity() + ROW_ALIGN_WORDS + self.stride);
+            let base = (grown.as_ptr() as usize).wrapping_neg() % ROW_ALIGN_BYTES / 8;
+            grown.resize(base, 0);
+            grown.extend_from_slice(&self.rows[self.base..]);
+            (self.rows, self.base) = (grown, base);
+        }
+        let start = self.rows.len();
+        self.rows.resize(start + self.stride, 0);
+        let row = &mut self.rows[start..];
+        row[OWNER] = NO_TID as u64;
+        row[TOUCHED + self.words..][..self.words.div_ceil(8)].fill(u64::MAX);
+    }
+
+    #[inline]
+    fn row(&self, d: usize) -> &[u64] {
+        &self.rows[self.base + d * self.stride..][..self.stride]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, d: usize) -> &mut [u64] {
+        &mut self.rows[self.base + d * self.stride..][..self.stride]
+    }
+
+    /// Prefetch every host cache line of row `d`.
+    #[inline]
+    fn prefetch_row(&self, d: usize) {
+        let row = self.base + d * self.stride;
+        for head in (row..row + self.stride).step_by(ROW_ALIGN_WORDS) {
+            prefetch(&self.rows[head]);
+        }
+    }
+
+    /// The program-wide false-sharing stats of line `d`.
+    #[inline]
+    fn fs_entry(&mut self, d: usize) -> FsEntry<'_> {
+        let at = self.base + d * self.stride + FS;
+        FsEntry {
+            hot: (&mut self.rows[at..at + 4]).try_into().expect("four words"),
+            sample: &mut self.samples[d],
+        }
+    }
+
+    /// A copy of what [`Self::fs_entry`] refers to.
+    fn fs(&self, d: usize) -> FsStats {
+        let hot = self.row(d)[FS..TOUCHED].try_into().expect("four words");
+        (hot, self.samples[d])
+    }
+
+    /// Words of line `d` a fill for thread `c` pulls in for nothing unless
+    /// it uses them: the written ones `c` has not accessed since their
+    /// last write — which leaves out `c`'s own writes, since a write sets
+    /// its word's toucher mask to the writer — outside `span`.
+    /// Line `d`'s per-word state: its toucher masks and its writer bytes.
+    #[inline]
+    fn words_of(&self, d: usize) -> (&[u64], &[u64]) {
+        let words = self.words;
+        self.row(d)[TOUCHED..][..words + words.div_ceil(8)].split_at(words)
+    }
+
+    #[inline]
+    fn words_of_mut(&mut self, d: usize) -> (&mut [u64], &mut [u64]) {
+        let words = self.words;
+        self.row_mut(d)[TOUCHED..][..words + words.div_ceil(8)].split_at_mut(words)
+    }
+
+    #[inline]
+    fn pending_mask(&self, d: usize, c: usize, span: u64) -> u64 {
+        let (touched, writers) = self.words_of(d);
+        let mut untouched = 0u64;
+        for (w, &t) in touched.iter().enumerate() {
+            untouched |= (!t >> c & 1) << w;
+        }
+        untouched & written(writers) & !span
+    }
+
+    /// Last writers of the `mask` words of line `d`.
+    #[inline]
+    fn writers_of(&self, d: usize, mask: u64) -> u64 {
+        let mut out = 0u64;
+        for (k, &bytes) in self.words_of(d).1.iter().enumerate() {
+            for j in 0..8 {
+                let wr = (bytes >> (8 * j)) as u8;
+                out |= (mask >> (8 * k + j) & (wr != NO_TID) as u64) << (wr & 63);
+            }
+        }
+        out
     }
 }
 
@@ -590,7 +789,31 @@ struct SlotMeta {
     trigger_addr: u64,
 }
 
+/// A [`SlotMeta`] as stored: `[dir | fill_loop << 32, mask,
+/// trigger_addr]`. No pending set is all-zero bytes, so the array is
+/// allocated zeroed and the slots a run never fills never become
+/// resident.
+type MetaWords = [u64; 3];
+const META_MASK: usize = 1;
+
 impl SlotMeta {
+    fn load(w: MetaWords) -> Self {
+        Self {
+            dir: w[0] as u32,
+            fill_loop: (w[0] >> 32) as u32,
+            mask: w[META_MASK],
+            trigger_addr: w[2],
+        }
+    }
+
+    fn store(self) -> MetaWords {
+        [
+            self.dir as u64 | (self.fill_loop as u64) << 32,
+            self.mask,
+            self.trigger_addr,
+        ]
+    }
+
     fn pending_bytes(&self) -> u64 {
         self.mask.count_ones() as u64 * WORD_BYTES
     }
@@ -599,35 +822,48 @@ impl SlotMeta {
 /// Lines per page of a loop's [`FsPages`].
 const FS_PAGE: usize = 64;
 
+/// One line's stats in one loop: the hot half and its sample in one 64 B
+/// host cache line, so the prefetched line serves a charge whether or not
+/// the sample is still filling.
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct FsCell {
+    hot: FsHot,
+    sample: FsSample,
+}
+
 /// One loop's per-line false-sharing stats, by directory index: fixed
 /// pages of [`FS_PAGE`] lines, each allocated when one of its lines is
 /// first charged in the loop.
 #[derive(Default)]
-struct FsPages(Vec<Option<Box<[FsLine; FS_PAGE]>>>);
+struct FsPages(Vec<Option<Box<[FsCell; FS_PAGE]>>>);
 
 impl FsPages {
     #[inline]
-    fn at(&mut self, d: usize) -> &mut FsLine {
+    fn at(&mut self, d: usize) -> FsEntry<'_> {
         let p = d / FS_PAGE;
         if p >= self.0.len() {
             self.0.resize_with(p + 1, || None);
         }
-        let page = self.0[p].get_or_insert_with(|| Box::new([FsLine::default(); FS_PAGE]));
-        &mut page[d % FS_PAGE]
+        let page = self.0[p].get_or_insert_with(|| Box::new([FsCell::default(); FS_PAGE]));
+        let cell = &mut page[d % FS_PAGE];
+        FsEntry {
+            hot: &mut cell.hot,
+            sample: &mut cell.sample,
+        }
     }
 
-    fn get(&self, d: usize) -> Option<&FsLine> {
-        self.0
-            .get(d / FS_PAGE)?
-            .as_ref()
-            .map(|page| &page[d % FS_PAGE])
+    /// Line `d`'s cell, if its page exists.
+    #[inline]
+    fn get(&self, d: usize) -> Option<&FsCell> {
+        Some(&self.0.get(d / FS_PAGE)?.as_ref()?[d % FS_PAGE])
     }
 
-    /// Every entry of the allocated pages as `(directory index, stats)`.
-    fn entries(&self) -> impl Iterator<Item = (usize, &FsLine)> {
+    /// Every cell of the allocated pages as `(directory index, stats)`.
+    fn entries(&self) -> impl Iterator<Item = (usize, FsStats)> + '_ {
         (self.0.iter().enumerate())
             .filter_map(|(p, page)| Some((p * FS_PAGE, page.as_ref()?)))
-            .flat_map(|(d0, page)| (d0..).zip(page.iter()))
+            .flat_map(|(d0, page)| (d0..).zip(page.iter().map(|c| (c.hot, c.sample))))
     }
 }
 
@@ -678,15 +914,44 @@ pub struct CoherenceTotals {
     pub false_sharing_events: u64,
 }
 
+/// Events [`CoherenceBackend::on_block`] resolves before simulating them.
+const TILE: usize = lc_trace::tile::TILE_EVENTS;
+
+/// How many events ahead of the simulated one [`CoherenceBackend::on_block`]
+/// prefetches the state a line-access reads — as far as the fused RAW
+/// detector looks ahead.
+const PREFETCH_AHEAD: usize = 8;
+
+/// An event's hashed lookups, done ahead of its simulation: the interned
+/// loop, and the directory index of its first line. `NOT_RESOLVED` in
+/// `lx` means the event has nothing in this backend; in `d`, that its
+/// first line is another shard's.
+#[derive(Clone, Copy)]
+struct Resolved {
+    lx: u32,
+    d: u32,
+}
+
+const NOT_RESOLVED: u32 = u32::MAX;
+
+impl Default for Resolved {
+    fn default() -> Self {
+        Self {
+            lx: NOT_RESOLVED,
+            d: NOT_RESOLVED,
+        }
+    }
+}
+
 /// Per-core MESI simulation over the instrumentation event stream. Not
 /// thread-safe by itself — wrap in [`SharedCoherence`] for sink use.
 ///
 /// One line-access touches only index-addressed state: a single probe of
 /// the requester's cache set, one hashed lookup of the line's directory
-/// index, and arrays indexed by slot, directory index or interned loop —
-/// a line's false-sharing stats included (DESIGN.md §16.1). Allocation
-/// happens only when a line or a loop is seen for the first time, or a
-/// loop is first charged on a page of lines.
+/// index, the line's directory row, and arrays indexed by slot or
+/// interned loop — a line's false-sharing stats included (DESIGN.md
+/// §16.1). Allocation happens only when a line or a loop is seen for the
+/// first time, or a loop is first charged on a page of lines.
 ///
 /// At most the loop cap ([`Self::with_loop_capacity`]) of distinct loops
 /// is interned; the accesses of any further loop count program-wide but
@@ -699,7 +964,6 @@ pub struct CoherenceTotals {
 pub struct CoherenceBackend {
     cfg: CoherenceConfig,
     threads: usize,
-    words: usize,
     /// This shard's index `k` and `log2` of the shard count `n`; a line
     /// belongs here when `line % n == k`, and its cache key is
     /// `line >> shift`.
@@ -707,7 +971,7 @@ pub struct CoherenceBackend {
     shift: u32,
     caches: Vec<Cache>,
     /// `[tid × slots + slot]`, parallel to the caches' slots.
-    meta: Vec<SlotMeta>,
+    meta: Vec<MetaWords>,
     dir: Directory,
     loop_index: HashMap<u64, u32, MulHash>,
     /// Interned loop → loop UID.
@@ -756,12 +1020,11 @@ impl CoherenceBackend {
         Self {
             cfg,
             threads,
-            words: cfg.words_per_line(),
             shard: k as u64,
             shift: n.trailing_zeros(),
             caches: (0..threads).map(|_| Cache::new(ccfg)).collect(),
-            meta: vec![SlotMeta::default(); threads * ccfg.sets * ccfg.ways],
-            dir: Directory::default(),
+            meta: vec![[0; 3]; threads * ccfg.sets * ccfg.ways],
+            dir: Directory::new(cfg.words_per_line()),
             loop_index: HashMap::default(),
             loop_ids: Vec::new(),
             loop_cap: AccumConfig::default().loop_capacity,
@@ -819,52 +1082,105 @@ impl CoherenceBackend {
 
     /// Observe one access in stream order.
     pub fn on_access(&mut self, ev: &AccessEvent) {
-        let tid = ev.tid as usize;
-        if tid >= self.threads {
+        let at = self.resolve(ev);
+        self.simulate(ev, at);
+    }
+
+    /// Observe a block of accesses — semantically one [`Self::on_access`]
+    /// per event, so reports are identical for any block split. Generic
+    /// over [`AsAccess`] to consume stamped serve frames without copying.
+    ///
+    /// A 256-event tile at a time, every event's hashed lookups are done
+    /// first, in stream order; then the tile is simulated, while the state
+    /// that the event eight places on will read is prefetched.
+    pub fn on_block<E: AsAccess>(&mut self, evs: &[E]) {
+        let mut resolved = [Resolved::default(); TILE];
+        for tile in evs.chunks(TILE) {
+            let at = &mut resolved[..tile.len()];
+            for (r, e) in at.iter_mut().zip(tile) {
+                *r = self.resolve(e.access());
+            }
+            for (k, e) in tile.iter().enumerate() {
+                if let Some(&ahead) = at.get(k + PREFETCH_AHEAD) {
+                    self.prefetch(ahead);
+                }
+                self.simulate(e.access(), at[k]);
+            }
+        }
+    }
+
+    /// The hashed lookups of `ev`: its interned loop when one of its lines
+    /// is this shard's, and its first line's directory index when that
+    /// one is. Loops are interned in stream order however the work is
+    /// split, so the loop cap drops the same loops.
+    #[inline]
+    fn resolve(&mut self, ev: &AccessEvent) -> Resolved {
+        let (first, last, _) = line_span(ev, self.cfg.line_bytes.trailing_zeros());
+        if ev.tid as usize >= self.threads || !(first..=last).any(|line| self.owns(line)) {
+            return Resolved::default();
+        }
+        Resolved {
+            lx: self.loop_ix(ev.loop_id) as u32,
+            d: if self.owns(first) {
+                self.dir.index_of(first) as u32
+            } else {
+                NOT_RESOLVED
+            },
+        }
+    }
+
+    /// Simulate `ev`, [resolved](Self::resolve) to `at`.
+    fn simulate(&mut self, ev: &AccessEvent, at: Resolved) {
+        if at.lx == NOT_RESOLVED {
             return;
         }
         let lb = self.cfg.line_bytes;
         let line_shift = lb.trailing_zeros();
         let (first, last, clamped) = line_span(ev, line_shift);
-        if self.owns(first) {
+        if at.d != NOT_RESOLVED {
             self.run.accesses += 1;
             self.clamped += clamped as u64;
         }
         let end = ev.addr.saturating_add(ev.size.max(1) as u64 - 1);
-        let mut lx = None;
         for line in first..=last {
             if !self.owns(line) {
                 continue;
             }
-            let lx = match lx {
-                Some(lx) => lx,
-                None => *lx.insert(self.loop_ix(ev.loop_id)),
-            };
             let base = line << line_shift;
             let lo = ev.addr.max(base) - base;
             let hi = end.min(base + (lb - 1)) - base;
             let rq = Req {
-                c: tid,
+                c: ev.tid as usize,
                 line: line >> self.shift,
-                d: self.dir.index_of(line, self.words),
-                lx,
+                d: if line == first {
+                    at.d as usize
+                } else {
+                    self.dir.index_of(line)
+                },
+                lx: at.lx as usize,
                 addr: ev.addr,
                 w0: (lo / WORD_BYTES) as usize,
                 w1: (hi / WORD_BYTES) as usize,
             };
             self.line_access(ev.kind, rq);
         }
-        if self.spill.is_some() && lx == self.spill {
+        if Some(at.lx as usize) == self.spill {
             self.dropped += 1;
         }
     }
 
-    /// Observe a block of accesses — semantically one [`Self::on_access`]
-    /// per event, so reports are identical for any block split. Generic
-    /// over [`AsAccess`] to consume stamped serve frames without copying.
-    pub fn on_block<E: AsAccess>(&mut self, evs: &[E]) {
-        for e in evs {
-            self.on_access(e.access());
+    /// Prefetch what a line-access [resolved](Self::resolve) to `at` reads
+    /// beyond its cache set: the line's directory row and its loop's stats
+    /// cell.
+    #[inline]
+    fn prefetch(&self, at: Resolved) {
+        if at.d == NOT_RESOLVED {
+            return;
+        }
+        let d = at.d as usize;
+        self.dir.prefetch_row(d);
+        if let Some(cell) = self.acc.fs[at.lx as usize].get(d) {
+            prefetch(cell);
         }
     }
 
@@ -884,9 +1200,8 @@ impl CoherenceBackend {
 
     /// Live pending sets of `tid` as `(line, slot metadata)`, in slot order.
     fn live_pending(&self, tid: usize) -> impl Iterator<Item = (u64, SlotMeta)> + '_ {
-        let slots = self.caches[tid].slots();
-        (0..slots).filter_map(move |slot| {
-            let m = self.meta[tid * slots + slot];
+        (0..self.caches[tid].slots()).filter_map(move |slot| {
+            let m = self.meta(tid, slot);
             let (line, _) = self.caches[tid].at(slot)?;
             (m.mask != 0).then_some((line, m))
         })
@@ -919,37 +1234,43 @@ impl CoherenceBackend {
         let mut loops = self.acc.loops.clone();
         // Copies of the per-line stats a live pending set lands on, keyed
         // `(scope, line)`: scope 0 is the whole program, `lx + 1` loop `lx`.
-        let mut overlay: BTreeMap<(usize, u64), FsLine> = BTreeMap::new();
+        let mut overlay: BTreeMap<(usize, u64), FsStats> = BTreeMap::new();
         for tid in 0..self.threads {
             let mut live: Vec<_> = self.live_pending(tid).collect();
             live.sort_unstable_by_key(|&(line, _)| line);
             for (_, m) in live {
                 let (d, lx) = (m.dir as usize, m.fill_loop as usize);
                 loops[lx].false_bytes += m.pending_bytes();
-                let writers = self.writer_mask(d, m.mask);
-                for (scope, base) in [(0, Some(&self.dir.fs[d])), (lx + 1, self.acc.fs[lx].get(d))]
-                {
-                    (overlay.entry((scope, self.dir.lines[d])))
-                        .or_insert_with(|| base.copied().unwrap_or_default())
-                        .charge_pending(tid, m, writers);
+                let threads = (1 << tid) | self.dir.writers_of(d, m.mask);
+                for (scope, base) in [
+                    (0, Some(self.dir.fs(d))),
+                    (lx + 1, self.acc.fs[lx].get(d).map(|c| (c.hot, c.sample))),
+                ] {
+                    let (hot, sample) = (overlay.entry((scope, self.dir.lines[d])))
+                        .or_insert_with(|| base.unwrap_or_default());
+                    FsEntry { hot, sample }.event(threads, m.pending_bytes(), m.trigger_addr);
                 }
             }
         }
         let mut overlay = overlay.into_iter().peekable();
-        let mut rows = |scope: usize, base: &mut dyn Iterator<Item = (usize, &FsLine)>| {
+        let mut rows = |scope: usize, base: &mut dyn Iterator<Item = (usize, FsStats)>| {
             let mut rows: FsRows = base
-                .filter(|(_, f)| f.is_charged())
-                .map(|(d, f)| (self.dir.lines[d], f.sorted()))
+                .filter(|(_, (hot, _))| is_charged(hot))
+                .map(|(d, (hot, sample))| (self.dir.lines[d], FsLine::from_parts(&hot, &sample)))
                 .collect();
             rows.sort_unstable_by_key(|&(line, _)| line);
             let mut patch = FsRows::new();
-            while let Some(((_, line), f)) = overlay.next_if(|((s, _), _)| *s == scope) {
-                patch.push((line, f.sorted()));
+            while let Some(((_, line), (hot, sample))) = overlay.next_if(|((s, _), _)| *s == scope)
+            {
+                patch.push((line, FsLine::from_parts(&hot, &sample)));
             }
             merge_rows(rows, patch)
         };
         let mut global = LoopCoh::new(self.threads);
-        global.lines = rows(0, &mut self.dir.fs.iter().enumerate());
+        global.lines = rows(
+            0,
+            &mut (0..self.dir.lines.len()).map(|d| (d, self.dir.fs(d))),
+        );
         for (lx, (lc, fs)) in loops.iter_mut().zip(&self.acc.fs).enumerate() {
             global.add_counts(lc);
             lc.lines = rows(lx + 1, &mut fs.entries());
@@ -1006,23 +1327,17 @@ impl CoherenceBackend {
 
     /// The false-sharing stats of line `d` program-wide and in loop `lx`.
     #[inline]
-    fn fs_lines(&mut self, lx: usize, d: usize) -> [&mut FsLine; 2] {
-        [&mut self.dir.fs[d], self.acc.fs[lx].at(d)]
+    fn fs_entries(&mut self, lx: usize, d: usize) -> [FsEntry<'_>; 2] {
+        [self.dir.fs_entry(d), self.acc.fs[lx].at(d)]
     }
 
-    /// Writers of the `mask` words of directory line `d`.
-    fn writer_mask(&self, d: usize, mask: u64) -> u64 {
-        let row = &self.dir.word_writer[d * self.words..][..self.words];
-        let mut writers = 0u64;
-        for (w, &wr) in row.iter().enumerate() {
-            if mask >> w & 1 == 1 && wr != NO_WRITER {
-                writers |= 1 << wr;
-            }
-        }
-        writers
+    #[inline]
+    fn meta(&self, tid: usize, slot: usize) -> SlotMeta {
+        SlotMeta::load(self.meta[tid * self.caches[tid].slots() + slot])
     }
 
-    fn meta_mut(&mut self, tid: usize, slot: usize) -> &mut SlotMeta {
+    #[inline]
+    fn meta_mut(&mut self, tid: usize, slot: usize) -> &mut MetaWords {
         let slots = self.caches[tid].slots();
         &mut self.meta[tid * slots + slot]
     }
@@ -1052,19 +1367,22 @@ impl CoherenceBackend {
                     }
                     None => {
                         self.bus(c, rq.lx, BusOp::RdX);
-                        self.count_fill(self.dir.sharers[d] & !(1u64 << c));
+                        self.count_fill(self.dir.row(d)[SHARERS] & !(1u64 << c));
                         self.invalidate_others(rq);
                         self.fill(rq, Mesi::Modified)
                     }
                 };
-                self.dir.sharers[d] = 1 << c;
-                self.dir.owner[d] = c as u32;
+                let row = self.dir.row_mut(d);
+                row[SHARERS] = 1 << c;
+                row[OWNER] = c as u64;
                 // First-touch attribution must see the *previous* word
                 // writers; the write's own updates come after.
                 self.attribute(rq, slot);
-                for w in d * self.words + rq.w0..=d * self.words + rq.w1 {
-                    self.dir.word_writer[w] = c as u32;
-                    self.dir.touched[w] = 1 << c;
+                let (touched, writers) = self.dir.words_of_mut(d);
+                for w in rq.w0..=rq.w1 {
+                    touched[w] = 1 << c;
+                    let (byte, shift) = (&mut writers[w / 8], w % 8 * 8);
+                    *byte = *byte & !(0xFF << shift) | (c as u64) << shift;
                 }
             }
         }
@@ -1082,14 +1400,15 @@ impl CoherenceBackend {
     fn read_fill(&mut self, rq: Req) -> usize {
         let Req { c, line, d, lx, .. } = rq;
         self.bus(c, lx, BusOp::Rd);
-        let others = self.dir.sharers[d] & !(1u64 << c);
-        let owner = self.dir.owner[d] as usize;
-        if owner != NO_WRITER as usize {
+        let row = self.dir.row(d);
+        let others = row[SHARERS] & !(1u64 << c);
+        let owner = row[OWNER];
+        if owner != NO_TID as u64 {
             // M holder flushes and downgrades to Shared.
-            self.caches[owner].set_state(line, Some(Mesi::Shared));
-            self.bus(owner, lx, BusOp::Wb);
+            self.caches[owner as usize].set_state(line, Some(Mesi::Shared));
+            self.bus(owner as usize, lx, BusOp::Wb);
             self.run.writebacks += 1;
-            self.dir.owner[d] = NO_WRITER;
+            self.dir.row_mut(d)[OWNER] = NO_TID as u64;
         } else {
             // No dirty owner, so holders are Exclusive or Shared: an
             // Exclusive one snoops the BusRd and downgrades.
@@ -1106,7 +1425,7 @@ impl CoherenceBackend {
         } else {
             Mesi::Shared
         };
-        self.dir.sharers[d] |= 1 << c;
+        self.dir.row_mut(d)[SHARERS] |= 1 << c;
         self.fill(rq, state)
     }
 
@@ -1119,38 +1438,28 @@ impl CoherenceBackend {
         if let Some((_, vstate)) = victim {
             self.evict(rq.c, slot, vstate, rq.lx);
         }
-        let row = rq.d * self.words;
-        let mut mask = 0u64;
-        for w in 0..self.words {
-            let writer = self.dir.word_writer[row + w];
-            if writer != NO_WRITER
-                && writer as usize != rq.c
-                && !(rq.w0..=rq.w1).contains(&w)
-                && self.dir.touched[row + w] >> rq.c & 1 == 0
-            {
-                mask |= 1 << w;
-            }
-        }
-        *self.meta_mut(rq.c, slot) = SlotMeta {
+        let meta = SlotMeta {
             dir: rq.d as u32,
             fill_loop: rq.lx as u32,
-            mask,
+            mask: (self.dir).pending_mask(rq.d, rq.c, span_mask(rq.w0, rq.w1)),
             trigger_addr: rq.addr,
         };
+        *self.meta_mut(rq.c, slot) = meta.store();
         slot
     }
 
     fn invalidate_others(&mut self, rq: Req) {
         let Req { c, line, d, lx, .. } = rq;
-        let row = d * self.words;
-        let mut victims = self.dir.sharers[d] & !(1u64 << c);
+        let row = self.dir.row(d);
+        let mut victims = row[SHARERS] & !(1u64 << c);
+        // An invalidation is false sharing when the victim touched none
+        // of the written words — it held the line for other data.
+        let span = &row[TOUCHED + rq.w0..=TOUCHED + rq.w1];
+        let span_touchers = span.iter().fold(0, |acc, &t| acc | t);
         while victims != 0 {
             let h = victims.trailing_zeros() as usize;
             victims &= victims - 1;
             self.run.invalidations += 1;
-            // False sharing: the written words intersect nothing the
-            // victim ever touched — it held the line for other data.
-            let true_sharing = (rq.w0..=rq.w1).any(|w| self.dir.touched[row + w] >> h & 1 == 1);
             let slot = self.caches[h]
                 .find(line)
                 .expect("a directory sharer holds the line");
@@ -1160,15 +1469,13 @@ impl CoherenceBackend {
                 self.bus(h, lx, BusOp::Wb);
                 self.run.writebacks += 1;
             }
-            let m = std::mem::take(self.meta_mut(h, slot));
+            let m = SlotMeta::load(std::mem::take(self.meta_mut(h, slot)));
             self.acc.loops[lx].invalidations.bump(c, h, 1);
-            if !true_sharing {
+            if span_touchers >> h & 1 == 0 {
                 self.acc.loops[lx].fs_invalidations += 1;
                 self.run.false_sharing_events += 1;
-                for fsl in self.fs_lines(lx, d) {
-                    fsl.events += 1;
-                    fsl.threads |= (1 << c) | (1 << h);
-                    fsl.note_addr(rq.addr);
+                for mut fs in self.fs_entries(lx, d) {
+                    fs.event((1 << c) | (1 << h), 0, rq.addr);
                 }
             }
             self.flush_pending(d, h, m);
@@ -1179,12 +1486,13 @@ impl CoherenceBackend {
     /// is still untouched was pulled for nothing.
     fn flush_pending(&mut self, d: usize, holder: usize, m: SlotMeta) {
         if m.mask != 0 {
-            self.run.false_bytes += m.pending_bytes();
+            let bytes = m.pending_bytes();
+            self.run.false_bytes += bytes;
             self.run.false_sharing_events += 1;
-            let writers = self.writer_mask(d, m.mask);
-            self.acc.loops[m.fill_loop as usize].false_bytes += m.pending_bytes();
-            for fsl in self.fs_lines(m.fill_loop as usize, d) {
-                fsl.charge_pending(holder, m, writers);
+            let threads = (1 << holder) | self.dir.writers_of(d, m.mask);
+            self.acc.loops[m.fill_loop as usize].false_bytes += bytes;
+            for mut fs in self.fs_entries(m.fill_loop as usize, d) {
+                fs.event(threads, bytes, m.trigger_addr);
             }
         }
     }
@@ -1193,24 +1501,26 @@ impl CoherenceBackend {
     /// the access uses leaves the copy's pending set.
     fn attribute(&mut self, rq: Req, slot: usize) {
         let Req { c, d, lx, .. } = rq;
-        let (mut bytes, mut used) = (0u64, 0u64);
-        for w in rq.w0..=rq.w1 {
-            let i = d * self.words + w;
-            let writer = self.dir.word_writer[i];
-            if writer != NO_WRITER && writer as usize != c && self.dir.touched[i] >> c & 1 == 0 {
-                self.acc.loops[lx]
-                    .transfers
-                    .bump(writer as usize, c, WORD_BYTES);
-                bytes += WORD_BYTES;
+        let (touched, writers) = self.dir.words_of_mut(d);
+        let mut bytes = 0u64;
+        for (w, t) in (rq.w0..).zip(&mut touched[rq.w0..=rq.w1]) {
+            // Not yet accessed by `c` since its last write, so written by
+            // another thread if at all.
+            if *t >> c & 1 == 0 {
+                let wr = writer(writers, w);
+                if wr != NO_TID {
+                    let transfers = &mut self.acc.loops[lx].transfers;
+                    transfers.bump(wr as usize, c, WORD_BYTES);
+                    bytes += WORD_BYTES;
+                }
             }
-            self.dir.touched[i] |= 1 << c;
-            used |= 1 << w;
+            *t |= 1 << c;
         }
-        self.meta_mut(c, slot).mask &= !used;
+        self.meta_mut(c, slot)[META_MASK] &= !span_mask(rq.w0, rq.w1);
         if bytes != 0 {
             self.run.true_bytes += bytes;
-            for fsl in self.fs_lines(lx, d) {
-                fsl.true_bytes += bytes;
+            for fs in self.fs_entries(lx, d) {
+                fs.hot[TRUE_BYTES] += bytes;
             }
         }
     }
@@ -1218,17 +1528,17 @@ impl CoherenceBackend {
     /// `c`'s copy in `slot` was displaced by a fill; the slot's metadata
     /// still describes the victim.
     fn evict(&mut self, c: usize, slot: usize, vstate: Mesi, lx: usize) {
-        let m = *self.meta_mut(c, slot);
-        let vd = m.dir as usize;
-        self.dir.sharers[vd] &= !(1u64 << c);
-        if self.dir.owner[vd] == c as u32 {
-            self.dir.owner[vd] = NO_WRITER;
+        let m = self.meta(c, slot);
+        let row = self.dir.row_mut(m.dir as usize);
+        row[SHARERS] &= !(1u64 << c);
+        if row[OWNER] == c as u64 {
+            row[OWNER] = NO_TID as u64;
         }
         if vstate == Mesi::Modified {
             self.bus(c, lx, BusOp::Wb);
             self.run.writebacks += 1;
         }
-        self.flush_pending(vd, c, m);
+        self.flush_pending(m.dir as usize, c, m);
     }
 
     fn bus(&mut self, tid: usize, lx: usize, op: BusOp) {
@@ -1688,6 +1998,84 @@ mod tests {
             vec![row(1, 1), row(2, 2), row(4, 2), row(9, 1), row(10, 2)]
         );
         assert_eq!(merge_rows(vec![], vec![row(3, 1)]), vec![row(3, 1)]);
+    }
+
+    /// What one line-access reads is pinned: a 32 B hot stats half, a
+    /// loop's stats cell of one host cache line, 24 B of slot metadata,
+    /// and a directory row of whole 64 B host cache lines — two at 64 B
+    /// lines — that stay aligned as the directory grows.
+    #[test]
+    fn line_state_layout_is_pinned() {
+        assert!(std::mem::size_of::<FsHot>() <= 40);
+        assert_eq!(std::mem::size_of::<FsHot>(), 32);
+        assert_eq!(std::mem::size_of::<FsCell>(), 64);
+        assert_eq!(std::mem::align_of::<FsCell>(), 64);
+        assert_eq!(std::mem::size_of::<MetaWords>(), 24);
+        for (line_bytes, row_bytes) in [(16, 128), (32, 128), (64, 128), (128, 192), (512, 640)] {
+            let words = (line_bytes / WORD_BYTES) as usize;
+            assert_eq!(
+                Directory::new(words).stride * 8,
+                row_bytes,
+                "{line_bytes} B lines"
+            );
+        }
+        let mut dir = Directory::new(8);
+        for line in 0..5000 {
+            let d = dir.index_of(line * 3);
+            assert_eq!(dir.row(d).as_ptr() as usize % ROW_ALIGN_BYTES, 0, "row {d}");
+        }
+        assert_eq!(dir.row(0)[OWNER], NO_TID as u64);
+        assert_eq!(writer(&dir.row(4999)[TOUCHED + 8..], 7), NO_TID);
+    }
+
+    /// The gathered mask of written words agrees with a byte-by-byte scan,
+    /// in the first writer word and in a later one.
+    #[test]
+    fn written_words_gather_from_the_writer_bytes() {
+        for bytes in [
+            u64::MAX,
+            0,
+            0xFF00_FF00_0000_3F01,
+            0x00FF_FFFF_FFFF_FFFF,
+            0x3FFF_FFFF_FFFF_FF3E,
+        ] {
+            let naive = (0..8).fold(0, |m, j| {
+                m | (((bytes >> (8 * j)) as u8 != NO_TID) as u64) << j
+            });
+            assert_eq!(written(&[bytes, u64::MAX]), naive, "{bytes:#x}");
+            assert_eq!(written(&[u64::MAX, bytes]), naive << 8, "{bytes:#x}");
+        }
+    }
+
+    /// Thread 63 writes every word of one 512 B line (a 64-word mask, and
+    /// a writer id one below the no-writer sentinel), then threads 0 and 62
+    /// read single words of it: the report's bytes are pinned.
+    #[test]
+    fn the_highest_thread_fills_a_whole_wide_line() {
+        let cfg = CoherenceConfig {
+            line_bytes: 512,
+            ..CoherenceConfig::default()
+        };
+        let mut b = CoherenceBackend::new(cfg, 64);
+        for w in 0..64 {
+            b.on_access(&ev(63, 0x4000 + w * 8, AccessKind::Write, 7));
+        }
+        b.on_access(&ev(0, 0x4000 + 5 * 8, AccessKind::Read, 8));
+        b.on_access(&ev(62, 0x4000 + 63 * 8, AccessKind::Read, 9));
+        let r = b.report();
+        assert_eq!(r.global.transfers.get(63, 0), 8);
+        assert_eq!(r.global.transfers.get(63, 62), 8);
+        let fnv = canonical_coherence_report(&r)
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            fnv,
+            0x7a11_afd9_147b_9c76,
+            "{}",
+            canonical_coherence_report(&r)
+        );
     }
 
     #[test]

@@ -50,14 +50,31 @@ pub enum Mesi {
     Shared,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    line: u64,
-    /// Higher = more recently used.
-    lru: u64,
-    /// `None` marks an empty slot.
-    state: Option<Mesi>,
+/// Low bits of a slot's tag word: 0 for an empty slot, `1 + Mesi as u64`
+/// for a resident line.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+/// A slot's tag word: the LRU clock of its last use above the state bits.
+#[inline]
+fn tag(lru: u64, state: Mesi) -> u64 {
+    lru << STATE_BITS | (state as u64 + 1)
 }
+
+#[inline]
+fn state_of(tag: u64) -> Option<Mesi> {
+    match tag & STATE_MASK {
+        0 => None,
+        1 => Some(Mesi::Modified),
+        2 => Some(Mesi::Exclusive),
+        _ => Some(Mesi::Shared),
+    }
+}
+
+/// One slot: `[line, tag]`. An empty slot is all-zero bytes, so a cache's
+/// slots come from the zeroed allocator and the sets a run never touches
+/// never become resident memory.
+type Slot = [u64; 2];
 
 /// One core's private cache: one flat `sets × ways` slot array, set-major.
 ///
@@ -79,14 +96,9 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two() && cfg.line_bytes.is_power_of_two());
         assert!(cfg.ways >= 1);
-        let empty = Slot {
-            line: 0,
-            lru: 0,
-            state: None,
-        };
         Self {
             cfg,
-            slots: vec![empty; cfg.sets * cfg.ways],
+            slots: vec![[0; 2]; cfg.sets * cfg.ways],
             clock: 0,
         }
     }
@@ -96,13 +108,19 @@ impl Cache {
         self.slots.len()
     }
 
+    /// The ways of `line`'s set, and the slot index of the first.
+    #[inline]
+    fn set(&self, line: u64) -> (usize, &[Slot]) {
+        let base = self.cfg.set_of(line) * self.cfg.ways;
+        (base, &self.slots[base..base + self.cfg.ways])
+    }
+
     /// Slot holding `line`, if resident. (Does not touch LRU.)
     #[inline]
     pub fn find(&self, line: u64) -> Option<usize> {
-        let base = self.cfg.set_of(line) * self.cfg.ways;
-        self.slots[base..base + self.cfg.ways]
-            .iter()
-            .position(|s| s.line == line && s.state.is_some())
+        let (base, set) = self.set(line);
+        (set.iter())
+            .position(|s| s[0] == line && s[1] & STATE_MASK != 0)
             .map(|way| base + way)
     }
 
@@ -110,7 +128,8 @@ impl Cache {
     #[inline]
     pub fn touch(&mut self, slot: usize) {
         self.clock += 1;
-        self.slots[slot].lru = self.clock;
+        let t = &mut self.slots[slot][1];
+        *t = self.clock << STATE_BITS | *t & STATE_MASK;
     }
 
     /// Place a non-resident `line` (most recently used) into an empty slot
@@ -118,43 +137,42 @@ impl Cache {
     /// and the displaced line with its state, if any.
     pub fn fill(&mut self, line: u64, state: Mesi) -> (usize, Option<(u64, Mesi)>) {
         debug_assert!(self.find(line).is_none(), "fill of a resident line");
-        let base = self.cfg.set_of(line) * self.cfg.ways;
-        let set = &self.slots[base..base + self.cfg.ways];
-        let way = set
-            .iter()
-            .position(|s| s.state.is_none())
+        let (base, set) = self.set(line);
+        let way = (set.iter())
+            .position(|s| s[1] & STATE_MASK == 0)
             .unwrap_or_else(|| {
-                let oldest = set.iter().enumerate().min_by_key(|(_, s)| s.lru);
+                // Resident tags order as their LRU clocks.
+                let oldest = set.iter().enumerate().min_by_key(|(_, s)| s[1]);
                 oldest.expect("ways >= 1").0
             });
+        let slot = base + way;
+        let victim = self.at(slot);
         self.clock += 1;
-        let slot = &mut self.slots[base + way];
-        let victim = slot.state.map(|st| (slot.line, st));
-        *slot = Slot {
-            line,
-            lru: self.clock,
-            state: Some(state),
-        };
-        (base + way, victim)
+        self.slots[slot] = [line, tag(self.clock, state)];
+        (slot, victim)
     }
 
     /// Line and state held in `slot`, if occupied.
     #[inline]
     pub fn at(&self, slot: usize) -> Option<(u64, Mesi)> {
-        let s = &self.slots[slot];
-        s.state.map(|st| (s.line, st))
+        let [line, t] = self.slots[slot];
+        state_of(t).map(|st| (line, st))
     }
 
     /// Change the state of an occupied `slot` (upgrade / downgrade).
     #[inline]
     pub fn set_state_at(&mut self, slot: usize, state: Mesi) {
-        debug_assert!(self.slots[slot].state.is_some(), "state of an empty slot");
-        self.slots[slot].state = Some(state);
+        let t = &mut self.slots[slot][1];
+        debug_assert!(*t & STATE_MASK != 0, "state of an empty slot");
+        *t = tag(*t >> STATE_BITS, state);
     }
 
     /// Empty `slot`; returns the state its line had.
     pub fn invalidate_at(&mut self, slot: usize) -> Option<Mesi> {
-        self.slots[slot].state.take()
+        let t = &mut self.slots[slot][1];
+        let prev = state_of(*t);
+        *t &= !STATE_MASK;
+        prev
     }
 
     /// Is `line` present? (Does not touch LRU.)
@@ -164,7 +182,9 @@ impl Cache {
 
     /// Current MESI state of `line`, if present.
     pub fn state(&self, line: u64) -> Option<Mesi> {
-        self.find(line).and_then(|slot| self.slots[slot].state)
+        self.find(line)
+            .and_then(|slot| self.at(slot))
+            .map(|(_, st)| st)
     }
 
     /// Touch `line` (LRU bump) and set its state. Returns the evicted line
@@ -184,12 +204,21 @@ impl Cache {
     /// state if it was present.
     pub fn set_state(&mut self, line: u64, state: Option<Mesi>) -> Option<Mesi> {
         let slot = self.find(line)?;
-        std::mem::replace(&mut self.slots[slot].state, state)
+        match state {
+            Some(st) => {
+                let prev = self.at(slot).map(|(_, st)| st);
+                self.set_state_at(slot, st);
+                prev
+            }
+            None => self.invalidate_at(slot),
+        }
     }
 
     /// Lines currently resident.
     pub fn resident(&self) -> usize {
-        self.slots.iter().filter(|s| s.state.is_some()).count()
+        (self.slots.iter())
+            .filter(|s| s[1] & STATE_MASK != 0)
+            .count()
     }
 }
 
@@ -295,6 +324,19 @@ mod tests {
             }
             Some(prev)
         }
+    }
+
+    /// A slot is two words and an empty one is all-zero bytes, so a cache
+    /// is allocated zeroed and only the sets a run fills become resident.
+    #[test]
+    fn an_empty_slot_is_two_zero_words() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        let mut c = cache();
+        assert!(c.slots.iter().all(|s| *s == [0; 2]));
+        let slot = c.fill(5, Mesi::Modified).0;
+        c.invalidate_at(slot);
+        assert_eq!(c.slots[slot][1] & STATE_MASK, 0);
+        assert_eq!(c.resident(), 0);
     }
 
     proptest! {

@@ -572,8 +572,8 @@ fn checkpoint_scenario() {
     // run sets up and tears down its own file.
     static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let path =
-        std::env::temp_dir().join(format!("lc_cp_scenario_{}_{run}.lccp", std::process::id()));
+    let path = std::env::temp_dir().join(format!("{}{run}.lccp", checkpoint_file_prefix()));
+    let _cleanup = RemoveOnDrop([path.clone(), path.with_extension("lccp.tmp")]);
     let old: Arc<Vec<u8>> = Arc::new(vec![0xAA; 64]);
     let new: Arc<Vec<u8>> = Arc::new(vec![0xBB; 64]);
     std::fs::write(&path, old.as_slice()).expect("seed old checkpoint");
@@ -619,5 +619,22 @@ fn checkpoint_scenario() {
         final_bytes, *new,
         "after the writer joins, the published checkpoint is the new blob"
     );
-    let _ = std::fs::remove_file(&path);
+}
+
+/// The name every file of this process's `checkpoint` scenario runs
+/// starts with, in [`std::env::temp_dir`].
+pub fn checkpoint_file_prefix() -> String {
+    format!("lc_cp_scenario_{}_", std::process::id())
+}
+
+/// Removes its files when dropped, however the scope ends: a schedule the
+/// explorer cuts short, or a mutant's violation, unwinds through it.
+struct RemoveOnDrop([std::path::PathBuf; 2]);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }

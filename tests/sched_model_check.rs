@@ -105,8 +105,13 @@ fn handoff_fillers_racing_close_lose_and_duplicate_nothing() {
     assert_clean_and_multi_schedule("handoff");
 }
 
+/// Held by the tests that explore `checkpoint`, so one can look for the
+/// scenario's files while the other is not making any.
+static CHECKPOINT_FILES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn checkpoint_publication_racing_reader_is_exhaustively_atomic() {
+    let _files = CHECKPOINT_FILES.lock().unwrap_or_else(|e| e.into_inner());
     assert_clean_and_multi_schedule("checkpoint");
 }
 
@@ -232,7 +237,18 @@ fn recycle_before_consumed_mutant_is_caught_via_handoff_bound() {
 
 #[test]
 fn torn_checkpoint_write_mutant_is_caught_via_reader_oracle() {
+    let _files = CHECKPOINT_FILES.lock().unwrap_or_else(|e| e.into_inner());
     assert_mutant_caught("checkpoint", "checkpoint-torn-write");
+    // Every schedule the violation cut short removed its files too.
+    let prefix = simtest::checkpoint_file_prefix();
+    let left: Vec<_> = (std::fs::read_dir(std::env::temp_dir()).expect("temp dir lists"))
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "checkpoint scenario files left behind: {left:?}"
+    );
 }
 
 #[test]
