@@ -1,54 +1,21 @@
 //! `loopcomm` — command-line front end to the profiler.
 //!
-//! ```text
-//! loopcomm list
-//! loopcomm profile  <workload> [--threads N] [--size simdev|simsmall|simlarge] [--slots 2^k]
-//! loopcomm nested   <workload> [--threads N] [--size ...]
-//! loopcomm load     <workload> [--threads N] [--size ...]
-//! loopcomm classify <workload> [--threads N] [--size ...]
-//! loopcomm map      <workload> [--threads N] [--size ...]
-//! loopcomm phases   <workload> [--threads N] [--size ...] [--window W]
-//! loopcomm report   <workload> <out.html> [--threads N] [--size ...]
-//! loopcomm record   <workload> <file> [--threads N] [--size ...] [--frame-events N]
-//! loopcomm record   <workload> --connect HOST:PORT [--tenant NAME]
-//! loopcomm synth    <file> [--events N] [--threads N] [--seed S]
-//! loopcomm analyze  <file> [--slots 2^k] [--jobs N] [--perfect] [--salvage]
-//!                   [--checkpoint DIR [--every N]] [--resume DIR]
-//!                   [--report-out P] [--metrics P]
-//!                   [--coherence [--line-size N] [--cache-kib N] [--assoc N] [--coherence-out P]]
-//! loopcomm serve    [--listen ADDR]... [--http ADDR] [--jobs N] [--perfect] [--coherence]
-//!                   [--durable-dir DIR] [--tenant-idle-secs S] [--tenant-max-bytes B]
-//! loopcomm stream   <file.lctrace> --connect HOST:PORT [--tenant NAME]
-//! loopcomm simulate <workload> [--threads N] [--size ...] [--line-size N] [--cache-kib N] [--assoc N]
-//! loopcomm hotsites <workload> [--threads N] [--size ...]
-//! loopcomm deps     <workload> [--threads N] [--size ...]
-//! loopcomm simtest  <scenario|all|list> [--explore N] [--seed S]
-//!                   [--max-preemptions N|none] [--max-schedules N]
-//!                   [--mutant NAME] [--trace-out PATH]
-//! ```
-//!
-//! `analyze` has one route whatever the flags: the file is opened as a
-//! `FileBlockSource` (a v3 spool is read one segment at a time with
-//! positioned reads, so RSS stays bounded; v1/v2 files and `--salvage`
-//! output are loaded once and streamed as zero-copy blocks) and every
-//! block goes through one `loopcomm::Pipeline`: the `IncrementalAnalyzer`
-//! and, under `--coherence`, the MESI backend split by cache set across
-//! the host's cores.
-//! `--mmap` is accepted and changes nothing.
-//!
-//! Every file a command writes is a v3 spool plus its `.idx` side-car,
-//! streamed as it is produced: `record` through `SpoolSink`'s writer
-//! thread, `synth` segment by segment. No command holds a whole trace in
-//! memory to write it. `analyze`, `stream` and `--salvage` still read
-//! v1 and v2 files.
+//! Run it with no arguments for the usage text: every command, and every
+//! option with the commands that read it. Each option is declared once, in
+//! the `FLAGS` table below, with its value's range, its help and its
+//! readers. A value that does not parse or lies out of range, and an
+//! option the command does not read, is a one-line usage error (exit 2)
+//! raised before any input is opened; a run that fails on its input,
+//! output or host exits 1.
 
 use std::sync::Arc;
 
+use lc_cachesim::CoherenceConfig;
 use lc_profiler::classify::{
     extract_extended, synthetic_dataset, synthetic_ext_dataset, CoherenceFeatures,
     ExtNearestCentroid, NearestCentroid,
 };
-use lc_profiler::{greedy_mapping, MachineTopology, NestedReport, ThreadMapping};
+use lc_profiler::{greedy_mapping, DetectorKind, MachineTopology, NestedReport, ThreadMapping};
 use loopcomm::pipeline::PipelineError;
 use loopcomm::prelude::*;
 
@@ -71,104 +38,299 @@ const MAX_CONNS: usize = 4096;
 /// and a drain thread.
 const MAX_TENANTS: usize = 1024;
 
-struct Options {
-    threads: usize,
-    size: InputSize,
-    slots: usize,
-    window: u64,
-    seed: u64,
-    loop_capacity: usize,
-    metrics: Option<String>,
-    salvage: bool,
-    jobs: usize,
-    /// `synth`: probability in [0,1] that an event reuses an address
-    /// from a small hot set instead of the uniform working set.
-    addr_reuse: f64,
-    /// `synth`: distinct 8-byte addresses in the uniform working set.
-    working_set: u64,
-    perfect: bool,
-    /// `serve`: ingest endpoints (`unix:<path>` or TCP `host:port`).
-    listen: Vec<String>,
-    /// `serve`: HTTP endpoint for reports/metrics.
-    http: Option<String>,
-    /// `record`/`stream`: stream to a `loopcomm serve` endpoint instead
-    /// of a file.
-    connect: Option<String>,
-    /// `record --connect`/`stream`: tenant name sent in the hello.
-    tenant: String,
-    /// `record`/`stream`/`synth`: events per spool segment or wire frame.
-    frame_events: usize,
-    /// `serve`: frame buffers per tenant.
-    queue_frames: usize,
-    /// `serve`: concurrent ingest connection limit.
-    max_conns: usize,
-    /// `serve`: tenant limit.
-    max_tenants: usize,
-    /// `analyze`: also write the canonical plain-text report here (the
-    /// byte-identical counterpart of the server's `/tenants/<t>/report`).
-    report_out: Option<String>,
-    /// `analyze`: checkpoint directory — the analyzer writes a
-    /// crash-resumable snapshot there every `--every` events.
-    checkpoint: Option<String>,
-    /// `analyze --checkpoint`: events between checkpoints.
-    every: u64,
-    /// `analyze`: resume from the checkpoint in this directory.
-    resume: Option<String>,
-    /// `synth`: events to generate.
-    events: u64,
-    /// `serve`: root directory for durable tenant state (spill spools +
-    /// checkpoints). Enables restart/eviction recovery.
-    durable_dir: Option<String>,
-    /// `serve`: evict tenants idle for this many seconds (0 = never).
-    tenant_idle_secs: u64,
-    /// `serve`: per-tenant analyzer memory cap in bytes (0 = uncapped).
-    tenant_max_bytes: usize,
-    /// `analyze`/`serve`/`classify`: also run the MESI coherence backend
-    /// (per-loop invalidation/transfer/bus matrices, false-sharing
-    /// detection).
-    coherence: bool,
-    /// Coherence geometry: cache-line size in bytes.
-    line_size: u64,
-    /// Coherence geometry: per-core private cache capacity in KiB.
-    cache_kib: u64,
-    /// Coherence geometry: set associativity.
-    assoc: usize,
-    /// `analyze --coherence`: also write the canonical plain-text
-    /// coherence report here (byte-identical across `--jobs`).
-    coherence_out: Option<String>,
-    /// Hidden test hook: a fault-plan file armed on the trace writers,
-    /// the network seams and the checkpoint writer (see `lc_faults`).
-    /// Deliberately absent from the usage text — it exists for the
-    /// fault-matrix tests and for reproducing failures, not for routine
-    /// profiling.
-    fault_plan: Option<String>,
-    #[cfg(feature = "sched")]
-    sim: SimtestOptions,
+/// The commands that run a `<workload>`: the reader `workload` in `FLAGS`.
+const WORKLOAD_CMDS: [&str; 11] = [
+    "profile", "nested", "load", "classify", "map", "phases", "report", "record", "simulate",
+    "hotsites", "deps",
+];
+
+/// The commands that take no `<workload>`.
+const OTHER_CMDS: [&str; 6] = ["list", "synth", "analyze", "serve", "stream", "simtest"];
+
+/// The readers of the cache-geometry flags.
+const GEOMETRY: &str = "analyze --coherence, serve --coherence, classify --coherence, simulate";
+
+/// How a flag's value is read and checked.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value.
+    Switch,
+    /// A path, an address or a name.
+    Text,
+    /// Text that may be given more than once; every value is kept.
+    Many,
+    /// An integer in `lo..=hi`, or in `lo..` when `hi` is `u64::MAX`.
+    Int(u64, u64),
+    /// A number in `lo..=hi`.
+    Real(f64, f64),
+    /// A cache-geometry integer; `CoherenceConfig::validate` checks the
+    /// geometry as a whole once every flag is read.
+    Geometry,
+    /// `simdev`, `simsmall` or `simlarge`.
+    Size,
+    /// An integer, or `none`.
+    IntOrNone,
+}
+use Kind::*;
+
+/// A parsed value: a switch reads `Int(1)`, and `none` reads `Text`.
+enum Val {
+    Int(u64),
+    Real(f64),
+    Text(String),
+    Size(InputSize),
 }
 
-/// Options specific to `loopcomm simtest` (the model-checking harness).
-#[cfg(feature = "sched")]
-#[derive(Default)]
-struct SimtestOptions {
-    /// `--explore N`: run N seeded random schedules instead of the
-    /// default bounded-exhaustive DFS.
-    explore: Option<u64>,
-    /// `--max-preemptions N|none`: override the scenario's suggested
-    /// preemption bound. Outer `None` = use the scenario default;
-    /// `Some(None)` = unbounded.
-    preemptions: Option<Option<usize>>,
-    /// `--max-schedules N`: exhaustive-exploration safety valve.
-    max_schedules: Option<u64>,
-    /// `--mutant NAME` (repeatable): activate seeded mutants inside the
-    /// simulation — the harness is then expected to FIND a violation.
-    mutants: Vec<String>,
-    /// `--trace-out PATH`: append failing decision traces here (one
-    /// `scenario=...;choices=...` line each) for artifact upload.
-    trace_out: Option<String>,
+/// One option. `spec` is its name and value as the usage text shows them;
+/// `readers` lists the commands that read it, each followed by the flag
+/// it needs there, if any (`analyze --coherence`), with `workload` for
+/// every command in `WORKLOAD_CMDS`. An empty `help` keeps it out of the
+/// usage text.
+struct Flag {
+    id: F,
+    spec: &'static str,
+    kind: Kind,
+    readers: &'static str,
+    help: &'static str,
+}
+
+macro_rules! flags {
+    ($($id:ident $spec:literal $kind:expr, $readers:expr, $help:literal;)*) => {
+        /// One variant per row of `FLAGS`.
+        #[derive(Clone, Copy, PartialEq)]
+        enum F { $($id),* }
+
+        /// Every option, in the order the usage text lists them.
+        const FLAGS: &[Flag] = &[$(Flag {
+            id: F::$id, spec: $spec, kind: $kind, readers: $readers, help: $help,
+        }),*];
+    };
+}
+
+flags! {
+    Threads "--threads N" Int(1, MAX_ANALYZE_THREADS), "workload, synth, serve",
+        "worker threads, 1..=1024 (default 8)";
+    Size "--size S" Size, "workload", "simdev | simsmall | simlarge (default simsmall)";
+    Slots "--slots K" Int(1, MAX_SLOTS as u64),
+        "profile, nested, load, classify, map, phases, report, analyze, serve",
+        "signature slots (default 1048576)";
+    Window "--window W" Int(1, u64::MAX), "phases, report",
+        "phase window in dependencies (default 2000)";
+    Seed "--seed S" Int(0, u64::MAX), "workload, synth, simtest", "workload RNG seed (default 42)";
+    LoopCapacity "--loop-capacity K" Int(1, MAX_LOOP_CAPACITY as u64),
+        "profile, nested, load, classify, map, phases, report, analyze, serve",
+        "loop-matrix registry capacity (default 1024)";
+    Metrics "--metrics PATH" Text, "profile, analyze",
+        "write run metrics;\n\
+         `.json` gets JSON, anything else Prometheus text";
+    Salvage "--salvage" Switch, "analyze, stream",
+        "recover the longest valid prefix of\n\
+         a truncated or corrupted trace instead of failing";
+    Jobs "--jobs N" Int(1, lc_profiler::MAX_JOBS as u64), "analyze, serve",
+        "slot-sharded analyzer workers\n\
+         (default 1; results identical; --coherence\n\
+         shards by cache set over the host's cores\n\
+         whatever --jobs says)";
+    Perfect "--perfect" Switch, "analyze, serve",
+        "exact perfect-signature\n\
+         baseline detector instead of the asymmetric\n\
+         signatures";
+    Coherence "--coherence" Switch, "analyze, serve, classify",
+        "also run the MESI\n\
+         coherence backend: per-loop invalidation,\n\
+         cache-to-cache transfer, and bus-traffic\n\
+         matrices plus false-sharing detection";
+    LineSize "--line-size N" Geometry, GEOMETRY,
+        "cache-line bytes, a power\n\
+         of two in 16..=512 (default 64)";
+    CacheKib "--cache-kib N" Geometry, GEOMETRY,
+        "per-core cache KiB, a\n\
+         power of two in 1..=65536 (default 16)";
+    Assoc "--assoc N" Geometry, GEOMETRY,
+        "set associativity, a\n\
+         power of two in 1..=64 (default 4)";
+    CoherenceOut "--coherence-out P" Text, "analyze --coherence",
+        "write the canonical\n\
+         coherence report — byte-identical for any\n\
+         --jobs value and core count";
+    ReportOut "--report-out P" Text, "analyze",
+        "also write the canonical plain-text\n\
+         report — byte-identical to the server's\n\
+         /tenants/<t>/report on the same events";
+    Checkpoint "--checkpoint DIR" Text, "analyze",
+        "write a crash-resumable snapshot\n\
+         (signatures, matrices, replay cursor) to DIR\n\
+         every --every events";
+    Every "--every N" Int(1, u64::MAX), "analyze --checkpoint",
+        "events between\n\
+         checkpoints, at least 1 (default 1000000)";
+    Resume "--resume DIR" Text, "analyze",
+        "resume from DIR's checkpoint; the\n\
+         final report is byte-identical to an\n\
+         uninterrupted run";
+    Mmap "--mmap" Switch, "analyze",
+        "accepted, no effect: every analyze\n\
+         streams, and a v3 spool is always read one\n\
+         segment at a time (bounded RSS even for\n\
+         spools larger than RAM)";
+    Events "--events N" Int(0, u64::MAX), "synth", "events to generate (default 1000000)";
+    AddrReuse "--addr-reuse P" Real(0.0, 1.0), "synth",
+        "probability an event reuses a hot\n\
+         address (64-entry hot set; default 0.0)";
+    WorkingSet "--working-set N" Int(1, u64::MAX), "synth",
+        "distinct 8-byte addresses in the\n\
+         uniform working set (default 65536)";
+    DurableDir "--durable-dir D" Text, "serve",
+        "spill + checkpoint tenants under D;\n\
+         restart and eviction resume from disk";
+    TenantIdleSecs "--tenant-idle-secs S" Int(0, u64::MAX), "serve --durable-dir",
+        "evict tenants idle >= S seconds\n\
+         through the checkpoint path (0 = never)";
+    TenantMaxBytes "--tenant-max-bytes B" Int(0, u64::MAX), "serve --durable-dir",
+        "evict a tenant whose analyzer\n\
+         exceeds B bytes (0 = uncapped)";
+    Listen "--listen ADDR" Many, "serve",
+        "ingest endpoint:\n\
+         `host:port` or `unix:<path>`\n\
+         (default 127.0.0.1:9009)";
+    Http "--http ADDR" Text, "serve",
+        "HTTP endpoint for live reports,\n\
+         matrices, and Prometheus /metrics";
+    QueueFrames "--queue-frames N" Int(1, MAX_QUEUE_FRAMES as u64), "serve",
+        "frame buffers per tenant, sent and not\n\
+         yet analysed, 1..=65536 (default 64)";
+    MaxConns "--max-conns N" Int(1, MAX_CONNS as u64), "serve",
+        "connection limit, 1..=4096 (default 64)";
+    MaxTenants "--max-tenants N" Int(1, MAX_TENANTS as u64), "serve",
+        "tenant limit, 1..=1024 (default 64)";
+    Connect "--connect ADDR" Text, "record, stream",
+        "stream to a server instead\n\
+         of writing a file";
+    Tenant "--tenant NAME" Text, "record --connect, stream",
+        "tenant to stream as\n\
+         (default `default`)";
+    FrameEvents "--frame-events N" Int(1, lc_trace::MAX_FRAME_EVENTS as u64),
+        "record, stream, synth",
+        "events per spool\n\
+         segment or wire frame, 1..=16777216\n\
+         (default 4096)";
+    Explore "--explore N" Int(0, u64::MAX), "simtest",
+        "N seeded random schedules instead of\n\
+         bounded-exhaustive DFS (seeded by --seed)";
+    MaxPreemptions "--max-preemptions N|none" IntOrNone, "simtest", "preemption bound override";
+    MaxSchedules "--max-schedules N" Int(0, u64::MAX), "simtest",
+        "exhaustive-exploration safety valve";
+    Mutant "--mutant NAME" Many, "simtest",
+        "arm a seeded mutant; the\n\
+         run then must FIND a violation (exit 1)";
+    TraceOut "--trace-out PATH" Text, "simtest", "append failing decision traces here";
+    // A test hook, left out of the usage text: a fault-plan file armed on
+    // the trace writers, the network seams and the checkpoint writer (see
+    // `lc_faults`), for the fault-matrix tests and for reproducing failures.
+    FaultPlan "--fault-plan PATH" Text, "record, synth, stream, analyze, serve", "";
+}
+
+/// Flags whose paths were deleted, with what each says: a one-line usage
+/// error raised where the flag stands, before any value it had is read.
+#[rustfmt::skip]
+const REMOVED: [(&str, &str); 5] = [
+    ("--spool --v3", ": `record` and `synth` always stream a v3 spool"),
+    ("--batch", ": RAM-loaded input is analysed in 1024-event blocks, with results that \
+                 never depended on the size"),
+    ("--no-coalesce", ": `analyze` never coalesces"),
+    ("--fused --no-fused", ": `analyze` always runs the fused engine"),
+    ("--no-skip-filter", " in PR 24: the fused engine no longer has a skip filter"),
+];
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.spec.split(' ').next().unwrap_or(self.spec)
+    }
+
+    /// Each command that reads the flag, with the flag it needs there.
+    fn readers(&self) -> Vec<(&'static str, Option<&'static str>)> {
+        let mut out = Vec::new();
+        for r in self.readers.split(", ") {
+            let (cmd, need) = r.split_once(' ').map_or((r, None), |(c, n)| (c, Some(n)));
+            if cmd == "workload" {
+                out.extend(WORKLOAD_CMDS.iter().map(|c| (*c, need)));
+            } else {
+                out.push((cmd, need));
+            }
+        }
+        out
+    }
+
+    /// The readers as a list, "`a`, `b` and `c`" with `tick` = "`".
+    fn reader_list(&self, tick: &str) -> String {
+        let names: Vec<String> = (self.readers().into_iter())
+            .map(|(c, need)| {
+                format!(
+                    "{tick}{c}{}{tick}",
+                    need.map_or(String::new(), |n| format!(" {n}"))
+                )
+            })
+            .collect();
+        match names.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+            _ => names.concat(),
+        }
+    }
+}
+
+impl Kind {
+    /// Read `raw` as the value of `flag`. A value that does not parse or
+    /// lies out of range is a usage error naming the flag, never a panic
+    /// deeper in.
+    fn parse(self, flag: &str, raw: &str) -> Val {
+        match self {
+            Switch | Text | Many => Val::Text(raw.to_string()),
+            IntOrNone if raw == "none" => Val::Text(raw.to_string()),
+            IntOrNone => Val::Int(number(flag, raw)),
+            Int(lo, hi) => {
+                let v: u64 = number(flag, raw);
+                if !(lo..=hi).contains(&v) {
+                    let range = match hi {
+                        u64::MAX => format!("{lo}.."),
+                        _ => format!("{lo}..={hi}"),
+                    };
+                    refuse(format_args!("{flag} must be in {range} (got {v})"));
+                }
+                Val::Int(v)
+            }
+            Real(lo, hi) => {
+                let v: f64 = number(flag, raw);
+                if !(lo..=hi).contains(&v) {
+                    refuse(format_args!("{flag} must be in {lo:?}..={hi:?} (got {v})"));
+                }
+                Val::Real(v)
+            }
+            Geometry => Val::Int(raw.parse().unwrap_or_else(|_| {
+                refuse(format_args!("{flag} expects an integer, got `{raw}`"))
+            })),
+            Size => Val::Size(match raw {
+                "simdev" => InputSize::SimDev,
+                "simsmall" => InputSize::SimSmall,
+                "simlarge" => InputSize::SimLarge,
+                _ => refuse(format_args!("unknown size `{raw}`")),
+            }),
+        }
+    }
+}
+
+/// Parse a number, or refuse it naming the flag and echoing the value.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    (raw.parse()).unwrap_or_else(|_| refuse(format_args!("invalid value `{raw}` for {flag}")))
+}
+
+/// A usage error: one `error:` line on stderr, exit 2.
+fn refuse(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 fn usage() -> ! {
-    eprintln!(
+    let mut text = String::from(
         "usage: loopcomm <command> [workload] [options]\n\
          \n\
          commands:\n\
@@ -201,366 +363,263 @@ fn usage() -> ! {
          \x20                        scenario, `list` enumerates them);\n\
          \x20                        build with `--features sched`\n\
          \n\
-         options:\n\
-         \x20 --threads N      worker threads, 1..=1024 (default 8)\n\
-         \x20 --size S         simdev | simsmall | simlarge (default simsmall)\n\
-         \x20 --slots K        signature slots (default 1048576)\n\
-         \x20 --window W       phase window in dependencies (default 2000)\n\
-         \x20 --seed S         workload RNG seed (default 42)\n\
-         \x20 --loop-capacity K  loop-matrix registry capacity (default 1024)\n\
-         \x20 --metrics PATH   (profile, analyze) write run metrics;\n\
-         \x20                  `.json` gets JSON, anything else Prometheus text\n\
-         \x20 --salvage        (analyze) recover the longest valid prefix of\n\
-         \x20                  a truncated or corrupted trace instead of failing\n\
-         \x20 --jobs N         (analyze) slot-sharded analyzer workers\n\
-         \x20                  (default 1; results identical; --coherence\n\
-         \x20                  shards by cache set over the host's cores\n\
-         \x20                  whatever --jobs says)\n\
-         \x20 --perfect        (analyze, serve) exact perfect-signature\n\
-         \x20                  baseline detector instead of the asymmetric\n\
-         \x20                  signatures\n\
-         \x20 --coherence      (analyze, serve, classify) also run the MESI\n\
-         \x20                  coherence backend: per-loop invalidation,\n\
-         \x20                  cache-to-cache transfer, and bus-traffic\n\
-         \x20                  matrices plus false-sharing detection\n\
-         \x20 --line-size N    (coherence, simulate) cache-line bytes, a power\n\
-         \x20                  of two in 16..=512 (default 64)\n\
-         \x20 --cache-kib N    (coherence, simulate) per-core cache KiB, a\n\
-         \x20                  power of two in 1..=65536 (default 16)\n\
-         \x20 --assoc N        (coherence, simulate) set associativity, a\n\
-         \x20                  power of two in 1..=64 (default 4)\n\
-         \x20 --coherence-out P  (analyze --coherence) write the canonical\n\
-         \x20                  coherence report — byte-identical for any\n\
-         \x20                  --jobs value and core count\n\
-         \x20 --report-out P   (analyze) also write the canonical plain-text\n\
-         \x20                  report — byte-identical to the server's\n\
-         \x20                  /tenants/<t>/report on the same events\n\
-         \x20 --checkpoint DIR (analyze) write a crash-resumable snapshot\n\
-         \x20                  (signatures, matrices, replay cursor) to DIR\n\
-         \x20                  every --every events\n\
-         \x20 --every N        (analyze --checkpoint) events between\n\
-         \x20                  checkpoints, at least 1 (default 1000000)\n\
-         \x20 --resume DIR     (analyze) resume from DIR's checkpoint; the\n\
-         \x20                  final report is byte-identical to an\n\
-         \x20                  uninterrupted run\n\
-         \x20 --mmap           (analyze) accepted, no effect: every analyze\n\
-         \x20                  streams, and a v3 spool is always read one\n\
-         \x20                  segment at a time (bounded RSS even for\n\
-         \x20                  spools larger than RAM)\n\
-         \x20 --events N       (synth) events to generate (default 1000000)\n\
-         \x20 --addr-reuse P   (synth) probability an event reuses a hot\n\
-         \x20                  address (64-entry hot set; default 0.0)\n\
-         \x20 --working-set N  (synth) distinct 8-byte addresses in the\n\
-         \x20                  uniform working set (default 65536)\n\
-         \x20 --durable-dir D  (serve) spill + checkpoint tenants under D;\n\
-         \x20                  restart and eviction resume from disk\n\
-         \x20 --tenant-idle-secs S  (serve) evict tenants idle >= S seconds\n\
-         \x20                  through the checkpoint path (0 = never)\n\
-         \x20 --tenant-max-bytes B  (serve) evict a tenant whose analyzer\n\
-         \x20                  exceeds B bytes (0 = uncapped)\n\
-         \x20 --listen ADDR    (serve, repeatable) ingest endpoint:\n\
-         \x20                  `host:port` or `unix:<path>`\n\
-         \x20                  (default 127.0.0.1:9009)\n\
-         \x20 --http ADDR      (serve) HTTP endpoint for live reports,\n\
-         \x20                  matrices, and Prometheus /metrics\n\
-         \x20 --queue-frames N (serve) frame buffers per tenant, sent and not\n\
-         \x20                  yet analysed, 1..=65536 (default 64)\n\
-         \x20 --max-conns N    (serve) connection limit, 1..=4096 (default 64)\n\
-         \x20 --max-tenants N  (serve) tenant limit, 1..=1024 (default 64)\n\
-         \x20 --connect ADDR   (record, stream) stream to a server instead\n\
-         \x20                  of writing a file\n\
-         \x20 --tenant NAME    (record, stream) tenant to stream as\n\
-         \x20                  (default `default`)\n\
-         \x20 --frame-events N (record, stream, synth) events per spool\n\
-         \x20                  segment or wire frame, 1..=16777216\n\
-         \x20                  (default 4096)\n\
-         \x20 --explore N      (simtest) N seeded random schedules instead of\n\
-         \x20                  bounded-exhaustive DFS (seeded by --seed)\n\
-         \x20 --max-preemptions N|none  (simtest) preemption bound override\n\
-         \x20 --max-schedules N  (simtest) exhaustive-exploration safety valve\n\
-         \x20 --mutant NAME    (simtest, repeatable) arm a seeded mutant; the\n\
-         \x20                  run then must FIND a violation (exit 1)\n\
-         \x20 --trace-out PATH (simtest) append failing decision traces here"
+         options:",
     );
+    for f in FLAGS.iter().filter(|f| !f.help.is_empty()) {
+        let gap = if f.spec.len() < 17 { "" } else { "  " };
+        let mut help = f.help.lines();
+        text += &format!("\n  {:<17}{gap}{}", f.spec, help.next().unwrap_or_default());
+        for line in help {
+            text += &format!("\n{:19}{line}", "");
+        }
+        // The readers, under the help, wrapped at 80 columns.
+        let repeatable = matches!(f.kind, Many).then_some(" (repeatable)");
+        let mut line = format!("{:19}read by: ", "");
+        for item in (f.reader_list("") + repeatable.unwrap_or_default()).split_inclusive(", ") {
+            if line.len() + item.trim_end().len() > 80 {
+                text += &format!("\n{}", line.trim_end());
+                line = " ".repeat(28);
+            }
+            line += item;
+        }
+        text += &format!("\n{line}");
+    }
+    eprintln!("{text}");
     std::process::exit(2);
 }
 
-fn parse_options(args: &[String]) -> Options {
-    let mut o = Options {
-        threads: 8,
-        size: InputSize::SimSmall,
-        slots: 1 << 20,
-        window: 2000,
-        seed: 42,
-        loop_capacity: 1024,
-        metrics: None,
-        salvage: false,
-        jobs: 1,
-        addr_reuse: 0.0,
-        working_set: 65_536,
-        perfect: false,
-        listen: Vec::new(),
-        http: None,
-        connect: None,
-        tenant: "default".to_string(),
-        frame_events: lc_trace::DEFAULT_FRAME_EVENTS,
-        queue_frames: 64,
-        max_conns: 64,
-        max_tenants: 64,
-        report_out: None,
-        checkpoint: None,
-        every: 1_000_000,
-        resume: None,
-        events: 1_000_000,
-        durable_dir: None,
-        tenant_idle_secs: 0,
-        tenant_max_bytes: 0,
-        coherence: false,
-        line_size: 64,
-        cache_kib: 16,
-        assoc: 4,
-        coherence_out: None,
-        fault_plan: None,
-        #[cfg(feature = "sched")]
-        sim: SimtestOptions::default(),
-    };
+/// The options given to one command, each checked against its row of
+/// `FLAGS` and against the command (see `parse`).
+struct Args(Vec<(&'static Flag, Val)>);
+
+/// Parse the options of `cmd`. Each stage ends the process at its first
+/// fault: every value is parsed and range-checked in order (a removed or
+/// unknown flag stops it where it stands), the cache geometry is checked
+/// as a whole, and then each flag must be one `cmd` reads, with the flag
+/// it needs there given too.
+fn parse(cmd: &str, args: &[String]) -> Args {
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {a}");
-                    std::process::exit(2);
-                })
-                .clone()
+        if let Some((_, why)) = REMOVED.iter().find(|(f, _)| f.split(' ').any(|f| f == a)) {
+            refuse(format_args!("{a} was removed{why}"));
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name() == a) else {
+            eprintln!("unknown option `{a}`");
+            usage()
         };
-        match a.as_str() {
-            "--threads" => o.threads = parse_in_range(a, &val(), 1..=MAX_ANALYZE_THREADS as usize),
-            "--slots" => o.slots = parse_in_range(a, &val(), 1..=MAX_SLOTS),
-            "--window" => o.window = parse_in_range(a, &val(), 1..),
-            "--seed" => o.seed = parse_value(a, &val()),
-            "--loop-capacity" => o.loop_capacity = parse_in_range(a, &val(), 1..=MAX_LOOP_CAPACITY),
-            "--metrics" => o.metrics = Some(val()),
-            "--spool" | "--v3" => removed_flag(a, "`record` and `synth` always stream a v3 spool"),
-            "--salvage" => o.salvage = true,
-            "--jobs" => o.jobs = parse_in_range(a, &val(), 1..=lc_profiler::MAX_JOBS),
-            "--batch" => removed_flag(
-                a,
-                "RAM-loaded input is analysed in 1024-event blocks, with results that never depended on the size",
-            ),
-            "--no-coalesce" => removed_flag(a, "`analyze` never coalesces"),
-            "--fused" | "--no-fused" => removed_flag(a, "`analyze` always runs the fused engine"),
-            "--no-skip-filter" => {
-                eprintln!(
-                    "error: --no-skip-filter was removed in PR 24: the fused engine no \
-                     longer has a skip filter"
-                );
-                std::process::exit(2);
-            }
-            "--addr-reuse" => {
-                let raw = val();
-                let v: f64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --addr-reuse expects a probability, got `{raw}`");
-                    std::process::exit(2);
-                });
-                if !(0.0..=1.0).contains(&v) {
-                    eprintln!("error: --addr-reuse must be in 0.0..=1.0 (got {v})");
-                    std::process::exit(2);
-                }
-                o.addr_reuse = v;
-            }
-            "--working-set" => {
-                let raw = val();
-                let v: u64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --working-set expects an integer, got `{raw}`");
-                    std::process::exit(2);
-                });
-                if v == 0 {
-                    eprintln!("error: --working-set must be >= 1");
-                    std::process::exit(2);
-                }
-                o.working_set = v;
-            }
-            "--perfect" => o.perfect = true,
-            "--listen" => o.listen.push(val()),
-            "--http" => o.http = Some(val()),
-            "--connect" => o.connect = Some(val()),
-            "--tenant" => o.tenant = val(),
-            "--frame-events" => {
-                o.frame_events = parse_in_range(a, &val(), 1..=lc_trace::MAX_FRAME_EVENTS)
-            }
-            "--queue-frames" => o.queue_frames = parse_in_range(a, &val(), 1..=MAX_QUEUE_FRAMES),
-            "--max-conns" => o.max_conns = parse_in_range(a, &val(), 1..=MAX_CONNS),
-            "--max-tenants" => o.max_tenants = parse_in_range(a, &val(), 1..=MAX_TENANTS),
-            "--report-out" => o.report_out = Some(val()),
-            "--checkpoint" => o.checkpoint = Some(val()),
-            "--every" => o.every = parse_in_range(a, &val(), 1..),
-            "--resume" => o.resume = Some(val()),
-            // Accepted, no effect: every `analyze` streams a v3 spool one
-            // segment at a time. It stays because `lcbench` passes it.
-            "--mmap" => {}
-            "--events" => o.events = parse_value(a, &val()),
-            "--durable-dir" => o.durable_dir = Some(val()),
-            "--tenant-idle-secs" => o.tenant_idle_secs = parse_value(a, &val()),
-            "--tenant-max-bytes" => o.tenant_max_bytes = parse_value(a, &val()),
-            "--coherence" => o.coherence = true,
-            "--line-size" => o.line_size = parse_geometry(a, &val()),
-            "--cache-kib" => o.cache_kib = parse_geometry(a, &val()),
-            "--assoc" => o.assoc = parse_geometry(a, &val()) as usize,
-            "--coherence-out" => o.coherence_out = Some(val()),
-            "--fault-plan" => o.fault_plan = Some(val()),
-            #[cfg(feature = "sched")]
-            "--explore" => o.sim.explore = Some(parse_value(a, &val())),
-            #[cfg(feature = "sched")]
-            "--max-preemptions" => {
-                let v = val();
-                o.sim.preemptions = Some(if v == "none" {
-                    None
-                } else {
-                    Some(parse_value(a, &v))
-                });
-            }
-            #[cfg(feature = "sched")]
-            "--max-schedules" => o.sim.max_schedules = Some(parse_value(a, &val())),
-            #[cfg(feature = "sched")]
-            "--mutant" => o.sim.mutants.push(val()),
-            #[cfg(feature = "sched")]
-            "--trace-out" => o.sim.trace_out = Some(val()),
-            "--size" => {
-                o.size = match val().as_str() {
-                    "simdev" => InputSize::SimDev,
-                    "simsmall" => InputSize::SimSmall,
-                    "simlarge" => InputSize::SimLarge,
-                    other => {
-                        eprintln!("unknown size `{other}`");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown option `{other}`");
-                usage();
-            }
+        let missing = || refuse(format_args!("missing value for {a}"));
+        let val = match flag.kind {
+            Switch => Val::Int(1),
+            kind => kind.parse(a, it.next().unwrap_or_else(missing)),
+        };
+        given.push((flag, val));
+    }
+    let args = Args(given);
+    if let Err(e) = args.geometry().validate() {
+        refuse(e);
+    }
+    let has = |need: &str| args.0.iter().any(|(f, _)| f.name() == need);
+    for (flag, _) in &args.0 {
+        let read = (flag.readers().into_iter()).any(|(c, need)| c == cmd && need.is_none_or(has));
+        if !read {
+            let readers = flag.reader_list("`");
+            refuse(format_args!(
+                "{} is read only by {readers}, not `{cmd}`",
+                flag.name()
+            ));
         }
     }
-    // Cache geometry is validated at parse time — a bad `--line-size`
-    // must be a clean usage error, not a panic inside `CacheConfig`
-    // after minutes of trace loading.
-    if let Err(e) = coherence_config(&o).validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    args
+}
+
+impl Args {
+    /// The value of `id`, the last one given if it was given twice.
+    fn get(&self, id: F) -> Option<&Val> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| f.id == id)
+            .map(|(_, v)| v)
     }
-    o
-}
 
-/// A flag whose path was deleted: a usage error with a one-line hint,
-/// raised before any input is opened or output written.
-fn removed_flag(flag: &str, hint: &str) -> ! {
-    eprintln!("error: {flag} was removed: {hint}");
-    std::process::exit(2);
-}
-
-/// Parse the value of a plain numeric flag; anything unparseable is a
-/// usage error naming the flag, never a panic.
-fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid value `{raw}` for {flag}");
-        std::process::exit(2);
-    })
-}
-
-/// Parse a numeric flag that must lie in `range`: a value outside it is a
-/// usage error naming the flag and the range, not a panic deeper in.
-fn parse_in_range<T, R>(flag: &str, raw: &str, range: R) -> T
-where
-    T: std::str::FromStr + PartialOrd + std::fmt::Display,
-    R: std::ops::RangeBounds<T> + std::fmt::Debug,
-{
-    let v = parse_value(flag, raw);
-    if !range.contains(&v) {
-        eprintln!("error: {flag} must be in {range:?} (got {v})");
-        std::process::exit(2);
+    fn on(&self, id: F) -> bool {
+        self.get(id).is_some()
     }
-    v
-}
 
-/// Parse an integer value for one of the coherence geometry flags.
-/// Range/power-of-two checks happen later in [`CoherenceConfig::validate`];
-/// this only rejects non-numbers with the flag's name in the message.
-fn parse_geometry(flag: &str, raw: &str) -> u64 {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} expects an integer, got `{raw}`");
-        std::process::exit(2);
-    })
-}
+    fn int(&self, id: F, default: u64) -> u64 {
+        match self.get(id) {
+            Some(Val::Int(v)) => *v,
+            _ => default,
+        }
+    }
 
-/// The coherence geometry the CLI flags describe.
-fn coherence_config(o: &Options) -> lc_cachesim::CoherenceConfig {
-    lc_cachesim::CoherenceConfig {
-        line_bytes: o.line_size,
-        cache_kib: o.cache_kib,
-        assoc: o.assoc,
+    /// The last value given, as `get` reads it.
+    fn text(&self, id: F) -> Option<String> {
+        self.texts(id).pop()
+    }
+
+    /// Every value given, in order.
+    fn texts(&self, id: F) -> Vec<String> {
+        (self.0.iter().filter(|(f, _)| f.id == id))
+            .filter_map(|(_, v)| match v {
+                Val::Text(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `--threads/--size/--seed`: how a workload runs.
+    fn run(&self) -> RunConfig {
+        let size = match self.get(F::Size) {
+            Some(Val::Size(s)) => *s,
+            _ => InputSize::SimSmall,
+        };
+        let threads = self.int(F::Threads, 8) as usize;
+        RunConfig::new(threads, size, self.int(F::Seed, 42))
+    }
+
+    /// `--line-size/--cache-kib/--assoc`: the MESI backend's geometry.
+    fn geometry(&self) -> CoherenceConfig {
+        CoherenceConfig {
+            line_bytes: self.int(F::LineSize, 64),
+            cache_kib: self.int(F::CacheKib, 16),
+            assoc: self.int(F::Assoc, 4) as usize,
+        }
+    }
+
+    /// `--coherence`: the geometry, when the MESI backend runs.
+    fn coherence(&self) -> Option<CoherenceConfig> {
+        self.on(F::Coherence).then(|| self.geometry())
+    }
+
+    /// The hidden `--fault-plan` file, armed. An unreadable or malformed
+    /// plan is a usage error (exit 2), not a degraded run.
+    fn faults(&self) -> Option<Arc<lc_faults::FaultInjector>> {
+        self.text(F::FaultPlan).map(|path| {
+            let plan = (std::fs::read_to_string(&path))
+                .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))
+                .and_then(|text| lc_faults::FaultPlan::parse(&text).map_err(|e| e.to_string()))
+                .unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
+            Arc::new(lc_faults::FaultInjector::new(plan))
+        })
     }
 }
 
-/// Arm the hidden `--fault-plan` file, if one was given. Parse errors and
-/// unreadable files are usage errors (exit 2), not degraded runs.
-fn fault_injector(o: &Options) -> Option<Arc<lc_faults::FaultInjector>> {
-    o.fault_plan.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read fault plan `{path}`: {e}");
-            std::process::exit(2);
-        });
-        let plan = lc_faults::FaultPlan::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        Arc::new(lc_faults::FaultInjector::new(plan))
-    })
+/// `--slots/--loop-capacity/--perfect/--jobs`: the RAW analyzer.
+struct Sig {
+    slots: usize,
+    loop_capacity: usize,
+    detector: DetectorKind,
+    jobs: usize,
 }
 
-/// Look up workload `name` and check it can run on `--threads`, so a
+impl Sig {
+    fn new(a: &Args) -> Self {
+        Sig {
+            slots: a.int(F::Slots, 1 << 20) as usize,
+            loop_capacity: a.int(F::LoopCapacity, 1024) as usize,
+            detector: if a.on(F::Perfect) {
+                DetectorKind::Perfect
+            } else {
+                DetectorKind::Asymmetric
+            },
+            jobs: a.int(F::Jobs, 1) as usize,
+        }
+    }
+
+    /// The analyzer's signature, profiler and accumulator configuration
+    /// for `threads` thread ids.
+    fn configs(
+        &self,
+        threads: usize,
+    ) -> (
+        SignatureConfig,
+        lc_profiler::ProfilerConfig,
+        lc_profiler::AccumConfig,
+    ) {
+        (
+            SignatureConfig::paper_default(self.slots, threads),
+            lc_profiler::ProfilerConfig {
+                threads,
+                track_nested: true,
+                phase_window: None,
+            },
+            lc_profiler::AccumConfig {
+                loop_capacity: self.loop_capacity,
+            },
+        )
+    }
+}
+
+/// `--connect/--tenant/--frame-events`: where `record`, `stream` and
+/// `synth` send events, and in what frames.
+struct Target {
+    /// A `loopcomm serve` endpoint, instead of a file.
+    connect: Option<String>,
+    tenant: String,
+    frame_events: usize,
+}
+
+impl Target {
+    fn new(a: &Args) -> Self {
+        Target {
+            connect: a.text(F::Connect),
+            tenant: a.text(F::Tenant).unwrap_or_else(|| "default".to_string()),
+            frame_events: a.int(F::FrameEvents, lc_trace::DEFAULT_FRAME_EVENTS as u64) as usize,
+        }
+    }
+}
+
+/// A run that failed on its input, its output or the host: `msg` on
+/// stderr, exit 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Look up workload `name` and check it can run on `threads`, so a
 /// thread count the kernel cannot use is a usage error, not a panic.
-fn workload(name: &str, o: &Options) -> Box<dyn Workload> {
+fn workload(name: &str, threads: usize) -> Box<dyn Workload> {
     let w = by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown workload `{name}` — try `loopcomm list`");
-        std::process::exit(2);
+        refuse(format_args!(
+            "unknown workload `{name}` — try `loopcomm list`"
+        ))
     });
-    if o.threads < w.min_threads() {
-        eprintln!(
-            "error: `{name}` needs --threads {} or more (got {})",
-            w.min_threads(),
-            o.threads
-        );
-        std::process::exit(2);
+    if threads < w.min_threads() {
+        refuse(format_args!(
+            "`{name}` needs --threads {} or more (got {threads})",
+            w.min_threads()
+        ));
     }
     w
 }
 
 fn profile(
     name: &str,
-    o: &Options,
+    run: &RunConfig,
+    sig: &Sig,
     phase_window: Option<u64>,
 ) -> (Arc<AsymmetricProfiler>, Arc<TraceCtx>) {
-    let workload = workload(name, o);
-    let sig = SignatureConfig::paper_default(o.slots, o.threads)
-        .try_build()
-        .unwrap_or_else(|e| pipeline_failed(&PipelineError::Table(e)));
+    let threads = run.threads;
+    let workload = workload(name, threads);
+    let (table, prof, accum) = sig.configs(threads);
+    let table = (table.try_build()).unwrap_or_else(|e| pipeline_failed(&PipelineError::Table(e)));
     let profiler = Arc::new(AsymmetricProfiler::from_detector_with(
-        lc_profiler::RawDetector::new(sig),
+        lc_profiler::RawDetector::new(table),
         lc_profiler::ProfilerConfig {
-            threads: o.threads,
-            track_nested: true,
             phase_window,
+            ..prof
         },
-        lc_profiler::AccumConfig {
-            loop_capacity: o.loop_capacity,
-        },
+        accum,
     ));
-    let ctx = TraceCtx::new(profiler.clone(), o.threads);
-    workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
+    let ctx = TraceCtx::new(profiler.clone(), threads);
+    workload.run(&ctx, run);
     if let Some(e) = profiler.registry_overflow() {
-        registry_full_error(e, o.loop_capacity);
+        registry_full_error(e, sig.loop_capacity);
     }
     (profiler, ctx)
 }
@@ -575,15 +634,6 @@ fn pipeline_failed(e: &PipelineError) -> ! {
     };
     eprintln!("error: {what}");
     std::process::exit(code);
-}
-
-/// The RAW detector the options select.
-fn detector(o: &Options) -> lc_profiler::DetectorKind {
-    if o.perfect {
-        lc_profiler::DetectorKind::Perfect
-    } else {
-        lc_profiler::DetectorKind::Asymmetric
-    }
 }
 
 /// Report a loop-registry overflow as a clean actionable error. The
@@ -601,6 +651,13 @@ fn registry_full_error(e: lc_profiler::RegistryFull, current: usize) -> ! {
     std::process::exit(1);
 }
 
+/// Write `body` to the output file `path`; a path that cannot be written
+/// ends the run with exit 1, naming `what` and the path.
+fn write_out(what: &str, path: &str, body: impl AsRef<[u8]>) {
+    (std::fs::write(path, body))
+        .unwrap_or_else(|e| fail(format_args!("cannot write {what} to `{path}`: {e}")));
+}
+
 /// Write a metrics registry to `path`: `.json` selects the JSON exposition,
 /// anything else the Prometheus text form.
 fn write_metrics(path: &str, reg: &lc_profiler::MetricsRegistry) {
@@ -609,10 +666,7 @@ fn write_metrics(path: &str, reg: &lc_profiler::MetricsRegistry) {
     } else {
         reg.to_prometheus()
     };
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("cannot write metrics to `{path}`: {e}");
-        std::process::exit(1);
-    });
+    write_out("metrics", path, body);
     println!("wrote metrics       : {path}");
 }
 
@@ -622,8 +676,10 @@ fn write_metrics(path: &str, reg: &lc_profiler::MetricsRegistry) {
 /// schedule counts and, on a violation, the (minimized) decision trace.
 /// Exits 1 if any scenario's oracle is violated.
 #[cfg(feature = "sched")]
-fn simtest_cmd(name: &str, o: &Options) {
+fn simtest_cmd(name: &str, a: &Args) {
     use loopcomm::simtest;
+
+    let (seed, mutants, trace_out) = (a.int(F::Seed, 42), a.texts(F::Mutant), a.text(F::TraceOut));
 
     if name == "list" {
         println!("model-checking scenarios:");
@@ -642,8 +698,9 @@ fn simtest_cmd(name: &str, o: &Options) {
         simtest::scenarios().iter().collect()
     } else {
         vec![simtest::find(name).unwrap_or_else(|| {
-            eprintln!("unknown scenario `{name}` — try `loopcomm simtest list`");
-            std::process::exit(2);
+            refuse(format_args!(
+                "unknown scenario `{name}` — try `loopcomm simtest list`"
+            ))
         })]
     };
 
@@ -651,9 +708,13 @@ fn simtest_cmd(name: &str, o: &Options) {
     for s in scenarios {
         let defaults = lc_sched::SimConfig::default();
         let cfg = lc_sched::SimConfig {
-            max_preemptions: o.sim.preemptions.unwrap_or(s.default_preemption_bound),
-            max_schedules: o.sim.max_schedules.unwrap_or(defaults.max_schedules),
-            mutants: o.sim.mutants.clone(),
+            max_preemptions: match a.get(F::MaxPreemptions) {
+                Some(Val::Int(n)) => Some(*n as usize),
+                Some(_) => None,
+                None => s.default_preemption_bound,
+            },
+            max_schedules: a.int(F::MaxSchedules, defaults.max_schedules),
+            mutants: mutants.clone(),
             ..defaults
         };
         let bound = match cfg.max_preemptions {
@@ -661,10 +722,10 @@ fn simtest_cmd(name: &str, o: &Options) {
             None => "unbounded".to_string(),
         };
         let explorer = lc_sched::Explorer::new(cfg);
-        let (mode, report) = match o.sim.explore {
+        let (mode, report) = match a.on(F::Explore).then(|| a.int(F::Explore, 0)) {
             Some(n) => (
-                format!("random x{n} (seed {})", o.seed),
-                explorer.explore_random(o.seed, n, || s.run()),
+                format!("random x{n} (seed {seed})"),
+                explorer.explore_random(seed, n, || s.run()),
             ),
             None => (
                 "exhaustive".to_string(),
@@ -693,25 +754,16 @@ fn simtest_cmd(name: &str, o: &Options) {
             if let Some(m) = &v.minimized {
                 eprintln!("  minimized : {}", m.to_line());
             }
-            if let Some(path) = &o.sim.trace_out {
+            if let Some(path) = &trace_out {
                 use std::io::Write as _;
-                let mut f = std::fs::OpenOptions::new()
+                let repro = v.minimized.as_ref().unwrap_or(&v.trace);
+                let line = format!("scenario={};kind={:?};{}", s.name, v.kind, repro.to_line());
+                (std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(path)
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open trace file `{path}`: {e}");
-                        std::process::exit(1);
-                    });
-                let repro = v.minimized.as_ref().unwrap_or(&v.trace);
-                writeln!(
-                    f,
-                    "scenario={};kind={:?};{}",
-                    s.name,
-                    v.kind,
-                    repro.to_line()
-                )
-                .expect("write trace line");
+                    .open(path))
+                .and_then(|mut f| writeln!(f, "{line}"))
+                .unwrap_or_else(|e| fail(format_args!("cannot write trace file `{path}`: {e}")));
                 println!("  wrote repro trace -> {path}");
             }
         }
@@ -719,24 +771,21 @@ fn simtest_cmd(name: &str, o: &Options) {
     if violated {
         std::process::exit(1);
     }
-    if !o.sim.mutants.is_empty() {
+    if !mutants.is_empty() {
         // An armed mutant that no oracle catches is itself a harness
         // defect; make the run loudly distinguishable from a clean one.
         println!(
             "note: mutant(s) [{}] armed but no violation found",
-            o.sim.mutants.join(", ")
+            mutants.join(", ")
         );
     }
 }
 
 /// Load a recorded trace for `analyze`/`stream`, honoring `--salvage`.
-fn load_or_salvage(name: &str, o: &Options) -> lc_trace::Trace {
-    if o.salvage {
-        let (trace, rep) =
-            lc_trace::salvage_trace(std::path::Path::new(name)).unwrap_or_else(|e| {
-                eprintln!("cannot salvage `{name}`: {e}");
-                std::process::exit(1);
-            });
+fn load_or_salvage(name: &str, salvage: bool) -> lc_trace::Trace {
+    if salvage {
+        let (trace, rep) = lc_trace::salvage_trace(std::path::Path::new(name))
+            .unwrap_or_else(|e| fail(format_args!("cannot salvage `{name}`: {e}")));
         println!(
             "salvage: format v{}, {} frame(s), {} event(s) recovered, {} byte(s) dropped",
             rep.version, rep.frames, rep.events, rep.bytes_dropped
@@ -744,9 +793,9 @@ fn load_or_salvage(name: &str, o: &Options) -> lc_trace::Trace {
         trace
     } else {
         lc_trace::load_trace(std::path::Path::new(name)).unwrap_or_else(|e| {
-            eprintln!("cannot read `{name}`: {e}");
-            eprintln!("hint: `--salvage` recovers what is intact");
-            std::process::exit(1);
+            fail(format_args!(
+                "cannot read `{name}`: {e}\nhint: `--salvage` recovers what is intact"
+            ))
         })
     }
 }
@@ -778,8 +827,9 @@ fn analyze_threads(source: &lc_trace::FileBlockSource) -> usize {
                 }
             })
             .unwrap_or_else(|e| {
-                eprintln!("error: cannot scan spool for thread count: {e}");
-                std::process::exit(1);
+                fail(format_args!(
+                    "error: cannot scan spool for thread count: {e}"
+                ))
             });
             threads
         }
@@ -791,47 +841,40 @@ fn analyze_threads(source: &lc_trace::FileBlockSource) -> usize {
             .unwrap_or(1),
     };
     if threads > MAX_ANALYZE_THREADS {
-        eprintln!(
+        fail(format_args!(
             "error: trace uses thread id {}; `analyze` supports thread ids below \
              {MAX_ANALYZE_THREADS} (matrices are dense in max tid + 1)",
             threads - 1
-        );
-        std::process::exit(1);
+        ));
     }
     threads as usize
 }
 
 /// Resume must run with the configuration the checkpoint echoes —
 /// anything else would silently change the analysis semantics mid-trace.
-fn check_resume_config(cp: &lc_profiler::Checkpoint, o: &Options, jobs: usize) {
-    let want_kind = if o.perfect {
-        lc_profiler::DetectorKind::Perfect
-    } else {
-        lc_profiler::DetectorKind::Asymmetric
-    };
-    if cp.kind != want_kind {
-        eprintln!(
-            "error: checkpoint was taken with the {:?} detector; rerun {} --perfect",
+fn check_resume_config(cp: &lc_profiler::Checkpoint, sig: &Sig) {
+    if cp.kind != sig.detector {
+        refuse(format_args!(
+            "checkpoint was taken with the {:?} detector; rerun {} --perfect",
             cp.kind,
-            if o.perfect { "without" } else { "with" }
-        );
-        std::process::exit(2);
+            if sig.detector == DetectorKind::Perfect {
+                "without"
+            } else {
+                "with"
+            }
+        ));
     }
-    if cp.jobs != jobs {
-        eprintln!(
-            "error: checkpoint was taken with --jobs {}; resume with the same value",
+    if cp.jobs != sig.jobs {
+        refuse(format_args!(
+            "checkpoint was taken with --jobs {}; resume with the same value",
             cp.jobs
-        );
-        std::process::exit(2);
+        ));
     }
-    if let Some(sig) = &cp.sig {
-        if sig.n_slots != o.slots {
-            eprintln!(
-                "error: checkpoint was taken with --slots {}; resume with the same value",
-                sig.n_slots
-            );
-            std::process::exit(2);
-        }
+    if let Some(taken) = cp.sig.as_ref().filter(|t| t.n_slots != sig.slots) {
+        refuse(format_args!(
+            "checkpoint was taken with --slots {}; resume with the same value",
+            taken.n_slots
+        ));
     }
 }
 
@@ -840,19 +883,18 @@ fn check_resume_config(cp: &lc_profiler::Checkpoint, o: &Options, jobs: usize) {
 /// [`loopcomm::Pipeline`] every server tenant drives, so profiler
 /// memory follows Eq. 2 (signatures + matrices) whatever the trace
 /// length; `--checkpoint`/`--resume` make the run crash-resumable.
-fn analyze(name: &str, o: &Options) {
+fn analyze(name: &str, a: &Args) {
     use lc_trace::{BlockSource, EventBlock, FileBlockSource};
 
-    let faults = fault_injector(o);
-    let jobs = o.jobs;
-
-    let mut source = if o.salvage {
-        FileBlockSource::Ram(load_or_salvage(name, o))
+    let (sig, coherence, faults) = (Sig::new(a), a.coherence(), a.faults());
+    let jobs = sig.jobs;
+    let mut source = if a.on(F::Salvage) {
+        FileBlockSource::Ram(load_or_salvage(name, true))
     } else {
         FileBlockSource::open(std::path::Path::new(name)).unwrap_or_else(|e| {
-            eprintln!("cannot read `{name}`: {e}");
-            eprintln!("hint: `--salvage` recovers what is intact");
-            std::process::exit(1);
+            fail(format_args!(
+                "cannot read `{name}`: {e}\nhint: `--salvage` recovers what is intact"
+            ))
         })
     };
     let total = source.events();
@@ -873,20 +915,15 @@ fn analyze(name: &str, o: &Options) {
 
     // One shard per core (a power of two); with one, no thread starts.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (table, prof, accum) = sig.configs(threads);
     let cfg = loopcomm::PipelineConfig {
-        detector: detector(o),
-        sig: SignatureConfig::paper_default(o.slots, threads),
-        prof: lc_profiler::ProfilerConfig {
-            threads,
-            track_nested: true,
-            phase_window: None,
-        },
-        accum: lc_profiler::AccumConfig {
-            loop_capacity: o.loop_capacity,
-        },
+        detector: sig.detector,
+        sig: table,
+        prof,
+        accum,
         jobs,
-        coherence: o.coherence.then(|| coherence_config(o)),
-        coherence_shards: lc_cachesim::ShardedCoherence::shard_count(coherence_config(o), cores),
+        coherence,
+        coherence_shards: lc_cachesim::ShardedCoherence::shard_count(a.geometry(), cores),
     };
 
     // Resume, if a usable checkpoint exists. A missing or corrupt
@@ -894,11 +931,11 @@ fn analyze(name: &str, o: &Options) {
     // wrong one — the CRC rules out trusting torn state. A checkpoint of
     // another format version is an error (exit 1).
     let mut restored = None;
-    if let Some(dir) = &o.resume {
+    if let Some(dir) = &a.text(F::Resume) {
         let cp_file = lc_profiler::checkpoint_path(std::path::Path::new(dir));
         match lc_profiler::Checkpoint::load(&cp_file) {
             Ok(cp) => {
-                check_resume_config(&cp, o, jobs);
+                check_resume_config(&cp, &sig);
                 match loopcomm::Pipeline::restore(&cp, &cfg) {
                     Ok(p) => {
                         let a = p.analyzer();
@@ -922,8 +959,7 @@ fn analyze(name: &str, o: &Options) {
             // cannot be carried over, and silently starting over would
             // hide that.
             Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                eprintln!("error: {e} in `{dir}`");
-                std::process::exit(1);
+                fail(format_args!("error: {e} in `{dir}`"))
             }
             Err(e) => {
                 eprintln!("warning: unusable checkpoint in `{dir}` ({e}); starting from scratch")
@@ -933,7 +969,9 @@ fn analyze(name: &str, o: &Options) {
     let mut pipe = restored
         .unwrap_or_else(|| loopcomm::Pipeline::new(&cfg).unwrap_or_else(|e| pipeline_failed(&e)));
 
-    let cp_dir = o.checkpoint.as_deref().map(std::path::Path::new);
+    // `--checkpoint`: a snapshot every `--every` events, and at the end.
+    let (cp_dir, every) = (a.text(F::Checkpoint), a.int(F::Every, 1_000_000));
+    let cp_dir = cp_dir.as_deref().map(std::path::Path::new);
     // Capture and atomically publish a checkpoint. Failure degrades
     // durability (warn and continue), never the analysis: an injected
     // `io_error`/`short_write` leaves the previous checkpoint in place,
@@ -953,7 +991,7 @@ fn analyze(name: &str, o: &Options) {
     let read_ahead = cores > pipe.coherence_shards().unwrap_or(1);
     // The coherence backend is not part of the checkpoint: on a resumed
     // run it only sees the events replayed here, so flag the shortfall.
-    if o.coherence && start > 0 {
+    if coherence.is_some() && start > 0 {
         eprintln!(
             "warning: --coherence state is not checkpointed; the coherence report \
              covers only the {} event(s) replayed in this run",
@@ -966,11 +1004,10 @@ fn analyze(name: &str, o: &Options) {
             EventBlock::Stamped(evs) => pipe.on_frame(evs),
         };
         if let Err(e) = fed {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+            fail(format_args!("error: {e}"));
         }
         if let Some(dir) = cp_dir {
-            if pipe.analyzer().events() - last_cp >= o.every {
+            if pipe.analyzer().events() - last_cp >= every {
                 write_checkpoint(&pipe, dir);
                 last_cp = pipe.analyzer().events();
             }
@@ -985,32 +1022,26 @@ fn analyze(name: &str, o: &Options) {
             ..Default::default()
         }),
     }
-    .unwrap_or_else(|e| {
-        eprintln!("error: replay failed: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(format_args!("error: replay failed: {e}")));
     // Always leave a final checkpoint: a completed run is itself
     // resumable, and resume-after-complete replays nothing.
     if let Some(dir) = cp_dir {
         write_checkpoint(&pipe, dir);
     }
     if let Some(e) = pipe.analyzer().overflow() {
-        registry_full_error(e, o.loop_capacity);
+        registry_full_error(e, sig.loop_capacity);
     }
     // The coherence report is merged and rendered here, ahead of the
     // metrics that time it; it is printed last, as always.
     let t0 = std::time::Instant::now();
     let shards = pipe.coherence_shards().unwrap_or(0);
-    let (analyzer, coherence) = pipe.finish().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let (analyzer, coherence) =
+        (pipe.finish()).unwrap_or_else(|e| fail(format_args!("error: {e}")));
     let coherence = coherence.map(|rep| {
         if let Some(e) = rep.loop_overflow {
-            registry_full_error(e, o.loop_capacity);
+            registry_full_error(e, sig.loop_capacity);
         }
-        let body =
-            (o.coherence_out.as_ref()).map(|_| lc_cachesim::canonical_coherence_report(&rep));
+        let body = (a.on(F::CoherenceOut)).then(|| lc_cachesim::canonical_coherence_report(&rep));
         (rep, body, t0.elapsed())
     });
     let r = analyzer.report();
@@ -1044,7 +1075,7 @@ fn analyze(name: &str, o: &Options) {
         }
     }
     println!("\ncommunication matrix:\n{}", r.global.heatmap());
-    if let Some(path) = &o.metrics {
+    if let Some(path) = a.text(F::Metrics) {
         let mut reg = lc_profiler::MetricsRegistry::new();
         reg.counter(
             "loopcomm_accesses_total",
@@ -1085,21 +1116,18 @@ fn analyze(name: &str, o: &Options) {
         if let Some((rep, _, took)) = &coherence {
             coherence_metrics(&mut reg, &rep.totals(), shards, *took);
         }
-        write_metrics(path, &reg);
+        write_metrics(&path, &reg);
     }
-    if let Some(path) = &o.report_out {
+    if let Some(path) = a.text(F::ReportOut) {
         // Canonical plain-text form: byte-identical to what a
         // `loopcomm serve` tenant reports for the same events, whatever
         // the input format, --jobs or checkpoint/resume history.
         let body = lc_profiler::canonical_report(&r, analyzer.events());
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write report to `{path}`: {e}");
-            std::process::exit(1);
-        });
+        write_out("report", &path, body);
         println!("wrote canonical report: {path}");
     }
     if let Some((rep, body, _)) = coherence {
-        print_coherence(&rep, shards, body, o);
+        print_coherence(&rep, shards, body, a.text(F::CoherenceOut));
     }
 }
 
@@ -1154,13 +1182,14 @@ fn coherence_metrics(
 /// the global RAW matrix and the coherence report.
 fn profile_with_coherence(
     name: &str,
-    o: &Options,
+    run: &RunConfig,
+    geometry: CoherenceConfig,
 ) -> (lc_profiler::DenseMatrix, lc_cachesim::CoherenceReport) {
-    let workload = workload(name, o);
+    let workload = workload(name, run.threads);
     let threads =
-        loopcomm::pipeline::coherence_threads(o.threads).unwrap_or_else(|e| pipeline_failed(&e));
+        loopcomm::pipeline::coherence_threads(run.threads).unwrap_or_else(|e| pipeline_failed(&e));
     let coh = Arc::new(lc_cachesim::SharedCoherence::new(
-        lc_cachesim::CoherenceBackend::new(coherence_config(o), threads),
+        lc_cachesim::CoherenceBackend::new(geometry, threads),
     ));
     let prof = Arc::new(lc_profiler::PerfectProfiler::perfect(
         lc_profiler::ProfilerConfig {
@@ -1174,7 +1203,7 @@ fn profile_with_coherence(
         prof.clone(),
     ]));
     let ctx = TraceCtx::new(fork, threads);
-    workload.run(&ctx, &RunConfig::new(threads, o.size, o.seed));
+    workload.run(&ctx, run);
     (prof.global_matrix(), coh.report())
 }
 
@@ -1184,7 +1213,7 @@ fn print_coherence(
     rep: &lc_cachesim::CoherenceReport,
     shards: usize,
     body: Option<String>,
-    o: &Options,
+    out: Option<String>,
 ) {
     println!(
         "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], {shards} cache-set shard(s) \
@@ -1255,11 +1284,8 @@ fn print_coherence(
             );
         }
     }
-    if let (Some(path), Some(body)) = (&o.coherence_out, body) {
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write coherence report to `{path}`: {e}");
-            std::process::exit(1);
-        });
+    if let (Some(path), Some(body)) = (out, body) {
+        write_out("coherence report", &path, body);
         println!("wrote coherence report: {path}");
     }
 }
@@ -1269,31 +1295,29 @@ use lc_trace::synth_event;
 /// `loopcomm synth <file>` — stream a deterministic synthetic v3 spool
 /// to disk without ever materializing it in memory, so CI can fabricate
 /// spools far larger than RAM for the out-of-core replay checks.
-fn synth_cmd(name: &str, o: &Options) {
-    let threads = o.threads as u32;
-    let frame = o.frame_events;
+fn synth_cmd(name: &str, a: &Args) {
+    let (run, frame) = (a.run(), Target::new(a).frame_events);
+    let (events, working_set) = (a.int(F::Events, 1_000_000), a.int(F::WorkingSet, 65_536));
+    let addr_reuse = match a.get(F::AddrReuse) {
+        Some(Val::Real(p)) => *p,
+        _ => 0.0,
+    };
     let mut buf: Vec<lc_trace::StampedEvent> = Vec::with_capacity(frame);
     let mut i = 0u64;
-    let mut w = lc_trace::SpoolV3Writer::create_with(std::path::Path::new(name), fault_injector(o))
-        .unwrap_or_else(|e| {
-            eprintln!("cannot create `{name}`: {e}");
-            std::process::exit(1);
-        });
-    while i < o.events {
+    let mut w = lc_trace::SpoolV3Writer::create_with(std::path::Path::new(name), a.faults())
+        .unwrap_or_else(|e| fail(format_args!("cannot create `{name}`: {e}")));
+    while i < events {
         buf.clear();
-        while buf.len() < frame && i < o.events {
-            buf.push(synth_event(i, o.seed, threads, o.working_set, o.addr_reuse));
+        while buf.len() < frame && i < events {
+            let threads = run.threads as u32;
+            buf.push(synth_event(i, run.seed, threads, working_set, addr_reuse));
             i += 1;
         }
-        w.append_frame(&buf).unwrap_or_else(|e| {
-            eprintln!("error: spool write failed: {e}");
-            std::process::exit(1);
-        });
+        (w.append_frame(&buf))
+            .unwrap_or_else(|e| fail(format_args!("error: spool write failed: {e}")));
     }
-    let stats = w.finish().unwrap_or_else(|e| {
-        eprintln!("error: spool finish failed: {e}");
-        std::process::exit(1);
-    });
+    let stats =
+        (w.finish()).unwrap_or_else(|e| fail(format_args!("error: spool finish failed: {e}")));
     println!(
         "synthesized {} event(s) in {} frame(s) ({} bytes, format v3) -> {name}",
         stats.events, stats.frames, stats.bytes
@@ -1302,48 +1326,38 @@ fn synth_cmd(name: &str, o: &Options) {
 
 /// `loopcomm serve` — start the streaming multi-tenant ingest service
 /// and run until the process is killed (see DESIGN.md §13).
-fn serve_cmd(o: &Options) -> ! {
-    let listen = if o.listen.is_empty() {
-        vec!["127.0.0.1:9009".to_string()]
-    } else {
-        o.listen.clone()
-    };
+fn serve_cmd(a: &Args) -> ! {
+    let mut listen = a.texts(F::Listen);
+    if listen.is_empty() {
+        listen.push("127.0.0.1:9009".to_string());
+    }
+    let sig = Sig::new(a);
+    let threads = a.run().threads;
+    let (sig_cfg, prof, accum) = sig.configs(threads);
+    let idle_secs = a.int(F::TenantIdleSecs, 0);
     let cfg = loopcomm::serve::ServeConfig {
         listen,
-        http: o.http.clone(),
-        detector: detector(o),
-        sig: SignatureConfig::paper_default(o.slots, o.threads),
-        prof: lc_profiler::ProfilerConfig {
-            threads: o.threads,
-            track_nested: true,
-            phase_window: None,
-        },
-        accum: lc_profiler::AccumConfig {
-            loop_capacity: o.loop_capacity,
-        },
-        jobs: o.jobs,
-        queue_frames: o.queue_frames,
-        max_conns: o.max_conns,
-        max_tenants: o.max_tenants,
-        faults: fault_injector(o),
-        durable_dir: o.durable_dir.as_ref().map(std::path::PathBuf::from),
-        tenant_idle: (o.tenant_idle_secs > 0)
-            .then(|| std::time::Duration::from_secs(o.tenant_idle_secs)),
-        tenant_max_bytes: o.tenant_max_bytes,
-        coherence: o.coherence.then(|| coherence_config(o)),
+        http: a.text(F::Http),
+        detector: sig.detector,
+        sig: sig_cfg,
+        prof,
+        accum,
+        jobs: sig.jobs,
+        queue_frames: a.int(F::QueueFrames, 64) as usize,
+        max_conns: a.int(F::MaxConns, 64) as usize,
+        max_tenants: a.int(F::MaxTenants, 64) as usize,
+        faults: a.faults(),
+        durable_dir: a.text(F::DurableDir).map(std::path::PathBuf::from),
+        tenant_idle: (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs)),
+        tenant_max_bytes: a.int(F::TenantMaxBytes, 0) as usize,
+        coherence: a.coherence(),
     };
-    if cfg.durable_dir.is_none() && (cfg.tenant_idle.is_some() || cfg.tenant_max_bytes > 0) {
-        eprintln!(
-            "warning: --tenant-idle-secs/--tenant-max-bytes need --durable-dir \
-             (eviction checkpoints to disk); ignoring"
-        );
-    }
+    let coherence = cfg.coherence.is_some();
     let server = loopcomm::serve::Server::start(cfg).unwrap_or_else(|e| {
         if let Some(e) = e.get_ref().and_then(|e| e.downcast_ref()) {
             pipeline_failed(e);
         }
-        eprintln!("cannot start server: {e}");
-        std::process::exit(1);
+        fail(format_args!("cannot start server: {e}"))
     });
     for addr in server.ingest_addrs() {
         println!("ingest : {addr}");
@@ -1351,7 +1365,7 @@ fn serve_cmd(o: &Options) -> ! {
     if let Some(addr) = server.http_addr() {
         println!(
             "http   : http://{addr}/  (/metrics, /tenants, /tenants/<t>/report{})",
-            if o.coherence {
+            if coherence {
                 ", /tenants/<t>/coherence"
             } else {
                 ""
@@ -1370,15 +1384,13 @@ fn serve_cmd(o: &Options) -> ! {
 /// error). Commands that write to a socket keep it ignored: a peer that
 /// hangs up must surface as an error there, not kill the process.
 #[cfg(unix)]
-fn restore_default_sigpipe(args: &[String]) {
+fn restore_default_sigpipe(writes_socket: bool) {
     use std::ffi::c_int;
     const SIGPIPE: c_int = 13;
     const SIG_DFL: usize = 0;
     extern "C" {
         fn signal(signum: c_int, handler: usize) -> usize;
     }
-    let writes_socket = matches!(args.first().map(String::as_str), Some("serve" | "stream"))
-        || args.iter().any(|a| a == "--connect");
     if !writes_socket {
         // SAFETY: `signal` with a valid signal number and `SIG_DFL` only
         // changes the process's disposition; it runs before any thread is
@@ -1391,71 +1403,158 @@ fn restore_default_sigpipe(args: &[String]) {
 }
 
 #[cfg(not(unix))]
-fn restore_default_sigpipe(_args: &[String]) {}
+fn restore_default_sigpipe(_writes_socket: bool) {}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    restore_default_sigpipe(&args);
-    let Some(cmd) = args.first() else { usage() };
-
-    if cmd == "list" {
-        println!("available workloads:");
-        for w in all_workloads() {
-            println!("  {:<14} {}", w.name(), w.description());
+    let Some(cmd) = (args.first().map(String::as_str))
+        .filter(|c| WORKLOAD_CMDS.contains(c) || OTHER_CMDS.contains(c))
+    else {
+        usage()
+    };
+    // The positional arguments ahead of the options; `record` takes no
+    // file under `--connect`.
+    let max_positional = match cmd {
+        "list" | "serve" => 0,
+        "report" | "record" => 2,
+        _ => 1,
+    };
+    let positional: Vec<&str> = (args[1..].iter())
+        .take_while(|a| !a.starts_with("--"))
+        .take(max_positional)
+        .map(String::as_str)
+        .collect();
+    let a = parse(cmd, &args[1 + positional.len()..]);
+    restore_default_sigpipe(matches!(cmd, "serve" | "stream") || a.on(F::Connect));
+    match cmd {
+        "list" => {
+            println!("available workloads:");
+            for w in all_workloads() {
+                println!("  {:<14} {}", w.name(), w.description());
+            }
+            return;
         }
+        "serve" => serve_cmd(&a),
+        _ => {}
+    }
+    let Some(&name) = positional.first() else {
+        usage()
+    };
+    let second = positional.get(1).copied();
+    match cmd {
+        // `name` is the output path here.
+        "synth" => synth_cmd(name, &a),
+        "record" => record_cmd(name, second, &a),
+        // `name` is the trace path here.
+        "stream" => stream_cmd(name, &a),
+        "analyze" => analyze(name, &a),
+        #[cfg(feature = "sched")]
+        "simtest" => simtest_cmd(name, &a),
+        #[cfg(not(feature = "sched"))]
+        "simtest" => refuse(
+            "`loopcomm simtest` requires the `sched` feature, which the default \
+             build leaves out (its instrumented atomics cost up to 3x throughput); \
+             build with `--features sched`",
+        ),
+        _ => run(cmd, name, second, &a),
+    }
+}
+
+/// `loopcomm record <workload> <file>`, or `--connect` to a server.
+fn record_cmd(name: &str, path: Option<&str>, a: &Args) {
+    let (run, t, faults) = (a.run(), Target::new(a), a.faults());
+    let workload = workload(name, run.threads);
+    if let (Some(_), Some(path)) = (&t.connect, path) {
+        refuse(format_args!(
+            "record writes `{path}` or streams to --connect, not both"
+        ));
+    }
+    if let Some(addr) = &t.connect {
+        // Live streaming: the same recording sink as a file, but
+        // the writer thread ships v2 frames to a `loopcomm serve`
+        // endpoint.
+        let sink = Arc::new(
+            lc_trace::NetSink::connect(addr, &t.tenant, t.frame_events, faults)
+                .unwrap_or_else(|e| fail(format_args!("cannot connect to `{addr}`: {e}"))),
+        );
+        let ctx = TraceCtx::new(sink.clone(), run.threads);
+        workload.run(&ctx, &run);
+        streamed(sink.finish(), addr, &t.tenant);
         return;
     }
-
-    // `serve` takes no positional at all: options only.
-    if cmd == "serve" {
-        let o = parse_options(&args[1..]);
-        check_coherence_flags(cmd, &o);
-        serve_cmd(&o);
-    }
-
-    let Some(name) = args.get(1) else { usage() };
-    // `record` and `report` take an extra positional (the output file)
-    // before options — except `record --connect`, where the trace goes to
-    // a server and there is no file.
-    let opt_start = match cmd.as_str() {
-        "report" => 3,
-        "record" => {
-            if args.get(2).is_none_or(|a| a.starts_with("--")) {
-                2
-            } else {
-                3
-            }
+    let Some(path) = path else { usage() };
+    // Segments hit disk as the run progresses, through a bounded
+    // backlog: memory stays flat however long the run, and a crash
+    // (or an injected I/O fault) loses at most the unwritten tail —
+    // every whole segment stays salvageable.
+    let sink = Arc::new(
+        lc_trace::SpoolSink::create_with(std::path::Path::new(path), t.frame_events, faults)
+            .unwrap_or_else(|e| fail(format_args!("cannot start spool `{path}`: {e}"))),
+    );
+    let ctx = TraceCtx::new(sink.clone(), run.threads);
+    workload.run(&ctx, &run);
+    match sink.finish() {
+        Ok(stats) => println!(
+            "spooled {} events in {} frames ({} bytes, format v3) -> {path}",
+            stats.events, stats.frames, stats.bytes
+        ),
+        Err(e) => {
+            eprintln!("error: trace spool failed: {e}");
+            eprintln!(
+                "hint: completed segments survive — \
+                 `loopcomm analyze {path} --salvage`"
+            );
+            std::process::exit(1);
         }
-        _ => 2,
+    }
+}
+
+/// `loopcomm stream <file> --connect ADDR` — replay a recorded trace to
+/// a server.
+fn stream_cmd(name: &str, a: &Args) {
+    let t = Target::new(a);
+    let Some(addr) = &t.connect else {
+        refuse("`loopcomm stream` needs --connect HOST:PORT (or unix:<path>)");
     };
-    let o = parse_options(&args[opt_start.min(args.len())..]);
-    check_coherence_flags(cmd, &o);
-    run(cmd, name, &args, &o)
+    let trace = load_or_salvage(name, a.on(F::Salvage));
+    let sent = lc_trace::stream_trace(&trace, addr, &t.tenant, t.frame_events, a.faults());
+    streamed(sent, addr, &t.tenant);
 }
 
-/// `--coherence` or `--coherence-out` on a command that would ignore it
-/// is a usage error: a run must not look as if it simulated caches when
-/// it did not.
-fn check_coherence_flags(cmd: &str, o: &Options) {
-    if o.coherence && !matches!(cmd, "analyze" | "serve" | "classify") {
-        eprintln!(
-            "error: --coherence is read only by `analyze`, `serve` and `classify`, not `{cmd}`"
-        );
-        std::process::exit(2);
-    }
-    if o.coherence_out.is_some() && !(cmd == "analyze" && o.coherence) {
-        eprintln!("error: --coherence-out is read only by `analyze --coherence`");
-        std::process::exit(2);
+/// Report how a stream to a server ended; a failed one exits 1.
+fn streamed<E: std::fmt::Display>(
+    sent: Result<lc_trace::StreamStats, E>,
+    addr: &str,
+    tenant: &str,
+) {
+    match sent {
+        Ok(stats) => println!(
+            "streamed {} events in {} frames ({} bytes) as tenant `{tenant}` -> {addr}",
+            stats.events, stats.frames, stats.bytes
+        ),
+        Err(e) => {
+            eprintln!("error: stream failed: {e}");
+            eprintln!(
+                "hint: whole frames already sent were analyzed; \
+                 the server's /tenants/{tenant}/stats counts the loss"
+            );
+            std::process::exit(1);
+        }
     }
 }
 
-fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
+/// The `<workload>` commands other than `record`; `report` writes its
+/// HTML to `html`.
+fn run(cmd: &str, name: &str, html: Option<&str>, a: &Args) {
+    let (run, sig) = (a.run(), Sig::new(a));
+    let threads = run.threads;
+    let window = a.int(F::Window, 2000);
     match cmd {
         "profile" => {
-            let (p, _ctx) = profile(name, o, None);
+            let (p, _ctx) = profile(name, &run, &sig, None);
             let r = p.report();
             println!("workload            : {name}");
-            println!("threads             : {}", o.threads);
+            println!("threads             : {threads}");
             println!("accesses            : {}", r.accesses);
             println!("RAW dependencies    : {}", r.dependencies);
             println!(
@@ -1475,22 +1574,22 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 );
             }
             println!("\ncommunication matrix (bytes):\n{}", r.global.heatmap());
-            if let Some(path) = &o.metrics {
-                write_metrics(path, &p.metrics_with_health(&health));
+            if let Some(path) = a.text(F::Metrics) {
+                write_metrics(&path, &p.metrics_with_health(&health));
             }
         }
         "nested" => {
-            let (p, ctx) = profile(name, o, None);
+            let (p, ctx) = profile(name, &run, &sig, None);
             let r = p.report();
-            let nested = NestedReport::build(ctx.loops(), &r.per_loop, o.threads);
+            let nested = NestedReport::build(ctx.loops(), &r.per_loop, threads);
             println!("{}", nested.render(4));
             let bad = lc_profiler::verify_sum_invariant(&nested);
             assert!(bad.is_empty(), "sum invariant violated: {bad:?}");
         }
         "load" => {
-            let (p, ctx) = profile(name, o, None);
+            let (p, ctx) = profile(name, &run, &sig, None);
             let r = p.report();
-            let nested = NestedReport::build(ctx.loops(), &r.per_loop, o.threads);
+            let nested = NestedReport::build(ctx.loops(), &r.per_loop, threads);
             for (node, total) in nested.hotspots().into_iter().take(3) {
                 if total == 0 {
                     break;
@@ -1502,16 +1601,16 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                     "imbalance {:.2}  active {}/{}\n",
                     load.imbalance(),
                     load.active_threads(0.05),
-                    o.threads
+                    threads
                 );
             }
         }
         "classify" => {
-            if o.coherence {
+            if a.on(F::Coherence) {
                 // Extended 13-feature classification: the RAW matrix alone
                 // cannot tell a false-sharing variant from its padded twin,
                 // so both backends see the run.
-                let (raw, rep) = profile_with_coherence(name, o);
+                let (raw, rep) = profile_with_coherence(name, &run, a.geometry());
                 let (inval, fs, loc) = rep.features();
                 let feats = extract_extended(&raw, &CoherenceFeatures::new(inval, fs, loc));
                 let train = synthetic_ext_dataset(rep.threads.max(8), 30, &[0.0, 0.05, 0.1], 1);
@@ -1526,8 +1625,8 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 );
                 return;
             }
-            let (p, _ctx) = profile(name, o, None);
-            let train = synthetic_dataset(o.threads.max(8), 30, &[0.0, 0.05, 0.1], 1);
+            let (p, _ctx) = profile(name, &run, &sig, None);
+            let train = synthetic_dataset(threads.max(8), 30, &[0.0, 0.05, 0.1], 1);
             let model = NearestCentroid::train(&train);
             println!(
                 "dominant pattern class of `{name}`: {}",
@@ -1535,137 +1634,46 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             );
         }
         "map" => {
-            let (p, _ctx) = profile(name, o, None);
+            let (p, _ctx) = profile(name, &run, &sig, None);
             let topo = MachineTopology::dual_socket_xeon();
-            if o.threads > topo.cores() {
-                eprintln!("machine model has only {} cores", topo.cores());
-                std::process::exit(2);
+            if threads > topo.cores() {
+                refuse(format_args!(
+                    "machine model has only {} cores",
+                    topo.cores()
+                ));
             }
             let m = p.global_matrix();
             let greedy = greedy_mapping(&m, &topo);
             println!(
                 "identity cost : {}",
-                ThreadMapping::identity(o.threads).cost(&m, &topo)
+                ThreadMapping::identity(threads).cost(&m, &topo)
             );
             println!("greedy cost   : {}", greedy.cost(&m, &topo));
             println!("assignment    : {:?}", greedy.assignment);
         }
         "report" => {
-            let Some(path) = args.get(2) else { usage() };
-            let (p, ctx) = profile(name, o, Some(o.window));
+            let Some(path) = html else { usage() };
+            let (p, ctx) = profile(name, &run, &sig, Some(window));
             let html =
                 lc_profiler::html_report(&format!("loopcomm: {name}"), &p.report(), ctx.loops());
-            std::fs::write(path, html).expect("write report");
+            write_out("report", path, html);
             println!("wrote {path}");
         }
-        "record" => {
-            let workload = workload(name, o);
-            if let Some(addr) = &o.connect {
-                // Live streaming: the same recording sink as a file, but
-                // the writer thread ships v2 frames to a `loopcomm serve`
-                // endpoint.
-                let sink = Arc::new(
-                    lc_trace::NetSink::connect(addr, &o.tenant, o.frame_events, fault_injector(o))
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot connect to `{addr}`: {e}");
-                            std::process::exit(1);
-                        }),
-                );
-                let ctx = TraceCtx::new(sink.clone(), o.threads);
-                workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
-                match sink.finish() {
-                    Ok(stats) => println!(
-                        "streamed {} events in {} frames ({} bytes) as tenant `{}` -> {addr}",
-                        stats.events, stats.frames, stats.bytes, o.tenant
-                    ),
-                    Err(e) => {
-                        eprintln!("error: stream failed: {e}");
-                        eprintln!(
-                            "hint: whole frames already sent were analyzed; \
-                             the server's /tenants/{}/stats counts the loss",
-                            o.tenant
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                return;
-            }
-            let Some(path) = args.get(2) else { usage() };
-            // Segments hit disk as the run progresses, through a bounded
-            // backlog: memory stays flat however long the run, and a crash
-            // (or an injected I/O fault) loses at most the unwritten tail —
-            // every whole segment stays salvageable.
-            let sink = Arc::new(
-                lc_trace::SpoolSink::create_with(
-                    std::path::Path::new(path),
-                    o.frame_events,
-                    fault_injector(o),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot start spool `{path}`: {e}");
-                    std::process::exit(1);
-                }),
-            );
-            let ctx = TraceCtx::new(sink.clone(), o.threads);
-            workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
-            match sink.finish() {
-                Ok(stats) => println!(
-                    "spooled {} events in {} frames ({} bytes, format v3) -> {path}",
-                    stats.events, stats.frames, stats.bytes
-                ),
-                Err(e) => {
-                    eprintln!("error: trace spool failed: {e}");
-                    eprintln!(
-                        "hint: completed segments survive — \
-                         `loopcomm analyze {path} --salvage`"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        "synth" => {
-            // `name` is the output path here.
-            synth_cmd(name, o);
-        }
-        "stream" => {
-            // `name` is the trace path here.
-            let Some(addr) = &o.connect else {
-                eprintln!("`loopcomm stream` needs --connect HOST:PORT (or unix:<path>)");
-                std::process::exit(2);
-            };
-            let trace = load_or_salvage(name, o);
-            match lc_trace::stream_trace(&trace, addr, &o.tenant, o.frame_events, fault_injector(o))
-            {
-                Ok(stats) => println!(
-                    "streamed {} events in {} frames ({} bytes) as tenant `{}` -> {addr}",
-                    stats.events, stats.frames, stats.bytes, o.tenant
-                ),
-                Err(e) => {
-                    eprintln!("error: stream failed: {e}");
-                    eprintln!(
-                        "hint: whole frames already sent were analyzed; \
-                         the server's /tenants/{}/stats counts the loss",
-                        o.tenant
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        // `name` is the trace path here.
-        "analyze" => analyze(name, o),
         "simulate" => {
             let topo = MachineTopology::dual_socket_xeon();
-            if o.threads > topo.cores() {
-                eprintln!("machine model has only {} cores", topo.cores());
-                std::process::exit(2);
+            if threads > topo.cores() {
+                refuse(format_args!(
+                    "machine model has only {} cores",
+                    topo.cores()
+                ));
             }
-            let (raw, rep) = profile_with_coherence(name, o);
+            let (raw, rep) = profile_with_coherence(name, &run, a.geometry());
             let line_accesses = rep.hits + rep.fills;
             println!(
                 "MESI simulation of `{name}` ({} events, {} threads on 2x8 cores, \
                  {} B lines, {} KiB/core, {}-way):",
                 rep.accesses,
-                o.threads,
+                threads,
                 rep.config.line_bytes,
                 rep.config.cache_kib,
                 rep.config.assoc
@@ -1683,8 +1691,8 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             // price of its producer→consumer transfers differs.
             let transfers = &rep.global.transfers;
             for (label, mapping) in [
-                ("identity", ThreadMapping::identity(o.threads)),
-                ("scrambled", ThreadMapping::scrambled(o.threads, 4242)),
+                ("identity", ThreadMapping::identity(threads)),
+                ("scrambled", ThreadMapping::scrambled(threads, 4242)),
                 ("greedy", greedy_mapping(&raw, &topo)),
             ] {
                 println!(
@@ -1695,13 +1703,13 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             }
         }
         "deps" => {
-            let workload = workload(name, o);
+            let workload = workload(name, threads);
             let det = Arc::new(lc_profiler::FullDetector::new(
-                o.threads,
+                threads,
                 lc_profiler::DepConfig::all(),
             ));
-            let ctx = TraceCtx::new(det.clone(), o.threads);
-            workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
+            let ctx = TraceCtx::new(det.clone(), threads);
+            workload.run(&ctx, &run);
             println!("inter-thread dependence taxonomy of `{name}` (bytes):\n");
             for kind in lc_profiler::DepKind::ALL {
                 let m = det.matrix(kind);
@@ -1712,10 +1720,10 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
             }
         }
         "hotsites" => {
-            let workload = workload(name, o);
+            let workload = workload(name, threads);
             let counter = Arc::new(lc_trace::SiteCounter::new());
-            let ctx = TraceCtx::new(counter.clone(), o.threads);
-            workload.run(&ctx, &RunConfig::new(o.threads, o.size, o.seed));
+            let ctx = TraceCtx::new(counter.clone(), threads);
+            workload.run(&ctx, &run);
             println!(
                 "hottest access sites of `{name}` ({} events, {} sites):\n",
                 counter.total(),
@@ -1728,26 +1736,15 @@ fn run(cmd: &str, name: &str, args: &[String], o: &Options) {
                 );
             }
         }
-        #[cfg(feature = "sched")]
-        "simtest" => simtest_cmd(name, o),
-        #[cfg(not(feature = "sched"))]
-        "simtest" => {
-            eprintln!(
-                "`loopcomm simtest` requires the `sched` feature, which the default \
-                 build leaves out (its instrumented atomics cost up to 3x throughput); \
-                 build with `--features sched`"
-            );
-            std::process::exit(2);
-        }
         "phases" => {
-            let (p, _ctx) = profile(name, o, Some(o.window));
+            let (p, _ctx) = profile(name, &run, &sig, Some(window));
             let r = p.report();
             let phases = r.phases(0.5).expect("phase tracking enabled");
             println!(
                 "{} phase(s) over {} windows of {} dependencies:",
                 phases.len(),
                 r.phase_windows.as_ref().map(|w| w.len()).unwrap_or(0),
-                o.window
+                window
             );
             for (i, ph) in phases.iter().enumerate() {
                 println!(
