@@ -14,8 +14,9 @@
 //!   decode on a second thread when the host has a spare core, as
 //!   `analyze` runs it;
 //! * the **coherence** backend as `analyze --coherence` runs it
-//!   (`ShardedCoherence`, one cache-set shard per core, fed 4096-event
-//!   blocks, through `finish()`'s merged report) on the same trace —
+//!   (`ShardedCoherence`, its cache-set shards pooled over the host's
+//!   cores, fed 4096-event blocks, through `finish()`'s merged report)
+//!   on the same trace —
 //!   reported against the fused rate so the MESI hot path and its report
 //!   build cannot silently slide back onto maps;
 //! * the **slot-sharded** parallel path (`analyze_trace_asymmetric`) with
@@ -150,9 +151,10 @@ fn spool_fused(spool: &MmapTrace, read_ahead: bool) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), a.report().dependencies)
 }
 
-/// The MESI backend as `analyze --coherence` ships it — one cache-set
-/// shard per core, the helpers started, fed and joined, the report
-/// merged: wall time and invalidations (its repeat-run cross-check).
+/// The MESI backend as `analyze --coherence` ships it — the host's
+/// cache-set shards and helper threads started, fed and joined, the
+/// report merged: wall time and invalidations (its repeat-run
+/// cross-check).
 fn coherence(events: &[AccessEvent]) -> (f64, u64) {
     let t0 = Instant::now();
     let mut b = ShardedCoherence::new(CoherenceConfig::default(), THREADS, coherence_shards());

@@ -29,8 +29,9 @@
 //!   or eviction) counts as false-shared bytes, attributed to the loop of
 //!   the fill that pulled them.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::io::Write as _;
 use std::sync::{Mutex, MutexGuard};
@@ -316,6 +317,30 @@ fn merge_rows(a: FsRows, b: FsRows) -> FsRows {
     }
 }
 
+/// Merge any number of line-ascending row lists over disjoint lines —
+/// one scope's rows from each cache-set shard — in one k-way pass.
+fn merge_row_lists(lists: Vec<FsRows>) -> FsRows {
+    let mut lists: Vec<FsRows> = lists.into_iter().filter(|l| !l.is_empty()).collect();
+    if lists.len() <= 1 {
+        return lists.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    let mut rows: Vec<_> = lists
+        .into_iter()
+        .map(|l| l.into_iter().peekable())
+        .collect();
+    let mut heads: BinaryHeap<_> = (rows.iter_mut().enumerate())
+        .filter_map(|(i, r)| r.peek().map(|&(line, _)| Reverse((line, i))))
+        .collect();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        out.extend(rows[i].next());
+        if let Some(&(line, _)) = rows[i].peek() {
+            heads.push(Reverse((line, i)));
+        }
+    }
+    out
+}
+
 /// Coherence traffic attributed to one loop (or to the whole program).
 #[derive(Clone, Debug)]
 pub struct LoopCoh {
@@ -372,7 +397,8 @@ impl LoopCoh {
 
     /// Add `other`'s matrices and counters, not its `lines`: how
     /// [`CoherenceBackend::report`] sums the per-loop traffic into the
-    /// whole-program one.
+    /// whole-program one, and [`CoherenceReport::merge_all`] sums the
+    /// shards' traffic.
     fn add_counts(&mut self, other: &LoopCoh) {
         self.invalidations.accumulate(&other.invalidations);
         self.transfers.accumulate(&other.transfers);
@@ -381,13 +407,6 @@ impl LoopCoh {
         }
         self.fs_invalidations += other.fs_invalidations;
         self.false_bytes += other.false_bytes;
-    }
-
-    /// Add another shard's traffic: counts summed, offending lines merged
-    /// in line order (shards own disjoint lines, so no line is in both).
-    fn merge(&mut self, other: LoopCoh) {
-        self.add_counts(&other);
-        self.lines = merge_rows(std::mem::take(&mut self.lines), other.lines);
     }
 }
 
@@ -434,42 +453,65 @@ pub struct CoherenceReport {
 
 impl CoherenceReport {
     /// Fold in the report of another cache-set shard of the same stream
-    /// ([`CoherenceBackend::shard`]). Exact: every statistic is either a
-    /// sum over line-accesses or kept per line, and shards own disjoint
-    /// lines (DESIGN.md §16.4).
+    /// ([`CoherenceBackend::shard`]); [`Self::merge_all`] of one report.
     pub fn merge(&mut self, other: CoherenceReport) {
-        assert!(
-            self.threads == other.threads
-                && self.config == other.config
-                && self.loop_cap == other.loop_cap,
-            "merged coherence reports must share threads, geometry and loop cap"
-        );
-        self.accesses += other.accesses;
-        self.clamped_accesses += other.clamped_accesses;
-        self.hits += other.hits;
-        self.fills += other.fills;
-        self.mem_fills += other.mem_fills;
-        self.c2c_fills += other.c2c_fills;
-        self.invalidations += other.invalidations;
-        self.writebacks += other.writebacks;
-        self.global.merge(other.global);
-        for (id, lc) in other.loops {
-            match self.loops.get_mut(&id) {
-                Some(mine) => mine.merge(lc),
-                None => {
-                    self.loops.insert(id, lc);
+        self.merge_all(vec![other]);
+    }
+
+    /// Fold in the reports of the other cache-set shards of the same
+    /// stream in one pass: counters summed, and each scope's offending
+    /// lines merged from every shard's line-ascending rows at once. Exact:
+    /// every statistic is either a sum over line-accesses or kept per
+    /// line, and shards own disjoint lines (DESIGN.md §16.4).
+    pub fn merge_all(&mut self, others: Vec<CoherenceReport>) {
+        let mut global_rows = vec![std::mem::take(&mut self.global.lines)];
+        // Rows of the loops already here, from the shards folded in.
+        let mut loop_rows: BTreeMap<u32, Vec<FsRows>> = BTreeMap::new();
+        for other in others {
+            assert!(
+                self.threads == other.threads
+                    && self.config == other.config
+                    && self.loop_cap == other.loop_cap,
+                "merged coherence reports must share threads, geometry and loop cap"
+            );
+            self.accesses += other.accesses;
+            self.clamped_accesses += other.clamped_accesses;
+            self.hits += other.hits;
+            self.fills += other.fills;
+            self.mem_fills += other.mem_fills;
+            self.c2c_fills += other.c2c_fills;
+            self.invalidations += other.invalidations;
+            self.writebacks += other.writebacks;
+            self.global.add_counts(&other.global);
+            global_rows.push(other.global.lines);
+            for (id, lc) in other.loops {
+                match self.loops.get_mut(&id) {
+                    Some(mine) => {
+                        mine.add_counts(&lc);
+                        loop_rows.entry(id).or_default().push(lc.lines);
+                    }
+                    None => {
+                        self.loops.insert(id, lc);
+                    }
                 }
             }
+            self.interned.extend(other.interned);
+            self.loop_overflow = self.loop_overflow.or(other.loop_overflow);
+        }
+        self.global.lines = merge_row_lists(global_rows);
+        for (id, mut rows) in loop_rows {
+            let mine = self.loops.get_mut(&id).expect("rows only of loops here");
+            rows.push(std::mem::take(&mut mine.lines));
+            mine.lines = merge_row_lists(rows);
         }
         // Each shard counts the loops it saw against the cap; the stream
         // overflowed when their union is over it, whatever the split.
-        self.interned.extend(other.interned);
         self.interned.sort_unstable();
         self.interned.dedup();
         let over = (self.interned.len() > self.loop_cap).then_some(RegistryFull {
             capacity: self.loop_cap,
         });
-        self.loop_overflow = self.loop_overflow.or(other.loop_overflow).or(over);
+        self.loop_overflow = self.loop_overflow.or(over);
     }
 
     /// Total false-sharing classified events (invalidations + flushes),
@@ -1998,6 +2040,29 @@ mod tests {
             vec![row(1, 1), row(2, 2), row(4, 2), row(9, 1), row(10, 2)]
         );
         assert_eq!(merge_rows(vec![], vec![row(3, 1)]), vec![row(3, 1)]);
+    }
+
+    #[test]
+    fn shard_row_lists_merge_in_one_line_ordered_pass() {
+        let row = |line: u64| {
+            (
+                line,
+                FsLine {
+                    events: line,
+                    ..FsLine::default()
+                },
+            )
+        };
+        let rows = |lines: &[u64]| lines.iter().map(|&l| row(l)).collect::<FsRows>();
+        let merged = merge_row_lists(vec![
+            rows(&[0, 4, 8, 12]),
+            rows(&[]),
+            rows(&[2, 6]),
+            rows(&[3, 7, 15, 19]),
+        ]);
+        assert_eq!(merged, rows(&[0, 2, 3, 4, 6, 7, 8, 12, 15, 19]));
+        assert_eq!(merge_row_lists(vec![rows(&[]), rows(&[5])]), rows(&[5]));
+        assert!(merge_row_lists(Vec::new()).is_empty());
     }
 
     /// What one line-access reads is pinned: a 32 B hot stats half, a

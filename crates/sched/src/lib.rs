@@ -48,6 +48,14 @@ pub fn mutant_active(name: &str) -> bool {
     }
 }
 
+/// True when `payload` is the unwind the scheduler uses to cut an
+/// execution short. Code that catches panics (to turn a worker's panic
+/// into an error) must resume this one, or the explorer loses control of
+/// the thread.
+pub fn is_abort(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.is::<SimAbort>()
+}
+
 /// Append a ground-truth record to the execution's serialized op log.
 ///
 /// Annotations do not reschedule, so "shim op, then annotate" is atomic

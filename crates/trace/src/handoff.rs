@@ -27,8 +27,9 @@
 //!
 //! Users: `analyze`'s segment read-ahead ([`crate::MmapTrace::stream_events`]),
 //! the recorder's spool writer ([`crate::SpoolSink`], which
-//! [`crate::NetSink`] wraps), the coherence backend's cache-set shards
-//! (`lc_cachesim::ShardedCoherence`) and every `serve` tenant's drain.
+//! [`crate::NetSink`] wraps) and every `serve` tenant's drain. The
+//! coherence backend's cache-set shards hand their chunks over through
+//! [`crate::pool`], which is built on the same facade.
 
 use std::collections::VecDeque;
 use std::io;
@@ -36,21 +37,34 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 #[cfg(feature = "sched")]
-use lc_sched::sync::{Condvar, Mutex, MutexGuard};
+pub(crate) use lc_sched::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(feature = "sched"))]
-use std::sync::{Condvar, Mutex, MutexGuard};
+pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Lock the ring. A poisoned std lock is taken over: neither end panics
 /// while holding it, and the queues stay consistent if one ever did.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     #[cfg(feature = "sched")]
     return m.lock();
     #[cfg(not(feature = "sched"))]
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Lock `m` unless another thread holds it. A poisoned std lock is
+/// taken over, as [`lock`] does.
+pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    #[cfg(feature = "sched")]
+    return m.try_lock();
+    #[cfg(not(feature = "sched"))]
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(std::sync::TryLockError::WouldBlock) => None,
+    }
+}
+
 /// Release `guard` and wait for a notify on `cv`, then lock again.
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     #[cfg(feature = "sched")]
     return cv.wait(guard);
     #[cfg(not(feature = "sched"))]
@@ -59,7 +73,7 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 
 /// True when the named model-checking mutant is armed (never in the
 /// default build).
-fn mutant(_name: &str) -> bool {
+pub(crate) fn mutant(_name: &str) -> bool {
     #[cfg(feature = "sched")]
     return lc_sched::mutant_active(_name);
     #[cfg(not(feature = "sched"))]

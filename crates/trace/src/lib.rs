@@ -18,6 +18,8 @@
 //!   synchronisation point.
 //! * [`handoff`] — the one bounded hand-off between two threads: a ring
 //!   of recycled buffers with close, panic-as-`Err` and join-on-drop.
+//! * [`pool`] — shards, each with a FIFO of chunks, drained by whichever
+//!   worker thread is free.
 //! * [`replay`] — temporally ordered traces for deterministic offline
 //!   analysis.
 //!
@@ -34,6 +36,7 @@ pub mod handoff;
 pub mod loops;
 pub mod memory;
 pub mod net;
+pub mod pool;
 pub mod registry;
 pub mod replay;
 pub mod runtime;

@@ -83,9 +83,10 @@ enum Val {
 
 /// One option. `spec` is its name and value as the usage text shows them;
 /// `readers` lists the commands that read it, each followed by the flag
-/// it needs there, if any (`analyze --coherence`), with `workload` for
-/// every command in `WORKLOAD_CMDS`. An empty `help` keeps it out of the
-/// usage text.
+/// it needs there, if any (`analyze --coherence`), or by `without` and
+/// the flag that stops it reading this one (`classify without
+/// --coherence`), with `workload` for every command in `WORKLOAD_CMDS`.
+/// An empty `help` keeps it out of the usage text.
 struct Flag {
     id: F,
     spec: &'static str,
@@ -112,13 +113,13 @@ flags! {
         "worker threads, 1..=1024 (default 8)";
     Size "--size S" Size, "workload", "simdev | simsmall | simlarge (default simsmall)";
     Slots "--slots K" Int(1, MAX_SLOTS as u64),
-        "profile, nested, load, classify, map, phases, report, analyze, serve",
+        "profile, nested, load, classify without --coherence, map, phases, report, analyze, serve",
         "signature slots (default 1048576)";
     Window "--window W" Int(1, u64::MAX), "phases, report",
         "phase window in dependencies (default 2000)";
     Seed "--seed S" Int(0, u64::MAX), "workload, synth, simtest", "workload RNG seed (default 42)";
     LoopCapacity "--loop-capacity K" Int(1, MAX_LOOP_CAPACITY as u64),
-        "profile, nested, load, classify, map, phases, report, analyze, serve",
+        "profile, nested, load, classify without --coherence, map, phases, report, analyze, serve",
         "loop-matrix registry capacity (default 1024)";
     Metrics "--metrics PATH" Text, "profile, analyze",
         "write run metrics;\n\
@@ -247,7 +248,8 @@ impl Flag {
         self.spec.split(' ').next().unwrap_or(self.spec)
     }
 
-    /// Each command that reads the flag, with the flag it needs there.
+    /// Each command that reads the flag, with the flag it needs there or
+    /// (`without --flag`) must not be given.
     fn readers(&self) -> Vec<(&'static str, Option<&'static str>)> {
         let mut out = Vec::new();
         for r in self.readers.split(", ") {
@@ -396,7 +398,7 @@ struct Args(Vec<(&'static Flag, Val)>);
 /// fault: every value is parsed and range-checked in order (a removed or
 /// unknown flag stops it where it stands), the cache geometry is checked
 /// as a whole, and then each flag must be one `cmd` reads, with the flag
-/// it needs there given too.
+/// it needs there given too and the one it must be without not given.
 fn parse(cmd: &str, args: &[String]) -> Args {
     let mut given = Vec::new();
     let mut it = args.iter();
@@ -419,14 +421,23 @@ fn parse(cmd: &str, args: &[String]) -> Args {
     if let Err(e) = args.geometry().validate() {
         refuse(e);
     }
-    let has = |need: &str| args.0.iter().any(|(f, _)| f.name() == need);
+    let has = |flag: &str| args.0.iter().any(|(f, _)| f.name() == flag);
+    let holds = |need: &str| {
+        need.strip_prefix("without ")
+            .map_or_else(|| has(need), |f| !has(f))
+    };
     for (flag, _) in &args.0 {
-        let read = (flag.readers().into_iter()).any(|(c, need)| c == cmd && need.is_none_or(has));
-        if !read {
-            let readers = flag.reader_list("`");
+        let readers = flag.readers();
+        if !(readers.iter()).any(|&(c, need)| c == cmd && need.is_none_or(holds)) {
+            // `cmd` would read it, were it not for a flag it must be without.
+            let with = (readers.iter())
+                .filter(|&&(c, _)| c == cmd)
+                .find_map(|&(_, need)| need?.strip_prefix("without "));
             refuse(format_args!(
-                "{} is read only by {readers}, not `{cmd}`",
-                flag.name()
+                "{} is read only by {}, not `{cmd}{}`",
+                flag.name(),
+                flag.reader_list("`"),
+                with.map_or(String::new(), |f| format!(" {f}"))
             ));
         }
     }
@@ -913,7 +924,8 @@ fn analyze(name: &str, a: &Args) {
     };
     println!("trace: {total} event(s), {threads} thread(s), {format}");
 
-    // One shard per core (a power of two); with one, no thread starts.
+    // Shards outnumber cores, and a helper thread runs them beside this
+    // one on every other core; on one core there is one shard and no pool.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (table, prof, accum) = sig.configs(threads);
     let cfg = loopcomm::PipelineConfig {
@@ -987,8 +999,8 @@ fn analyze(name: &str, a: &Args) {
     let start = pipe.analyzer().events().min(total);
     let mut last_cp = pipe.analyzer().events();
     // A spool is decoded ahead on a helper thread only when a core is left
-    // over after the detector (and the coherence shards) took theirs.
-    let read_ahead = cores > pipe.coherence_shards().unwrap_or(1);
+    // over after the detector and the coherence workers took theirs.
+    let read_ahead = cores > pipe.coherence_workers().unwrap_or(1);
     // The coherence backend is not part of the checkpoint: on a resumed
     // run it only sees the events replayed here, so flag the shortfall.
     if coherence.is_some() && start > 0 {
@@ -1035,6 +1047,7 @@ fn analyze(name: &str, a: &Args) {
     // metrics that time it; it is printed last, as always.
     let t0 = std::time::Instant::now();
     let shards = pipe.coherence_shards().unwrap_or(0);
+    let workers = pipe.coherence_workers().unwrap_or(0);
     let (analyzer, coherence) =
         (pipe.finish()).unwrap_or_else(|e| fail(format_args!("error: {e}")));
     let coherence = coherence.map(|rep| {
@@ -1127,7 +1140,7 @@ fn analyze(name: &str, a: &Args) {
         println!("wrote canonical report: {path}");
     }
     if let Some((rep, body, _)) = coherence {
-        print_coherence(&rep, shards, body, a.text(F::CoherenceOut));
+        print_coherence(&rep, (shards, workers), body, a.text(F::CoherenceOut));
     }
 }
 
@@ -1172,7 +1185,7 @@ fn coherence_metrics(
     );
     reg.gauge(
         "loopcomm_coherence_report_seconds",
-        "Time to merge the shards' coherence reports and render the canonical one",
+        "Time to finish the shards, merge their coherence reports and render the canonical one",
         took.as_secs_f64(),
     );
 }
@@ -1211,13 +1224,13 @@ fn profile_with_coherence(
 /// form, `body`, to `--coherence-out`.
 fn print_coherence(
     rep: &lc_cachesim::CoherenceReport,
-    shards: usize,
+    (shards, workers): (usize, usize),
     body: Option<String>,
     out: Option<String>,
 ) {
     println!(
         "\ncoherence [{} B lines, {} KiB/core, {}-way MESI], {shards} cache-set shard(s) \
-         (--jobs shards the RAW analyzer only):",
+         on {workers} thread(s) (--jobs shards the RAW analyzer only):",
         rep.config.line_bytes, rep.config.cache_kib, rep.config.assoc
     );
     println!(

@@ -2,8 +2,9 @@
 //! [`IncrementalAnalyzer`] and, optionally, the MESI backend as a
 //! [`ShardedCoherence`], and is the one place that feeds them, so every
 //! frame reaches both halves or neither. `loopcomm analyze` drives one
-//! with a coherence shard per core; each `loopcomm serve` tenant drives
-//! one with a single shard on its drain thread (DESIGN.md §13.2).
+//! with the coherence shards pooled over the host's cores; each `loopcomm
+//! serve` tenant drives one with a single shard on its drain thread
+//! (DESIGN.md §13.2).
 
 use std::{fmt, io};
 
@@ -27,8 +28,8 @@ pub struct PipelineConfig {
     pub jobs: usize,
     /// MESI backend geometry (`None` = RAW detection only).
     pub coherence: Option<CoherenceConfig>,
-    /// Cache-set shards the MESI backend runs as, one of them on the
-    /// calling thread ([`ShardedCoherence::shard_count`]).
+    /// Cache-set shards the MESI backend runs as
+    /// ([`ShardedCoherence::shard_count`]), pooled over the host's cores.
     pub coherence_shards: usize,
 }
 
@@ -95,8 +96,8 @@ pub struct Snapshot {
     pub memory_bytes: usize,
     /// RAW dependencies recorded.
     pub dependencies: u64,
-    /// Coherence scrape counters (`None` when the backend is off or has
-    /// helper shards, which only [`Pipeline::finish`] reaches).
+    /// Coherence scrape counters (`None` when the backend is off or runs
+    /// as a pool of shards, which only [`Pipeline::finish`] reaches).
     pub coherence: Option<CoherenceTotals>,
     /// Coherence accesses left without a loop by the loop cap.
     pub coherence_dropped: u64,
@@ -171,6 +172,12 @@ impl Pipeline {
         self.coherence.as_ref().map(ShardedCoherence::shards)
     }
 
+    /// Threads simulating the coherence half, the calling one included
+    /// (`None` when it is off).
+    pub fn coherence_workers(&self) -> Option<usize> {
+        self.coherence.as_ref().map(ShardedCoherence::workers)
+    }
+
     /// The live counters, in O(workers + threads × cache slots).
     pub fn snapshot(&self) -> Snapshot {
         let single = self.coherence.as_ref().and_then(ShardedCoherence::single);
@@ -190,7 +197,7 @@ impl Pipeline {
     }
 
     /// The full coherence report, read in place: only a one-shard backend
-    /// can be (`None` when the backend is off or has helper shards).
+    /// can be (`None` when the backend is off or runs as a pool).
     pub fn live_coherence(&self) -> Option<CoherenceReport> {
         Some(self.coherence.as_ref()?.single()?.report())
     }

@@ -2,7 +2,8 @@
 //!
 //! Each scenario is a closed concurrent program over the signature memory,
 //! the loop-matrix registry, the bounded hand-off ring under every worker
-//! (`lc_trace::handoff`) or checkpoint publication,
+//! (`lc_trace::handoff`), the coherence backend's shard pool
+//! (`lc_trace::pool`) or checkpoint publication,
 //! built to run under the [`lc_sched`] deterministic scheduler: worker
 //! threads are [`lc_sched::spawn`]ed, every logical operation is annotated
 //! into the runtime's serialized op log, and after joining, the scenario
@@ -23,6 +24,7 @@ use lc_sched::sync::{AtomicU64, Ordering};
 use lc_sigmem::murmur::fmix64;
 use lc_sigmem::{PerfectReaderSet, PerfectWriterMap, Signature, SlotSignature};
 use lc_trace::handoff;
+use lc_trace::pool::{Shard, ShardPool};
 
 /// Op-log record kinds (`data[0]` of [`lc_sched::annotate`]).
 mod op {
@@ -139,6 +141,17 @@ pub fn scenarios() -> &'static [Scenario] {
             default_preemption_bound: Some(1),
             catchable_mutants: &["ring-lost-wakeup", "ring-recycle-before-consumed"],
             run: handoff_scenario,
+        },
+        Scenario {
+            name: "shards",
+            about: "a router pushes 3 one-item chunks to 2 shards of a \
+                    3-buffer pool, running and waiting as it must, beside \
+                    1 helper, then finishes; oracle: each shard ran its \
+                    chunks in push order, none twice, none lost, and never \
+                    on two threads at once",
+            default_preemption_bound: Some(2),
+            catchable_mutants: &["pool-claim-held-shard"],
+            run: shards_scenario,
         },
         Scenario {
             name: "checkpoint",
@@ -544,6 +557,56 @@ fn handoff_scenario() {
         "each filler's sends must be received exactly once, in its order"
     );
     assert!(tx.all_home(), "every buffer home once the drainer is done");
+}
+
+/// A shard of the `shards` scenario: the ids it ran, in order.
+#[derive(Default)]
+struct Ids(Vec<u64>);
+
+impl Shard for Ids {
+    type Item = u64;
+    type Report = Vec<u64>;
+    fn run_chunk(&mut self, chunk: &[u64]) {
+        self.0.extend_from_slice(chunk);
+    }
+    fn into_report(self) -> Vec<u64> {
+        self.0
+    }
+}
+
+/// The coherence backend's shard pool ([`ShardPool`]) at its smallest:
+/// 2 shards, 1 helper running [`ShardPool::serve`], one-item chunks, a
+/// backlog of 1 and 3 buffers, so the router both runs queued chunks
+/// itself and waits for a buffer. It pushes chunks 1 and 2 to shard 0
+/// and 3 to shard 1, then finishes, building the reports alongside the
+/// helper. A worker that finds a claimed shard already locked fails the
+/// pool, so an `Ok` from every push and from `finish` means no shard was
+/// ever held by two threads. Oracle: that, and each shard's report is its
+/// chunks in push order — none lost by `finish`, none run twice. The
+/// `pool-claim-held-shard` mutant claims a shard another worker holds:
+/// either its lock check fails the pool or shard 0 runs chunk 2 first.
+fn shards_scenario() {
+    let (pool, mut fill) = ShardPool::new(vec![Ids::default(), Ids::default()], 1, 1, 1, 1);
+    let pool = Arc::new(pool);
+    let helper = {
+        let pool = Arc::clone(&pool);
+        lc_sched::spawn(move || pool.serve())
+    };
+    for (k, id) in [(0, 1), (0, 2), (1, 3)] {
+        fill[k].push(id);
+        let full = std::mem::take(&mut fill[k]);
+        match pool.push(k, full) {
+            Ok(empty) => fill[k] = empty,
+            Err(f) => panic!("shard {} held by two workers: {}", f.shard, f.why),
+        }
+    }
+    let reports = pool.finish(fill);
+    helper.join();
+    assert_eq!(
+        reports,
+        Ok(vec![vec![1, 2], vec![3]]),
+        "each shard runs its chunks once, in push order, on one thread at a time"
+    );
 }
 
 /// The op-log records of `kind` in log order, as `(data[1], data[2])`.

@@ -316,6 +316,34 @@ fn coherence_on_a_command_that_ignores_it_exits_2_naming_the_readers() {
     }
 }
 
+/// `classify --coherence` runs the exact detector beside the MESI
+/// backend, so it reads neither signature flag; both used to be accepted
+/// and ignored.
+#[test]
+fn signature_flags_under_classify_coherence_exit_2_naming_the_readers() {
+    let live = ["--size", "simdev", "--threads", "2"];
+    for (flag, value) in [("--slots", "7"), ("--loop-capacity", "8")] {
+        let mut args = vec!["classify", "fs_padded", "--coherence", flag, value];
+        args.extend(live);
+        let o = loopcomm(&args);
+        let err = stderr_of(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("{flag} is read only by `profile`"))
+                && err.contains("`classify without --coherence`")
+                && err.ends_with("not `classify --coherence`\n"),
+            "{args:?}: must name the flag and its readers, got: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: one line, got: {err}");
+        assert!(o.stdout.is_empty(), "{args:?}: nothing ran");
+        // Without --coherence the same flag is read.
+        let mut args = vec!["classify", "fs_padded", flag, value];
+        args.extend(live);
+        let o = loopcomm(&args);
+        assert_eq!(o.status.code(), Some(0), "{args:?}: {}", stderr_of(&o));
+    }
+}
+
 #[test]
 fn coherence_out_without_analyze_coherence_exits_2_and_writes_nothing() {
     let dir = scratch_dir("coherence_out");

@@ -74,7 +74,8 @@ fn scratch_dir(test: &str) -> PathBuf {
 struct Flag {
     name: String,
     takes_value: bool,
-    /// Each reader, with the flag it needs there.
+    /// Each reader, with the flag it needs there (`without` rules read as
+    /// no need).
     readers: Vec<(String, Option<String>)>,
 }
 
@@ -102,8 +103,11 @@ fn table() -> (Vec<String>, Vec<Flag>) {
     let finish = |flags: &mut Vec<Flag>, readers: &mut Option<String>| {
         if let (Some(f), Some(r)) = (flags.last_mut(), readers.take()) {
             let r = r.replace(" (repeatable)", "").replace(" and ", ", ");
+            // A `without --flag` reader reads the flag as long as the
+            // other is not given, which no sweep here gives it.
             f.readers = (r.split(", "))
                 .map(|item| match item.split_once(' ') {
+                    Some((c, need)) if need.starts_with("without ") => (c.to_string(), None),
                     Some((c, need)) => (c.to_string(), Some(need.to_string())),
                     None => (item.to_string(), None),
                 })

@@ -2,15 +2,17 @@
 //!
 //! Drives the [`loopcomm::simtest`] scenarios — the slot signature, the
 //! loop-matrix registry, the bounded hand-off ring under `serve`'s
-//! tenants and the other workers, and checkpoint publication —
+//! tenants and the other workers, the coherence shard pool, and
+//! checkpoint publication —
 //! through the [`lc_sched`] deterministic scheduler: exhaustive DFS over
 //! schedule decision points (with a preemption bound where the space is
 //! large) and seeded random exploration, with every explored interleaving
 //! validated in-scenario against the perfect oracle. Also proves the
-//! harness has teeth: seven deliberately seeded mutants (a lost-update
+//! harness has teeth: eight deliberately seeded mutants (a lost-update
 //! bit set, a blind registry publish, a dropped contended frame, an idle
 //! check blind to a received frame, a lost ring wake-up, a buffer counted
-//! home before it is consumed, a torn checkpoint write) are each caught,
+//! home before it is consumed, a claim of a held shard, a torn checkpoint
+//! write) are each caught,
 //! and the failing schedule replays from its decision trace.
 //!
 //! Runs under plain `cargo test` (`--test sched_model_check` to select
@@ -103,6 +105,11 @@ fn quiesce_idle_check_never_hides_a_popped_frame() {
 #[test]
 fn handoff_fillers_racing_close_lose_and_duplicate_nothing() {
     assert_clean_and_multi_schedule("handoff");
+}
+
+#[test]
+fn shard_pool_runs_each_shard_in_order_on_one_thread_and_loses_nothing() {
+    assert_clean_and_multi_schedule("shards");
 }
 
 /// Held by the tests that explore `checkpoint`, so one can look for the
@@ -233,6 +240,14 @@ fn lost_wakeup_mutant_is_caught_as_a_deadlock_via_handoff() {
 #[test]
 fn recycle_before_consumed_mutant_is_caught_via_handoff_bound() {
     assert_mutant_caught("handoff", "ring-recycle-before-consumed");
+}
+
+/// A worker claiming a shard another one holds runs one shard on two
+/// threads: the pool's own lock check fails the run, or the shard runs a
+/// later chunk first.
+#[test]
+fn claim_of_a_held_shard_mutant_is_caught_via_shards_oracle() {
+    assert_mutant_caught("shards", "pool-claim-held-shard");
 }
 
 #[test]
