@@ -30,10 +30,11 @@
 //!   the fill that pulled them.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hasher};
-use std::io::Write as _;
 use std::sync::{Mutex, MutexGuard};
 
 use lc_profiler::{AccumConfig, DenseMatrix, RegistryFull};
@@ -290,57 +291,6 @@ impl FsEntry<'_> {
 /// Line-ascending per-line rows of one scope.
 type FsRows = Vec<(u64, FsLine)>;
 
-/// Merge two line-ascending row lists in one linear pass; where a line is
-/// in both, `b`'s row wins. Shard reports own disjoint lines, so merging
-/// them never drops a row.
-fn merge_rows(a: FsRows, b: FsRows) -> FsRows {
-    if b.is_empty() {
-        return a;
-    }
-    if a.is_empty() {
-        return b;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        let next = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if x.0 < y.0 => a.next(),
-            (Some(x), Some(y)) if x.0 == y.0 => {
-                a.next();
-                b.next()
-            }
-            (_, Some(_)) => b.next(),
-            (Some(_), None) => a.next(),
-            (None, None) => return out,
-        };
-        out.extend(next);
-    }
-}
-
-/// Merge any number of line-ascending row lists over disjoint lines —
-/// one scope's rows from each cache-set shard — in one k-way pass.
-fn merge_row_lists(lists: Vec<FsRows>) -> FsRows {
-    let mut lists: Vec<FsRows> = lists.into_iter().filter(|l| !l.is_empty()).collect();
-    if lists.len() <= 1 {
-        return lists.pop().unwrap_or_default();
-    }
-    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-    let mut rows: Vec<_> = lists
-        .into_iter()
-        .map(|l| l.into_iter().peekable())
-        .collect();
-    let mut heads: BinaryHeap<_> = (rows.iter_mut().enumerate())
-        .filter_map(|(i, r)| r.peek().map(|&(line, _)| Reverse((line, i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heads.pop() {
-        out.extend(rows[i].next());
-        if let Some(&(line, _)) = rows[i].peek() {
-            heads.push(Reverse((line, i)));
-        }
-    }
-    out
-}
-
 /// Coherence traffic attributed to one loop (or to the whole program).
 #[derive(Clone, Debug)]
 pub struct LoopCoh {
@@ -354,8 +304,10 @@ pub struct LoopCoh {
     pub fs_invalidations: u64,
     /// Bytes pulled by fills and never touched before the copy died.
     pub false_bytes: u64,
-    /// Offending lines as `(line number, stats)`, ascending by line.
-    pub lines: Vec<(u64, FsLine)>,
+    /// Offending lines as line-ascending runs over disjoint lines, one
+    /// from each cache-set shard that has rows in this scope; never an
+    /// empty run. [`Self::lines`] merges them as it is read.
+    runs: Vec<FsRows>,
 }
 
 impl LoopCoh {
@@ -366,7 +318,19 @@ impl LoopCoh {
             bus: BusCounts::new(threads),
             fs_invalidations: 0,
             false_bytes: 0,
-            lines: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Offending lines as `(line number, stats)`, ascending by line: the
+    /// k-way merge of the shards' runs, taken as it is read.
+    pub fn lines(&self) -> impl Iterator<Item = &(u64, FsLine)> + '_ {
+        let heads = (self.runs.iter().enumerate())
+            .map(|(i, run)| Reverse((run[0].0, i)))
+            .collect();
+        Lines {
+            runs: self.runs.iter().map(Vec::as_slice).collect(),
+            heads,
         }
     }
 
@@ -392,13 +356,12 @@ impl LoopCoh {
             && self.bus.is_zero()
             && self.fs_invalidations == 0
             && self.false_bytes == 0
-            && self.lines.is_empty()
+            && self.runs.is_empty()
     }
 
-    /// Add `other`'s matrices and counters, not its `lines`: how
+    /// Add `other`'s matrices and counters, not its lines: how
     /// [`CoherenceBackend::report`] sums the per-loop traffic into the
-    /// whole-program one, and [`CoherenceReport::merge_all`] sums the
-    /// shards' traffic.
+    /// whole-program one.
     fn add_counts(&mut self, other: &LoopCoh) {
         self.invalidations.accumulate(&other.invalidations);
         self.transfers.accumulate(&other.transfers);
@@ -407,6 +370,47 @@ impl LoopCoh {
         }
         self.fs_invalidations += other.fs_invalidations;
         self.false_bytes += other.false_bytes;
+    }
+
+    /// Fold in the same scope of another cache-set shard: its counters
+    /// added, its run of lines kept beside this one's.
+    fn absorb(&mut self, other: LoopCoh) {
+        self.add_counts(&other);
+        self.runs.extend(other.runs);
+    }
+
+    /// The scope's line-ascending rows of one shard, as its one run.
+    fn with_rows(mut self, rows: FsRows) -> Self {
+        if !rows.is_empty() {
+            self.runs = vec![rows];
+        }
+        self
+    }
+}
+
+/// The k-way merge behind [`LoopCoh::lines`]: what is left of each run,
+/// and a min-heap of each non-empty run's next line.
+struct Lines<'a> {
+    runs: Vec<&'a [(u64, FsLine)]>,
+    heads: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a (u64, FsLine);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut top = self.heads.peek_mut()?;
+        let Reverse((_, i)) = *top;
+        let (row, rest) = self.runs[i].split_first().expect("a head has a row");
+        self.runs[i] = rest;
+        match rest.first() {
+            // The head moves on in place, and sifts down when `top` drops.
+            Some(&(line, _)) => *top = Reverse((line, i)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(row)
     }
 }
 
@@ -459,14 +463,12 @@ impl CoherenceReport {
     }
 
     /// Fold in the reports of the other cache-set shards of the same
-    /// stream in one pass: counters summed, and each scope's offending
-    /// lines merged from every shard's line-ascending rows at once. Exact:
-    /// every statistic is either a sum over line-accesses or kept per
-    /// line, and shards own disjoint lines (DESIGN.md §16.4).
+    /// stream: counters summed, and each scope's offending lines kept as
+    /// the shards' line-ascending runs, which [`LoopCoh::lines`] merges
+    /// as it is read. Exact: every statistic is either a sum over
+    /// line-accesses or kept per line, and shards own disjoint lines
+    /// (DESIGN.md §16.4).
     pub fn merge_all(&mut self, others: Vec<CoherenceReport>) {
-        let mut global_rows = vec![std::mem::take(&mut self.global.lines)];
-        // Rows of the loops already here, from the shards folded in.
-        let mut loop_rows: BTreeMap<u32, Vec<FsRows>> = BTreeMap::new();
         for other in others {
             assert!(
                 self.threads == other.threads
@@ -482,27 +484,17 @@ impl CoherenceReport {
             self.c2c_fills += other.c2c_fills;
             self.invalidations += other.invalidations;
             self.writebacks += other.writebacks;
-            self.global.add_counts(&other.global);
-            global_rows.push(other.global.lines);
+            self.global.absorb(other.global);
             for (id, lc) in other.loops {
-                match self.loops.get_mut(&id) {
-                    Some(mine) => {
-                        mine.add_counts(&lc);
-                        loop_rows.entry(id).or_default().push(lc.lines);
-                    }
-                    None => {
-                        self.loops.insert(id, lc);
+                match self.loops.entry(id) {
+                    Entry::Occupied(mut mine) => mine.get_mut().absorb(lc),
+                    Entry::Vacant(slot) => {
+                        slot.insert(lc);
                     }
                 }
             }
             self.interned.extend(other.interned);
             self.loop_overflow = self.loop_overflow.or(other.loop_overflow);
-        }
-        self.global.lines = merge_row_lists(global_rows);
-        for (id, mut rows) in loop_rows {
-            let mine = self.loops.get_mut(&id).expect("rows only of loops here");
-            rows.push(std::mem::take(&mut mine.lines));
-            mine.lines = merge_row_lists(rows);
         }
         // Each shard counts the loops it saw against the cap; the stream
         // overflowed when their union is over it, whatever the split.
@@ -517,7 +509,12 @@ impl CoherenceReport {
     /// Total false-sharing classified events (invalidations + flushes),
     /// each already counted once on its line.
     pub fn false_sharing_events(&self) -> u64 {
-        self.global.lines.iter().map(|(_, l)| l.events).sum()
+        self.global
+            .runs
+            .iter()
+            .flatten()
+            .map(|(_, l)| l.events)
+            .sum()
     }
 
     /// The scrape counters of this report ([`CoherenceBackend::totals`]
@@ -874,6 +871,12 @@ struct FsCell {
     sample: FsSample,
 }
 
+impl FsCell {
+    fn stats(&self) -> FsStats {
+        (self.hot, self.sample)
+    }
+}
+
 /// One loop's per-line false-sharing stats, by directory index: fixed
 /// pages of [`FS_PAGE`] lines, each allocated when one of its lines is
 /// first charged in the loop.
@@ -901,11 +904,9 @@ impl FsPages {
         Some(&self.0.get(d / FS_PAGE)?.as_ref()?[d % FS_PAGE])
     }
 
-    /// Every cell of the allocated pages as `(directory index, stats)`.
-    fn entries(&self) -> impl Iterator<Item = (usize, FsStats)> + '_ {
-        (self.0.iter().enumerate())
-            .filter_map(|(p, page)| Some((p * FS_PAGE, page.as_ref()?)))
-            .flat_map(|(d0, page)| (d0..).zip(page.iter().map(|c| (c.hot, c.sample))))
+    /// The allocated pages, ascending.
+    fn pages(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.0.iter().enumerate()).filter_map(|(p, page)| page.as_ref().map(|_| p))
     }
 }
 
@@ -1270,13 +1271,14 @@ impl CoherenceBackend {
     ///
     /// This is also where order is produced: live pending sets are charged
     /// in ascending `(tid, line)` order (the four-address sample depends on
-    /// it) on copies of just the entries they land on, and each scope's
-    /// charged lines are sorted into its row list.
+    /// it) on copies of just the entries they land on, and the shard's
+    /// lines are sorted once; every scope's rows are then built in that
+    /// order, a charged copy taking the place of the stats it was made of.
     pub fn report(&self) -> CoherenceReport {
         let mut loops = self.acc.loops.clone();
         // Copies of the per-line stats a live pending set lands on, keyed
-        // `(scope, line)`: scope 0 is the whole program, `lx + 1` loop `lx`.
-        let mut overlay: BTreeMap<(usize, u64), FsStats> = BTreeMap::new();
+        // `(line, scope)`: scope 0 is the whole program, `lx + 1` loop `lx`.
+        let mut overlay: BTreeMap<(u64, usize), FsStats> = BTreeMap::new();
         for tid in 0..self.threads {
             let mut live: Vec<_> = self.live_pending(tid).collect();
             live.sort_unstable_by_key(|&(line, _)| line);
@@ -1286,37 +1288,61 @@ impl CoherenceBackend {
                 let threads = (1 << tid) | self.dir.writers_of(d, m.mask);
                 for (scope, base) in [
                     (0, Some(self.dir.fs(d))),
-                    (lx + 1, self.acc.fs[lx].get(d).map(|c| (c.hot, c.sample))),
+                    (lx + 1, self.acc.fs[lx].get(d).map(FsCell::stats)),
                 ] {
-                    let (hot, sample) = (overlay.entry((scope, self.dir.lines[d])))
+                    let (hot, sample) = (overlay.entry((self.dir.lines[d], scope)))
                         .or_insert_with(|| base.unwrap_or_default());
                     FsEntry { hot, sample }.event(threads, m.pending_bytes(), m.trigger_addr);
                 }
             }
         }
-        let mut overlay = overlay.into_iter().peekable();
-        let mut rows = |scope: usize, base: &mut dyn Iterator<Item = (usize, FsStats)>| {
-            let mut rows: FsRows = base
-                .filter(|(_, (hot, _))| is_charged(hot))
-                .map(|(d, (hot, sample))| (self.dir.lines[d], FsLine::from_parts(&hot, &sample)))
-                .collect();
-            rows.sort_unstable_by_key(|&(line, _)| line);
-            let mut patch = FsRows::new();
-            while let Some(((_, line), (hot, sample))) = overlay.next_if(|((s, _), _)| *s == scope)
-            {
-                patch.push((line, FsLine::from_parts(&hot, &sample)));
-            }
-            merge_rows(rows, patch)
-        };
-        let mut global = LoopCoh::new(self.threads);
-        global.lines = rows(
-            0,
-            &mut (0..self.dir.lines.len()).map(|d| (d, self.dir.fs(d))),
-        );
-        for (lx, (lc, fs)) in loops.iter_mut().zip(&self.acc.fs).enumerate() {
-            global.add_counts(lc);
-            lc.lines = rows(lx + 1, &mut fs.entries());
+        let mut order: Vec<(u64, u32)> = (self.dir.lines.iter().copied()).zip(0..).collect();
+        order.sort_unstable();
+        // Per page of directory indices, the loops with stats on it.
+        let mut paged = vec![Vec::new(); self.dir.lines.len().div_ceil(FS_PAGE)];
+        for (lx, fs) in self.acc.fs.iter().enumerate() {
+            fs.pages().for_each(|p| paged[p].push(lx));
         }
+        let mut rows = vec![FsRows::new(); loops.len() + 1];
+        let mut overlay = overlay.into_iter().peekable();
+        for (line, d) in order {
+            let d = d as usize;
+            let mut row = |scope: usize, (hot, sample): FsStats| {
+                if is_charged(&hot) {
+                    rows[scope].push((line, FsLine::from_parts(&hot, &sample)));
+                }
+            };
+            // This line's charged copies, by ascending scope.
+            let mut patch =
+                std::iter::from_fn(|| overlay.next_if(|((l, _), _)| *l == line)).peekable();
+            let cells = (paged[d / FS_PAGE].iter()).map(|&lx| {
+                (
+                    lx + 1,
+                    self.acc.fs[lx]
+                        .get(d)
+                        .map_or_else(Default::default, FsCell::stats),
+                )
+            });
+            for (scope, stats) in std::iter::once((0, self.dir.fs(d))).chain(cells) {
+                // A copy of a loop's stats that were never charged here.
+                while let Some(((_, s), copy)) = patch.next_if(|((_, s), _)| *s < scope) {
+                    row(s, copy);
+                }
+                match patch.next_if(|((_, s), _)| *s == scope) {
+                    Some((_, copy)) => row(scope, copy),
+                    None => row(scope, stats),
+                }
+            }
+            patch.for_each(|((_, s), copy)| row(s, copy));
+        }
+        let mut rows = rows.into_iter();
+        let mut global = LoopCoh::new(self.threads).with_rows(rows.next().unwrap_or_default());
+        let loops: Vec<LoopCoh> = (loops.into_iter().zip(rows))
+            .map(|(lc, rows)| {
+                global.add_counts(&lc);
+                lc.with_rows(rows)
+            })
+            .collect();
         // A loop interned by an access that caused no traffic has no entry;
         // the spill slot is no loop at all.
         let reported = (self.loop_ids.iter().copied().zip(loops).enumerate())
@@ -1643,119 +1669,6 @@ impl AccessSink for SharedCoherence {
     }
 }
 
-/// Render a [`CoherenceReport`] in the canonical line format — stable
-/// field order, loops ascending by UID, zero sections skipped — so
-/// equality of analyses can be asserted with `diff`, mirroring
-/// `lc_profiler::canonical_report`.
-pub fn canonical_coherence_report(r: &CoherenceReport) -> String {
-    // The per-line rows are nearly all of a large report, and one seldom
-    // passes 128 bytes: sized for that, the buffer seldom grows. Bytes
-    // are written (`io::Write` on a `Vec` cannot fail) and checked as
-    // text once, at the end.
-    let rows = r.global.lines.len() + r.loops.values().map(|lc| lc.lines.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(4096 + 128 * rows);
-    let _ = write!(
-        out,
-        "loopcomm-coherence v1\nthreads {}\ngeometry line-bytes {} cache-kib {} assoc {}\n\
-         accesses {}\n",
-        r.threads, r.config.line_bytes, r.config.cache_kib, r.config.assoc, r.accesses
-    );
-    if r.clamped_accesses != 0 {
-        let _ = writeln!(out, "clamped-accesses {}", r.clamped_accesses);
-    }
-    let _ = write!(
-        out,
-        "fills {} mem {} c2c {} hits {}\ninvalidations {} writebacks {}\nglobal\n",
-        r.fills, r.mem_fills, r.c2c_fills, r.hits, r.invalidations, r.writebacks
-    );
-    push_loop(&mut out, &r.global);
-    for (id, lc) in &r.loops {
-        if lc.is_zero() {
-            continue;
-        }
-        let _ = writeln!(out, "loop {id}");
-        push_loop(&mut out, lc);
-    }
-    String::from_utf8(out).expect("the canonical report is ASCII")
-}
-
-fn push_loop(out: &mut Vec<u8>, lc: &LoopCoh) {
-    if !lc.invalidations.is_zero() {
-        out.extend_from_slice(b"invalidations\n");
-        out.extend_from_slice(lc.invalidations.to_csv().as_bytes());
-    }
-    if !lc.transfers.is_zero() {
-        out.extend_from_slice(b"transfers\n");
-        out.extend_from_slice(lc.transfers.to_csv().as_bytes());
-    }
-    if !lc.bus.is_zero() {
-        let _ = writeln!(out, "bus {}", BUS_OPS.join(","));
-        out.extend_from_slice(lc.bus.to_csv().as_bytes());
-    }
-    let _ = writeln!(
-        out,
-        "false-sharing invalidations {} false-bytes {} true-bytes {}",
-        lc.fs_invalidations,
-        lc.false_bytes,
-        lc.true_bytes()
-    );
-    // One row per tracked cache line, the bulk of a large report: the
-    // numbers are written digit by digit, not through `format!`.
-    for (line, fs) in &lc.lines {
-        out.extend_from_slice(b"line ");
-        push_hex(out, *line);
-        out.extend_from_slice(b" events ");
-        push_dec(out, fs.events);
-        out.extend_from_slice(b" false ");
-        push_dec(out, fs.false_bytes);
-        out.extend_from_slice(b" true ");
-        push_dec(out, fs.true_bytes);
-        out.extend_from_slice(b" threads ");
-        push_hex(out, fs.threads);
-        out.extend_from_slice(b" addrs ");
-        for (i, &a) in fs.addrs().iter().enumerate() {
-            if i != 0 {
-                out.push(b',');
-            }
-            push_hex(out, a);
-        }
-        out.push(b'\n');
-    }
-}
-
-/// Append `v` in decimal, as `format!("{v}")` writes it.
-fn push_dec(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&buf[i..]);
-}
-
-/// Append `v` in `0x`-prefixed lowercase hex, as `format!("{v:#x}")`
-/// writes it.
-fn push_hex(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 18];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b"0123456789abcdef"[(v & 0xf) as usize];
-        v >>= 4;
-        if v == 0 {
-            break;
-        }
-    }
-    i -= 2;
-    buf[i..i + 2].copy_from_slice(b"0x");
-    out.extend_from_slice(&buf[i..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1821,7 +1734,7 @@ mod tests {
         assert!(r.global.fs_invalidations > 0, "ping-pong must be flagged");
         assert!(r.global.false_bytes > 0, "pulled words never touched");
         // Every false-sharing invalidation is also one of its line's events.
-        let from_lines: u64 = r.global.lines.iter().map(|(_, l)| l.events).sum();
+        let from_lines: u64 = r.global.lines().map(|(_, l)| l.events).sum();
         assert_eq!(r.false_sharing_events(), from_lines);
         assert!(from_lines > r.global.fs_invalidations, "flushes count too");
         let (_, fs_ratio, _) = r.features();
@@ -1985,84 +1898,36 @@ mod tests {
         let (r, w) = (capped.report(), whole.report());
         assert!(r.loop_overflow.is_some() && w.loop_overflow.is_none());
         assert_eq!(r.totals(), w.totals());
-        let render = |lc: &LoopCoh| {
-            let mut out = Vec::new();
-            push_loop(&mut out, lc);
-            out
+        // The header and the whole-program section: everything before
+        // the first loop's.
+        let global = |r: &CoherenceReport| {
+            let text = crate::canonical_coherence_report(r);
+            text[..text.find("\nloop ").unwrap_or(text.len())].to_string()
         };
-        assert_eq!(render(&r.global), render(&w.global));
+        assert_eq!(global(&r), global(&w));
     }
 
+    /// Three shards' runs of one scope read back as one line-ascending
+    /// list; a scope with no runs reads as none.
     #[test]
-    fn digit_writers_match_format() {
-        for v in [0, 9, 10, 15, 16, u32::MAX as u64, u64::MAX] {
-            let (mut dec, mut hex) = (Vec::new(), Vec::new());
-            push_dec(&mut dec, v);
-            push_hex(&mut hex, v);
-            assert_eq!(dec, format!("{v}").as_bytes());
-            assert_eq!(hex, format!("{v:#x}").as_bytes());
-        }
-    }
-
-    proptest::proptest! {
-        /// Any value, at every digit count (the shift).
-        #[test]
-        fn digit_writers_match_format_on_any_value(
-            v in proptest::arbitrary::any::<u64>(),
-            shift in 0u32..64,
-        ) {
-            let v = v >> shift;
-            let (mut dec, mut hex) = (b"x".to_vec(), b"y".to_vec());
-            push_dec(&mut dec, v);
-            push_hex(&mut hex, v);
-            proptest::prop_assert_eq!(dec, format!("x{v}").into_bytes());
-            proptest::prop_assert_eq!(hex, format!("y{v:#x}").into_bytes());
-        }
-    }
-
-    #[test]
-    fn rows_merge_in_line_order_and_the_later_row_wins() {
-        let row = |line: u64, events: u64| {
-            (
-                line,
-                FsLine {
-                    events,
-                    ..FsLine::default()
-                },
-            )
-        };
-        let merged = merge_rows(
-            vec![row(1, 1), row(4, 1), row(9, 1)],
-            vec![row(2, 2), row(4, 2), row(10, 2)],
-        );
-        assert_eq!(
-            merged,
-            vec![row(1, 1), row(2, 2), row(4, 2), row(9, 1), row(10, 2)]
-        );
-        assert_eq!(merge_rows(vec![], vec![row(3, 1)]), vec![row(3, 1)]);
-    }
-
-    #[test]
-    fn shard_row_lists_merge_in_one_line_ordered_pass() {
+    fn runs_merge_in_one_line_ordered_pass() {
         let row = |line: u64| {
-            (
-                line,
-                FsLine {
-                    events: line,
-                    ..FsLine::default()
-                },
-            )
+            let events = line;
+            let fs = FsLine {
+                events,
+                ..FsLine::default()
+            };
+            (line, fs)
         };
-        let rows = |lines: &[u64]| lines.iter().map(|&l| row(l)).collect::<FsRows>();
-        let merged = merge_row_lists(vec![
-            rows(&[0, 4, 8, 12]),
-            rows(&[]),
-            rows(&[2, 6]),
-            rows(&[3, 7, 15, 19]),
-        ]);
+        let rows = |lines: &[u64]| -> FsRows { lines.iter().map(|&l| row(l)).collect() };
+        let mut scope = LoopCoh::new(2).with_rows(rows(&[0, 4, 8, 12]));
+        for run in [rows(&[]), rows(&[2, 6]), rows(&[3, 7, 15, 19])] {
+            scope.absorb(LoopCoh::new(2).with_rows(run));
+        }
+        assert_eq!(scope.runs.len(), 3, "an empty run is not kept");
+        let merged: FsRows = scope.lines().copied().collect();
         assert_eq!(merged, rows(&[0, 2, 3, 4, 6, 7, 8, 12, 15, 19]));
-        assert_eq!(merge_row_lists(vec![rows(&[]), rows(&[5])]), rows(&[5]));
-        assert!(merge_row_lists(Vec::new()).is_empty());
+        assert_eq!(LoopCoh::new(2).lines().count(), 0);
     }
 
     /// What one line-access reads is pinned: a 32 B hot stats half, a
@@ -2130,7 +1995,7 @@ mod tests {
         let r = b.report();
         assert_eq!(r.global.transfers.get(63, 0), 8);
         assert_eq!(r.global.transfers.get(63, 62), 8);
-        let fnv = canonical_coherence_report(&r)
+        let fnv = crate::canonical_coherence_report(&r)
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -2139,7 +2004,7 @@ mod tests {
             fnv,
             0x7a11_afd9_147b_9c76,
             "{}",
-            canonical_coherence_report(&r)
+            crate::canonical_coherence_report(&r)
         );
     }
 

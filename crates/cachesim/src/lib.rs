@@ -12,6 +12,8 @@
 //!   matrices and a false-sharing detector.
 //! * [`ShardedCoherence`] — that backend split by cache set across the
 //!   host's cores, with a byte-identical merged report.
+//! * [`write_coherence_report`] — the canonical text of a report, written
+//!   one scope at a time on several threads.
 //!
 //! Together with `lc_profiler::mapping` this closes the loop the paper
 //! draws: profile → communication matrix → placement → fewer remote
@@ -23,12 +25,13 @@
 
 pub mod backend;
 pub mod cache;
+pub mod render;
 pub mod sharded;
 
 pub use backend::{
-    canonical_coherence_report, BusCounts, CoherenceBackend, CoherenceConfig, CoherenceReport,
-    CoherenceTotals, FsLine, LoopCoh, SharedCoherence, BUS_OPS, MAX_ACCESS_LINES,
-    MAX_COHERENCE_THREADS, WORD_BYTES,
+    BusCounts, CoherenceBackend, CoherenceConfig, CoherenceReport, CoherenceTotals, FsLine,
+    LoopCoh, SharedCoherence, BUS_OPS, MAX_ACCESS_LINES, MAX_COHERENCE_THREADS, WORD_BYTES,
 };
 pub use cache::{Cache, CacheConfig, Mesi};
+pub use render::{canonical_coherence_report, write_coherence_report};
 pub use sharded::ShardedCoherence;

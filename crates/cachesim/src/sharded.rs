@@ -102,7 +102,7 @@ impl ShardedCoherence {
 
     /// The backend for `threads` cores under `cfg` as `shards` cache-set
     /// shards ([`Self::shard_count`] picks the number), at the default
-    /// loop cap, with [`Self::helper_count`] helpers for this host.
+    /// loop cap, with one helper thread per core beside the calling one.
     pub fn new(cfg: CoherenceConfig, threads: usize, shards: usize) -> Self {
         Self::with_loop_capacity(cfg, threads, shards, AccumConfig::default().loop_capacity)
     }
@@ -224,8 +224,11 @@ impl ShardedCoherence {
     }
 
     /// Queue the last chunks, simulate what is left and build every
-    /// shard's report (on whichever workers are free), and merge them in
-    /// one pass into the report one backend would have produced.
+    /// shard's report (on whichever workers are free), and fold them into
+    /// one: counters summed, each scope's rows kept as the shards' runs,
+    /// which [`crate::LoopCoh::lines`] and [`crate::write_coherence_report`]
+    /// merge as they read them. Rendered, it is the report one backend
+    /// would have produced.
     pub fn finish(self) -> Result<CoherenceReport, String> {
         let mut p = match self.work {
             Work::Inline(b) => return Ok(b.report()),

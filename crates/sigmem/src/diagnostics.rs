@@ -55,11 +55,11 @@ impl SignatureHealth {
     /// Gather health from a live signature.
     pub fn inspect<W: SlotWord>(sig: &SlotSignature<W>) -> Self {
         let slots = sig.n_slots();
-        let write_occupied = sig.write_occupied();
+        let (write_occupied, read_occupied) = sig.occupied();
         Self {
             slots,
             write_occupied,
-            read_occupied: sig.read_occupied(),
+            read_occupied,
             est_written_addresses: estimate_distinct_items(write_occupied, slots),
             write_aliasing: aliasing_probability(write_occupied, slots),
         }

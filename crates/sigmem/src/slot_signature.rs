@@ -336,6 +336,19 @@ impl<W: SlotWord> SlotSignature<W> {
             .count()
     }
 
+    /// [`Self::write_occupied`] and [`Self::read_occupied`] in one pass
+    /// over the words (diagnostic; O(n·w)).
+    pub fn occupied(&self) -> (usize, usize) {
+        let (mut write, mut read) = (0, 0);
+        for slot in self.words.chunks_exact(1 << self.shift) {
+            let head = slot[0].value();
+            let readers = (slot[1..].iter()).fold(head >> WRITER_BITS, |acc, w| acc | w.value());
+            write += usize::from(head as u32 != 0);
+            read += usize::from(readers != 0);
+        }
+        (write, read)
+    }
+
     /// Every occupied slot as `(slot, words)`, slot-ascending. An all-zero
     /// slot is omitted: it answers exactly like a fresh one, so this list
     /// plus `(n_slots, threads)` reproduces the signature — the checkpoint
@@ -495,6 +508,26 @@ mod tests {
             for tid in [threads as u32, 63, 64, u32::MAX - 1] {
                 check(SlotSignature::new(16, threads), tid);
                 check(owned(16, threads), tid);
+            }
+        }
+    }
+
+    proptest! {
+        /// The one-pass counts equal the two scans at 1, 2 and 4 words per
+        /// slot, on words that are zero, writer bits only, reader bits
+        /// only, or both, at random.
+        #[test]
+        fn occupancy_in_one_pass_equals_the_two_scans(
+            words in prop::collection::vec((any::<u64>(), 0usize..4), 64 * 4),
+        ) {
+            const HALVES: [u64; 4] = [0, 0xFFFF_FFFF, !0xFFFF_FFFF, u64::MAX];
+            for (threads, w) in [(8, 1), (40, 2), (200, 4)] {
+                let sig = owned(64, threads);
+                prop_assert_eq!(sig.words_per_slot(), w);
+                for (word, &(v, keep)) in sig.words.iter().zip(&words) {
+                    word.assign(v & HALVES[keep]);
+                }
+                prop_assert_eq!(sig.occupied(), (sig.write_occupied(), sig.read_occupied()));
             }
         }
     }

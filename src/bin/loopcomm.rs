@@ -1043,20 +1043,18 @@ fn analyze(name: &str, a: &Args) {
     if let Some(e) = pipe.analyzer().overflow() {
         registry_full_error(e, sig.loop_capacity);
     }
-    // The coherence report is merged and rendered here, ahead of the
-    // metrics that time it; it is printed last, as always.
+    // The coherence shards are finished here; the report is written to
+    // `--coherence-out` after `--report-out`, ahead of the metrics that
+    // time both steps, and printed last, as always.
     let t0 = std::time::Instant::now();
     let shards = pipe.coherence_shards().unwrap_or(0);
     let workers = pipe.coherence_workers().unwrap_or(0);
     let (analyzer, coherence) =
         (pipe.finish()).unwrap_or_else(|e| fail(format_args!("error: {e}")));
-    let coherence = coherence.map(|rep| {
-        if let Some(e) = rep.loop_overflow {
-            registry_full_error(e, sig.loop_capacity);
-        }
-        let body = (a.on(F::CoherenceOut)).then(|| lc_cachesim::canonical_coherence_report(&rep));
-        (rep, body, t0.elapsed())
-    });
+    let finished = t0.elapsed();
+    if let Some(e) = coherence.as_ref().and_then(|rep| rep.loop_overflow) {
+        registry_full_error(e, sig.loop_capacity);
+    }
     let r = analyzer.report();
     println!(
         "analyzed: {} event(s) in {} block(s), {} job(s)",
@@ -1088,6 +1086,21 @@ fn analyze(name: &str, a: &Args) {
         }
     }
     println!("\ncommunication matrix:\n{}", r.global.heatmap());
+    if let Some(path) = a.text(F::ReportOut) {
+        // Canonical plain-text form: byte-identical to what a
+        // `loopcomm serve` tenant reports for the same events, whatever
+        // the input format, --jobs or checkpoint/resume history.
+        let body = lc_profiler::canonical_report(&r, analyzer.events());
+        write_out("report", &path, body);
+        println!("wrote canonical report: {path}");
+    }
+    let coherence = coherence.map(|rep| {
+        let t1 = std::time::Instant::now();
+        if let Some(path) = a.text(F::CoherenceOut) {
+            write_coherence(&rep, workers, &path);
+        }
+        (rep, finished + t1.elapsed())
+    });
     if let Some(path) = a.text(F::Metrics) {
         let mut reg = lc_profiler::MetricsRegistry::new();
         reg.counter(
@@ -1126,22 +1139,26 @@ fn analyze(name: &str, a: &Args) {
              (reading and decoding it itself without read-ahead)",
             streamed.segment_wait.as_secs_f64(),
         );
-        if let Some((rep, _, took)) = &coherence {
+        if let Some((rep, took)) = &coherence {
             coherence_metrics(&mut reg, &rep.totals(), shards, *took);
         }
         write_metrics(&path, &reg);
     }
-    if let Some(path) = a.text(F::ReportOut) {
-        // Canonical plain-text form: byte-identical to what a
-        // `loopcomm serve` tenant reports for the same events, whatever
-        // the input format, --jobs or checkpoint/resume history.
-        let body = lc_profiler::canonical_report(&r, analyzer.events());
-        write_out("report", &path, body);
-        println!("wrote canonical report: {path}");
+    if let Some((rep, _)) = coherence {
+        print_coherence(&rep, (shards, workers), a.text(F::CoherenceOut));
     }
-    if let Some((rep, body, _)) = coherence {
-        print_coherence(&rep, (shards, workers), body, a.text(F::CoherenceOut));
-    }
+}
+
+/// Stream the canonical form of `rep` to `path`, a scope at a time on
+/// `workers` threads.
+fn write_coherence(rep: &lc_cachesim::CoherenceReport, workers: usize, path: &str) {
+    (std::fs::File::create(path))
+        .and_then(|file| lc_cachesim::write_coherence_report(rep, workers, file))
+        .unwrap_or_else(|e| {
+            fail(format_args!(
+                "cannot write coherence report to `{path}`: {e}"
+            ))
+        });
 }
 
 /// The `--coherence` series of `analyze --metrics`.
@@ -1185,7 +1202,8 @@ fn coherence_metrics(
     );
     reg.gauge(
         "loopcomm_coherence_report_seconds",
-        "Time to finish the shards, merge their coherence reports and render the canonical one",
+        "Time to finish the shards, fold their coherence reports and write the canonical one \
+         to --coherence-out",
         took.as_secs_f64(),
     );
 }
@@ -1220,12 +1238,11 @@ fn profile_with_coherence(
     (prof.global_matrix(), coh.report())
 }
 
-/// Print a [`lc_cachesim::CoherenceReport`] and write its canonical
-/// form, `body`, to `--coherence-out`.
+/// Print a [`lc_cachesim::CoherenceReport`], and where its canonical form
+/// was written.
 fn print_coherence(
     rep: &lc_cachesim::CoherenceReport,
     (shards, workers): (usize, usize),
-    body: Option<String>,
     out: Option<String>,
 ) {
     println!(
@@ -1278,7 +1295,7 @@ fn print_coherence(
     // would read as noise here. The top 8 are selected, not sorted out of
     // all of them.
     const TOP: usize = 8;
-    let mut flagged: Vec<_> = (rep.global.lines.iter())
+    let mut flagged: Vec<_> = (rep.global.lines())
         .filter(|(_, fs)| fs.events > 0)
         .collect();
     let key =
@@ -1297,8 +1314,7 @@ fn print_coherence(
             );
         }
     }
-    if let (Some(path), Some(body)) = (out, body) {
-        write_out("coherence report", &path, body);
+    if let Some(path) = out {
         println!("wrote coherence report: {path}");
     }
 }

@@ -480,7 +480,9 @@ fn flags_that_used_to_be_ignored_exit_2_and_write_nothing() {
 #[test]
 fn unwritable_outputs_exit_1_with_one_line() {
     let dir = scratch_dir("unwritable");
-    let cases: [(&[&str], &str); 2] = [
+    let spool = small_spool(&dir, "s.lcv3", &["--threads", "4"]);
+    let report = dir.join("r.txt").to_string_lossy().into_owned();
+    let cases: [(&[&str], &str); 3] = [
         (
             &[
                 "report",
@@ -504,16 +506,31 @@ fn unwritable_outputs_exit_1_with_one_line() {
             ],
             "cannot write trace file `/nonexistent/t`",
         ),
+        // `--report-out` is written before `--coherence-out` is tried.
+        (
+            &[
+                "analyze",
+                &spool,
+                "--coherence",
+                "--coherence-out",
+                "/nonexistent/c.txt",
+                "--report-out",
+                &report,
+            ],
+            "cannot write coherence report to `/nonexistent/c.txt`",
+        ),
     ];
     for (args, want) in cases {
         let out = loopcomm(&dir, args);
         let err = stderr_of(&out);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert_eq!(err.lines().filter(|l| l.contains(want)).count(), 1, "{err}");
-        if args[0] == "report" {
+        if args[0] != "simtest" {
             assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
         }
     }
+    let written = std::fs::read_to_string(&report).expect("--report-out written first");
+    assert!(written.starts_with("loopcomm-report"), "{written}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
